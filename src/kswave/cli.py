@@ -16,9 +16,10 @@ Configuration comes from a JSON file (``--config``) overridden by flags;
 flags win.  Outputs are JSON (sorted keys) and CSV (full round-trip float
 repr), so identical configuration and seed produce identical bytes.
 
-Exit codes: 0 success; 2 configuration error (bad flags or values,
-degenerate parameter point, empty grid); 3 numerical failure during a
-computation.
+Exit codes: 0 success; 2 configuration error: bad flags or values, an
+empty grid, or a ``PreconditionError`` (``DegenerateError`` included)
+that the library decides from the parameters alone, before any
+integration; 3 numerical failure found during a computation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateError, KswaveError, StepSizeUnderflow
+from .errors import DegenerateError, KswaveError, PreconditionError, StepSizeUnderflow
 from .flux import LARSON, LINEAR, RELATIVISTIC
 from .integrate import (
     Controls,
@@ -55,11 +56,10 @@ from .profiles import (
     wave_trajectory,
 )
 from .shooting import (
-    ThresholdResult,
-    _is_subcritical,
-    _regime_for,
     classify_trajectory,
     find_w0_star,
+    is_subcritical,
+    supplied_threshold,
     threshold_trajectory,
 )
 
@@ -300,23 +300,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _require_nondegenerate(params: ModelParams) -> None:
-    try:
-        regime_case(params)
-    except DegenerateError as exc:
-        raise ConfigError(
-            f"threshold commands need sigma away from the case-splitting "
-            f"value: {exc}"
-        ) from exc
-
-
-def _require_outside_wave_speeds(params: ModelParams, v0: float) -> None:
-    if abs(v0) <= params.v_star:
-        raise ConfigError(
-            f"launch slope v0 = {v0!r} must satisfy |v0| > {params.v_star!r}"
-        )
-
-
 def _options_equilibria(args, cfg, params) -> dict:
     return {}
 
@@ -334,21 +317,16 @@ def _options_portrait(args, cfg, params) -> dict:
 
 
 def _options_shoot(args, cfg, params) -> dict:
-    _require_nondegenerate(params)
     v0 = _merged(args, cfg, "v0")
     if v0 is None:
         raise ConfigError("shoot needs --v0")
-    v0 = float(v0)
-    _require_outside_wave_speeds(params, v0)
     bracket = _merged(args, cfg, "bracket")
     if bracket is not None:
         bracket = tuple(float(b) for b in bracket)
-        if len(bracket) != 2 or not 0.0 < bracket[0] < bracket[1]:
-            raise ConfigError("--bracket needs 0 < LO < HI")
+        if len(bracket) != 2:
+            raise ConfigError("--bracket needs two values LO HI")
     method = str(_merged(args, cfg, "method", default="both"))
-    if method not in ("bisection", "manifold", "both"):
-        raise ConfigError(f"unknown method {method!r}")
-    return {"v0": v0, "bracket": bracket, "method": method}
+    return {"v0": float(v0), "bracket": bracket, "method": method}
 
 
 def _options_profile(args, cfg, params) -> dict:
@@ -367,38 +345,8 @@ def _options_profile(args, cfg, params) -> dict:
     branch = _merged(args, cfg, "branch")
     if branch is not None:
         branch = str(branch)
-        if branch not in ("above", "below"):
-            raise ConfigError("--branch must be above or below")
         if u0 is not None:
             raise ConfigError("--u0 is not meaningful for saturated fronts")
-        # Constraints decidable from the parameters alone are config errors;
-        # violations discovered while tracing the front exit 3 instead.
-        if not params.limiter.saturated:
-            raise ConfigError("saturated fronts need a saturating --limiter")
-        lo, hi = params.slope_domain
-        if not lo < v0 < hi:
-            raise ConfigError(
-                f"front anchor slope v0 = {v0!r} outside the admissible "
-                f"range ({lo!r}, {hi!r})"
-            )
-        if branch == "above" and not w0 > params.lam:
-            raise ConfigError(
-                f"above-branch fronts need --w0 > lambda = {params.lam!r}"
-            )
-        if branch == "below":
-            if not (lo > -params.v_star and hi < params.v_star):
-                raise ConfigError(
-                    f"below-branch fronts need the slope range ({lo!r}, {hi!r}) "
-                    f"strictly inside (-{params.v_star!r}, {params.v_star!r})"
-                )
-            if not w0 < params.lam - params.gamma * v0 * v0:
-                raise ConfigError(
-                    "below-branch fronts need --w0 under the balance parabola "
-                    f"({params.lam - params.gamma * v0 * v0!r} at v0 = {v0!r})"
-                )
-    else:
-        _require_nondegenerate(params)
-        _require_outside_wave_speeds(params, v0)
     w0_star = _merged(args, cfg, "w0_star")
     return {
         "w0": w0,
@@ -578,16 +526,7 @@ def cmd_profile(cfg: RunConfig) -> int:
         slopes = None  # the density does not vanish at a flux boundary
     else:
         if opt["w0_star"] is not None:
-            thr = ThresholdResult(
-                v0=v0,
-                w0_star=opt["w0_star"],
-                method="supplied",
-                bracket=(opt["w0_star"], opt["w0_star"]),
-                classifier_tol=0.0,
-                manifold_estimate=None,
-                regime=_regime_for(p, v0),
-                saddle=None,
-            )
+            thr = supplied_threshold(p, v0, opt["w0_star"])
         else:
             thr = find_w0_star(p, v0, controls=ctr)
         w0_star = thr.w0_star
@@ -671,7 +610,7 @@ def _sweep_point(job: dict) -> dict:
                 w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
             try:
                 shot = classify_trajectory(p, w0, v0, controls=ctr)
-                ok = _is_subcritical(shot.cls) == (w0 < thr.w0_star)
+                ok = is_subcritical(shot.cls) == (w0 < thr.w0_star)
             except KswaveError:
                 ok = False
             correct += int(ok)
@@ -745,18 +684,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _DISPATCH[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (KswaveError, FloatingPointError) as exc:
+    except (KswaveError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the solver."""
+"""Exception hierarchy shared across the solver.
+
+`PreconditionError` (`DegenerateError` included) is decided from the
+parameters alone, before any integration; it is also a ValueError, and the
+CLI exits 2 on it.  Every other `KswaveError` is found during a
+computation (CLI exit 3).
+"""
 
 
 class KswaveError(Exception):
@@ -9,7 +15,15 @@ class DomainError(KswaveError):
     """Argument outside the admissible domain (flux inverse at |y| >= c, etc.)."""
 
 
-class DegenerateError(KswaveError):
+class RegimeViolation(KswaveError):
+    """Saturated-front or shooting precondition failed before or during computation."""
+
+
+class PreconditionError(RegimeViolation, ValueError):
+    """Precondition decided from the parameters alone, before any integration."""
+
+
+class DegenerateError(PreconditionError):
     """Zero eigenvalue: equilibrium structure degenerate (sigma at sigma_star)."""
 
 
@@ -43,7 +57,3 @@ class AnchorMismatch(KswaveError):
 
 class InsufficientResolution(KswaveError):
     """Too few samples in the fitting window for a slope estimate."""
-
-
-class RegimeViolation(KswaveError):
-    """Saturated-front precondition failed before or during computation."""

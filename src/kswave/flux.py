@@ -13,13 +13,18 @@ with p = 2 the relativistic case.  The family inverts in closed form:
 
     g(y) = y / (mu * (1 - (|y|/c)^p)^(1/p)),         |y| < c,
 
-which is what `g_inverse` evaluates.
+evaluated for p = 2 as c*y / (mu * sqrt((c - y)(c + y))), which keeps
+its accuracy next to the boundary.  Each limiter compiles g, its domain
+guard and g' once (`_kernel`); `g_inverse`, `g_prime`, `make_g` and
+`make_boundary_factor` are views of that one kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .errors import DomainError
 
@@ -40,6 +45,10 @@ class FluxLimiter:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown limiter kind {self.kind!r}")
+        for name in ("mu", "c", "p"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"limiter {name} must be finite, got {val!r}")
         if not self.mu > 0:
             raise ValueError("limiter mu must be positive")
         if self.kind != LINEAR and not self.c > 0:
@@ -89,30 +98,49 @@ def phi(lim: FluxLimiter, s: float) -> float:
     return math.copysign(lim.c / (1.0 + r**-p) ** (1.0 / p), s)
 
 
-def g_inverse(lim: FluxLimiter, y: float) -> float:
-    """g(y) = phi^{-1}(y); saturated kinds require |y| < c.
+@lru_cache(maxsize=128)
+def _kernel(lim: FluxLimiter) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """(g, g') of one limiter, compiled once; g holds the only domain guard.
 
-    Raises DomainError at |y| >= c: the trajectory has reached the flux
-    boundary, where the slope becomes vertical.
+    The saturated g raises DomainError unless |y| < c (NaN included):
+    there the slope of the trajectory becomes vertical.  g' follows from g
+    by the inverse-function rule g' = 1 / phi'(g), which needs no guard of
+    its own and has no cancellation near the boundary.
     """
+    mu, c, p = lim.mu, lim.c, lim.exponent
     if lim.kind == LINEAR:
-        return y / lim.mu
-    if not abs(y) < lim.c:
-        raise DomainError(f"|y| = {abs(y)!r} is outside (-c, c) with c = {lim.c!r}")
-    p = lim.exponent
-    r = abs(y) / lim.c
-    return y / (lim.mu * (1.0 - r**p) ** (1.0 / p))
+        return (lambda y: y / mu), (lambda y: 1.0 / mu)
+    if lim.kind == RELATIVISTIC:
+
+        def g(y: float) -> float:
+            t = (c - y) * (c + y)  # c^2 * (1 - (y/c)^2) without cancellation
+            if not t > 0.0:
+                raise DomainError(f"|y| = {abs(y)!r} is outside (-c, c) with c = {c!r}")
+            return c * y / (mu * math.sqrt(t))
+
+    else:
+
+        def g(y: float) -> float:
+            t = 1.0 - (abs(y) / c) ** p
+            if not t > 0.0:
+                raise DomainError(f"|y| = {abs(y)!r} is outside (-c, c) with c = {c!r}")
+            return y / (mu * t ** (1.0 / p))
+
+    def g_prime(y: float) -> float:
+        # phi'(s) = mu * (1 + (mu*|s|/c)^p)^(-(p+1)/p)
+        return (1.0 + (mu * abs(g(y)) / c) ** p) ** ((p + 1.0) / p) / mu
+
+    return g, g_prime
+
+
+def g_inverse(lim: FluxLimiter, y: float) -> float:
+    """g(y) = phi^{-1}(y); saturated kinds raise DomainError unless |y| < c."""
+    return _kernel(lim)[0](y)
 
 
 def g_prime(lim: FluxLimiter, y: float) -> float:
     """Derivative g'(y) = 1 / (mu * (1 - (|y|/c)^p)^((p+1)/p)); used by the Jacobian."""
-    if lim.kind == LINEAR:
-        return 1.0 / lim.mu
-    if not abs(y) < lim.c:
-        raise DomainError(f"|y| = {abs(y)!r} is outside (-c, c) with c = {lim.c!r}")
-    p = lim.exponent
-    r = abs(y) / lim.c
-    return (1.0 - r**p) ** (-(p + 1.0) / p) / lim.mu
+    return _kernel(lim)[1](y)
 
 
 def slope_domain(lim: FluxLimiter, a: float, sigma: float) -> tuple[float, float]:
@@ -122,30 +150,9 @@ def slope_domain(lim: FluxLimiter, a: float, sigma: float) -> tuple[float, float
     return ((sigma - lim.c) / a, (sigma + lim.c) / a)
 
 
-def make_g(lim: FluxLimiter):
-    """Specialized scalar closure for g, for use in integrator inner loops."""
-    mu = lim.mu
-    if lim.kind == LINEAR:
-        return lambda y: y / mu
-    c = lim.c
-    if lim.kind == RELATIVISTIC:
-
-        def g(y: float) -> float:
-            t = (c - y) * (c + y)
-            if t <= 0.0:
-                raise DomainError(f"|y| = {abs(y)!r} reached the flux boundary c = {c!r}")
-            return c * y / (mu * math.sqrt(t))
-
-        return g
-    p = lim.p
-
-    def g(y: float) -> float:
-        t = 1.0 - (abs(y) / c) ** p
-        if t <= 0.0:
-            raise DomainError(f"|y| = {abs(y)!r} reached the flux boundary c = {c!r}")
-        return y / (mu * t ** (1.0 / p))
-
-    return g
+def make_g(lim: FluxLimiter) -> Callable[[float], float]:
+    """The scalar function g of this limiter, for integrator inner loops."""
+    return _kernel(lim)[0]
 
 
 def boundary_exponent(lim: FluxLimiter) -> float:
@@ -175,6 +182,7 @@ def make_boundary_factor(lim: FluxLimiter, a: float, side: int):
     p = lim.exponent
     m = boundary_exponent(lim)
     mu, c = lim.mu, lim.c
+    g = _kernel(lim)[0]
     limit0 = side * (c / mu) * (c / (p * a)) ** (1.0 / p)
 
     def factor(q: float) -> float:
@@ -183,7 +191,7 @@ def make_boundary_factor(lim: FluxLimiter, a: float, side: int):
         x = a * q**m / c
         y = side * (c - a * q**m)
         if x > 0.5:
-            return g_inverse(lim, y) * q ** (m - 1.0)
+            return g(y) * q ** (m - 1.0)
         one_minus_u = -math.expm1(p * math.log1p(-x))
         return y * q ** (m - 1.0) / (mu * one_minus_u ** (1.0 / p))
 

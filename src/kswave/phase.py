@@ -46,14 +46,14 @@ class ModelParams:
     limiter: FluxLimiter = field(default_factory=lambda: FluxLimiter(LINEAR))
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
 
     @property
     def v_star(self) -> float:
@@ -92,12 +92,6 @@ def params_from_config(cfg: dict) -> ModelParams:
     )
 
 
-def rhs(p: ModelParams, w: float, v: float) -> tuple[float, float]:
-    """Vector field (w', v') at a single state."""
-    gv = g_inverse(p.limiter, p.a * v - p.sigma)
-    return (w * (gv - v), (p.lam - p.gamma * v * v - w) / p.gamma)
-
-
 def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     """Specialized closure of the vector field for integrator inner loops."""
     g = make_g(p.limiter)
@@ -108,6 +102,11 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
         return (w * (gv - v), (lam - gamma * v * v - w) / gamma)
 
     return f
+
+
+def rhs(p: ModelParams, w: float, v: float) -> tuple[float, float]:
+    """Vector field (w', v') at a single state."""
+    return make_rhs(p)(w, v)
 
 
 def jacobian(p: ModelParams, w: float, v: float) -> np.ndarray:

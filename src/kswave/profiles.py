@@ -33,6 +33,7 @@ from .errors import (
     DegenerateError,
     DenominatorVanished,
     InsufficientResolution,
+    PreconditionError,
     RegimeViolation,
     SignChange,
 )
@@ -47,7 +48,7 @@ from .integrate import (
     reconstruct_s_from_v,
 )
 from .phase import Equilibrium, ModelParams
-from .shooting import REGIME_BACKWARD, _regime_for
+from .shooting import REGIME_BACKWARD, shooting_regime
 
 # Profile type labels.
 TYPE_A1 = "A1"
@@ -207,7 +208,7 @@ def predicted_types(
     * slow launch (v0 < -v_star, needs a < 1 and sigma < sigma_star):
       super-critical -> (A1, A1); at or below critical -> (A4, A4).
     """
-    regime = _regime_for(p, v0)
+    regime = shooting_regime(p, v0)
     if w0 <= 0.0:
         raise ValueError(f"launch density ratio must be positive, got {w0!r}")
 
@@ -363,33 +364,35 @@ def saturated_front(
       requires the whole slope interval to sit strictly inside
       (-v_star, v_star); the slope increases and ln S is convex.
 
-    The anchor (v0, w0) fixes which front of the family is meant; any
-    violated precondition raises RegimeViolation.
+    The anchor (v0, w0) fixes which front of the family is meant.  A
+    precondition decidable from the parameters and the anchor raises
+    PreconditionError before any integration; a front that fails while it
+    is traced raises RegimeViolation.
     """
     if branch not in ("above", "below"):
         raise ValueError(f"branch must be 'above' or 'below', got {branch!r}")
     if not p.limiter.saturated:
-        raise RegimeViolation("fronts need a saturating flux limiter")
+        raise PreconditionError("fronts need a saturating flux limiter")
     lo, hi = p.slope_domain
     if not lo < v0 < hi:
-        raise RegimeViolation(
+        raise PreconditionError(
             f"anchor slope v0 = {v0!r} outside the admissible range ({lo!r}, {hi!r})"
         )
     lam, gamma = p.lam, p.gamma
     if branch == "above":
         if not w0 > lam:
-            raise RegimeViolation(
-                f"the above-branch front needs anchor density > lam = {lam!r}, got {w0!r}"
+            raise PreconditionError(
+                f"the above-branch front needs anchor density > lambda = {lam!r}, got {w0!r}"
             )
     else:
         if not (lo > -p.v_star and hi < p.v_star):
-            raise RegimeViolation(
+            raise PreconditionError(
                 "the below-branch front needs the admissible slope range "
                 f"({lo!r}, {hi!r}) strictly inside (-v_star, v_star) = "
                 f"({-p.v_star!r}, {p.v_star!r})"
             )
         if not w0 < lam - gamma * v0 * v0:
-            raise RegimeViolation(
+            raise PreconditionError(
                 f"the below-branch front needs anchor density under the balance "
                 f"parabola ({lam - gamma * v0 * v0!r} at v0 = {v0!r}), got {w0!r}"
             )

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import (
-    DegenerateError,
     Inconclusive,
     NoDichotomy,
+    PreconditionError,
     RegimeViolation,
     SeedEscaped,
     StepSizeUnderflow,
@@ -106,21 +106,31 @@ class ThresholdResult:
     saddle: tuple[float, float]  # (w, v) of the saddle whose manifold separates
 
 
-def _regime_for(p: ModelParams, v0: float) -> str:
-    """Pick the shooting regime for launch slope v0, validating preconditions."""
-    case = regime_case(p)  # raises DegenerateError on the threshold line
+def shooting_regime(p: ModelParams, v0: float) -> str:
+    """Pick the shooting regime for launch slope v0, validating preconditions.
+
+    Raises PreconditionError when no shooting dichotomy applies: sigma on
+    the critical speed (DegenerateError), v0 outside the slope domain (NaN
+    and infinities included), |v0| <= v_star, or a slow launch outside case A.
+    """
+    case = regime_case(p)
+    lo, hi = p.slope_domain
+    if not lo < v0 < hi:
+        raise PreconditionError(
+            f"launch slope v0 = {v0!r} outside the slope domain ({lo!r}, {hi!r})"
+        )
     if v0 > p.v_star:
         return REGIME_FORWARD
     if v0 < -p.v_star:
         if case != "A":
-            raise RegimeViolation(
+            raise PreconditionError(
                 "backward shooting (v0 < -v_star) requires a < 1 and sigma < sigma_star; "
                 f"got case {case} for a={p.a}, sigma={p.sigma}"
             )
         return REGIME_BACKWARD
-    raise RegimeViolation(
-        f"launch slope v0={v0} lies in [-v_star, v_star] = [{-p.v_star}, {p.v_star}]; "
-        "no shooting dichotomy there"
+    raise PreconditionError(
+        f"launch slope v0 = {v0!r} must satisfy |v0| > v_star = {p.v_star!r}; "
+        "no shooting dichotomy inside [-v_star, v_star]"
     )
 
 
@@ -146,7 +156,7 @@ def classify_trajectory(
     """
     if w0 <= 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
-    regime = _regime_for(p, v0)
+    regime = shooting_regime(p, v0)
     # w legitimately passes through tiny values while tracking an axis
     # saddle, so the small-density stop must be off for classification.
     ctr = replace(controls if controls is not None else Controls(), w_min=0.0)
@@ -218,7 +228,7 @@ def classify_trajectory(
     )
 
 
-def _is_subcritical(cls: str) -> bool:
+def is_subcritical(cls: str) -> bool:
     """Bisection side of an orbit class: True = at-or-below threshold."""
     return cls in (ENTERS_PARABOLA, CONVERGES_TO)
 
@@ -325,12 +335,25 @@ def find_w0_star(
     classifier to relative width 1e-10; "manifold" reads the separating
     saddle manifold's crossing of v = v0 directly; "both" (default) runs
     bisection and cross-checks it against the manifold, reporting method
-    "Both" only when the two agree to 1e-6 relative.
+    "Both" only when the two agree to 1e-6 relative.  A bad method, launch
+    slope or bracket_hint raises PreconditionError before any integration.
     """
     method = method.lower()
     if method not in ("bisection", "manifold", "both"):
-        raise ValueError(f"method must be 'bisection', 'manifold', or 'both', got {method!r}")
-    regime = _regime_for(p, v0)
+        raise PreconditionError(
+            f"method must be 'bisection', 'manifold', or 'both', got {method!r}"
+        )
+    regime = shooting_regime(p, v0)
+    if bracket_hint is not None:
+        lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
+        if not (0.0 < lo < hi < math.inf):
+            raise PreconditionError(
+                f"bracket_hint must satisfy 0 < lo < hi < inf, got {bracket_hint}"
+            )
+    elif p.lam > 0.0:
+        lo, hi = 0.5 * p.lam, 2.0 * p.lam
+    else:
+        lo, hi = 0.5, 2.0
     ctr = controls if controls is not None else Controls()
     eqs = equilibria(p)
     saddle = _threshold_saddle(p, regime, eqs)
@@ -364,18 +387,9 @@ def find_w0_star(
 
     def side(w0: float) -> bool:
         """True when w0 classifies sub-critical."""
-        return _is_subcritical(
+        return is_subcritical(
             classify_trajectory(p, w0, v0, controls=ctr, eq_list=eqs).cls
         )
-
-    if bracket_hint is not None:
-        lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
-        if not (0.0 < lo < hi):
-            raise ValueError(f"bracket_hint must satisfy 0 < lo < hi, got {bracket_hint}")
-    elif p.lam > 0.0:
-        lo, hi = 0.5 * p.lam, 2.0 * p.lam
-    else:
-        lo, hi = 0.5, 2.0
 
     # Expand each end until the classes genuinely straddle the threshold.
     for _ in range(_EXPAND_MAX + 1):
@@ -420,6 +434,24 @@ def find_w0_star(
         bracket=(lo, hi),
         classifier_tol=classifier_tol,
         manifold_estimate=manifold_estimate,
+        regime=regime,
+        saddle=(saddle.w, saddle.v),
+    )
+
+
+def supplied_threshold(p: ModelParams, v0: float, w0_star: float) -> ThresholdResult:
+    """ThresholdResult for a w0_star found earlier, with its saddle; integrates nothing."""
+    regime = shooting_regime(p, v0)
+    if not 0.0 < w0_star < math.inf:
+        raise PreconditionError(f"w0_star must be a positive density, got {w0_star!r}")
+    saddle = _threshold_saddle(p, regime, equilibria(p))
+    return ThresholdResult(
+        v0=v0,
+        w0_star=w0_star,
+        method="supplied",
+        bracket=(w0_star, w0_star),
+        classifier_tol=0.0,
+        manifold_estimate=None,
         regime=regime,
         saddle=(saddle.w, saddle.v),
     )
