@@ -47,6 +47,7 @@ from .integrate import (
 from .phase import ModelParams, equilibria, params_from_config, regime_case
 from .profiles import (
     WaveProfile,
+    check_anchor,
     classify_profile,
     endpoint_slopes,
     farfield_coefficients,
@@ -261,22 +262,18 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
-    controls = Controls()
     extra = cfg.get("controls", {})
     if not isinstance(extra, dict):
         raise ConfigError("config key 'controls' must be an object")
+    extra = dict(extra)
+    for key in ("rtol", "atol"):
+        val = _merged(args, cfg, key)
+        if val is not None:
+            extra[key] = float(val)
     try:
-        controls = replace(controls, **extra)
+        controls = Controls(**extra)
     except TypeError as exc:
-        raise ConfigError(f"unknown controls key: {exc}") from exc
-    rtol = _merged(args, cfg, "rtol")
-    atol = _merged(args, cfg, "atol")
-    if rtol is not None:
-        controls = replace(controls, rtol=float(rtol))
-    if atol is not None:
-        controls = replace(controls, atol=float(atol))
-    if controls.rtol <= 0.0 or controls.atol < 0.0:
-        raise ConfigError("tolerances must satisfy rtol > 0 and atol >= 0")
+        raise ConfigError(f"invalid controls: {exc}") from exc
 
     out = _merged(args, cfg, "out")
     seed = int(_merged(args, cfg, "seed", default=0) or 0)
@@ -335,13 +332,11 @@ def _options_profile(args, cfg, params) -> dict:
     if w0 is None or v0 is None:
         raise ConfigError("profile needs --w0 and --v0")
     w0, v0 = float(w0), float(v0)
-    if w0 <= 0.0:
-        raise ConfigError("--w0 must be positive")
     s0 = float(_merged(args, cfg, "s0", default=0.0))
     S0 = float(_merged(args, cfg, "S0", default=1.0))
-    if S0 <= 0.0:
-        raise ConfigError("--S0 must be positive")
     u0 = _merged(args, cfg, "u0")
+    u0 = None if u0 is None else float(u0)
+    check_anchor(w0, s0, S0, u0)
     branch = _merged(args, cfg, "branch")
     if branch is not None:
         branch = str(branch)
@@ -353,7 +348,7 @@ def _options_profile(args, cfg, params) -> dict:
         "v0": v0,
         "s0": s0,
         "S0": S0,
-        "u0": None if u0 is None else float(u0),
+        "u0": u0,
         "branch": branch,
         "w0_star": None if w0_star is None else float(w0_star),
     }

@@ -18,7 +18,7 @@ graph leg by quadrature of ds = gamma/(lam - gamma*v^2 - W) dv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +69,16 @@ class Controls:
     eq_dwell: float = 5.0         # span to sit in the ball; inf disables
     boundary_eps_rel: float = 1e-9  # flux-boundary standoff, relative to c
     denom_eps: float = 1e-10      # graph-denominator floor
+
+    def __post_init__(self) -> None:
+        for fld in fields(self):
+            if math.isnan(getattr(self, fld.name)):
+                raise ValueError(f"controls field {fld.name} is NaN")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError(
+                f"tolerances must be finite and positive, got rtol={self.rtol!r}, "
+                f"atol={self.atol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -124,17 +134,19 @@ class Trajectory:
         return self.termination_start, self.termination
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage row equals b)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau.  FSAL: the 7th stage row equals the weights
+# B, so the last stage is the step's result.  B2 and E2 are zero.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -145,25 +157,41 @@ def _dp54_step(f, y, k1, h):
     """One step of size h from state y=(w, v, I) with cached k1 = f(y).
 
     Returns (y5, k7, err) where y5 is the 5th-order result, k7 = f(y5)
-    (FSAL), and err the embedded error estimate per component.
+    (FSAL), and err the embedded error estimate per component.  dI/ds = v,
+    so the third slope of each stage is its v, and the stage values of I
+    are never needed.  Every sum runs left to right over the nonzero
+    coefficients in tableau order, and each error sum starts from 0.0 as
+    sum() does, so the results equal the generic tableau loop's to the bit
+    (tests/test_integrate.py keeps that loop as the reference).
     """
-    k = [k1]
-    y5 = y
-    for i in range(1, 7):
-        w, v, ii = y
-        for a, kj in zip(_A[i], k):
-            if a != 0.0:
-                w += h * a * kj[0]
-                v += h * a * kj[1]
-                ii += h * a * kj[2]
-        fw, fv = f(w, v)
-        k.append((fw, fv, v))
-        if i == 6:
-            y5 = (w, v, ii)
-    err = tuple(
-        h * sum(_E[j] * k[j][c] for j in range(7)) for c in range(3)
+    w, v, ii = y
+    k1w, k1v, k1i = k1
+    a1 = h * _A21
+    v2 = v + a1 * k1v
+    k2w, k2v = f(w + a1 * k1w, v2)
+    a1, a2 = h * _A31, h * _A32
+    v3 = v + a1 * k1v + a2 * k2v
+    k3w, k3v = f(w + a1 * k1w + a2 * k2w, v3)
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    v4 = v + a1 * k1v + a2 * k2v + a3 * k3v
+    k4w, k4v = f(w + a1 * k1w + a2 * k2w + a3 * k3w, v4)
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    v5 = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v
+    k5w, k5v = f(w + a1 * k1w + a2 * k2w + a3 * k3w + a4 * k4w, v5)
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    v6 = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v + a5 * k5v
+    k6w, k6v = f(w + a1 * k1w + a2 * k2w + a3 * k3w + a4 * k4w + a5 * k5w, v6)
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    w7 = w + b1 * k1w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w
+    v7 = v + b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
+    i7 = ii + b1 * k1i + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6
+    k7w, k7v = f(w7, v7)
+    err = (
+        h * (0.0 + _E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w),
+        h * (0.0 + _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v),
+        h * (0.0 + _E1 * k1i + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7),
     )
-    return y5, k[6], err
+    return (w7, v7, i7), (k7w, k7v, v7), err
 
 
 # w decays and grows over hundreds of orders of magnitude and enters the
@@ -172,19 +200,12 @@ def _dp54_step(f, y, k1, h):
 # only guards against an exact-zero scale.
 _W_ATOL_FLOOR = 1e-290
 
-
-def _err_norm(err, y, y5, rtol, atol):
-    acc = 0.0
-    for c in range(3):
-        sc = (_W_ATOL_FLOOR if c == 0 else atol) + rtol * max(
-            abs(y[c]), abs(y5[c])
-        )
-        acc += (err[c] / sc) ** 2
-    return math.sqrt(acc / 3.0)
+# Smallest step, relative to max(1, |s|), that still moves s.
+_H_FLOOR_REL = 16.0 * np.finfo(float).eps
 
 
 def _h_floor(s: float) -> float:
-    return 16.0 * np.finfo(float).eps * max(1.0, abs(s))
+    return _H_FLOOR_REL * max(1.0, abs(s))
 
 
 def _initial_h(f, y, k1, sgn, ctr: Controls) -> float:
@@ -238,6 +259,8 @@ def integrate(
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if not (math.isfinite(w0) and math.isfinite(v0) and math.isfinite(s0)):
+        raise ValueError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
     if w0 < 0.0:
         raise ValueError("w0 must be nonnegative")
     sgn = 1.0 if direction == FORWARD else -1.0
@@ -281,6 +304,7 @@ def integrate(
     target = s0 + sgn * ctr.s_max
 
     term: TerminationEvent | None = None
+    rtol, atol = ctr.rtol, ctr.atol
     h = _initial_h(f, y, k1, sgn, ctr)
     err_old = 1e-4
     just_rejected = False
@@ -302,7 +326,7 @@ def integrate(
         h_try = remaining if landing else h
 
         try:
-            y5, k7, err_vec = _dp54_step(f, y, k1, sgn * h_try)
+            y5, k7, (ew, ev, ei) = _dp54_step(f, y, k1, sgn * h_try)
         except DomainError:
             h = 0.5 * h_try
             just_rejected = True
@@ -316,8 +340,18 @@ def integrate(
                 )
             continue
 
-        err = _err_norm(err_vec, y, y5, ctr.rtol, ctr.atol)
-        if err > 1.0:
+        # RMS of the error over per-component scales atol + rtol * |state|
+        err = math.sqrt(
+            (
+                (ew / (_W_ATOL_FLOOR + rtol * max(abs(y[0]), abs(y5[0])))) ** 2
+                + (ev / (atol + rtol * max(abs(y[1]), abs(y5[1])))) ** 2
+                + (ei / (atol + rtol * max(abs(y[2]), abs(y5[2])))) ** 2
+            )
+            / 3.0
+        )
+        # NaN fails every comparison: a state gone non-finite is rejected
+        # until the step size underflows.
+        if not err <= 1.0:
             h = h_try * max(_FAC_MIN, _SAFETY * err ** -0.2)
             just_rejected = True
             if h < _h_floor(s):
@@ -436,7 +470,7 @@ def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
         # noise of the accepted sample; keep the later (event) sample so
         # downstream difference quotients never divide by a noise gap.
         keep = np.ones(len(s), dtype=bool)
-        keep[:-1] = np.diff(s) > 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(s[:-1]))
+        keep[:-1] = np.diff(s) > _H_FLOOR_REL * np.maximum(1.0, np.abs(s[:-1]))
         if not keep.all():
             s, w, v, ii = s[keep], w[keep], v[keep], ii[keep]
 

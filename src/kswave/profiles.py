@@ -101,17 +101,17 @@ def reconstruct(
     """Turn an orbit into the physical profile (u, S).
 
     The signal is normalized to S(s0) = S0 with s0 inside the sampled
-    span.  A given ``u0`` is a consistency statement, not a knob: it must
+    span; a non-finite s0, S0 or u0, or S0 <= 0, raises PreconditionError.
+    A given ``u0`` is a consistency statement, not a knob: it must
     satisfy u0/S0 = w(s0) to 1e-9 or AnchorMismatch is raised.  Labels
     are attached verbatim; use classify_profile to derive them.
     """
+    _check_normalization(s0, S0, u0)
     s = np.asarray(traj.s, dtype=float)
     if not s[0] <= s0 <= s[-1]:
         raise ValueError(
             f"anchor s0 = {s0!r} outside the sampled span [{s[0]!r}, {s[-1]!r}]"
         )
-    if S0 <= 0.0:
-        raise ValueError(f"S0 must be positive, got {S0!r}")
     w_at = float(np.interp(s0, s, traj.w))
     if u0 is not None and abs(u0 / S0 - w_at) > 1e-9 * max(1.0, abs(w_at)):
         raise AnchorMismatch(
@@ -143,6 +143,33 @@ def reconstruct(
         anchors={"s0": float(s0), "S0": float(S0), "u0": float(w_at * S0)},
         end_limits=end_limits or None,
     )
+
+
+def check_anchor(
+    w0: float, s0: float = 0.0, S0: float = 1.0, u0: float | None = None
+) -> None:
+    """Reject a profile anchor that cannot give a finite profile.
+
+    The launch density ratio w0 and the signal normalization S0 must be
+    finite and positive, the anchor coordinate s0 and a given density u0
+    finite.  Raises PreconditionError; integrates nothing.
+    """
+    if not 0.0 < w0 < math.inf:
+        raise PreconditionError(
+            f"launch density ratio w0 must be finite and positive, got {w0!r}"
+        )
+    _check_normalization(s0, S0, u0)
+
+
+def _check_normalization(s0: float, S0: float, u0: float | None) -> None:
+    if not 0.0 < S0 < math.inf:
+        raise PreconditionError(
+            f"signal normalization S0 must be finite and positive, got {S0!r}"
+        )
+    if not math.isfinite(s0):
+        raise PreconditionError(f"anchor coordinate s0 must be finite, got {s0!r}")
+    if u0 is not None and not math.isfinite(u0):
+        raise PreconditionError(f"anchor density u0 must be finite, got {u0!r}")
 
 
 def wave_trajectory(
@@ -365,12 +392,13 @@ def saturated_front(
       (-v_star, v_star); the slope increases and ln S is convex.
 
     The anchor (v0, w0) fixes which front of the family is meant.  A
-    precondition decidable from the parameters and the anchor raises
-    PreconditionError before any integration; a front that fails while it
-    is traced raises RegimeViolation.
+    precondition decidable from the parameters and the anchor (see also
+    check_anchor) raises PreconditionError before any integration; a front
+    that fails while it is traced raises RegimeViolation.
     """
     if branch not in ("above", "below"):
         raise ValueError(f"branch must be 'above' or 'below', got {branch!r}")
+    check_anchor(w0, s0, S0)
     if not p.limiter.saturated:
         raise PreconditionError("fronts need a saturating flux limiter")
     lo, hi = p.slope_domain

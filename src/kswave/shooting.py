@@ -305,18 +305,22 @@ def trace_stable_manifold(
 def _threshold_saddle(
     p: ModelParams, regime: str, eq_list: tuple[Equilibrium, ...]
 ) -> Equilibrium:
-    """The saddle whose invariant manifold separates the two orbit classes."""
+    """The saddle whose invariant manifold separates the two orbit classes.
+
+    Decided from the equilibria alone, so a missing saddle raises
+    PreconditionError before any integration.
+    """
     case = regime_case(p)
     interior = [e for e in eq_list if e.label == SADDLE and e.w > 0.0]
     axis_low = [e for e in eq_list if e.label == SADDLE and e.w == 0.0 and e.v < 0.0]
     if regime == REGIME_BACKWARD or case == "A":
         if not interior:
-            raise RegimeViolation(
+            raise PreconditionError(
                 f"no interior saddle for a={p.a}, sigma={p.sigma}; cannot shoot"
             )
         return interior[0]
     if not axis_low:
-        raise RegimeViolation(
+        raise PreconditionError(
             f"no saddle at (0, -v_star) for a={p.a}, sigma={p.sigma}; cannot shoot"
         )
     return axis_low[0]
@@ -333,10 +337,18 @@ def find_w0_star(
 
     ``method`` selects how: "bisection" refines a sub/super bracket on the
     classifier to relative width 1e-10; "manifold" reads the separating
-    saddle manifold's crossing of v = v0 directly; "both" (default) runs
-    bisection and cross-checks it against the manifold, reporting method
-    "Both" only when the two agree to 1e-6 relative.  A bad method, launch
-    slope or bracket_hint raises PreconditionError before any integration.
+    saddle manifold's crossing of v = v0 directly; "both" (default) traces
+    the manifold first and then bisects on the classifier.
+
+    Bisection starts from a bracket whose ends the classifier has found
+    sub- and super-critical.  Under "both" with a manifold estimate m, the
+    first try is (m*(1 - 1e-6), m*(1 + 1e-6)); when its ends do not
+    classify that way (or under "bisection"), the bracket is expanded from
+    ``bracket_hint``, or from (lam/2, 2*lam), by factors of 4.  Method
+    "Both" is reported only when the bisected threshold and m agree to
+    1e-6 relative, i.e. when the classifier confirms the manifold to that
+    tolerance.  A bad method, launch slope, bracket_hint or missing saddle
+    raises PreconditionError before any integration.
     """
     method = method.lower()
     if method not in ("bisection", "manifold", "both"):
@@ -391,25 +403,37 @@ def find_w0_star(
             classify_trajectory(p, w0, v0, controls=ctr, eq_list=eqs).cls
         )
 
-    # Expand each end until the classes genuinely straddle the threshold.
-    for _ in range(_EXPAND_MAX + 1):
-        if side(lo):
-            break
-        hi = min(hi, lo)  # a super-critical lo is a tighter upper end
-        lo /= _EXPAND_FACTOR
-    else:
-        raise NoDichotomy(
-            f"no sub-critical launch density found down to w0={lo} for v0={v0}"
+    # A manifold estimate within the agreement tolerance of the threshold
+    # gives a bracket that already straddles it; the classifier decides both
+    # of its ends, so bisecting from it keeps the cross-check independent.
+    seed = None
+    if manifold_estimate is not None:
+        seed = (
+            manifold_estimate * (1.0 - _AGREEMENT_REL),
+            manifold_estimate * (1.0 + _AGREEMENT_REL),
         )
-    for _ in range(_EXPAND_MAX + 1):
-        if not side(hi):
-            break
-        lo = max(lo, hi)  # a sub-critical hi is a better lower end
-        hi *= _EXPAND_FACTOR
+    if seed is not None and side(seed[0]) and not side(seed[1]):
+        lo, hi = seed
     else:
-        raise NoDichotomy(
-            f"no super-critical launch density found up to w0={hi} for v0={v0}"
-        )
+        # Expand each end until the classes genuinely straddle the threshold.
+        for _ in range(_EXPAND_MAX + 1):
+            if side(lo):
+                break
+            hi = min(hi, lo)  # a super-critical lo is a tighter upper end
+            lo /= _EXPAND_FACTOR
+        else:
+            raise NoDichotomy(
+                f"no sub-critical launch density found down to w0={lo} for v0={v0}"
+            )
+        for _ in range(_EXPAND_MAX + 1):
+            if not side(hi):
+                break
+            lo = max(lo, hi)  # a sub-critical hi is a better lower end
+            hi *= _EXPAND_FACTOR
+        else:
+            raise NoDichotomy(
+                f"no super-critical launch density found up to w0={hi} for v0={v0}"
+            )
 
     while hi - lo > _BRACKET_REL * hi:
         mid = 0.5 * (lo + hi)

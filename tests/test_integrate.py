@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import struct
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kswave.errors import AnchorMismatch, DenominatorVanished, Inconclusive
-from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter
+from kswave.errors import (
+    AnchorMismatch,
+    DenominatorVanished,
+    DomainError,
+    Inconclusive,
+    StepSizeUnderflow,
+)
+from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
     BACKWARD,
     BOTH,
@@ -28,7 +40,7 @@ from kswave.integrate import (
     merge_trajectories,
     reconstruct_s_from_v,
 )
-from kswave.phase import ModelParams, equilibria
+from kswave.phase import ModelParams, equilibria, make_rhs
 
 
 def lp(a, sigma, gamma=1.0, lam=1.0):
@@ -277,3 +289,177 @@ def test_end_events_orientation():
     fwd = integrate(COTH_P, 0.0, 2.0, direction=FORWARD, controls=Controls(s_max=1.0, eq_dwell=math.inf))
     lo_ev, hi_ev = fwd.end_events()
     assert lo_ev is None and hi_ev is fwd.termination
+
+
+# --------------------------------------------------------------------------
+# the unrolled DP54 stepper against the generic tableau loop
+# --------------------------------------------------------------------------
+
+STEPPER = importlib.import_module("kswave.integrate")._dp54_step
+
+# Dormand-Prince 5(4) tableau (FSAL: the 7th stage row equals b)
+REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def reference_dp54_step(f, y, k1, h):
+    """The generic tableau loop: the reference the unrolled stepper must match."""
+    k = [k1]
+    y5 = y
+    for i in range(1, 7):
+        w, v, ii = y
+        for a, kj in zip(REF_A[i], k):
+            if a != 0.0:
+                w += h * a * kj[0]
+                v += h * a * kj[1]
+                ii += h * a * kj[2]
+        fw, fv = f(w, v)
+        k.append((fw, fv, v))
+        if i == 6:
+            y5 = (w, v, ii)
+    # Plain left-to-right sums from the integer 0, as sum() adds floats up to
+    # Python 3.11 (3.12's sum() compensates rounding, which would not match).
+    err = []
+    for c in range(3):
+        acc = 0
+        for j in range(7):
+            acc += REF_E[j] * k[j][c]
+        err.append(h * acc)
+    return y5, k[6], tuple(err)
+
+
+STEP_PARAMS = {
+    LINEAR: ModelParams(a=1.0, sigma=0.5),
+    # slope domain (-1.87, 2.13)
+    RELATIVISTIC: ModelParams(a=1.5, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=3.0)),
+    # slope domain (-1.42, 1.92)
+    LARSON: ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=2.0, p=2.5)),
+}
+
+
+def step_outcome(stepper, f, y, h):
+    """Bit patterns of (y5, k7, err), or the name of the error raised."""
+    k1 = f(y[0], y[1]) + (y[1],)
+    try:
+        y5, k7, err = stepper(f, y, k1, h)
+    except DomainError:
+        return "DomainError"
+    return struct.pack("<9d", *y5, *k7, *err)
+
+
+STEP_SETTINGS = settings(max_examples=150, deadline=timedelta(seconds=2), database=None)
+
+
+@STEP_SETTINGS
+@given(
+    kind=st.sampled_from(sorted(STEP_PARAMS)),
+    w=st.just(-0.0) | st.floats(0.0, 1e3),
+    v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ii=st.floats(-1e3, 1e3),
+    h=st.floats(1e-9, 2.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
+    p = STEP_PARAMS[kind]
+    lo, hi = p.slope_domain
+    lo, hi = max(lo, -50.0), min(hi, 50.0)
+    v = lo + v_frac * (hi - lo)
+    assume(lo < v < hi)
+    f = make_rhs(p)
+    y = (w, v, ii)
+    assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
+        reference_dp54_step, f, y, sign * h
+    )
+
+
+@STEP_SETTINGS
+@given(
+    gap=st.floats(1e-12, 1e-2),
+    edge=st.sampled_from([-1, 1]),
+    w=st.floats(1e-6, 20.0),
+    h=st.floats(1e-9, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
+    p = STEP_PARAMS[RELATIVISTIC]
+    lo, hi = p.slope_domain
+    v = hi - gap * (hi - lo) if edge > 0 else lo + gap * (hi - lo)
+    assume(lo < v < hi)
+    f = make_rhs(p)
+    y = (w, v, 0.5)
+    assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
+        reference_dp54_step, f, y, sign * h
+    )
+
+
+def test_stepper_domain_error_propagates():
+    p = STEP_PARAMS[RELATIVISTIC]
+    f = make_rhs(p)
+    v = p.slope_domain[1] - 1e-6
+    k1 = f(1.0, v) + (v,)
+    # a unit step in the direction that raises v leaves the slope domain
+    h = math.copysign(1.0, k1[1])
+    with pytest.raises(DomainError):
+        reference_dp54_step(f, (1.0, v, 0.0), k1, h)
+    with pytest.raises(DomainError):
+        STEPPER(f, (1.0, v, 0.0), k1, h)
+
+
+# --------------------------------------------------------------------------
+# non-finite tolerances and states fail fast
+# --------------------------------------------------------------------------
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Controls)])
+    def test_controls_reject_nan_in_any_field(self, name):
+        with pytest.raises(ValueError, match=name):
+            Controls(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 0.0, -1e-10])
+    def test_controls_reject_bad_tolerances(self, name, bad):
+        with pytest.raises(ValueError, match="tolerances"):
+            Controls(**{name: bad})
+
+    def test_controls_accept_disabled_limits(self):
+        ctr = Controls(eq_dwell=math.inf, w_min=0.0)
+        assert ctr.eq_dwell == math.inf
+
+    @pytest.mark.parametrize("w0, v0, s0", [
+        (math.nan, 0.5, 0.0),
+        (math.inf, 0.5, 0.0),
+        (0.1, math.nan, 0.0),
+        (0.1, -math.inf, 0.0),
+        (0.1, 0.5, math.inf),
+    ])
+    def test_integrate_rejects_non_finite_launch(self, monkeypatch, w0, v0, s0):
+        mod = importlib.import_module("kswave.integrate")
+
+        def forbidden(p):
+            raise AssertionError("integration started with a non-finite launch point")
+
+        monkeypatch.setattr(mod, "make_rhs", forbidden)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(COTH_P, w0, v0, s0=s0)
+
+    def test_state_turning_nan_mid_run_underflows(self, monkeypatch):
+        # A field that is NaN past v = 2: before any event, the run must end
+        # in StepSizeUnderflow instead of accepting NaN steps until the step
+        # budget runs out.
+        mod = importlib.import_module("kswave.integrate")
+
+        def field(p):
+            return lambda w, v: (math.nan, math.nan) if v > 2.0 else (0.0, 1.0)
+
+        monkeypatch.setattr(mod, "make_rhs", field)
+        with pytest.raises(StepSizeUnderflow):
+            integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))

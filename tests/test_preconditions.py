@@ -12,7 +12,7 @@ from kswave import cli
 from kswave.errors import DegenerateError, PreconditionError, RegimeViolation
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.phase import ModelParams
-from kswave.profiles import saturated_front
+from kswave.profiles import check_anchor, reconstruct, saturated_front, wave_trajectory
 from kswave.shooting import find_w0_star, shooting_regime, supplied_threshold
 
 REL = FluxLimiter(RELATIVISTIC, c=3.0)
@@ -170,3 +170,72 @@ def test_overflow_is_a_numerical_failure(capsys):
                     "--rtol", "1e-300")
     assert code == 3
     assert "numerical failure (OverflowError)" in err
+
+
+class TestNonFiniteRunInputs:
+    """Non-finite tolerances and anchors exit 2 before any integration and
+    leave no output file behind."""
+
+    BASE = ["--a", "1", "--sigma", "0.5", "--v0", "2"]
+    FRONT = ["profile", "--a", "1", "--sigma", "0.5", "--limiter", "relativistic",
+             "--c", "1", "--w0", "5", "--v0", "0.5", "--branch", "above"]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", *BASE, "--w0", "nan", "--w0-star", "3"],
+        ["profile", *BASE, "--w0", "inf", "--w0-star", "3"],
+        ["profile", *BASE, "--w0", "0"],
+        ["shoot", *BASE, "--rtol", "nan"],
+        ["shoot", *BASE, "--rtol", "inf"],
+        ["shoot", *BASE, "--atol", "nan"],
+        ["shoot", *BASE, "--atol", "0"],
+        ["profile", *BASE, "--w0", "1", "--S0", "inf", "--w0-star", "3"],
+        ["profile", *BASE, "--w0", "1", "--S0", "nan"],
+        ["profile", *BASE, "--w0", "1", "--S0", "0"],
+        ["profile", *BASE, "--w0", "1", "--s0=-inf"],
+        ["profile", *BASE, "--w0", "1", "--u0", "nan"],
+        FRONT + ["--S0", "inf"],
+        FRONT + ["--s0", "nan"],
+        # a relativistic limiter that removes case A's interior saddle
+        ["shoot", "--a", "0.3", "--sigma", "0.2", "--limiter", "relativistic",
+         "--c", "0.3", "--v0", "1.3"],
+    ])
+    def test_cli_exits_2(self, capsys, no_integration, tmp_path, argv):
+        code, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "config error" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_in_config_controls(self, capsys, no_integration, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"eq_tol": NaN}}')
+        code, err = run(capsys, "shoot", "--config", str(cfg))
+        assert code == 2
+        assert "eq_tol" in err
+
+    @pytest.mark.parametrize("kw", [
+        {"S0": math.inf}, {"S0": -1.0}, {"S0": math.nan}, {"s0": math.nan},
+    ])
+    def test_front_normalization(self, no_integration, kw):
+        p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC))
+        with pytest.raises(PreconditionError):
+            saturated_front(p, v0=0.5, w0=5.0, branch="above", **kw)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.0, 1.0, None),
+        (-1.0, 0.0, 1.0, None),
+        (1.0, math.inf, 1.0, None),
+        (1.0, 0.0, 0.0, None),
+        (1.0, 0.0, 1.0, -math.inf),
+    ])
+    def test_check_anchor(self, args):
+        with pytest.raises(PreconditionError):
+            check_anchor(*args)
+
+
+@pytest.mark.parametrize("kw", [
+    {"S0": math.inf}, {"S0": math.nan}, {"u0": math.nan}, {"s0": math.nan},
+])
+def test_reconstruct_rejects_non_finite_normalization(kw):
+    traj = wave_trajectory(P_LIN, 6.0, 2.0)
+    with pytest.raises(PreconditionError):
+        reconstruct(P_LIN, traj, **kw)

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kswave.errors import DegenerateError, NoDichotomy, RegimeViolation, SeedEscaped
+from kswave.errors import (
+    DegenerateError,
+    NoDichotomy,
+    PreconditionError,
+    RegimeViolation,
+    SeedEscaped,
+)
+from kswave.flux import RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
     BACKWARD,
     CONVERGED,
@@ -29,6 +37,7 @@ from kswave.shooting import (
     ShotOutcome,
     classify_trajectory,
     find_w0_star,
+    supplied_threshold,
     threshold_trajectory,
     trace_stable_manifold,
 )
@@ -271,3 +280,68 @@ class TestThresholdTrajectory:
     def test_computes_result_when_omitted(self):
         traj = threshold_trajectory(P_C, 2.0)
         assert traj.termination.kind == CONVERGED
+
+
+class TestSeededBisection:
+    """Under method "both" the bisection starts from the manifold estimate."""
+
+    @staticmethod
+    def counting_classifier(monkeypatch):
+        calls = []
+        original = shooting.classify_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "classify_trajectory", counted)
+        return calls
+
+    @pytest.mark.parametrize("p, v0", [(P_C, 2.0), (P_A, 2.0), (P_A, -2.0)],
+                             ids=["C", "A-forward", "A-backward"])
+    def test_few_classifications_and_same_threshold(self, monkeypatch, p, v0):
+        reference = find_w0_star(p, v0, method="bisection")
+        calls = self.counting_classifier(monkeypatch)
+        r = find_w0_star(p, v0)
+        assert len(calls) <= 20
+        assert r.method == "Both"
+        assert r.classifier_tol <= 2e-10
+        assert r.bracket[0] <= r.w0_star <= r.bracket[1]
+        assert abs(r.w0_star - reference.w0_star) <= 1e-9 * reference.w0_star
+        # the classifier decided both ends of the seed bracket
+        m = r.manifold_estimate
+        assert calls[:2] == [m * (1.0 - 1e-6), m * (1.0 + 1e-6)]
+
+    def test_estimate_off_falls_back_to_expansion(self, monkeypatch, thr_c):
+        original = shooting.trace_stable_manifold
+
+        def off_by_one_percent(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            term = traj.termination
+            return replace(traj, termination=replace(term, w=1.01 * term.w))
+
+        monkeypatch.setattr(shooting, "trace_stable_manifold", off_by_one_percent)
+        calls = self.counting_classifier(monkeypatch)
+        r = find_w0_star(P_C, 2.0)
+        assert r.method == "Bisection"
+        assert r.manifold_estimate == pytest.approx(1.01 * thr_c.manifold_estimate, rel=1e-15)
+        assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
+        assert r.classifier_tol <= 2e-10
+        # the seed ends were tried, then the default bracket (lam/2, 2*lam)
+        assert calls[1] == 0.5 * P_C.lam
+        assert len(calls) > 20
+
+
+def test_missing_saddle_is_a_precondition(monkeypatch):
+    # A relativistic limiter can remove the interior saddle of case A; that
+    # is known from the equilibria, before any orbit is integrated.
+    p = ModelParams(a=0.3, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=0.3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integration started before the saddle check")
+
+    monkeypatch.setattr(shooting, "integrate", forbidden)
+    with pytest.raises(PreconditionError, match="no interior saddle"):
+        find_w0_star(p, 1.3)
+    with pytest.raises(PreconditionError, match="no interior saddle"):
+        supplied_threshold(p, 1.3, 1.0)
