@@ -13,13 +13,15 @@ Subcommands
   launches.
 
 Configuration comes from a JSON file (``--config``) overridden by flags;
-flags win.  Outputs are JSON (sorted keys) and CSV (full round-trip float
-repr), so identical configuration and seed produce identical bytes.
+flags win.  Outputs are strict JSON (sorted keys; infinities as the strings
+"inf"/"-inf") and CSV (full round-trip float repr), so identical
+configuration and seed produce identical bytes.
 
 Exit codes: 0 success; 2 configuration error: bad flags or values, an
 empty grid, or a ``PreconditionError`` (``DegenerateError`` included)
 that the library decides from the parameters alone, before any
-integration; 3 numerical failure found during a computation.
+integration; 3 numerical failure found during a computation, a NaN in an
+output record included (no file is written then).
 """
 
 from __future__ import annotations
@@ -37,20 +39,14 @@ import numpy as np
 
 from .errors import DegenerateError, KswaveError, PreconditionError, StepSizeUnderflow
 from .flux import LARSON, LINEAR, RELATIVISTIC
-from .integrate import (
-    Controls,
-    Trajectory,
-    integrate_graph_W,
-    merge_trajectories,
-    reconstruct_s_from_v,
-)
+from .integrate import Controls
 from .phase import ModelParams, equilibria, params_from_config, regime_case
 from .profiles import (
-    WaveProfile,
     check_anchor,
     classify_profile,
+    continuation_coefficients,
     endpoint_slopes,
-    farfield_coefficients,
+    graph_trajectory,
     predicted_types,
     reconstruct,
     saturated_front,
@@ -64,9 +60,9 @@ from .shooting import (
     threshold_trajectory,
 )
 
-# Fraction of the profile maximum under which an end counts as vacuum,
-# making the zero-density far-field continuation applicable there.
-_VACUUM_FRACTION = 0.05
+# Failures found during a computation: exit 3 from main, an error row
+# (or a failed spot check) for one sweep point.
+_NUMERICAL_FAILURES = (KswaveError, FloatingPointError, OverflowError)
 
 
 class ConfigError(ValueError):
@@ -91,6 +87,8 @@ class RunConfig:
 
 
 def _jsonable(x):
+    """A record as strict JSON holds it: infinite floats become the strings
+    "inf" and "-inf"; a NaN is a numerical failure (FloatingPointError)."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -98,9 +96,12 @@ def _jsonable(x):
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, np.floating):
-        return float(x)
+        return [_jsonable(float(x.real)), _jsonable(float(x.imag))]
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isnan(x):
+            raise FloatingPointError("NaN in an output record")
+        return x if math.isfinite(x) else repr(x)
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.bool_):
@@ -109,7 +110,8 @@ def _jsonable(x):
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n").encode()
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode()
 
 
 def _csv_bytes(header: list[str], columns: list[np.ndarray]) -> bytes:
@@ -412,17 +414,6 @@ def cmd_equilibria(cfg: RunConfig) -> int:
     return 0
 
 
-def _graph_fallback(p: ModelParams, w0: float, v0: float, ctr: Controls) -> Trajectory:
-    """Re-run a seed that underflowed in s as a graph W(v) orbit."""
-    lo, hi = p.slope_domain
-    pieces = []
-    for target in (hi, lo):
-        sol = integrate_graph_W(p, v0, w0, target, controls=ctr)
-        pieces.append(reconstruct_s_from_v(p, sol))
-    pieces.sort(key=lambda t: float(t.s[0]))
-    return merge_trajectories(pieces)
-
-
 def cmd_portrait(cfg: RunConfig) -> int:
     p, ctr = cfg.params, cfg.controls
     eqs = equilibria(p)
@@ -432,18 +423,20 @@ def cmd_portrait(cfg: RunConfig) -> int:
         case = "Degenerate"
     seeds = list(itertools.product(cfg.options["w_grid"], cfg.options["v_grid"]))
     records = []
+    files = {}
     outdir = (cfg.out or Path(".")) / "portrait"
     for i, (w0, v0) in enumerate(seeds):
         try:
             traj = wave_trajectory(p, w0, v0, controls=ctr, eq_list=eqs)
         except StepSizeUnderflow:
+            # a saturated orbit whose slope turns vertical in s is re-run
+            # as a graph W(v), which reaches the flux boundary exactly
             if not p.limiter.saturated:
                 raise
-            traj = _graph_fallback(p, w0, v0, ctr)
+            traj = graph_trajectory(p, w0, v0, controls=ctr)
         name = f"seed_{i:03d}.csv"
-        _write(
-            outdir / name,
-            _csv_bytes(["s", "w", "v", "I"], [traj.s, traj.w, traj.v, traj.integral]),
+        files[name] = _csv_bytes(
+            ["s", "w", "v", "I"], [traj.s, traj.w, traj.v, traj.integral]
         )
         low_ev, high_ev = traj.end_events()
         records.append(
@@ -460,7 +453,9 @@ def cmd_portrait(cfg: RunConfig) -> int:
             }
         )
     index = {"params": p.to_dict(), "case": case, "seeds": records}
-    _write(outdir / "index.json", _json_bytes(index))
+    files["index.json"] = _json_bytes(index)
+    for name, data in files.items():
+        _write(outdir / name, data)
     sys.stdout.write(f"portrait: {len(records)} orbits in {outdir} (case {case})\n")
     return 0
 
@@ -480,33 +475,6 @@ def cmd_shoot(cfg: RunConfig) -> int:
     if cfg.out is not None:
         _write(cfg.out / "threshold.json", data)
     return 0
-
-
-def _continuations(p: ModelParams, prof: WaveProfile) -> dict:
-    """Far-field coefficients beyond the sampled tail, per infinite end.
-
-    Only an infinite end where the density has vanished admits the
-    zero-density continuation; past a finite sharp edge the signal
-    continues as identically zero (a slope jump, not a smooth solution),
-    so no coefficients are reported there.
-    """
-    out = {"at_s_minus": None, "at_s_plus": None}
-    u_max = float(np.max(prof.u))
-    ends = (
-        ("at_s_minus", prof.s_minus, 0),
-        ("at_s_plus", prof.s_plus, -1),
-    )
-    for key, edge, idx in ends:
-        if edge is None or math.isfinite(edge):
-            continue
-        if float(prof.u[idx]) <= _VACUUM_FRACTION * u_max:
-            out[key] = farfield_coefficients(
-                p,
-                float(prof.S[idx]),
-                float(prof.S[idx] * prof.v[idx]),
-                float(prof.s[idx]),
-            )
-    return out
 
 
 def cmd_profile(cfg: RunConfig) -> int:
@@ -549,11 +517,12 @@ def cmd_profile(cfg: RunConfig) -> int:
         "S_type": types[1],
         "end_limits": prof.end_limits,
         "endpoint_slopes": slopes,
-        "continuation_coefficients": _continuations(p, prof),
+        "continuation_coefficients": continuation_coefficients(prof, p),
     }
+    meta_bytes = _json_bytes(meta)
     outdir = cfg.out or Path(".")
     _write(outdir / "profile.csv", _csv_bytes(["s", "u", "S"], [prof.s, prof.u, prof.S]))
-    _write(outdir / "profile_meta.json", _json_bytes(meta))
+    _write(outdir / "profile_meta.json", meta_bytes)
     def _edge(x) -> str:
         return "None" if x is None else repr(float(x))
 
@@ -577,7 +546,7 @@ def _sweep_point(job: dict) -> dict:
     row["v0"] = v0
     try:
         thr = find_w0_star(p, v0, controls=ctr)
-    except KswaveError as exc:
+    except _NUMERICAL_FAILURES as exc:
         row.update(w0_star=None, method=None, types=None,
                    error=f"{type(exc).__name__}: {exc}")
         return row
@@ -586,7 +555,7 @@ def _sweep_point(job: dict) -> dict:
     def types_for(w0: float):
         try:
             return list(predicted_types(p, v0, w0, thr.w0_star))
-        except KswaveError:
+        except _NUMERICAL_FAILURES:
             return None
 
     row["types"] = {
@@ -606,7 +575,7 @@ def _sweep_point(job: dict) -> dict:
             try:
                 shot = classify_trajectory(p, w0, v0, controls=ctr)
                 ok = is_subcritical(shot.cls) == (w0 < thr.w0_star)
-            except KswaveError:
+            except _NUMERICAL_FAILURES:
                 ok = False
             correct += int(ok)
         row["checks"] = {"n": n, "correct": correct}
@@ -683,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, PreconditionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (KswaveError, FloatingPointError, OverflowError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

@@ -269,7 +269,7 @@ def integrate(
     events: list[EventSpec] = list(extra_events)
     if p.limiter.saturated:
         lo, hi = p.slope_domain
-        eps_v = ctr.boundary_eps_rel * p.limiter.c / p.a
+        eps_v = _boundary_standoff(p, ctr)
         events.append(
             EventSpec(fn=lambda s, w, v: v - (hi - eps_v), kind=FLUX_BOUNDARY_HIGH, direction=+1)
         )
@@ -413,11 +413,16 @@ def integrate(
     return _assemble(p, f, ss, ws, vs, iis, direction, term, ctr)
 
 
+def _boundary_standoff(p: ModelParams, ctr: Controls) -> float:
+    """Distance in v kept from the flux boundary of a saturated limiter."""
+    return ctr.boundary_eps_rel * p.limiter.c / p.a
+
+
 def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     if not p.limiter.saturated:
         return None
     lo, hi = p.slope_domain
-    eps_v = ctr.boundary_eps_rel * p.limiter.c / p.a
+    eps_v = _boundary_standoff(p, ctr)
     if abs(v - lo) <= 1e3 * eps_v:
         return FLUX_BOUNDARY_LOW
     if abs(v - hi) <= 1e3 * eps_v:
@@ -589,11 +594,27 @@ def shift_trajectory(traj: Trajectory, delta: float) -> Trajectory:
 
 @dataclass(frozen=True)
 class BoundaryZone:
-    """q-parametrization data for a graph leg ending on the flux boundary."""
+    """q-parametrization of a graph leg ending on the flux boundary.
+
+    v = v_edge - side * q^m, so q >= 0 measures the distance to the edge
+    and q = 0 is the edge itself.
+    """
 
     v_edge: float   # boundary value of v
     side: int       # +1: upper edge of the slope domain, -1: lower
     m: float        # substitution exponent p/(p-1)
+
+    def v(self, q):
+        """Slope at boundary coordinate q."""
+        return self.v_edge - self.side * q**self.m
+
+    def q(self, v):
+        """Boundary coordinate of slope v; slopes past the edge map to 0."""
+        return np.maximum(self.side * (self.v_edge - np.asarray(v)), 0.0) ** (1.0 / self.m)
+
+    def dv_dq(self, q):
+        """Derivative dv/dq of the substitution."""
+        return -self.side * self.m * q ** (self.m - 1.0)
 
 
 @dataclass
@@ -602,8 +623,8 @@ class GraphSolution:
 
     Arrays are in path order (from the anchor toward the target).  When
     `boundary` is set, the leg was integrated in the regularized variable
-    q with v = v_edge - side * q^m, and `q` holds the matching samples
-    (ending at q = 0 on the boundary itself).
+    q of that zone, and `q` holds the matching samples (ending at q = 0 on
+    the boundary itself).
     """
 
     v: np.ndarray
@@ -623,9 +644,7 @@ class GraphSolution:
         """Interpolated W on the leg (in q near a boundary, else in v)."""
         if self.boundary is None:
             return self._interp(v)
-        b = self.boundary
-        q = np.maximum(b.side * (b.v_edge - np.asarray(v)), 0.0) ** (1.0 / b.m)
-        return self._interp(q)
+        return self._interp(self.boundary.q(v))
 
 
 def integrate_graph_W(
@@ -659,7 +678,7 @@ def integrate_graph_W(
     use_y = W_anchor > lam
     boundary: BoundaryZone | None = None
     if lim.saturated:
-        eps_v = ctr.boundary_eps_rel * lim.c / a
+        eps_v = _boundary_standoff(p, ctr)
         if abs(v_target - hi) <= eps_v:
             boundary = BoundaryZone(v_edge=hi, side=+1, m=boundary_exponent(lim))
         elif abs(v_target - lo) <= eps_v:
@@ -677,67 +696,54 @@ def integrate_graph_W(
         1.0, 1.0 - (1.0 / W_anchor) * (lam - gamma * v_anchor * v_anchor)
     )
 
+    # dW/dt = pre * gamma * W * drive(t) / den for the independent variable
+    # t: plain v (pre = 1), or q on a boundary leg (pre = dv/dq / q^(m-1)),
+    # where the boundary factor keeps the drive regular up to q = 0
     if boundary is None:
-        # plain v as the independent variable
-        if use_y:
-
-            def rhs_ode(v, y):
-                num = gamma * y[0] * y[0] * (g(a * v - sigma) - v)
-                den = 1.0 - y[0] * (lam - gamma * v * v)
-                return [num / den]
-
-            def den_event(v, y):
-                return (1.0 - y[0] * (lam - gamma * v * v)) * ysign - ctr.denom_eps
-
-            y0 = [1.0 / W_anchor]
-        else:
-
-            def rhs_ode(v, y):
-                den = lam - y[0] - gamma * v * v
-                return [gamma * y[0] * (g(a * v - sigma) - v) / den]
-
-            def den_event(v, y):
-                return (lam - y[0] - gamma * v * v) * dsign - denom_floor
-
-            y0 = [W_anchor]
+        pre = 1.0
         t0, t1 = v_anchor, v_target
+
+        def v_of(t):
+            return t
+
+        def drive(t):
+            return g(a * t - sigma) - t
+
     else:
-        side, m, v_edge = boundary.side, boundary.m, boundary.v_edge
+        side, m = boundary.side, boundary.m
         factor = make_boundary_factor(lim, a, side)
+        pre = -side * m
+        t0, t1 = boundary.q(v_anchor), 0.0
+        v_of = boundary.v
 
-        def v_of_q(q):
-            return v_edge - side * q**m
+        def drive(t):
+            return factor(t) - t ** (m - 1.0) * v_of(t)
 
-        def pt(q):
-            return factor(q) - q ** (m - 1.0) * v_of_q(q)
+    if use_y:
 
-        if use_y:
+        def rhs_ode(t, y):
+            v = v_of(t)
+            num = pre * gamma * y[0] * y[0] * drive(t)
+            den = 1.0 - y[0] * (lam - gamma * v * v)
+            return [num / den]
 
-            def rhs_ode(q, y):
-                v = v_of_q(q)
-                num = -side * m * gamma * y[0] * y[0] * pt(q)
-                den = 1.0 - y[0] * (lam - gamma * v * v)
-                return [num / den]
+        def den_event(t, y):
+            v = v_of(t)
+            return (1.0 - y[0] * (lam - gamma * v * v)) * ysign - ctr.denom_eps
 
-            def den_event(q, y):
-                v = v_of_q(q)
-                return (1.0 - y[0] * (lam - gamma * v * v)) * ysign - ctr.denom_eps
+        y0 = [1.0 / W_anchor]
+    else:
 
-            y0 = [1.0 / W_anchor]
-        else:
+        def rhs_ode(t, y):
+            v = v_of(t)
+            den = lam - y[0] - gamma * v * v
+            return [pre * gamma * y[0] * drive(t) / den]
 
-            def rhs_ode(q, y):
-                v = v_of_q(q)
-                den = lam - y[0] - gamma * v * v
-                return [-side * m * gamma * y[0] * pt(q) / den]
+        def den_event(t, y):
+            v = v_of(t)
+            return (lam - y[0] - gamma * v * v) * dsign - denom_floor
 
-            def den_event(q, y):
-                v = v_of_q(q)
-                return (lam - y[0] - gamma * v * v) * dsign - denom_floor
-
-            y0 = [W_anchor]
-        t0 = (side * (v_edge - v_anchor)) ** (1.0 / m)
-        t1 = 0.0
+        y0 = [W_anchor]
 
     den_event.terminal = True
     sol = solve_ivp(
@@ -763,9 +769,8 @@ def integrate_graph_W(
     W = 1.0 / yy if use_y else yy
     if boundary is None:
         return GraphSolution(v=ts, W=W, mode="Y" if use_y else "W")
-    v_samples = boundary.v_edge - boundary.side * ts**boundary.m
     return GraphSolution(
-        v=v_samples, W=W, mode="Y" if use_y else "W", boundary=boundary, q=ts
+        v=boundary.v(ts), W=W, mode="Y" if use_y else "W", boundary=boundary, q=ts
     )
 
 
@@ -773,18 +778,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
 def reconstruct_s_from_v(
-    p: ModelParams,
-    sol: GraphSolution,
-    v_start: float | None = None,
-    v_end: float | None = None,
-    s_start: float = 0.0,
+    p: ModelParams, sol: GraphSolution, s_start: float = 0.0
 ) -> Trajectory:
     """Recover s and I = integral of v ds along a graph leg by quadrature.
 
     ds = gamma / (lam - W - gamma*v^2) dv is integrated with 7-point
     Gauss-Legendre on each sample interval (in q on boundary legs, where
-    the parametrization stays regular).  Raises SignChange if the
-    denominator changes sign inside the leg, which would fold s back.
+    the parametrization stays regular), starting from s_start at the
+    leg's anchor.  Raises SignChange if the denominator changes sign
+    inside the leg, which would fold s back.
     """
     gamma, lam = p.gamma, p.lam
     b = sol.boundary
@@ -794,37 +796,10 @@ def reconstruct_s_from_v(
         def v_of_x(xx):
             return xx
 
-        def dv_dx(xx):
-            return np.ones_like(xx)
-
+        dv_dx = np.ones_like
     else:
         x = np.asarray(sol.q, dtype=float)
-
-        def v_of_x(xx):
-            return b.v_edge - b.side * xx**b.m
-
-        def dv_dx(xx):
-            return -b.side * b.m * xx ** (b.m - 1.0)
-
-    # trim to the requested v-range; integration runs v_start -> v_end
-    if v_start is not None or v_end is not None:
-
-        def x_of_v(vq: float) -> float:
-            if b is None:
-                return float(vq)
-            return float(max(b.side * (b.v_edge - vq), 0.0)) ** (1.0 / b.m)
-
-        xa = x_of_v(v_start) if v_start is not None else float(x[0])
-        xb = x_of_v(v_end) if v_end is not None else float(x[-1])
-        lo_x, hi_x = (xa, xb) if xa <= xb else (xb, xa)
-        inner = np.sort(x[(x > lo_x) & (x < hi_x)])
-        if xa > xb:
-            inner = inner[::-1]
-        x = np.concatenate([[xa], inner, [xb]])
-        # drop near-duplicate nodes at the splice points
-        mask = np.ones(len(x), dtype=bool)
-        mask[1:] = np.abs(np.diff(x)) > 1e-15 * (1.0 + np.abs(x[1:]))
-        x = x[mask]
+        v_of_x, dv_dx = b.v, b.dv_dq
 
     interp = sol._interp
     s_vals = [s_start]

@@ -66,8 +66,9 @@ SLOPE_FINITE_POS = "finite-positive"
 SLOPE_FINITE_NEG = "finite-negative"
 SLOPE_ZERO = "zero"  # tangential contact
 
-# Fraction of the profile maximum treated as "vanished" when verifying
-# type labels against the sampled data.
+# Fraction of the profile maximum treated as "vanished": when verifying
+# type labels against the sampled data, and when deciding that an end is
+# vacuum, where the zero-density far-field continuation applies.
 _VANISH_FRACTION = 0.05
 
 
@@ -184,6 +185,32 @@ def wave_trajectory(
     back = integrate(p, w0, v0, direction=BACKWARD, controls=ctr, eq_list=eq_list)
     fwd = integrate(p, w0, v0, direction=FORWARD, controls=ctr, eq_list=eq_list)
     return merge_trajectories([back, fwd])
+
+
+def graph_trajectory(
+    p: ModelParams,
+    w0: float,
+    v0: float,
+    s0: float = 0.0,
+    controls: Controls | None = None,
+    n_samples: int = 2049,
+) -> Trajectory:
+    """The orbit through (w0, v0) at s0 traced as a graph W(v).
+
+    Both legs run from the anchor to the edges of the slope domain (the
+    flux boundary, for a saturating limiter); each is reconstructed in s
+    and the two are merged in ascending s.  Raises what the graph solver
+    and the quadrature raise, DenominatorVanished and SignChange among it.
+    """
+    lo, hi = p.slope_domain
+    leg_hi = integrate_graph_W(p, v0, w0, hi, controls=controls, n_samples=n_samples)
+    leg_lo = integrate_graph_W(p, v0, w0, lo, controls=controls, n_samples=n_samples)
+    rec_hi = reconstruct_s_from_v(p, leg_hi, s_start=s0)
+    rec_lo = reconstruct_s_from_v(p, leg_lo, s_start=s0)
+    # Above the balance parabola s decreases with v, so the high-slope leg
+    # is the left half of the orbit; below, it is the right half.
+    pieces = sorted([rec_hi, rec_lo], key=lambda t: float(t.s[0]))
+    return merge_trajectories(pieces)
 
 
 def _label_matches(label: str, f: np.ndarray, s_minus, s_plus) -> bool | None:
@@ -367,6 +394,33 @@ def farfield_coefficients(
     }
 
 
+def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
+    """Far-field coefficients beyond the sampled tail, per infinite end.
+
+    Only an infinite end where the density has vanished admits the
+    zero-density continuation (see farfield_coefficients); past a finite
+    sharp edge the signal continues as identically zero (a slope jump,
+    not a smooth solution), so no coefficients are reported there.
+    """
+    out = {"at_s_minus": None, "at_s_plus": None}
+    u_max = float(np.max(profile.u))
+    ends = (
+        ("at_s_minus", profile.s_minus, 0),
+        ("at_s_plus", profile.s_plus, -1),
+    )
+    for key, edge, idx in ends:
+        if edge is None or math.isfinite(edge):
+            continue
+        if float(profile.u[idx]) <= _VANISH_FRACTION * u_max:
+            out[key] = farfield_coefficients(
+                p,
+                float(profile.S[idx]),
+                float(profile.S[idx] * profile.v[idx]),
+                float(profile.s[idx]),
+            )
+    return out
+
+
 def saturated_front(
     p: ModelParams,
     v0: float,
@@ -425,21 +479,12 @@ def saturated_front(
                 f"parabola ({lam - gamma * v0 * v0!r} at v0 = {v0!r}), got {w0!r}"
             )
 
-    ctr = controls if controls is not None else Controls()
     try:
-        leg_hi = integrate_graph_W(p, v0, w0, hi, controls=ctr, n_samples=n_samples)
-        leg_lo = integrate_graph_W(p, v0, w0, lo, controls=ctr, n_samples=n_samples)
-        rec_hi = reconstruct_s_from_v(p, leg_hi, s_start=s0)
-        rec_lo = reconstruct_s_from_v(p, leg_lo, s_start=s0)
+        traj = graph_trajectory(p, w0, v0, s0=s0, controls=controls, n_samples=n_samples)
     except (DenominatorVanished, SignChange) as exc:
         raise RegimeViolation(
             f"no {branch}-branch front through (v0={v0!r}, w0={w0!r}): {exc}"
         ) from exc
-
-    # Above the parabola s decreases with v, so the high-slope leg is the
-    # left half of the front; below, it is the right half.
-    pieces = [rec_hi, rec_lo] if branch == "above" else [rec_lo, rec_hi]
-    traj = merge_trajectories(pieces)
 
     if branch == "above":
         if not np.all(traj.w > lam):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kswave import cli
+from kswave import cli, profiles
 from kswave.errors import DenominatorVanished, StepSizeUnderflow
 
 
@@ -143,7 +143,7 @@ class TestPortrait:
 
         # Saturated flux whose fallback also fails.
         monkeypatch.setattr(
-            cli, "integrate_graph_W",
+            profiles, "integrate_graph_W",
             lambda *a, **kw: (_ for _ in ()).throw(DenominatorVanished("forced")),
         )
         code, _, err = run(
@@ -229,7 +229,7 @@ class TestProfile:
         assert code == 0
         meta = read_json(tmp_path / "profile_meta.json")
         assert (meta["u_type"], meta["S_type"]) == ("A2", "A2")
-        assert meta["s_plus"] == math.inf
+        assert meta["s_plus"] == "inf"
         cont = meta["continuation_coefficients"]["at_s_plus"]
         assert cont["kind"] == "exponential"
         assert abs(cont["growing"]) < 1e-6 * abs(cont["decaying"])

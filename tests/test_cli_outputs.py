@@ -1,0 +1,103 @@
+"""CLI outputs: the README's commands write strict JSON, a NaN in a record is
+a numerical failure, and a failing sweep point records an error row."""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from kswave import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A sub-critical profile, whose right end runs to +infinity.
+SUBCRITICAL_PROFILE = ["profile", "--a", "1", "--sigma", "0.5", "--w0", "1", "--v0", "2"]
+
+
+def readme_commands() -> list[list[str]]:
+    """Argument lists of the `kswave ...` lines in the README's sh blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "kswave":
+                commands.append(words[1:])
+    return commands
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_readme_lists_six_commands():
+    assert len(readme_commands()) == 6
+
+
+COMMANDS = [*readme_commands(), SUBCRITICAL_PROFILE]
+
+
+@pytest.mark.parametrize(
+    "argv", COMMANDS, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(COMMANDS)]
+)
+def test_command_writes_strict_json(argv, capsys, tmp_path):
+    if "--out" in argv:
+        argv = list(argv)
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    else:
+        argv = [*argv, "--out", str(tmp_path)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    if out.lstrip().startswith("{"):
+        strict_json(out)
+    written = sorted(tmp_path.rglob("*.json"))
+    assert written
+    for path in written:
+        strict_json(path.read_text(encoding="utf-8"))
+
+
+def test_infinite_edges_are_strings(capsys, tmp_path):
+    code = cli.main([*SUBCRITICAL_PROFILE, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    meta = strict_json((tmp_path / "profile_meta.json").read_text(encoding="utf-8"))
+    assert meta["s_plus"] == "inf"
+    assert math.isfinite(meta["s_minus"])
+
+
+def test_nan_in_a_record_is_numerical_failure(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "continuation_coefficients",
+        lambda *a, **kw: {"at_s_minus": math.nan, "at_s_plus": None},
+    )
+    code = cli.main(
+        ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
+         "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err
+    assert list(tmp_path.iterdir()) == []  # not even the profile CSV
+
+
+def test_sweep_records_an_error_row_per_failing_point(capsys, tmp_path):
+    # --rtol 1e-300 overflows inside every threshold solve
+    code = cli.main(
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5,1.5",
+         "--rtol", "1e-300", "--out", str(tmp_path)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    rows = strict_json((tmp_path / "sweep.json").read_text(encoding="utf-8"))["points"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["w0_star"] is None
+        assert row["error"].startswith("OverflowError")

@@ -1,0 +1,102 @@
+"""The graph form W(v): agreement with the s-domain orbit at random saturated
+anchors, the boundary substitution, and the one two-leg trace."""
+
+from __future__ import annotations
+
+import math
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kswave import cli
+from kswave.flux import LARSON, RELATIVISTIC, FluxLimiter
+from kswave.integrate import (
+    BACKWARD,
+    FORWARD,
+    BoundaryZone,
+    integrate,
+    integrate_graph_W,
+)
+from kswave.phase import ModelParams
+from kswave.profiles import graph_trajectory, saturated_front
+
+GRAPH_SETTINGS = settings(max_examples=40, deadline=timedelta(seconds=5), database=None)
+
+
+@st.composite
+def saturated_anchors(draw):
+    """A saturated model and an anchor above lambda inside its slope domain.
+
+    The ranges follow the fronts the benchmark builds: anchors under about
+    6 * lam can leave the graph solver without a leg to the boundary.
+    """
+    kind = draw(st.sampled_from([RELATIVISTIC, LARSON]))
+    c = draw(st.floats(0.5, 2.0))
+    if kind == RELATIVISTIC:
+        lim = FluxLimiter(kind, c=c)
+    else:
+        lim = FluxLimiter(kind, c=c, p=draw(st.floats(1.5, 4.0)))
+    p = ModelParams(
+        a=math.exp(draw(st.floats(math.log(0.5), math.log(2.0)))),
+        sigma=draw(st.floats(0.1, 0.8)),
+        limiter=lim,
+    )
+    lo, hi = p.slope_domain
+    v0 = lo + (hi - lo) * draw(st.floats(0.25, 0.75))
+    w0 = p.lam * draw(st.floats(8.0, 20.0))
+    return p, v0, w0
+
+
+@GRAPH_SETTINGS
+@given(anchor=saturated_anchors(), direction=st.sampled_from([FORWARD, BACKWARD]))
+def test_graph_leg_matches_s_orbit(anchor, direction):
+    # Above lambda the slope falls along s, so the forward s-run and the
+    # graph leg to the lower flux boundary cover the same arc (the
+    # backward run and the upper boundary likewise); the bound is A9's.
+    p, v0, w0 = anchor
+    lo, hi = p.slope_domain
+    traj = integrate(p, w0, v0, direction=direction)
+    sol = integrate_graph_W(
+        p, v0, w0, lo if direction == FORWARD else hi, n_samples=16385
+    )
+    assert sol.boundary is not None
+    rel = np.abs(sol.W_at(traj.v) - traj.w) / np.maximum(1.0, np.abs(traj.w))
+    assert float(np.max(rel)) <= 1e-6
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_boundary_zone_substitution(side):
+    b = BoundaryZone(v_edge=0.7, side=side, m=1.5)
+    q = np.linspace(0.0, 0.8, 9)
+    v = b.v(q)
+    assert v[0] == 0.7
+    assert np.allclose(b.q(v), q, rtol=1e-14, atol=1e-15)
+    h = 1e-6
+    fd = (b.v(q[1:] + h) - b.v(q[1:] - h)) / (2.0 * h)
+    assert np.allclose(b.dv_dq(q[1:]), fd, rtol=1e-8)
+    # slopes past the edge map onto the edge itself
+    assert b.q(0.7 + side * 0.1) == 0.0
+
+
+def test_front_is_the_graph_trajectory():
+    p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+    front = saturated_front(p, 0.5, 5.0, branch="above", s0=0.25)
+    traj = graph_trajectory(p, 5.0, 0.5, s0=0.25)
+    assert np.array_equal(front.s, traj.s)
+    assert np.array_equal(front.w, traj.w)
+    assert np.array_equal(front.v, traj.v)
+    assert (front.s_minus, front.s_plus) == (traj.s_minus, traj.s_plus)
+    assert np.all(np.diff(traj.s) > 0.0)
+
+
+def test_cli_holds_no_graph_form_name():
+    for name in (
+        "integrate_graph_W",
+        "reconstruct_s_from_v",
+        "merge_trajectories",
+        "Trajectory",
+    ):
+        assert not hasattr(cli, name), name

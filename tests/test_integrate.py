@@ -216,13 +216,6 @@ class TestGraphForm:
             -math.log(2.0), abs=1e-12
         )
 
-    def test_constant_W_subrange(self):
-        p = lp(1.0, 0.5)
-        sol = GraphSolution(v=np.linspace(1.0, 2.0, 101), W=np.full(101, 1.0), mode="W")
-        traj = reconstruct_s_from_v(p, sol, v_start=1.2, v_end=1.8, s_start=0.0)
-        assert traj.s[0] == pytest.approx(1.0 / 1.8 - 1.0 / 1.2, abs=1e-12)
-        assert max(abs(traj.v[0]), abs(traj.v[-1])) == pytest.approx(1.8)
-
     def test_graph_matches_s_integration_through_boundary(self):
         # the same saturated leg computed in s and as a graph must agree
         p = ModelParams(a=1.0, sigma=0.1, limiter=FluxLimiter(RELATIVISTIC))
