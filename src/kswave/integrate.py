@@ -12,7 +12,8 @@ regular where the s-parametrization degenerates: near the flux boundary
 the slope becomes vertical in s, while in the graph form a substitution
 v = v_edge -/+ q^m (m = p/(p-1)) makes the equation regular all the way
 to the boundary.  `reconstruct_s_from_v` then recovers s and I along a
-graph leg by quadrature of ds = gamma/(lam - gamma*v^2 - W) dv.
+graph leg by quadrature of ds = gamma/(lam - gamma*v^2 - W) dv, in one
+array pass over all sample intervals of the leg.
 """
 
 from __future__ import annotations
@@ -524,27 +525,29 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
         raise ValueError("nothing to merge")
     if len(pieces) == 1:
         return pieces[0]
-    s = list(pieces[0].s)
-    w = list(pieces[0].w)
-    v = list(pieces[0].v)
-    ii = list(pieces[0].integral)
+    first = pieces[0]
+    s, w, v, ii = [first.s], [first.w], [first.v], [first.integral]
+    # the merged run's last sample so far: single-sample pieces add none
+    s_end, w_end, v_end, i_end = first.s[-1], first.w[-1], first.v[-1], first.integral[-1]
     last_shift_s = 0.0
     for piece in pieces[1:]:
-        dw = abs(piece.w[0] - w[-1])
-        dv = abs(piece.v[0] - v[-1])
-        if dw > rel_tol * (1.0 + abs(w[-1])) or dv > rel_tol * (1.0 + abs(v[-1])):
+        dw = abs(piece.w[0] - w_end)
+        dv = abs(piece.v[0] - v_end)
+        if dw > rel_tol * (1.0 + abs(w_end)) or dv > rel_tol * (1.0 + abs(v_end)):
             raise AnchorMismatch(
-                f"seam mismatch: ({w[-1]!r}, {v[-1]!r}) vs ({piece.w[0]!r}, {piece.v[0]!r})"
+                f"seam mismatch: ({w_end!r}, {v_end!r}) vs ({piece.w[0]!r}, {piece.v[0]!r})"
             )
-        shift_s = s[-1] - piece.s[0]
-        shift_i = ii[-1] - piece.integral[0]
+        shift_s = s_end - piece.s[0]
+        shift_i = i_end - piece.integral[0]
         last_shift_s = shift_s
-        s.extend(piece.s[1:] + shift_s)
-        w.extend(piece.w[1:])
-        v.extend(piece.v[1:])
-        ii.extend(piece.integral[1:] + shift_i)
+        s.append(piece.s[1:] + shift_s)
+        w.append(piece.w[1:])
+        v.append(piece.v[1:])
+        ii.append(piece.integral[1:] + shift_i)
+        if len(piece.s) > 1:
+            s_end, w_end, v_end, i_end = s[-1][-1], w[-1][-1], v[-1][-1], ii[-1][-1]
 
-    first, last = pieces[0], pieces[-1]
+    last = pieces[-1]
     low_ev = first.end_events()[0]
     high_ev = last.end_events()[1]
     if high_ev is not None:
@@ -553,10 +556,10 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
     if s_plus is not None and math.isfinite(s_plus):
         s_plus += last_shift_s
     return Trajectory(
-        s=np.asarray(s),
-        w=np.asarray(w),
-        v=np.asarray(v),
-        integral=np.asarray(ii),
+        s=np.concatenate(s),
+        w=np.concatenate(w),
+        v=np.concatenate(v),
+        integral=np.concatenate(ii),
         direction=BOTH,
         termination=high_ev,
         termination_start=low_ev,
@@ -785,8 +788,13 @@ def reconstruct_s_from_v(
     ds = gamma / (lam - W - gamma*v^2) dv is integrated with 7-point
     Gauss-Legendre on each sample interval (in q on boundary legs, where
     the parametrization stays regular), starting from s_start at the
-    leg's anchor.  Raises SignChange if the denominator changes sign
-    inside the leg, which would fold s back.
+    leg's anchor.  All intervals are done in one pass: the nodes form an
+    (intervals x 7) matrix, the interpolant and the denominator are
+    evaluated on it at once, each interval's weighted sum is one row of a
+    matrix-vector product, and the running sums of s and I are cumulative
+    sums in path order.  Raises SignChange if the denominator, signed by
+    its value at the first node, is zero or of the other sign at any node,
+    which would fold s back.
     """
     gamma, lam = p.gamma, p.lam
     b = sol.boundary
@@ -802,29 +810,20 @@ def reconstruct_s_from_v(
         v_of_x, dv_dx = b.v, b.dv_dq
 
     interp = sol._interp
-    s_vals = [s_start]
-    i_vals = [0.0]
-    den_sign = 0.0
-    for k in range(len(x) - 1):
-        xa, xb = x[k], x[k + 1]
-        mid = 0.5 * (xa + xb)
-        half = 0.5 * (xb - xa)
-        nodes = mid + half * _GL_NODES
-        vv = v_of_x(nodes)
-        Wv = interp(np.abs(nodes)) if b is not None else interp(nodes)
-        den = lam - Wv - gamma * vv * vv
-        if den_sign == 0.0:
-            den_sign = math.copysign(1.0, den[0])
-        if np.any(den * den_sign <= 0.0):
-            raise SignChange("lam - W - gamma*v^2 changes sign along the leg")
-        ds_dx = gamma / den * dv_dx(nodes)
-        s_vals.append(s_vals[-1] + half * float(np.dot(_GL_WEIGHTS, ds_dx)))
-        i_vals.append(i_vals[-1] + half * float(np.dot(_GL_WEIGHTS, vv * ds_dx)))
-
-    s = np.asarray(s_vals)
+    # one (n-1) x 7 matrix of Gauss-Legendre nodes, one row per interval
+    mid = 0.5 * (x[:-1] + x[1:])
+    half = 0.5 * (x[1:] - x[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    vv = v_of_x(nodes)
+    Wv = interp(np.abs(nodes)) if b is not None else interp(nodes)
+    den = lam - Wv - gamma * vv * vv
+    if np.any(den * math.copysign(1.0, den[0, 0]) <= 0.0):
+        raise SignChange("lam - W - gamma*v^2 changes sign along the leg")
+    ds_dx = gamma / den * dv_dx(nodes)
+    s = np.cumsum(np.concatenate(([s_start], half * (ds_dx @ _GL_WEIGHTS))))
+    ii = np.cumsum(np.concatenate(([0.0], half * ((vv * ds_dx) @ _GL_WEIGHTS))))
     w_arr = np.asarray(interp(np.abs(x)) if b is not None else interp(x), dtype=float)
     v_arr = np.asarray(v_of_x(x), dtype=float)
-    ii = np.asarray(i_vals)
 
     lo_kind = hi_kind = GRAPH_END
     if b is not None:

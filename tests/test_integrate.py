@@ -18,6 +18,7 @@ from kswave.errors import (
     DenominatorVanished,
     DomainError,
     Inconclusive,
+    SignChange,
     StepSizeUnderflow,
 )
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
@@ -26,14 +27,17 @@ from kswave.integrate import (
     BOTH,
     BOUNDED,
     CONVERGED,
+    FLUX_BOUNDARY_HIGH,
     FLUX_BOUNDARY_LOW,
     FORWARD,
+    GRAPH_END,
     MAX_SPAN,
     V_BLOW_UP_PLUS,
     W_VANISHED,
     Controls,
     EventSpec,
     GraphSolution,
+    TerminationEvent,
     Trajectory,
     integrate,
     integrate_graph_W,
@@ -192,6 +196,35 @@ class TestMerge:
         i_span = merged.integral[-1] - merged.integral[0]
         exact = math.log(math.sinh(3.0)) - math.log(math.sinh(0.5))
         assert i_span == pytest.approx(exact, rel=1e-8)
+
+    def test_arrays_bit_equal_to_list_merge(self):
+        # the list-based merge: every sample through a Python list
+        def list_merge(pieces):
+            s, w, v, ii = (list(getattr(pieces[0], f)) for f in ("s", "w", "v", "integral"))
+            for piece in pieces[1:]:
+                shift_s, shift_i = s[-1] - piece.s[0], ii[-1] - piece.integral[0]
+                s.extend(piece.s[1:] + shift_s)
+                w.extend(piece.w[1:])
+                v.extend(piece.v[1:])
+                ii.extend(piece.integral[1:] + shift_i)
+            return [np.asarray(x) for x in (s, w, v, ii)]
+
+        v0 = 1.0 / math.tanh(1.0)
+        ctr = Controls(s_max=2.0, eq_dwell=math.inf)
+        back = integrate(COTH_P, 0.0, v0, direction=BACKWARD, s0=1.0, controls=ctr)
+        fwd = integrate(COTH_P, 0.0, v0, direction=FORWARD, s0=1.0, controls=ctr)
+        # a three-way split of the forward run, with s and I of each piece offset
+        k, j = len(fwd.s) // 3, 2 * len(fwd.s) // 3
+        cut = [
+            dataclasses.replace(fwd, s=fwd.s[a:b] - 1.0, w=fwd.w[a:b], v=fwd.v[a:b],
+                                integral=fwd.integral[a:b] + 0.5)
+            for a, b in ((0, k + 1), (k, j + 1), (j, len(fwd.s)))
+        ]
+        for pieces in ([back, fwd], [back, *cut]):
+            merged = merge_trajectories(pieces)
+            got = [merged.s, merged.w, merged.v, merged.integral]
+            for a, b in zip(got, list_merge(pieces)):
+                assert a.tobytes() == b.tobytes()
 
     def test_seam_mismatch_raises(self):
         v0 = 1.0 / math.tanh(1.0)
@@ -456,3 +489,192 @@ class TestNonFinite:
         monkeypatch.setattr(mod, "make_rhs", field)
         with pytest.raises(StepSizeUnderflow):
             integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))
+
+
+# --------------------------------------------------------------------------
+# the one-pass graph-leg quadrature against the per-interval loop
+# --------------------------------------------------------------------------
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+
+def reference_reconstruct_s_from_v(p, sol, s_start=0.0):
+    """The per-interval loop: the reference the one-pass quadrature must match."""
+    gamma, lam = p.gamma, p.lam
+    b = sol.boundary
+    if b is None:
+        x = np.asarray(sol.v, dtype=float)
+
+        def v_of_x(xx):
+            return xx
+
+        dv_dx = np.ones_like
+    else:
+        x = np.asarray(sol.q, dtype=float)
+        v_of_x, dv_dx = b.v, b.dv_dq
+
+    interp = sol._interp
+    s_vals = [s_start]
+    i_vals = [0.0]
+    den_sign = 0.0
+    for k in range(len(x) - 1):
+        xa, xb = x[k], x[k + 1]
+        mid = 0.5 * (xa + xb)
+        half = 0.5 * (xb - xa)
+        nodes = mid + half * GL_NODES
+        vv = v_of_x(nodes)
+        Wv = interp(np.abs(nodes)) if b is not None else interp(nodes)
+        den = lam - Wv - gamma * vv * vv
+        if den_sign == 0.0:
+            den_sign = math.copysign(1.0, den[0])
+        if np.any(den * den_sign <= 0.0):
+            raise SignChange("lam - W - gamma*v^2 changes sign along the leg")
+        ds_dx = gamma / den * dv_dx(nodes)
+        s_vals.append(s_vals[-1] + half * float(np.dot(GL_WEIGHTS, ds_dx)))
+        i_vals.append(i_vals[-1] + half * float(np.dot(GL_WEIGHTS, vv * ds_dx)))
+
+    s = np.asarray(s_vals)
+    w_arr = np.asarray(interp(np.abs(x)) if b is not None else interp(x), dtype=float)
+    v_arr = np.asarray(v_of_x(x), dtype=float)
+    ii = np.asarray(i_vals)
+
+    lo_kind = hi_kind = GRAPH_END
+    if b is not None:
+        edge_kind = FLUX_BOUNDARY_HIGH if b.side > 0 else FLUX_BOUNDARY_LOW
+        if x[-1] == 0.0:
+            hi_kind = edge_kind
+        if x[0] == 0.0:
+            lo_kind = edge_kind
+
+    if s[-1] < s[0]:
+        s, w_arr, v_arr, ii = s[::-1].copy(), w_arr[::-1].copy(), v_arr[::-1].copy(), ii[::-1].copy()
+        lo_kind, hi_kind = hi_kind, lo_kind
+
+    term_lo = TerminationEvent(kind=lo_kind, s=float(s[0]), w=float(w_arr[0]), v=float(v_arr[0]))
+    term_hi = TerminationEvent(kind=hi_kind, s=float(s[-1]), w=float(w_arr[-1]), v=float(v_arr[-1]))
+    return Trajectory(
+        s=s,
+        w=w_arr,
+        v=v_arr,
+        integral=ii,
+        direction=BOTH,
+        termination=term_hi,
+        termination_start=term_lo,
+        s_minus=float(s[0]) if lo_kind != GRAPH_END else None,
+        s_plus=float(s[-1]) if hi_kind != GRAPH_END else None,
+    )
+
+
+# leg kinds: interior linear legs in W form (anchor under lam) and Y form
+# (anchor over lam), and saturated legs that end on the flux boundary
+LEG_KINDS = ("linear-W", "linear-Y", RELATIVISTIC, LARSON)
+
+
+@st.composite
+def graph_legs(draw):
+    """(params, leg) for a graph leg of one kind, run toward higher or lower v."""
+    kind = draw(st.sampled_from(LEG_KINDS))
+    up = draw(st.booleans())
+    n = draw(st.sampled_from([2, 17, 257, 2049]))
+    a = draw(st.floats(0.5, 2.0))
+    sigma = draw(st.floats(0.2, 0.8))
+    if kind in (RELATIVISTIC, LARSON):
+        c = draw(st.floats(0.5, 2.0))
+        exponent = draw(st.floats(1.5, 4.0)) if kind == LARSON else None
+        p = ModelParams(a=a, sigma=sigma, limiter=FluxLimiter(kind, c=c, p=exponent))
+        lo, hi = p.slope_domain
+        v_anchor = lo + (hi - lo) * draw(st.floats(0.25, 0.75))
+        W_anchor = p.lam * draw(st.floats(8.0, 20.0))
+        v_target = hi if up else lo
+    else:
+        p = ModelParams(a=a, sigma=sigma)
+        if kind == "linear-W":
+            v_anchor = draw(st.floats(-0.4, 0.4))
+            W_anchor = draw(st.floats(0.05, 0.5))
+            span = draw(st.floats(0.05, 0.4))
+        else:
+            v_anchor = draw(st.floats(-1.0, 1.0))
+            W_anchor = draw(st.floats(2.0, 20.0))
+            span = draw(st.floats(0.05, 1.0))
+        v_target = v_anchor + span if up else v_anchor - span
+    try:
+        leg = integrate_graph_W(p, v_anchor, W_anchor, v_target, n_samples=n)
+    except (DenominatorVanished, Inconclusive):
+        # a W-form leg that runs into the pinch lam - W - gamma*v^2 = 0 ends
+        # in one of these (under 1 % of draws); there is no leg to integrate
+        assume(False)
+    return p, leg
+
+
+def quadrature_outcome(fn, p, leg, s_start):
+    try:
+        return fn(p, leg, s_start=s_start)
+    except SignChange:
+        return "SignChange"
+
+
+QUAD_SETTINGS = settings(max_examples=60, deadline=timedelta(seconds=5), database=None)
+
+
+@QUAD_SETTINGS
+@given(pl=graph_legs(), s_start=st.just(0.0) | st.floats(-1.0, 1.0))
+def test_quadrature_matches_per_interval_loop(pl, s_start):
+    p, leg = pl
+    got = quadrature_outcome(reconstruct_s_from_v, p, leg, s_start)
+    ref = quadrature_outcome(reference_reconstruct_s_from_v, p, leg, s_start)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    # Only the 7-term weighted sum per interval changes its rounding order.
+    for name in ("s", "integral"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.ptp(b)
+    for name in ("w", "v"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    for ev_got, ev_ref in ((got.termination, ref.termination),
+                           (got.termination_start, ref.termination_start)):
+        assert ev_got.kind == ev_ref.kind
+        assert (ev_got.w, ev_got.v) == (ev_ref.w, ev_ref.v)
+    assert (got.s_minus is None) == (ref.s_minus is None)
+    assert (got.s_plus is None) == (ref.s_plus is None)
+    assert got.direction == ref.direction == BOTH
+
+
+class TestQuadratureSignChange:
+    # On v in [0.5, 0.9] the interpolant keeps W near its sample maximum 0.7
+    # at v = 0.5 while v^2 grows: lam - W - v^2 is positive at every sample
+    # and at both outer nodes of the last interval, and negative between.
+    V = np.array([0.0, 0.2, 0.4, 0.5, 0.9])
+    P = lp(1.0, 0.5)
+
+    def den_at_nodes(self, sol):
+        mid = 0.5 * (self.V[:-1] + self.V[1:])
+        half = 0.5 * (self.V[1:] - self.V[:-1])
+        nodes = mid[:, None] + half[:, None] * GL_NODES
+        return 1.0 - sol.W_at(nodes) - nodes * nodes
+
+    def test_sign_change_at_interior_nodes_of_last_interval(self):
+        W = np.array([0.1, 0.1, 0.2, 0.7, 0.1])
+        sol = GraphSolution(v=self.V, W=W, mode="W")
+        assert np.all(1.0 - W - self.V**2 > 0.0)
+        den = self.den_at_nodes(sol)
+        assert np.all(den[:-1] > 0.0)
+        assert den[-1, 0] > 0.0 and den[-1, -1] > 0.0 and np.any(den[-1] < 0.0)
+        with pytest.raises(SignChange):
+            reconstruct_s_from_v(self.P, sol)
+        with pytest.raises(SignChange):
+            reference_reconstruct_s_from_v(self.P, sol)
+        # the same leg walked from the other end
+        rev = GraphSolution(v=self.V[::-1].copy(), W=W[::-1].copy(), mode="W")
+        with pytest.raises(SignChange):
+            reconstruct_s_from_v(self.P, rev)
+
+    def test_one_signed_leg_passes(self):
+        W = np.array([0.1, 0.1, 0.2, 0.5, 0.1])
+        sol = GraphSolution(v=self.V, W=W, mode="W")
+        assert np.all(self.den_at_nodes(sol) > 0.0)
+        traj = reconstruct_s_from_v(self.P, sol, s_start=0.25)
+        assert len(traj.s) == len(self.V)
+        assert traj.s[0] == 0.25 and np.all(np.diff(traj.s) > 0.0)
+        assert traj.termination.kind == traj.termination_start.kind == GRAPH_END

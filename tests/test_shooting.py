@@ -345,3 +345,15 @@ def test_missing_saddle_is_a_precondition(monkeypatch):
         find_w0_star(p, 1.3)
     with pytest.raises(PreconditionError, match="no interior saddle"):
         supplied_threshold(p, 1.3, 1.0)
+
+
+@pytest.mark.parametrize("p, v0", [(P_C, 2.0), (lp(0.5, 0.2), 1.8), (lp(0.5, 0.2), -2.0),
+                                   (P_E, 2.5)],
+                         ids=["C", "A-forward", "A-backward", "E"])
+def test_threshold_converges_as_tolerance_tightens(p, v0):
+    # The base points of the profile benchmark: tightening rtol from 1e-8
+    # through 1e-10 to 1e-12 must bring w0_star closer to its tightest value.
+    r = {rtol: find_w0_star(p, v0, controls=Controls(rtol=rtol)) for rtol in (1e-8, 1e-10, 1e-12)}
+    assert [x.method for x in r.values()] == ["Both"] * 3
+    w = {rtol: x.w0_star for rtol, x in r.items()}
+    assert abs(w[1e-10] - w[1e-12]) < abs(w[1e-8] - w[1e-12])
