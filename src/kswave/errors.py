@@ -32,11 +32,8 @@ class StepSizeUnderflow(KswaveError):
 
 
 class DenominatorVanished(KswaveError):
-    """Graph-system denominator lambda - W - gamma v^2 fell below denom_eps."""
-
-
-class SignChange(KswaveError):
-    """v' changed sign where a single-signed parametrization was required."""
+    """Graph-system denominator lambda - W - gamma v^2 fell below denom_eps,
+    or the graph solve stalled at a fold where it vanishes."""
 
 
 class SeedEscaped(KswaveError):

@@ -11,20 +11,20 @@ later as S = S0 * exp(I - I0).
 regular where the s-parametrization degenerates: near the flux boundary
 the slope becomes vertical in s, while in the graph form a substitution
 v = v_edge -/+ q^m (m = p/(p-1)) makes the equation regular all the way
-to the boundary.  `reconstruct_s_from_v` then recovers s and I along a
-graph leg by quadrature of ds = gamma/(lam - gamma*v^2 - W) dv, in one
-array pass over all sample intervals of the leg.
+to the boundary.  The graph solver carries s and I along with W, by
+ds = gamma/(lam - gamma*v^2 - W) dv and dI = v ds, so a leg's accuracy is
+set by the solver tolerance; `GraphSolution.trajectory` turns a leg into
+a Trajectory in ascending s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import (
@@ -32,7 +32,6 @@ from .errors import (
     DenominatorVanished,
     DomainError,
     Inconclusive,
-    SignChange,
     StepSizeUnderflow,
 )
 from .flux import boundary_exponent, make_boundary_factor, make_g
@@ -53,6 +52,11 @@ GRAPH_END = "GraphEnd"
 FORWARD = "forward"
 BACKWARD = "backward"
 BOTH = "both"
+
+
+# The smallest relative tolerance a step-error norm can honour: SciPy's
+# solve_ivp uses the same floor.
+_RTOL_FLOOR = 100.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,11 @@ class Controls:
             raise ValueError(
                 f"tolerances must be finite and positive, got rtol={self.rtol!r}, "
                 f"atol={self.atol!r}"
+            )
+        if self.rtol < _RTOL_FLOOR:
+            raise ValueError(
+                f"rtol must be at least 100 * machine epsilon = {_RTOL_FLOOR!r}, "
+                f"got {self.rtol!r}"
             )
 
 
@@ -624,30 +633,70 @@ class BoundaryZone:
 class GraphSolution:
     """Orbit as a graph W(v) along a monotone-v leg, anchor to target.
 
-    Arrays are in path order (from the anchor toward the target).  When
-    `boundary` is set, the leg was integrated in the regularized variable
-    q of that zone, and `q` holds the matching samples (ending at q = 0 on
-    the boundary itself).
+    Arrays are in path order (from the anchor toward the target) and hold
+    the solver's dense output at the sample grid: W, and s and I = integral
+    of v ds, which the solver carries along with W.  `dense` is that output
+    as a function of the independent variable, with state (W or 1/W by
+    `mode`, s, I).  When `boundary` is set, the leg was integrated in the
+    regularized variable q of that zone, and `q` holds the matching samples
+    (ending at q = 0 on the boundary itself); otherwise the independent
+    variable is v.
     """
 
     v: np.ndarray
     W: np.ndarray
+    s: np.ndarray
+    integral: np.ndarray
     mode: str                     # "W" or "Y" (reciprocal) integration
+    dense: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     boundary: BoundaryZone | None = None
     q: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        x, y = (self.q, self.W) if self.boundary is not None else (self.v, self.W)
-        if x[0] > x[-1]:
-            self._interp = PchipInterpolator(x[::-1], y[::-1], extrapolate=False)
-        else:
-            self._interp = PchipInterpolator(x, y, extrapolate=False)
-
     def W_at(self, v):
-        """Interpolated W on the leg (in q near a boundary, else in v)."""
-        if self.boundary is None:
-            return self._interp(v)
-        return self._interp(self.boundary.q(v))
+        """W on the leg from the dense output; NaN for slopes off the leg."""
+        b = self.boundary
+        x, t = (self.v, v) if b is None else (self.q, b.q(v))
+        t = np.asarray(t, dtype=float)
+        y = self.dense(t.ravel())[0].reshape(t.shape)
+        W = 1.0 / y if self.mode == "Y" else y
+        on_leg = (t >= min(x[0], x[-1])) & (t <= max(x[0], x[-1]))
+        return np.where(on_leg, W, np.nan)
+
+    def trajectory(self) -> Trajectory:
+        """The leg as a Trajectory in ascending s.
+
+        A boundary leg ends on the flux boundary, which becomes that end's
+        termination kind and profile edge; the other end is a GRAPH_END.
+        """
+        s, w, v, ii = self.s, self.W, self.v, self.integral
+        lo_kind = hi_kind = GRAPH_END
+        if self.boundary is not None:
+            hi_kind = FLUX_BOUNDARY_HIGH if self.boundary.side > 0 else FLUX_BOUNDARY_LOW
+        if s[-1] < s[0]:
+            s, w, v, ii = s[::-1].copy(), w[::-1].copy(), v[::-1].copy(), ii[::-1].copy()
+            lo_kind, hi_kind = hi_kind, lo_kind
+        term_lo = TerminationEvent(kind=lo_kind, s=float(s[0]), w=float(w[0]), v=float(v[0]))
+        term_hi = TerminationEvent(kind=hi_kind, s=float(s[-1]), w=float(w[-1]), v=float(v[-1]))
+        return Trajectory(
+            s=s,
+            w=w,
+            v=v,
+            integral=ii,
+            direction=BOTH,
+            termination=term_hi,
+            termination_start=term_lo,
+            s_minus=float(s[0]) if lo_kind != GRAPH_END else None,
+            s_plus=float(s[-1]) if hi_kind != GRAPH_END else None,
+        )
+
+
+# Near a fold lam - W - gamma*v^2 = 0 the denominator falls like the square
+# root of the distance to it, so the solver's step reaches the float spacing,
+# and the solve fails, while the denominator is still of order sqrt(eps):
+# far above the event floor, far below any value a leg passes through.  A
+# failed solve whose last signed denominator is under the floor raised by
+# 1/sqrt(eps) stalled at a fold.
+_FOLD_FACTOR = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 def integrate_graph_W(
@@ -657,14 +706,18 @@ def integrate_graph_W(
     v_target: float,
     controls: Controls | None = None,
     n_samples: int = 2049,
+    s_start: float = 0.0,
 ) -> GraphSolution:
     """Integrate dW/dv = gamma*W*(g(a*v - sigma) - v)/(lam - W - gamma*v^2).
 
     Monotone-v legs only.  When W_anchor > lam the reciprocal Y = 1/W is
     integrated instead (the denominator then stays one-signed in Y form).
     When v_target is a flux-boundary edge, the whole leg runs in the
-    regularized variable q, reaching the boundary exactly at q = 0.
-    Raises DenominatorVanished if lam - W - gamma*v^2 approaches zero.
+    regularized variable q, reaching the boundary exactly at q = 0.  The
+    solver carries s, from s_start at the anchor, and I = integral of v ds
+    along with W: ds/dv = gamma/(lam - W - gamma*v^2) and dI/dv = v ds/dv.
+    Raises DenominatorVanished if lam - W - gamma*v^2 approaches zero or
+    the solve stalls at a fold where it does.
     """
     ctr = controls or Controls()
     if v_target == v_anchor:
@@ -689,64 +742,64 @@ def integrate_graph_W(
     if boundary is None and not (lo < v_target < hi) and lim.saturated:
         raise DomainError(f"v_target = {v_target!r} outside the slope domain")
 
-    denom_floor = ctr.denom_eps * max(
-        1.0, lam, gamma * max(v_anchor * v_anchor, v_target * v_target)
-    )
-    # the guard is signed with the anchor's denominator sign: a pinch shows
-    # up as a one-way crossing the solver cannot step over unnoticed
-    dsign = math.copysign(1.0, lam - W_anchor - gamma * v_anchor * v_anchor)
-    ysign = math.copysign(
-        1.0, 1.0 - (1.0 / W_anchor) * (lam - gamma * v_anchor * v_anchor)
-    )
-
-    # dW/dt = pre * gamma * W * drive(t) / den for the independent variable
-    # t: plain v (pre = 1), or q on a boundary leg (pre = dv/dq / q^(m-1)),
-    # where the boundary factor keeps the drive regular up to q = 0
+    # leg(t) gives, at the independent variable t (plain v, or q on a
+    # boundary leg), the slope v, dv/dt and drive = (g(a*v - sigma) - v) *
+    # dv/dt; on a boundary leg the factor q^(m-1) * g keeps the drive
+    # regular up to q = 0
     if boundary is None:
-        pre = 1.0
         t0, t1 = v_anchor, v_target
 
-        def v_of(t):
-            return t
-
-        def drive(t):
-            return g(a * t - sigma) - t
+        def leg(t):
+            return t, 1.0, g(a * t - sigma) - t
 
     else:
-        side, m = boundary.side, boundary.m
-        factor = make_boundary_factor(lim, a, side)
-        pre = -side * m
+        factor = make_boundary_factor(lim, a, boundary.side)
+        dv_scale = -boundary.side * boundary.m  # dv/dq over q^(m-1)
         t0, t1 = boundary.q(v_anchor), 0.0
-        v_of = boundary.v
 
-        def drive(t):
-            return factor(t) - t ** (m - 1.0) * v_of(t)
+        def leg(t):
+            v, dv = boundary.v(t), boundary.dv_dq(t)
+            return v, dv, dv_scale * factor(t) - dv * v
 
+    # With k = gamma/(lam - W - gamma*v^2): dW/dt = k*W*drive, ds/dt =
+    # k*dv/dt and dI/dt = v*ds/dt.  The Y form divides by
+    # den = 1 - Y*(lam - gamma*v^2) = -Y*(lam - W - gamma*v^2) instead.
     if use_y:
+        floor = ctr.denom_eps
+        y0 = [1.0 / W_anchor, s_start, 0.0]
 
         def rhs_ode(t, y):
-            v = v_of(t)
-            num = pre * gamma * y[0] * y[0] * drive(t)
-            den = 1.0 - y[0] * (lam - gamma * v * v)
-            return [num / den]
+            v, dv, drive = leg(t)
+            k = gamma / (1.0 - y[0] * (lam - gamma * v * v))
+            ds = -k * y[0] * dv
+            return [k * y[0] * y[0] * drive, ds, v * ds]
 
-        def den_event(t, y):
-            v = v_of(t)
-            return (1.0 - y[0] * (lam - gamma * v * v)) * ysign - ctr.denom_eps
+        def den(t, y):
+            v = leg(t)[0]
+            return 1.0 - y[0] * (lam - gamma * v * v)
 
-        y0 = [1.0 / W_anchor]
     else:
+        floor = ctr.denom_eps * max(
+            1.0, lam, gamma * max(v_anchor * v_anchor, v_target * v_target)
+        )
+        y0 = [W_anchor, s_start, 0.0]
 
         def rhs_ode(t, y):
-            v = v_of(t)
-            den = lam - y[0] - gamma * v * v
-            return [pre * gamma * y[0] * drive(t) / den]
+            v, dv, drive = leg(t)
+            k = gamma / (lam - y[0] - gamma * v * v)
+            ds = k * dv
+            return [k * y[0] * drive, ds, v * ds]
 
-        def den_event(t, y):
-            v = v_of(t)
-            return (lam - y[0] - gamma * v * v) * dsign - denom_floor
+        def den(t, y):
+            v = leg(t)[0]
+            return lam - y[0] - gamma * v * v
 
-        y0 = [W_anchor]
+    # the guard is signed with the anchor's denominator sign: a pinch shows
+    # up as a one-way crossing the solver cannot step over unnoticed
+    dsign = math.copysign(1.0, den(t0, y0))
+
+    def den_event(t, y):
+        return den(t, y) * dsign - floor
 
     den_event.terminal = True
     sol = solve_ivp(
@@ -765,88 +818,24 @@ def integrate_graph_W(
             f"lam - W - gamma*v^2 reached the floor at independent variable {t_hit!r}"
         )
     if not sol.success:
+        t_end = float(sol.t[-1])
+        den_end = float(den(t_end, sol.y[:, -1]) * dsign)
+        if den_end < _FOLD_FACTOR * floor:
+            raise DenominatorVanished(
+                f"graph integration stalled at a fold: signed denominator "
+                f"{den_end!r} at independent variable {t_end!r}"
+            )
         raise Inconclusive(f"graph integration failed: {sol.message}")
 
     ts = np.linspace(t0, t1, n_samples)
-    yy = sol.sol(ts)[0]
-    W = 1.0 / yy if use_y else yy
-    if boundary is None:
-        return GraphSolution(v=ts, W=W, mode="Y" if use_y else "W")
+    yy, s, ii = sol.sol(ts)
     return GraphSolution(
-        v=boundary.v(ts), W=W, mode="Y" if use_y else "W", boundary=boundary, q=ts
-    )
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
-
-
-def reconstruct_s_from_v(
-    p: ModelParams, sol: GraphSolution, s_start: float = 0.0
-) -> Trajectory:
-    """Recover s and I = integral of v ds along a graph leg by quadrature.
-
-    ds = gamma / (lam - W - gamma*v^2) dv is integrated with 7-point
-    Gauss-Legendre on each sample interval (in q on boundary legs, where
-    the parametrization stays regular), starting from s_start at the
-    leg's anchor.  All intervals are done in one pass: the nodes form an
-    (intervals x 7) matrix, the interpolant and the denominator are
-    evaluated on it at once, each interval's weighted sum is one row of a
-    matrix-vector product, and the running sums of s and I are cumulative
-    sums in path order.  Raises SignChange if the denominator, signed by
-    its value at the first node, is zero or of the other sign at any node,
-    which would fold s back.
-    """
-    gamma, lam = p.gamma, p.lam
-    b = sol.boundary
-    if b is None:
-        x = np.asarray(sol.v, dtype=float)
-
-        def v_of_x(xx):
-            return xx
-
-        dv_dx = np.ones_like
-    else:
-        x = np.asarray(sol.q, dtype=float)
-        v_of_x, dv_dx = b.v, b.dv_dq
-
-    interp = sol._interp
-    # one (n-1) x 7 matrix of Gauss-Legendre nodes, one row per interval
-    mid = 0.5 * (x[:-1] + x[1:])
-    half = 0.5 * (x[1:] - x[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
-    vv = v_of_x(nodes)
-    Wv = interp(np.abs(nodes)) if b is not None else interp(nodes)
-    den = lam - Wv - gamma * vv * vv
-    if np.any(den * math.copysign(1.0, den[0, 0]) <= 0.0):
-        raise SignChange("lam - W - gamma*v^2 changes sign along the leg")
-    ds_dx = gamma / den * dv_dx(nodes)
-    s = np.cumsum(np.concatenate(([s_start], half * (ds_dx @ _GL_WEIGHTS))))
-    ii = np.cumsum(np.concatenate(([0.0], half * ((vv * ds_dx) @ _GL_WEIGHTS))))
-    w_arr = np.asarray(interp(np.abs(x)) if b is not None else interp(x), dtype=float)
-    v_arr = np.asarray(v_of_x(x), dtype=float)
-
-    lo_kind = hi_kind = GRAPH_END
-    if b is not None:
-        edge_kind = FLUX_BOUNDARY_HIGH if b.side > 0 else FLUX_BOUNDARY_LOW
-        if x[-1] == 0.0:
-            hi_kind = edge_kind
-        if x[0] == 0.0:
-            lo_kind = edge_kind
-
-    if s[-1] < s[0]:
-        s, w_arr, v_arr, ii = s[::-1].copy(), w_arr[::-1].copy(), v_arr[::-1].copy(), ii[::-1].copy()
-        lo_kind, hi_kind = hi_kind, lo_kind
-
-    term_lo = TerminationEvent(kind=lo_kind, s=float(s[0]), w=float(w_arr[0]), v=float(v_arr[0]))
-    term_hi = TerminationEvent(kind=hi_kind, s=float(s[-1]), w=float(w_arr[-1]), v=float(v_arr[-1]))
-    return Trajectory(
+        v=ts if boundary is None else boundary.v(ts),
+        W=1.0 / yy if use_y else yy,
         s=s,
-        w=w_arr,
-        v=v_arr,
         integral=ii,
-        direction=BOTH,
-        termination=term_hi,
-        termination_start=term_lo,
-        s_minus=float(s[0]) if lo_kind != GRAPH_END else None,
-        s_plus=float(s[-1]) if hi_kind != GRAPH_END else None,
+        mode="Y" if use_y else "W",
+        dense=sol.sol,
+        boundary=boundary,
+        q=None if boundary is None else ts,
     )

@@ -35,7 +35,6 @@ from .errors import (
     InsufficientResolution,
     PreconditionError,
     RegimeViolation,
-    SignChange,
 )
 from .integrate import (
     BACKWARD,
@@ -45,7 +44,6 @@ from .integrate import (
     integrate,
     integrate_graph_W,
     merge_trajectories,
-    reconstruct_s_from_v,
 )
 from .phase import Equilibrium, ModelParams
 from .shooting import REGIME_BACKWARD, shooting_regime
@@ -198,18 +196,18 @@ def graph_trajectory(
     """The orbit through (w0, v0) at s0 traced as a graph W(v).
 
     Both legs run from the anchor to the edges of the slope domain (the
-    flux boundary, for a saturating limiter); each is reconstructed in s
-    and the two are merged in ascending s.  Raises what the graph solver
-    and the quadrature raise, DenominatorVanished and SignChange among it.
+    flux boundary, for a saturating limiter), carrying s from s0, and are
+    merged in ascending s.  Raises what the graph solver raises,
+    DenominatorVanished among it.
     """
     lo, hi = p.slope_domain
-    leg_hi = integrate_graph_W(p, v0, w0, hi, controls=controls, n_samples=n_samples)
-    leg_lo = integrate_graph_W(p, v0, w0, lo, controls=controls, n_samples=n_samples)
-    rec_hi = reconstruct_s_from_v(p, leg_hi, s_start=s0)
-    rec_lo = reconstruct_s_from_v(p, leg_lo, s_start=s0)
+    legs = [
+        integrate_graph_W(p, v0, w0, edge, controls=controls, n_samples=n_samples, s_start=s0)
+        for edge in (hi, lo)
+    ]
     # Above the balance parabola s decreases with v, so the high-slope leg
     # is the left half of the orbit; below, it is the right half.
-    pieces = sorted([rec_hi, rec_lo], key=lambda t: float(t.s[0]))
+    pieces = sorted((leg.trajectory() for leg in legs), key=lambda t: float(t.s[0]))
     return merge_trajectories(pieces)
 
 
@@ -481,7 +479,7 @@ def saturated_front(
 
     try:
         traj = graph_trajectory(p, w0, v0, s0=s0, controls=controls, n_samples=n_samples)
-    except (DenominatorVanished, SignChange) as exc:
+    except DenominatorVanished as exc:
         raise RegimeViolation(
             f"no {branch}-branch front through (v0={v0!r}, w0={w0!r}): {exc}"
         ) from exc

@@ -403,16 +403,14 @@ def test_a9_graph_time_domain_equivalence():
     traj = integrate(p, w0, 2.0, direction=FORWARD,
                      controls=Controls(rtol=1e-10, h_max=0.02))
     arc = (traj.v > -0.9) & (traj.v < 1.95)
-    g = integrate_graph_W(p, 2.0, w0, -0.9, n_samples=32769)
-    vv, WW = (g.v, g.W) if g.v[0] < g.v[-1] else (g.v[::-1], g.W[::-1])
-    dev = np.abs(np.interp(traj.v[arc], vv, WW) - traj.w[arc])
+    g = integrate_graph_W(p, 2.0, w0, -0.9)
+    dev = np.abs(g.W_at(traj.v[arc]) - traj.w[arc])
     assert np.max(dev / np.maximum(1.0, np.abs(traj.w[arc]))) <= 1e-6
 
     p2 = lp(1.0, 0.5, limiter=REL)
     traj2 = integrate(p2, 5.0, 0.5, direction=FORWARD,
                       controls=Controls(rtol=1e-10, h_max=0.002))
     arc2 = (traj2.v > traj2.v.min() + 0.02) & (traj2.v < 0.48)
-    g2 = integrate_graph_W(p2, 0.5, 5.0, traj2.v.min() + 0.02, n_samples=32769)
-    vv2, WW2 = (g2.v, g2.W) if g2.v[0] < g2.v[-1] else (g2.v[::-1], g2.W[::-1])
-    dev2 = np.abs(np.interp(traj2.v[arc2], vv2, WW2) - traj2.w[arc2])
+    g2 = integrate_graph_W(p2, 0.5, 5.0, traj2.v.min() + 0.02)
+    dev2 = np.abs(g2.W_at(traj2.v[arc2]) - traj2.w[arc2])
     assert np.max(dev2 / np.maximum(1.0, np.abs(traj2.w[arc2]))) <= 1e-6

@@ -88,11 +88,27 @@ def test_nan_in_a_record_is_numerical_failure(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # not even the profile CSV
 
 
-def test_sweep_records_an_error_row_per_failing_point(capsys, tmp_path):
-    # --rtol 1e-300 overflows inside every threshold solve
+def test_sweep_with_rtol_below_the_floor_fails_as_a_whole(capsys, tmp_path):
+    # --rtol 1e-300 is under 100 * machine epsilon: a precondition of the
+    # whole sweep, so it exits 2 before any point runs and writes nothing
     code = cli.main(
         ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5,1.5",
          "--rtol", "1e-300", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "rtol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_records_an_error_row_per_failing_point(capsys, tmp_path, monkeypatch):
+    # every threshold solve overflows
+    def overflow(*args, **kwargs):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(cli, "find_w0_star", overflow)
+    code = cli.main(
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5,1.5",
+         "--out", str(tmp_path)]
     )
     capsys.readouterr()
     assert code == 0

@@ -1,5 +1,6 @@
-"""The graph form W(v): agreement with the s-domain orbit at random saturated
-anchors, the boundary substitution, and the one two-leg trace."""
+"""The graph form W(v): agreement of W, s and I with the s-domain orbit at
+random saturated and linear anchors, the boundary substitution, and the one
+two-leg trace."""
 
 from __future__ import annotations
 
@@ -8,15 +9,17 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kswave import cli
 from kswave.flux import LARSON, RELATIVISTIC, FluxLimiter
+from kswave.errors import DenominatorVanished
 from kswave.integrate import (
     BACKWARD,
     FORWARD,
     BoundaryZone,
+    EventSpec,
     integrate,
     integrate_graph_W,
 )
@@ -50,21 +53,56 @@ def saturated_anchors(draw):
     return p, v0, w0
 
 
+@st.composite
+def linear_anchors(draw):
+    """A linear model and an interior anchor, in W form (under the balance
+    parabola) or in Y form (over lambda)."""
+    p = ModelParams(
+        a=math.exp(draw(st.floats(math.log(0.5), math.log(2.0)))),
+        sigma=draw(st.floats(0.2, 0.8)),
+    )
+    if draw(st.booleans()):
+        return p, draw(st.floats(-0.4, 0.4)), draw(st.floats(0.05, 0.5))
+    return p, draw(st.floats(-1.0, 1.0)), draw(st.floats(2.0, 20.0))
+
+
 @GRAPH_SETTINGS
-@given(anchor=saturated_anchors(), direction=st.sampled_from([FORWARD, BACKWARD]))
-def test_graph_leg_matches_s_orbit(anchor, direction):
-    # Above lambda the slope falls along s, so the forward s-run and the
-    # graph leg to the lower flux boundary cover the same arc (the
-    # backward run and the upper boundary likewise); the bound is A9's.
+@given(
+    anchor=saturated_anchors() | linear_anchors(),
+    direction=st.sampled_from([FORWARD, BACKWARD]),
+    span=st.floats(0.05, 0.4),
+)
+def test_graph_leg_matches_s_orbit(anchor, direction, span):
+    # The s-run and the graph leg from the same anchor cover the same arc.
+    # Above lambda the slope falls along s, so the forward run meets the
+    # graph leg to the lower flux boundary (the backward run and the upper
+    # boundary likewise); a linear leg spans `span` in v and the s-run
+    # stops just short of its end, so the whole run lies on the leg.  W, s
+    # and I agree within A9's bound.
     p, v0, w0 = anchor
     lo, hi = p.slope_domain
-    traj = integrate(p, w0, v0, direction=direction)
-    sol = integrate_graph_W(
-        p, v0, w0, lo if direction == FORWARD else hi, n_samples=16385
-    )
-    assert sol.boundary is not None
-    rel = np.abs(sol.W_at(traj.v) - traj.w) / np.maximum(1.0, np.abs(traj.w))
-    assert float(np.max(rel)) <= 1e-6
+    falls = w0 > p.lam  # dv/ds = (lam - w - gamma*v^2)/gamma
+    down = falls == (direction == FORWARD)
+    if p.limiter.saturated:
+        target, extra = (lo if down else hi), ()
+    else:
+        target = v0 - span if down else v0 + span
+        stop_v = v0 + 0.99 * (target - v0)
+        stop = EventSpec(fn=lambda s, w, v: v - stop_v, kind="Target",
+                         direction=-1 if down else 1)
+        extra = (stop,)
+    try:
+        sol = integrate_graph_W(p, v0, w0, target)
+    except DenominatorVanished:
+        # a W-form leg can run into the fold lam - W - gamma*v^2 = 0
+        assume(False)
+    assert (sol.boundary is not None) == p.limiter.saturated
+    traj = integrate(p, w0, v0, direction=direction, extra_events=extra)
+    t = traj.v if sol.boundary is None else sol.boundary.q(traj.v)
+    _, s_leg, i_leg = sol.dense(t)
+    for got, want in ((sol.W_at(traj.v), traj.w), (s_leg, traj.s), (i_leg, traj.integral)):
+        rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert float(np.max(rel)) <= 1e-6
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -95,7 +133,6 @@ def test_front_is_the_graph_trajectory():
 def test_cli_holds_no_graph_form_name():
     for name in (
         "integrate_graph_W",
-        "reconstruct_s_from_v",
         "merge_trajectories",
         "Trajectory",
     ):

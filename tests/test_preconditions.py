@@ -165,9 +165,23 @@ def test_supplied_threshold_carries_the_real_saddle():
     assert given.w0_star == solved.w0_star
 
 
-def test_overflow_is_a_numerical_failure(capsys):
+@pytest.mark.parametrize("rtol", ["1e-300", "1e-60", "2e-14"])
+def test_rtol_below_the_floor_is_a_precondition(capsys, tmp_path, no_integration, rtol):
+    # under 100 * machine epsilon no step-error norm can be met: decided
+    # from the value alone, before any integration, and nothing is written
     code, err = run(capsys, "shoot", "--a", "1", "--sigma", "0.5", "--v0", "2",
-                    "--rtol", "1e-300")
+                    "--rtol", rtol, "--out", str(tmp_path))
+    assert code == 2
+    assert "rtol" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflow_is_a_numerical_failure(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(cli, "find_w0_star", overflow)
+    code, err = run(capsys, "shoot", "--a", "1", "--sigma", "0.5", "--v0", "2")
     assert code == 3
     assert "numerical failure (OverflowError)" in err
 
