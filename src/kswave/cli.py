@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -115,6 +114,8 @@ def _json_bytes(obj) -> bytes:
 
 
 def _csv_bytes(header: list[str], columns: list[np.ndarray]) -> bytes:
+    if any(np.isnan(c).any() for c in columns):
+        raise FloatingPointError("NaN in an output record")
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(repr(float(x)) for x in row))
@@ -608,6 +609,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if opt["workers"] == 1:
         rows = [_sweep_point(job) for job in jobs]
     else:
+        # imported here: the pool machinery costs import time every other
+        # command would pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=opt["workers"]) as pool:
             rows = list(pool.map(_sweep_point, jobs))
 

@@ -52,5 +52,9 @@ class AnchorMismatch(KswaveError):
     """u0/S0 disagrees with w at the anchor point."""
 
 
+class RootNotFound(KswaveError):
+    """Bracketed root finding met a NaN function value or did not converge."""
+
+
 class InsufficientResolution(KswaveError):
     """Too few samples in the fitting window for a slope estimate."""

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     AnchorMismatch,
@@ -37,6 +35,7 @@ from .errors import (
 from .flux import boundary_exponent, make_boundary_factor, make_g
 from .phase import Equilibrium, ModelParams, make_rhs
 from .phase import equilibria as _phase_equilibria
+from .roots import brentq
 
 # termination kinds
 V_BLOW_UP_PLUS = "VBlowUpPlus"
@@ -456,7 +455,7 @@ def _locate_event(f, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> fl
             return e_end
         return ev.fn(s_base + h_signed * theta, yt[0], yt[1])
 
-    return float(brentq(phi, 0.0, 1.0, xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    return brentq(phi, 0.0, 1.0, xtol=1e-15)
 
 
 def _looks_bounded(ws: list, vs: list) -> bool:
@@ -719,6 +718,10 @@ def integrate_graph_W(
     Raises DenominatorVanished if lam - W - gamma*v^2 approaches zero or
     the solve stalls at a fold where it does.
     """
+    # imported here, not at module level: SciPy takes longer to import
+    # than the rest of kswave, and only graph legs need it
+    from scipy.integrate import solve_ivp
+
     ctr = controls or Controls()
     if v_target == v_anchor:
         raise ValueError("v_target must differ from v_anchor")

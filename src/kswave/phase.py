@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateError
 from .flux import FluxLimiter, LINEAR, g_inverse, g_prime, limiter_from_config, make_g, slope_domain
+from .roots import brentq
 
 # stability labels
 STABLE_NODE = "StableNode"
@@ -160,7 +160,7 @@ def _slope_balance_roots(p: ModelParams) -> tuple[float, ...]:
             roots.append(va)
             continue
         if fa * fb < 0.0:
-            r = brentq(h, va, vb, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+            r = brentq(h, va, vb, xtol=1e-14)
             # polish with Newton so the residual is at rounding level even
             # when g' is large
             for _ in range(2):

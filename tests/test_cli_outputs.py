@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from kswave import cli
+from kswave.profiles import reconstruct
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,6 +87,23 @@ def test_nan_in_a_record_is_numerical_failure(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert "numerical failure" in err
     assert list(tmp_path.iterdir()) == []  # not even the profile CSV
+
+
+def test_nan_in_a_csv_column_is_numerical_failure(capsys, tmp_path, monkeypatch):
+    def reconstruct_with_nan(*args, **kwargs):
+        prof = reconstruct(*args, **kwargs)
+        prof.u[len(prof.u) // 2] = math.nan
+        return prof
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct_with_nan)
+    code = cli.main(
+        ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
+         "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure (FloatingPointError)" in err
+    assert list(tmp_path.iterdir()) == []  # no profile.csv, no metadata
 
 
 def test_sweep_with_rtol_below_the_floor_fails_as_a_whole(capsys, tmp_path):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kswave.errors import DegenerateError
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
@@ -160,30 +163,35 @@ def test_degenerate_label_on_critical_speed():
     assert abs(bot.eigenvalues[0]) <= 1e-12
 
 
+# Parameter ranges of the random equilibrium checks: the limiter's, by kind,
+# and the model's.
+LIMITER_RANGES = {
+    LINEAR: {"mu": (0.5, 2.0)},
+    RELATIVISTIC: {"c": (0.5, 2.0)},
+    LARSON: {"c": (0.5, 2.0), "p": (1.2, 4.0)},
+}
+MODEL_RANGES = {"a": (0.2, 3.0), "sigma": (0.1, 2.0), "gamma": (0.5, 2.0), "lam": (0.2, 3.0)}
+
+
+def residual_scale(p):
+    return max(1.0, p.lam, p.gamma * p.v_star**2)
+
+
 class TestEquilibriumDefinition:
     """Residual and eigen-residual checks over a random parameter sweep."""
-
-    def _residual_scale(self, p):
-        return max(1.0, p.lam, p.gamma * p.v_star**2)
 
     @pytest.mark.parametrize("kind", [LINEAR, RELATIVISTIC, LARSON])
     def test_rhs_vanishes_and_eigenpairs_hold(self, kind):
         rng = np.random.default_rng(91)
         found = 0
         for _ in range(40):
-            lim = {
-                LINEAR: FluxLimiter(LINEAR, mu=float(rng.uniform(0.5, 2.0))),
-                RELATIVISTIC: FluxLimiter(RELATIVISTIC, c=float(rng.uniform(0.5, 2.0))),
-                LARSON: FluxLimiter(LARSON, c=float(rng.uniform(0.5, 2.0)), p=float(rng.uniform(1.2, 4.0))),
-            }[kind]
-            p = ModelParams(
-                a=float(rng.uniform(0.2, 3.0)),
-                sigma=float(rng.uniform(0.1, 2.0)),
-                gamma=float(rng.uniform(0.5, 2.0)),
-                lam=float(rng.uniform(0.2, 3.0)),
-                limiter=lim,
-            )
-            scale = self._residual_scale(p)
+            # every kind's limiter is drawn, so all kinds see the same models
+            lims = {
+                k: FluxLimiter(k, **{n: float(rng.uniform(*r)) for n, r in rs.items()})
+                for k, rs in LIMITER_RANGES.items()
+            }
+            p = ModelParams(limiter=lims[kind], **{k: float(rng.uniform(*r)) for k, r in MODEL_RANGES.items()})
+            scale = residual_scale(p)
             for e in equilibria(p):
                 found += 1
                 dw, dv = rhs(p, e.w, e.v)
@@ -195,6 +203,21 @@ class TestEquilibriumDefinition:
                     resid = jac @ vec - x * vec
                     assert np.linalg.norm(resid) <= 1e-9 * max(1.0, abs(x), np.abs(jac).max())
         assert found > 40  # the sweep actually exercised plenty of equilibria
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from(list(LIMITER_RANGES)))
+    lim = FluxLimiter(kind, **{k: draw(st.floats(*r)) for k, r in LIMITER_RANGES[kind].items()})
+    return ModelParams(limiter=lim, **{k: draw(st.floats(*r)) for k, r in MODEL_RANGES.items()})
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
+@given(models())
+def test_equilibrium_residual_is_at_rounding_level(p):
+    for e in equilibria(p):
+        dw, dv = rhs(p, e.w, e.v)
+        assert math.hypot(dw, dv) <= 1e-12 * residual_scale(p)
 
 
 class TestSaturatedEquilibria:
