@@ -341,11 +341,12 @@ def _options_profile(args, cfg, params) -> dict:
     u0 = None if u0 is None else float(u0)
     check_anchor(w0, s0, S0, u0)
     branch = _merged(args, cfg, "branch")
+    w0_star = _merged(args, cfg, "w0_star")
     if branch is not None:
         branch = str(branch)
-        if u0 is not None:
-            raise ConfigError("--u0 is not meaningful for saturated fronts")
-    w0_star = _merged(args, cfg, "w0_star")
+        for flag, value in (("--u0", u0), ("--w0-star", w0_star)):
+            if value is not None:
+                raise ConfigError(f"{flag} is not meaningful for saturated fronts")
     return {
         "w0": w0,
         "v0": v0,
@@ -374,8 +375,8 @@ def _options_sweep(args, cfg, params) -> dict:
             "case-splitting value is degenerate for threshold work"
         )
     v0_factor = float(_merged(args, cfg, "v0_factor", default=2.0))
-    if v0_factor <= 1.0:
-        raise ConfigError("--v0-factor must exceed 1 (launch outside the wave speeds)")
+    if not 1.0 < v0_factor < math.inf:
+        raise ConfigError("--v0-factor must be finite and over 1 (launch outside the wave speeds)")
     check_samples = int(_merged(args, cfg, "check_samples", default=0) or 0)
     if check_samples < 0:
         raise ConfigError("--check-samples must be non-negative")
@@ -613,7 +614,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         # command would pay
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=opt["workers"]) as pool:
+        # a pool forks all its workers at the first submit: one per point at most
+        with ProcessPoolExecutor(max_workers=min(opt["workers"], len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))
 
     report = {

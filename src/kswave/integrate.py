@@ -145,21 +145,57 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau.  FSAL: the 7th stage row equals the weights
 # B, so the last stage is the step's result.  B2 and E2 are zero.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-)
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54) = _A[1:5]
+_A61, _A62, _A63, _A64, _A65 = _A[5]
+_B1, _, _B3, _B4, _B5, _B6 = _A[6]
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
+# the nonzero (stage, coefficient) pairs of each row, as the generic step reads them
+_A_ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
+_E_ROW = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
+
+# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
+# inside a step, y(t + x*h) = y + h * sum_j k_j * (P_j . (x, x^2, x^3, x^4)).
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+
+
+def _rk_step(f, t, y, k1, h):
+    """One DP54 step of size h from (t, y) with cached k1 = f(t, y), for any
+    f(t, y) -> slopes.  Returns the 5th-order result, the seven stage slopes
+    (the last is f at the result, FSAL) and the embedded error estimate per
+    component.  Each sum runs left to right over the nonzero coefficients."""
+    k = [k1]
+    for i in range(1, 7):
+        yi = []
+        for c, u in enumerate(y):
+            for j, a in _A_ROWS[i]:
+                u += (h * a) * k[j][c]
+            yi.append(u)
+        k.append(f(t + _C[i] * h, yi))
+    err = []
+    for c in range(len(y)):
+        acc = 0.0
+        for j, e in _E_ROW:
+            acc += e * k[j][c]
+        err.append(h * acc)
+    return tuple(yi), k, tuple(err)
 
 
 def _dp54_step(f, y, k1, h):
@@ -169,9 +205,9 @@ def _dp54_step(f, y, k1, h):
     (FSAL), and err the embedded error estimate per component.  dI/ds = v,
     so the third slope of each stage is its v, and the stage values of I
     are never needed.  Every sum runs left to right over the nonzero
-    coefficients in tableau order, and each error sum starts from 0.0 as
-    sum() does, so the results equal the generic tableau loop's to the bit
-    (tests/test_integrate.py keeps that loop as the reference).
+    coefficients in tableau order, so the results equal `_rk_step`'s on
+    the slopes (f(w, v), v) to the bit; orbits take this unrolled form for
+    speed.
     """
     w, v, ii = y
     k1w, k1v, k1i = k1
@@ -217,28 +253,29 @@ def _h_floor(s: float) -> float:
     return _H_FLOOR_REL * max(1.0, abs(s))
 
 
-def _initial_h(f, y, k1, sgn, ctr: Controls) -> float:
+def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float) -> float:
+    """Starting step for f(t, y) -> slopes, at most h_max and span."""
+    n = len(y)
     sc = tuple(ctr.atol + ctr.rtol * abs(c) for c in y)
-    d0 = math.sqrt(sum((y[c] / sc[c]) ** 2 for c in range(3)) / 3.0)
-    d1 = math.sqrt(sum((k1[c] / sc[c]) ** 2 for c in range(3)) / 3.0)
+    d0 = math.sqrt(sum((y[c] / sc[c]) ** 2 for c in range(n)) / n)
+    d1 = math.sqrt(sum((k1[c] / sc[c]) ** 2 for c in range(n)) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, ctr.h_max, ctr.s_max)
+    h0 = min(h0, ctr.h_max, span)
     f1 = None
     for _ in range(80):
         try:
-            y1 = tuple(y[c] + sgn * h0 * k1[c] for c in range(3))
-            f1 = f(y1[0], y1[1]) + (y1[1],)
+            f1 = f(t + sgn * h0, tuple(y[c] + sgn * h0 * k1[c] for c in range(n)))
             break
-        except DomainError:
+        except (DomainError, ZeroDivisionError):
             h0 *= 0.25
     if f1 is None:
         raise StepSizeUnderflow("cannot take even an initial trial step")
     d2 = (
-        math.sqrt(sum(((f1[c] - k1[c]) / sc[c]) ** 2 for c in range(3)) / 3.0) / h0
+        math.sqrt(sum(((f1[c] - k1[c]) / sc[c]) ** 2 for c in range(n)) / n) / h0
     )
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
-    return max(min(100.0 * h0, h1, ctr.h_max, ctr.s_max), 1e3 * _h_floor(0.0))
+    return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * _h_floor(0.0))
 
 
 def _crossed(e_prev: float, e_new: float, direction: int) -> bool:
@@ -314,7 +351,7 @@ def integrate(
 
     term: TerminationEvent | None = None
     rtol, atol = ctr.rtol, ctr.atol
-    h = _initial_h(f, y, k1, sgn, ctr)
+    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max)
     err_old = 1e-4
     just_rejected = False
 
@@ -718,10 +755,6 @@ def integrate_graph_W(
     Raises DenominatorVanished if lam - W - gamma*v^2 approaches zero or
     the solve stalls at a fold where it does.
     """
-    # imported here, not at module level: SciPy takes longer to import
-    # than the rest of kswave, and only graph legs need it
-    from scipy.integrate import solve_ivp
-
     ctr = controls or Controls()
     if v_target == v_anchor:
         raise ValueError("v_target must differ from v_anchor")
@@ -769,13 +802,13 @@ def integrate_graph_W(
     # den = 1 - Y*(lam - gamma*v^2) = -Y*(lam - W - gamma*v^2) instead.
     if use_y:
         floor = ctr.denom_eps
-        y0 = [1.0 / W_anchor, s_start, 0.0]
+        y0 = (1.0 / W_anchor, s_start, 0.0)
 
         def rhs_ode(t, y):
             v, dv, drive = leg(t)
             k = gamma / (1.0 - y[0] * (lam - gamma * v * v))
             ds = -k * y[0] * dv
-            return [k * y[0] * y[0] * drive, ds, v * ds]
+            return k * y[0] * y[0] * drive, ds, v * ds
 
         def den(t, y):
             v = leg(t)[0]
@@ -785,60 +818,93 @@ def integrate_graph_W(
         floor = ctr.denom_eps * max(
             1.0, lam, gamma * max(v_anchor * v_anchor, v_target * v_target)
         )
-        y0 = [W_anchor, s_start, 0.0]
+        y0 = (W_anchor, s_start, 0.0)
 
         def rhs_ode(t, y):
             v, dv, drive = leg(t)
             k = gamma / (lam - y[0] - gamma * v * v)
             ds = k * dv
-            return [k * y[0] * drive, ds, v * ds]
+            return k * y[0] * drive, ds, v * ds
 
         def den(t, y):
             v = leg(t)[0]
             return lam - y[0] - gamma * v * v
 
     # the guard is signed with the anchor's denominator sign: a pinch shows
-    # up as a one-way crossing the solver cannot step over unnoticed
+    # up as a one-way crossing no accepted step can pass unnoticed
     dsign = math.copysign(1.0, den(t0, y0))
+    rtol, atol = max(ctr.rtol, 1e-13), ctr.atol
+    sgn = math.copysign(1.0, t1 - t0)
+    t, y = t0, y0
+    k1 = rhs_ode(t, y)
+    h = _initial_h(rhs_ode, t, y, k1, sgn, ctr, abs(t1 - t0))
+    steps = []  # (t, signed h, y, stage slopes) of each accepted step
+    just_rejected = False
+    while True:
+        if len(steps) >= ctr.max_steps:
+            raise Inconclusive(f"graph leg step budget {ctr.max_steps} exhausted at {t!r}")
+        remaining = abs(t1 - t)
+        # the landing step ends on t1 itself, so no stage passes the edge
+        landing = 1.01 * h >= remaining
+        h_try = remaining if landing else h
+        try:
+            y5, ks, errs = _rk_step(rhs_ode, t, y, k1, sgn * h_try)
+            # RMS of the error over per-component scales atol + rtol * |state|
+            err = math.sqrt(sum(
+                (e / (atol + rtol * max(abs(u0), abs(u1)))) ** 2
+                for e, u0, u1 in zip(errs, y, y5)
+            ) / 3.0)
+        except (DomainError, ZeroDivisionError):
+            err = math.inf
+        # NaN fails every comparison: a state gone non-finite is rejected
+        accepted = err <= 1.0
+        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** -0.2
+        h = h_try * min(_FAC_MAX if accepted and not just_rejected else 1.0, max(_FAC_MIN, fac))
+        just_rejected = not accepted
+        if not accepted:
+            if h < _h_floor(t):
+                den_end = den(t, y) * dsign
+                if den_end < _FOLD_FACTOR * floor:
+                    raise DenominatorVanished(
+                        f"graph integration stalled at a fold: signed denominator "
+                        f"{den_end!r} at independent variable {t!r}"
+                    )
+                raise Inconclusive(f"graph integration failed: step size underflow at {t!r}")
+            continue
 
-    def den_event(t, y):
-        return den(t, y) * dsign - floor
-
-    den_event.terminal = True
-    sol = solve_ivp(
-        rhs_ode,
-        (t0, t1),
-        y0,
-        method="DOP853",
-        rtol=max(ctr.rtol, 1e-13),
-        atol=ctr.atol,
-        events=[den_event],
-        dense_output=True,
-    )
-    if sol.t_events[0].size > 0:
-        t_hit = float(sol.t_events[0][0])
-        raise DenominatorVanished(
-            f"lam - W - gamma*v^2 reached the floor at independent variable {t_hit!r}"
-        )
-    if not sol.success:
-        t_end = float(sol.t[-1])
-        den_end = float(den(t_end, sol.y[:, -1]) * dsign)
-        if den_end < _FOLD_FACTOR * floor:
+        steps.append((t, sgn * h_try, y, ks))
+        t, y, k1 = (t1 if landing else t + sgn * h_try), y5, ks[6]
+        if den(t, y) * dsign <= floor:
             raise DenominatorVanished(
-                f"graph integration stalled at a fold: signed denominator "
-                f"{den_end!r} at independent variable {t_end!r}"
+                f"lam - W - gamma*v^2 reached the floor at independent variable {t!r}"
             )
-        raise Inconclusive(f"graph integration failed: {sol.message}")
+        if landing:
+            break
+
+    # the continuous extension maps an array of t to the states there, shape
+    # (3,) + t.shape, extrapolating from the nearest step off the leg
+    t_old, hs, y_old, ks = (np.array(col) for col in zip(*steps))
+    Q = np.swapaxes(ks, 1, 2) @ _P  # (step, component, power)
+
+    def dense(t):
+        t = np.asarray(t, dtype=float)
+        x = t.ravel()
+        i = np.clip(np.searchsorted(sgn * t_old, sgn * x, side="right") - 1, 0, len(hs) - 1)
+        theta = (x - t_old[i]) / hs[i]
+        powers = theta[:, None] ** np.arange(1, 5)
+        y = y_old[i] + hs[i, None] * np.einsum("ncp,np->nc", Q[i], powers)
+        return y.T.reshape((3,) + t.shape)
 
     ts = np.linspace(t0, t1, n_samples)
-    yy, s, ii = sol.sol(ts)
+    yy, s, ii = dense(ts)
     return GraphSolution(
         v=ts if boundary is None else boundary.v(ts),
         W=1.0 / yy if use_y else yy,
         s=s,
         integral=ii,
         mode="Y" if use_y else "W",
-        dense=sol.sol,
+        dense=dense,
         boundary=boundary,
         q=None if boundary is None else ts,
     )
+

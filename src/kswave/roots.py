@@ -3,8 +3,8 @@
 Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4.
 `brentq` follows SciPy's `brentq.c` step for step (the same stopping test,
 the same interpolate/extrapolate/bisect updates in the same order, the same
-iteration cap), so it returns the same root as `scipy.optimize.brentq`, bit
-for bit, without importing SciPy.
+iteration cap), so it returns the same root as SciPy's `optimize.brentq`,
+bit for bit, without importing SciPy.
 """
 
 from __future__ import annotations

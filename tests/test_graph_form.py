@@ -1,6 +1,6 @@
 """The graph form W(v): agreement of W, s and I with the s-domain orbit at
-random saturated and linear anchors, the boundary substitution, and the one
-two-leg trace."""
+random saturated and linear anchors, the boundary substitution, the one
+two-leg trace, and the convergence of Larson front edges in rtol."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from kswave.integrate import (
     BACKWARD,
     FORWARD,
     BoundaryZone,
+    Controls,
     EventSpec,
     integrate,
     integrate_graph_W,
@@ -137,3 +138,31 @@ def test_cli_holds_no_graph_form_name():
         "Trajectory",
     ):
         assert not hasattr(cli, name), name
+
+
+# Larson fronts (limiter exponent p, so s ~ s_edge + C*q^(p/(p-1)) at the
+# flux boundary) whose edges once failed to converge monotonically in rtol.
+LARSON_ANCHORS = [
+    # (a, sigma, c, p, v0, w0)
+    (1.4465094745065505, 0.4402398829510947, 0.9335599209713032, 1.6755587488998147,
+     0.528027278815433, 12.638162380471215),
+    (1.9210007901786632, 0.682046901849243, 0.8192985095136341, 2.1744874429764955,
+     0.27151645003176633, 18.61838135298765),
+    (1.1089101620773438, 0.7199154006813335, 1.9387020087309694, 2.7093113331563625,
+     0.09469915574671783, 9.84962382711273),
+]
+
+
+@pytest.mark.parametrize("a, sigma, c, p_exp, v0, w0", LARSON_ANCHORS)
+def test_larson_front_edges_converge_in_rtol(a, sigma, c, p_exp, v0, w0):
+    # against a tight reference, the error of the front edges s_minus and
+    # s_plus falls strictly as rtol tightens by two decades at a time
+    p = ModelParams(a=a, sigma=sigma, limiter=FluxLimiter(LARSON, c=c, p=p_exp))
+
+    def edges(ctr):
+        f = saturated_front(p, v0, w0, branch="above", controls=ctr)
+        return np.array([f.s_minus, f.s_plus])
+
+    ref = edges(Controls(rtol=1e-13, atol=1e-18))
+    errs = [float(np.max(np.abs(edges(Controls(rtol=r)) - ref))) for r in (1e-8, 1e-10, 1e-12)]
+    assert errs[0] > errs[1] > errs[2], errs

@@ -1,8 +1,10 @@
 """Import cost: `import kswave` and `import kswave.cli` load neither SciPy nor
-the process-pool machinery; SciPy loads on the first graph leg only."""
+the process-pool machinery, and no computation loads SciPy: kswave does not
+depend on it."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -41,14 +43,35 @@ def test_import_loads_no_scipy_and_no_process_pool(module):
     assert heavy(modules) == []
 
 
-def test_saturated_front_loads_scipy_when_called():
-    before, after = loaded_after(
-        "from kswave import FluxLimiter, ModelParams, saturated_front\n"
-        "p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter('relativistic', c=1.0))\n"
-        "report()\n"
-        "prof = saturated_front(p, 0.5, 5.0, branch='above')\n"
-        "assert prof.s_minus is not None and prof.s_plus is not None, prof\n"
+def test_graph_legs_load_no_scipy():
+    # a relativistic and a Larson front, and a two-leg graph trace of a
+    # linear model (the function the portrait falls back to; this trace
+    # ends at a vanishing denominator), all on kswave's own stepper
+    (modules,) = loaded_after(
+        "import kswave\n"
+        "from kswave import DenominatorVanished, FluxLimiter, ModelParams, saturated_front\n"
+        "from kswave.profiles import graph_trajectory\n"
+        "for lim in (FluxLimiter('relativistic', c=1.0), FluxLimiter('larson', c=1.0, p=2.5)):\n"
+        "    p = ModelParams(a=1.0, sigma=0.5, limiter=lim)\n"
+        "    prof = saturated_front(p, 0.5, 5.0, branch='above')\n"
+        "    assert prof.s_minus < prof.s_plus, prof\n"
+        "try:\n"
+        "    graph_trajectory(ModelParams(a=0.5, sigma=0.3), 0.3, 0.0)\n"
+        "except DenominatorVanished:\n"
+        "    pass\n"
         "report()\n"
     )
-    assert heavy(before) == []
-    assert "scipy.integrate" in after
+    assert "kswave.profiles" in modules
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "kswave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)

@@ -323,45 +323,15 @@ def test_end_events_orientation():
 # the unrolled DP54 stepper against the generic tableau loop
 # --------------------------------------------------------------------------
 
-STEPPER = importlib.import_module("kswave.integrate")._dp54_step
-
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage row equals b)
-REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+INTEGRATE = importlib.import_module("kswave.integrate")
+STEPPER = INTEGRATE._dp54_step
 
 
-def reference_dp54_step(f, y, k1, h):
-    """The generic tableau loop: the reference the unrolled stepper must match."""
-    k = [k1]
-    y5 = y
-    for i in range(1, 7):
-        w, v, ii = y
-        for a, kj in zip(REF_A[i], k):
-            if a != 0.0:
-                w += h * a * kj[0]
-                v += h * a * kj[1]
-                ii += h * a * kj[2]
-        fw, fv = f(w, v)
-        k.append((fw, fv, v))
-        if i == 6:
-            y5 = (w, v, ii)
-    # Plain left-to-right sums from the integer 0, as sum() adds floats up to
-    # Python 3.11 (3.12's sum() compensates rounding, which would not match).
-    err = []
-    for c in range(3):
-        acc = 0
-        for j in range(7):
-            acc += REF_E[j] * k[j][c]
-        err.append(h * acc)
-    return y5, k[6], tuple(err)
+def generic_step(f, y, k1, h):
+    """The generic tableau loop on the orbit slopes (f(w, v), v): the
+    reference the unrolled stepper must match."""
+    y5, k, err = INTEGRATE._rk_step(lambda t, y: f(y[0], y[1]) + (y[1],), 0.0, y, k1, h)
+    return y5, k[6], err
 
 
 STEP_PARAMS = {
@@ -404,7 +374,7 @@ def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
     f = make_rhs(p)
     y = (w, v, ii)
     assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
-        reference_dp54_step, f, y, sign * h
+        generic_step, f, y, sign * h
     )
 
 
@@ -424,7 +394,7 @@ def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
     f = make_rhs(p)
     y = (w, v, 0.5)
     assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
-        reference_dp54_step, f, y, sign * h
+        generic_step, f, y, sign * h
     )
 
 
@@ -436,7 +406,7 @@ def test_stepper_domain_error_propagates():
     # a unit step in the direction that raises v leaves the slope domain
     h = math.copysign(1.0, k1[1])
     with pytest.raises(DomainError):
-        reference_dp54_step(f, (1.0, v, 0.0), k1, h)
+        generic_step(f, (1.0, v, 0.0), k1, h)
     with pytest.raises(DomainError):
         STEPPER(f, (1.0, v, 0.0), k1, h)
 

@@ -134,6 +134,8 @@ class TestCliExitsBeforeIntegration:
         ["profile", "--a", "2", "--sigma", "0.1", "--lambda", "4",
          "--limiter", "relativistic", "--c", "1", "--w0", "5", "--v0", "0.05",
          "--branch", "below"],
+        # a front needs no threshold
+        FRONT + ["--w0", "5", "--v0", "0.5", "--branch", "above", "--w0-star", "3"],
     ])
     def test_front_anchor(self, capsys, no_integration, argv):
         code, err = run(capsys, *argv)
@@ -209,6 +211,8 @@ class TestNonFiniteRunInputs:
         ["profile", *BASE, "--w0", "1", "--u0", "nan"],
         FRONT + ["--S0", "inf"],
         FRONT + ["--s0", "nan"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--v0-factor", "nan"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--v0-factor", "inf"],
         # a relativistic limiter that removes case A's interior saddle
         ["shoot", "--a", "0.3", "--sigma", "0.2", "--limiter", "relativistic",
          "--c", "0.3", "--v0", "1.3"],
