@@ -14,13 +14,15 @@ v = v_edge -/+ q^m (m = p/(p-1)) makes the equation regular all the way
 to the boundary.  The graph solver carries s and I along with W, by
 ds = gamma/(lam - gamma*v^2 - W) dv and dI = v ds, so a leg's accuracy is
 set by the solver tolerance; `GraphSolution.trajectory` turns a leg into
-a Trajectory in ascending s.
+a Trajectory in ascending s.  Both drivers step through `_march`, one
+adaptive loop with one step-size controller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,9 +66,9 @@ class Controls:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_max: float = 10.0           # cap on step size
+    h_max: float = 10.0           # step cap: in s on orbits, in v or q on graph legs
     s_max: float = 1e3            # span bound |s - s0|
-    max_steps: int = 1_000_000
+    max_steps: int = 1_000_000    # step attempts per orbit or graph leg
     v_max: float = 1e6            # |v| at which the run counts as blown up
     w_min: float = 1e-12          # w level treated as vanished; 0 disables
     eq_tol: float = 1e-9          # equilibrium capture ball, relative
@@ -88,6 +90,19 @@ class Controls:
                 f"rtol must be at least 100 * machine epsilon = {_RTOL_FLOOR!r}, "
                 f"got {self.rtol!r}"
             )
+        for name, ok, rule in (
+            ("h_max", self.h_max > 0.0, "> 0"),
+            ("s_max", 0.0 < self.s_max < math.inf, "finite and > 0"),
+            ("max_steps", type(self.max_steps) is int and self.max_steps >= 1, "an integer >= 1"),
+            ("v_max", self.v_max > 0.0, "> 0"),
+            ("w_min", self.w_min >= 0.0, ">= 0"),
+            ("eq_tol", self.eq_tol >= 0.0, ">= 0"),
+            ("eq_dwell", self.eq_dwell > 0.0, "> 0"),
+            ("boundary_eps_rel", self.boundary_eps_rel > 0.0, "> 0"),
+            ("denom_eps", self.denom_eps > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"controls field {name} must be {rule}: {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -278,6 +293,65 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float) -> float:
     return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * _h_floor(0.0))
 
 
+def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls):
+    """Adaptive march from (t, y), with cached slope k1, to t_end.
+
+    `step(t, y, k1, h)` takes one DP54 step of signed size h and returns
+    (y1, ks, err): the result, stage slopes ending with the slope at y1
+    and the error estimate per component of the 3-component state.  The
+    error norm is the RMS over scales atols[c] + rtol * |y[c]|; a step
+    raising DomainError or ZeroDivisionError counts as infinite error.
+    The I controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4) is
+    capped at h_max and does not grow right after a rejection.
+
+    Yields each accepted step as (t, y, k1, h, t1, y1, ks), the last one
+    landing on t_end exactly.  Raises Inconclusive after max_steps attempts
+    and StepSizeUnderflow, chained from the last rejection's exception if
+    it raised one, when a rejected step falls under the float spacing.
+    """
+    a0, a1, a2 = atols
+    sgn = math.copysign(1.0, t_end - t)
+    just_rejected = False
+    cause = None
+    for _ in range(ctr.max_steps):
+        remaining = abs(t_end - t)
+        # The landing step ends on t_end itself, so no stage passes it;
+        # stretching up to 1% leaves no sliver step before it.
+        landing = 1.01 * h >= remaining
+        h_try = remaining if landing else h
+        try:
+            y1, ks, (e0, e1, e2) = step(t, y, k1, sgn * h_try)
+            err = math.sqrt((
+                (e0 / (a0 + rtol * max(abs(y[0]), abs(y1[0])))) ** 2
+                + (e1 / (a1 + rtol * max(abs(y[1]), abs(y1[1])))) ** 2
+                + (e2 / (a2 + rtol * max(abs(y[2]), abs(y1[2])))) ** 2
+            ) / 3.0)
+            cause = None
+        except (DomainError, ZeroDivisionError) as exc:
+            err, cause = math.inf, exc
+        # NaN fails every comparison: a state gone non-finite is rejected
+        # until the step size underflows.
+        accepted = err <= 1.0
+        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** -0.2
+        grow = _FAC_MAX if accepted and not just_rejected else 1.0
+        h = min(h_try * min(grow, max(_FAC_MIN, fac)), ctr.h_max)
+        just_rejected = not accepted
+        if not accepted:
+            if h < _h_floor(t):
+                raise StepSizeUnderflow(
+                    f"step size underflow at {float(t)!r}, state {[float(c) for c in y]}"
+                ) from cause
+            continue
+        t1 = t_end if landing else t + sgn * h_try
+        yield t, y, k1, sgn * h_try, t1, y1, ks
+        if landing:
+            return
+        t, y, k1 = t1, y1, ks[-1]
+    raise Inconclusive(
+        f"step budget {ctr.max_steps} exhausted at {float(t)!r}, state {[float(c) for c in y]}"
+    )
+
+
 def _crossed(e_prev: float, e_new: float, direction: int) -> bool:
     if direction > 0:
         return e_prev < 0.0 <= e_new
@@ -347,111 +421,57 @@ def integrate(
     e_prev = [ev.fn(s, w0, v0) for ev in events]
     dwell_idx = eq_ball(w0, v0)
     dwell_s = s
-    target = s0 + sgn * ctr.s_max
 
-    term: TerminationEvent | None = None
-    rtol, atol = ctr.rtol, ctr.atol
+    def step(s, y, k1, h):
+        y5, k7, err = _dp54_step(f, y, k1, h)
+        return y5, (k7,), err
+
     h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max)
-    err_old = 1e-4
-    just_rejected = False
+    march = _march(
+        step, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr
+    )
+    try:
+        for s_old, y_old, k1_old, h, s, y, _ in march:
+            # --- event detection along this accepted step ---
+            e_new = [ev.fn(s, y[0], y[1]) for ev in events]
+            best: tuple[float, int] | None = None
+            for i, ev in enumerate(events):
+                if _crossed(e_prev[i], e_new[i], ev.direction):
+                    theta = _locate_event(f, y_old, k1_old, h, s_old, events[i], e_new[i])
+                    if best is None or theta < best[0]:
+                        best = (theta, i)
+            if best is not None:
+                theta, i = best
+                if theta >= 1.0:
+                    y_ev, s_ev = y, s
+                else:
+                    y_ev = _dp54_step(f, y_old, k1_old, h * theta)[0]
+                    s_ev = s_old + h * theta
+                ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
+                term = TerminationEvent(kind=events[i].kind, s=s_ev, w=y_ev[0], v=y_ev[1])
+                break
 
-    steps = 0
-    while True:
-        steps += 1
-        if steps > ctr.max_steps:
-            raise Inconclusive(
-                f"step budget {ctr.max_steps} exhausted at s = {s!r} (|v| = {abs(y[1])!r})"
-            )
-        remaining = abs(target - s)
-        if remaining <= _h_floor(s):
-            term = TerminationEvent(kind=MAX_SPAN, s=s, w=y[0], v=y[1])
-            break
-        # Stretch up to 1% so float drift in `remaining` cannot leave a
-        # sliver step that lands a duplicate sample on the target.
-        landing = 1.01 * h >= remaining
-        h_try = remaining if landing else h
+            ss.append(s), ws.append(y[0]), vs.append(y[1]), iis.append(y[2])
+            e_prev = e_new
 
-        try:
-            y5, k7, (ew, ev, ei) = _dp54_step(f, y, k1, sgn * h_try)
-        except DomainError:
-            h = 0.5 * h_try
-            just_rejected = True
-            if h < _h_floor(s):
-                idx = _near_flux_boundary(p, y[1], ctr)
-                if idx is not None:
-                    term = TerminationEvent(kind=idx, s=s, w=y[0], v=y[1])
-                    break
-                raise StepSizeUnderflow(
-                    f"step size underflow at s = {s!r}, state ({y[0]!r}, {y[1]!r})"
+            # --- equilibrium dwell ---
+            idx = eq_ball(y[0], y[1])
+            if idx != dwell_idx:
+                dwell_idx, dwell_s = idx, s
+            elif idx is not None and abs(s - dwell_s) >= ctr.eq_dwell:
+                term = TerminationEvent(
+                    kind=CONVERGED, s=s, w=y[0], v=y[1], equilibrium_index=idx
                 )
-            continue
-
-        # RMS of the error over per-component scales atol + rtol * |state|
-        err = math.sqrt(
-            (
-                (ew / (_W_ATOL_FLOOR + rtol * max(abs(y[0]), abs(y5[0])))) ** 2
-                + (ev / (atol + rtol * max(abs(y[1]), abs(y5[1])))) ** 2
-                + (ei / (atol + rtol * max(abs(y[2]), abs(y5[2])))) ** 2
-            )
-            / 3.0
-        )
-        # NaN fails every comparison: a state gone non-finite is rejected
-        # until the step size underflows.
-        if not err <= 1.0:
-            h = h_try * max(_FAC_MIN, _SAFETY * err ** -0.2)
-            just_rejected = True
-            if h < _h_floor(s):
-                raise StepSizeUnderflow(
-                    f"step size underflow at s = {s!r}, state ({y[0]!r}, {y[1]!r})"
-                )
-            continue
-
-        s_new = s + sgn * h_try
-        # --- event detection along this accepted step ---
-        e_new = [ev.fn(s_new, y5[0], y5[1]) for ev in events]
-        best: tuple[float, int] | None = None
-        for i, ev in enumerate(events):
-            if _crossed(e_prev[i], e_new[i], ev.direction):
-                theta = _locate_event(f, y, k1, sgn * h_try, s, events[i], e_new[i])
-                if best is None or theta < best[0]:
-                    best = (theta, i)
-        if best is not None:
-            theta, i = best
-            if theta >= 1.0:
-                y_ev, s_ev = y5, s_new
-            else:
-                y_ev = _dp54_step(f, y, k1, sgn * h_try * theta)[0]
-                s_ev = s + sgn * h_try * theta
-            ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
-            term = TerminationEvent(kind=events[i].kind, s=s_ev, w=y_ev[0], v=y_ev[1])
-            break
-
-        ss.append(s_new), ws.append(y5[0]), vs.append(y5[1]), iis.append(y5[2])
-        s, y, k1, e_prev = s_new, y5, k7, e_new
-
-        # --- equilibrium dwell ---
-        idx = eq_ball(y[0], y[1])
-        if idx != dwell_idx:
-            dwell_idx, dwell_s = idx, s
-        elif idx is not None and abs(s - dwell_s) >= ctr.eq_dwell:
-            term = TerminationEvent(
-                kind=CONVERGED, s=s, w=y[0], v=y[1], equilibrium_index=idx
-            )
-            break
-
-        if landing:
-            term = TerminationEvent(kind=MAX_SPAN, s=s, w=y[0], v=y[1])
-            break
-
-        # --- PI step-size controller ---
-        if err == 0.0:
-            fac = _FAC_MAX
+                break
         else:
-            fac = _SAFETY * err ** -0.17 * err_old ** 0.04
-        fac = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, fac))
-        h = min(h_try * fac, ctr.h_max)
-        err_old = max(err, 1e-4)
-        just_rejected = False
+            term = TerminationEvent(kind=MAX_SPAN, s=s, w=y[0], v=y[1])
+    except StepSizeUnderflow as exc:
+        # steps that keep leaving the slope domain near the flux boundary
+        # have arrived there
+        kind = _near_flux_boundary(p, y[1], ctr)
+        if kind is None or not isinstance(exc.__cause__, DomainError):
+            raise
+        term = TerminationEvent(kind=kind, s=s, w=y[0], v=y[1])
 
     if term.kind == MAX_SPAN and _looks_bounded(ws, vs):
         term = replace(term, kind=BOUNDED)
@@ -752,8 +772,9 @@ def integrate_graph_W(
     regularized variable q, reaching the boundary exactly at q = 0.  The
     solver carries s, from s_start at the anchor, and I = integral of v ds
     along with W: ds/dv = gamma/(lam - W - gamma*v^2) and dI/dv = v ds/dv.
-    Raises DenominatorVanished if lam - W - gamma*v^2 approaches zero or
-    the solve stalls at a fold where it does.
+    Raises DomainError for a v_target outside the slope domain (the
+    infinite edges of a linear limiter's included) and DenominatorVanished
+    if lam - W - gamma*v^2 approaches zero or the solve stalls at a fold.
     """
     ctr = controls or Controls()
     if v_target == v_anchor:
@@ -775,7 +796,7 @@ def integrate_graph_W(
             boundary = BoundaryZone(v_edge=hi, side=+1, m=boundary_exponent(lim))
         elif abs(v_target - lo) <= eps_v:
             boundary = BoundaryZone(v_edge=lo, side=-1, m=boundary_exponent(lim))
-    if boundary is None and not (lo < v_target < hi) and lim.saturated:
+    if boundary is None and not lo < v_target < hi:
         raise DomainError(f"v_target = {v_target!r} outside the slope domain")
 
     # leg(t) gives, at the independent variable t (plain v, or q on a
@@ -833,53 +854,29 @@ def integrate_graph_W(
     # the guard is signed with the anchor's denominator sign: a pinch shows
     # up as a one-way crossing no accepted step can pass unnoticed
     dsign = math.copysign(1.0, den(t0, y0))
-    rtol, atol = max(ctr.rtol, 1e-13), ctr.atol
     sgn = math.copysign(1.0, t1 - t0)
-    t, y = t0, y0
-    k1 = rhs_ode(t, y)
-    h = _initial_h(rhs_ode, t, y, k1, sgn, ctr, abs(t1 - t0))
+    k1 = rhs_ode(t0, y0)
+    h = _initial_h(rhs_ode, t0, y0, k1, sgn, ctr, abs(t1 - t0))
+    march = _march(
+        partial(_rk_step, rhs_ode), t0, y0, k1, t1, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
+    )
     steps = []  # (t, signed h, y, stage slopes) of each accepted step
-    just_rejected = False
-    while True:
-        if len(steps) >= ctr.max_steps:
-            raise Inconclusive(f"graph leg step budget {ctr.max_steps} exhausted at {t!r}")
-        remaining = abs(t1 - t)
-        # the landing step ends on t1 itself, so no stage passes the edge
-        landing = 1.01 * h >= remaining
-        h_try = remaining if landing else h
-        try:
-            y5, ks, errs = _rk_step(rhs_ode, t, y, k1, sgn * h_try)
-            # RMS of the error over per-component scales atol + rtol * |state|
-            err = math.sqrt(sum(
-                (e / (atol + rtol * max(abs(u0), abs(u1)))) ** 2
-                for e, u0, u1 in zip(errs, y, y5)
-            ) / 3.0)
-        except (DomainError, ZeroDivisionError):
-            err = math.inf
-        # NaN fails every comparison: a state gone non-finite is rejected
-        accepted = err <= 1.0
-        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** -0.2
-        h = h_try * min(_FAC_MAX if accepted and not just_rejected else 1.0, max(_FAC_MIN, fac))
-        just_rejected = not accepted
-        if not accepted:
-            if h < _h_floor(t):
-                den_end = den(t, y) * dsign
-                if den_end < _FOLD_FACTOR * floor:
-                    raise DenominatorVanished(
-                        f"graph integration stalled at a fold: signed denominator "
-                        f"{den_end!r} at independent variable {t!r}"
-                    )
-                raise Inconclusive(f"graph integration failed: step size underflow at {t!r}")
-            continue
-
-        steps.append((t, sgn * h_try, y, ks))
-        t, y, k1 = (t1 if landing else t + sgn * h_try), y5, ks[6]
-        if den(t, y) * dsign <= floor:
+    t, y = t0, y0
+    try:
+        for t_old, y_old, _, h, t, y, ks in march:
+            steps.append((t_old, h, y_old, ks))
+            if den(t, y) * dsign <= floor:
+                raise DenominatorVanished(
+                    f"lam - W - gamma*v^2 reached the floor at independent variable {float(t)!r}"
+                )
+    except StepSizeUnderflow as exc:
+        den_end = den(t, y) * dsign
+        if den_end < _FOLD_FACTOR * floor:
             raise DenominatorVanished(
-                f"lam - W - gamma*v^2 reached the floor at independent variable {t!r}"
-            )
-        if landing:
-            break
+                f"graph integration stalled at a fold: signed denominator "
+                f"{float(den_end)!r} at independent variable {float(t)!r}"
+            ) from exc
+        raise Inconclusive(f"graph integration failed: {exc}") from exc
 
     # the continuous extension maps an array of t to the states there, shape
     # (3,) + t.shape, extrapolating from the nearest step off the leg

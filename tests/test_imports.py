@@ -44,21 +44,18 @@ def test_import_loads_no_scipy_and_no_process_pool(module):
 
 
 def test_graph_legs_load_no_scipy():
-    # a relativistic and a Larson front, and a two-leg graph trace of a
-    # linear model (the function the portrait falls back to; this trace
-    # ends at a vanishing denominator), all on kswave's own stepper
+    # a relativistic and a Larson front, and a W-form graph leg of a
+    # linear model toward a finite target, all on kswave's own stepper
     (modules,) = loaded_after(
         "import kswave\n"
-        "from kswave import DenominatorVanished, FluxLimiter, ModelParams, saturated_front\n"
-        "from kswave.profiles import graph_trajectory\n"
+        "from kswave import FluxLimiter, ModelParams, saturated_front\n"
+        "from kswave.integrate import integrate_graph_W\n"
         "for lim in (FluxLimiter('relativistic', c=1.0), FluxLimiter('larson', c=1.0, p=2.5)):\n"
         "    p = ModelParams(a=1.0, sigma=0.5, limiter=lim)\n"
         "    prof = saturated_front(p, 0.5, 5.0, branch='above')\n"
         "    assert prof.s_minus < prof.s_plus, prof\n"
-        "try:\n"
-        "    graph_trajectory(ModelParams(a=0.5, sigma=0.3), 0.3, 0.0)\n"
-        "except DenominatorVanished:\n"
-        "    pass\n"
+        "leg = integrate_graph_W(ModelParams(a=0.5, sigma=0.3), 0.0, 0.3, 0.5)\n"
+        "assert leg.mode == 'W', leg.mode\n"
         "report()\n"
     )
     assert "kswave.profiles" in modules

@@ -26,6 +26,7 @@ from kswave.integrate import (
     BOTH,
     BOUNDED,
     CONVERGED,
+    FLUX_BOUNDARY_HIGH,
     FLUX_BOUNDARY_LOW,
     FORWARD,
     MAX_SPAN,
@@ -38,6 +39,7 @@ from kswave.integrate import (
     merge_trajectories,
 )
 from kswave.phase import ModelParams, equilibria, make_rhs
+from kswave.profiles import graph_trajectory
 
 
 def lp(a, sigma, gamma=1.0, lam=1.0):
@@ -109,6 +111,18 @@ class TestCothOracle:
             )
             edges.append(traj.s_minus)
         assert abs(edges[0] - edges[1]) <= 1e-10
+
+    def test_edge_converges_strictly_in_rtol(self):
+        # the exact edge is 0: each tighter tolerance must bring it closer
+        v0 = 1.0 / math.tanh(1.0)
+        errors = [
+            abs(integrate(
+                COTH_P, 0.0, v0, direction=BACKWARD, s0=1.0,
+                controls=Controls(rtol=rtol, atol=rtol / 100.0),
+            ).s_minus)
+            for rtol in (1e-6, 1e-8, 1e-10, 1e-12)
+        ]
+        assert all(tight < loose for loose, tight in zip(errors, errors[1:])), errors
 
 
 class TestExponentialW:
@@ -308,6 +322,31 @@ class TestGraphForm:
         with pytest.raises(ValueError):
             integrate_graph_W(p, v_anchor=0.5, W_anchor=0.0, v_target=0.2)
 
+    @pytest.mark.parametrize("trace", [
+        # the linear slope domain is (-inf, inf), and a graph trace runs one
+        # leg to each edge: +inf first, in Y form here and in W form next
+        lambda: graph_trajectory(COTH_P, 2.0, 0.5),
+        lambda: graph_trajectory(COTH_P, 0.3, 0.0),
+        lambda: integrate_graph_W(COTH_P, v_anchor=0.0, W_anchor=0.3, v_target=-math.inf),
+        lambda: integrate_graph_W(COTH_P, v_anchor=0.0, W_anchor=0.3, v_target=math.nan),
+    ], ids=["trace-Y-form", "trace-W-form", "minus-inf", "nan"])
+    def test_non_finite_target_is_outside_the_slope_domain(self, monkeypatch, trace):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("graph leg stepped toward a non-finite target")
+
+        monkeypatch.setattr(INTEGRATE, "_rk_step", forbidden)
+        with pytest.raises(DomainError, match="v_target"):
+            trace()
+
+    def test_step_budget_exhaustion_raises(self):
+        p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+        lo, _ = p.slope_domain
+        integrate_graph_W(p, v_anchor=0.5, W_anchor=5.0, v_target=lo)
+        with pytest.raises(Inconclusive, match="budget"):
+            integrate_graph_W(
+                p, v_anchor=0.5, W_anchor=5.0, v_target=lo, controls=Controls(max_steps=3)
+            )
+
 
 def test_end_events_orientation():
     v0 = 1.0 / math.tanh(1.0)
@@ -441,6 +480,26 @@ class TestNonFinite:
         ctr = Controls(eq_dwell=math.inf, w_min=0.0)
         assert ctr.eq_dwell == math.inf
 
+    def test_controls_accept_the_ends_of_their_ranges(self):
+        ctr = Controls(h_max=math.inf, max_steps=1, v_max=math.inf, eq_tol=0.0)
+        assert (ctr.h_max, ctr.max_steps, ctr.v_max, ctr.eq_tol) == (math.inf, 1, math.inf, 0.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("h_max", 0.0), ("h_max", -1.0), ("h_max", -math.inf),
+        ("s_max", 0.0), ("s_max", -5.0), ("s_max", math.inf),
+        ("max_steps", 0), ("max_steps", -1), ("max_steps", 2.5), ("max_steps", 10.0),
+        ("max_steps", True),
+        ("v_max", 0.0), ("v_max", -1.0),
+        ("w_min", -1e-12), ("w_min", -math.inf),
+        ("eq_tol", -1e-9),
+        ("eq_dwell", 0.0), ("eq_dwell", -5.0),
+        ("boundary_eps_rel", 0.0), ("boundary_eps_rel", -1e-9),
+        ("denom_eps", 0.0), ("denom_eps", -1e-10),
+    ])
+    def test_controls_reject_out_of_range_fields(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Controls(**{name: bad})
+
     @pytest.mark.parametrize("w0, v0, s0", [
         (math.nan, 0.5, 0.0),
         (math.inf, 0.5, 0.0),
@@ -470,3 +529,29 @@ class TestNonFinite:
         monkeypatch.setattr(mod, "make_rhs", field)
         with pytest.raises(StepSizeUnderflow):
             integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))
+
+    def test_underflow_at_the_domain_wall_is_flux_boundary_arrival(self, monkeypatch):
+        # A field that leaves its domain 1e-7 short of the flux boundary,
+        # inside the 1e-6 arrival zone but before the event level: steps
+        # that keep raising DomainError there have arrived.  The same wall
+        # made of NaN is no arrival, only an underflow.
+        mod = importlib.import_module("kswave.integrate")
+        p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+        wall = p.slope_domain[1] - 1e-7
+
+        def field_raising(exc):
+            def field(w, v):
+                if v < wall:
+                    return 0.0, 1.0
+                if exc is None:
+                    return math.nan, math.nan
+                raise exc("past the wall")
+            return lambda p: field
+
+        monkeypatch.setattr(mod, "make_rhs", field_raising(DomainError))
+        traj = integrate(p, 1.0, 0.0)
+        assert traj.termination.kind == FLUX_BOUNDARY_HIGH
+        assert wall - 1e-9 < traj.v[-1] < wall
+        monkeypatch.setattr(mod, "make_rhs", field_raising(None))
+        with pytest.raises(StepSizeUnderflow):
+            integrate(p, 1.0, 0.0)

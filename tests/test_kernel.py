@@ -1,5 +1,6 @@
-"""One limiter kernel: every public view of g agrees bit for bit, and no
-module imports another module's private names."""
+"""One limiter kernel: every public view of g agrees bit for bit, no
+module imports another module's private names, and one step-size
+controller serves every integration."""
 
 from __future__ import annotations
 
@@ -93,3 +94,20 @@ def test_no_module_imports_a_private_name_from_another():
     src = Path(kswave.__file__).parent
     found = [hit for path in sorted(src.glob("*.py")) for hit in _private_cross_imports(path)]
     assert found == []
+
+
+def test_step_size_controller_lives_only_in_the_march():
+    # orbits and graph legs share one step-size controller: its constants
+    # are read nowhere but in integrate._march
+    path = Path(kswave.__file__).parent / "integrate.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"_SAFETY", "_FAC_MIN", "_FAC_MAX"}
+    march = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_march"]
+    assert len(march) == 1
+    inside = {id(n) for n in ast.walk(march[0])}
+    reads = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id in names and isinstance(n.ctx, ast.Load)
+    ]
+    assert {n.id for n in reads} == names
+    assert [(n.id, n.lineno) for n in reads if id(n) not in inside] == []

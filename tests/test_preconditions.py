@@ -223,6 +223,19 @@ class TestNonFiniteRunInputs:
         assert "config error" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("controls", [
+        '"h_max": 0', '"h_max": -1', '"max_steps": 0', '"max_steps": 2.5',
+        '"v_max": -1', '"s_max": -5', '"eq_dwell": 0', '"denom_eps": 0',
+    ])
+    def test_out_of_range_config_controls(self, capsys, no_integration, tmp_path, controls):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"a": 1, "sigma": 0.5, "v0": 2, "controls": {%s}}' % controls)
+        out = tmp_path / "out"
+        code, err = run(capsys, "shoot", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert controls.split('"')[1] in err
+        assert not out.exists()
+
     def test_nan_in_config_controls(self, capsys, no_integration, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"eq_tol": NaN}}')
