@@ -386,22 +386,26 @@ def integrate(
     sgn = 1.0 if direction == FORWARD else -1.0
     f = make_rhs(p)
 
-    events: list[EventSpec] = list(extra_events)
+    events = list(extra_events)
+    # The built-in events are level crossings of w (component 0) or v (1),
+    # tested on the states directly: for e = x - level, x_prev < level <= x_new
+    # is exactly e_prev < 0 <= e_new in IEEE arithmetic.  Their EventSpec
+    # serves only to locate the crossing.
+    levels: list[tuple[int, float, int, EventSpec]] = []
+
+    def level_event(c: int, level: float, direction: int, kind: str) -> None:
+        fn = (lambda s, w, v: w - level) if c == 0 else (lambda s, w, v: v - level)
+        levels.append((c, level, direction, EventSpec(fn=fn, kind=kind, direction=direction)))
+
     if p.limiter.saturated:
         lo, hi = p.slope_domain
         eps_v = _boundary_standoff(p, ctr)
-        events.append(
-            EventSpec(fn=lambda s, w, v: v - (hi - eps_v), kind=FLUX_BOUNDARY_HIGH, direction=+1)
-        )
-        events.append(
-            EventSpec(fn=lambda s, w, v: v - (lo + eps_v), kind=FLUX_BOUNDARY_LOW, direction=-1)
-        )
+        level_event(1, hi - eps_v, +1, FLUX_BOUNDARY_HIGH)
+        level_event(1, lo + eps_v, -1, FLUX_BOUNDARY_LOW)
     if ctr.w_min > 0.0 and w0 > ctr.w_min:
-        events.append(
-            EventSpec(fn=lambda s, w, v: w - ctr.w_min, kind=W_VANISHED, direction=-1)
-        )
-    events.append(EventSpec(fn=lambda s, w, v: v - ctr.v_max, kind=V_BLOW_UP_PLUS, direction=+1))
-    events.append(EventSpec(fn=lambda s, w, v: v + ctr.v_max, kind=V_BLOW_UP_MINUS, direction=-1))
+        level_event(0, ctr.w_min, -1, W_VANISHED)
+    level_event(1, ctr.v_max, +1, V_BLOW_UP_PLUS)
+    level_event(1, -ctr.v_max, -1, V_BLOW_UP_MINUS)
 
     eqs = list(eq_list) if eq_list is not None else _phase_equilibria(p)
     eq_data = [
@@ -410,7 +414,9 @@ def integrate(
 
     def eq_ball(w: float, v: float) -> int | None:
         for idx, (we, ve, rad) in enumerate(eq_data):
-            if math.hypot(w - we, v - ve) <= rad:
+            dw, dv = w - we, v - ve
+            # hypot >= max(|dw|, |dv|), so the box test only skips misses
+            if abs(dw) <= rad and abs(dv) <= rad and math.hypot(dw, dv) <= rad:
                 return idx
         return None
 
@@ -433,22 +439,29 @@ def integrate(
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
             # --- event detection along this accepted step ---
+            # extra events come first, so they win ties
             e_new = [ev.fn(s, y[0], y[1]) for ev in events]
-            best: tuple[float, int] | None = None
-            for i, ev in enumerate(events):
-                if _crossed(e_prev[i], e_new[i], ev.direction):
-                    theta = _locate_event(f, y_old, k1_old, h, s_old, events[i], e_new[i])
+            best: tuple[float, EventSpec] | None = None
+            for ev, e_old, e in zip(events, e_prev, e_new):
+                if _crossed(e_old, e, ev.direction):
+                    theta = _locate_event(f, y_old, k1_old, h, s_old, ev, e)
                     if best is None or theta < best[0]:
-                        best = (theta, i)
+                        best = (theta, ev)
+            for c, level, d, ev in levels:
+                x_old, x = y_old[c], y[c]
+                if (x_old < level <= x) if d > 0 else (x_old > level >= x):
+                    theta = _locate_event(f, y_old, k1_old, h, s_old, ev, x - level)
+                    if best is None or theta < best[0]:
+                        best = (theta, ev)
             if best is not None:
-                theta, i = best
+                theta, ev = best
                 if theta >= 1.0:
                     y_ev, s_ev = y, s
                 else:
                     y_ev = _dp54_step(f, y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
                 ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
-                term = TerminationEvent(kind=events[i].kind, s=s_ev, w=y_ev[0], v=y_ev[1])
+                term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
                 break
 
             ss.append(s), ws.append(y[0]), vs.append(y[1]), iis.append(y[2])

@@ -220,6 +220,31 @@ def test_equilibrium_residual_is_at_rounding_level(p):
         assert math.hypot(dw, dv) <= 1e-12 * residual_scale(p)
 
 
+@settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
+@given(models(), st.floats(0.05, 0.95), st.floats(0.0, 3.0))
+def test_jacobian_matches_central_differences(p, t, w):
+    # v sits at fraction t of the slope domain; the linear limiter's domain
+    # is unbounded, so there v is drawn from (-3, 3).
+    lo, hi = p.slope_domain
+    v = -3.0 + 6.0 * t if math.isinf(lo) else lo + (hi - lo) * t
+    # A central difference at step h errs by O(h^q) truncation plus O(eps/h)
+    # rounding, balanced at h = eps^(1/3).  In v the step also shrinks with
+    # the distance to a flux boundary, where the derivatives of g grow.
+    # q = 2, except for a Larson limiter with p < 2: there g' - 1/mu grows
+    # like |a*v - sigma|^p, so q = p.
+    eps = np.finfo(float).eps
+    h = eps ** (1.0 / 3.0)
+    dw = h * max(1.0, w)
+    dv = h * min(max(1.0, abs(v)), v - lo, hi - v)
+    fd = np.column_stack([
+        np.subtract(rhs(p, w + dw, v), rhs(p, w - dw, v)) / (2.0 * dw),
+        np.subtract(rhs(p, w, v + dv), rhs(p, w, v - dv)) / (2.0 * dv),
+    ])
+    jac = jacobian(p, w, v)
+    q = min(2.0, p.limiter.exponent or 2.0)
+    assert np.abs(fd - jac).max() <= 1e3 * eps ** (q / 3.0) * np.abs(jac).max()
+
+
 class TestSaturatedEquilibria:
     def test_axis_points_need_domain_membership(self):
         # domain ((sigma-c)/a, (sigma+c)/a) = (-0.25, 0.75) excludes +-v_star = +-1

@@ -73,7 +73,7 @@ def test_matches_scipy_on_slope_balance_brackets(monkeypatch, limiter):
 def test_matches_scipy_on_event_brackets(monkeypatch):
     spy = RecordingBrent()
     monkeypatch.setattr(importlib.import_module("kswave.integrate"), "brentq", spy)
-    find_w0_star(ModelParams(a=1.0, sigma=0.5), 2.0)
+    find_w0_star(ModelParams(a=1.0, sigma=0.5), 2.0, method="bisection")
     assert spy.calls >= 10
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from datetime import timedelta
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kswave.errors import (
     DegenerateError,
@@ -16,7 +19,7 @@ from kswave.errors import (
     RegimeViolation,
     SeedEscaped,
 )
-from kswave.flux import RELATIVISTIC, FluxLimiter
+from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
     BACKWARD,
     CONVERGED,
@@ -25,7 +28,7 @@ from kswave.integrate import (
     V_BLOW_UP_PLUS,
     Controls,
 )
-from kswave.phase import ModelParams, equilibria
+from kswave.phase import ModelParams, equilibria, regime_case
 from kswave import shooting
 from kswave.shooting import (
     CONVERGES_TO,
@@ -37,6 +40,7 @@ from kswave.shooting import (
     ShotOutcome,
     classify_trajectory,
     find_w0_star,
+    is_subcritical,
     supplied_threshold,
     threshold_trajectory,
     trace_stable_manifold,
@@ -285,6 +289,9 @@ class TestThresholdTrajectory:
 class TestSeededBisection:
     """Under method "both" the bisection starts from the manifold estimate."""
 
+    # half-width of the tight seed m*(1 -/+ DELTA), relative
+    DELTA = 0.49 * 1e-10
+
     @staticmethod
     def counting_classifier(monkeypatch):
         calls = []
@@ -303,14 +310,16 @@ class TestSeededBisection:
         reference = find_w0_star(p, v0, method="bisection")
         calls = self.counting_classifier(monkeypatch)
         r = find_w0_star(p, v0)
-        assert len(calls) <= 20
+        # the tight seed straddles the threshold here, so no halving runs
+        assert len(calls) == 2
         assert r.method == "Both"
         assert r.classifier_tol <= 2e-10
         assert r.bracket[0] <= r.w0_star <= r.bracket[1]
         assert abs(r.w0_star - reference.w0_star) <= 1e-9 * reference.w0_star
         # the classifier decided both ends of the seed bracket
         m = r.manifold_estimate
-        assert calls[:2] == [m * (1.0 - 1e-6), m * (1.0 + 1e-6)]
+        assert calls == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA)]
+        assert r.bracket == tuple(calls)
 
     def test_estimate_off_falls_back_to_expansion(self, monkeypatch, thr_c):
         original = shooting.trace_stable_manifold
@@ -327,9 +336,56 @@ class TestSeededBisection:
         assert r.manifold_estimate == pytest.approx(1.01 * thr_c.manifold_estimate, rel=1e-15)
         assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
         assert r.classifier_tol <= 2e-10
-        # the seed ends were tried, then the default bracket (lam/2, 2*lam)
-        assert calls[1] == 0.5 * P_C.lam
+        # the tight seed ends were tried and both are super-critical; the
+        # lower one galloped down to m*(1 - 1e-6), then the default bracket
+        # (lam/2, 2*lam) was expanded
+        m = r.manifold_estimate
+        offsets, delta = [], self.DELTA
+        while delta < 1e-6:
+            delta = min(4.0 * delta, 1e-6)
+            offsets.append(delta)
+        gallop = [m * (1.0 - d) for d in offsets]
+        assert calls[:2 + len(gallop)] == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA), *gallop]
+        assert calls[2 + len(gallop)] == 0.5 * P_C.lam
         assert len(calls) > 20
+
+    @pytest.mark.parametrize("shift", [-2e-9, 2e-9], ids=["estimate-low", "estimate-high"])
+    def test_estimate_slightly_off_gallops(self, monkeypatch, thr_c, shift):
+        original_trace = shooting.trace_stable_manifold
+
+        def shifted(*args, **kwargs):
+            traj = original_trace(*args, **kwargs)
+            term = traj.termination
+            return replace(traj, termination=replace(term, w=(1.0 + shift) * term.w))
+
+        monkeypatch.setattr(shooting, "trace_stable_manifold", shifted)
+        original = shooting.classify_trajectory
+        shots = []
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shots.append((args[1], is_subcritical(out.cls)))
+            return out
+
+        monkeypatch.setattr(shooting, "classify_trajectory", recorded)
+        r = find_w0_star(P_C, 2.0)
+        assert r.method == "Both"
+        assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
+        assert r.classifier_tol <= 2e-10
+        assert len(shots) <= 20
+        # both tight ends fall on the side of the estimate ...
+        m, sub = r.manifold_estimate, shift < 0.0
+        assert shots[:2] == [(m * (1.0 - self.DELTA), sub), (m * (1.0 + self.DELTA), sub)]
+        # ... so the far end gallops away from it until the class changes ...
+        sign, delta, k = (1.0 if sub else -1.0), self.DELTA, 2
+        while shots[k][1] == sub:
+            delta *= 4.0
+            assert shots[k][0] == m * (1.0 + sign * delta)
+            k += 1
+        assert shots[k][0] == m * (1.0 + sign * 4.0 * delta)
+        # ... and bisection starts between the last two gallop points
+        assert k >= 3
+        assert shots[k + 1][0] == 0.5 * (shots[k - 1][0] + shots[k][0])
 
 
 def test_missing_saddle_is_a_precondition(monkeypatch):
@@ -357,3 +413,42 @@ def test_threshold_converges_as_tolerance_tightens(p, v0):
     assert [x.method for x in r.values()] == ["Both"] * 3
     w = {rtol: x.w0_star for rtol, x in r.items()}
     assert abs(w[1e-10] - w[1e-12]) < abs(w[1e-8] - w[1e-12])
+
+
+# (a range, sigma / sigma_star range) of each case, drawn as the threshold
+# benchmark draws them: a in (0.8, 1.25) is left out, where the classifier's
+# span runs out before a deciding event.  Case C is a = 1, where sigma_star
+# vanishes and sigma is drawn against v_star instead.
+CASE_DRAWS = {
+    "A": ((0.3, 0.8), (0.3, 0.9)),
+    "B": ((0.3, 0.8), (1.1, 2.0)),
+    "C": ((1.0, 1.0), (0.3, 2.0)),
+    "D": ((1.25, 3.0), (0.3, 0.9)),
+    "E": ((1.25, 3.0), (1.1, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case, backward", [("A", False), ("A", True), ("B", False),
+                                            ("C", False), ("D", False), ("E", False)],
+                         ids=["A-forward", "A-backward", "B", "C", "D", "E"])
+@settings(max_examples=2, deadline=timedelta(seconds=5), database=None)
+@given(data=st.data())
+def test_threshold_separates_sub_and_super_critical(case, backward, data):
+    (a_lo, a_hi), (f_lo, f_hi) = CASE_DRAWS[case]
+    a = math.exp(data.draw(st.floats(math.log(a_lo), math.log(a_hi))))
+    probe = lp(a, 1.0)
+    sigma = data.draw(st.floats(f_lo, f_hi)) * (probe.v_star if case == "C" else probe.sigma_star)
+    v0 = data.draw(st.floats(1.5, 3.0)) * probe.v_star * (-1.0 if backward else 1.0)
+    limiter = FluxLimiter(LINEAR)
+    # A relativistic limiter can remove the interior saddle case A needs.
+    if case != "A" and data.draw(st.sampled_from([RELATIVISTIC, LINEAR])) == RELATIVISTIC:
+        # the slope domain ((sigma - c)/a, (sigma + c)/a) must hold -v_star and v0
+        need = max(sigma + a * probe.v_star, a * v0 - sigma, sigma - a * v0)
+        limiter = FluxLimiter(RELATIVISTIC, c=need * data.draw(st.floats(1.5, 3.0)))
+    p = ModelParams(a=a, sigma=sigma, limiter=limiter)
+    assert regime_case(p) == case
+    r = find_w0_star(p, v0)
+    assert r.method == "Both"
+    below = classify_trajectory(p, r.w0_star * (1.0 - 1e-6), v0).cls
+    above = classify_trajectory(p, r.w0_star * (1.0 + 1e-6), v0).cls
+    assert is_subcritical(below) and not is_subcritical(above)
