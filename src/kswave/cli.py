@@ -418,7 +418,6 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 
 def cmd_portrait(cfg: RunConfig) -> int:
     p, ctr = cfg.params, cfg.controls
-    eqs = equilibria(p)
     try:
         case = regime_case(p)
     except DegenerateError:
@@ -429,7 +428,7 @@ def cmd_portrait(cfg: RunConfig) -> int:
     outdir = (cfg.out or Path(".")) / "portrait"
     for i, (w0, v0) in enumerate(seeds):
         try:
-            traj = wave_trajectory(p, w0, v0, controls=ctr, eq_list=eqs)
+            traj = wave_trajectory(p, w0, v0, controls=ctr)
         except StepSizeUnderflow:
             # a saturated orbit whose slope turns vertical in s is re-run
             # as a graph W(v), which reaches the flux boundary exactly
@@ -499,7 +498,7 @@ def cmd_profile(cfg: RunConfig) -> int:
         if critical:
             traj = threshold_trajectory(p, v0, result=thr, controls=ctr)
         else:
-            traj = wave_trajectory(p, w0, v0, controls=ctr, eq_list=equilibria(p))
+            traj = wave_trajectory(p, w0, v0, controls=ctr)
         prof = reconstruct(p, traj, s0=opt["s0"], S0=opt["S0"], u0=opt["u0"])
         types = classify_profile(prof, p, w0_star)
         prof.u_type, prof.S_type = types

@@ -35,8 +35,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .flux import boundary_exponent, make_boundary_factor, make_g
-from .phase import Equilibrium, ModelParams, make_rhs
-from .phase import equilibria as _phase_equilibria
+from .phase import ModelParams, equilibrium_points, make_rhs
 from .roots import brentq
 
 # termination kinds
@@ -125,7 +124,7 @@ class TerminationEvent:
     s: float
     w: float
     v: float
-    equilibrium_index: int | None = None
+    equilibrium_index: int | None = None  # into equilibria(p), when kind is CONVERGED
 
 
 @dataclass
@@ -368,13 +367,13 @@ def integrate(
     controls: Controls | None = None,
     s0: float = 0.0,
     extra_events: Sequence[EventSpec] = (),
-    eq_list: Sequence[Equilibrium] | None = None,
 ) -> Trajectory:
     """Advance (w, v) from (w0, v0) at s0 until a termination event.
 
     `direction` is "forward" (s increasing) or "backward".  `extra_events`
-    are checked before the built-in ones and win ties.  `eq_list` lets the
-    caller reuse a precomputed equilibrium list across many runs.
+    are checked before the built-in ones and win ties.  A run that dwells
+    in the capture ball of an equilibrium ends CONVERGED, with
+    `equilibrium_index` indexing `equilibria(p)`.
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
@@ -407,9 +406,8 @@ def integrate(
     level_event(1, ctr.v_max, +1, V_BLOW_UP_PLUS)
     level_event(1, -ctr.v_max, -1, V_BLOW_UP_MINUS)
 
-    eqs = list(eq_list) if eq_list is not None else _phase_equilibria(p)
     eq_data = [
-        (e.w, e.v, ctr.eq_tol * (1.0 + math.hypot(e.w, e.v))) for e in eqs
+        (we, ve, ctr.eq_tol * (1.0 + math.hypot(we, ve))) for we, ve in equilibrium_points(p)
     ]
 
     def eq_ball(w: float, v: float) -> int | None:

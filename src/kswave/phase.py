@@ -20,7 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateError
-from .flux import FluxLimiter, LINEAR, g_inverse, g_prime, limiter_from_config, make_g, slope_domain
+from .flux import (
+    FluxLimiter, LINEAR, g_inverse, g_prime, limiter_from_config, make_g, phi, slope_domain,
+)
 from .roots import brentq
 
 # stability labels
@@ -137,7 +139,14 @@ class Nullclines:
 
 
 def _slope_balance_roots(p: ModelParams) -> tuple[float, ...]:
-    """All v in the slope domain with g(a*v - sigma) = v."""
+    """All v in the slope domain with g(a*v - sigma) = v, ascending.
+
+    h(v) = g(a*v - sigma) - v has h' = a*g'(y) - 1, and g' grows with |y|
+    from g'(0) = 1/mu.  So h is monotone when a >= mu; when a < mu it is
+    monotone between the turning points v = (sigma -+ y1)/a, where
+    g'(y1) = 1/a.  Each monotone piece holds at most one root, bracketed
+    by the piece itself, so there are at most three.
+    """
     lim = p.limiter
     if not lim.saturated:
         # ((a - mu) * v - sigma) / mu = 0
@@ -145,21 +154,26 @@ def _slope_balance_roots(p: ModelParams) -> tuple[float, ...]:
             return ()
         return (p.sigma / (p.a - lim.mu),)
 
+    a, sigma = p.a, p.sigma
     g = make_g(lim)
-    h = lambda v: g(p.a * v - p.sigma) - v
-    hp = lambda v: p.a * g_prime(lim, p.a * v - p.sigma) - 1.0
+    h = lambda v: g(a * v - sigma) - v
+    hp = lambda v: a * g_prime(lim, a * v - sigma) - 1.0
     lo, hi = p.slope_domain
     pad = 1e-9 * (hi - lo)
-    grid = np.linspace(lo + pad, hi - pad, 4097)
-    vals = np.array([h(float(v)) for v in grid])
+    knots = [lo + pad, hi - pad]
+    if a < lim.mu:
+        # phi'(s1) = a at (mu*s1/c)^q = (mu/a)^(q/(q+1)) - 1, and y1 = phi(s1)
+        q = lim.exponent
+        s1 = lim.c / lim.mu * ((lim.mu / a) ** (q / (q + 1.0)) - 1.0) ** (1.0 / q)
+        y1 = phi(lim, s1)
+        turns = ((sigma - y1) / a, (sigma + y1) / a)
+        knots[1:1] = [v for v in turns if knots[0] < v < knots[-1]]
+    vals = [h(v) for v in knots]
     roots: list[float] = []
-    for i in range(len(grid) - 1):
-        va, vb = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
+    for va, vb, fa, fb in zip(knots, knots[1:], vals, vals[1:]):
         if fa == 0.0:
             roots.append(va)
-            continue
-        if fa * fb < 0.0:
+        elif fa * fb < 0.0:
             r = brentq(h, va, vb, xtol=1e-14)
             # polish with Newton so the residual is at rounding level even
             # when g' is large
@@ -167,18 +181,12 @@ def _slope_balance_roots(p: ModelParams) -> tuple[float, ...]:
                 d = hp(r)
                 if d != 0.0:
                     step = h(r) / d
-                    if abs(step) < 0.5 * (vb - va):
+                    if va < r - step < vb:
                         r -= step
-            roots.append(float(r))
+            roots.append(r)
     if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # dedupe near-coincident roots from adjacent brackets
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-10 * (hi - lo):
-            out.append(r)
-    return tuple(out)
+        roots.append(knots[-1])
+    return tuple(roots)
 
 
 def nullclines(p: ModelParams) -> Nullclines:
@@ -276,28 +284,27 @@ def eigenstructure(
     return evals, vecs, _label_from_eigenvalues(*evals)
 
 
-def equilibria(p: ModelParams) -> list[Equilibrium]:
-    """All equilibria with w >= 0, sorted by (v, w).
+def equilibrium_points(p: ModelParams) -> list[tuple[float, float]]:
+    """Positions (w, v) of all equilibria with w >= 0, sorted by (v, w).
 
     Axis equilibria (0, +-v_star) are included when +-v_star lies in the
     slope domain; interior equilibria pair each slope-balance root v3 with
     w3 = lam - gamma*v3**2 and are kept only when w3 > 0.
     """
     lo, hi = p.slope_domain
-    points: list[tuple[float, float]] = []
-    for v_axis in (-p.v_star, p.v_star):
-        if lo < v_axis < hi:
-            points.append((0.0, v_axis))
+    points = [(0.0, v) for v in (-p.v_star, p.v_star) if lo < v < hi]
     for v3 in _slope_balance_roots(p):
         w3 = p.lam - p.gamma * v3 * v3
         if w3 > 0.0:
             points.append((w3, v3))
     points.sort(key=lambda q: (q[1], q[0]))
-    out = []
-    for w, v in points:
-        evals, vecs, label = eigenstructure(p, (w, v))
-        out.append(Equilibrium(w=w, v=v, eigenvalues=evals, eigenvectors=vecs, label=label))
-    return out
+    return points
+
+
+def equilibria(p: ModelParams) -> list[Equilibrium]:
+    """The equilibria at `equilibrium_points(p)`, in that order, with their
+    eigenvalues, eigenvectors and stability labels."""
+    return [Equilibrium(w, v, *eigenstructure(p, (w, v))) for w, v in equilibrium_points(p)]
 
 
 # regime cases of the linear-diffusion taxonomy

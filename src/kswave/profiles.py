@@ -45,7 +45,7 @@ from .integrate import (
     integrate_graph_W,
     merge_trajectories,
 )
-from .phase import Equilibrium, ModelParams
+from .phase import ModelParams
 from .shooting import REGIME_BACKWARD, shooting_regime
 
 # Profile type labels.
@@ -176,12 +176,14 @@ def wave_trajectory(
     w0: float,
     v0: float,
     controls: Controls | None = None,
-    eq_list: tuple[Equilibrium, ...] | None = None,
 ) -> Trajectory:
-    """The full orbit through (w0, v0): backward and forward legs merged."""
+    """The full orbit through (w0, v0): backward and forward legs merged.
+
+    A leg that ends CONVERGED carries `equilibrium_index` into `equilibria(p)`.
+    """
     ctr = controls if controls is not None else Controls()
-    back = integrate(p, w0, v0, direction=BACKWARD, controls=ctr, eq_list=eq_list)
-    fwd = integrate(p, w0, v0, direction=FORWARD, controls=ctr, eq_list=eq_list)
+    back = integrate(p, w0, v0, direction=BACKWARD, controls=ctr)
+    fwd = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
     return merge_trajectories([back, fwd])
 
 

@@ -89,7 +89,7 @@ class ShotOutcome:
     trajectory: Trajectory  # the integrated orbit, ending at the deciding event
     w0: float  # launch density
     v0: float  # launch slope
-    equilibrium_index: int | None = None  # set when cls == ConvergesTo via dwell
+    equilibrium_index: int | None = None  # into equilibria(p), when cls == ConvergesTo via dwell
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,6 @@ def classify_trajectory(
     w0: float,
     v0: float,
     controls: Controls | None = None,
-    eq_list: tuple[Equilibrium, ...] | None = None,
     stop_at_parabola: bool = True,
 ) -> ShotOutcome:
     """Classify the orbit launched from (w0, v0) for the shooting dichotomy.
@@ -152,7 +151,9 @@ def classify_trajectory(
 
     With ``stop_at_parabola`` the run halts at the first deciding event,
     which is what bisection wants; disable it to keep integrating a
-    sub-critical orbit through the parabola region.
+    sub-critical orbit through the parabola region.  An orbit captured by
+    an equilibrium is ConvergesTo, with ``equilibrium_index`` into
+    ``equilibria(p)``.
     """
     if w0 <= 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
@@ -189,9 +190,7 @@ def classify_trajectory(
             EventSpec(fn=lambda s, w, v: v - v_escape, kind=_EV_ESCAPE, direction=+1)
         )
 
-    traj = integrate(
-        p, w0, v0, direction=direction, controls=ctr, extra_events=events, eq_list=eq_list
-    )
+    traj = integrate(p, w0, v0, direction=direction, controls=ctr, extra_events=events)
     term = traj.termination
     kind = term.kind
 
@@ -239,7 +238,6 @@ def trace_stable_manifold(
     v_stop: float,
     manifold: str = "stable",
     controls: Controls | None = None,
-    eq_list: tuple[Equilibrium, ...] | None = None,
     seed_scale: float = 1e-7,
 ) -> Trajectory:
     """Trace one branch of a saddle's invariant manifold out to v = v_stop.
@@ -248,7 +246,8 @@ def trace_stable_manifold(
     ``seed_scale * (1 + |saddle|)`` along the contracting eigenvector (the
     unstable manifold in forward time along the expanding one).  Both
     displacement signs are tried; if neither branch reaches ``v_stop`` the
-    trace raises ``SeedEscaped``.
+    trace raises ``SeedEscaped``, also when a branch is captured by one of
+    ``equilibria(p)`` first.
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
@@ -282,13 +281,7 @@ def trace_stable_manifold(
             continue
         try:
             traj = integrate(
-                p,
-                w_seed,
-                v_seed,
-                direction=direction,
-                controls=ctr,
-                extra_events=[stop],
-                eq_list=eq_list,
+                p, w_seed, v_seed, direction=direction, controls=ctr, extra_events=[stop]
             )
         except (StepSizeUnderflow, Inconclusive) as exc:
             failures.append(f"sign {sign:+.0f}: {exc}")
@@ -302,17 +295,16 @@ def trace_stable_manifold(
     )
 
 
-def _threshold_saddle(
-    p: ModelParams, regime: str, eq_list: tuple[Equilibrium, ...]
-) -> Equilibrium:
+def _threshold_saddle(p: ModelParams, regime: str) -> Equilibrium:
     """The saddle whose invariant manifold separates the two orbit classes.
 
     Decided from the equilibria alone, so a missing saddle raises
     PreconditionError before any integration.
     """
     case = regime_case(p)
-    interior = [e for e in eq_list if e.label == SADDLE and e.w > 0.0]
-    axis_low = [e for e in eq_list if e.label == SADDLE and e.w == 0.0 and e.v < 0.0]
+    eqs = equilibria(p)
+    interior = [e for e in eqs if e.label == SADDLE and e.w > 0.0]
+    axis_low = [e for e in eqs if e.label == SADDLE and e.w == 0.0 and e.v < 0.0]
     if regime == REGIME_BACKWARD or case == "A":
         if not interior:
             raise PreconditionError(
@@ -373,16 +365,13 @@ def find_w0_star(
     else:
         lo, hi = 0.5, 2.0
     ctr = controls if controls is not None else Controls()
-    eqs = equilibria(p)
-    saddle = _threshold_saddle(p, regime, eqs)
+    saddle = _threshold_saddle(p, regime)
     manifold_kind = "stable" if regime == REGIME_FORWARD else "unstable"
 
     manifold_estimate: float | None = None
     if method in ("manifold", "both"):
         try:
-            man = trace_stable_manifold(
-                p, saddle, v_stop=v0, manifold=manifold_kind, controls=ctr, eq_list=eqs
-            )
+            man = trace_stable_manifold(p, saddle, v_stop=v0, manifold=manifold_kind, controls=ctr)
         except SeedEscaped:
             if method == "manifold":
                 raise
@@ -405,9 +394,7 @@ def find_w0_star(
 
     def side(w0: float) -> bool:
         """True when w0 classifies sub-critical."""
-        return is_subcritical(
-            classify_trajectory(p, w0, v0, controls=ctr, eq_list=eqs).cls
-        )
+        return is_subcritical(classify_trajectory(p, w0, v0, controls=ctr).cls)
 
     # The manifold estimate m is usually good to the bisection width, so the
     # classifier first decides the ends of m*(1 -/+ delta), a bracket already
@@ -491,7 +478,7 @@ def supplied_threshold(p: ModelParams, v0: float, w0_star: float) -> ThresholdRe
     regime = shooting_regime(p, v0)
     if not 0.0 < w0_star < math.inf:
         raise PreconditionError(f"w0_star must be a positive density, got {w0_star!r}")
-    saddle = _threshold_saddle(p, regime, equilibria(p))
+    saddle = _threshold_saddle(p, regime)
     return ThresholdResult(
         v0=v0,
         w0_star=w0_star,
@@ -525,8 +512,7 @@ def threshold_trajectory(
     if result is None:
         result = find_w0_star(p, v0, method="both", controls=ctr)
     regime = result.regime
-    eqs = equilibria(p)
-    saddle = _threshold_saddle(p, regime, eqs)
+    saddle = _threshold_saddle(p, regime)
     w0 = result.w0_star
     # The relaxation tail starts one seed offset (~1e-7) from the saddle, so
     # its dwell ball must be at least that wide or convergence never
@@ -536,25 +522,21 @@ def threshold_trajectory(
 
     if regime == REGIME_FORWARD:
         # Blow-up leg: backward from the launch point, off to v -> +inf.
-        leg_out = integrate(p, w0, v0, direction=BACKWARD, controls=ctr, eq_list=eqs)
-        man = trace_stable_manifold(
-            p, saddle, v_stop=v0, manifold="stable", controls=ctr, eq_list=eqs
-        )
+        leg_out = integrate(p, w0, v0, direction=BACKWARD, controls=ctr)
+        man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="stable", controls=ctr)
         # Backward-direction trace: samples ascend from the v0-crossing
         # (s[0]) up to the seed near the saddle (s[-1]).
         seed_w, seed_v = man.w[-1], man.v[-1]
-        tail = integrate(p, seed_w, seed_v, direction=FORWARD, controls=tail_ctr, eq_list=eqs)
+        tail = integrate(p, seed_w, seed_v, direction=FORWARD, controls=tail_ctr)
         return merge_trajectories([leg_out, man, tail])
 
     # Backward regime: the blow-up leg runs forward (v -> -inf), the
     # unstable manifold is traced forward from the seed to the launch
     # point, and the relaxation tail runs backward from the seed.
-    leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr, eq_list=eqs)
-    man = trace_stable_manifold(
-        p, saddle, v_stop=v0, manifold="unstable", controls=ctr, eq_list=eqs
-    )
+    leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
+    man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="unstable", controls=ctr)
     seed_w, seed_v = man.w[0], man.v[0]
-    tail = integrate(p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr, eq_list=eqs)
+    tail = integrate(p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr)
     merged = merge_trajectories([tail, man, leg_out])
     # The merge keeps the tail's frame (seed at s = 0); move the launch
     # point, one manifold span ahead of the seed, back to s = 0.

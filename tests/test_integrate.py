@@ -81,7 +81,7 @@ class TestCothOracle:
     def test_forward_converges_to_axis_equilibrium(self):
         v0 = 1.0 / math.tanh(1.0)
         eqs = equilibria(COTH_P)
-        traj = integrate(COTH_P, 0.0, v0, direction=FORWARD, s0=1.0, eq_list=eqs)
+        traj = integrate(COTH_P, 0.0, v0, direction=FORWARD, s0=1.0)
         assert traj.termination.kind == CONVERGED
         idx = traj.termination.equilibrium_index
         assert eqs[idx].w == 0.0
@@ -151,7 +151,7 @@ class TestTerminationKinds:
         p = lp(0.5, 1.0)
         eqs = equilibria(p)
         ctr = Controls(w_min=0.0)
-        traj = integrate(p, 0.1, 1.3, direction=FORWARD, controls=ctr, eq_list=eqs)
+        traj = integrate(p, 0.1, 1.3, direction=FORWARD, controls=ctr)
         assert traj.termination.kind == CONVERGED
         e = eqs[traj.termination.equilibrium_index]
         assert (e.w, e.v) == (0.0, pytest.approx(1.0))

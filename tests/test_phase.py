@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kswave import phase
 from kswave.errors import DegenerateError
-from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
+from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter, g_prime, make_g
 from kswave.phase import (
     CASE_A,
     CASE_B,
@@ -27,6 +28,7 @@ from kswave.phase import (
     ModelParams,
     eigenstructure,
     equilibria,
+    equilibrium_points,
     jacobian,
     make_rhs,
     nullclines,
@@ -34,6 +36,7 @@ from kswave.phase import (
     regime_case,
     rhs,
 )
+from kswave.roots import brentq
 
 
 def lp(a, sigma, gamma=1.0, lam=1.0, mu=1.0):
@@ -269,6 +272,96 @@ class TestSaturatedEquilibria:
         v3 = interior[0].v
         assert 0.5 < v3 < 0.8
         assert interior[0].w == pytest.approx(1.0 - v3 * v3, rel=1e-12)
+
+    # h(v) = g(a*v - sigma) - v has two roots 7.3e-5 (Larson: 6.2e-5) apart
+    # near v = -1.11, inside one cell of a 4097-point scan of the domain.
+    @pytest.mark.parametrize(
+        "limiter, sigma",
+        [(FluxLimiter(RELATIVISTIC), 0.40996125531667793),
+         (FluxLimiter(LARSON, p=3.0), 0.5000408072009186)],
+        ids=[RELATIVISTIC, LARSON],
+    )
+    def test_close_saddle_node_pair_is_found(self, limiter, sigma):
+        p = ModelParams(a=0.3, sigma=sigma, lam=4.0, limiter=limiter)
+        roots = nullclines(p).slope_roots
+        assert len(roots) == 3
+        assert 0.0 < roots[1] - roots[0] < 1e-4
+        labels = [(e.label, e.w > 0.0) for e in equilibria(p)]
+        assert labels == [(UNSTABLE_NODE, True), (SADDLE, True), (STABLE_NODE, False)]
+        assert equilibrium_points(p) == [(e.w, e.v) for e in equilibria(p)]
+
+    @pytest.mark.parametrize(
+        "limiter", [FluxLimiter(RELATIVISTIC), FluxLimiter(LARSON, c=1.5, p=2.5)],
+        ids=[RELATIVISTIC, LARSON],
+    )
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
+    def test_roots_cost_few_limiter_calls(self, monkeypatch, limiter, a):
+        # at most one bracketed solve per monotone piece of h, no scan
+        calls = [0]
+
+        def counting_make_g(lim):
+            g = make_g(lim)
+
+            def counted(y):
+                calls[0] += 1
+                return g(y)
+
+            return counted
+
+        monkeypatch.setattr(phase, "make_g", counting_make_g)
+        equilibria(ModelParams(a=a, sigma=0.40996125531667793, lam=4.0, limiter=limiter))
+        assert 0 < calls[0] < 200
+
+
+def reference_scan_roots(p):
+    """The slope-balance roots by a 4097-point scan, brentq on each sign
+    change, Newton polish and duplicate removal: the method that exact
+    monotone brackets replaced, kept as a reference."""
+    lim = p.limiter
+    if not lim.saturated:
+        return () if p.a == lim.mu else (p.sigma / (p.a - lim.mu),)
+    g = make_g(lim)
+    h = lambda v: g(p.a * v - p.sigma) - v
+    hp = lambda v: p.a * g_prime(lim, p.a * v - p.sigma) - 1.0
+    lo, hi = p.slope_domain
+    pad = 1e-9 * (hi - lo)
+    grid = np.linspace(lo + pad, hi - pad, 4097)
+    vals = np.array([h(float(v)) for v in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        va, vb = float(grid[i]), float(grid[i + 1])
+        fa, fb = float(vals[i]), float(vals[i + 1])
+        if fa == 0.0:
+            roots.append(va)
+            continue
+        if fa * fb < 0.0:
+            r = brentq(h, va, vb, xtol=1e-14)
+            for _ in range(2):
+                d = hp(r)
+                if d != 0.0:
+                    step = h(r) / d
+                    if abs(step) < 0.5 * (vb - va):
+                        r -= step
+            roots.append(float(r))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    roots.sort()
+    out = []
+    for r in roots:
+        if not out or abs(r - out[-1]) > 1e-10 * (hi - lo):
+            out.append(r)
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2), database=None)
+@given(models())
+def test_slope_roots_match_the_scan(p):
+    old = reference_scan_roots(p)
+    new = nullclines(p).slope_roots
+    assert len(new) >= len(old)
+    assert list(new) == sorted(new)
+    for r in old:
+        assert min(abs(r - x) for x in new) <= 1e-13 * abs(r)
 
 
 def test_nullclines():
