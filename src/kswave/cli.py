@@ -21,7 +21,8 @@ Exit codes: 0 success; 2 configuration error: bad flags or values, an
 empty grid, or a ``PreconditionError`` (``DegenerateError`` included)
 that the library decides from the parameters alone, before any
 integration; 3 numerical failure found during a computation, a NaN in an
-output record included (no file is written then).
+output record or an infinity in a CSV row included (no file is written
+then).
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DegenerateError, KswaveError, PreconditionError, StepSizeUnderflow
 from .flux import LARSON, LINEAR, RELATIVISTIC
-from .integrate import Controls
+from .integrate import Controls, sample_list
 from .phase import ModelParams, equilibria, params_from_config, regime_case
 from .profiles import (
     check_anchor,
@@ -87,24 +86,20 @@ class RunConfig:
 
 def _jsonable(x):
     """A record as strict JSON holds it: infinite floats become the strings
-    "inf" and "-inf"; a NaN is a numerical failure (FloatingPointError)."""
+    "inf" and "-inf"; a NaN is a numerical failure (FloatingPointError).
+    numpy arrays and scalars are read through their `tolist()`."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (complex, np.complexfloating)):
-        return [_jsonable(float(x.real)), _jsonable(float(x.imag))]
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
+    if hasattr(x, "tolist"):
+        return _jsonable(x.tolist())
+    if isinstance(x, complex):
+        return [_jsonable(x.real), _jsonable(x.imag)]
+    if isinstance(x, float):
         if math.isnan(x):
             raise FloatingPointError("NaN in an output record")
         return x if math.isfinite(x) else repr(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
     return x
 
 
@@ -113,12 +108,16 @@ def _json_bytes(obj) -> bytes:
     return (text + "\n").encode()
 
 
-def _csv_bytes(header: list[str], columns: list[np.ndarray]) -> bytes:
-    if any(np.isnan(c).any() for c in columns):
-        raise FloatingPointError("NaN in an output record")
+def _csv_bytes(header: list[str], columns: list[list[float]]) -> bytes:
+    """CSV rows of float columns; a NaN or an infinity is a numerical
+    failure (FloatingPointError)."""
     lines = [",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(repr(float(x)) for x in row))
+        row = [float(x) for x in row]
+        if not all(map(math.isfinite, row)):
+            kind = "NaN" if any(map(math.isnan, row)) else "an infinity"
+            raise FloatingPointError(f"{kind} in an output record")
+        lines.append(",".join(map(repr, row)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -437,7 +436,7 @@ def cmd_portrait(cfg: RunConfig) -> int:
             traj = graph_trajectory(p, w0, v0, controls=ctr)
         name = f"seed_{i:03d}.csv"
         files[name] = _csv_bytes(
-            ["s", "w", "v", "I"], [traj.s, traj.w, traj.v, traj.integral]
+            ["s", "w", "v", "I"], [sample_list(traj, c) for c in ("s", "w", "v", "integral")]
         )
         low_ev, high_ev = traj.end_events()
         records.append(
@@ -522,7 +521,8 @@ def cmd_profile(cfg: RunConfig) -> int:
     }
     meta_bytes = _json_bytes(meta)
     outdir = cfg.out or Path(".")
-    _write(outdir / "profile.csv", _csv_bytes(["s", "u", "S"], [prof.s, prof.u, prof.S]))
+    columns = [sample_list(prof, c) for c in ("s", "u", "S")]
+    _write(outdir / "profile.csv", _csv_bytes(["s", "u", "S"], columns))
     _write(outdir / "profile_meta.json", meta_bytes)
     def _edge(x) -> str:
         return "None" if x is None else repr(float(x))
@@ -530,7 +530,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     sys.stdout.write(
         f"profile: types ({types[0]}, {types[1]}), "
         f"edges ({_edge(prof.s_minus)}, {_edge(prof.s_plus)}), "
-        f"{len(prof.s)} samples in {outdir}\n"
+        f"{len(columns[0])} samples in {outdir}\n"
     )
     return 0
 
@@ -567,7 +567,9 @@ def _sweep_point(job: dict) -> dict:
 
     n = job["check_samples"]
     if n > 0:
-        rng = np.random.default_rng(job["seed"] * 100003 + job["index"])
+        from numpy.random import default_rng
+
+        rng = default_rng(job["seed"] * 100003 + job["index"])
         correct = 0
         for _ in range(n):
             w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
@@ -606,6 +608,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "atol": cfg.controls.atol,
             }
         )
+    if opt["check_samples"] > 0:
+        # the spot checks draw from numpy's generator: imported once here,
+        # before the pool forks, rather than once in every worker
+        import numpy  # noqa: F401
     if opt["workers"] == 1:
         rows = [_sweep_point(job) for job in jobs]
     else:

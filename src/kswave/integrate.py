@@ -21,11 +21,11 @@ adaptive loop with one step-size controller.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     AnchorMismatch,
@@ -37,6 +37,9 @@ from .errors import (
 from .flux import boundary_exponent, make_boundary_factor, make_g
 from .phase import ModelParams, equilibrium_points, make_rhs
 from .roots import brentq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # termination kinds
 V_BLOW_UP_PLUS = "VBlowUpPlus"
@@ -56,7 +59,7 @@ BOTH = "both"
 
 # The smallest relative tolerance a step-error norm can honour: SciPy's
 # solve_ivp uses the same floor.
-_RTOL_FLOOR = 100.0 * float(np.finfo(float).eps)
+_RTOL_FLOOR = 100.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,58 @@ class TerminationEvent:
     equilibrium_index: int | None = None  # into equilibria(p), when kind is CONVERGED
 
 
+class ArrayField:
+    """A dataclass field that stores a float sequence and reads as an ndarray.
+
+    Orbits are built with the plain lists of samples the solver made; graph
+    legs, whose dense output is vectorised, with ndarrays.  The first read
+    of the attribute turns a list into an ndarray, once, and keeps that
+    array in its place, so code that reads no array field never imports
+    numpy.  Which fields were set as lists is recorded when they are set,
+    so `built_with_arrays` does not change when a field is read.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # no class-level value: dataclasses then sees a field without default
+            raise AttributeError(self.name)
+        vals = obj.__dict__[self.name]
+        if isinstance(vals, list):
+            import numpy as np
+
+            vals = obj.__dict__[self.name] = np.array(vals, dtype=float)
+        return vals
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+        lists = obj.__dict__.setdefault("_set_as_lists", set())
+        if isinstance(value, list):
+            lists.add(self.name)
+        else:
+            lists.discard(self.name)
+
+
+_SAMPLES = ("s", "w", "v", "integral")  # the ArrayFields of a Trajectory
+
+
+def built_with_arrays(objs: Sequence, names: Sequence[str]) -> bool:
+    """Were the ArrayFields `names` of every obj all set to ndarrays?
+
+    Graph legs are, and their samples are worked on vectorised; anything
+    else is worked on as lists, so that it never loads numpy.
+    """
+    return not any(name in obj.__dict__["_set_as_lists"] for obj in objs for name in names)
+
+
+def sample_list(obj, name: str) -> list[float]:
+    """The samples of ArrayField `name` of obj as a list (not to be mutated)."""
+    vals = obj.__dict__[name]
+    return vals if isinstance(vals, list) else vals.tolist()
+
+
 @dataclass
 class Trajectory:
     """Sampled orbit with s ascending regardless of integration direction.
@@ -137,13 +192,14 @@ class Trajectory:
     (direction "both") carry both, with `termination_start` at the s[0]
     end.  `s_minus`/`s_plus` are the profile edges implied by the
     termination (None when a side is undetermined; +-inf for ends that
-    extend to infinity).
+    extend to infinity).  The four sample fields are ArrayFields: they
+    read as ndarrays, built on first read.
     """
 
-    s: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    integral: np.ndarray
+    s: np.ndarray = ArrayField()
+    w: np.ndarray = ArrayField()
+    v: np.ndarray = ArrayField()
+    integral: np.ndarray = ArrayField()
     direction: str
     termination: TerminationEvent | None
     termination_start: TerminationEvent | None = None
@@ -175,15 +231,15 @@ _E_ROW = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
 
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
 # inside a step, y(t + x*h) = y + h * sum_j k_j * (P_j . (x, x^2, x^3, x^4)).
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -260,7 +316,7 @@ def _dp54_step(f, y, k1, h):
 _W_ATOL_FLOOR = 1e-290
 
 # Smallest step, relative to max(1, |s|), that still moves s.
-_H_FLOOR_REL = 16.0 * np.finfo(float).eps
+_H_FLOOR_REL = 16.0 * sys.float_info.epsilon
 
 
 def _h_floor(s: float) -> float:
@@ -541,20 +597,22 @@ def _looks_bounded(ws: list, vs: list) -> bool:
 
 
 def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
-    s = np.asarray(ss)
-    w = np.asarray(ws)
-    v = np.asarray(vs)
-    ii = np.asarray(iis)
+    s, w, v, ii = ss, ws, vs, iis
     if direction == BACKWARD:
-        s, w, v, ii = s[::-1].copy(), w[::-1].copy(), v[::-1].copy(), ii[::-1].copy()
-    if len(s) > 1:
-        # An event located at the far tip of a step can land within float
-        # noise of the accepted sample; keep the later (event) sample so
-        # downstream difference quotients never divide by a noise gap.
-        keep = np.ones(len(s), dtype=bool)
-        keep[:-1] = np.diff(s) > _H_FLOOR_REL * np.maximum(1.0, np.abs(s[:-1]))
-        if not keep.all():
-            s, w, v, ii = s[keep], w[keep], v[keep], ii[keep]
+        s, w, v, ii = s[::-1], w[::-1], v[::-1], ii[::-1]
+    # An event located at the far tip of a step can land within float
+    # noise of the accepted sample; keep the later (event) sample so
+    # downstream difference quotients never divide by a noise gap.  s is
+    # monotone, so when the smallest gap clears the floor at the larger end
+    # it clears every sample's floor and all are kept.
+    floor = _H_FLOOR_REL * max(1.0, abs(s[0]), abs(s[-1]))
+    if len(s) > 1 and not min(map(operator.sub, s[1:], s)) > floor:
+        keep = [
+            k for k, (x, y) in enumerate(zip(s, s[1:]))
+            if y - x > _H_FLOOR_REL * max(1.0, abs(x))
+        ]
+        keep.append(len(s) - 1)
+        s, w, v, ii = ([x[k] for k in keep] for x in (s, w, v, ii))
 
     s_minus = s_plus = None
     edge = None
@@ -601,27 +659,35 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
         raise ValueError("nothing to merge")
     if len(pieces) == 1:
         return pieces[0]
+    # Graph legs are built with arrays and joined vectorised: a Python loop
+    # over a front's 2 x 2049 samples would cost more than the rest of the
+    # merge.  Anything else is joined as lists, so merging orbits never
+    # loads numpy.
+    arrays = built_with_arrays(pieces, _SAMPLES)
+    read = getattr if arrays else sample_list
+    cols = [[read(piece, name) for piece in pieces] for name in _SAMPLES]
     first = pieces[0]
-    s, w, v, ii = [first.s], [first.w], [first.v], [first.integral]
     # the merged run's last sample so far: single-sample pieces add none
-    s_end, w_end, v_end, i_end = first.s[-1], first.w[-1], first.v[-1], first.integral[-1]
-    last_shift_s = 0.0
-    for piece in pieces[1:]:
-        dw = abs(piece.w[0] - w_end)
-        dv = abs(piece.v[0] - v_end)
+    s_end, w_end, v_end, i_end = (col[0][-1] for col in cols)
+    shifts_s, shifts_i = [], []
+    for ps, pw, pv, pi in list(zip(*cols))[1:]:
+        dw = abs(pw[0] - w_end)
+        dv = abs(pv[0] - v_end)
         if dw > rel_tol * (1.0 + abs(w_end)) or dv > rel_tol * (1.0 + abs(v_end)):
             raise AnchorMismatch(
-                f"seam mismatch: ({w_end!r}, {v_end!r}) vs ({piece.w[0]!r}, {piece.v[0]!r})"
+                f"seam mismatch: ({w_end!r}, {v_end!r}) vs ({pw[0]!r}, {pv[0]!r})"
             )
-        shift_s = s_end - piece.s[0]
-        shift_i = i_end - piece.integral[0]
-        last_shift_s = shift_s
-        s.append(piece.s[1:] + shift_s)
-        w.append(piece.w[1:])
-        v.append(piece.v[1:])
-        ii.append(piece.integral[1:] + shift_i)
-        if len(piece.s) > 1:
-            s_end, w_end, v_end, i_end = s[-1][-1], w[-1][-1], v[-1][-1], ii[-1][-1]
+        shift_s, shift_i = s_end - ps[0], i_end - pi[0]
+        shifts_s.append(shift_s)
+        shifts_i.append(shift_i)
+        if len(ps) > 1:
+            s_end, w_end, v_end, i_end = ps[-1] + shift_s, pw[-1], pv[-1], pi[-1] + shift_i
+    last_shift_s = shifts_s[-1]
+    no_shifts = [0.0] * len(shifts_s)
+    s, w, v, ii = (
+        _joined(col, shifts, arrays)
+        for col, shifts in zip(cols, (shifts_s, no_shifts, no_shifts, shifts_i))
+    )
 
     last = pieces[-1]
     low_ev = first.end_events()[0]
@@ -632,16 +698,31 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
     if s_plus is not None and math.isfinite(s_plus):
         s_plus += last_shift_s
     return Trajectory(
-        s=np.concatenate(s),
-        w=np.concatenate(w),
-        v=np.concatenate(v),
-        integral=np.concatenate(ii),
+        s=s,
+        w=w,
+        v=v,
+        integral=ii,
         direction=BOTH,
         termination=high_ev,
         termination_start=low_ev,
         s_minus=first.s_minus,
         s_plus=s_plus,
     )
+
+
+def _joined(cols: list, shifts: list[float], arrays: bool):
+    """cols[0] followed by each later column, shifted, without its first sample."""
+    # pieces launched from one anchor, as an orbit's two legs are, meet with
+    # zero shifts and are joined as they are
+    if arrays:
+        import numpy as np
+
+        later = (c[1:] + d if d else c[1:] for c, d in zip(cols[1:], shifts))
+        return np.concatenate([cols[0], *later])
+    out = list(cols[0])
+    for c, d in zip(cols[1:], shifts):
+        out += [x + d for x in c[1:]] if d else c[1:]
+    return out
 
 
 def shift_trajectory(traj: Trajectory, delta: float) -> Trajectory:
@@ -656,9 +737,12 @@ def shift_trajectory(traj: Trajectory, delta: float) -> Trajectory:
             return x
         return x + delta
 
-    return replace(
-        traj,
-        s=traj.s + delta,
+    return Trajectory(
+        s=[x + delta for x in sample_list(traj, "s")],
+        w=sample_list(traj, "w"),
+        v=sample_list(traj, "v"),
+        integral=sample_list(traj, "integral"),
+        direction=traj.direction,
         termination=ev(traj.termination),
         termination_start=ev(traj.termination_start),
         s_minus=edge(traj.s_minus),
@@ -689,6 +773,8 @@ class BoundaryZone:
 
     def q(self, v):
         """Boundary coordinate of slope v; slopes past the edge map to 0."""
+        import numpy as np
+
         return np.maximum(self.side * (self.v_edge - np.asarray(v)), 0.0) ** (1.0 / self.m)
 
     def dv_dq(self, q):
@@ -721,6 +807,8 @@ class GraphSolution:
 
     def W_at(self, v):
         """W on the leg from the dense output; NaN for slopes off the leg."""
+        import numpy as np
+
         b = self.boundary
         x, t = (self.v, v) if b is None else (self.q, b.q(v))
         t = np.asarray(t, dtype=float)
@@ -763,7 +851,7 @@ class GraphSolution:
 # far above the event floor, far below any value a leg passes through.  A
 # failed solve whose last signed denominator is under the floor raised by
 # 1/sqrt(eps) stalled at a fold.
-_FOLD_FACTOR = 1.0 / math.sqrt(np.finfo(float).eps)
+_FOLD_FACTOR = 1.0 / math.sqrt(sys.float_info.epsilon)
 
 
 def integrate_graph_W(
@@ -890,9 +978,12 @@ def integrate_graph_W(
         raise Inconclusive(f"graph integration failed: {exc}") from exc
 
     # the continuous extension maps an array of t to the states there, shape
-    # (3,) + t.shape, extrapolating from the nearest step off the leg
+    # (3,) + t.shape, extrapolating from the nearest step off the leg; it is
+    # vectorised over the sample grid, so graph legs load numpy
+    import numpy as np
+
     t_old, hs, y_old, ks = (np.array(col) for col in zip(*steps))
-    Q = np.swapaxes(ks, 1, 2) @ _P  # (step, component, power)
+    Q = np.swapaxes(ks, 1, 2) @ np.array(_P)  # (step, component, power)
 
     def dense(t):
         t = np.asarray(t, dtype=float)

@@ -14,16 +14,18 @@ g(a*v - sigma) = v on the parabola w = lam - gamma*v**2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DegenerateError
 from .flux import (
     FluxLimiter, LINEAR, g_inverse, g_prime, limiter_from_config, make_g, phi, slope_domain,
 )
 from .roots import brentq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # stability labels
 STABLE_NODE = "StableNode"
@@ -111,17 +113,20 @@ def rhs(p: ModelParams, w: float, v: float) -> tuple[float, float]:
     return make_rhs(p)(w, v)
 
 
-def jacobian(p: ModelParams, w: float, v: float) -> np.ndarray:
-    """Jacobian of the vector field at (w, v)."""
+def _jacobian_entries(p: ModelParams, w: float, v: float) -> tuple[float, float, float, float]:
+    """Entries (J00, J01, J10, J11) of the Jacobian of the vector field at (w, v)."""
     y = p.a * v - p.sigma
     gv = g_inverse(p.limiter, y)
     gp = g_prime(p.limiter, y)
-    return np.array(
-        [
-            [gv - v, w * (p.a * gp - 1.0)],
-            [-1.0 / p.gamma, -2.0 * v],
-        ]
-    )
+    return gv - v, w * (p.a * gp - 1.0), -1.0 / p.gamma, -2.0 * v
+
+
+def jacobian(p: ModelParams, w: float, v: float) -> np.ndarray:
+    """Jacobian of the vector field at (w, v)."""
+    import numpy as np
+
+    j00, j01, j10, j11 = _jacobian_entries(p, w, v)
+    return np.array([[j00, j01], [j10, j11]])
 
 
 @dataclass(frozen=True)
@@ -219,9 +224,100 @@ def _normalize(vec: tuple[complex, complex]) -> tuple[complex, complex]:
     return (complex(a), complex(b))
 
 
-def _as_scalar(z: complex) -> complex:
-    """Collapse numerically-real complex numbers to clean complex values."""
-    return complex(z.real, z.imag)
+# LAPACK's machine constants dlamch('P') and dlamch('S')
+_ULP = sys.float_info.epsilon
+_SAFE_MIN = sys.float_info.min
+
+
+def _schur2(a: float, b: float, c: float, d: float):
+    """LAPACK dlanv2: the standard real Schur form of [[a, b], [c, d]].
+
+    Returns (a, b, c, d, cs, sn) with J = Q [[a, b], [c, d]] Q^T and
+    Q = [[cs, -sn], [sn, cs]].  Real eigenvalues leave c = 0 and a, d
+    the eigenvalues; a complex pair leaves a = d its real part and
+    sqrt|b|*sqrt|c| its imaginary part.  dlanv2's rescaling of entries
+    beyond 2**485 or under 2**-485 is left out.
+    """
+    if c == 0.0:
+        return a, b, c, d, 1.0, 0.0
+    if b == 0.0:
+        # swap rows and columns
+        return d, -c, 0.0, a, 0.0, 1.0
+    if a - d == 0.0 and math.copysign(1.0, b) != math.copysign(1.0, c):
+        return a, b, c, d, 1.0, 0.0
+    temp = a - d
+    p = 0.5 * temp
+    bcmax = max(abs(b), abs(c))
+    bcmis = min(abs(b), abs(c)) * math.copysign(1.0, b) * math.copysign(1.0, c)
+    scale = max(abs(p), bcmax)
+    z = (p / scale) * p + (bcmax / scale) * bcmis
+    if z >= 4.0 * _ULP:
+        # real eigenvalues d + z and d - bc/z
+        z = p + math.copysign(math.sqrt(scale) * math.sqrt(z), p)
+        tau = math.hypot(c, z)
+        return d + z, b - c, 0.0, d - (bcmax / z) * bcmis, z / tau, c / tau
+    # complex or nearly equal eigenvalues: make the diagonal entries equal
+    sigma = b + c
+    tau = math.hypot(sigma, temp)
+    cs = math.sqrt(0.5 * (1.0 + abs(sigma) / tau))
+    sn = -(p / (tau * cs)) * math.copysign(1.0, sigma)
+    aa, bb = a * cs + b * sn, -a * sn + b * cs
+    cc, dd = c * cs + d * sn, -c * sn + d * cs
+    a, b = aa * cs + cc * sn, bb * cs + dd * sn
+    c, d = -aa * sn + cc * cs, -bb * sn + dd * cs
+    a = d = temp = 0.5 * (a + d)
+    if c != 0.0:
+        if b == 0.0:
+            return a, -c, 0.0, d, -sn, cs
+        if math.copysign(1.0, b) == math.copysign(1.0, c):
+            # real eigenvalues after all: reduce to upper triangular form
+            sab, sac = math.sqrt(abs(b)), math.sqrt(abs(c))
+            p = math.copysign(sab * sac, c)
+            tau = 1.0 / math.sqrt(abs(b + c))
+            cs1, sn1 = sab * tau, sac * tau
+            return temp + p, b - c, 0.0, temp - p, cs * cs1 - sn * sn1, cs * sn1 + sn * cs1
+    return a, b, c, d, cs, sn
+
+
+def _eig2(j00: float, j01: float, j10: float, j11: float):
+    """Eigenvalues and eigenvectors of a real 2x2 matrix in closed form.
+
+    The eigenvalues are those of dlanv2's Schur form J = Q T Q^T.  A real
+    pair's eigenvectors are Q's first column and Q times the solution of
+    the triangular system, left unscaled (eigenstructure normalizes them).
+    A complex pair's vector takes the further steps LAPACK dgeev takes:
+    dtrevc3's scaling, the unit normalization and dlartg's rotation of the
+    largest component onto the real axis.  Without any one of these the
+    README `equilibria` output's focus eigenvectors change in their last
+    bits.  Returns ([l1, l2], [x1, x2]) with x_k = (w, v) components.
+    """
+    a, b, c, d, cs, sn = _schur2(j00, j01, j10, j11)
+    if c == 0.0:
+        # the triangular solve, its pivot guarded as dlaln2 guards it
+        den = a - d
+        smin = max(_ULP * abs(d), _SAFE_MIN * 2.0 / _ULP)
+        x = -b / (den if abs(den) >= smin else smin)
+        vecs = [(complex(cs), complex(sn)), (complex(cs * x - sn), complex(sn * x + cs))]
+        return [complex(a), complex(d)], vecs
+    wi = math.sqrt(abs(c)) * math.sqrt(abs(b))
+    xr, xi = (1.0, wi / b) if abs(b) >= abs(c) else (-wi / c, 1.0)
+    re, im = [cs * xr, sn * xr], [-sn * xi, cs * xi]
+    big = 1.0 / max(abs(re[0]) + abs(im[0]), abs(re[1]) + abs(im[1]))
+    re, im = [x * big for x in re], [x * big for x in im]
+    scl = 1.0 / math.hypot(math.hypot(*re), math.hypot(*im))
+    re, im = [x * scl for x in re], [x * scl for x in im]
+    # dlartg: rotate the component of largest modulus onto the real axis
+    k = 0 if re[0] ** 2 + im[0] ** 2 >= re[1] ** 2 + im[1] ** 2 else 1
+    f, g = re[k], im[k]
+    if f == 0.0:
+        rc, rs = 0.0, math.copysign(1.0, g)
+    else:
+        r = math.copysign(math.sqrt(f * f + g * g), f)
+        rc, rs = abs(f) / abs(r), g / r
+    re, im = [rc * x + rs * y for x, y in zip(re, im)], [rc * y - rs * x for x, y in zip(re, im)]
+    im[k] = 0.0
+    vec = (complex(re[0], im[0]), complex(re[1], im[1]))
+    return [complex(a, wi), complex(d, -wi)], [vec, (vec[0].conjugate(), vec[1].conjugate())]
 
 
 def _label_from_eigenvalues(x1: complex, x2: complex) -> str:
@@ -249,8 +345,8 @@ def eigenstructure(
     `point` is an Equilibrium or a (w, v) pair.  On the axis (w = 0) the
     Jacobian is lower triangular, so the exact eigenvalues are the diagonal
     entries (g(a*v - sigma) - v, -2*v) — returned in that order.  Interior
-    equilibria go through a dense eigensolve, eigenvalues sorted by
-    descending real part, then descending imaginary part.
+    equilibria take the closed-form 2x2 eigensolve of `_eig2`, eigenvalues
+    sorted by descending real part, then descending imaginary part.
     """
     w = getattr(point, "w", None)
     if w is None:
@@ -274,13 +370,10 @@ def eigenstructure(
         evals = (complex(x1), complex(x2))
         return evals, vecs, _label_from_eigenvalues(*evals)
 
-    jac = jacobian(p, w, v)
-    raw_vals, raw_vecs = np.linalg.eig(jac)
+    raw_vals, raw_vecs = _eig2(*_jacobian_entries(p, w, v))
     order = sorted(range(2), key=lambda i: (-raw_vals[i].real, -raw_vals[i].imag))
-    evals = tuple(_as_scalar(complex(raw_vals[i])) for i in order)
-    vecs = tuple(
-        _normalize((complex(raw_vecs[0, i]), complex(raw_vecs[1, i]))) for i in order
-    )
+    evals = tuple(raw_vals[i] for i in order)
+    vecs = tuple(_normalize(raw_vecs[i]) for i in order)
     return evals, vecs, _label_from_eigenvalues(*evals)
 
 

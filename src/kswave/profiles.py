@@ -23,10 +23,12 @@ Taxonomy, for a profile component f in {u, S} on (s_minus, s_plus):
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AnchorMismatch,
@@ -39,14 +41,20 @@ from .errors import (
 from .integrate import (
     BACKWARD,
     FORWARD,
+    ArrayField,
     Controls,
     Trajectory,
+    built_with_arrays,
     integrate,
     integrate_graph_W,
     merge_trajectories,
+    sample_list,
 )
 from .phase import ModelParams
 from .shooting import REGIME_BACKWARD, shooting_regime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Profile type labels.
 TYPE_A1 = "A1"
@@ -69,16 +77,23 @@ SLOPE_ZERO = "zero"  # tangential contact
 # vacuum, where the zero-density far-field continuation applies.
 _VANISH_FRACTION = 0.05
 
+# The largest argument at which math.exp is finite.
+_EXP_MAX = math.log(sys.float_info.max)
+
 
 @dataclass
 class WaveProfile:
-    """Sampled physical wave (u, S) with its orbit and classification."""
+    """Sampled physical wave (u, S) with its orbit and classification.
 
-    s: np.ndarray
-    u: np.ndarray  # cell density u = w * S
-    S: np.ndarray  # signal
-    w: np.ndarray  # density-to-signal ratio u / S
-    v: np.ndarray  # signal log-slope (ln S)'
+    The five sample fields are ArrayFields: they read as ndarrays, built
+    on first read.
+    """
+
+    s: np.ndarray = ArrayField()
+    u: np.ndarray = ArrayField()  # cell density u = w * S
+    S: np.ndarray = ArrayField()  # signal
+    w: np.ndarray = ArrayField()  # density-to-signal ratio u / S
+    v: np.ndarray = ArrayField()  # signal log-slope (ln S)'
     s_minus: float | None  # left profile edge (None: undetermined)
     s_plus: float | None  # right profile edge
     u_type: str = TYPE_UNCLASSIFIED  # taxonomy label for u
@@ -103,23 +118,27 @@ def reconstruct(
     span; a non-finite s0, S0 or u0, or S0 <= 0, raises PreconditionError.
     A given ``u0`` is a consistency statement, not a knob: it must
     satisfy u0/S0 = w(s0) to 1e-9 or AnchorMismatch is raised.  Labels
-    are attached verbatim; use classify_profile to derive them.
+    are attached verbatim; use classify_profile to derive them.  Raises
+    OverflowError, naming the first such s, where S leaves the float range.
     """
     _check_normalization(s0, S0, u0)
-    s = np.asarray(traj.s, dtype=float)
+    # a graph leg's samples are arrays, and stay arrays: see _signal
+    names = ("s", "w", "integral", "v")
+    if built_with_arrays([traj], names):
+        s, w, ii, v = (getattr(traj, name) for name in names)
+    else:
+        s, w, ii, v = (sample_list(traj, name) for name in names)
     if not s[0] <= s0 <= s[-1]:
         raise ValueError(
             f"anchor s0 = {s0!r} outside the sampled span [{s[0]!r}, {s[-1]!r}]"
         )
-    w_at = float(np.interp(s0, s, traj.w))
+    w_at = float(_interp(s0, s, w))
     if u0 is not None and abs(u0 / S0 - w_at) > 1e-9 * max(1.0, abs(w_at)):
         raise AnchorMismatch(
             f"u0/S0 = {u0 / S0!r} does not match the orbit's density ratio "
             f"{w_at!r} at s0 = {s0!r}"
         )
-    i0 = float(np.interp(s0, s, traj.integral))
-    S = S0 * np.exp(traj.integral - i0)
-    u = traj.w * S
+    u, S = _signal(s, w, ii, float(_interp(s0, s, ii)), S0)
 
     end_limits: dict = {}
     if traj.s_minus is not None and math.isfinite(traj.s_minus):
@@ -133,8 +152,8 @@ def reconstruct(
         s=s,
         u=u,
         S=S,
-        w=np.asarray(traj.w, dtype=float),
-        v=np.asarray(traj.v, dtype=float),
+        w=w,
+        v=v,
         s_minus=traj.s_minus,
         s_plus=traj.s_plus,
         u_type=u_type,
@@ -142,6 +161,54 @@ def reconstruct(
         anchors={"s0": float(s0), "S0": float(S0), "u0": float(w_at * S0)},
         end_limits=end_limits or None,
     )
+
+
+def _signal(s, w, ii, i0: float, S0: float):
+    """(u, S) with S = S0*exp(I - I0) and u = w*S at every sample.
+
+    An orbit's samples are lists, computed with math.exp, so an orbit's
+    profile never loads numpy.  A graph leg's are arrays, computed
+    vectorised: a Python loop over a front's 2 x 2049 samples would cost
+    more than the rest of building its profile.  Raises OverflowError
+    naming the first s at which S leaves the float range.
+    """
+    if isinstance(ii, list):
+        try:
+            S = [S0 * math.exp(x - i0) for x in ii]
+        except OverflowError:
+            S = None
+        if S is not None and math.inf not in S:
+            return list(map(operator.mul, w, S)), S
+        # math.exp is finite up to _EXP_MAX
+        lost = next(
+            sk for sk, x in zip(s, ii) if x - i0 > _EXP_MAX or S0 * math.exp(x - i0) == math.inf
+        )
+    else:
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            S = S0 * np.exp(ii - i0)
+        if not np.isinf(S).any():
+            return w * S, S
+        lost = float(s[np.argmax(np.isinf(S))])
+    raise OverflowError(f"signal S = S0*exp(I - I0) leaves the float range at s = {lost!r}")
+
+
+def _interp(x: float, xs: list[float], ys: list[float]) -> float:
+    """numpy.interp(x, xs, ys) at one x, xs ascending, to the bit."""
+    j = bisect.bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    y = slope * (x - xs[j]) + ys[j]
+    if math.isnan(y):
+        # numpy retries from the right end, then takes a flat segment's value
+        y = slope * (x - xs[j + 1]) + ys[j + 1]
+        if math.isnan(y) and ys[j] == ys[j + 1]:
+            y = ys[j]
+    return y
 
 
 def check_anchor(
@@ -213,11 +280,11 @@ def graph_trajectory(
     return merge_trajectories(pieces)
 
 
-def _label_matches(label: str, f: np.ndarray, s_minus, s_plus) -> bool | None:
+def _label_matches(label: str, f: list[float], s_minus, s_plus) -> bool | None:
     """Does the sampled data support the label?  None = cannot assess."""
     fin_m = s_minus is not None and math.isfinite(s_minus)
     fin_p = s_plus is not None and math.isfinite(s_plus)
-    f_max = float(np.max(f))
+    f_max = max(f)
 
     def vanished(val: float) -> bool:
         return val <= _VANISH_FRACTION * f_max
@@ -305,11 +372,11 @@ def classify_profile(
         raise ValueError("profile carries no anchors; reconstruct it first")
     s0 = profile.anchors["s0"]
     w0 = profile.anchors["u0"] / profile.anchors["S0"]
-    v0 = float(np.interp(s0, profile.s, profile.v))
-    labels = predicted_types(p, v0, w0, w0_star, rel_tol=rel_tol)
+    s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
+    labels = predicted_types(p, _interp(s0, s, v), w0, w0_star, rel_tol=rel_tol)
 
-    u_ok = _label_matches(labels[0], profile.u, profile.s_minus, profile.s_plus)
-    s_ok = _label_matches(labels[1], profile.S, profile.s_minus, profile.s_plus)
+    u_ok = _label_matches(labels[0], u, profile.s_minus, profile.s_plus)
+    s_ok = _label_matches(labels[1], S, profile.s_minus, profile.s_plus)
     return (
         labels[0] if u_ok is not False else TYPE_UNCLASSIFIED,
         labels[1] if s_ok is not False else TYPE_UNCLASSIFIED,
@@ -324,8 +391,9 @@ def endpoint_slopes(
 ) -> dict:
     """Categorize the one-sided slopes of u at the finite profile edges.
 
-    The exponent rho in u ~ (distance to edge)^rho is fit by log-log
-    regression over the last sampled decade of approach to each edge
+    The exponent rho in u ~ (distance to edge)^rho is the least-squares
+    slope of log u against log distance over the last sampled decade of
+    approach to each edge
     (raising InsufficientResolution below ``min_samples`` points there):
     rho < 1 - band means the slope diverges, |rho - 1| <= band a finite
     nonzero slope, rho > 1 + band a tangential contact.  Intended for
@@ -333,28 +401,32 @@ def endpoint_slopes(
     The signal slope S' = S * v is reported at the outermost sample of
     each side; its signs distinguish a single interior signal maximum.
     """
-    s, u, S, v = profile.s, profile.u, profile.S, profile.v
+    s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
     for name, edge in (("s_minus", profile.s_minus), ("s_plus", profile.s_plus)):
         if edge is None or not math.isfinite(edge):
             raise ValueError(
                 f"endpoint slopes need finite profile edges; {name} = {edge!r}"
             )
 
-    def fit_rho(d: np.ndarray) -> float:
-        d0 = float(d.min())
+    def fit_rho(d0: float, lo: int, hi: int, edge: float) -> float:
+        # d0: the nearest sample's distance to the edge; s[lo:hi]: the samples
+        # within 10 * d0 of it
         if d0 <= 0.0:
             raise InsufficientResolution("edge distance not positive; edge mislocated")
-        window = d <= 10.0 * d0
-        n = int(window.sum())
-        if n < min_samples:
+        if hi - lo < min_samples:
             raise InsufficientResolution(
-                f"only {n} samples in the last decade of edge approach "
+                f"only {hi - lo} samples in the last decade of edge approach "
                 f"(need {min_samples})"
             )
-        return float(np.polyfit(np.log(d[window]), np.log(u[window]), 1)[0])
+        log_d = [math.log(abs(x - edge)) for x in s[lo:hi]]
+        return _ls_slope(log_d, list(map(math.log, u[lo:hi])))
 
-    rho_m = fit_rho(s - profile.s_minus)
-    rho_p = fit_rho(profile.s_plus - s)
+    # s ascends, so the distance to an edge grows away from it and the
+    # samples within 10 times the nearest distance are a run at that end
+    s_m, s_p = profile.s_minus, profile.s_plus
+    d_m, d_p = s[0] - s_m, s_p - s[-1]
+    rho_m = fit_rho(d_m, 0, bisect.bisect_right(s, 10.0 * d_m, key=lambda x: x - s_m), s_m)
+    rho_p = fit_rho(d_p, bisect.bisect_left(s, -10.0 * d_p, key=lambda x: x - s_p), len(s), s_p)
 
     def categorize(rho: float, rising: bool) -> str:
         if rho < 1.0 - band:
@@ -368,9 +440,17 @@ def endpoint_slopes(
         "u_prime_at_s_plus": categorize(rho_p, rising=False),
         "rho_minus": rho_m,
         "rho_plus": rho_p,
-        "S_prime_at_s_minus": float(S[0] * v[0]),
-        "S_prime_at_s_plus": float(S[-1] * v[-1]),
+        "S_prime_at_s_minus": S[0] * v[0],
+        "S_prime_at_s_plus": S[-1] * v[-1],
     }
+
+
+def _ls_slope(x: list[float], y: list[float]) -> float:
+    """Slope of the least-squares line through the points (x, y)."""
+    n = len(x)
+    xm, ym = math.fsum(x) / n, math.fsum(y) / n
+    dx = [xk - xm for xk in x]
+    return math.fsum(a * (yk - ym) for a, yk in zip(dx, y)) / math.fsum(a * a for a in dx)
 
 
 def farfield_coefficients(
@@ -403,7 +483,8 @@ def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
     not a smooth solution), so no coefficients are reported there.
     """
     out = {"at_s_minus": None, "at_s_plus": None}
-    u_max = float(np.max(profile.u))
+    s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
+    u_max = max(u)
     ends = (
         ("at_s_minus", profile.s_minus, 0),
         ("at_s_plus", profile.s_plus, -1),
@@ -411,13 +492,8 @@ def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
     for key, edge, idx in ends:
         if edge is None or math.isfinite(edge):
             continue
-        if float(profile.u[idx]) <= _VANISH_FRACTION * u_max:
-            out[key] = farfield_coefficients(
-                p,
-                float(profile.S[idx]),
-                float(profile.S[idx] * profile.v[idx]),
-                float(profile.s[idx]),
-            )
+        if u[idx] <= _VANISH_FRACTION * u_max:
+            out[key] = farfield_coefficients(p, S[idx], S[idx] * v[idx], s[idx])
     return out
 
 
@@ -485,6 +561,9 @@ def saturated_front(
         raise RegimeViolation(
             f"no {branch}-branch front through (v0={v0!r}, w0={w0!r}): {exc}"
         ) from exc
+
+    # the checks run vectorised over the legs' 2 x n_samples samples
+    import numpy as np
 
     if branch == "above":
         if not np.all(traj.w > lam):

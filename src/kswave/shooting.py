@@ -44,6 +44,7 @@ from .integrate import (
     Trajectory,
     integrate,
     merge_trajectories,
+    sample_list,
     shift_trajectory,
 )
 from .phase import SADDLE, Equilibrium, ModelParams, eigenstructure, equilibria, regime_case
@@ -339,9 +340,11 @@ def find_w0_star(
     under the 1e-10 width, so when it straddles the threshold no halving
     runs.  When both ends fall on one side, the nearer one stays as the
     inner end and the other gallops outward to m*(1 +/- 4**k * delta)
-    until its class changes or it reaches m*(1 +/- 1e-6).  Failing that
-    (or under "bisection"), the bracket is expanded from ``bracket_hint``,
-    or from (lam/2, 2*lam), by factors of 4.  On 160 benchmark-style
+    until its class changes or it reaches m*(1 +/- 1e-6).  Failing that,
+    the bracket is expanded by factors of 4 from that outermost point,
+    which is not classified again.  Under "bisection", without an estimate,
+    or when the tight ends come out in the wrong order, it is expanded from
+    ``bracket_hint``, or from (lam/2, 2*lam).  On 160 benchmark-style
     solves this took 2 classifier runs in 134, 4 in 22 and 7 in 4.
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
@@ -402,8 +405,10 @@ def find_w0_star(
     # cross-check stays independent.  When both ends fall on one side, the
     # nearer to the threshold stays the inner end and the other gallops
     # outward by factors of 4, out to the agreement tolerance.  Ends in the
-    # wrong order, or a gallop that finds no change, leave the expansion.
+    # wrong order leave the expansion; a gallop that finds no change leaves
+    # it its outermost point as one decided end.
     seed = None
+    lo_decided = hi_decided = False
     if manifold_estimate is not None:
         m = manifold_estimate
         delta = 0.49 * _BRACKET_REL
@@ -422,12 +427,17 @@ def find_w0_star(
                     seed = (inner, outer) if sub_below else (outer, inner)
                     break
                 inner = outer
+            else:
+                if sub_below:
+                    lo, hi, lo_decided = outer, _EXPAND_FACTOR * outer, True
+                else:
+                    lo, hi, hi_decided = outer / _EXPAND_FACTOR, outer, True
     if seed is not None:
         lo, hi = seed
     else:
         # Expand each end until the classes genuinely straddle the threshold.
         for _ in range(_EXPAND_MAX + 1):
-            if side(lo):
+            if lo_decided or side(lo):
                 break
             hi = min(hi, lo)  # a super-critical lo is a tighter upper end
             lo /= _EXPAND_FACTOR
@@ -436,7 +446,7 @@ def find_w0_star(
                 f"no sub-critical launch density found down to w0={lo} for v0={v0}"
             )
         for _ in range(_EXPAND_MAX + 1):
-            if not side(hi):
+            if hi_decided or not side(hi):
                 break
             lo = max(lo, hi)  # a sub-critical hi is a better lower end
             hi *= _EXPAND_FACTOR
@@ -526,7 +536,7 @@ def threshold_trajectory(
         man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="stable", controls=ctr)
         # Backward-direction trace: samples ascend from the v0-crossing
         # (s[0]) up to the seed near the saddle (s[-1]).
-        seed_w, seed_v = man.w[-1], man.v[-1]
+        seed_w, seed_v = sample_list(man, "w")[-1], sample_list(man, "v")[-1]
         tail = integrate(p, seed_w, seed_v, direction=FORWARD, controls=tail_ctr)
         return merge_trajectories([leg_out, man, tail])
 
@@ -535,9 +545,10 @@ def threshold_trajectory(
     # point, and the relaxation tail runs backward from the seed.
     leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
     man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="unstable", controls=ctr)
-    seed_w, seed_v = man.w[0], man.v[0]
+    seed_w, seed_v = sample_list(man, "w")[0], sample_list(man, "v")[0]
     tail = integrate(p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr)
     merged = merge_trajectories([tail, man, leg_out])
     # The merge keeps the tail's frame (seed at s = 0); move the launch
     # point, one manifold span ahead of the seed, back to s = 0.
-    return shift_trajectory(merged, -float(man.s[-1] - man.s[0]))
+    man_s = sample_list(man, "s")
+    return shift_trajectory(merged, -(man_s[-1] - man_s[0]))

@@ -1,5 +1,6 @@
-"""CLI outputs: the README's commands write strict JSON, a NaN in a record is
-a numerical failure, and a failing sweep point records an error row."""
+"""CLI outputs: the README's commands write strict JSON, a NaN in a record or
+an infinity in a CSV row is a numerical failure, and a failing sweep point
+records an error row."""
 
 from __future__ import annotations
 
@@ -104,6 +105,45 @@ def test_nan_in_a_csv_column_is_numerical_failure(capsys, tmp_path, monkeypatch)
     assert code == 3
     assert "numerical failure (FloatingPointError)" in err
     assert list(tmp_path.iterdir()) == []  # no profile.csv, no metadata
+
+
+def test_infinity_in_a_csv_column_is_numerical_failure(capsys, tmp_path, monkeypatch):
+    def reconstruct_with_inf(*args, **kwargs):
+        prof = reconstruct(*args, **kwargs)
+        prof.S[len(prof.S) // 2] = -math.inf
+        return prof
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct_with_inf)
+    code = cli.main(
+        ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
+         "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure (FloatingPointError): an infinity" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--a", "1.6024980396940909", "--sigma", "0.5864232362323301",
+         "--w0", "0.7271359580227734", "--v0", "1.7270358029895085"],
+        ["--a", "1.916632896441982", "--sigma", "0.9179461942936026",
+         "--w0", "0.20252804242886685", "--v0", "1.0044997805933118"],
+    ],
+    ids=["a1.60", "a1.92"],
+)
+def test_signal_overflow_is_numerical_failure(model, capsys, tmp_path):
+    # sub-critical A3 tails on which I - I0 passes 700 before the span ends
+    code = cli.main(["profile", *model, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure (OverflowError): signal S")
+    assert "at s = " in captured.err
+    assert len(captured.err.splitlines()) == 1  # one line, no traceback
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_with_rtol_below_the_floor_fails_as_a_whole(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Import cost: `import kswave` and `import kswave.cli` load neither SciPy nor
 the process-pool machinery, and no computation loads SciPy: kswave does not
-depend on it."""
+depend on it.  numpy is imported only where it is used, so the README's
+`equilibria`, `shoot`, `portrait` and linear `profile` commands run without
+it."""
 
 from __future__ import annotations
 
@@ -62,13 +64,70 @@ def test_graph_legs_load_no_scipy():
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
 
 
-def test_no_module_imports_scipy():
+def imported_packages(nodes) -> list[str]:
+    """Top-level package names of the Import and ImportFrom nodes among nodes."""
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.module or "").split(".")[0])
+    return names
+
+
+def run_at_import(tree: ast.Module):
+    """The nodes of a module that run when it is imported: all but function
+    bodies and `if TYPE_CHECKING:` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and (
+            node.test.id == "TYPE_CHECKING"
+        ):
+            stack.extend(node.orelse)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def parsed_sources():
     for path in sorted((SRC / "kswave").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_module_imports_scipy():
+    for name, tree in parsed_sources():
+        assert "scipy" not in imported_packages(ast.walk(tree)), name
+
+
+def test_no_module_imports_numpy_at_import_time():
+    for name, tree in parsed_sources():
+        assert "numpy" not in imported_packages(run_at_import(tree)), name
+
+
+# the README commands that never need an array
+NUMPY_FREE_COMMANDS = [
+    ["equilibria", "--a", "2", "--sigma", "0.5", "--out", "out/"],
+    ["shoot", "--a", "1", "--sigma", "0.5", "--v0", "2", "--out", "out/"],
+    ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "1.5,2.5",
+     "--v-grid=-0.5,1.5", "--out", "out/"],
+    ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2", "--out", "out/"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_loads_no_numpy(argv, tmp_path):
+    (modules,) = loaded_after(
+        "import contextlib, io, os\n"
+        "from kswave.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "report()\n"
+    )
+    assert "kswave.cli" in modules
+    assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+    assert any((tmp_path / "out").iterdir())

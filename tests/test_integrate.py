@@ -34,12 +34,17 @@ from kswave.integrate import (
     W_VANISHED,
     Controls,
     EventSpec,
+    TerminationEvent,
+    built_with_arrays,
     integrate,
     integrate_graph_W,
     merge_trajectories,
+    sample_list,
 )
 from kswave.phase import ModelParams, equilibria, make_rhs
 from kswave.profiles import graph_trajectory
+
+SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
 
 
 def lp(a, sigma, gamma=1.0, lam=1.0):
@@ -228,10 +233,55 @@ class TestMerge:
             for a, b in ((0, k + 1), (k, j + 1), (j, len(fwd.s)))
         ]
         for pieces in ([back, fwd], [back, *cut]):
-            merged = merge_trajectories(pieces)
-            got = [merged.s, merged.w, merged.v, merged.integral]
-            for a, b in zip(got, list_merge(pieces)):
-                assert a.tobytes() == b.tobytes()
+            want = list_merge(pieces)
+            # orbits store lists and are joined as lists, graph legs arrays
+            for stored in (list, np.ndarray):
+                as_stored = [
+                    dataclasses.replace(piece, **{
+                        f: getattr(piece, f).tolist() if stored is list else getattr(piece, f)
+                        for f in ("s", "w", "v", "integral")
+                    })
+                    for piece in pieces
+                ]
+                merged = merge_trajectories(as_stored)
+                assert built_with_arrays([merged], SAMPLES) == (stored is np.ndarray)
+                got = [merged.s, merged.w, merged.v, merged.integral]
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_reading_a_field_changes_no_merge(self):
+        # orbits store lists; reading a field (as sorting pieces by s[0]
+        # does) builds an array beside the list and leaves what is stored
+        v0 = 1.0 / math.tanh(1.0)
+        ctr = Controls(s_max=2.0, eq_dwell=math.inf)
+
+        def pieces():
+            back = integrate(COTH_P, 0.0, v0, direction=BACKWARD, s0=1.0, controls=ctr)
+            fwd = integrate(COTH_P, 0.0, v0, direction=FORWARD, s0=1.0, controls=ctr)
+            # s and I of the second piece start off the seam, so both shift
+            cols = {name: sample_list(fwd, name) for name in SAMPLES}
+            cols["s"] = [x + 0.25 for x in cols["s"]]
+            cols["integral"] = [x - 0.75 for x in cols["integral"]]
+            return back, dataclasses.replace(fwd, **cols)
+
+        want = merge_trajectories(pieces())
+        for read in (("s",), ("s", "integral"), SAMPLES):
+            both = pieces()
+            for piece in both:
+                for name in read:
+                    getattr(piece, name)
+                assert not built_with_arrays([piece], SAMPLES)
+            got = merge_trajectories(both)
+            assert not built_with_arrays([got], SAMPLES)
+            for name in SAMPLES:
+                assert sample_list(got, name) == sample_list(want, name)
+        # a piece that stores one column as an array is joined as lists
+        back, fwd = pieces()
+        fwd = dataclasses.replace(fwd, **{name: sample_list(fwd, name) for name in SAMPLES[:3]})
+        assert isinstance(fwd.integral, np.ndarray) and not built_with_arrays([fwd], SAMPLES)
+        got = merge_trajectories([back, fwd])
+        for name in SAMPLES:
+            assert sample_list(got, name) == sample_list(want, name)
 
     def test_seam_mismatch_raises(self):
         v0 = 1.0 / math.tanh(1.0)
@@ -240,6 +290,35 @@ class TestMerge:
         other = integrate(COTH_P, 0.5, v0, direction=FORWARD, s0=1.0, controls=ctr)
         with pytest.raises(AnchorMismatch):
             merge_trajectories([back, other])
+
+
+class TestAssemble:
+    """A sample within float noise of the next one is dropped from a run."""
+
+    @staticmethod
+    def assemble(ss, direction):
+        n = len(ss)
+        ws, vs, iis = ([c + k for k in range(n)] for c in (1.0, 2.0, 3.0))
+        term = TerminationEvent(kind=MAX_SPAN, s=ss[-1], w=ws[-1], v=vs[-1])
+        traj = INTEGRATE._assemble(COTH_P, None, ss, ws, vs, iis, direction, term, Controls())
+        return [sample_list(traj, name) for name in ("s", "w", "v", "integral")]
+
+    @pytest.mark.parametrize("tip", [1.0, 1e6])
+    def test_noise_gap_drops_the_lower_sample(self, tip):
+        # the last gap is one ulp, far under 16 eps * |s|
+        fwd = [0.0, 0.5 * tip, tip, math.nextafter(tip, math.inf)]
+        s, w, v, ii = self.assemble(fwd, FORWARD)
+        assert s == [fwd[0], fwd[1], fwd[3]]
+        assert (w, v, ii) == ([1.0, 2.0, 4.0], [2.0, 3.0, 5.0], [3.0, 4.0, 6.0])
+        # a backward run is reversed first, so its tip comes first
+        s, w, v, ii = self.assemble([-x for x in fwd], BACKWARD)
+        assert s == [-fwd[2], -fwd[1], -fwd[0]]
+        assert w == [3.0, 2.0, 1.0]
+
+    def test_gaps_over_their_own_floor_are_kept(self):
+        # 1e-14 is under the floor at |s| = 1e6 but over the one at s = 0
+        ss = [0.0, 1e-14, 1.0, 1e6]
+        assert self.assemble(ss, FORWARD)[0] == ss
 
 
 class TestGraphForm:

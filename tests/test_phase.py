@@ -248,6 +248,43 @@ def test_jacobian_matches_central_differences(p, t, w):
     assert np.abs(fd - jac).max() <= 1e3 * eps ** (q / 3.0) * np.abs(jac).max()
 
 
+def lapack_eigenstructure(p, w, v):
+    """eigenstructure's interior branch as np.linalg.eig computes it."""
+    vals, vecs = np.linalg.eig(jacobian(p, w, v))
+    order = sorted(range(2), key=lambda i: (-vals[i].real, -vals[i].imag))
+    evals = [complex(vals[i]) for i in order]
+    evecs = [phase._normalize((complex(vecs[0, i]), complex(vecs[1, i]))) for i in order]
+    return evals, evecs, phase._label_from_eigenvalues(*evals)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2), database=None)
+@given(models())
+def test_closed_form_eigenstructure_matches_lapack(p):
+    for w, v in equilibrium_points(p):
+        if w == 0.0:
+            continue  # axis points take the exact triangular form
+        vals, vecs, label = eigenstructure(p, (w, v))
+        ref_vals, ref_vecs, ref_label = lapack_eigenstructure(p, w, v)
+        for x, y in zip(vals, ref_vals):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+        for vec, ref in zip(vecs, ref_vecs):
+            assert max(abs(c - r) for c, r in zip(vec, ref)) <= 1e-12
+        assert label == ref_label
+
+
+def test_focus_eigenstructure_bits():
+    # the README equilibria command's stable focus, to the bit of LAPACK's
+    # dgeev: its equilibria.json records these eigenvectors
+    p = ModelParams(a=2.0, sigma=0.5)
+    (w, v), = [q for q in equilibrium_points(p) if q[0] > 0.0]
+    assert eigenstructure(p, (w, v)) == (
+        (-0.5 + 0.7071067811865475j, -0.5 - 0.7071067811865475j),
+        ((-0.3779644730092272 - 0.5345224838248488j, 0.7559289460184545 + 0j),
+         (-0.3779644730092272 + 0.5345224838248488j, 0.7559289460184545 + 0j)),
+        STABLE_FOCUS,
+    )
+
+
 class TestSaturatedEquilibria:
     def test_axis_points_need_domain_membership(self):
         # domain ((sigma-c)/a, (sigma+c)/a) = (-0.25, 0.75) excludes +-v_star = +-1

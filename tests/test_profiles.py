@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from kswave.integrate import (
     V_BLOW_UP_PLUS,
     W_VANISHED,
     Controls,
+    sample_list,
 )
 from kswave.phase import ModelParams
 from kswave.profiles import (
@@ -39,6 +41,7 @@ from kswave.profiles import (
     classify_profile,
     endpoint_slopes,
     farfield_coefficients,
+    graph_trajectory,
     reconstruct,
     saturated_front,
     wave_trajectory,
@@ -105,6 +108,58 @@ class TestReconstruct:
         traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)
         with pytest.raises(ValueError):
             reconstruct(P_C, traj, S0=-1.0)
+
+    # the four linear base points (a, sigma, v0) of the benchmark's profiles
+    @pytest.mark.parametrize(
+        "a,sigma,v0", [(1.0, 0.5, 2.0), (0.5, 0.2, 1.8), (0.5, 0.2, -2.0), (2.0, 1.5, 2.5)]
+    )
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_signal_is_numpy_exp_to_two_ulp(self, a, sigma, v0, m):
+        p = lp(a, sigma)
+        traj = wave_trajectory(p, m * find_w0_star(p, v0).w0_star, v0)
+        s0 = 0.5 * traj.s[traj.s > 0.0][0]  # between the launch sample and the next
+        prof = reconstruct(p, traj, s0=s0, S0=1.5)
+        # the anchor is interpolated as numpy.interp does it, to the bit
+        assert prof.anchors["u0"] == np.interp(s0, traj.s, traj.w) * 1.5
+        i0 = np.interp(s0, traj.s, traj.integral)
+        ref = 1.5 * np.exp(traj.integral - i0)
+        assert np.all(np.abs(prof.S - ref) <= 2.0 * np.spacing(ref))
+
+    def test_signal_overflow_names_its_s(self):
+        # an A3 tail whose log-signal grows past the float range
+        p = lp(1.6024980396940909, 0.5864232362323301)
+        traj = wave_trajectory(p, 0.7271359580227734, 1.7270358029895085)
+        with pytest.raises(OverflowError, match=r"float range at s = 7\d\d\.") as from_lists:
+            reconstruct(p, traj)
+        # the same samples stored as arrays, as a graph leg stores them
+        as_arrays = dataclasses.replace(traj)
+        with pytest.raises(OverflowError) as from_arrays:
+            reconstruct(p, as_arrays)
+        assert str(from_arrays.value) == str(from_lists.value)
+
+    def test_reading_a_field_changes_no_profile(self, thr_c):
+        # an orbit stores lists: reading its fields builds arrays beside them
+        # and leaves the path, and the bits, of reconstruct as they were
+        traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)
+        want = reconstruct(P_C, traj)
+        assert isinstance(traj.s, np.ndarray) and isinstance(traj.integral, np.ndarray)
+        got = reconstruct(P_C, traj)
+        for name in ("s", "u", "S", "w", "v"):
+            assert sample_list(got, name) == sample_list(want, name)
+        assert got.end_limits == want.end_limits
+
+    def test_graph_samples_reconstruct_as_orbit_samples(self):
+        # a front's graph legs store arrays; the same samples as lists
+        traj = graph_trajectory(P_ABOVE, 5.0, 0.5)
+        as_lists = dataclasses.replace(traj, **{
+            f: getattr(traj, f).tolist() for f in ("s", "w", "v", "integral")
+        })
+        s0 = 0.5 * traj.s[traj.s > 0.0][0]
+        ref = reconstruct(P_ABOVE, traj, s0=s0, S0=2.0)
+        prof = reconstruct(P_ABOVE, as_lists, s0=s0, S0=2.0)
+        assert prof.anchors == ref.anchors
+        assert np.all(np.abs(prof.S - ref.S) <= 2.0 * np.spacing(ref.S))
+        assert np.all(np.abs(prof.u - ref.u) <= 3.0 * np.spacing(ref.u))
 
     def test_end_limits_reported_at_finite_edges(self, thr_c):
         traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)
@@ -260,6 +315,17 @@ class TestEndpointSlopes:
         # Signal rises off the left edge and falls into the right edge.
         assert es["S_prime_at_s_minus"] > 0.0
         assert es["S_prime_at_s_plus"] < 0.0
+
+    @pytest.mark.parametrize("a,sigma", [(0.5, 1.0), (1.0, 0.5), (2.0, 0.5)])
+    def test_rho_is_the_polyfit_slope(self, a, sigma):
+        p = lp(a, sigma)
+        thr = find_w0_star(p, 2.0 * p.v_star)
+        prof = reconstruct(p, wave_trajectory(p, 10.0 * thr.w0_star, 2.0 * p.v_star))
+        es = endpoint_slopes(prof, p)
+        for key, d in (("rho_minus", prof.s - prof.s_minus), ("rho_plus", prof.s_plus - prof.s)):
+            window = d <= 10.0 * d.min()
+            ref = np.polyfit(np.log(d[window]), np.log(prof.u[window]), 1)[0]
+            assert abs(es[key] - ref) <= 1e-12
 
     def test_infinite_edge_rejected(self, thr_c):
         traj = threshold_trajectory(P_C, 2.0, result=thr_c)

@@ -337,8 +337,9 @@ class TestSeededBisection:
         assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
         assert r.classifier_tol <= 2e-10
         # the tight seed ends were tried and both are super-critical; the
-        # lower one galloped down to m*(1 - 1e-6), then the default bracket
-        # (lam/2, 2*lam) was expanded
+        # lower one galloped down to m*(1 - 1e-6), and the expansion started
+        # from that decided super-critical end: one step down found the
+        # sub-critical end, and 33 halvings followed
         m = r.manifold_estimate
         offsets, delta = [], self.DELTA
         while delta < 1e-6:
@@ -346,8 +347,8 @@ class TestSeededBisection:
             offsets.append(delta)
         gallop = [m * (1.0 - d) for d in offsets]
         assert calls[:2 + len(gallop)] == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA), *gallop]
-        assert calls[2 + len(gallop)] == 0.5 * P_C.lam
-        assert len(calls) > 20
+        assert calls[2 + len(gallop)] == gallop[-1] / 4.0
+        assert len(calls) <= 44
 
     @pytest.mark.parametrize("shift", [-2e-9, 2e-9], ids=["estimate-low", "estimate-high"])
     def test_estimate_slightly_off_gallops(self, monkeypatch, thr_c, shift):
