@@ -379,7 +379,8 @@ def _options_sweep(args, cfg, params) -> dict:
     check_samples = int(_merged(args, cfg, "check_samples", default=0) or 0)
     if check_samples < 0:
         raise ConfigError("--check-samples must be non-negative")
-    workers = int(_merged(args, cfg, "workers", default=1) or 1)
+    workers = _merged(args, cfg, "workers")
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ConfigError("--workers must be at least 1")
     return {
@@ -567,9 +568,9 @@ def _sweep_point(job: dict) -> dict:
 
     n = job["check_samples"]
     if n > 0:
-        from numpy.random import default_rng
+        import random
 
-        rng = default_rng(job["seed"] * 100003 + job["index"])
+        rng = random.Random(job["seed"] * 100003 + job["index"])
         correct = 0
         for _ in range(n):
             w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
@@ -608,10 +609,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "atol": cfg.controls.atol,
             }
         )
-    if opt["check_samples"] > 0:
-        # the spot checks draw from numpy's generator: imported once here,
-        # before the pool forks, rather than once in every worker
-        import numpy  # noqa: F401
     if opt["workers"] == 1:
         rows = [_sweep_point(job) for job in jobs]
     else:

@@ -1,11 +1,15 @@
 """Adaptive integration of the planar system, in s and in graph form.
 
 Two complementary drivers live here.  `integrate` advances (w, v) in the
-wave coordinate s with an embedded Dormand-Prince 5(4) pair, locating
+wave coordinate s with an embedded Dormand-Prince pair, locating
 termination events (slope blow-up, equilibrium capture, flux-boundary
 arrival, vanishing w, span exhaustion) to root-finding accuracy.  It also
 carries I(s) = integral of v ds, from which the signal S is reconstructed
-later as S = S0 * exp(I - I0).
+later as S = S0 * exp(I - I0).  The caller picks the pair: the 5(4) pair
+DP54 for orbits whose samples are read (profiles, portraits, the critical
+orbit), the 8(5,3) pair DOP853 for the shooting's decision orbits, which
+are read only at their deciding event and take about a sixth of DP54's
+steps at the default tolerance.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -55,6 +59,10 @@ GRAPH_END = "GraphEnd"
 FORWARD = "forward"
 BACKWARD = "backward"
 BOTH = "both"
+
+# embedded Runge-Kutta pairs an orbit can step with
+DP54 = "DP54"
+DOP853 = "DOP853"
 
 
 # The smallest relative tolerance a step-error norm can honour: SciPy's
@@ -309,6 +317,164 @@ def _dp54_step(f, y, k1, h):
     return (w7, v7, i7), (k7w, k7v, v7), err
 
 
+# Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10), with the constants of Hairer's dop853.f.  Row i of _A8 makes
+# stage i + 1 from the stages before it; the last row is the weights B, and
+# the slope at the result is the next step's first (FSAL).  _E8_5 is the
+# 5th-order error row (er1, er6 ... er12); the 3rd-order row _E8_3 is B less
+# the weights bhh1, bhh2, bhh3 on stages 1, 9 and 12.
+_A8 = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+)
+_E8_5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
+
+
+def _dop853_step(f, y, k1, h):
+    """One DOP853 step of size h from state y=(w, v, I) with cached k1 = f(y).
+
+    Returns (y8, k13, (err5, err3)): the 8th-order result, k13 = f(y8)
+    (FSAL), and the 5th- and 3rd-order error estimates per component, which
+    `_march` combines.  As in `_dp54_step`, the third slope of each stage is
+    its v, and every sum runs left to right over the nonzero coefficients
+    in tableau order, so the results equal the generic tableau loop's to
+    the bit.
+    """
+    w, v, ii = y
+    k1w, k1v, k1i = k1
+    a1 = h * _A8[1][0]
+    v2 = v + a1 * k1v
+    k2w, k2v = f(w + a1 * k1w, v2)
+    x1, x2 = _A8[2]
+    a1, a2 = h * x1, h * x2
+    v3 = v + a1 * k1v + a2 * k2v
+    k3w, k3v = f(w + a1 * k1w + a2 * k2w, v3)
+    x1, _, x3 = _A8[3]
+    a1, a3 = h * x1, h * x3
+    v4 = v + a1 * k1v + a3 * k3v
+    k4w, k4v = f(w + a1 * k1w + a3 * k3w, v4)
+    x1, _, x3, x4 = _A8[4]
+    a1, a3, a4 = h * x1, h * x3, h * x4
+    v5 = v + a1 * k1v + a3 * k3v + a4 * k4v
+    k5w, k5v = f(w + a1 * k1w + a3 * k3w + a4 * k4w, v5)
+    x1, _, _, x4, x5 = _A8[5]
+    a1, a4, a5 = h * x1, h * x4, h * x5
+    v6 = v + a1 * k1v + a4 * k4v + a5 * k5v
+    k6w, k6v = f(w + a1 * k1w + a4 * k4w + a5 * k5w, v6)
+    x1, _, _, x4, x5, x6 = _A8[6]
+    a1, a4, a5, a6 = h * x1, h * x4, h * x5, h * x6
+    v7 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v
+    k7w, k7v = f(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w, v7)
+    x1, _, _, x4, x5, x6, x7 = _A8[7]
+    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
+    v8 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v
+    k8w, k8v = f(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w, v8)
+    x1, _, _, x4, x5, x6, x7, x8 = _A8[8]
+    a1, a4, a5, a6, a7, a8 = h * x1, h * x4, h * x5, h * x6, h * x7, h * x8
+    v9 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
+    k9w, k9v = f(
+        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w, v9
+    )
+    x1, _, _, x4, x5, x6, x7, x8, x9 = _A8[9]
+    a1, a4, a5, a6, a7, a8, a9 = h * x1, h * x4, h * x5, h * x6, h * x7, h * x8, h * x9
+    v10 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v + a9 * k9v
+    k10w, k10v = f(
+        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w + a9 * k9w, v10
+    )
+    x1, _, _, x4, x5, x6, x7, x8, x9, x10 = _A8[10]
+    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
+    a8, a9, a10 = h * x8, h * x9, h * x10
+    v11 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
+           + a9 * k9v + a10 * k10v)
+    k11w, k11v = f(
+        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
+        + a9 * k9w + a10 * k10w,
+        v11,
+    )
+    x1, _, _, x4, x5, x6, x7, x8, x9, x10, x11 = _A8[11]
+    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
+    a8, a9, a10, a11 = h * x8, h * x9, h * x10, h * x11
+    v12 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
+           + a9 * k9v + a10 * k10v + a11 * k11v)
+    k12w, k12v = f(
+        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
+        + a9 * k9w + a10 * k10w + a11 * k11w,
+        v12,
+    )
+    x1, _, _, _, _, x6, x7, x8, x9, x10, x11, x12 = _A8[12]
+    b1, b6, b7, b8, b9 = h * x1, h * x6, h * x7, h * x8, h * x9
+    b10, b11, b12 = h * x10, h * x11, h * x12
+    w13 = (w + b1 * k1w + b6 * k6w + b7 * k7w + b8 * k8w + b9 * k9w + b10 * k10w
+           + b11 * k11w + b12 * k12w)
+    v13 = (v + b1 * k1v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
+           + b11 * k11v + b12 * k12v)
+    i13 = (ii + b1 * k1i + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10
+           + b11 * v11 + b12 * v12)
+    k13w, k13v = f(w13, v13)
+    e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12 = _E8_5
+    err5 = (
+        h * (0.0 + e1 * k1w + e6 * k6w + e7 * k7w + e8 * k8w + e9 * k9w + e10 * k10w
+             + e11 * k11w + e12 * k12w),
+        h * (0.0 + e1 * k1v + e6 * k6v + e7 * k7v + e8 * k8v + e9 * k9v + e10 * k10v
+             + e11 * k11v + e12 * k12v),
+        h * (0.0 + e1 * k1i + e6 * v6 + e7 * v7 + e8 * v8 + e9 * v9 + e10 * v10
+             + e11 * v11 + e12 * v12),
+    )
+    e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12 = _E8_3
+    err3 = (
+        h * (0.0 + e1 * k1w + e6 * k6w + e7 * k7w + e8 * k8w + e9 * k9w + e10 * k10w
+             + e11 * k11w + e12 * k12w),
+        h * (0.0 + e1 * k1v + e6 * k6v + e7 * k7v + e8 * k8v + e9 * k9v + e10 * k10v
+             + e11 * k11v + e12 * k12v),
+        h * (0.0 + e1 * k1i + e6 * v6 + e7 * v7 + e8 * v8 + e9 * v9 + e10 * v10
+             + e11 * v11 + e12 * v12),
+    )
+    return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
+
+
+# the unrolled orbit step of each pair, and its order as `_march` reads it
+_ORBIT_STEPS = {DP54: (_dp54_step, 5), DOP853: (_dop853_step, 8)}
+
+
 # w decays and grows over hundreds of orders of magnitude and enters the
 # reconstructed density through an exponential of its running integral, so
 # its step-error control must stay relative at any magnitude; the floor
@@ -323,8 +489,9 @@ def _h_floor(s: float) -> float:
     return _H_FLOOR_REL * max(1.0, abs(s))
 
 
-def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float) -> float:
-    """Starting step for f(t, y) -> slopes, at most h_max and span."""
+def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> float:
+    """Starting step for f(t, y) -> slopes, at most h_max and span, for a
+    pair whose error exponent is -1/order (Hairer's hinit)."""
     n = len(y)
     sc = tuple(ctr.atol + ctr.rtol * abs(c) for c in y)
     d0 = math.sqrt(sum((y[c] / sc[c]) ** 2 for c in range(n)) / n)
@@ -344,19 +511,23 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float) -> float:
         math.sqrt(sum(((f1[c] - k1[c]) / sc[c]) ** 2 for c in range(n)) / n) / h0
     )
     dm = max(d1, d2)
-    h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
+    h1 = (0.01 / dm) ** (1.0 / order) if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * _h_floor(0.0))
 
 
-def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls):
+def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5):
     """Adaptive march from (t, y), with cached slope k1, to t_end.
 
-    `step(t, y, k1, h)` takes one DP54 step of signed size h and returns
-    (y1, ks, err): the result, stage slopes ending with the slope at y1
-    and the error estimate per component of the 3-component state.  The
-    error norm is the RMS over scales atols[c] + rtol * |y[c]|; a step
-    raising DomainError or ZeroDivisionError counts as infinite error.
-    The I controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4) is
+    `step(t, y, k1, h)` takes one step of signed size h and returns
+    (y1, ks, est): the result, stage slopes ending with the slope at y1
+    and the error estimate of the 3-component state.  With scaled errors
+    e[c] / (atols[c] + rtol * |y[c]|), the error norm of a DP54 step
+    (order 5, `est` the error per component) is the RMS of e; that of a
+    DOP853 step (order 8, `est` the pair (err5, err3) of its 5th- and
+    3rd-order estimates) is |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 * |e3|^2)),
+    as in Hairer's dop853.f.  A step raising DomainError or
+    ZeroDivisionError counts as infinite error.  The I controller (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4), with exponent -1/order, is
     capped at h_max and does not grow right after a rejection.
 
     Yields each accepted step as (t, y, k1, h, t1, y1, ks), the last one
@@ -365,6 +536,7 @@ def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls):
     it raised one, when a rejected step falls under the float spacing.
     """
     a0, a1, a2 = atols
+    expo = -1.0 / order
     sgn = math.copysign(1.0, t_end - t)
     just_rejected = False
     cause = None
@@ -375,19 +547,25 @@ def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls):
         landing = 1.01 * h >= remaining
         h_try = remaining if landing else h
         try:
-            y1, ks, (e0, e1, e2) = step(t, y, k1, sgn * h_try)
-            err = math.sqrt((
-                (e0 / (a0 + rtol * max(abs(y[0]), abs(y1[0])))) ** 2
-                + (e1 / (a1 + rtol * max(abs(y[1]), abs(y1[1])))) ** 2
-                + (e2 / (a2 + rtol * max(abs(y[2]), abs(y1[2])))) ** 2
-            ) / 3.0)
+            y1, ks, est = step(t, y, k1, sgn * h_try)
+            sc0 = a0 + rtol * max(abs(y[0]), abs(y1[0]))
+            sc1 = a1 + rtol * max(abs(y[1]), abs(y1[1]))
+            sc2 = a2 + rtol * max(abs(y[2]), abs(y1[2]))
+            if order == 5:
+                e0, e1, e2 = est
+                err = math.sqrt(((e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2) / 3.0)
+            else:
+                (e0, e1, e2), (d0, d1, d2) = est
+                n5 = (e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2
+                deno = n5 + 0.01 * ((d0 / sc0) ** 2 + (d1 / sc1) ** 2 + (d2 / sc2) ** 2)
+                err = n5 / math.sqrt(3.0 * deno) if deno != 0.0 else 0.0
             cause = None
         except (DomainError, ZeroDivisionError) as exc:
             err, cause = math.inf, exc
         # NaN fails every comparison: a state gone non-finite is rejected
         # until the step size underflows.
         accepted = err <= 1.0
-        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** -0.2
+        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** expo
         grow = _FAC_MAX if accepted and not just_rejected else 1.0
         h = min(h_try * min(grow, max(_FAC_MIN, fac)), ctr.h_max)
         just_rejected = not accepted
@@ -423,17 +601,23 @@ def integrate(
     controls: Controls | None = None,
     s0: float = 0.0,
     extra_events: Sequence[EventSpec] = (),
+    pair: str = DP54,
 ) -> Trajectory:
     """Advance (w, v) from (w0, v0) at s0 until a termination event.
 
     `direction` is "forward" (s increasing) or "backward".  `extra_events`
     are checked before the built-in ones and win ties.  A run that dwells
     in the capture ball of an equilibrium ends CONVERGED, with
-    `equilibrium_index` indexing `equilibria(p)`.
+    `equilibrium_index` indexing `equilibria(p)`.  `pair` is the
+    Runge-Kutta pair that steps the orbit, DP54 or DOP853 (see the module
+    docstring); events are located on partial steps of the same pair.
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if pair not in _ORBIT_STEPS:
+        raise ValueError(f"pair must be {DP54!r} or {DOP853!r}, got {pair!r}")
+    stepper, order = _ORBIT_STEPS[pair]
     if not (math.isfinite(w0) and math.isfinite(v0) and math.isfinite(s0)):
         raise ValueError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
     if w0 < 0.0:
@@ -482,13 +666,16 @@ def integrate(
     dwell_idx = eq_ball(w0, v0)
     dwell_s = s
 
-    def step(s, y, k1, h):
-        y5, k7, err = _dp54_step(f, y, k1, h)
-        return y5, (k7,), err
+    advance = partial(stepper, f)
 
-    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max)
+    def step(s, y, k1, h):
+        y1, k_new, est = advance(y, k1, h)
+        return y1, (k_new,), est
+
+    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, order)
     march = _march(
-        step, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr
+        step, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol,
+        ctr, order,
     )
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
@@ -498,13 +685,13 @@ def integrate(
             best: tuple[float, EventSpec] | None = None
             for ev, e_old, e in zip(events, e_prev, e_new):
                 if _crossed(e_old, e, ev.direction):
-                    theta = _locate_event(f, y_old, k1_old, h, s_old, ev, e)
+                    theta = _locate_event(advance, y_old, k1_old, h, s_old, ev, e)
                     if best is None or theta < best[0]:
                         best = (theta, ev)
             for c, level, d, ev in levels:
                 x_old, x = y_old[c], y[c]
                 if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                    theta = _locate_event(f, y_old, k1_old, h, s_old, ev, x - level)
+                    theta = _locate_event(advance, y_old, k1_old, h, s_old, ev, x - level)
                     if best is None or theta < best[0]:
                         best = (theta, ev)
             if best is not None:
@@ -512,7 +699,7 @@ def integrate(
                 if theta >= 1.0:
                     y_ev, s_ev = y, s
                 else:
-                    y_ev = _dp54_step(f, y_old, k1_old, h * theta)[0]
+                    y_ev = advance(y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
                 ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
                 term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
@@ -563,8 +750,12 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     return None
 
 
-def _locate_event(f, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> float:
-    """Fraction theta in (0, 1] at which ev.fn crosses zero along the step."""
+def _locate_event(advance, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> float:
+    """Fraction theta in (0, 1] at which ev.fn crosses zero along the step.
+
+    `advance(y, k1, h)` is the step's pair; the state at theta is its
+    partial step of size theta * h_signed from y.
+    """
     if e_end == 0.0:
         return 1.0
 
@@ -574,7 +765,7 @@ def _locate_event(f, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> fl
         if theta >= 1.0:
             return e_end
         try:
-            yt = _dp54_step(f, y, k1, h_signed * theta)[0]
+            yt = advance(y, k1, h_signed * theta)[0]
         except DomainError:
             return e_end
         return ev.fn(s_base + h_signed * theta, yt[0], yt[1])

@@ -1,8 +1,8 @@
 """Import cost: `import kswave` and `import kswave.cli` load neither SciPy nor
 the process-pool machinery, and no computation loads SciPy: kswave does not
 depend on it.  numpy is imported only where it is used, so the README's
-`equilibria`, `shoot`, `portrait` and linear `profile` commands run without
-it."""
+`equilibria`, `shoot`, `portrait`, linear `profile` and `sweep` commands run
+without it."""
 
 from __future__ import annotations
 
@@ -114,6 +114,8 @@ NUMPY_FREE_COMMANDS = [
     ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "1.5,2.5",
      "--v-grid=-0.5,1.5", "--out", "out/"],
     ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2", "--out", "out/"],
+    ["sweep", "--a-values", "0.5,1,2", "--sigma-factors", "0.5,1.5", "--check-samples", "5",
+     "--workers", "2", "--out", "out/"],
 ]
 
 
@@ -131,3 +133,7 @@ def test_readme_command_loads_no_numpy(argv, tmp_path):
     assert "kswave.cli" in modules
     assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
     assert any((tmp_path / "out").iterdir())
+    if argv[0] == "sweep":
+        # the spot checks draw from the stdlib generator, and every one holds
+        points = json.loads((tmp_path / "out" / "sweep.json").read_text())["points"]
+        assert [row["checks"] for row in points] == [{"n": 5, "correct": 5}] * 6

@@ -438,19 +438,58 @@ def test_end_events_orientation():
 
 
 # --------------------------------------------------------------------------
-# the unrolled DP54 stepper against the generic tableau loop
+# the unrolled DP54 and DOP853 steppers against generic tableau loops
 # --------------------------------------------------------------------------
 
 INTEGRATE = importlib.import_module("kswave.integrate")
-STEPPER = INTEGRATE._dp54_step
 
 
 def generic_step(f, y, k1, h):
-    """The generic tableau loop on the orbit slopes (f(w, v), v): the
+    """The generic DP54 tableau loop on the orbit slopes (f(w, v), v): the
     reference the unrolled stepper must match."""
     y5, k, err = INTEGRATE._rk_step(lambda t, y: f(y[0], y[1]) + (y[1],), 0.0, y, k1, h)
     return y5, k[6], err
 
+
+def nonzero(row):
+    return [(j, a) for j, a in enumerate(row) if a != 0.0]
+
+
+def generic_dop853_step(f, y, k1, h):
+    """The generic DOP853 tableau loop on the orbit slopes (f(w, v), v).
+
+    Row i of the tableau makes stage i + 1 and the last row the result; each
+    sum runs left to right over the nonzero coefficients, each error sum from
+    0.0, in explicit loops (Python 3.12's sum() compensates rounding)."""
+    def slopes(y):
+        return f(y[0], y[1]) + (y[1],)
+
+    k = [k1]
+    for row in INTEGRATE._A8[1:]:
+        yi = []
+        for c, u in enumerate(y):
+            for j, a in nonzero(row):
+                u += (h * a) * k[j][c]
+            yi.append(u)
+        k.append(slopes(yi))
+    errs = []
+    for e_row in (INTEGRATE._E8_5, INTEGRATE._E8_3):
+        err = []
+        for c in range(len(y)):
+            acc = 0.0
+            for j, e in nonzero(e_row):
+                acc += e * k[j][c]
+            err.append(h * acc)
+        errs.append(tuple(err))
+    # k[12] is the slope at the result: the next step's first (FSAL)
+    return tuple(yi), k[12], tuple(errs)
+
+
+# (unrolled, generic) per pair
+STEPPERS = {
+    "DP54": (INTEGRATE._dp54_step, generic_step),
+    "DOP853": (INTEGRATE._dop853_step, generic_dop853_step),
+}
 
 STEP_PARAMS = {
     LINEAR: ModelParams(a=1.0, sigma=0.5),
@@ -461,21 +500,26 @@ STEP_PARAMS = {
 }
 
 
+def flat(x):
+    return [z for part in x for z in flat(part)] if isinstance(x, tuple) else [x]
+
+
 def step_outcome(stepper, f, y, h):
-    """Bit patterns of (y5, k7, err), or the name of the error raised."""
+    """Bit patterns of (y1, k_new, error estimates), or the name of the error raised."""
     k1 = f(y[0], y[1]) + (y[1],)
     try:
-        y5, k7, err = stepper(f, y, k1, h)
+        out = flat(stepper(f, y, k1, h))
     except DomainError:
         return "DomainError"
-    return struct.pack("<9d", *y5, *k7, *err)
+    return struct.pack(f"<{len(out)}d", *out)
 
 
-STEP_SETTINGS = settings(max_examples=150, deadline=timedelta(seconds=2), database=None)
+STEP_SETTINGS = settings(max_examples=300, deadline=timedelta(seconds=2), database=None)
 
 
 @STEP_SETTINGS
 @given(
+    pair=st.sampled_from(sorted(STEPPERS)),
     kind=st.sampled_from(sorted(STEP_PARAMS)),
     w=st.just(-0.0) | st.floats(0.0, 1e3),
     v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -483,7 +527,7 @@ STEP_SETTINGS = settings(max_examples=150, deadline=timedelta(seconds=2), databa
     h=st.floats(1e-9, 2.0),
     sign=st.sampled_from([1.0, -1.0]),
 )
-def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
+def test_stepper_bit_equal_to_reference(pair, kind, w, v_frac, ii, h, sign):
     p = STEP_PARAMS[kind]
     lo, hi = p.slope_domain
     lo, hi = max(lo, -50.0), min(hi, 50.0)
@@ -491,29 +535,28 @@ def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
     assume(lo < v < hi)
     f = make_rhs(p)
     y = (w, v, ii)
-    assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
-        generic_step, f, y, sign * h
-    )
+    unrolled, generic = STEPPERS[pair]
+    assert step_outcome(unrolled, f, y, sign * h) == step_outcome(generic, f, y, sign * h)
 
 
 @STEP_SETTINGS
 @given(
+    pair=st.sampled_from(sorted(STEPPERS)),
     gap=st.floats(1e-12, 1e-2),
     edge=st.sampled_from([-1, 1]),
     w=st.floats(1e-6, 20.0),
     h=st.floats(1e-9, 1.0),
     sign=st.sampled_from([1.0, -1.0]),
 )
-def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
+def test_stepper_near_relativistic_boundary(pair, gap, edge, w, h, sign):
     p = STEP_PARAMS[RELATIVISTIC]
     lo, hi = p.slope_domain
     v = hi - gap * (hi - lo) if edge > 0 else lo + gap * (hi - lo)
     assume(lo < v < hi)
     f = make_rhs(p)
     y = (w, v, 0.5)
-    assert step_outcome(STEPPER, f, y, sign * h) == step_outcome(
-        generic_step, f, y, sign * h
-    )
+    unrolled, generic = STEPPERS[pair]
+    assert step_outcome(unrolled, f, y, sign * h) == step_outcome(generic, f, y, sign * h)
 
 
 def test_stepper_domain_error_propagates():
@@ -523,10 +566,31 @@ def test_stepper_domain_error_propagates():
     k1 = f(1.0, v) + (v,)
     # a unit step in the direction that raises v leaves the slope domain
     h = math.copysign(1.0, k1[1])
-    with pytest.raises(DomainError):
-        generic_step(f, (1.0, v, 0.0), k1, h)
-    with pytest.raises(DomainError):
-        STEPPER(f, (1.0, v, 0.0), k1, h)
+    for unrolled, generic in STEPPERS.values():
+        with pytest.raises(DomainError):
+            generic(f, (1.0, v, 0.0), k1, h)
+        with pytest.raises(DomainError):
+            unrolled(f, (1.0, v, 0.0), k1, h)
+
+
+def test_unknown_pair_rejected():
+    with pytest.raises(ValueError, match="pair"):
+        integrate(COTH_P, 0.0, 2.0, pair="RK45")
+
+
+def test_dop853_constants_match_scipy():
+    # the tableau was copied from Hairer's dop853.f, as SciPy's was
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A8 = INTEGRATE._A8
+    assert len(A8) == ref.N_STAGES + 1
+    for i, row in enumerate(A8):
+        assert list(row) == ref.A[i, :i].tolist()
+    assert list(INTEGRATE._E8_5) == ref.E5[:ref.N_STAGES].tolist()
+    assert list(INTEGRATE._E8_3) == ref.E3[:ref.N_STAGES].tolist()
+    assert not ref.E5[ref.N_STAGES] and not ref.E3[ref.N_STAGES]
+    # the stage nodes are the row sums, to rounding
+    for i, row in enumerate(A8[1:], start=1):
+        assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14, abs=1e-15)
 
 
 # --------------------------------------------------------------------------

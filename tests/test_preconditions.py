@@ -213,6 +213,8 @@ class TestNonFiniteRunInputs:
         FRONT + ["--s0", "nan"],
         ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--v0-factor", "nan"],
         ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--v0-factor", "inf"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--workers", "0"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--workers", "-1"],
         # a relativistic limiter that removes case A's interior saddle
         ["shoot", "--a", "0.3", "--sigma", "0.2", "--limiter", "relativistic",
          "--c", "0.3", "--v0", "1.3"],
@@ -234,6 +236,16 @@ class TestNonFiniteRunInputs:
         code, err = run(capsys, "shoot", "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert controls.split('"')[1] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_out_of_range_config_workers(self, capsys, no_integration, tmp_path, workers):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"a_values": [0.5, 2], "sigma_factors": [0.5], "workers": %d}' % workers)
+        out = tmp_path / "out"
+        code, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "--workers" in err
         assert not out.exists()
 
     def test_nan_in_config_controls(self, capsys, no_integration, tmp_path):

@@ -23,6 +23,8 @@ from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
     BACKWARD,
     CONVERGED,
+    DOP853,
+    DP54,
     FORWARD,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
@@ -414,6 +416,71 @@ def test_threshold_converges_as_tolerance_tightens(p, v0):
     assert [x.method for x in r.values()] == ["Both"] * 3
     w = {rtol: x.w0_star for rtol, x in r.items()}
     assert abs(w[1e-10] - w[1e-12]) < abs(w[1e-8] - w[1e-12])
+
+
+# One fixed point per shooting situation: case A forward and backward, cases
+# C, D and E, and a case-D relativistic limiter (slope domain (-1.87, 2.13)).
+PAIR_POINTS = {
+    "A-forward": (lp(0.5, 0.2), 1.8),
+    "A-backward": (lp(0.5, 0.2), -2.0),
+    "C": (P_C, 2.0),
+    "D": (P_D, 2.0),
+    "E": (P_E, 2.5),
+    "relativistic": (lp(1.5, 0.2, limiter=FluxLimiter(RELATIVISTIC, c=3.0)), 1.8),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PAIR_POINTS))
+def pair_point(request):
+    p, v0 = PAIR_POINTS[request.param]
+    return p, v0, find_w0_star(p, v0)
+
+
+def test_threshold_converged_at_default_controls(pair_point):
+    # decision orbits step with DOP853: at the default tolerances w0_star
+    # already agrees with its value at rtol 1e-13 to the bisection width
+    p, v0, r = pair_point
+    tight = find_w0_star(p, v0, controls=Controls(rtol=1e-13, atol=1e-15))
+    assert r.method == tight.method == "Both"
+    assert abs(r.w0_star - tight.w0_star) <= 1e-10 * tight.w0_star
+
+
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("m", [0.5, 0.9, 1.1, 2.0])
+def test_decision_orbit_pairs_agree(monkeypatch, pair_point, m):
+    # the classifier's DOP853 orbit and a DP54 orbit with the same events end
+    # on the same event at the same point
+    p, v0, r = pair_point
+    w0 = m * r.w0_star
+    eight = classify_trajectory(p, w0, v0)
+    original = shooting.integrate
+    monkeypatch.setattr(shooting, "integrate",
+                        lambda *args, **kw: original(*args, **dict(kw, pair=DP54)))
+    five = classify_trajectory(p, w0, v0)
+    a, b = eight.trajectory.termination, five.trajectory.termination
+    assert eight.cls == five.cls
+    assert a.kind == b.kind
+    assert close(a.s, b.s) and close(a.w, b.w) and close(a.v, b.v), (a, b)
+    # DOP853 takes far fewer steps
+    assert len(eight.trajectory.s) < len(five.trajectory.s) / 2
+
+
+def test_manifold_trace_pairs_agree(pair_point):
+    # the trace's end state is what find_w0_star reads; the span s it takes
+    # to leave the saddle from a seed 1e-7 away is set by errors relative to
+    # the state, not to that distance, and is not compared
+    p, v0, r = pair_point
+    kind = "stable" if r.regime == REGIME_FORWARD else "unstable"
+    a, b = (
+        trace_stable_manifold(p, r.saddle, v_stop=v0, manifold=kind, pair=pair).termination
+        for pair in (DOP853, DP54)
+    )
+    assert a.kind == b.kind
+    assert close(a.w, b.w) and close(a.v, b.v), (a, b)
+    assert a.w == r.manifold_estimate
 
 
 # (a range, sigma / sigma_star range) of each case, drawn as the threshold
