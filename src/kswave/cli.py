@@ -224,6 +224,16 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None, attr=No
     return val
 
 
+def _count(args: argparse.Namespace, cfg: dict, key: str, default: int) -> int:
+    """An integer option; a config file's float, bool or string is refused, not truncated."""
+    val = _merged(args, cfg, key)
+    if val is None:
+        return default
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {val!r}")
+    return val
+
+
 def _model_dict(args: argparse.Namespace, cfg: dict, require_point: bool = True) -> dict:
     d: dict = {}
     for key, attr in (("a", "a"), ("sigma", "sigma"), ("gamma", "gamma"), ("lambda", "lam")):
@@ -278,7 +288,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"invalid controls: {exc}") from exc
 
     out = _merged(args, cfg, "out")
-    seed = int(_merged(args, cfg, "seed", default=0) or 0)
+    seed = _count(args, cfg, "seed", default=0)
     if seed < 0:
         raise ConfigError("--seed must be non-negative")
 
@@ -376,11 +386,10 @@ def _options_sweep(args, cfg, params) -> dict:
     v0_factor = float(_merged(args, cfg, "v0_factor", default=2.0))
     if not 1.0 < v0_factor < math.inf:
         raise ConfigError("--v0-factor must be finite and over 1 (launch outside the wave speeds)")
-    check_samples = int(_merged(args, cfg, "check_samples", default=0) or 0)
+    check_samples = _count(args, cfg, "check_samples", default=0)
     if check_samples < 0:
         raise ConfigError("--check-samples must be non-negative")
-    workers = _merged(args, cfg, "workers")
-    workers = 1 if workers is None else int(workers)
+    workers = _count(args, cfg, "workers", default=1)
     if workers < 1:
         raise ConfigError("--workers must be at least 1")
     return {

@@ -916,31 +916,6 @@ def _joined(cols: list, shifts: list[float], arrays: bool):
     return out
 
 
-def shift_trajectory(traj: Trajectory, delta: float) -> Trajectory:
-    """Translate the wave coordinate by delta (waves are defined only up
-    to translation); states are untouched, events and edges move along."""
-
-    def ev(e: TerminationEvent | None) -> TerminationEvent | None:
-        return None if e is None else replace(e, s=e.s + delta)
-
-    def edge(x: float | None) -> float | None:
-        if x is None or not math.isfinite(x):
-            return x
-        return x + delta
-
-    return Trajectory(
-        s=[x + delta for x in sample_list(traj, "s")],
-        w=sample_list(traj, "w"),
-        v=sample_list(traj, "v"),
-        integral=sample_list(traj, "integral"),
-        direction=traj.direction,
-        termination=ev(traj.termination),
-        termination_start=ev(traj.termination_start),
-        s_minus=edge(traj.s_minus),
-        s_plus=edge(traj.s_plus),
-    )
-
-
 # --------------------------------------------------------------------------
 # graph form W(v)
 # --------------------------------------------------------------------------

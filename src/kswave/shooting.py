@@ -40,14 +40,12 @@ from .integrate import (
     MAX_SPAN,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
-    W_VANISHED,
     Controls,
     EventSpec,
     Trajectory,
     integrate,
     merge_trajectories,
     sample_list,
-    shift_trajectory,
 )
 from .phase import SADDLE, Equilibrium, ModelParams, eigenstructure, equilibria, regime_case
 
@@ -76,9 +74,10 @@ _PARABOLA_MARGIN_REL = 1e-6
 
 # Bisection target: relative bracket width on w0.
 _BRACKET_REL = 1e-10
-# Bracket expansion: factor per attempt and attempts per side.
-_EXPAND_FACTOR = 4.0
-_EXPAND_MAX = 12
+# Bracket walk: the relative offset grows by this factor per step, and the
+# walk gives up past this offset.
+_WALK_FACTOR = 4.0
+_WALK_MAX_OFFSET = _WALK_FACTOR**13
 # Bisection and manifold estimates must agree this tightly (relative) for
 # the combined method to be reported.
 _AGREEMENT_REL = 1e-6
@@ -208,9 +207,6 @@ def classify_trajectory(
     elif kind == _EV_ESCAPE:
         cls = escape_cls
     elif kind == CONVERGED:
-        cls = CONVERGES_TO
-    elif kind == W_VANISHED:
-        # Unreachable with w_min=0, kept as a safety net.
         cls = CONVERGES_TO
     elif kind in (V_BLOW_UP_MINUS, V_BLOW_UP_PLUS):
         # The escape margin should always fire first; fall back gracefully.
@@ -346,19 +342,19 @@ def find_w0_star(
 
     Bisection starts from a bracket whose ends the classifier has found
     sub- and super-critical, and w0_star is the midpoint of the final
-    bracket.  Under "both" with a manifold estimate m, the classifier
-    first decides m*(1 -/+ delta) with delta = 0.49e-10, a bracket already
-    under the 1e-10 width, so when it straddles the threshold no halving
-    runs.  When both ends fall on one side, the nearer one stays as the
-    inner end and the other gallops outward to m*(1 +/- 4**k * delta)
-    until its class changes or it reaches m*(1 +/- 1e-6).  Failing that,
-    the bracket is expanded by factors of 4 from that outermost point,
-    which is not classified again.  Under "bisection", without an estimate,
-    or when the tight ends come out in the wrong order, it is expanded from
-    ``bracket_hint``, or from (lam/2, 2*lam).  On 160 benchmark-style
-    solves this took 2 classifier runs in 142, 4 in 14 and 7 in 4.  The
-    classifier and the manifold trace step with the DOP853 pair, since
-    only their ends are read.
+    bracket.  That bracket comes from one outward walk around a centre c
+    at relative offset d.  Under "both" with a manifold estimate m, c = m
+    and d = 0.49e-10, a bracket already under the 1e-10 width, so when its
+    ends straddle the threshold no halving runs.  Otherwise (method
+    "bisection", or no estimate) the walk starts from the ends of
+    ``bracket_hint``, or of (lam/2, 2*lam), with c their geometric mean.
+    Each step multiplies d by 4: a super-critical lower end becomes the
+    upper end and c*(1 - d) (c/(1 + d) once d > 1/2) is classified; a
+    sub-critical upper end becomes the lower end and c*(1 + d) is
+    classified.  Past d = 4**13 the walk raises NoDichotomy.  On 160
+    benchmark-style solves this took 2 classifier runs in 142, 4 in 14
+    and 7 in 4.  The classifier and the manifold trace step with the
+    DOP853 pair, since only their ends are read.
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
     manifold to that tolerance.  A bad method, launch slope, bracket_hint
@@ -415,61 +411,32 @@ def find_w0_star(
         """True when w0 classifies sub-critical."""
         return is_subcritical(classify_trajectory(p, w0, v0, controls=ctr).cls)
 
-    # The manifold estimate m is usually good to the bisection width, so the
-    # classifier first decides the ends of m*(1 -/+ delta), a bracket already
-    # narrower than _BRACKET_REL; it alone decides the bracket, so the
-    # cross-check stays independent.  When both ends fall on one side, the
-    # nearer to the threshold stays the inner end and the other gallops
-    # outward by factors of 4, out to the agreement tolerance.  Ends in the
-    # wrong order leave the expansion; a gallop that finds no change leaves
-    # it its outermost point as one decided end.
-    seed = None
-    lo_decided = hi_decided = False
+    # The bracket walk of the docstring.  Only the classifier decides the
+    # bracket, so the cross-check against the manifold stays independent.
     if manifold_estimate is not None:
-        m = manifold_estimate
-        delta = 0.49 * _BRACKET_REL
-        below, above = m * (1.0 - delta), m * (1.0 + delta)
-        sub_below, sub_above = side(below), side(above)
-        if sub_below and not sub_above:
-            seed = (below, above)
-        elif sub_below == sub_above:
-            # both sub-critical: the threshold lies above m, else below it
-            sign = 1.0 if sub_below else -1.0
-            inner = above if sub_below else below
-            while delta < _AGREEMENT_REL:
-                delta = min(_EXPAND_FACTOR * delta, _AGREEMENT_REL)
-                outer = m * (1.0 + sign * delta)
-                if side(outer) != sub_below:
-                    seed = (inner, outer) if sub_below else (outer, inner)
-                    break
-                inner = outer
-            else:
-                if sub_below:
-                    lo, hi, lo_decided = outer, _EXPAND_FACTOR * outer, True
-                else:
-                    lo, hi, hi_decided = outer / _EXPAND_FACTOR, outer, True
-    if seed is not None:
-        lo, hi = seed
+        c, d = manifold_estimate, 0.49 * _BRACKET_REL
+        lo, hi = c * (1.0 - d), c * (1.0 + d)
     else:
-        # Expand each end until the classes genuinely straddle the threshold.
-        for _ in range(_EXPAND_MAX + 1):
-            if lo_decided or side(lo):
-                break
-            hi = min(hi, lo)  # a super-critical lo is a tighter upper end
-            lo /= _EXPAND_FACTOR
-        else:
+        c, d = math.sqrt(lo * hi), math.sqrt(hi / lo) - 1.0
+    sub_lo, sub_hi = side(lo), side(hi)
+    while not sub_lo or sub_hi:
+        d *= _WALK_FACTOR
+        if d > _WALK_MAX_OFFSET:
             raise NoDichotomy(
                 f"no sub-critical launch density found down to w0={lo} for v0={v0}"
+                if not sub_lo
+                else f"no super-critical launch density found up to w0={hi} for v0={v0}"
             )
-        for _ in range(_EXPAND_MAX + 1):
-            if hi_decided or not side(hi):
-                break
-            lo = max(lo, hi)  # a sub-critical hi is a better lower end
-            hi *= _EXPAND_FACTOR
+        if not sub_lo:
+            # c*(1 - d) would reach 0 as d grows; c/(1 + d) stays positive
+            # and agrees with it to O(d**2)
+            hi, sub_hi = lo, False
+            lo = c * (1.0 - d) if d <= 0.5 else c / (1.0 + d)
+            sub_lo = side(lo)
         else:
-            raise NoDichotomy(
-                f"no super-critical launch density found up to w0={hi} for v0={v0}"
-            )
+            lo = hi
+            hi = c * (1.0 + d)
+            sub_hi = side(hi)
 
     while hi - lo > _BRACKET_REL * hi:
         mid = 0.5 * (lo + hi)
@@ -562,9 +529,10 @@ def threshold_trajectory(
     leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
     man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="unstable", controls=ctr)
     seed_w, seed_v = sample_list(man, "w")[0], sample_list(man, "v")[0]
-    tail = integrate(p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr)
-    merged = merge_trajectories([tail, man, leg_out])
-    # The merge keeps the tail's frame (seed at s = 0); move the launch
-    # point, one manifold span ahead of the seed, back to s = 0.
+    # The tail starts one manifold span before the launch point, so the
+    # merge puts the launch point at s = 0.
     man_s = sample_list(man, "s")
-    return shift_trajectory(merged, -(man_s[-1] - man_s[0]))
+    tail = integrate(
+        p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr, s0=-(man_s[-1] - man_s[0])
+    )
+    return merge_trajectories([tail, man, leg_out])

@@ -4,6 +4,7 @@ PreconditionError before any integration, and the CLI exits 2 on it."""
 from __future__ import annotations
 
 import importlib
+import json
 import math
 
 import pytest
@@ -218,6 +219,11 @@ class TestNonFiniteRunInputs:
         # a relativistic limiter that removes case A's interior saddle
         ["shoot", "--a", "0.3", "--sigma", "0.2", "--limiter", "relativistic",
          "--c", "0.3", "--v0", "1.3"],
+        ["shoot", *BASE, "--seed", "-1"],
+        ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "0,1.5", "--v-grid", "1"],
+        ["sweep", "--a-values", "0,1", "--sigma-factors", "0.5"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors=-0.5"],
+        ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--check-samples", "-1"],
     ])
     def test_cli_exits_2(self, capsys, no_integration, tmp_path, argv):
         code, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -238,14 +244,35 @@ class TestNonFiniteRunInputs:
         assert controls.split('"')[1] in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_out_of_range_config_workers(self, capsys, no_integration, tmp_path, workers):
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"a_values": [0.5, 2], "sigma_factors": [0.5], "workers": %d}' % workers)
+        cfg.write_text('{"a_values": [0.5, 2], "sigma_factors": [0.5], "workers": %s}'
+                       % json.dumps(workers))
         out = tmp_path / "out"
         code, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert "--workers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, word", [
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "seed": 1.7}', "--seed"),
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "seed": true}', "--seed"),
+        ("sweep", '{"a_values": [0.5, 2], "sigma_factors": [0.5], "check_samples": 1.5}',
+         "--check-samples"),
+        ("shoot", '[1, 0.5, 2]', "JSON object"),
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": 5}', "controls"),
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"bogus": 1}}', "bogus"),
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "bracket": [1]}', "--bracket"),
+    ], ids=["seed-float", "seed-bool", "check-samples-float", "array", "controls-number",
+            "controls-unknown", "bracket-one-value"])
+    def test_malformed_config(self, capsys, no_integration, tmp_path, command, body, word):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(body)
+        out = tmp_path / "out"
+        code, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert word in err
         assert not out.exists()
 
     def test_nan_in_config_controls(self, capsys, no_integration, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from datetime import timedelta
@@ -231,15 +232,26 @@ class TestFindThreshold:
         with pytest.raises(ValueError):
             find_w0_star(P_C, 2.0, bracket_hint=(2.0, 1.0))
 
+    def test_bisection_walk_starts_at_default_hint(self, monkeypatch, thr_c):
+        calls = TestSeededBisection.counting_classifier(monkeypatch)
+        r = find_w0_star(P_C, 2.0, method="bisection")
+        assert calls[:2] == [0.5 * P_C.lam, 2.0 * P_C.lam]
+        assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
+
     def test_no_dichotomy(self, monkeypatch):
-        fake_sub = lambda *a, **k: SimpleNamespace(cls=ENTERS_PARABOLA)
-        monkeypatch.setattr(shooting, "classify_trajectory", fake_sub)
-        with pytest.raises(NoDichotomy):
-            find_w0_star(P_C, 2.0, method="bisection")
-        fake_super = lambda *a, **k: SimpleNamespace(cls=ESCAPES_BELOW)
-        monkeypatch.setattr(shooting, "classify_trajectory", fake_super)
-        with pytest.raises(NoDichotomy):
-            find_w0_star(P_C, 2.0, method="bisection")
+        for method, cls in itertools.product(("bisection", "both"),
+                                             (ENTERS_PARABOLA, ESCAPES_BELOW)):
+            calls = []
+
+            def fake(*a, **k):
+                calls.append(a[1])
+                return SimpleNamespace(cls=cls)
+
+            monkeypatch.setattr(shooting, "classify_trajectory", fake)
+            with pytest.raises(NoDichotomy):
+                find_w0_star(P_C, 2.0, method=method)
+            assert len(calls) <= 33
+            assert all(w > 0.0 for w in calls)
 
     def test_degenerate_and_regime_errors(self):
         with pytest.raises(DegenerateError):
@@ -280,6 +292,11 @@ class TestThresholdTrajectory:
         assert traj.termination.kind == V_BLOW_UP_MINUS
         assert traj.s_minus == -math.inf and np.isfinite(traj.s_plus)
         assert np.all(np.diff(traj.s) > 0)
+        # The launch state sits at s = 0, as in the forward regime.
+        i0 = int(np.argmin(np.abs(traj.s)))
+        assert traj.s[i0] == 0.0
+        assert traj.v[i0] == pytest.approx(-2.0, abs=1e-12)
+        assert traj.w[i0] == pytest.approx(thr_a_back.w0_star, rel=1e-9)
         sw, sv = thr_a_back.saddle
         assert math.hypot(traj.w[0] - sw, traj.v[0] - sv) < 1e-5
 
@@ -338,19 +355,35 @@ class TestSeededBisection:
         assert r.manifold_estimate == pytest.approx(1.01 * thr_c.manifold_estimate, rel=1e-15)
         assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
         assert r.classifier_tol <= 2e-10
-        # the tight seed ends were tried and both are super-critical; the
-        # lower one galloped down to m*(1 - 1e-6), and the expansion started
-        # from that decided super-critical end: one step down found the
-        # sub-critical end, and 33 halvings followed
+        # the tight seed ends were tried and both are super-critical, so the
+        # lower end walks down through m*(1 - 4**k * delta) until it turns
+        # sub-critical; halvings follow
         m = r.manifold_estimate
-        offsets, delta = [], self.DELTA
-        while delta < 1e-6:
-            delta = min(4.0 * delta, 1e-6)
-            offsets.append(delta)
-        gallop = [m * (1.0 - d) for d in offsets]
-        assert calls[:2 + len(gallop)] == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA), *gallop]
-        assert calls[2 + len(gallop)] == gallop[-1] / 4.0
-        assert len(calls) <= 44
+        walk, delta = [], self.DELTA
+        while delta < 0.01:
+            delta *= 4.0
+            walk.append(m * (1.0 - delta))
+        assert calls[:2 + len(walk)] == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA), *walk]
+        assert r.bracket[0] >= walk[-1]
+        assert len(calls) <= 43
+
+    def test_tight_seed_in_wrong_order(self, monkeypatch, thr_c):
+        # a classifier that calls the lower tight end super-critical and the
+        # upper one sub-critical: the walk moves on and still brackets m
+        original = shooting.classify_trajectory
+        answers = iter([ESCAPES_BELOW, ENTERS_PARABOLA])
+        calls = []
+
+        def flipped(*args, **kwargs):
+            calls.append(args[1])
+            out = original(*args, **kwargs)
+            return replace(out, cls=next(answers, out.cls))
+
+        monkeypatch.setattr(shooting, "classify_trajectory", flipped)
+        r = find_w0_star(P_C, 2.0)
+        assert r.method == "Both"
+        assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
+        assert len(calls) <= 6
 
     @pytest.mark.parametrize("shift", [-2e-9, 2e-9], ids=["estimate-low", "estimate-high"])
     def test_estimate_slightly_off_gallops(self, monkeypatch, thr_c, shift):
@@ -379,14 +412,14 @@ class TestSeededBisection:
         # both tight ends fall on the side of the estimate ...
         m, sub = r.manifold_estimate, shift < 0.0
         assert shots[:2] == [(m * (1.0 - self.DELTA), sub), (m * (1.0 + self.DELTA), sub)]
-        # ... so the far end gallops away from it until the class changes ...
+        # ... so the far end walks away from it until the class changes ...
         sign, delta, k = (1.0 if sub else -1.0), self.DELTA, 2
         while shots[k][1] == sub:
             delta *= 4.0
             assert shots[k][0] == m * (1.0 + sign * delta)
             k += 1
         assert shots[k][0] == m * (1.0 + sign * 4.0 * delta)
-        # ... and bisection starts between the last two gallop points
+        # ... and bisection starts between the last two walk points
         assert k >= 3
         assert shots[k + 1][0] == 0.5 * (shots[k - 1][0] + shots[k][0])
 
