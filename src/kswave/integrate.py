@@ -20,6 +20,12 @@ ds = gamma/(lam - gamma*v^2 - W) dv and dI = v ds, so a leg's accuracy is
 set by the solver tolerance; `GraphSolution.trajectory` turns a leg into
 a Trajectory in ascending s.  Both drivers step through `_march`, one
 adaptive loop with one step-size controller.
+
+Every step is unrolled and runs on Python floats, which Python adds and
+multiplies several times faster than numpy scalars: orbits take
+`_dp54_step` or `_dop853_step`, graph legs `_graph_step`, a DP54 step that
+forms stage values for W (or 1/W) alone.  Each sums in the generic tableau
+loop's order, so it gives that loop's results to the bit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
@@ -229,13 +234,11 @@ _A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
       (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_, _C2, _C3, _C4, _C5, _, _ = _C  # the last two nodes are 1
 (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54) = _A[1:5]
 _A61, _A62, _A63, _A64, _A65 = _A[5]
 _B1, _, _B3, _B4, _B5, _B6 = _A[6]
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
-# the nonzero (stage, coefficient) pairs of each row, as the generic step reads them
-_A_ROWS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in _A)
-_E_ROW = tuple((j, e) for j, e in enumerate(_E) if e != 0.0)
 
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
 # inside a step, y(t + x*h) = y + h * sum_j k_j * (P_j . (x, x^2, x^3, x^4)).
@@ -254,38 +257,56 @@ _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 
 
-def _rk_step(f, t, y, k1, h):
-    """One DP54 step of size h from (t, y) with cached k1 = f(t, y), for any
-    f(t, y) -> slopes.  Returns the 5th-order result, the seven stage slopes
-    (the last is f at the result, FSAL) and the embedded error estimate per
-    component.  Each sum runs left to right over the nonzero coefficients."""
-    k = [k1]
-    for i in range(1, 7):
-        yi = []
-        for c, u in enumerate(y):
-            for j, a in _A_ROWS[i]:
-                u += (h * a) * k[j][c]
-            yi.append(u)
-        k.append(f(t + _C[i] * h, yi))
-    err = []
-    for c in range(len(y)):
-        acc = 0.0
-        for j, e in _E_ROW:
-            acc += e * k[j][c]
-        err.append(h * acc)
-    return tuple(yi), k, tuple(err)
+def _graph_step(f, t, y, ks, h):
+    """One DP54 step of size h along a graph leg, from (t, y) with y = (x, s, I).
+
+    `f(t, x)` gives the slopes of (x, s, I) at t: they depend on x (W or
+    1/W) alone, so only x has stage values.  `ks` holds the previous step's
+    stage slopes, the last of them f at (t, y) (FSAL); `(f(t, x),)` starts
+    a leg.  Returns (y1, stages, err): the 5th-order result, the seven
+    stage slopes (the last is f at y1), which the leg's continuous
+    extension reads, and the embedded error estimate per component.  Every
+    sum runs left to right over the nonzero coefficients in tableau order,
+    so the results equal the generic tableau loop's to the bit.
+    """
+    x, s, ii = y
+    k1 = k1x, k1s, k1i = ks[-1]
+    a1 = h * _A21
+    k2 = k2x, _, _ = f(t + _C2 * h, x + a1 * k1x)
+    a1, a2 = h * _A31, h * _A32
+    k3 = k3x, k3s, k3i = f(t + _C3 * h, x + a1 * k1x + a2 * k2x)
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4 = k4x, k4s, k4i = f(t + _C4 * h, x + a1 * k1x + a2 * k2x + a3 * k3x)
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = k5x, k5s, k5i = f(t + _C5 * h, x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x)
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = k6x, k6s, k6i = f(
+        t + h, x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x + a5 * k5x
+    )
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    x7 = x + b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x
+    s7 = s + b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s + b6 * k6s
+    i7 = ii + b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
+    k7 = k7x, k7s, k7i = f(t + h, x7)
+    err = (
+        h * (0.0 + _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x),
+        h * (0.0 + _E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s),
+        h * (0.0 + _E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i),
+    )
+    return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _dp54_step(f, y, k1, h):
+def _dp54_step(f, t, y, k1, h):
     """One step of size h from state y=(w, v, I) with cached k1 = f(y).
 
-    Returns (y5, k7, err) where y5 is the 5th-order result, k7 = f(y5)
-    (FSAL), and err the embedded error estimate per component.  dI/ds = v,
-    so the third slope of each stage is its v, and the stage values of I
-    are never needed.  Every sum runs left to right over the nonzero
-    coefficients in tableau order, so the results equal `_rk_step`'s on
-    the slopes (f(w, v), v) to the bit; orbits take this unrolled form for
-    speed.
+    The orbit's field is autonomous, so t is not read; it is there so that
+    every step `_march` takes has the same signature.  Returns (y5, k7,
+    err) where y5 is the 5th-order result, k7 = f(y5) (FSAL), and err the
+    embedded error estimate per component.  dI/ds = v, so the third slope
+    of each stage is its v, and the stage values of I are never needed.
+    Every sum runs left to right over the nonzero coefficients in tableau
+    order, so the results equal the generic tableau loop's on the slopes
+    (f(w, v), v) to the bit.
     """
     w, v, ii = y
     k1w, k1v, k1i = k1
@@ -369,15 +390,15 @@ _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547
 _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
 
 
-def _dop853_step(f, y, k1, h):
+def _dop853_step(f, t, y, k1, h):
     """One DOP853 step of size h from state y=(w, v, I) with cached k1 = f(y).
 
-    Returns (y8, k13, (err5, err3)): the 8th-order result, k13 = f(y8)
-    (FSAL), and the 5th- and 3rd-order error estimates per component, which
-    `_march` combines.  As in `_dp54_step`, the third slope of each stage is
-    its v, and every sum runs left to right over the nonzero coefficients
-    in tableau order, so the results equal the generic tableau loop's to
-    the bit.
+    t is not read, as in `_dp54_step`.  Returns (y8, k13, (err5, err3)): the
+    8th-order result, k13 = f(y8) (FSAL), and the 5th- and 3rd-order error
+    estimates per component, which `_march` combines.  As in `_dp54_step`,
+    the third slope of each stage is its v, and every sum runs left to right
+    over the nonzero coefficients in tableau order, so the results equal the
+    generic tableau loop's to the bit.
     """
     w, v, ii = y
     k1w, k1v, k1i = k1
@@ -515,12 +536,13 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> 
     return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * _h_floor(0.0))
 
 
-def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5):
-    """Adaptive march from (t, y), with cached slope k1, to t_end.
+def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5):
+    """Adaptive march on the field f from (t, y), with cached slope data k1, to t_end.
 
-    `step(t, y, k1, h)` takes one step of signed size h and returns
-    (y1, ks, est): the result, stage slopes ending with the slope at y1
-    and the error estimate of the 3-component state.  With scaled errors
+    `step(f, t, y, k1, h)` takes one step of signed size h and returns
+    (y1, k, est): the result, the slope data the next step starts from
+    (FSAL: the slope at y1, or stage slopes ending with it) and the error
+    estimate of the 3-component state.  With scaled errors
     e[c] / (atols[c] + rtol * |y[c]|), the error norm of a DP54 step
     (order 5, `est` the error per component) is the RMS of e; that of a
     DOP853 step (order 8, `est` the pair (err5, err3) of its 5th- and
@@ -530,7 +552,7 @@ def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5)
     Norsett & Wanner, Solving ODEs I, II.4), with exponent -1/order, is
     capped at h_max and does not grow right after a rejection.
 
-    Yields each accepted step as (t, y, k1, h, t1, y1, ks), the last one
+    Yields each accepted step as (t, y, k1, h, t1, y1, k), the last one
     landing on t_end exactly.  Raises Inconclusive after max_steps attempts
     and StepSizeUnderflow, chained from the last rejection's exception if
     it raised one, when a rejected step falls under the float spacing.
@@ -547,7 +569,7 @@ def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5)
         landing = 1.01 * h >= remaining
         h_try = remaining if landing else h
         try:
-            y1, ks, est = step(t, y, k1, sgn * h_try)
+            y1, k, est = step(f, t, y, k1, sgn * h_try)
             sc0 = a0 + rtol * max(abs(y[0]), abs(y1[0]))
             sc1 = a1 + rtol * max(abs(y[1]), abs(y1[1]))
             sc2 = a2 + rtol * max(abs(y[2]), abs(y1[2]))
@@ -576,10 +598,10 @@ def _march(step, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5)
                 ) from cause
             continue
         t1 = t_end if landing else t + sgn * h_try
-        yield t, y, k1, sgn * h_try, t1, y1, ks
+        yield t, y, k1, sgn * h_try, t1, y1, k
         if landing:
             return
-        t, y, k1 = t1, y1, ks[-1]
+        t, y, k1 = t1, y1, k
     raise Inconclusive(
         f"step budget {ctr.max_steps} exhausted at {float(t)!r}, state {[float(c) for c in y]}"
     )
@@ -646,11 +668,31 @@ def integrate(
     level_event(1, ctr.v_max, +1, V_BLOW_UP_PLUS)
     level_event(1, -ctr.v_max, -1, V_BLOW_UP_MINUS)
 
+    # While the state stays strictly between the nearest levels around the
+    # launch state, no level lies between two successive states, so no step
+    # can cross one.  A level at the launch value bounds the box: a step off
+    # a level cannot cross it, but a later step back could.
+    def box(c: int, x0: float) -> tuple[float, float]:
+        below = [lv for cc, lv, _, _ in levels if cc == c and lv <= x0]
+        above = [lv for cc, lv, _, _ in levels if cc == c and lv >= x0]
+        return max(below, default=-math.inf), min(above, default=math.inf)
+
+    (w_lo, w_hi), (v_lo, v_hi) = box(0, w0), box(1, v0)
+    in_box = True  # the launch state is in the closed box
+
     eq_data = [
         (we, ve, ctr.eq_tol * (1.0 + math.hypot(we, ve))) for we, ve in equilibrium_points(p)
     ]
+    # A state in a ball is within rad * (1 + 2 eps) of its centre, inside the
+    # centre -/+ 2 * rad, so this box around all the balls only skips misses.
+    eq_w_lo = min((we - 2.0 * rad for we, _, rad in eq_data), default=math.inf)
+    eq_w_hi = max((we + 2.0 * rad for we, _, rad in eq_data), default=-math.inf)
+    eq_v_lo = min((ve - 2.0 * rad for _, ve, rad in eq_data), default=math.inf)
+    eq_v_hi = max((ve + 2.0 * rad for _, ve, rad in eq_data), default=-math.inf)
 
     def eq_ball(w: float, v: float) -> int | None:
+        if not (eq_w_lo <= w <= eq_w_hi and eq_v_lo <= v <= eq_v_hi):
+            return None
         for idx, (we, ve, rad) in enumerate(eq_data):
             dw, dv = w - we, v - ve
             # hypot >= max(|dw|, |dv|), so the box test only skips misses
@@ -666,56 +708,52 @@ def integrate(
     dwell_idx = eq_ball(w0, v0)
     dwell_s = s
 
-    advance = partial(stepper, f)
-
-    def step(s, y, k1, h):
-        y1, k_new, est = advance(y, k1, h)
-        return y1, (k_new,), est
-
     h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, order)
     march = _march(
-        step, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol,
-        ctr, order,
+        stepper, f, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol),
+        ctr.rtol, ctr, order,
     )
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
+            w, v = y[0], y[1]
             # --- event detection along this accepted step ---
             # extra events come first, so they win ties
-            e_new = [ev.fn(s, y[0], y[1]) for ev in events]
             best: tuple[float, EventSpec] | None = None
-            for ev, e_old, e in zip(events, e_prev, e_new):
-                if _crossed(e_old, e, ev.direction):
-                    theta = _locate_event(advance, y_old, k1_old, h, s_old, ev, e)
-                    if best is None or theta < best[0]:
-                        best = (theta, ev)
-            for c, level, d, ev in levels:
-                x_old, x = y_old[c], y[c]
-                if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                    theta = _locate_event(advance, y_old, k1_old, h, s_old, ev, x - level)
-                    if best is None or theta < best[0]:
-                        best = (theta, ev)
+            if events:
+                e_new = [ev.fn(s, w, v) for ev in events]
+                for ev, e_old, e in zip(events, e_prev, e_new):
+                    if _crossed(e_old, e, ev.direction):
+                        theta = _locate_event(stepper, f, y_old, k1_old, h, s_old, ev, e)
+                        if best is None or theta < best[0]:
+                            best = (theta, ev)
+                e_prev = e_new
+            was_in_box, in_box = in_box, w_lo < w < w_hi and v_lo < v < v_hi
+            if not (was_in_box and in_box):
+                for c, level, d, ev in levels:
+                    x_old, x = y_old[c], y[c]
+                    if (x_old < level <= x) if d > 0 else (x_old > level >= x):
+                        theta = _locate_event(stepper, f, y_old, k1_old, h, s_old, ev, x - level)
+                        if best is None or theta < best[0]:
+                            best = (theta, ev)
             if best is not None:
                 theta, ev = best
                 if theta >= 1.0:
                     y_ev, s_ev = y, s
                 else:
-                    y_ev = advance(y_old, k1_old, h * theta)[0]
+                    y_ev = stepper(f, s_old, y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
                 ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
                 term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
                 break
 
-            ss.append(s), ws.append(y[0]), vs.append(y[1]), iis.append(y[2])
-            e_prev = e_new
+            ss.append(s), ws.append(w), vs.append(v), iis.append(y[2])
 
             # --- equilibrium dwell ---
-            idx = eq_ball(y[0], y[1])
+            idx = eq_ball(w, v)
             if idx != dwell_idx:
                 dwell_idx, dwell_s = idx, s
             elif idx is not None and abs(s - dwell_s) >= ctr.eq_dwell:
-                term = TerminationEvent(
-                    kind=CONVERGED, s=s, w=y[0], v=y[1], equilibrium_index=idx
-                )
+                term = TerminationEvent(kind=CONVERGED, s=s, w=w, v=v, equilibrium_index=idx)
                 break
         else:
             term = TerminationEvent(kind=MAX_SPAN, s=s, w=y[0], v=y[1])
@@ -750,10 +788,10 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     return None
 
 
-def _locate_event(advance, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> float:
+def _locate_event(stepper, f, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> float:
     """Fraction theta in (0, 1] at which ev.fn crosses zero along the step.
 
-    `advance(y, k1, h)` is the step's pair; the state at theta is its
+    `stepper` is the step's pair on the field f; the state at theta is its
     partial step of size theta * h_signed from y.
     """
     if e_end == 0.0:
@@ -765,7 +803,7 @@ def _locate_event(advance, y, k1, h_signed, s_base, ev: EventSpec, e_end: float)
         if theta >= 1.0:
             return e_end
         try:
-            yt = advance(y, k1, h_signed * theta)[0]
+            yt = stepper(f, s_base, y, k1, h_signed * theta)[0]
         except DomainError:
             return e_end
         return ev.fn(s_base + h_signed * theta, yt[0], yt[1])
@@ -1042,6 +1080,9 @@ def integrate_graph_W(
     if lam - W - gamma*v^2 approaches zero or the solve stalls at a fold.
     """
     ctr = controls or Controls()
+    # the leg marches on Python floats: numpy scalars would slow every stage
+    # of every step
+    v_anchor, W_anchor, v_target, s_start = map(float, (v_anchor, W_anchor, v_target, s_start))
     if v_target == v_anchor:
         raise ValueError("v_target must differ from v_anchor")
     if not W_anchor > 0.0:
@@ -1067,38 +1108,46 @@ def integrate_graph_W(
     # leg(t) gives, at the independent variable t (plain v, or q on a
     # boundary leg), the slope v, dv/dt and drive = (g(a*v - sigma) - v) *
     # dv/dt; on a boundary leg the factor q^(m-1) * g keeps the drive
-    # regular up to q = 0
+    # regular up to q = 0.  slope(t) is v alone.
     if boundary is None:
         t0, t1 = v_anchor, v_target
+
+        def slope(t):
+            return t
 
         def leg(t):
             return t, 1.0, g(a * t - sigma) - t
 
     else:
         factor = make_boundary_factor(lim, a, boundary.side)
-        dv_scale = -boundary.side * boundary.m  # dv/dq over q^(m-1)
-        t0, t1 = boundary.q(v_anchor), 0.0
+        v_edge, side, m = boundary.v_edge, boundary.side, boundary.m
+        dv_scale = -side * m  # dv/dq over q^(m-1)
+        t0, t1 = float(boundary.q(v_anchor)), 0.0
+
+        # BoundaryZone.v and .dv_dq, inline
+        def slope(t):
+            return v_edge - side * t**m
 
         def leg(t):
-            v, dv = boundary.v(t), boundary.dv_dq(t)
+            v, dv = v_edge - side * t**m, dv_scale * t ** (m - 1.0)
             return v, dv, dv_scale * factor(t) - dv * v
 
     # With k = gamma/(lam - W - gamma*v^2): dW/dt = k*W*drive, ds/dt =
-    # k*dv/dt and dI/dt = v*ds/dt.  The Y form divides by
-    # den = 1 - Y*(lam - gamma*v^2) = -Y*(lam - W - gamma*v^2) instead.
+    # k*dv/dt and dI/dt = v*ds/dt, for x = W.  The Y form, x = 1/W, divides
+    # by den = 1 - Y*(lam - gamma*v^2) = -Y*(lam - W - gamma*v^2) instead.
     if use_y:
         floor = ctr.denom_eps
         y0 = (1.0 / W_anchor, s_start, 0.0)
 
-        def rhs_ode(t, y):
+        def rhs_ode(t, x):
             v, dv, drive = leg(t)
-            k = gamma / (1.0 - y[0] * (lam - gamma * v * v))
-            ds = -k * y[0] * dv
-            return k * y[0] * y[0] * drive, ds, v * ds
+            k = gamma / (1.0 - x * (lam - gamma * v * v))
+            ds = -k * x * dv
+            return k * x * x * drive, ds, v * ds
 
-        def den(t, y):
-            v = leg(t)[0]
-            return 1.0 - y[0] * (lam - gamma * v * v)
+        def den(t, x):
+            v = slope(t)
+            return 1.0 - x * (lam - gamma * v * v)
 
     else:
         floor = ctr.denom_eps * max(
@@ -1106,40 +1155,40 @@ def integrate_graph_W(
         )
         y0 = (W_anchor, s_start, 0.0)
 
-        def rhs_ode(t, y):
+        def rhs_ode(t, x):
             v, dv, drive = leg(t)
-            k = gamma / (lam - y[0] - gamma * v * v)
+            k = gamma / (lam - x - gamma * v * v)
             ds = k * dv
-            return k * y[0] * drive, ds, v * ds
+            return k * x * drive, ds, v * ds
 
-        def den(t, y):
-            v = leg(t)[0]
-            return lam - y[0] - gamma * v * v
+        def den(t, x):
+            v = slope(t)
+            return lam - x - gamma * v * v
 
     # the guard is signed with the anchor's denominator sign: a pinch shows
     # up as a one-way crossing no accepted step can pass unnoticed
-    dsign = math.copysign(1.0, den(t0, y0))
+    dsign = math.copysign(1.0, den(t0, y0[0]))
     sgn = math.copysign(1.0, t1 - t0)
-    k1 = rhs_ode(t0, y0)
-    h = _initial_h(rhs_ode, t0, y0, k1, sgn, ctr, abs(t1 - t0))
+    k1 = rhs_ode(t0, y0[0])
+    h = _initial_h(lambda t, y: rhs_ode(t, y[0]), t0, y0, k1, sgn, ctr, abs(t1 - t0))
     march = _march(
-        partial(_rk_step, rhs_ode), t0, y0, k1, t1, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
+        _graph_step, rhs_ode, t0, y0, (k1,), t1, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
     )
     steps = []  # (t, signed h, y, stage slopes) of each accepted step
     t, y = t0, y0
     try:
         for t_old, y_old, _, h, t, y, ks in march:
             steps.append((t_old, h, y_old, ks))
-            if den(t, y) * dsign <= floor:
+            if den(t, y[0]) * dsign <= floor:
                 raise DenominatorVanished(
-                    f"lam - W - gamma*v^2 reached the floor at independent variable {float(t)!r}"
+                    f"lam - W - gamma*v^2 reached the floor at independent variable {t!r}"
                 )
     except StepSizeUnderflow as exc:
-        den_end = den(t, y) * dsign
+        den_end = den(t, y[0]) * dsign
         if den_end < _FOLD_FACTOR * floor:
             raise DenominatorVanished(
                 f"graph integration stalled at a fold: signed denominator "
-                f"{float(den_end)!r} at independent variable {float(t)!r}"
+                f"{den_end!r} at independent variable {t!r}"
             ) from exc
         raise Inconclusive(f"graph integration failed: {exc}") from exc
 

@@ -38,8 +38,10 @@ from .errors import (
     PreconditionError,
     RegimeViolation,
 )
+from .flux import g_inverse
 from .integrate import (
     BACKWARD,
+    CONVERGED,
     FORWARD,
     ArrayField,
     Controls,
@@ -50,7 +52,7 @@ from .integrate import (
     merge_trajectories,
     sample_list,
 )
-from .phase import ModelParams
+from .phase import ModelParams, equilibrium_points
 from .shooting import REGIME_BACKWARD, shooting_regime
 
 if TYPE_CHECKING:
@@ -101,6 +103,7 @@ class WaveProfile:
     endpoint_slopes: dict | None = None  # see endpoint_slopes()
     anchors: dict | None = None  # normalization actually applied
     end_limits: dict | None = None  # measured u, S at finite edges
+    end_events: tuple | None = None  # the orbit's events at (s[0] end, s[-1] end)
 
 
 def reconstruct(
@@ -160,6 +163,7 @@ def reconstruct(
         S_type=S_type,
         anchors={"s0": float(s0), "S0": float(S0), "u0": float(w_at * S0)},
         end_limits=end_limits or None,
+        end_events=traj.end_events(),
     )
 
 
@@ -280,34 +284,65 @@ def graph_trajectory(
     return merge_trajectories(pieces)
 
 
-def _label_matches(label: str, f: list[float], s_minus, s_plus) -> bool | None:
-    """Does the sampled data support the label?  None = cannot assess."""
+def _label_matches(label: str, f: list[float], s_minus, s_plus, rates: list) -> bool | None:
+    """Does the sampled data support the label?  None = cannot assess.
+
+    `rates` are f's outward limit log-rates at the (s[0], s[-1]) ends, or
+    None where unknown.  An end with a known rate vanishes or grows by its
+    sign; any other end by its last sample.
+    """
     fin_m = s_minus is not None and math.isfinite(s_minus)
     fin_p = s_plus is not None and math.isfinite(s_plus)
     f_max = max(f)
 
-    def vanished(val: float) -> bool:
-        return val <= _VANISH_FRACTION * f_max
+    def vanished(i: int) -> bool:
+        if rates[i] is not None:
+            return rates[i] < 0.0
+        return f[i] <= _VANISH_FRACTION * f_max
+
+    def grows(i: int) -> bool:
+        if rates[i] is not None:
+            return rates[i] > 0.0
+        return f[i] >= 0.5 * f_max and f[i] > f[-1 - i]
 
     if label == TYPE_A1:
         if s_minus is None or s_plus is None:
             return None
-        return bool(fin_m and fin_p and vanished(f[0]) and vanished(f[-1]))
+        return bool(fin_m and fin_p and vanished(0) and vanished(-1))
     if label == TYPE_A2:
         if s_minus is None or s_plus is None:
             return None
-        return bool(fin_m and s_plus == math.inf and vanished(f[-1]))
+        return bool(fin_m and s_plus == math.inf and vanished(-1))
     if label == TYPE_A3:
         if s_minus is None:
             return None
         far_ok = s_plus is None or s_plus == math.inf
-        return bool(fin_m and far_ok and f[-1] >= 0.5 * f_max and f[-1] > f[0])
+        return bool(fin_m and far_ok and grows(-1))
     if label == TYPE_A4:
         if s_plus is None:
             return None
         far_ok = s_minus is None or s_minus == -math.inf
-        return bool(fin_p and far_ok and f[0] >= 0.5 * f_max and f[0] > f[-1])
+        return bool(fin_p and far_ok and grows(0))
     return None
+
+
+def _limit_rates(profile: WaveProfile, p: ModelParams) -> tuple[list, list]:
+    """Outward limit log-rates of (u, S) at the (s[0], s[-1]) ends.
+
+    An end CONVERGED on an axis equilibrium (0, v_e) has S'/S -> v_e and
+    u'/u -> g(a*v_e - sigma), since w'/w = g(a*v - sigma) - v; there the
+    tail's fate is that rate's sign, wherever the dwell stop cut the orbit.
+    Other ends get None.
+    """
+    u_rates, S_rates = [None, None], [None, None]
+    for i, (ev, outward) in enumerate(zip(profile.end_events or (None, None), (-1.0, 1.0))):
+        if ev is None or ev.kind != CONVERGED:
+            continue
+        w_e, v_e = equilibrium_points(p)[ev.equilibrium_index]
+        if w_e == 0.0:
+            u_rates[i] = outward * g_inverse(p.limiter, p.a * v_e - p.sigma)
+            S_rates[i] = outward * v_e
+    return u_rates, S_rates
 
 
 def predicted_types(
@@ -366,7 +401,9 @@ def classify_profile(
     is then checked against the measured endpoint limits, and a
     contradiction downgrades that component to Unclassified (flagged,
     never raised).  Ends truncated before any edge was reached cannot
-    contradict a label and leave it standing.
+    contradict a label and leave it standing.  An end that converged on an
+    axis equilibrium is judged by the sign of its limit rate (see
+    `_limit_rates`), not by the last sample before the dwell stop.
     """
     if profile.anchors is None:
         raise ValueError("profile carries no anchors; reconstruct it first")
@@ -375,8 +412,9 @@ def classify_profile(
     s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
     labels = predicted_types(p, _interp(s0, s, v), w0, w0_star, rel_tol=rel_tol)
 
-    u_ok = _label_matches(labels[0], u, profile.s_minus, profile.s_plus)
-    s_ok = _label_matches(labels[1], S, profile.s_minus, profile.s_plus)
+    u_rates, S_rates = _limit_rates(profile, p)
+    u_ok = _label_matches(labels[0], u, profile.s_minus, profile.s_plus, u_rates)
+    s_ok = _label_matches(labels[1], S, profile.s_minus, profile.s_plus, S_rates)
     return (
         labels[0] if u_ok is not False else TYPE_UNCLASSIFIED,
         labels[1] if s_ok is not False else TYPE_UNCLASSIFIED,

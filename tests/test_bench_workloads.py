@@ -2,7 +2,8 @@
 
 bench/worker.py is imported as it is, and only its workload classes are
 used: each op of round 0 must pass the check the benchmark applies to it,
-and the threshold solves of round 0 must stay within a classifier budget.
+the threshold solves of round 0 must stay within a classifier budget, and
+the profile ops of round 0 must take the pinned number of steps.
 """
 
 from __future__ import annotations
@@ -60,3 +61,44 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
     assert statistics.median(calls) == 2
     assert max(calls) <= 20
     assert methods == ["Both"] * 16
+
+
+# Per op of profiles round 0 (seed 0): accepted steps and right-hand-side
+# evaluations of every march the op runs, orbits and graph legs together.
+# The evaluations are those the steps make, rejected steps included; event
+# location and each march's start are not counted.
+PROFILES_ROUND_0_WORK = [
+    (1104, 6840),
+    (1314, 8214),
+    (1134, 6816),
+    (1277, 8022),
+    (1261, 7584),
+    (1218, 7314),
+    (1261, 7902),
+    (1233, 7422),
+]
+
+
+def test_profiles_work_is_pinned(worker, monkeypatch):
+    # Work, not wall time: a change that makes the same answers cost more
+    # steps or evaluations shows here.
+    integrate = importlib.import_module("kswave.integrate")
+    march = integrate._march
+    work = []
+
+    def counted(step, f, *args, **kwargs):
+        def field(*x):
+            work[-1][1] += 1
+            return f(*x)
+
+        for item in march(step, field, *args, **kwargs):
+            work[-1][0] += 1
+            yield item
+
+    wl = worker.WORKLOADS["profiles"](0)
+    wl.prepare()
+    monkeypatch.setattr(integrate, "_march", counted)
+    for op in wl.round(0):
+        work.append([0, 0])
+        wl.run(op)
+    assert [tuple(w) for w in work] == PROFILES_ROUND_0_WORK

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import math
 import struct
@@ -413,7 +414,7 @@ class TestGraphForm:
         def forbidden(*args, **kwargs):
             raise AssertionError("graph leg stepped toward a non-finite target")
 
-        monkeypatch.setattr(INTEGRATE, "_rk_step", forbidden)
+        monkeypatch.setattr(INTEGRATE, "_graph_step", forbidden)
         with pytest.raises(DomainError, match="v_target"):
             trace()
 
@@ -444,18 +445,41 @@ def test_end_events_orientation():
 INTEGRATE = importlib.import_module("kswave.integrate")
 
 
-def generic_step(f, y, k1, h):
-    """The generic DP54 tableau loop on the orbit slopes (f(w, v), v): the
-    reference the unrolled stepper must match."""
-    y5, k, err = INTEGRATE._rk_step(lambda t, y: f(y[0], y[1]) + (y[1],), 0.0, y, k1, h)
-    return y5, k[6], err
-
-
 def nonzero(row):
     return [(j, a) for j, a in enumerate(row) if a != 0.0]
 
 
-def generic_dop853_step(f, y, k1, h):
+def generic_rk_step(f, t, y, k1, h):
+    """One DP54 step of size h from (t, y) with cached k1 = f(t, y), for any
+    f(t, y) -> slopes, as a generic tableau loop: the reference the unrolled
+    steps must match.  Returns the 5th-order result, the seven stage slopes
+    (the last is f at the result, FSAL) and the embedded error estimate per
+    component.  Each sum runs left to right over the nonzero coefficients,
+    each error sum from 0.0."""
+    k = [k1]
+    for i in range(1, 7):
+        yi = []
+        for c, u in enumerate(y):
+            for j, a in nonzero(INTEGRATE._A[i]):
+                u += (h * a) * k[j][c]
+            yi.append(u)
+        k.append(f(t + INTEGRATE._C[i] * h, yi))
+    err = []
+    for c in range(len(y)):
+        acc = 0.0
+        for j, e in nonzero(INTEGRATE._E):
+            acc += e * k[j][c]
+        err.append(h * acc)
+    return tuple(yi), k, tuple(err)
+
+
+def generic_step(f, t, y, k1, h):
+    """The generic DP54 tableau loop on the orbit slopes (f(w, v), v)."""
+    y5, k, err = generic_rk_step(lambda t, y: f(y[0], y[1]) + (y[1],), t, y, k1, h)
+    return y5, k[6], err
+
+
+def generic_dop853_step(f, t, y, k1, h):
     """The generic DOP853 tableau loop on the orbit slopes (f(w, v), v).
 
     Row i of the tableau makes stage i + 1 and the last row the result; each
@@ -508,7 +532,7 @@ def step_outcome(stepper, f, y, h):
     """Bit patterns of (y1, k_new, error estimates), or the name of the error raised."""
     k1 = f(y[0], y[1]) + (y[1],)
     try:
-        out = flat(stepper(f, y, k1, h))
+        out = flat(stepper(f, 0.0, y, k1, h))
     except DomainError:
         return "DomainError"
     return struct.pack(f"<{len(out)}d", *out)
@@ -568,9 +592,9 @@ def test_stepper_domain_error_propagates():
     h = math.copysign(1.0, k1[1])
     for unrolled, generic in STEPPERS.values():
         with pytest.raises(DomainError):
-            generic(f, (1.0, v, 0.0), k1, h)
+            generic(f, 0.0, (1.0, v, 0.0), k1, h)
         with pytest.raises(DomainError):
-            unrolled(f, (1.0, v, 0.0), k1, h)
+            unrolled(f, 0.0, (1.0, v, 0.0), k1, h)
 
 
 def test_unknown_pair_rejected():
@@ -591,6 +615,164 @@ def test_dop853_constants_match_scipy():
     # the stage nodes are the row sums, to rounding
     for i, row in enumerate(A8[1:], start=1):
         assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
+# graph legs: the unrolled step against the generic loop, on Python floats
+# --------------------------------------------------------------------------
+
+GRAPH_LEGS = {
+    # (params, v_anchor, W_anchor, v_target); v_target None: the upper flux
+    # boundary, so the leg runs in the boundary coordinate q
+    "plain-W": (lp(0.5, 0.3), 0.0, 0.3, 0.5),
+    "plain-Y": (lp(1.0, 0.5), 0.5, 3.0, -1.5),
+    "boundary-q-Y": (STEP_PARAMS[RELATIVISTIC], 0.3, 5.0, None),
+    # slope domain (-0.25, 0.75), inside (-v_star, v_star): a below-branch leg
+    "boundary-q-W": (
+        ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=0.6, p=2.5)), 0.2, 0.05, None
+    ),
+}
+
+
+class _FieldCaught(Exception):
+    pass
+
+
+@functools.lru_cache(maxsize=None)
+def graph_leg_field(name):
+    """(f, t0, t1, y0) of a graph leg: the field f(t, x) its march steps on,
+    caught at the march's call, with the leg's ends and starting state."""
+    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
+    if v_target is None:
+        v_target = p.slope_domain[1]
+    caught = {}
+
+    def catch(step, f, t, y, k1, t_end, *args):
+        caught.update(f=f, t0=t, t1=t_end, y0=y)
+        raise _FieldCaught
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(INTEGRATE, "_march", catch)
+        with pytest.raises(_FieldCaught):
+            integrate_graph_W(p, v_anchor, W_anchor, v_target)
+    return caught["f"], caught["t0"], caught["t1"], caught["y0"]
+
+
+def graph_step_outcome(step, f, t, y, k1, h):
+    """Bit patterns of (y1, stage slopes, error estimate), or the error raised."""
+    try:
+        out = flat(tuple(map(tuple, step(f, t, y, k1, h))))
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    return struct.pack(f"<{len(out)}d", *out)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2), database=None)
+@given(
+    name=st.sampled_from(sorted(GRAPH_LEGS)),
+    t_frac=st.floats(0.0, 1.0, exclude_max=True),
+    h_frac=st.floats(1e-9, 1.0),
+    x_scale=st.floats(0.5, 2.0),
+    s=st.floats(-1e3, 1e3),
+    ii=st.floats(-1e3, 1e3),
+)
+def test_graph_step_bit_equal_to_reference(name, t_frac, h_frac, x_scale, s, ii):
+    f, t0, t1, y0 = graph_leg_field(name)
+    # a step from t toward the leg's end, never past it, as the march steps
+    t = t0 + t_frac * (t1 - t0)
+    h = h_frac * (t1 - t)
+    assume(h != 0.0)
+    y = (x_scale * y0[0], s, ii)
+    try:
+        k1 = f(t, y[0])
+    except (DomainError, ZeroDivisionError):
+        assume(False)
+    unrolled = graph_step_outcome(INTEGRATE._graph_step, f, t, y, (k1,), h)
+
+    def generic(f, t, y, k1, h):
+        return generic_rk_step(lambda t, y: f(t, y[0]), t, y, k1[0], h)
+
+    assert unrolled == graph_step_outcome(generic, f, t, y, (k1,), h)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_LEGS))
+@pytest.mark.parametrize("box", [float, np.float64], ids=["float", "numpy"])
+def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
+    # numpy scalars give the same numbers several times slower: the
+    # independent variable and the state must stay Python floats, also when
+    # the anchor comes in as a numpy scalar or the leg runs in q
+    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
+    if v_target is None:
+        v_target = p.slope_domain[1]
+    march, seen = INTEGRATE._march, []
+
+    def spy(*args, **kwargs):
+        for item in march(*args, **kwargs):
+            t, y, _, h, t1, y1, _ = item
+            seen.extend((t, h, t1, *y, *y1))
+            yield item
+
+    monkeypatch.setattr(INTEGRATE, "_march", spy)
+    integrate_graph_W(p, box(v_anchor), box(W_anchor), box(v_target))
+    assert seen
+    assert {type(x) for x in seen} == {float}
+
+
+# Launches on or beyond a termination level, or inside an equilibrium ball:
+# the orbit loop skips the level scan and the ball test while no step can
+# trigger them.  (params, w0, v0, controls) -> per direction the termination
+# kind, its s and the sample count, or the error raised.
+EDGE_CTR = Controls(v_max=50.0, s_max=20.0)
+_REL = STEP_PARAMS[RELATIVISTIC]
+_EPS_V = 1e-9 * _REL.limiter.c / _REL.a  # its flux-boundary standoff
+EDGE_LAUNCHES = {
+    "v0=+v_max": ((lp(1.0, 0.5), 1.0, 50.0, EDGE_CTR),
+                  (BOUNDED, 20.0, 438), "StepSizeUnderflow"),
+    "v0=-v_max": ((lp(1.0, 0.5), 1.0, -50.0, EDGE_CTR),
+                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.8403606709535145, 341)),
+    "v0>v_max": ((lp(1.0, 0.5), 1.0, 60.0, EDGE_CTR),
+                 (BOUNDED, 20.0, 445), "StepSizeUnderflow"),
+    "v0<-v_max": ((lp(1.0, 0.5), 1.0, -60.0, EDGE_CTR),
+                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.841277572603472, 347)),
+    "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
+                 (CONVERGED, 14.967137357542496, 245), (V_BLOW_UP_PLUS, -0.5493051443235654, 515)),
+    "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
+                      (FLUX_BOUNDARY_LOW, 0.5441315170488051, 251),
+                      (FLUX_BOUNDARY_HIGH, -1.169432443405468e-10, 25)),
+    "standoff-low": ((_REL, 5.0, _REL.slope_domain[0] + 0.5 * _EPS_V, Controls(s_max=20.0)),
+                     (FLUX_BOUNDARY_LOW, 1.3360810257371342e-10, 24),
+                     (FLUX_BOUNDARY_HIGH, -0.4877863641474458, 247)),
+    "on-standoff-level": ((_REL, 5.0, _REL.slope_domain[1] - _EPS_V, Controls(s_max=20.0)),
+                          (FLUX_BOUNDARY_LOW, 0.5441353799041752, 249),
+                          (FLUX_BOUNDARY_HIGH, -2.3388291612035207e-10, 21)),
+    "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
+                   (CONVERGED, 5.010471181691292, 63), (V_BLOW_UP_PLUS, -12.31764482840174, 694)),
+    # launched on v_max, the forward orbit rises off it, which triggers
+    # nothing; the backward one falls off it and spirals out until it
+    # crosses v_max upward
+    "on-v_max": ((lp(2.0, 0.5), 0.3, 0.7, Controls(v_max=0.7, s_max=60.0)),
+                 (CONVERGED, 46.58400591367398, 219), (V_BLOW_UP_PLUS, -4.181590687597574, 140)),
+    # the backward orbit leaves v > v_max downward, which triggers nothing,
+    # and spirals out until it crosses v_max upward
+    "re-entry": ((lp(2.0, 0.5), 0.3, 0.76, Controls(v_max=0.7, s_max=60.0)),
+                 (CONVERGED, 48.15878038949426, 215), (V_BLOW_UP_PLUS, -4.512574722919457, 135)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LAUNCHES))
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_edge_launch_terminations(name, direction):
+    (p, w0, v0, ctr), *want = EDGE_LAUNCHES[name]
+    want = want[0] if direction == FORWARD else want[1]
+    if isinstance(want, str):
+        with pytest.raises(getattr(importlib.import_module("kswave.errors"), want)):
+            integrate(p, w0, v0, direction=direction, controls=ctr)
+        return
+    kind, s_end, n = want
+    traj = integrate(p, w0, v0, direction=direction, controls=ctr)
+    assert traj.termination.kind == kind
+    assert traj.termination.s == pytest.approx(s_end, rel=1e-12, abs=1e-20)
+    assert len(traj.s) == n
 
 
 # --------------------------------------------------------------------------

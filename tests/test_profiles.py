@@ -56,6 +56,7 @@ def lp(a, sigma, **kw):
 P_C = lp(1.0, 0.5)  # two-equilibria regime, fast-launch tail grows
 P_B = lp(0.5, 1.0)  # fast-launch tail decays (a*v_star < sigma)
 P_A = lp(0.5, 0.3)  # three equilibria; slow launches admissible
+P_B_SLOW = lp(0.6, 0.7)  # case B; the fast-launch tail decays slowly
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,11 @@ def thr_c():
 @pytest.fixture(scope="module")
 def thr_b():
     return find_w0_star(P_B, 2.0)
+
+
+@pytest.fixture(scope="module")
+def thr_b_slow():
+    return find_w0_star(P_B_SLOW, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +234,29 @@ class TestClassifyProfile:
         # a*v_star - sigma = -0.5 < 0: u decays while S still grows.
         prof = self._profile(P_B, 0.5 * thr_b.w0_star, 2.0)
         assert classify_profile(prof, P_B, thr_b.w0_star) == (TYPE_A2, TYPE_A3)
+
+    @pytest.mark.parametrize("m, want", [
+        (0.3, (TYPE_A2, TYPE_A3)),
+        (0.6, (TYPE_A2, TYPE_A3)),
+        (0.9, (TYPE_A2, TYPE_A3)),
+        (1.5, (TYPE_A1, TYPE_A1)),
+        (3.0, (TYPE_A1, TYPE_A1)),
+    ])
+    def test_slow_decay_judged_by_its_limit_rate(self, thr_b_slow, m, want):
+        # rate a*v_star - sigma = -0.1: at m = 0.3 the dwell stop cuts the
+        # decaying tail while u is still 8 % of its maximum, above the 5 %
+        # vanish line; the end converged on (0, v_star), where u'/u -> -0.1
+        w0_star = thr_b_slow.w0_star
+        prof = self._profile(P_B_SLOW, m * w0_star, 2.0)
+        assert classify_profile(prof, P_B_SLOW, w0_star) == want
+
+    def test_limit_rate_can_contradict_a_label(self, thr_c):
+        # Claim the sub-critical orbit is critical: predicted (A2, A2), but
+        # its end converged on (0, v_star), where u and S both grow.
+        w0 = 0.5 * thr_c.w0_star
+        prof = self._profile(P_C, w0, 2.0)
+        assert prof.end_events[1].kind == CONVERGED
+        assert classify_profile(prof, P_C, w0) == (TYPE_UNCLASSIFIED, TYPE_UNCLASSIFIED)
 
     def test_interior_saddle_sub_critical(self):
         # a = 0.5, sigma = 0.3: rate = 0.2 > 0, three-equilibria regime.
