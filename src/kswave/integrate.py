@@ -9,7 +9,10 @@ later as S = S0 * exp(I - I0).  The caller picks the pair: the 5(4) pair
 DP54 for orbits whose samples are read (profiles, portraits, the critical
 orbit), the 8(5,3) pair DOP853 for the shooting's decision orbits, which
 are read only at their deciding event and take about a sixth of DP54's
-steps at the default tolerance.
+steps at the default tolerance.  Past |v| = 10 * max(v_star, |v0|) a
+linear-limiter orbit can only blow up, and `_blow_up_tail` marches the
+rest in tau = ln|v| up to ln v_max, in about 5 steps per decade of v
+where DP54 in s takes about 88.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -60,6 +63,8 @@ W_VANISHED = "WVanished"
 MAX_SPAN = "MaxSpan"
 BOUNDED = "Bounded"
 GRAPH_END = "GraphEnd"
+# not a termination: the level at which an orbit's blow-up tail starts
+_TAIL = "BlowUpTail"
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -517,7 +522,8 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> 
     sc = tuple(ctr.atol + ctr.rtol * abs(c) for c in y)
     d0 = math.sqrt(sum((y[c] / sc[c]) ** 2 for c in range(n)) / n)
     d1 = math.sqrt(sum((k1[c] / sc[c]) ** 2 for c in range(n)) / n)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    # a NaN norm (a component at -inf: ln w on the invariant axis w = 0) takes 1e-6
+    h0 = 0.01 * d0 / d1 if (d0 >= 1e-5 and d1 >= 1e-5) else 1e-6
     h0 = min(h0, ctr.h_max, span)
     f1 = None
     for _ in range(80):
@@ -667,6 +673,12 @@ def integrate(
         level_event(0, ctr.w_min, -1, W_VANISHED)
     level_event(1, ctr.v_max, +1, V_BLOW_UP_PLUS)
     level_event(1, -ctr.v_max, -1, V_BLOW_UP_MINUS)
+    # Past |v| = v_sw, v' < 0 and v runs outward monotonically to blow-up
+    # (-inf forward, +inf backward) with no equilibrium in the way, so the
+    # rest of the orbit is marched in tau = ln|v| (see `_blow_up_tail`).
+    v_sw = 10.0 * max(p.v_star, abs(v0))
+    if not p.limiter.saturated and 0.0 < v_sw < ctr.v_max:
+        level_event(1, -sgn * v_sw, -int(sgn), _TAIL)
 
     # While the state stays strictly between the nearest levels around the
     # launch state, no level lies between two successive states, so no step
@@ -708,10 +720,10 @@ def integrate(
     dwell_idx = eq_ball(w0, v0)
     dwell_s = s
 
+    s_end = s0 + sgn * ctr.s_max
     h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, order)
     march = _march(
-        stepper, f, s, y, k1, s0 + sgn * ctr.s_max, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol),
-        ctr.rtol, ctr, order,
+        stepper, f, s, y, k1, s_end, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr, order
     )
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
@@ -723,7 +735,8 @@ def integrate(
                 e_new = [ev.fn(s, w, v) for ev in events]
                 for ev, e_old, e in zip(events, e_prev, e_new):
                     if _crossed(e_old, e, ev.direction):
-                        theta = _locate_event(stepper, f, y_old, k1_old, h, s_old, ev, e)
+                        at = _orbit_at(stepper, f, s_old, y_old, k1_old, h)
+                        theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, e)
                         if best is None or theta < best[0]:
                             best = (theta, ev)
                 e_prev = e_new
@@ -732,7 +745,8 @@ def integrate(
                 for c, level, d, ev in levels:
                     x_old, x = y_old[c], y[c]
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                        theta = _locate_event(stepper, f, y_old, k1_old, h, s_old, ev, x - level)
+                        at = _orbit_at(stepper, f, s_old, y_old, k1_old, h)
+                        theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, x - level)
                         if best is None or theta < best[0]:
                             best = (theta, ev)
             if best is not None:
@@ -743,7 +757,15 @@ def integrate(
                     y_ev = stepper(f, s_old, y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
                 ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
-                term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
+                if ev.kind == _TAIL:
+                    # the extra events, the w_min level if there is one, and the span
+                    ends = list(extra_events) + [ev for c, _, _, ev in levels if c == 0]
+                    ends.append(EventSpec(
+                        fn=lambda s, w, v: s - s_end, kind=MAX_SPAN, direction=int(sgn)
+                    ))
+                    term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, (ss, ws, vs, iis))
+                else:
+                    term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
                 break
 
             ss.append(s), ws.append(w), vs.append(v), iis.append(y[2])
@@ -788,27 +810,108 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     return None
 
 
-def _locate_event(stepper, f, y, k1, h_signed, s_base, ev: EventSpec, e_end: float) -> float:
-    """Fraction theta in (0, 1] at which ev.fn crosses zero along the step.
+def _orbit_at(stepper, f, s, y, k1, h_signed):
+    """The state (s, w, v) a partial orbit step of theta * h_signed from (s, y) reaches."""
 
-    `stepper` is the step's pair on the field f; the state at theta is its
-    partial step of size theta * h_signed from y.
+    def at(theta: float) -> tuple[float, float, float]:
+        yt = stepper(f, s, y, k1, h_signed * theta)[0]
+        return s + h_signed * theta, yt[0], yt[1]
+
+    return at
+
+
+def _locate_event(at, start, fn, e_end: float) -> float:
+    """Fraction theta in (0, 1] at which fn(s, w, v) crosses zero along a step.
+
+    `start` is the state (s, w, v) at the step's start, `at(theta)` the one
+    a partial step of theta times the step's size reaches, and e_end the
+    value of fn at the step's end.
     """
     if e_end == 0.0:
         return 1.0
 
     def phi(theta: float) -> float:
         if theta <= 0.0:
-            return ev.fn(s_base, y[0], y[1])
+            return fn(*start)
         if theta >= 1.0:
             return e_end
         try:
-            yt = stepper(f, s_base, y, k1, h_signed * theta)[0]
+            state = at(theta)
         except DomainError:
             return e_end
-        return ev.fn(s_base + h_signed * theta, yt[0], yt[1])
+        return fn(*state)
 
     return brentq(phi, 0.0, 1.0, xtol=1e-15)
+
+
+def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> TerminationEvent:
+    """March an orbit from (s, y) = (s, (w, v, I)), past the switch level, to blow-up.
+
+    There |v| > v_star, so v' = F = (lam - gamma*v^2 - w)/gamma < 0 and v
+    runs monotonically outward.  The tail is marched in tau = ln|v|, from
+    ln|v| to ln v_max, with state (ln w, r, I), r = s - 1/v: its slopes
+    (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F depend on
+    (tau, ln w) alone, so it steps like a graph leg, with a graph leg's
+    tolerances, and h_max caps its step in tau.  r is carried in place of
+    s because s moves by 1/|v| per unit of tau while its error scale is
+    |s|; r moves by O(|v|^-3) and tends to the edge itself.  DP54 in s
+    needs about 88 steps per decade of v here, this about 5.  The samples
+    are appended to the four lists of `samples`.  `ends` are events on
+    (s, w, v), checked at each step's end and located along it, the
+    earliest winning and the first listed winning ties; none firing, the
+    tail ends V_BLOW_UP_* at |v| = v_max.
+    """
+    ss, ws, vs, iis = samples
+    g = make_g(p.limiter)
+    a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
+    w, v, ii = y
+    vsign = math.copysign(1.0, v)
+
+    def field(t, x):
+        vt = vsign * math.exp(t)
+        wt = math.exp(x)
+        F = lam - gamma * vt * vt - wt
+        ds = gamma * vt / F
+        return (g(a * vt - sigma) - vt) * ds, (lam - wt) / (vt * F), vt * ds
+
+    def state(t, y):
+        # the march lands on t_end exactly, where |v| is v_max itself
+        vt = vsign * (ctr.v_max if t == t_end else math.exp(t))
+        return y[1] + 1.0 / vt, math.exp(y[0]), vt
+
+    # w = 0 is invariant: ln w stays -inf, and its scaled error 0
+    t, y = math.log(abs(v)), (math.log(w) if w > 0.0 else -math.inf, s - 1.0 / v, ii)
+    t_end = math.log(ctr.v_max)
+    k1 = field(t, y[0])
+    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, 1.0, ctr, t_end - t)
+    march = _march(
+        _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
+    )
+    prev = (s, w, v)
+    e_prev = [ev.fn(*prev) for ev in ends]
+    for t_old, y_old, ks_old, h, t, y, _ in march:
+
+        def step_to(theta):
+            # the partial step from this step's start; called within the step only
+            return t_old + h * theta, _graph_step(field, t_old, y_old, ks_old, h * theta)[0]
+
+        now = state(t, y)
+        e_new = [ev.fn(*now) for ev in ends]
+        best = None
+        for ev, e_old, e in zip(ends, e_prev, e_new):
+            if _crossed(e_old, e, ev.direction):
+                theta = _locate_event(lambda th: state(*step_to(th)), prev, ev.fn, e)
+                if best is None or theta < best[0]:
+                    best = (theta, ev)
+        if best is not None and best[0] < 1.0:
+            t, y = step_to(best[0])
+            now = state(t, y)
+        ss.append(now[0]), ws.append(now[1]), vs.append(now[2]), iis.append(y[2])
+        if best is not None:
+            return TerminationEvent(kind=best[1].kind, s=now[0], w=now[1], v=now[2])
+        prev, e_prev = now, e_new
+    kind = V_BLOW_UP_PLUS if vsign > 0.0 else V_BLOW_UP_MINUS
+    return TerminationEvent(kind=kind, s=now[0], w=now[1], v=now[2])
 
 
 def _looks_bounded(ws: list, vs: list) -> bool:

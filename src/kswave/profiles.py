@@ -43,6 +43,8 @@ from .integrate import (
     BACKWARD,
     CONVERGED,
     FORWARD,
+    V_BLOW_UP_MINUS,
+    V_BLOW_UP_PLUS,
     ArrayField,
     Controls,
     Trajectory,
@@ -296,9 +298,7 @@ def _label_matches(label: str, f: list[float], s_minus, s_plus, rates: list) -> 
     f_max = max(f)
 
     def vanished(i: int) -> bool:
-        if rates[i] is not None:
-            return rates[i] < 0.0
-        return f[i] <= _VANISH_FRACTION * f_max
+        return _vanished(f, i, rates[i])
 
     def grows(i: int) -> bool:
         if rates[i] is not None:
@@ -324,6 +324,17 @@ def _label_matches(label: str, f: list[float], s_minus, s_plus, rates: list) -> 
         far_ok = s_minus is None or s_minus == -math.inf
         return bool(fin_p and far_ok and grows(0))
     return None
+
+
+def _vanished(f: list[float], i: int, rate: float | None) -> bool:
+    """Does f vanish at its end i (0: s[0], -1: s[-1])?
+
+    By the sign of the end's outward limit log-rate where it is known,
+    else by the last sample being under a fraction of f's maximum.
+    """
+    if rate is not None:
+        return rate < 0.0
+    return f[i] <= _VANISH_FRACTION * max(f)
 
 
 def _limit_rates(profile: WaveProfile, p: ModelParams) -> tuple[list, list]:
@@ -429,10 +440,15 @@ def endpoint_slopes(
 ) -> dict:
     """Categorize the one-sided slopes of u at the finite profile edges.
 
-    The exponent rho in u ~ (distance to edge)^rho is the least-squares
-    slope of log u against log distance over the last sampled decade of
-    approach to each edge
-    (raising InsufficientResolution below ``min_samples`` points there):
+    The exponent rho in u ~ (distance to edge)^rho is a limit, rho =
+    lim (u'/u) * (s - edge), with u'/u = g(a*v - sigma).  At an edge where
+    the slope blows up (its end event, in `profile.end_events`, is
+    V_BLOW_UP_*) it is read at that event, where the orbit stopped at
+    |v| = v_max: for the linear limiter it is a/mu -/+ sigma/(mu*v_max)
+    at s_minus and s_plus.  At any other finite edge (a flux boundary, or
+    a profile that carries no end events) rho is the least-squares slope
+    of log u against log distance over the last sampled decade of approach
+    (raising InsufficientResolution below ``min_samples`` points there).
     rho < 1 - band means the slope diverges, |rho - 1| <= band a finite
     nonzero slope, rho > 1 + band a tangential contact.  Intended for
     compact-support (type A1) profiles, whose edges are both finite.
@@ -446,11 +462,27 @@ def endpoint_slopes(
                 f"endpoint slopes need finite profile edges; {name} = {edge!r}"
             )
 
-    def fit_rho(d0: float, lo: int, hi: int, edge: float) -> float:
-        # d0: the nearest sample's distance to the edge; s[lo:hi]: the samples
-        # within 10 * d0 of it
+    ends = profile.end_events or (None, None)
+
+    def rho_at(i: int, edge: float) -> float:
+        # i: 0 at s_minus, -1 at s_plus
+        ev = ends[i]
+        if ev is not None and ev.kind in (V_BLOW_UP_MINUS, V_BLOW_UP_PLUS):
+            # u'/u = g(a*v - sigma), and the edge is s - 1/v: s - edge is 1/v,
+            # read without the cancellation of subtracting the two.  Both
+            # factors change sign between the edges, so the product is the
+            # outward exponent at either one.
+            return g_inverse(p.limiter, p.a * ev.v - p.sigma) / ev.v
+        # d0: the nearest sample's distance to the edge.  s ascends, so the
+        # distance grows away from the edge and the samples within 10 * d0
+        # of it are a run s[lo:hi] at that end.
+        d0 = s[0] - edge if i == 0 else edge - s[-1]
         if d0 <= 0.0:
             raise InsufficientResolution("edge distance not positive; edge mislocated")
+        if i == 0:
+            lo, hi = 0, bisect.bisect_right(s, 10.0 * d0, key=lambda x: x - edge)
+        else:
+            lo, hi = bisect.bisect_left(s, -10.0 * d0, key=lambda x: x - edge), len(s)
         if hi - lo < min_samples:
             raise InsufficientResolution(
                 f"only {hi - lo} samples in the last decade of edge approach "
@@ -459,12 +491,7 @@ def endpoint_slopes(
         log_d = [math.log(abs(x - edge)) for x in s[lo:hi]]
         return _ls_slope(log_d, list(map(math.log, u[lo:hi])))
 
-    # s ascends, so the distance to an edge grows away from it and the
-    # samples within 10 times the nearest distance are a run at that end
-    s_m, s_p = profile.s_minus, profile.s_plus
-    d_m, d_p = s[0] - s_m, s_p - s[-1]
-    rho_m = fit_rho(d_m, 0, bisect.bisect_right(s, 10.0 * d_m, key=lambda x: x - s_m), s_m)
-    rho_p = fit_rho(d_p, bisect.bisect_left(s, -10.0 * d_p, key=lambda x: x - s_p), len(s), s_p)
+    rho_m, rho_p = rho_at(0, profile.s_minus), rho_at(-1, profile.s_plus)
 
     def categorize(rho: float, rising: bool) -> str:
         if rho < 1.0 - band:
@@ -515,14 +542,16 @@ def farfield_coefficients(
 def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
     """Far-field coefficients beyond the sampled tail, per infinite end.
 
-    Only an infinite end where the density has vanished admits the
+    Only an infinite end where the density vanishes admits the
     zero-density continuation (see farfield_coefficients); past a finite
     sharp edge the signal continues as identically zero (a slope jump,
-    not a smooth solution), so no coefficients are reported there.
+    not a smooth solution), so no coefficients are reported there.  An end
+    that converged on an axis equilibrium vanishes by the sign of its
+    limit rate (see `_limit_rates`), as in classify_profile.
     """
     out = {"at_s_minus": None, "at_s_plus": None}
     s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
-    u_max = max(u)
+    u_rates = _limit_rates(profile, p)[0]
     ends = (
         ("at_s_minus", profile.s_minus, 0),
         ("at_s_plus", profile.s_plus, -1),
@@ -530,7 +559,7 @@ def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
     for key, edge, idx in ends:
         if edge is None or math.isfinite(edge):
             continue
-        if u[idx] <= _VANISH_FRACTION * u_max:
+        if _vanished(u, idx, u_rates[idx]):
             out[key] = farfield_coefficients(p, S[idx], S[idx] * v[idx], s[idx])
     return out
 

@@ -258,10 +258,10 @@ def test_a5_profile_taxonomy_clauses(taxonomy):
 def test_a6_soliton_endpoint_slopes(taxonomy):
     """Compact-bump edge steepness sorts by the sensitivity exponent.
 
-    Log-log regression near the edges categorizes the density slopes as
-    vertical (a<1), finite (a=1), or tangential (a>1); the signal slope
-    is positive at the left edge and negative at the right edge in all
-    three cases.
+    The edge exponent rho = lim (u'/u) * (s - edge), read at each edge's
+    blow-up end event, categorizes the density slopes as vertical (a<1),
+    finite (a=1), or tangential (a>1); the signal slope is positive at
+    the left edge and negative at the right edge in all three cases.
     """
     want = {
         0.5: (SLOPE_PLUS_INF, SLOPE_MINUS_INF),

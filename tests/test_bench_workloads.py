@@ -64,19 +64,21 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
 
 
 # Per op of profiles round 0 (seed 0): accepted steps and right-hand-side
-# evaluations of every march the op runs, orbits and graph legs together.
-# The evaluations are those the steps make, rejected steps included; event
-# location and each march's start are not counted.
+# evaluations of every march the op runs, orbits, blow-up tails and graph
+# legs together.  The evaluations are those the steps make, rejected steps
+# included; event location and each march's start are not counted.
 PROFILES_ROUND_0_WORK = [
-    (1104, 6840),
-    (1314, 8214),
-    (1134, 6816),
-    (1277, 8022),
-    (1261, 7584),
-    (1218, 7314),
-    (1261, 7902),
-    (1233, 7422),
+    (333, 2214),
+    (899, 5724),
+    (338, 2040),
+    (876, 5616),
+    (430, 2598),
+    (832, 4998),
+    (467, 3138),
+    (836, 5040),
 ]
+# Round 0's accepted steps while blow-up ends were marched in s up to v_max.
+PROFILES_ROUND_0_STEPS_IN_S = 9802
 
 
 def test_profiles_work_is_pinned(worker, monkeypatch):
@@ -102,3 +104,5 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
         work.append([0, 0])
         wl.run(op)
     assert [tuple(w) for w in work] == PROFILES_ROUND_0_WORK
+    # marching blow-up tails in ln|v| saves at least a third of the steps
+    assert sum(steps for steps, _ in work) <= 2 * PROFILES_ROUND_0_STEPS_IN_S / 3

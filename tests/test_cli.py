@@ -235,6 +235,38 @@ class TestProfile:
         assert cont["kind"] == "exponential"
         assert abs(cont["growing"]) < 1e-6 * abs(cont["decaying"])
 
+    def test_slow_decay_end_is_vacuum(self, capsys, tmp_path):
+        # case B: the orbit stops at u_end / u_max = 0.08, but its CONVERGED
+        # end's limit rate says u vanishes there, so the far field continues
+        code, _, _ = run(
+            capsys,
+            "profile", "--a", "0.6", "--sigma", "0.7", "--w0", "0.5", "--v0", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        meta = read_json(tmp_path / "profile_meta.json")
+        assert meta["u_type"] == "A2"
+        cont = meta["continuation_coefficients"]
+        assert cont["at_s_minus"] is None
+        assert cont["at_s_plus"]["kind"] == "exponential"
+
+    @pytest.mark.parametrize(
+        "argv, u_type",
+        [
+            (("--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2"), "A1"),
+            (("--a", "0.5", "--sigma", "0.3", "--w0", "5", "--v0", "-2"), "A1"),
+            (("--a", "1", "--sigma", "0.5", "--w0", "1", "--v0", "2"), "A3"),
+            (("--a", "0.5", "--sigma", "0.3", "--w0", "0.2", "--v0", "-2"), "A4"),
+        ],
+    )
+    def test_no_vacuum_continuation_without_vanishing(self, capsys, tmp_path, argv, u_type):
+        # finite edges and growing tails admit no zero-density continuation
+        code, _, _ = run(capsys, "profile", *argv, "--out", str(tmp_path))
+        assert code == 0
+        meta = read_json(tmp_path / "profile_meta.json")
+        assert meta["u_type"] == u_type
+        assert meta["continuation_coefficients"] == {"at_s_minus": None, "at_s_plus": None}
+
     def test_saturated_front_mode(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

@@ -721,7 +721,8 @@ def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
 # Launches on or beyond a termination level, or inside an equilibrium ball:
 # the orbit loop skips the level scan and the ball test while no step can
 # trigger them.  (params, w0, v0, controls) -> per direction the termination
-# kind, its s and the sample count, or the error raised.
+# kind, its s and the sample count, or the error raised.  The two backward
+# default-v_max blow-ups end on a blow-up tail (marched in ln|v|).
 EDGE_CTR = Controls(v_max=50.0, s_max=20.0)
 _REL = STEP_PARAMS[RELATIVISTIC]
 _EPS_V = 1e-9 * _REL.limiter.c / _REL.a  # its flux-boundary standoff
@@ -735,7 +736,7 @@ EDGE_LAUNCHES = {
     "v0<-v_max": ((lp(1.0, 0.5), 1.0, -60.0, EDGE_CTR),
                   "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.841277572603472, 347)),
     "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
-                 (CONVERGED, 14.967137357542496, 245), (V_BLOW_UP_PLUS, -0.5493051443235654, 515)),
+                 (CONVERGED, 14.967137357542496, 245), (V_BLOW_UP_PLUS, -0.5493051443467937, 121)),
     "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
                       (FLUX_BOUNDARY_LOW, 0.5441315170488051, 251),
                       (FLUX_BOUNDARY_HIGH, -1.169432443405468e-10, 25)),
@@ -746,7 +747,7 @@ EDGE_LAUNCHES = {
                           (FLUX_BOUNDARY_LOW, 0.5441353799041752, 249),
                           (FLUX_BOUNDARY_HIGH, -2.3388291612035207e-10, 21)),
     "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
-                   (CONVERGED, 5.010471181691292, 63), (V_BLOW_UP_PLUS, -12.31764482840174, 694)),
+                   (CONVERGED, 5.010471181691292, 63), (V_BLOW_UP_PLUS, -12.317644828599633, 277)),
     # launched on v_max, the forward orbit rises off it, which triggers
     # nothing; the backward one falls off it and spirals out until it
     # crosses v_max upward
@@ -880,3 +881,84 @@ class TestNonFinite:
         monkeypatch.setattr(mod, "make_rhs", field_raising(None))
         with pytest.raises(StepSizeUnderflow):
             integrate(p, 1.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# blow-up tails: past |v| = 10 * max(v_star, |v0|) an orbit is marched in ln|v|
+# --------------------------------------------------------------------------
+
+# the four bench bases (a, sigma, v0) with their w0_star
+TAIL_BASES = [
+    (1.0, 0.5, 2.0, 2.897565419045996),
+    (0.5, 0.2, 1.8, 2.588111067298377),
+    (0.5, 0.2, -2.0, 1.3051282641965867),
+    (2.0, 1.5, 2.5, 4.382081492452661),
+]
+
+
+class TestBlowUpTail:
+    @pytest.mark.parametrize("base", TAIL_BASES)
+    @pytest.mark.parametrize("m", [0.3, 0.9, 1.1, 3.0])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_tail_only_appends(self, base, m, direction):
+        # every sample below the switch is the one a run that stops there takes
+        a, sigma, v0, w0_star = base
+        p, ctr = lp(a, sigma), Controls()
+        v_sw = 10.0 * max(p.v_star, abs(v0))
+        full = integrate(p, m * w0_star, v0, direction=direction, controls=ctr)
+        cut = integrate(
+            p, m * w0_star, v0, direction=direction, controls=dataclasses.replace(ctr, v_max=v_sw)
+        )
+        assert full.termination.kind == cut.termination.kind
+        below = [
+            [x for x, v in zip(sample_list(traj, name), sample_list(traj, "v")) if abs(v) <= v_sw]
+            for traj in (full, cut) for name in SAMPLES
+        ]
+        assert below[:4] == below[4:]
+        if full.termination.kind.startswith("VBlowUp"):
+            assert len(full.s) > len(below[0])
+            assert abs(full.termination.v) == ctr.v_max
+        else:
+            assert len(full.s) == len(below[0])
+
+    @pytest.mark.parametrize(
+        "limiter", [FluxLimiter(RELATIVISTIC, c=50.0), FluxLimiter(LARSON, c=50.0, p=2.5)]
+    )
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_saturated_orbit_takes_no_tail(self, monkeypatch, limiter, direction):
+        # the slope domain (-49.5, 50.5) reaches past |v| = 10 * max(v_star, |v0|)
+        def no_tail(*args, **kwargs):
+            raise AssertionError("a saturated-limiter orbit took a blow-up tail")
+
+        monkeypatch.setattr(INTEGRATE, "_blow_up_tail", no_tail)
+        p = ModelParams(a=1.0, sigma=0.5, limiter=limiter)
+        traj = integrate(p, 5.0, 0.5, direction=direction)
+        assert traj.termination.kind in (FLUX_BOUNDARY_LOW, FLUX_BOUNDARY_HIGH)
+        assert max(abs(v) for v in sample_list(traj, "v")) > 10.0 * max(p.v_star, 0.5)
+
+    # Terminations that fire past the switch level: (params, w0, v0, controls,
+    # extra events, direction) -> the kind and s of the run that marches the
+    # whole orbit in s, pinned before the tail existed.
+    PROBE = EventSpec(fn=lambda s, w, v: v + 100.0, kind="Probe", direction=-1)
+    IN_TAIL = {
+        "event": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0, Controls(), [PROBE], FORWARD),
+                  "Probe", 0.8696623826596132),
+        "w_min-forward": ((lp(4.0, 0.5), 1.0, 2.0, Controls(), [], FORWARD),
+                          W_VANISHED, 1.9926057282937528),
+        "w_min-backward": ((lp(4.0, 0.5), 1.0, 2.0, Controls(), [], BACKWARD),
+                           W_VANISHED, -0.5218946110065842),
+        "s_max": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0, Controls(s_max=0.8796), [],
+                   FORWARD), MAX_SPAN, 0.8796),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IN_TAIL))
+    def test_terminations_inside_the_tail(self, name):
+        (p, w0, v0, ctr, events, direction), kind, s_end = self.IN_TAIL[name]
+        traj = integrate(p, w0, v0, direction=direction, controls=ctr, extra_events=events)
+        term = traj.termination
+        assert abs(term.v) > 10.0 * max(p.v_star, abs(v0))  # past the switch
+        assert term.kind == kind
+        assert term.s == pytest.approx(s_end, rel=1e-9)
+        # the end event is the run's last sample
+        end = 0 if direction == BACKWARD else -1
+        assert (traj.s[end], traj.w[end], traj.v[end]) == (term.s, term.w, term.v)

@@ -345,16 +345,52 @@ class TestEndpointSlopes:
         assert es["S_prime_at_s_minus"] > 0.0
         assert es["S_prime_at_s_plus"] < 0.0
 
-    @pytest.mark.parametrize("a,sigma", [(0.5, 1.0), (1.0, 0.5), (2.0, 0.5)])
-    def test_rho_is_the_polyfit_slope(self, a, sigma):
+    @staticmethod
+    def dense_profile(a, sigma):
+        # h_max = 0.01 caps the blow-up tail's step in ln|v|: about 230
+        # samples per decade of approach
         p = lp(a, sigma)
         thr = find_w0_star(p, 2.0 * p.v_star)
-        prof = reconstruct(p, wave_trajectory(p, 10.0 * thr.w0_star, 2.0 * p.v_star))
-        es = endpoint_slopes(prof, p)
+        traj = wave_trajectory(p, 10.0 * thr.w0_star, 2.0 * p.v_star, Controls(h_max=0.01))
+        return p, reconstruct(p, traj)
+
+    @staticmethod
+    def polyfit_rhos(prof):
+        rhos = {}
         for key, d in (("rho_minus", prof.s - prof.s_minus), ("rho_plus", prof.s_plus - prof.s)):
             window = d <= 10.0 * d.min()
-            ref = np.polyfit(np.log(d[window]), np.log(prof.u[window]), 1)[0]
+            rhos[key] = np.polyfit(np.log(d[window]), np.log(prof.u[window]), 1)[0]
+        return rhos
+
+    @pytest.mark.parametrize("a,sigma", [(0.5, 1.0), (1.0, 0.5), (2.0, 0.5)])
+    def test_rho_is_the_polyfit_slope(self, a, sigma):
+        # an end without a blow-up end event is fitted over its last decade
+        p, prof = self.dense_profile(a, sigma)
+        prof.end_events = None
+        es = endpoint_slopes(prof, p)
+        for key, ref in self.polyfit_rhos(prof).items():
             assert abs(es[key] - ref) <= 1e-12
+
+    @pytest.mark.parametrize("a,sigma", [(0.5, 1.0), (1.0, 0.5), (2.0, 0.5)])
+    def test_event_rho_matches_the_dense_fit(self, a, sigma):
+        # a blow-up end's rho is read at its end event: g(a*v - sigma) *
+        # (s - edge) at |v| = v_max, a/mu -/+ sigma/(mu*v_max) for linear flux
+        p, prof = self.dense_profile(a, sigma)
+        assert [ev.kind for ev in prof.end_events] == [V_BLOW_UP_PLUS, V_BLOW_UP_MINUS]
+        es = endpoint_slopes(prof, p)
+        v_max = Controls().v_max
+        assert es["rho_minus"] == pytest.approx(a - sigma / v_max, rel=1e-12)
+        assert es["rho_plus"] == pytest.approx(a + sigma / v_max, rel=1e-12)
+        for key, ref in self.polyfit_rhos(prof).items():
+            assert abs(es[key] - ref) <= 1e-4
+
+    def test_default_tail_is_too_sparse_to_fit(self, thr_c):
+        # the event reading is what decides a blow-up edge at default controls
+        prof = reconstruct(P_C, wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0))
+        assert endpoint_slopes(prof, P_C)["u_prime_at_s_plus"] == SLOPE_FINITE_NEG
+        prof.end_events = None
+        with pytest.raises(InsufficientResolution):
+            endpoint_slopes(prof, P_C)
 
     def test_infinite_edge_rejected(self, thr_c):
         traj = threshold_trajectory(P_C, 2.0, result=thr_c)
