@@ -1,18 +1,18 @@
 """Adaptive integration of the planar system, in s and in graph form.
 
 Two complementary drivers live here.  `integrate` advances (w, v) in the
-wave coordinate s with an embedded Dormand-Prince pair, locating
+wave coordinate s with the 8(5,3) Dormand-Prince pair DOP853, locating
 termination events (slope blow-up, equilibrium capture, flux-boundary
 arrival, vanishing w, span exhaustion) to root-finding accuracy.  It also
 carries I(s) = integral of v ds, from which the signal S is reconstructed
-later as S = S0 * exp(I - I0).  The caller picks the pair: the 5(4) pair
-DP54 for orbits whose samples are read (profiles, portraits, the critical
-orbit), the 8(5,3) pair DOP853 for the shooting's decision orbits, which
-are read only at their deciding event and take about a sixth of DP54's
-steps at the default tolerance.  Past |v| = 10 * max(v_star, |v0|) a
-linear-limiter orbit can only blow up, and `_blow_up_tail` marches the
-rest in tau = ln|v| up to ln v_max, in about 5 steps per decade of v
-where DP54 in s takes about 88.
+later as S = S0 * exp(I - I0).  Every orbit steps with DOP853, whether
+its samples are read (profiles, portraits, the critical orbit) or only
+its deciding event (the shooting's decision orbits): no reported answer
+reads how densely an orbit was sampled, and `Controls(h_max=...)` gives
+denser samples.  Past |v| = 10 * max(v_star, |v0|) a linear-limiter
+orbit can only blow up, and `_blow_up_tail` marches the rest in
+tau = ln|v| up to ln v_max, in about 5 steps per decade of v where the
+5(4) pair DP54 in s took about 88.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -26,8 +26,9 @@ adaptive loop with one step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars: orbits take
-`_dp54_step` or `_dop853_step`, graph legs `_graph_step`, a DP54 step that
-forms stage values for W (or 1/W) alone.  Each sums in the generic tableau
+`_dop853_step`; graph legs and blow-up tails take `_graph_step`, a DP54
+step that forms stage values for W (or 1/W) alone, since a front's dense
+output is DP54's continuous extension.  Each sums in the generic tableau
 loop's order, so it gives that loop's results to the bit.
 """
 
@@ -69,11 +70,6 @@ _TAIL = "BlowUpTail"
 FORWARD = "forward"
 BACKWARD = "backward"
 BOTH = "both"
-
-# embedded Runge-Kutta pairs an orbit can step with
-DP54 = "DP54"
-DOP853 = "DOP853"
-
 
 # The smallest relative tolerance a step-error norm can honour: SciPy's
 # solve_ivp uses the same floor.
@@ -301,48 +297,6 @@ def _graph_step(f, t, y, ks, h):
     return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _dp54_step(f, t, y, k1, h):
-    """One step of size h from state y=(w, v, I) with cached k1 = f(y).
-
-    The orbit's field is autonomous, so t is not read; it is there so that
-    every step `_march` takes has the same signature.  Returns (y5, k7,
-    err) where y5 is the 5th-order result, k7 = f(y5) (FSAL), and err the
-    embedded error estimate per component.  dI/ds = v, so the third slope
-    of each stage is its v, and the stage values of I are never needed.
-    Every sum runs left to right over the nonzero coefficients in tableau
-    order, so the results equal the generic tableau loop's on the slopes
-    (f(w, v), v) to the bit.
-    """
-    w, v, ii = y
-    k1w, k1v, k1i = k1
-    a1 = h * _A21
-    v2 = v + a1 * k1v
-    k2w, k2v = f(w + a1 * k1w, v2)
-    a1, a2 = h * _A31, h * _A32
-    v3 = v + a1 * k1v + a2 * k2v
-    k3w, k3v = f(w + a1 * k1w + a2 * k2w, v3)
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    v4 = v + a1 * k1v + a2 * k2v + a3 * k3v
-    k4w, k4v = f(w + a1 * k1w + a2 * k2w + a3 * k3w, v4)
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    v5 = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v
-    k5w, k5v = f(w + a1 * k1w + a2 * k2w + a3 * k3w + a4 * k4w, v5)
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    v6 = v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v + a5 * k5v
-    k6w, k6v = f(w + a1 * k1w + a2 * k2w + a3 * k3w + a4 * k4w + a5 * k5w, v6)
-    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    w7 = w + b1 * k1w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w
-    v7 = v + b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
-    i7 = ii + b1 * k1i + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6
-    k7w, k7v = f(w7, v7)
-    err = (
-        h * (0.0 + _E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w),
-        h * (0.0 + _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v),
-        h * (0.0 + _E1 * k1i + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7),
-    )
-    return (w7, v7, i7), (k7w, k7v, v7), err
-
-
 # Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10), with the constants of Hairer's dop853.f.  Row i of _A8 makes
 # stage i + 1 from the stages before it; the last row is the weights B, and
@@ -398,12 +352,14 @@ _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
 def _dop853_step(f, t, y, k1, h):
     """One DOP853 step of size h from state y=(w, v, I) with cached k1 = f(y).
 
-    t is not read, as in `_dp54_step`.  Returns (y8, k13, (err5, err3)): the
-    8th-order result, k13 = f(y8) (FSAL), and the 5th- and 3rd-order error
-    estimates per component, which `_march` combines.  As in `_dp54_step`,
-    the third slope of each stage is its v, and every sum runs left to right
-    over the nonzero coefficients in tableau order, so the results equal the
-    generic tableau loop's to the bit.
+    The orbit's field is autonomous, so t is not read; it is there so that
+    every step `_march` takes has the same signature.  Returns (y8, k13,
+    (err5, err3)): the 8th-order result, k13 = f(y8) (FSAL), and the 5th-
+    and 3rd-order error estimates per component, which `_march` combines.
+    dI/ds = v, so the third slope of each stage is its v, and the stage
+    values of I are never needed.  Every sum runs left to right over the
+    nonzero coefficients in tableau order, so the results equal the generic
+    tableau loop's on the slopes (f(w, v), v) to the bit.
     """
     w, v, ii = y
     k1w, k1v, k1i = k1
@@ -497,10 +453,6 @@ def _dop853_step(f, t, y, k1, h):
     return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
 
 
-# the unrolled orbit step of each pair, and its order as `_march` reads it
-_ORBIT_STEPS = {DP54: (_dp54_step, 5), DOP853: (_dop853_step, 8)}
-
-
 # w decays and grows over hundreds of orders of magnitude and enters the
 # reconstructed density through an exponential of its running integral, so
 # its step-error control must stay relative at any magnitude; the floor
@@ -549,12 +501,13 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     (y1, k, est): the result, the slope data the next step starts from
     (FSAL: the slope at y1, or stage slopes ending with it) and the error
     estimate of the 3-component state.  With scaled errors
-    e[c] / (atols[c] + rtol * |y[c]|), the error norm of a DP54 step
-    (order 5, `est` the error per component) is the RMS of e; that of a
-    DOP853 step (order 8, `est` the pair (err5, err3) of its 5th- and
-    3rd-order estimates) is |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 * |e3|^2)),
-    as in Hairer's dop853.f.  A step raising DomainError or
-    ZeroDivisionError counts as infinite error.  The I controller (Hairer,
+    e[c] / (atols[c] + rtol * |y[c]|), the error norm of a graph-leg or
+    tail DP54 step (order 5, `est` the error per component) is the RMS of
+    e; that of an orbit's DOP853 step (order 8, `est` the pair (err5, err3)
+    of its 5th- and 3rd-order estimates) is
+    |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 * |e3|^2)), as in Hairer's dop853.f.
+    A step raising DomainError or ZeroDivisionError counts as infinite
+    error.  The I controller (Hairer,
     Norsett & Wanner, Solving ODEs I, II.4), with exponent -1/order, is
     capped at h_max and does not grow right after a rejection.
 
@@ -629,23 +582,19 @@ def integrate(
     controls: Controls | None = None,
     s0: float = 0.0,
     extra_events: Sequence[EventSpec] = (),
-    pair: str = DP54,
 ) -> Trajectory:
     """Advance (w, v) from (w0, v0) at s0 until a termination event.
 
     `direction` is "forward" (s increasing) or "backward".  `extra_events`
     are checked before the built-in ones and win ties.  A run that dwells
     in the capture ball of an equilibrium ends CONVERGED, with
-    `equilibrium_index` indexing `equilibria(p)`.  `pair` is the
-    Runge-Kutta pair that steps the orbit, DP54 or DOP853 (see the module
-    docstring); events are located on partial steps of the same pair.
+    `equilibrium_index` indexing `equilibria(p)`.  The orbit steps with
+    DOP853 (see the module docstring), and events are located on partial
+    DOP853 steps.
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if pair not in _ORBIT_STEPS:
-        raise ValueError(f"pair must be {DP54!r} or {DOP853!r}, got {pair!r}")
-    stepper, order = _ORBIT_STEPS[pair]
     if not (math.isfinite(w0) and math.isfinite(v0) and math.isfinite(s0)):
         raise ValueError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
     if w0 < 0.0:
@@ -721,9 +670,9 @@ def integrate(
     dwell_s = s
 
     s_end = s0 + sgn * ctr.s_max
-    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, order)
+    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
     march = _march(
-        stepper, f, s, y, k1, s_end, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr, order
+        _dop853_step, f, s, y, k1, s_end, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
     )
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
@@ -735,7 +684,7 @@ def integrate(
                 e_new = [ev.fn(s, w, v) for ev in events]
                 for ev, e_old, e in zip(events, e_prev, e_new):
                     if _crossed(e_old, e, ev.direction):
-                        at = _orbit_at(stepper, f, s_old, y_old, k1_old, h)
+                        at = _orbit_at(f, s_old, y_old, k1_old, h)
                         theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, e)
                         if best is None or theta < best[0]:
                             best = (theta, ev)
@@ -745,7 +694,7 @@ def integrate(
                 for c, level, d, ev in levels:
                     x_old, x = y_old[c], y[c]
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                        at = _orbit_at(stepper, f, s_old, y_old, k1_old, h)
+                        at = _orbit_at(f, s_old, y_old, k1_old, h)
                         theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, x - level)
                         if best is None or theta < best[0]:
                             best = (theta, ev)
@@ -754,7 +703,7 @@ def integrate(
                 if theta >= 1.0:
                     y_ev, s_ev = y, s
                 else:
-                    y_ev = stepper(f, s_old, y_old, k1_old, h * theta)[0]
+                    y_ev = _dop853_step(f, s_old, y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
                 ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
                 if ev.kind == _TAIL:
@@ -810,11 +759,11 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     return None
 
 
-def _orbit_at(stepper, f, s, y, k1, h_signed):
+def _orbit_at(f, s, y, k1, h_signed):
     """The state (s, w, v) a partial orbit step of theta * h_signed from (s, y) reaches."""
 
     def at(theta: float) -> tuple[float, float, float]:
-        yt = stepper(f, s, y, k1, h_signed * theta)[0]
+        yt = _dop853_step(f, s, y, k1, h_signed * theta)[0]
         return s + h_signed * theta, yt[0], yt[1]
 
     return at
@@ -855,7 +804,7 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     tolerances, and h_max caps its step in tau.  r is carried in place of
     s because s moves by 1/|v| per unit of tau while its error scale is
     |s|; r moves by O(|v|^-3) and tends to the edge itself.  DP54 in s
-    needs about 88 steps per decade of v here, this about 5.  The samples
+    took about 88 steps per decade of v here, this about 5.  The samples
     are appended to the four lists of `samples`.  `ends` are events on
     (s, w, v), checked at each step's end and located along it, the
     earliest winning and the first listed winning ties; none firing, the

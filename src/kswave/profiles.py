@@ -449,8 +449,12 @@ def endpoint_slopes(
     a profile that carries no end events) rho is the least-squares slope
     of log u against log distance over the last sampled decade of approach
     (raising InsufficientResolution below ``min_samples`` points there).
-    rho < 1 - band means the slope diverges, |rho - 1| <= band a finite
-    nonzero slope, rho > 1 + band a tangential contact.  Intended for
+    An orbit's flux-boundary end stops at the boundary standoff, a few
+    1e-10 in s from its edge, with only a handful of samples in that
+    decade whatever h_max is: such an end raises InsufficientResolution,
+    and the fit serves profiles without end events.  rho < 1 - band
+    means the slope diverges, |rho - 1| <= band a finite nonzero slope,
+    rho > 1 + band a tangential contact.  Intended for
     compact-support (type A1) profiles, whose edges are both finite.
     The signal slope S' = S * v is reported at the outermost sample of
     each side; its signs distinguish a single interior signal maximum.

@@ -32,8 +32,6 @@ from .integrate import (
     BACKWARD,
     BOUNDED,
     CONVERGED,
-    DOP853,
-    DP54,
     FLUX_BOUNDARY_HIGH,
     FLUX_BOUNDARY_LOW,
     FORWARD,
@@ -88,9 +86,7 @@ class ShotOutcome:
     """Classification of one shooting run."""
 
     cls: str  # one of the orbit-class constants above
-    # the integrated orbit, ending at the deciding event; it steps with DOP853,
-    # so it holds 4 to 7 times fewer samples than a DP54 orbit would (5.3 in
-    # the median, launched within 1e-6 of the threshold)
+    # the integrated orbit, ending at the deciding event
     trajectory: Trajectory
     w0: float  # launch density
     v0: float  # launch slope
@@ -158,8 +154,7 @@ def classify_trajectory(
     which is what bisection wants; disable it to keep integrating a
     sub-critical orbit through the parabola region.  An orbit captured by
     an equilibrium is ConvergesTo, with ``equilibrium_index`` into
-    ``equilibria(p)``.  Only the deciding event is read, so the orbit steps
-    with the DOP853 pair.
+    ``equilibria(p)``.
     """
     if w0 <= 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
@@ -196,9 +191,7 @@ def classify_trajectory(
             EventSpec(fn=lambda s, w, v: v - v_escape, kind=_EV_ESCAPE, direction=+1)
         )
 
-    traj = integrate(
-        p, w0, v0, direction=direction, controls=ctr, extra_events=events, pair=DOP853
-    )
+    traj = integrate(p, w0, v0, direction=direction, controls=ctr, extra_events=events)
     term = traj.termination
     kind = term.kind
 
@@ -244,7 +237,6 @@ def trace_stable_manifold(
     manifold: str = "stable",
     controls: Controls | None = None,
     seed_scale: float = 1e-7,
-    pair: str = DP54,
 ) -> Trajectory:
     """Trace one branch of a saddle's invariant manifold out to v = v_stop.
 
@@ -253,8 +245,7 @@ def trace_stable_manifold(
     unstable manifold in forward time along the expanding one).  Both
     displacement signs are tried; if neither branch reaches ``v_stop`` the
     trace raises ``SeedEscaped``, also when a branch is captured by one of
-    ``equilibria(p)`` first.  ``pair`` is the Runge-Kutta pair of the
-    trace (see `integrate`).
+    ``equilibria(p)`` first.
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
@@ -288,8 +279,7 @@ def trace_stable_manifold(
             continue
         try:
             traj = integrate(
-                p, w_seed, v_seed, direction=direction, controls=ctr, extra_events=[stop],
-                pair=pair,
+                p, w_seed, v_seed, direction=direction, controls=ctr, extra_events=[stop]
             )
         except (StepSizeUnderflow, Inconclusive) as exc:
             failures.append(f"sign {sign:+.0f}: {exc}")
@@ -353,8 +343,7 @@ def find_w0_star(
     sub-critical upper end becomes the lower end and c*(1 + d) is
     classified.  Past d = 4**13 the walk raises NoDichotomy.  On 160
     benchmark-style solves this took 2 classifier runs in 142, 4 in 14
-    and 7 in 4.  The classifier and the manifold trace step with the
-    DOP853 pair, since only their ends are read.
+    and 7 in 4.
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
     manifold to that tolerance.  A bad method, launch slope, bracket_hint
@@ -383,9 +372,8 @@ def find_w0_star(
     manifold_estimate: float | None = None
     if method in ("manifold", "both"):
         try:
-            # only the trace's end is read: it steps with DOP853, as the classifier does
             man = trace_stable_manifold(
-                p, saddle, v_stop=v0, manifold=manifold_kind, controls=ctr, pair=DOP853
+                p, saddle, v_stop=v0, manifold=manifold_kind, controls=ctr
             )
         except SeedEscaped:
             if method == "manifold":

@@ -1,31 +1,22 @@
 """The benchmark's answer checks, run in process on round 0 of two workloads.
 
-bench/worker.py is imported as it is, and only its workload classes are
-used: each op of round 0 must pass the check the benchmark applies to it,
-the threshold solves of round 0 must stay within a classifier budget, and
-the profile ops of round 0 must take the pinned number of steps.
+bench/worker.py and bench/tracing.py are imported as they are (the
+`worker` and `tracing` fixtures of conftest.py), and only their workload
+classes and tracer are used: each op of round 0 must pass the check the
+benchmark applies to it, the threshold solves of round 0 must stay within
+a classifier budget, the profile ops of round 0 must take the pinned
+number of steps, and the README commands must write the same bytes with
+the tracer installed as without it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import statistics
-import sys
-from pathlib import Path
 
 import pytest
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-@pytest.fixture(scope="module")
-def worker():
-    # worker.py imports its sibling hostspeed.py by name
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module("worker")
-    finally:
-        sys.path.remove(str(BENCH))
 
 
 @pytest.mark.parametrize("name, n_ops", [("threshold", 16), ("profiles", 8)])
@@ -68,17 +59,20 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
 # legs together.  The evaluations are those the steps make, rejected steps
 # included; event location and each march's start are not counted.
 PROFILES_ROUND_0_WORK = [
-    (333, 2214),
-    (899, 5724),
-    (338, 2040),
-    (876, 5616),
-    (430, 2598),
-    (832, 4998),
-    (467, 3138),
-    (836, 5040),
+    (164, 1806),
+    (247, 2700),
+    (132, 1470),
+    (247, 2694),
+    (171, 1878),
+    (182, 1980),
+    (204, 2394),
+    (222, 2238),
 ]
 # Round 0's accepted steps while blow-up ends were marched in s up to v_max.
 PROFILES_ROUND_0_STEPS_IN_S = 9802
+# Round 0's accepted steps and evaluations while orbits stepped with DP54
+# (blow-up tails already in ln|v|).
+PROFILES_ROUND_0_WORK_DP54 = (5011, 31368)
 
 
 def test_profiles_work_is_pinned(worker, monkeypatch):
@@ -104,5 +98,55 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
         work.append([0, 0])
         wl.run(op)
     assert [tuple(w) for w in work] == PROFILES_ROUND_0_WORK
+    steps, evals = map(sum, zip(*work))
     # marching blow-up tails in ln|v| saves at least a third of the steps
-    assert sum(steps for steps, _ in work) <= 2 * PROFILES_ROUND_0_STEPS_IN_S / 3
+    assert steps <= 2 * PROFILES_ROUND_0_STEPS_IN_S / 3
+    # stepping orbits with DOP853 in place of DP54 saves over 60 % of the
+    # steps and 40 % of the evaluations
+    dp54_steps, dp54_evals = PROFILES_ROUND_0_WORK_DP54
+    assert steps <= 0.4 * dp54_steps
+    assert evals <= 0.6 * dp54_evals
+
+
+def readme_outputs(worker, root, monkeypatch) -> dict:
+    """Every file the benchmark's README commands write, and each one's
+    standard output, by path, from runs of `kswave.cli.main` in process,
+    each command in its own directory under root."""
+    from kswave import cli
+
+    tree = {}
+    for label, text in worker.Cli.COMMANDS:
+        argv = text.split()
+        if label == "sweep":
+            argv += ["--seed", "1"]
+        d = root / label
+        d.mkdir(parents=True)
+        monkeypatch.chdir(d)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            # looked up at call time, so an installed tracer's wrapper runs
+            rc = cli.main(argv)
+        assert rc == 0, label
+        tree[f"{label}/stdout"] = buf.getvalue().encode()
+        for q in sorted(d.rglob("*")):
+            if q.is_file():
+                tree[q.relative_to(root).as_posix()] = q.read_bytes()
+    return tree
+
+
+def test_readme_commands_write_the_same_bytes_traced(worker, tracing, tmp_path, monkeypatch):
+    # The benchmark's traced cli run calls main in process with every public
+    # cross-module kswave function wrapped: a wrapped function handed to the
+    # sweep's process pool, or state left behind by an earlier in-process
+    # call, shows here as an exit code or a byte difference.
+    bare = readme_outputs(worker, tmp_path / "bare", monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = readme_outputs(worker, tmp_path / "traced", monkeypatch)
+    finally:
+        tracer.uninstall()
+    # the wrapped main ran every command
+    assert [span[0] for span in tracer.spans].count("cli.main") == len(worker.Cli.COMMANDS)
+    assert sorted(traced) == sorted(bare)
+    assert [name for name in bare if traced[name] != bare[name]] == []

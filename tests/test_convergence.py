@@ -1,10 +1,17 @@
-"""Tolerance convergence of the blow-up edges s_minus, s_plus and their exponents rho.
+"""Tolerance convergence of the answers kswave reports.
 
 Each quantity is computed at rtol 1e-10 (the default), 1e-12 and 1e-13.
 Its distance to the 1e-13 value must shrink as rtol falls, and at the
-default it must lie within 1e-9 relative of it.  The edges must also agree
-to 1e-9 relative with the values pinned when blow-up ends were still
-marched in s all the way to v_max.
+default it must lie within 1e-9 relative of it.  The quantities are:
+
+- the blow-up edges s_minus, s_plus and their exponents rho; the edges
+  must also agree to 1e-9 relative with the values pinned when blow-up
+  ends were still marched in s all the way to v_max;
+- the flux-boundary edges of saturated orbits;
+- the placement of the critical orbit's pieces in `threshold_trajectory`:
+  its blow-up edge, relative to the launch point at s = 0, and the s at
+  which its relaxation tail starts;
+- the labels of the benchmark's round-0 profiles, which must not change.
 """
 
 from __future__ import annotations
@@ -13,9 +20,21 @@ import math
 
 import pytest
 
-from kswave.integrate import V_BLOW_UP_MINUS, V_BLOW_UP_PLUS, Controls
+from kswave import shooting
+from kswave.flux import LARSON, RELATIVISTIC, FluxLimiter
+from kswave.integrate import (
+    BACKWARD,
+    FLUX_BOUNDARY_HIGH,
+    FLUX_BOUNDARY_LOW,
+    FORWARD,
+    V_BLOW_UP_MINUS,
+    V_BLOW_UP_PLUS,
+    Controls,
+    integrate,
+    sample_list,
+)
 from kswave.phase import ModelParams
-from kswave.profiles import endpoint_slopes, reconstruct, wave_trajectory
+from kswave.profiles import classify_profile, endpoint_slopes, reconstruct, wave_trajectory
 
 RTOLS = (1e-10, 1e-12, 1e-13)
 
@@ -77,3 +96,149 @@ def test_edges_agree_with_the_pinned_values(runs):
     point, (default, _, _) = runs
     for key, pinned in zip(("s_minus", "s_plus"), POINTS[point]):
         assert math.isclose(default[key], pinned, rel_tol=1e-9), key
+
+
+def converged(values: list[float]) -> bool:
+    """At rtol 1e-10, 1e-12, 1e-13: the distance to the last value shrinks,
+    and the first lies within 1e-9 relative of it."""
+    default, tight, ref = values
+    return abs(tight - ref) < abs(default - ref) and abs(default - ref) <= 1e-9 * abs(ref)
+
+
+# --------------------------------------------------------------------------
+# flux-boundary edges of saturated orbits
+# --------------------------------------------------------------------------
+
+REL = ModelParams(a=1.5, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=3.0))
+LAR = ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=2.0, p=2.5))
+_EPS_V = 1e-9 * REL.limiter.c / REL.a  # REL's flux-boundary standoff
+
+# name -> (params, w0, v0, direction): a direction runs `integrate` with
+# s_max = 20, as the standoff launches of tests/test_integrate.py do, and
+# reads the edge at its far end; None runs `wave_trajectory` and reads both
+# edges.  The standoff launches start half a standoff from the boundary;
+# their ends toward that boundary are not compared, since at rtol 1e-11 and
+# below the march there stalls in StepSizeUnderflow instead of arriving.
+SATURATED = {
+    "standoff-high": (REL, 5.0, REL.slope_domain[1] - 0.5 * _EPS_V, FORWARD),
+    "standoff-low": (REL, 5.0, REL.slope_domain[0] + 0.5 * _EPS_V, BACKWARD),
+    "relativistic": (REL, 5.0, 0.5, None),
+    "larson": (LAR, 3.0, 0.2, None),
+}
+_FLUX_ENDS = (FLUX_BOUNDARY_HIGH, FLUX_BOUNDARY_LOW)
+
+
+@pytest.fixture(scope="module", params=sorted(SATURATED))
+def saturated_runs(request):
+    p, w0, v0, direction = SATURATED[request.param]
+    out = []
+    for rtol in RTOLS:
+        if direction is None:
+            traj = wave_trajectory(p, w0, v0, Controls(rtol=rtol))
+            assert [ev.kind for ev in traj.end_events()] == list(_FLUX_ENDS)
+            out.append({"s_minus": traj.s_minus, "s_plus": traj.s_plus})
+        else:
+            traj = integrate(p, w0, v0, direction, Controls(s_max=20.0, rtol=rtol))
+            assert traj.termination.kind in _FLUX_ENDS
+            key = "s_plus" if direction == FORWARD else "s_minus"
+            out.append({key: getattr(traj, key)})
+    return out
+
+
+def test_flux_boundary_edges_converge_in_rtol(saturated_runs):
+    for key in saturated_runs[0]:
+        assert converged([r[key] for r in saturated_runs]), key
+
+
+# --------------------------------------------------------------------------
+# the critical orbit: where threshold_trajectory places its pieces
+# --------------------------------------------------------------------------
+
+# the benchmark's profile bases (a, sigma, v0)
+BASES = ((1.0, 0.5, 2.0), (0.5, 0.2, 1.8), (0.5, 0.2, -2.0), (2.0, 1.5, 2.5))
+
+
+@pytest.fixture(scope="module")
+def critical_placements() -> dict:
+    """Per base and rtol, the critical orbit's blow-up edge and the s at
+    which its relaxation tail starts, from `threshold_trajectory` with its
+    threshold solved at that rtol."""
+    merge = shooting.merge_trajectories
+    pieces: list = []
+
+    def spy(parts):
+        pieces[:] = parts
+        return merge(parts)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shooting, "merge_trajectories", spy)
+        for a, sigma, v0 in BASES:
+            p = ModelParams(a=a, sigma=sigma)
+            runs = []
+            for rtol in RTOLS:
+                traj = shooting.threshold_trajectory(p, v0, controls=Controls(rtol=rtol))
+                s = sample_list(traj, "s")
+                n0, n1 = len(pieces[0].s), len(pieces[1].s)
+                # forward [blow-up leg, manifold, tail], backward [tail,
+                # manifold, blow-up leg]: the launch point and the tail's
+                # start are seams
+                launch, tail = (n0 - 1, n0 + n1 - 2) if v0 > 0.0 else (n0 + n1 - 2, n0 - 1)
+                assert s[launch] == pytest.approx(0.0, abs=1e-12)
+                edge = traj.s_minus if v0 > 0.0 else traj.s_plus
+                runs.append({"edge": edge, "tail": s[tail]})
+            out[a, sigma, v0] = runs
+    return out
+
+
+# The tail starts where the traced saddle manifold ends.  The trace is seeded
+# 1e-7 off the saddle and its step error is controlled relative to the O(1)
+# state, not to that displacement, so the manifold's span converges in rtol
+# but at the two case-A bases sits about 1e-6 relative off its rtol-1e-13
+# value at the default.
+_SPAN_LIMITED = pytest.mark.xfail(
+    strict=True, reason="manifold span error ~1e-6 relative at the default rtol"
+)
+PLACEMENTS = [
+    pytest.param(
+        base, key, id="{}-a={}-sigma={}-v0={}".format(key, *base),
+        marks=_SPAN_LIMITED if key == "tail" and base[:2] == (0.5, 0.2) else (),
+    )
+    for base in BASES
+    for key in ("edge", "tail")
+]
+
+
+@pytest.mark.parametrize("base, key", PLACEMENTS)
+def test_critical_orbit_placement_converges_in_rtol(critical_placements, base, key):
+    assert converged([r[key] for r in critical_placements[base]])
+
+
+@pytest.mark.parametrize("base", BASES, ids=_point_id)
+def test_critical_tail_placement_shrinks_in_rtol(critical_placements, base):
+    # where the 1e-9 bound fails, the distance to the 1e-13 value still falls
+    default, tight, ref = (r["tail"] for r in critical_placements[base])
+    assert abs(tight - ref) < abs(default - ref)
+
+
+# --------------------------------------------------------------------------
+# the labels of the benchmark's round-0 profiles
+# --------------------------------------------------------------------------
+
+
+def test_round_zero_profile_labels_do_not_depend_on_rtol(worker):
+    # launched at m * w0_star with w0_star solved once, at the default
+    wl = worker.WORKLOADS["profiles"](0)
+    wl.prepare()
+    ops = wl.round(0)
+    assert len(ops) == 8
+    for op in ops:
+        p, v0, w_star = wl.bases[op["base"]]
+        labels = [
+            classify_profile(
+                reconstruct(p, wave_trajectory(p, op["m"] * w_star, v0, Controls(rtol=rtol))),
+                p, w_star,
+            )
+            for rtol in RTOLS
+        ]
+        assert labels[0] == labels[1] == labels[2], (op["base"], op["m"], labels)

@@ -439,7 +439,7 @@ def test_end_events_orientation():
 
 
 # --------------------------------------------------------------------------
-# the unrolled DP54 and DOP853 steppers against generic tableau loops
+# the unrolled DOP853 orbit stepper against the generic tableau loop
 # --------------------------------------------------------------------------
 
 INTEGRATE = importlib.import_module("kswave.integrate")
@@ -473,12 +473,6 @@ def generic_rk_step(f, t, y, k1, h):
     return tuple(yi), k, tuple(err)
 
 
-def generic_step(f, t, y, k1, h):
-    """The generic DP54 tableau loop on the orbit slopes (f(w, v), v)."""
-    y5, k, err = generic_rk_step(lambda t, y: f(y[0], y[1]) + (y[1],), t, y, k1, h)
-    return y5, k[6], err
-
-
 def generic_dop853_step(f, t, y, k1, h):
     """The generic DOP853 tableau loop on the orbit slopes (f(w, v), v).
 
@@ -509,12 +503,6 @@ def generic_dop853_step(f, t, y, k1, h):
     return tuple(yi), k[12], tuple(errs)
 
 
-# (unrolled, generic) per pair
-STEPPERS = {
-    "DP54": (INTEGRATE._dp54_step, generic_step),
-    "DOP853": (INTEGRATE._dop853_step, generic_dop853_step),
-}
-
 STEP_PARAMS = {
     LINEAR: ModelParams(a=1.0, sigma=0.5),
     # slope domain (-1.87, 2.13)
@@ -543,7 +531,6 @@ STEP_SETTINGS = settings(max_examples=300, deadline=timedelta(seconds=2), databa
 
 @STEP_SETTINGS
 @given(
-    pair=st.sampled_from(sorted(STEPPERS)),
     kind=st.sampled_from(sorted(STEP_PARAMS)),
     w=st.just(-0.0) | st.floats(0.0, 1e3),
     v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -551,7 +538,7 @@ STEP_SETTINGS = settings(max_examples=300, deadline=timedelta(seconds=2), databa
     h=st.floats(1e-9, 2.0),
     sign=st.sampled_from([1.0, -1.0]),
 )
-def test_stepper_bit_equal_to_reference(pair, kind, w, v_frac, ii, h, sign):
+def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
     p = STEP_PARAMS[kind]
     lo, hi = p.slope_domain
     lo, hi = max(lo, -50.0), min(hi, 50.0)
@@ -559,28 +546,29 @@ def test_stepper_bit_equal_to_reference(pair, kind, w, v_frac, ii, h, sign):
     assume(lo < v < hi)
     f = make_rhs(p)
     y = (w, v, ii)
-    unrolled, generic = STEPPERS[pair]
-    assert step_outcome(unrolled, f, y, sign * h) == step_outcome(generic, f, y, sign * h)
+    assert step_outcome(INTEGRATE._dop853_step, f, y, sign * h) == step_outcome(
+        generic_dop853_step, f, y, sign * h
+    )
 
 
 @STEP_SETTINGS
 @given(
-    pair=st.sampled_from(sorted(STEPPERS)),
     gap=st.floats(1e-12, 1e-2),
     edge=st.sampled_from([-1, 1]),
     w=st.floats(1e-6, 20.0),
     h=st.floats(1e-9, 1.0),
     sign=st.sampled_from([1.0, -1.0]),
 )
-def test_stepper_near_relativistic_boundary(pair, gap, edge, w, h, sign):
+def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
     p = STEP_PARAMS[RELATIVISTIC]
     lo, hi = p.slope_domain
     v = hi - gap * (hi - lo) if edge > 0 else lo + gap * (hi - lo)
     assume(lo < v < hi)
     f = make_rhs(p)
     y = (w, v, 0.5)
-    unrolled, generic = STEPPERS[pair]
-    assert step_outcome(unrolled, f, y, sign * h) == step_outcome(generic, f, y, sign * h)
+    assert step_outcome(INTEGRATE._dop853_step, f, y, sign * h) == step_outcome(
+        generic_dop853_step, f, y, sign * h
+    )
 
 
 def test_stepper_domain_error_propagates():
@@ -590,16 +578,10 @@ def test_stepper_domain_error_propagates():
     k1 = f(1.0, v) + (v,)
     # a unit step in the direction that raises v leaves the slope domain
     h = math.copysign(1.0, k1[1])
-    for unrolled, generic in STEPPERS.values():
-        with pytest.raises(DomainError):
-            generic(f, 0.0, (1.0, v, 0.0), k1, h)
-        with pytest.raises(DomainError):
-            unrolled(f, 0.0, (1.0, v, 0.0), k1, h)
-
-
-def test_unknown_pair_rejected():
-    with pytest.raises(ValueError, match="pair"):
-        integrate(COTH_P, 0.0, 2.0, pair="RK45")
+    with pytest.raises(DomainError):
+        generic_dop853_step(f, 0.0, (1.0, v, 0.0), k1, h)
+    with pytest.raises(DomainError):
+        INTEGRATE._dop853_step(f, 0.0, (1.0, v, 0.0), k1, h)
 
 
 def test_dop853_constants_match_scipy():
@@ -728,35 +710,36 @@ _REL = STEP_PARAMS[RELATIVISTIC]
 _EPS_V = 1e-9 * _REL.limiter.c / _REL.a  # its flux-boundary standoff
 EDGE_LAUNCHES = {
     "v0=+v_max": ((lp(1.0, 0.5), 1.0, 50.0, EDGE_CTR),
-                  (BOUNDED, 20.0, 438), "StepSizeUnderflow"),
+                  (BOUNDED, 20.0, 81), "StepSizeUnderflow"),
     "v0=-v_max": ((lp(1.0, 0.5), 1.0, -50.0, EDGE_CTR),
-                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.8403606709535145, 341)),
+                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.840360670900356, 79)),
     "v0>v_max": ((lp(1.0, 0.5), 1.0, 60.0, EDGE_CTR),
-                 (BOUNDED, 20.0, 445), "StepSizeUnderflow"),
+                 (BOUNDED, 20.0, 82), "StepSizeUnderflow"),
     "v0<-v_max": ((lp(1.0, 0.5), 1.0, -60.0, EDGE_CTR),
-                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.841277572603472, 347)),
+                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.8412775725496693, 80)),
     "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
-                 (CONVERGED, 14.967137357542496, 245), (V_BLOW_UP_PLUS, -0.5493051443467937, 121)),
+                 (CONVERGED, 15.25216248841616, 41), (V_BLOW_UP_PLUS, -0.5493051443645995, 39)),
     "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
-                      (FLUX_BOUNDARY_LOW, 0.5441315170488051, 251),
-                      (FLUX_BOUNDARY_HIGH, -1.169432443405468e-10, 25)),
+                      (FLUX_BOUNDARY_LOW, 0.5441315175354294, 124),
+                      (FLUX_BOUNDARY_HIGH, -1.1694004989340956e-10, 21)),
     "standoff-low": ((_REL, 5.0, _REL.slope_domain[0] + 0.5 * _EPS_V, Controls(s_max=20.0)),
-                     (FLUX_BOUNDARY_LOW, 1.3360810257371342e-10, 24),
-                     (FLUX_BOUNDARY_HIGH, -0.4877863641474458, 247)),
+                     (FLUX_BOUNDARY_LOW, 1.3360749651889543e-10, 20),
+                     (FLUX_BOUNDARY_HIGH, -0.48778636452073376, 123)),
     "on-standoff-level": ((_REL, 5.0, _REL.slope_domain[1] - _EPS_V, Controls(s_max=20.0)),
-                          (FLUX_BOUNDARY_LOW, 0.5441353799041752, 249),
-                          (FLUX_BOUNDARY_HIGH, -2.3388291612035207e-10, 21)),
+                          (FLUX_BOUNDARY_LOW, 0.5441353803411481, 123),
+                          (FLUX_BOUNDARY_HIGH, -2.3388249793635776e-10, 21)),
     "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
-                   (CONVERGED, 5.010471181691292, 63), (V_BLOW_UP_PLUS, -12.317644828599633, 277)),
+                   (CONVERGED, 5.434971995839288, 11),
+                   (V_BLOW_UP_PLUS, -12.317652125320285, 63)),
     # launched on v_max, the forward orbit rises off it, which triggers
     # nothing; the backward one falls off it and spirals out until it
     # crosses v_max upward
     "on-v_max": ((lp(2.0, 0.5), 0.3, 0.7, Controls(v_max=0.7, s_max=60.0)),
-                 (CONVERGED, 46.58400591367398, 219), (V_BLOW_UP_PLUS, -4.181590687597574, 140)),
+                 (CONVERGED, 49.75495428839711, 49), (V_BLOW_UP_PLUS, -4.181590687619351, 26)),
     # the backward orbit leaves v > v_max downward, which triggers nothing,
     # and spirals out until it crosses v_max upward
     "re-entry": ((lp(2.0, 0.5), 0.3, 0.76, Controls(v_max=0.7, s_max=60.0)),
-                 (CONVERGED, 48.15878038949426, 215), (V_BLOW_UP_PLUS, -4.512574722919457, 135)),
+                 (CONVERGED, 49.04682530579607, 48), (V_BLOW_UP_PLUS, -4.512574722958829, 25)),
 }
 
 

@@ -24,8 +24,6 @@ from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
     BACKWARD,
     CONVERGED,
-    DOP853,
-    DP54,
     FORWARD,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
@@ -470,8 +468,8 @@ def pair_point(request):
 
 
 def test_threshold_converged_at_default_controls(pair_point):
-    # decision orbits step with DOP853: at the default tolerances w0_star
-    # already agrees with its value at rtol 1e-13 to the bisection width
+    # at the default tolerances w0_star already agrees with its value at
+    # rtol 1e-13 to the bisection width
     p, v0, r = pair_point
     tight = find_w0_star(p, v0, controls=Controls(rtol=1e-13, atol=1e-15))
     assert r.method == tight.method == "Both"
@@ -482,34 +480,33 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
+TIGHT = Controls(rtol=1e-13)
+
+
 @pytest.mark.parametrize("m", [0.5, 0.9, 1.1, 2.0])
-def test_decision_orbit_pairs_agree(monkeypatch, pair_point, m):
-    # the classifier's DOP853 orbit and a DP54 orbit with the same events end
-    # on the same event at the same point
+def test_decision_orbit_pairs_agree(pair_point, m):
+    # the classifier's orbit at the default tolerance and the same orbit at
+    # rtol 1e-13 end on the same event at the same point
     p, v0, r = pair_point
     w0 = m * r.w0_star
-    eight = classify_trajectory(p, w0, v0)
-    original = shooting.integrate
-    monkeypatch.setattr(shooting, "integrate",
-                        lambda *args, **kw: original(*args, **dict(kw, pair=DP54)))
-    five = classify_trajectory(p, w0, v0)
-    a, b = eight.trajectory.termination, five.trajectory.termination
-    assert eight.cls == five.cls
+    default = classify_trajectory(p, w0, v0)
+    tight = classify_trajectory(p, w0, v0, controls=TIGHT)
+    a, b = default.trajectory.termination, tight.trajectory.termination
+    assert default.cls == tight.cls
     assert a.kind == b.kind
     assert close(a.s, b.s) and close(a.w, b.w) and close(a.v, b.v), (a, b)
-    # DOP853 takes far fewer steps
-    assert len(eight.trajectory.s) < len(five.trajectory.s) / 2
 
 
 def test_manifold_trace_pairs_agree(pair_point):
-    # the trace's end state is what find_w0_star reads; the span s it takes
-    # to leave the saddle from a seed 1e-7 away is set by errors relative to
-    # the state, not to that distance, and is not compared
+    # the trace's end state is what find_w0_star reads; it agrees with the
+    # same trace at rtol 1e-13.  The span s it takes to leave the saddle
+    # from a seed 1e-7 away is set by errors relative to the state, not to
+    # that distance, and is not compared
     p, v0, r = pair_point
     kind = "stable" if r.regime == REGIME_FORWARD else "unstable"
     a, b = (
-        trace_stable_manifold(p, r.saddle, v_stop=v0, manifold=kind, pair=pair).termination
-        for pair in (DOP853, DP54)
+        trace_stable_manifold(p, r.saddle, v_stop=v0, manifold=kind, controls=ctr).termination
+        for ctr in (None, TIGHT)
     )
     assert a.kind == b.kind
     assert close(a.w, b.w) and close(a.v, b.v), (a, b)
