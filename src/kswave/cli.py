@@ -1,4 +1,4 @@
-"""Command-line frontend: configuration ingestion and result serialization.
+"""Command-line frontend: it parses options, serializes results and maps errors.
 
 Subcommands
 -----------
@@ -12,10 +12,13 @@ Subcommands
   a parameter grid, optionally spot-checking the classifier with random
   launches.
 
-Configuration comes from a JSON file (``--config``) overridden by flags;
-flags win.  Outputs are strict JSON (sorted keys; infinities as the strings
-"inf"/"-inf") and CSV (full round-trip float repr), so identical
-configuration and seed produce identical bytes.
+The computations are library calls: `kswave.phase.equilibria`,
+`kswave.shooting.find_w0_star`, and `kswave.profiles.portrait`,
+`wave_profile` and `sweep`.  This module maps options to them and their
+results to bytes.  Configuration comes from a JSON file (``--config``)
+overridden by flags; flags win.  Outputs are strict JSON (sorted keys;
+infinities as the strings "inf"/"-inf") and CSV (full round-trip float
+repr), so identical configuration and seed produce identical bytes.
 
 Exit codes: 0 success; 2 configuration error: bad flags or values, an
 empty grid, or a ``PreconditionError`` (``DegenerateError`` included)
@@ -32,35 +35,15 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import DegenerateError, KswaveError, PreconditionError, StepSizeUnderflow
+from .errors import NUMERICAL_FAILURES, PreconditionError
 from .flux import LARSON, LINEAR, RELATIVISTIC
 from .integrate import Controls, sample_list
-from .phase import ModelParams, equilibria, params_from_config, regime_case
-from .profiles import (
-    check_anchor,
-    classify_profile,
-    continuation_coefficients,
-    endpoint_slopes,
-    graph_trajectory,
-    predicted_types,
-    reconstruct,
-    saturated_front,
-    wave_trajectory,
-)
-from .shooting import (
-    classify_trajectory,
-    find_w0_star,
-    is_subcritical,
-    supplied_threshold,
-    threshold_trajectory,
-)
-
-# Failures found during a computation: exit 3 from main, an error row
-# (or a failed spot check) for one sweep point.
-_NUMERICAL_FAILURES = (KswaveError, FloatingPointError, OverflowError)
+from .phase import ModelParams, equilibria, params_from_config
+from .profiles import continuation_coefficients, portrait, sweep, wave_profile
+from .shooting import find_w0_star
 
 
 class ConfigError(ValueError):
@@ -347,22 +330,15 @@ def _options_profile(args, cfg, params) -> dict:
     s0 = float(_merged(args, cfg, "s0", default=0.0))
     S0 = float(_merged(args, cfg, "S0", default=1.0))
     u0 = _merged(args, cfg, "u0")
-    u0 = None if u0 is None else float(u0)
-    check_anchor(w0, s0, S0, u0)
     branch = _merged(args, cfg, "branch")
     w0_star = _merged(args, cfg, "w0_star")
-    if branch is not None:
-        branch = str(branch)
-        for flag, value in (("--u0", u0), ("--w0-star", w0_star)):
-            if value is not None:
-                raise ConfigError(f"{flag} is not meaningful for saturated fronts")
     return {
         "w0": w0,
         "v0": v0,
         "s0": s0,
         "S0": S0,
-        "u0": u0,
-        "branch": branch,
+        "u0": None if u0 is None else float(u0),
+        "branch": None if branch is None else str(branch),
         "w0_star": None if w0_star is None else float(w0_star),
     }
 
@@ -374,10 +350,6 @@ def _options_sweep(args, cfg, params) -> dict:
         raise ConfigError("sweep needs non-empty --a-values and --sigma-factors")
     a_values = [float(x) for x in a_values]
     sigma_factors = [float(x) for x in sigma_factors]
-    if any(a <= 0.0 for a in a_values):
-        raise ConfigError("--a-values must be positive")
-    if any(f <= 0.0 for f in sigma_factors):
-        raise ConfigError("--sigma-factors must be positive")
     if any(abs(f - 1.0) <= 1e-9 for f in sigma_factors):
         raise ConfigError(
             "--sigma-factors must stay away from 1.0: sigma equal to the "
@@ -426,24 +398,13 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 
 
 def cmd_portrait(cfg: RunConfig) -> int:
-    p, ctr = cfg.params, cfg.controls
-    try:
-        case = regime_case(p)
-    except DegenerateError:
-        case = "Degenerate"
+    p = cfg.params
     seeds = list(itertools.product(cfg.options["w_grid"], cfg.options["v_grid"]))
+    case, orbits = portrait(p, seeds, controls=cfg.controls)
     records = []
     files = {}
     outdir = (cfg.out or Path(".")) / "portrait"
-    for i, (w0, v0) in enumerate(seeds):
-        try:
-            traj = wave_trajectory(p, w0, v0, controls=ctr)
-        except StepSizeUnderflow:
-            # a saturated orbit whose slope turns vertical in s is re-run
-            # as a graph W(v), which reaches the flux boundary exactly
-            if not p.limiter.saturated:
-                raise
-            traj = graph_trajectory(p, w0, v0, controls=ctr)
+    for i, ((w0, v0), traj) in enumerate(zip(seeds, orbits)):
         name = f"seed_{i:03d}.csv"
         files[name] = _csv_bytes(
             ["s", "w", "v", "I"], [sample_list(traj, c) for c in ("s", "w", "v", "integral")]
@@ -488,45 +449,18 @@ def cmd_shoot(cfg: RunConfig) -> int:
 
 
 def cmd_profile(cfg: RunConfig) -> int:
-    p, ctr, opt = cfg.params, cfg.controls, cfg.options
-    w0, v0 = opt["w0"], opt["v0"]
-    if opt["branch"] is not None:
-        prof = saturated_front(
-            p, v0, w0, branch=opt["branch"], s0=opt["s0"], S0=opt["S0"], controls=ctr
-        )
-        w0_star = None
-        types = (prof.u_type, prof.S_type)
-        slopes = None  # the density does not vanish at a flux boundary
-    else:
-        if opt["w0_star"] is not None:
-            thr = supplied_threshold(p, v0, opt["w0_star"])
-        else:
-            thr = find_w0_star(p, v0, controls=ctr)
-        w0_star = thr.w0_star
-        critical = abs(w0 - w0_star) <= 1e-9 * w0_star
-        if critical:
-            traj = threshold_trajectory(p, v0, result=thr, controls=ctr)
-        else:
-            traj = wave_trajectory(p, w0, v0, controls=ctr)
-        prof = reconstruct(p, traj, s0=opt["s0"], S0=opt["S0"], u0=opt["u0"])
-        types = classify_profile(prof, p, w0_star)
-        prof.u_type, prof.S_type = types
-        try:
-            slopes = endpoint_slopes(prof, p)
-        except (ValueError, KswaveError):
-            slopes = None
-    prof.endpoint_slopes = slopes
-
+    p = cfg.params
+    prof, w0_star = wave_profile(p, controls=cfg.controls, **cfg.options)
     meta = {
         "params": p.to_dict(),
         "anchors": prof.anchors,
         "w0_star": w0_star,
         "s_minus": prof.s_minus,
         "s_plus": prof.s_plus,
-        "u_type": types[0],
-        "S_type": types[1],
+        "u_type": prof.u_type,
+        "S_type": prof.S_type,
         "end_limits": prof.end_limits,
-        "endpoint_slopes": slopes,
+        "endpoint_slopes": prof.endpoint_slopes,
         "continuation_coefficients": continuation_coefficients(prof, p),
     }
     meta_bytes = _json_bytes(meta)
@@ -538,97 +472,16 @@ def cmd_profile(cfg: RunConfig) -> int:
         return "None" if x is None else repr(float(x))
 
     sys.stdout.write(
-        f"profile: types ({types[0]}, {types[1]}), "
+        f"profile: types ({prof.u_type}, {prof.S_type}), "
         f"edges ({_edge(prof.s_minus)}, {_edge(prof.s_plus)}), "
         f"{len(columns[0])} samples in {outdir}\n"
     )
     return 0
 
 
-def _sweep_point(job: dict) -> dict:
-    p = params_from_config(job["model"])
-    ctr = Controls(rtol=job["rtol"], atol=job["atol"])
-    row: dict = {"a": p.a, "sigma": p.sigma}
-    try:
-        row["case"] = regime_case(p)
-    except DegenerateError:
-        row["case"] = "Degenerate"
-    v0 = job["v0_factor"] * p.v_star
-    row["v0"] = v0
-    try:
-        thr = find_w0_star(p, v0, controls=ctr)
-    except _NUMERICAL_FAILURES as exc:
-        row.update(w0_star=None, method=None, types=None,
-                   error=f"{type(exc).__name__}: {exc}")
-        return row
-    row.update(w0_star=thr.w0_star, method=thr.method, error=None)
-
-    def types_for(w0: float):
-        try:
-            return list(predicted_types(p, v0, w0, thr.w0_star))
-        except _NUMERICAL_FAILURES:
-            return None
-
-    row["types"] = {
-        "super": types_for(2.0 * thr.w0_star),
-        "critical": types_for(thr.w0_star),
-        "sub": types_for(0.5 * thr.w0_star),
-    }
-
-    n = job["check_samples"]
-    if n > 0:
-        import random
-
-        rng = random.Random(job["seed"] * 100003 + job["index"])
-        correct = 0
-        for _ in range(n):
-            w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
-            while abs(w0 - thr.w0_star) <= 1e-8 * thr.w0_star:
-                w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
-            try:
-                shot = classify_trajectory(p, w0, v0, controls=ctr)
-                ok = is_subcritical(shot.cls) == (w0 < thr.w0_star)
-            except _NUMERICAL_FAILURES:
-                ok = False
-            correct += int(ok)
-        row["checks"] = {"n": n, "correct": correct}
-    return row
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    p, opt = cfg.params, cfg.options
-    jobs = []
-    base = cfg.params.to_dict()
-    for i, (a, f) in enumerate(
-        itertools.product(opt["a_values"], opt["sigma_factors"])
-    ):
-        probe = replace(p, a=a, sigma=p.sigma)  # sigma placeholder; replaced next
-        # sigma_star collapses to 0 at a = 1; fall back to the wave speed
-        # bound so the factor grid still spans distinct regimes there.
-        ref = probe.sigma_star if probe.sigma_star > 0.0 else probe.v_star
-        model = dict(base, a=a, sigma=f * ref)
-        jobs.append(
-            {
-                "model": model,
-                "v0_factor": opt["v0_factor"],
-                "check_samples": opt["check_samples"],
-                "seed": cfg.seed,
-                "index": i,
-                "rtol": cfg.controls.rtol,
-                "atol": cfg.controls.atol,
-            }
-        )
-    if opt["workers"] == 1:
-        rows = [_sweep_point(job) for job in jobs]
-    else:
-        # imported here: the pool machinery costs import time every other
-        # command would pay
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a pool forks all its workers at the first submit: one per point at most
-        with ProcessPoolExecutor(max_workers=min(opt["workers"], len(jobs))) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-
+    opt = cfg.options
+    rows = sweep(cfg.params, seed=cfg.seed, controls=cfg.controls, **opt)
     report = {
         "seed": cfg.seed,
         "v0_factor": opt["v0_factor"],
@@ -670,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, PreconditionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_FAILURES as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

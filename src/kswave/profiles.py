@@ -6,7 +6,8 @@ integral of v, and u = w * S.  This module reconstructs those profiles,
 labels their asymptotic shape (types A1-A4 for the sharp-edge/tail
 taxonomy, plus the saturated-front labels), measures endpoint slope
 behaviour, and assembles the singular fronts that exist only for
-saturating flux.
+saturating flux.  `wave_profile`, `portrait` and `sweep` are the
+computations of the CLI commands `profile`, `portrait` and `sweep`.
 
 Taxonomy, for a profile component f in {u, S} on (s_minus, s_plus):
 
@@ -24,19 +25,23 @@ Taxonomy, for a profile component f in {u, S} on (s_minus, s_plus):
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
+    NUMERICAL_FAILURES,
     AnchorMismatch,
     DegenerateError,
     DenominatorVanished,
     InsufficientResolution,
+    KswaveError,
     PreconditionError,
     RegimeViolation,
+    StepSizeUnderflow,
 )
 from .flux import g_inverse
 from .integrate import (
@@ -54,8 +59,16 @@ from .integrate import (
     merge_trajectories,
     sample_list,
 )
-from .phase import ModelParams, equilibrium_points
-from .shooting import REGIME_BACKWARD, shooting_regime
+from .phase import ModelParams, equilibrium_points, regime_case
+from .shooting import (
+    REGIME_BACKWARD,
+    classify_trajectory,
+    find_w0_star,
+    is_subcritical,
+    shooting_regime,
+    supplied_threshold,
+    threshold_trajectory,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,6 +93,9 @@ SLOPE_ZERO = "zero"  # tangential contact
 # type labels against the sampled data, and when deciding that an end is
 # vacuum, where the zero-density far-field continuation applies.
 _VANISH_FRACTION = 0.05
+
+# A launch density within this relative distance of w0_star is exactly critical.
+_CRITICAL_REL = 1e-9
 
 # The largest argument at which math.exp is finite.
 _EXP_MAX = math.log(sys.float_info.max)
@@ -356,12 +372,16 @@ def _limit_rates(profile: WaveProfile, p: ModelParams) -> tuple[list, list]:
     return u_rates, S_rates
 
 
+def _is_critical(w0: float, w0_star: float, rel_tol: float = _CRITICAL_REL) -> bool:
+    return abs(w0 - w0_star) <= rel_tol * w0_star
+
+
 def predicted_types(
     p: ModelParams,
     v0: float,
     w0: float,
     w0_star: float,
-    rel_tol: float = 1e-9,
+    rel_tol: float = _CRITICAL_REL,
 ) -> tuple[str, str]:
     """The (u, S) taxonomy labels a launch (w0, v0) must produce.
 
@@ -379,7 +399,7 @@ def predicted_types(
     if w0 <= 0.0:
         raise ValueError(f"launch density ratio must be positive, got {w0!r}")
 
-    critical = abs(w0 - w0_star) <= rel_tol * w0_star
+    critical = _is_critical(w0, w0_star, rel_tol)
     if regime == REGIME_BACKWARD:
         if not critical and w0 > w0_star:
             return (TYPE_A1, TYPE_A1)
@@ -404,7 +424,7 @@ def classify_profile(
     profile: WaveProfile,
     p: ModelParams,
     w0_star: float,
-    rel_tol: float = 1e-9,
+    rel_tol: float = _CRITICAL_REL,
 ) -> tuple[str, str]:
     """Label (u, S) by the launch-density taxonomy, verified on the data.
 
@@ -669,3 +689,155 @@ def saturated_front(
         raise RegimeViolation("front density must stay finite and positive at the edges")
 
     return reconstruct(p, traj, s0=s0, S0=S0, u_type=label, S_type=label)
+
+
+def wave_profile(
+    p: ModelParams,
+    w0: float,
+    v0: float,
+    s0: float = 0.0,
+    S0: float = 1.0,
+    u0: float | None = None,
+    w0_star: float | None = None,
+    branch: str | None = None,
+    controls: Controls | None = None,
+) -> tuple[WaveProfile, float | None]:
+    """The profile launched at (w0, v0), anchored at s0, with the w0_star it used.
+
+    With ``branch`` set it is that branch's saturated front (see
+    saturated_front), and w0_star is None.  Otherwise w0_star is the one
+    given, or else solved with find_w0_star; a launch within the critical
+    tolerance of predicted_types is the critical orbit
+    (threshold_trajectory), any other the orbit through the launch point.
+    The profile carries classify_profile's labels and its endpoint_slopes,
+    or None where these cannot be measured (an infinite or unresolved edge).
+    Anchors that cannot give a finite profile, and u0 or w0_star given with
+    ``branch``, raise PreconditionError before any integration.
+    """
+    check_anchor(w0, s0, S0, u0)
+    if branch is not None:
+        if u0 is not None or w0_star is not None:
+            raise PreconditionError("u0 and w0_star are not meaningful for saturated fronts")
+        return saturated_front(p, v0, w0, branch=branch, s0=s0, S0=S0, controls=controls), None
+    if w0_star is not None:
+        thr = supplied_threshold(p, v0, w0_star)
+    else:
+        thr = find_w0_star(p, v0, controls=controls)
+    if _is_critical(w0, thr.w0_star):
+        traj = threshold_trajectory(p, v0, result=thr, controls=controls)
+    else:
+        traj = wave_trajectory(p, w0, v0, controls=controls)
+    prof = reconstruct(p, traj, s0=s0, S0=S0, u0=u0)
+    prof.u_type, prof.S_type = classify_profile(prof, p, thr.w0_star)
+    try:
+        prof.endpoint_slopes = endpoint_slopes(prof, p)
+    except (ValueError, KswaveError):
+        prof.endpoint_slopes = None
+    return prof, thr.w0_star
+
+
+def _regime_case(p: ModelParams) -> str:
+    try:
+        return regime_case(p)
+    except DegenerateError:
+        return "Degenerate"
+
+
+def portrait(
+    p: ModelParams, seeds, controls: Controls | None = None
+) -> tuple[str, list[Trajectory]]:
+    """The regime case of p ("Degenerate" at sigma_star) and the full orbit
+    through each seed (w0, v0).  A saturated orbit whose slope turns vertical
+    in s (StepSizeUnderflow) is traced as a graph W(v) instead, which reaches
+    the flux boundary exactly."""
+    case = _regime_case(p)
+    orbits = []
+    for w0, v0 in seeds:
+        try:
+            orbits.append(wave_trajectory(p, w0, v0, controls=controls))
+        except StepSizeUnderflow:
+            if not p.limiter.saturated:
+                raise
+            orbits.append(graph_trajectory(p, w0, v0, controls=controls))
+    return case, orbits
+
+
+def sweep(
+    p: ModelParams,
+    a_values,
+    sigma_factors,
+    v0_factor: float = 2.0,
+    check_samples: int = 0,
+    seed: int = 0,
+    workers: int = 1,
+    controls: Controls | None = None,
+) -> list[dict]:
+    """One row per grid point: p with each a, and sigma each factor times sigma_star.
+
+    At a = 1, where sigma_star is 0, the factors multiply v_star instead.
+    A row holds the regime case, the launch slope v0 = v0_factor * v_star,
+    and find_w0_star's w0_star and method with the predicted types of a
+    super-critical (2 w0_star), critical and sub-critical (w0_star / 2)
+    launch; a numerical failure of the solve leaves w0_star None and its
+    message in ``error``.  With check_samples > 0, ``checks`` counts how
+    many classify_trajectory runs at random launches within a factor 4 of
+    w0_star, drawn from ``seed`` and the point's index, fall on the right
+    side.  The grid is built, and so its parameters validated, before any
+    point runs; with workers > 1 the points run in a process pool.
+    """
+    ctr = controls if controls is not None else Controls()
+    jobs = []
+    for i, (a, f) in enumerate(itertools.product(a_values, sigma_factors)):
+        probe = replace(p, a=a)
+        point = replace(probe, sigma=f * (probe.sigma_star or probe.v_star))
+        jobs.append((point, v0_factor, check_samples, seed * 100003 + i, ctr))
+    if workers == 1:
+        return [_sweep_point(job) for job in jobs]
+    # imported here: the pool machinery costs import time every other
+    # computation would pay
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a pool forks all its workers at the first submit: one per point at most
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(_sweep_point, jobs))
+
+
+def _sweep_point(job: tuple) -> dict:
+    p, v0_factor, n, rng_seed, ctr = job
+    v0 = v0_factor * p.v_star
+    row: dict = {"a": p.a, "sigma": p.sigma, "case": _regime_case(p), "v0": v0}
+    try:
+        thr = find_w0_star(p, v0, controls=ctr)
+    except NUMERICAL_FAILURES as exc:
+        row.update(w0_star=None, method=None, types=None, error=f"{type(exc).__name__}: {exc}")
+        return row
+    row.update(w0_star=thr.w0_star, method=thr.method, error=None)
+
+    def types_for(w0: float):
+        try:
+            return list(predicted_types(p, v0, w0, thr.w0_star))
+        except NUMERICAL_FAILURES:
+            return None
+
+    row["types"] = {
+        "super": types_for(2.0 * thr.w0_star),
+        "critical": types_for(thr.w0_star),
+        "sub": types_for(0.5 * thr.w0_star),
+    }
+    if n > 0:
+        import random
+
+        rng = random.Random(rng_seed)
+        correct = 0
+        for _ in range(n):
+            w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
+            while abs(w0 - thr.w0_star) <= 1e-8 * thr.w0_star:
+                w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
+            try:
+                shot = classify_trajectory(p, w0, v0, controls=ctr)
+                ok = is_subcritical(shot.cls) == (w0 < thr.w0_star)
+            except NUMERICAL_FAILURES:
+                ok = False
+            correct += int(ok)
+        row["checks"] = {"n": n, "correct": correct}
+    return row

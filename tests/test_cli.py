@@ -113,7 +113,7 @@ class TestPortrait:
         def boom(*a, **kw):
             raise StepSizeUnderflow("forced")
 
-        monkeypatch.setattr(cli, "wave_trajectory", boom)
+        monkeypatch.setattr(profiles, "wave_trajectory", boom)
         code, _, _ = run(
             capsys,
             "portrait", "--a", "1", "--sigma", "0.5",
@@ -132,7 +132,7 @@ class TestPortrait:
         def boom(*a, **kw):
             raise StepSizeUnderflow("forced")
 
-        monkeypatch.setattr(cli, "wave_trajectory", boom)
+        monkeypatch.setattr(profiles, "wave_trajectory", boom)
         # Linear flux has no graph fallback.
         code, _, err = run(
             capsys,

@@ -96,7 +96,7 @@ def test_nan_in_a_csv_column_is_numerical_failure(capsys, tmp_path, monkeypatch)
         prof.u[len(prof.u) // 2] = math.nan
         return prof
 
-    monkeypatch.setattr(cli, "reconstruct", reconstruct_with_nan)
+    monkeypatch.setattr("kswave.profiles.reconstruct", reconstruct_with_nan)
     code = cli.main(
         ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
          "--out", str(tmp_path)]
@@ -113,7 +113,7 @@ def test_infinity_in_a_csv_column_is_numerical_failure(capsys, tmp_path, monkeyp
         prof.S[len(prof.S) // 2] = -math.inf
         return prof
 
-    monkeypatch.setattr(cli, "reconstruct", reconstruct_with_inf)
+    monkeypatch.setattr("kswave.profiles.reconstruct", reconstruct_with_inf)
     code = cli.main(
         ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
          "--out", str(tmp_path)]
@@ -163,7 +163,7 @@ def test_sweep_records_an_error_row_per_failing_point(capsys, tmp_path, monkeypa
     def overflow(*args, **kwargs):
         raise OverflowError(34, "Numerical result out of range")
 
-    monkeypatch.setattr(cli, "find_w0_star", overflow)
+    monkeypatch.setattr("kswave.profiles.find_w0_star", overflow)
     code = cli.main(
         ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5,1.5",
          "--out", str(tmp_path)]
@@ -175,3 +175,22 @@ def test_sweep_records_an_error_row_per_failing_point(capsys, tmp_path, monkeypa
     for row in rows:
         assert row["w0_star"] is None
         assert row["error"].startswith("OverflowError")
+
+
+def test_sweep_points_run_with_the_config_file_controls(capsys, tmp_path):
+    # a step budget of 5 leaves `shoot` Inconclusive (exit 3); each sweep
+    # point runs with the same controls, so its solve fails the same way
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"controls": {"max_steps": 5}}), encoding="utf-8")
+    code = cli.main(["shoot", "--config", str(cfg), "--a", "0.5", "--sigma", "0.1", "--v0", "2"])
+    assert code == 3
+    assert "Inconclusive" in capsys.readouterr().err
+    code = cli.main(
+        ["sweep", "--config", str(cfg), "--a-values", "0.5", "--sigma-factors", "0.5",
+         "--out", str(tmp_path / "out")]
+    )
+    capsys.readouterr()
+    assert code == 0
+    (row,) = strict_json((tmp_path / "out" / "sweep.json").read_text(encoding="utf-8"))["points"]
+    assert row["w0_star"] is None
+    assert row["error"].startswith("Inconclusive")

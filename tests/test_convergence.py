@@ -11,7 +11,8 @@ default it must lie within 1e-9 relative of it.  The quantities are:
 - the placement of the critical orbit's pieces in `threshold_trajectory`:
   its blow-up edge, relative to the launch point at s = 0, and the s at
   which its relaxation tail starts;
-- the labels of the benchmark's round-0 profiles, which must not change.
+- the labels of the benchmark's round-0 profiles, which must not change;
+- the critical launch density w0_star over cases A-E.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from kswave.integrate import (
     integrate,
     sample_list,
 )
-from kswave.phase import ModelParams
+from kswave.phase import ModelParams, regime_case
 from kswave.profiles import classify_profile, endpoint_slopes, reconstruct, wave_trajectory
 
 RTOLS = (1e-10, 1e-12, 1e-13)
@@ -242,3 +243,30 @@ def test_round_zero_profile_labels_do_not_depend_on_rtol(worker):
             for rtol in RTOLS
         ]
         assert labels[0] == labels[1] == labels[2], (op["base"], op["m"], labels)
+
+
+# --------------------------------------------------------------------------
+# the critical launch density over cases A-E
+# --------------------------------------------------------------------------
+
+# (a, sigma, v0) -> regime case; case A is launched both ways
+THRESHOLD_POINTS = {
+    (0.5, 0.2, 1.8): "A",
+    (0.5, 0.2, -2.0): "A",
+    (0.6, 0.7, 2.0): "B",
+    (1.0, 0.5, 2.0): "C",
+    (2.0, 0.5, 2.5): "D",
+    (2.0, 1.5, 2.5): "E",
+}
+
+
+@pytest.mark.parametrize("point", sorted(THRESHOLD_POINTS), ids=_point_id)
+def test_w0_star_converges_in_rtol(point):
+    a, sigma, v0 = point
+    p = ModelParams(a=a, sigma=sigma)
+    assert regime_case(p) == THRESHOLD_POINTS[point]
+    default, tight, ref = (
+        shooting.find_w0_star(p, v0, controls=Controls(rtol=rtol)).w0_star for rtol in RTOLS
+    )
+    assert abs(default - ref) <= 1e-9 * ref
+    assert abs(tight - ref) <= abs(default - ref)
