@@ -5,7 +5,10 @@ wave coordinate s with the 8(5,3) Dormand-Prince pair DOP853, locating
 termination events (slope blow-up, equilibrium capture, flux-boundary
 arrival, vanishing w, span exhaustion) to root-finding accuracy.  It also
 carries I(s) = integral of v ds, from which the signal S is reconstructed
-later as S = S0 * exp(I - I0).  Every orbit steps with DOP853, whether
+later as S = S0 * exp(I - I0).  Its state is (ln w, v, I): where w
+decays or grows exponentially near the invariant axis w = 0 (ln w = -inf),
+(ln w)' = g(a*v - sigma) - v is smooth, so steps are not held to one size
+there.  Samples, events and equilibrium balls see w.  Every orbit steps with DOP853, whether
 its samples are read (profiles, portraits, the critical orbit) or only
 its deciding event (the shooting's decision orbits): no reported answer
 reads how densely an orbit was sampled, and `Controls(h_max=...)` gives
@@ -22,7 +25,7 @@ to the boundary.  The graph solver carries s and I along with W, by
 ds = gamma/(lam - gamma*v^2 - W) dv and dI = v ds, so a leg's accuracy is
 set by the solver tolerance; `GraphSolution.trajectory` turns a leg into
 a Trajectory in ascending s.  Both drivers step through `_march`, one
-adaptive loop with one step-size controller.
+adaptive loop with one predictive step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars: orbits take
@@ -48,7 +51,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .flux import boundary_exponent, make_boundary_factor, make_g
-from .phase import ModelParams, equilibrium_points, make_rhs
+from .phase import ModelParams, equilibrium_points, make_log_rhs
 from .roots import brentq
 
 if TYPE_CHECKING:
@@ -86,7 +89,7 @@ class Controls:
     s_max: float = 1e3            # span bound |s - s0|
     max_steps: int = 1_000_000    # step attempts per orbit or graph leg
     v_max: float = 1e6            # |v| at which the run counts as blown up
-    w_min: float = 1e-12          # w level treated as vanished; 0 disables
+    w_min: float = 1e-12          # w level treated as vanished, tested in ln w; 0 disables
     eq_tol: float = 1e-9          # equilibrium capture ball, relative
     eq_dwell: float = 5.0         # span to sit in the ball; inf disables
     boundary_eps_rel: float = 1e-9  # flux-boundary standoff, relative to c
@@ -350,16 +353,17 @@ _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
 
 
 def _dop853_step(f, t, y, k1, h):
-    """One DOP853 step of size h from state y=(w, v, I) with cached k1 = f(y).
+    """One DOP853 step of size h from state y=(x, v, I) with cached k1 = f(y).
 
-    The orbit's field is autonomous, so t is not read; it is there so that
+    `f(x, v)` gives the slopes of (x, v); on an orbit x is ln w.  The
+    orbit's field is autonomous, so t is not read; it is there so that
     every step `_march` takes has the same signature.  Returns (y8, k13,
     (err5, err3)): the 8th-order result, k13 = f(y8) (FSAL), and the 5th-
     and 3rd-order error estimates per component, which `_march` combines.
     dI/ds = v, so the third slope of each stage is its v, and the stage
     values of I are never needed.  Every sum runs left to right over the
     nonzero coefficients in tableau order, so the results equal the generic
-    tableau loop's on the slopes (f(w, v), v) to the bit.
+    tableau loop's on the slopes (f(x, v), v) to the bit.
     """
     w, v, ii = y
     k1w, k1v, k1i = k1
@@ -453,12 +457,6 @@ def _dop853_step(f, t, y, k1, h):
     return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
 
 
-# w decays and grows over hundreds of orders of magnitude and enters the
-# reconstructed density through an exponential of its running integral, so
-# its step-error control must stay relative at any magnitude; the floor
-# only guards against an exact-zero scale.
-_W_ATOL_FLOOR = 1e-290
-
 # Smallest step, relative to max(1, |s|), that still moves s.
 _H_FLOOR_REL = 16.0 * sys.float_info.epsilon
 
@@ -477,12 +475,15 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> 
     # a NaN norm (a component at -inf: ln w on the invariant axis w = 0) takes 1e-6
     h0 = 0.01 * d0 / d1 if (d0 >= 1e-5 and d1 >= 1e-5) else 1e-6
     h0 = min(h0, ctr.h_max, span)
+    if h0 == 0.0:
+        # a slope too large for floats (d1 = inf) leaves no step to try
+        raise StepSizeUnderflow(f"no initial step: slopes {list(k1)} at state {list(y)}")
     f1 = None
     for _ in range(80):
         try:
             f1 = f(t + sgn * h0, tuple(y[c] + sgn * h0 * k1[c] for c in range(n)))
             break
-        except (DomainError, ZeroDivisionError):
+        except (DomainError, ZeroDivisionError, OverflowError):
             h0 *= 0.25
     if f1 is None:
         raise StepSizeUnderflow("cannot take even an initial trial step")
@@ -500,16 +501,22 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     `step(f, t, y, k1, h)` takes one step of signed size h and returns
     (y1, k, est): the result, the slope data the next step starts from
     (FSAL: the slope at y1, or stage slopes ending with it) and the error
-    estimate of the 3-component state.  With scaled errors
-    e[c] / (atols[c] + rtol * |y[c]|), the error norm of a graph-leg or
-    tail DP54 step (order 5, `est` the error per component) is the RMS of
-    e; that of an orbit's DOP853 step (order 8, `est` the pair (err5, err3)
-    of its 5th- and 3rd-order estimates) is
+    estimate of the 3-component state.  Errors are scaled by
+    atols[c] + rtol * max(|y[c]|, |y1[c]|), except an orbit's ln w, whose
+    scale rtol * max(1, w1/w) is w's relative scale carried over to ln w.
+    The error norm of a graph-leg or tail DP54 step (order 5, `est` the
+    error per component) is the RMS of the scaled errors e; that of an
+    orbit's DOP853 step (order 8, state (ln w, v, I), `est` the pair (err5,
+    err3) of its 5th- and 3rd-order estimates) is
     |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 * |e3|^2)), as in Hairer's dop853.f.
-    A step raising DomainError or ZeroDivisionError counts as infinite
-    error.  The I controller (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.4), with exponent -1/order, is
-    capped at h_max and does not grow right after a rejection.
+    A step raising DomainError, ZeroDivisionError or OverflowError counts
+    as infinite error.  The controller is Gustafsson's predictive one
+    (Hairer & Wanner, Solving ODEs II, IV.8; RADAU5's `pred`): to the I
+    controller's fac = 0.9 * err^(-1/order), an accepted step after an
+    earlier accepted one (size h_acc, error err_acc) adds the bound
+    fac * (h/h_acc) * (max(err_acc, 0.01)/err)^(1/order), so a shrinking
+    best step does not make rejections alternate with acceptances.  fac is
+    clamped to [0.2, 10], h to h_max, and h does not grow after a rejection.
 
     Yields each accepted step as (t, y, k1, h, t1, y1, k), the last one
     landing on t_end exactly.  Raises Inconclusive after max_steps attempts
@@ -520,6 +527,7 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     expo = -1.0 / order
     sgn = math.copysign(1.0, t_end - t)
     just_rejected = False
+    h_acc = err_acc = None  # size and error of the last accepted step
     cause = None
     for _ in range(ctr.max_steps):
         remaining = abs(t_end - t)
@@ -529,24 +537,30 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
         h_try = remaining if landing else h
         try:
             y1, k, est = step(f, t, y, k1, sgn * h_try)
-            sc0 = a0 + rtol * max(abs(y[0]), abs(y1[0]))
             sc1 = a1 + rtol * max(abs(y[1]), abs(y1[1]))
             sc2 = a2 + rtol * max(abs(y[2]), abs(y1[2]))
             if order == 5:
+                sc0 = a0 + rtol * max(abs(y[0]), abs(y1[0]))
                 e0, e1, e2 = est
                 err = math.sqrt(((e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2) / 3.0)
             else:
+                # on the axis ln w is -inf at both ends: exp(nan) loses to 1
+                sc0 = a0 + rtol * max(1.0, math.exp(y1[0] - y[0]))
                 (e0, e1, e2), (d0, d1, d2) = est
                 n5 = (e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2
                 deno = n5 + 0.01 * ((d0 / sc0) ** 2 + (d1 / sc1) ** 2 + (d2 / sc2) ** 2)
                 err = n5 / math.sqrt(3.0 * deno) if deno != 0.0 else 0.0
             cause = None
-        except (DomainError, ZeroDivisionError) as exc:
+        except (DomainError, ZeroDivisionError, OverflowError) as exc:
             err, cause = math.inf, exc
         # NaN fails every comparison: a state gone non-finite is rejected
         # until the step size underflows.
         accepted = err <= 1.0
         fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** expo
+        if accepted:
+            if h_acc is not None and err != 0.0:
+                fac = min(fac, fac * (h_try / h_acc) * (err_acc / err) ** -expo)
+            h_acc, err_acc = h_try, max(err, 1e-2)
         grow = _FAC_MAX if accepted and not just_rejected else 1.0
         h = min(h_try * min(grow, max(_FAC_MIN, fac)), ctr.h_max)
         just_rejected = not accepted
@@ -589,8 +603,9 @@ def integrate(
     are checked before the built-in ones and win ties.  A run that dwells
     in the capture ball of an equilibrium ends CONVERGED, with
     `equilibrium_index` indexing `equilibria(p)`.  The orbit steps with
-    DOP853 (see the module docstring), and events are located on partial
-    DOP853 steps.
+    DOP853 in the state (ln w, v, I) (see the module docstring), and events
+    are located on partial DOP853 steps; samples, events and the capture
+    balls see w = e^(ln w).
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
@@ -600,18 +615,20 @@ def integrate(
     if w0 < 0.0:
         raise ValueError("w0 must be nonnegative")
     sgn = 1.0 if direction == FORWARD else -1.0
-    f = make_rhs(p)
+    f = make_log_rhs(p)
 
     events = list(extra_events)
-    # The built-in events are level crossings of w (component 0) or v (1),
-    # tested on the states directly: for e = x - level, x_prev < level <= x_new
-    # is exactly e_prev < 0 <= e_new in IEEE arithmetic.  Their EventSpec
-    # serves only to locate the crossing.
+    # The built-in events are level crossings of ln w (component 0) or v
+    # (1), tested on the states directly: for e = x - level, x_prev < level
+    # <= x_new is exactly e_prev < 0 <= e_new in IEEE arithmetic.  Their
+    # EventSpec, on (s, w, v), serves only to locate the crossing.
     levels: list[tuple[int, float, int, EventSpec]] = []
 
     def level_event(c: int, level: float, direction: int, kind: str) -> None:
+        # a level of w is given, and located, in w, and tested in ln w
         fn = (lambda s, w, v: w - level) if c == 0 else (lambda s, w, v: v - level)
-        levels.append((c, level, direction, EventSpec(fn=fn, kind=kind, direction=direction)))
+        x_level = math.log(level) if c == 0 else level
+        levels.append((c, x_level, direction, EventSpec(fn=fn, kind=kind, direction=direction)))
 
     if p.limiter.saturated:
         lo, hi = p.slope_domain
@@ -638,7 +655,8 @@ def integrate(
         above = [lv for cc, lv, _, _ in levels if cc == c and lv >= x0]
         return max(below, default=-math.inf), min(above, default=math.inf)
 
-    (w_lo, w_hi), (v_lo, v_hi) = box(0, w0), box(1, v0)
+    lw0 = _ln(w0)
+    (lw_lo, lw_hi), (v_lo, v_hi) = box(0, lw0), box(1, v0)
     in_box = True  # the launch state is in the closed box
 
     eq_data = [
@@ -662,8 +680,9 @@ def integrate(
         return None
 
     s = s0
-    y = (w0, v0, 0.0)
-    k1 = f(w0, v0) + (v0,)
+    y = (lw0, v0, 0.0)
+    k1 = f(lw0, v0) + (v0,)
+    w = w0
     ss, ws, vs, iis = [s], [w0], [v0], [0.0]
     e_prev = [ev.fn(s, w0, v0) for ev in events]
     dwell_idx = eq_ball(w0, v0)
@@ -672,11 +691,11 @@ def integrate(
     s_end = s0 + sgn * ctr.s_max
     h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
     march = _march(
-        _dop853_step, f, s, y, k1, s_end, h, (_W_ATOL_FLOOR, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
+        _dop853_step, f, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
     )
     try:
         for s_old, y_old, k1_old, h, s, y, _ in march:
-            w, v = y[0], y[1]
+            w_old, w, v = w, math.exp(y[0]), y[1]
             # --- event detection along this accepted step ---
             # extra events come first, so they win ties
             best: tuple[float, EventSpec] | None = None
@@ -685,17 +704,19 @@ def integrate(
                 for ev, e_old, e in zip(events, e_prev, e_new):
                     if _crossed(e_old, e, ev.direction):
                         at = _orbit_at(f, s_old, y_old, k1_old, h)
-                        theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, e)
+                        theta = _locate_event(at, (s_old, w_old, y_old[1]), ev.fn, e)
                         if best is None or theta < best[0]:
                             best = (theta, ev)
                 e_prev = e_new
-            was_in_box, in_box = in_box, w_lo < w < w_hi and v_lo < v < v_hi
+            was_in_box, in_box = in_box, lw_lo < y[0] < lw_hi and v_lo < v < v_hi
             if not (was_in_box and in_box):
                 for c, level, d, ev in levels:
                     x_old, x = y_old[c], y[c]
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
                         at = _orbit_at(f, s_old, y_old, k1_old, h)
-                        theta = _locate_event(at, (s_old, *y_old[:2]), ev.fn, x - level)
+                        theta = _locate_event(
+                            at, (s_old, w_old, y_old[1]), ev.fn, ev.fn(s, w, v)
+                        )
                         if best is None or theta < best[0]:
                             best = (theta, ev)
             if best is not None:
@@ -705,7 +726,8 @@ def integrate(
                 else:
                     y_ev = _dop853_step(f, s_old, y_old, k1_old, h * theta)[0]
                     s_ev = s_old + h * theta
-                ss.append(s_ev), ws.append(y_ev[0]), vs.append(y_ev[1]), iis.append(y_ev[2])
+                w_ev = math.exp(y_ev[0])
+                ss.append(s_ev), ws.append(w_ev), vs.append(y_ev[1]), iis.append(y_ev[2])
                 if ev.kind == _TAIL:
                     # the extra events, the w_min level if there is one, and the span
                     ends = list(extra_events) + [ev for c, _, _, ev in levels if c == 0]
@@ -714,7 +736,7 @@ def integrate(
                     ))
                     term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, (ss, ws, vs, iis))
                 else:
-                    term = TerminationEvent(kind=ev.kind, s=s_ev, w=y_ev[0], v=y_ev[1])
+                    term = TerminationEvent(kind=ev.kind, s=s_ev, w=w_ev, v=y_ev[1])
                 break
 
             ss.append(s), ws.append(w), vs.append(v), iis.append(y[2])
@@ -727,19 +749,24 @@ def integrate(
                 term = TerminationEvent(kind=CONVERGED, s=s, w=w, v=v, equilibrium_index=idx)
                 break
         else:
-            term = TerminationEvent(kind=MAX_SPAN, s=s, w=y[0], v=y[1])
+            term = TerminationEvent(kind=MAX_SPAN, s=s, w=w, v=y[1])
     except StepSizeUnderflow as exc:
         # steps that keep leaving the slope domain near the flux boundary
         # have arrived there
         kind = _near_flux_boundary(p, y[1], ctr)
         if kind is None or not isinstance(exc.__cause__, DomainError):
             raise
-        term = TerminationEvent(kind=kind, s=s, w=y[0], v=y[1])
+        term = TerminationEvent(kind=kind, s=s, w=w, v=y[1])
 
     if term.kind == MAX_SPAN and _looks_bounded(ws, vs):
         term = replace(term, kind=BOUNDED)
 
     return _assemble(p, f, ss, ws, vs, iis, direction, term, ctr)
+
+
+def _ln(w: float) -> float:
+    """ln w, with the axis w = 0 at -inf."""
+    return math.log(w) if w > 0.0 else -math.inf
 
 
 def _boundary_standoff(p: ModelParams, ctr: Controls) -> float:
@@ -760,11 +787,12 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
 
 
 def _orbit_at(f, s, y, k1, h_signed):
-    """The state (s, w, v) a partial orbit step of theta * h_signed from (s, y) reaches."""
+    """The state (s, w, v) a partial orbit step of theta * h_signed reaches from
+    (s, y), y = (ln w, v, I)."""
 
     def at(theta: float) -> tuple[float, float, float]:
         yt = _dop853_step(f, s, y, k1, h_signed * theta)[0]
-        return s + h_signed * theta, yt[0], yt[1]
+        return s + h_signed * theta, math.exp(yt[0]), yt[1]
 
     return at
 
@@ -794,7 +822,7 @@ def _locate_event(at, start, fn, e_end: float) -> float:
 
 
 def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> TerminationEvent:
-    """March an orbit from (s, y) = (s, (w, v, I)), past the switch level, to blow-up.
+    """March an orbit from (s, y) = (s, (ln w, v, I)), past the switch level, to blow-up.
 
     There |v| > v_star, so v' = F = (lam - gamma*v^2 - w)/gamma < 0 and v
     runs monotonically outward.  The tail is marched in tau = ln|v|, from
@@ -813,7 +841,7 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     ss, ws, vs, iis = samples
     g = make_g(p.limiter)
     a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
-    w, v, ii = y
+    lw, v, ii = y
     vsign = math.copysign(1.0, v)
 
     def field(t, x):
@@ -829,14 +857,14 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
         return y[1] + 1.0 / vt, math.exp(y[0]), vt
 
     # w = 0 is invariant: ln w stays -inf, and its scaled error 0
-    t, y = math.log(abs(v)), (math.log(w) if w > 0.0 else -math.inf, s - 1.0 / v, ii)
+    t, y = math.log(abs(v)), (lw, s - 1.0 / v, ii)
     t_end = math.log(ctr.v_max)
     k1 = field(t, y[0])
     h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, 1.0, ctr, t_end - t)
     march = _march(
         _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
     )
-    prev = (s, w, v)
+    prev = (s, math.exp(lw), v)
     e_prev = [ev.fn(*prev) for ev in ends]
     for t_old, y_old, ks_old, h, t, y, _ in march:
 
@@ -906,7 +934,7 @@ def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
         lo, hi = p.slope_domain
         v_edge = lo if term.kind == FLUX_BOUNDARY_LOW else hi
         try:
-            dv = f(term.w, term.v)[1]
+            dv = f(_ln(term.w), term.v)[1]
         except DomainError:
             dv = 0.0
         edge = term.s + ((v_edge - term.v) / dv if dv != 0.0 else 0.0)

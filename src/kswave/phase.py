@@ -108,6 +108,19 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     return f
 
 
+def make_log_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
+    """`make_rhs` in (ln w, v), the state orbits march in: (ln w)' =
+    g(a*v - sigma) - v, and ln w = -inf is the invariant axis w = 0."""
+    g = make_g(p.limiter)
+    a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
+    exp = math.exp
+
+    def f(lw: float, v: float) -> tuple[float, float]:
+        return (g(a * v - sigma) - v, (lam - gamma * v * v - exp(lw)) / gamma)
+
+    return f
+
+
 def rhs(p: ModelParams, w: float, v: float) -> tuple[float, float]:
     """Vector field (w', v') at a single state."""
     return make_rhs(p)(w, v)

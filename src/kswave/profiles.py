@@ -50,6 +50,7 @@ from .integrate import (
     FORWARD,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
+    W_VANISHED,
     ArrayField,
     Controls,
     Trajectory,
@@ -359,14 +360,22 @@ def _limit_rates(profile: WaveProfile, p: ModelParams) -> tuple[list, list]:
     An end CONVERGED on an axis equilibrium (0, v_e) has S'/S -> v_e and
     u'/u -> g(a*v_e - sigma), since w'/w = g(a*v - sigma) - v; there the
     tail's fate is that rate's sign, wherever the dwell stop cut the orbit.
-    Other ends get None.
+    A W_VANISHED end takes the rates of the axis equilibrium that the axis
+    flow v' = (lam - gamma*v^2)/gamma carries its v to: v_star forward from
+    v > -v_star, -v_star backward from v < v_star.  Other ends get None.
     """
     u_rates, S_rates = [None, None], [None, None]
+    lo, hi = p.slope_domain
     for i, (ev, outward) in enumerate(zip(profile.end_events or (None, None), (-1.0, 1.0))):
-        if ev is None or ev.kind != CONVERGED:
+        if ev is None:
             continue
-        w_e, v_e = equilibrium_points(p)[ev.equilibrium_index]
-        if w_e == 0.0:
+        if ev.kind == CONVERGED:
+            w_e, v_e = equilibrium_points(p)[ev.equilibrium_index]
+        elif ev.kind == W_VANISHED and outward * ev.v > -p.v_star:
+            w_e, v_e = 0.0, outward * p.v_star
+        else:
+            continue
+        if w_e == 0.0 and lo < v_e < hi:
             u_rates[i] = outward * g_inverse(p.limiter, p.a * v_e - p.sigma)
             S_rates[i] = outward * v_e
     return u_rates, S_rates
@@ -433,8 +442,8 @@ def classify_profile(
     contradiction downgrades that component to Unclassified (flagged,
     never raised).  Ends truncated before any edge was reached cannot
     contradict a label and leave it standing.  An end that converged on an
-    axis equilibrium is judged by the sign of its limit rate (see
-    `_limit_rates`), not by the last sample before the dwell stop.
+    axis equilibrium, or whose w vanished, is judged by the sign of its
+    limit rate (see `_limit_rates`), not by the last sample before the stop.
     """
     if profile.anchors is None:
         raise ValueError("profile carries no anchors; reconstruct it first")
@@ -570,8 +579,8 @@ def continuation_coefficients(profile: WaveProfile, p: ModelParams) -> dict:
     zero-density continuation (see farfield_coefficients); past a finite
     sharp edge the signal continues as identically zero (a slope jump,
     not a smooth solution), so no coefficients are reported there.  An end
-    that converged on an axis equilibrium vanishes by the sign of its
-    limit rate (see `_limit_rates`), as in classify_profile.
+    that converged on an axis equilibrium, or whose w vanished, vanishes by
+    the sign of its limit rate (see `_limit_rates`), as in classify_profile.
     """
     out = {"at_s_minus": None, "at_s_plus": None}
     s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
@@ -749,8 +758,14 @@ def portrait(
     """The regime case of p ("Degenerate" at sigma_star) and the full orbit
     through each seed (w0, v0).  A saturated orbit whose slope turns vertical
     in s (StepSizeUnderflow) is traced as a graph W(v) instead, which reaches
-    the flux boundary exactly."""
+    the flux boundary exactly.  A seed slope outside the slope domain raises
+    PreconditionError before any orbit is traced."""
     case = _regime_case(p)
+    seeds = list(seeds)
+    lo, hi = p.slope_domain
+    for _, v0 in seeds:
+        if not lo < v0 < hi:
+            raise PreconditionError(f"seed slope {v0!r} outside the slope domain ({lo!r}, {hi!r})")
     orbits = []
     for w0, v0 in seeds:
         try:

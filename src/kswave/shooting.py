@@ -243,8 +243,9 @@ def trace_stable_manifold(
     The stable manifold is grown in reverse time from a seed displaced
     ``seed_scale * (1 + |saddle|)`` along the contracting eigenvector (the
     unstable manifold in forward time along the expanding one).  Both
-    displacement signs are tried; if neither branch reaches ``v_stop`` the
-    trace raises ``SeedEscaped``, also when a branch is captured by one of
+    displacement signs are tried, first the one whose seed moves v toward
+    ``v_stop``; if neither branch reaches ``v_stop`` the trace raises
+    ``SeedEscaped``, also when a branch is captured by one of
     ``equilibria(p)`` first.
     """
     if manifold not in ("stable", "unstable"):
@@ -271,7 +272,8 @@ def trace_stable_manifold(
     h = seed_scale * (1.0 + math.hypot(ws, vs))
 
     failures = []
-    for sign in (+1.0, -1.0):
+    toward = 1.0 if evec_v * (v_stop - vs) > 0.0 else -1.0
+    for sign in (toward, -toward):
         w_seed = ws + sign * h * evec_w
         v_seed = vs + sign * h * evec_v
         if w_seed <= 0.0:

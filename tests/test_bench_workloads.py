@@ -4,8 +4,8 @@ bench/worker.py and bench/tracing.py are imported as they are (the
 `worker` and `tracing` fixtures of conftest.py), and only their workload
 classes and tracer are used: each op of round 0 must pass the check the
 benchmark applies to it, the threshold solves of round 0 must stay within
-a classifier budget, the profile ops of round 0 must take the pinned
-number of steps, and the README commands must write the same bytes with
+a classifier budget, the profile and threshold ops of round 0 must take
+the pinned number of steps, and the README commands must write the same bytes with
 the tracer installed as without it.
 """
 
@@ -54,30 +54,12 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
     assert methods == ["Both"] * 16
 
 
-# Per op of profiles round 0 (seed 0): accepted steps and right-hand-side
-# evaluations of every march the op runs, orbits, blow-up tails and graph
-# legs together.  The evaluations are those the steps make, rejected steps
-# included; event location and each march's start are not counted.
-PROFILES_ROUND_0_WORK = [
-    (164, 1806),
-    (247, 2700),
-    (132, 1470),
-    (247, 2694),
-    (171, 1878),
-    (182, 1980),
-    (204, 2394),
-    (222, 2238),
-]
-# Round 0's accepted steps while blow-up ends were marched in s up to v_max.
-PROFILES_ROUND_0_STEPS_IN_S = 9802
-# Round 0's accepted steps and evaluations while orbits stepped with DP54
-# (blow-up tails already in ln|v|).
-PROFILES_ROUND_0_WORK_DP54 = (5011, 31368)
-
-
-def test_profiles_work_is_pinned(worker, monkeypatch):
-    # Work, not wall time: a change that makes the same answers cost more
-    # steps or evaluations shows here.
+def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
+    """Per op of round 0 (seed 0) of workload `name`: [accepted steps,
+    right-hand-side evaluations, step attempts] of every march the op runs,
+    orbits, blow-up tails and graph legs together.  The evaluations are
+    those the steps make, rejected steps included; event location and each
+    march's start are not counted."""
     integrate = importlib.import_module("kswave.integrate")
     march = integrate._march
     work = []
@@ -87,18 +69,50 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
             work[-1][1] += 1
             return f(*x)
 
-        for item in march(step, field, *args, **kwargs):
+        def attempt(*x):
+            work[-1][2] += 1
+            return step(*x)
+
+        for item in march(attempt, field, *args, **kwargs):
             work[-1][0] += 1
             yield item
 
-    wl = worker.WORKLOADS["profiles"](0)
+    wl = worker.WORKLOADS[name](0)
     wl.prepare()
     monkeypatch.setattr(integrate, "_march", counted)
     for op in wl.round(0):
-        work.append([0, 0])
+        work.append([0, 0, 0])
         wl.run(op)
-    assert [tuple(w) for w in work] == PROFILES_ROUND_0_WORK
-    steps, evals = map(sum, zip(*work))
+    return work
+
+
+# Per op of profiles round 0: accepted steps and evaluations.
+PROFILES_ROUND_0_WORK = [
+    (162, 1272),
+    (224, 2052),
+    (132, 1098),
+    (223, 1944),
+    (171, 1392),
+    (175, 1752),
+    (203, 1680),
+    (255, 2430),
+]
+# Round 0's accepted steps while blow-up ends were marched in s up to v_max.
+PROFILES_ROUND_0_STEPS_IN_S = 9802
+# Round 0's accepted steps and evaluations while orbits stepped with DP54
+# (blow-up tails already in ln|v|).
+PROFILES_ROUND_0_WORK_DP54 = (5011, 31368)
+# Round 0's accepted steps, evaluations and step attempts while orbits
+# marched w itself, and every march took the I controller alone.
+PROFILES_ROUND_0_WORK_IN_W = (1569, 17160, 1983)
+
+
+def test_profiles_work_is_pinned(worker, monkeypatch):
+    # Work, not wall time: a change that makes the same answers cost more
+    # steps or evaluations shows here.
+    work = round_zero_work(worker, monkeypatch, "profiles")
+    assert [(acc, evals) for acc, evals, _ in work] == PROFILES_ROUND_0_WORK
+    steps, evals, attempts = map(sum, zip(*work))
     # marching blow-up tails in ln|v| saves at least a third of the steps
     assert steps <= 2 * PROFILES_ROUND_0_STEPS_IN_S / 3
     # stepping orbits with DOP853 in place of DP54 saves over 60 % of the
@@ -106,6 +120,43 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
     dp54_steps, dp54_evals = PROFILES_ROUND_0_WORK_DP54
     assert steps <= 0.4 * dp54_steps
     assert evals <= 0.6 * dp54_evals
+    # marching ln w with the predictive controller saves over 15 % of the
+    # evaluations, and rejects at most 5 % of the attempts where the I
+    # controller in w rejected 21 %
+    assert evals <= 0.85 * PROFILES_ROUND_0_WORK_IN_W[1]
+    assert attempts - steps <= 0.05 * attempts
+
+
+# Per op of threshold round 0: accepted steps and evaluations.
+THRESHOLD_ROUND_0_WORK = [
+    (141, 1728),
+    (167, 2172),
+    (144, 1764),
+    (92, 1176),
+    (154, 2004),
+    (87, 1104),
+    (101, 1284),
+    (167, 2064),
+    (248, 3024),
+    (95, 1188),
+    (163, 2028),
+    (220, 2688),
+    (643, 8580),
+    (155, 1932),
+    (99, 1284),
+    (124, 1548),
+]
+# Round 0's accepted steps and evaluations while orbits marched w itself
+# with the I controller alone, and manifold traces tried the +1 branch first.
+THRESHOLD_ROUND_0_WORK_IN_W = (3510, 48408)
+
+
+def test_threshold_work_is_pinned(worker, monkeypatch):
+    # Work, not wall time, as for the profiles above.
+    work = round_zero_work(worker, monkeypatch, "threshold")
+    assert [(acc, evals) for acc, evals, _ in work] == THRESHOLD_ROUND_0_WORK
+    evals = sum(w[1] for w in work)
+    assert evals <= 0.8 * THRESHOLD_ROUND_0_WORK_IN_W[1]
 
 
 def readme_outputs(worker, root, monkeypatch) -> dict:

@@ -156,6 +156,29 @@ class TestPortrait:
         assert code == 3
 
 
+    def test_seed_outside_the_slope_domain_exits_2(self, capsys, tmp_path):
+        # the relativistic slope domain here is about (2.0, 10.1)
+        code, _, err = run(
+            capsys,
+            "portrait", "--a", "0.4396", "--sigma", "2.6648",
+            "--limiter", "relativistic", "--c", "1.786",
+            "--w-grid", "3.1602", "--v-grid=0.1586", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "slope domain" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_launch_density_exits_3(self, capsys, tmp_path):
+        # v' is about -1e300 there: no initial step can be sized
+        code, _, err = run(
+            capsys,
+            "portrait", "--a", "0.5", "--sigma", "1.0",
+            "--w-grid", "1e300", "--v-grid=0.5", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "numerical failure (StepSizeUnderflow)" in err
+
+
 class TestShoot:
     def test_dual_method_agreement(self, capsys, tmp_path):
         code, out, _ = run(

@@ -91,6 +91,16 @@ class TestPortrait:
             portrait(P, [(5.0, 2.0)])  # a linear orbit has no graph fallback
 
 
+    def test_seed_outside_the_slope_domain_is_refused_first(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an orbit was traced before every seed was checked")
+
+        monkeypatch.setattr(profiles, "wave_trajectory", forbidden)
+        lo, hi = REL.slope_domain
+        with pytest.raises(PreconditionError, match="slope domain"):
+            portrait(REL, [(5.0, 0.5), (5.0, hi + 0.1)])
+
+
 class TestSweep:
     def test_pool_rows_equal_serial_rows(self):
         kwargs = dict(a_values=[0.5, 2.0], sigma_factors=[0.5], check_samples=2, seed=3)

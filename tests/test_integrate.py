@@ -710,36 +710,36 @@ _REL = STEP_PARAMS[RELATIVISTIC]
 _EPS_V = 1e-9 * _REL.limiter.c / _REL.a  # its flux-boundary standoff
 EDGE_LAUNCHES = {
     "v0=+v_max": ((lp(1.0, 0.5), 1.0, 50.0, EDGE_CTR),
-                  (BOUNDED, 20.0, 81), "StepSizeUnderflow"),
+                  (BOUNDED, 20.0, 96), "StepSizeUnderflow"),
     "v0=-v_max": ((lp(1.0, 0.5), 1.0, -50.0, EDGE_CTR),
                   "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.840360670900356, 79)),
     "v0>v_max": ((lp(1.0, 0.5), 1.0, 60.0, EDGE_CTR),
-                 (BOUNDED, 20.0, 82), "StepSizeUnderflow"),
+                 (BOUNDED, 20.0, 98), "StepSizeUnderflow"),
     "v0<-v_max": ((lp(1.0, 0.5), 1.0, -60.0, EDGE_CTR),
-                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.8412775725496693, 80)),
+                  "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.841277572549723, 81)),
     "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
-                 (CONVERGED, 15.25216248841616, 41), (V_BLOW_UP_PLUS, -0.5493051443645995, 39)),
+                 (CONVERGED, 17.892201414101862, 36), (V_BLOW_UP_PLUS, -0.5493051443645995, 39)),
     "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
-                      (FLUX_BOUNDARY_LOW, 0.5441315175354294, 124),
-                      (FLUX_BOUNDARY_HIGH, -1.1694004989340956e-10, 21)),
+                      (FLUX_BOUNDARY_LOW, 0.5441315175222609, 119),
+                      (FLUX_BOUNDARY_HIGH, -1.1693217095040967e-10, 17)),
     "standoff-low": ((_REL, 5.0, _REL.slope_domain[0] + 0.5 * _EPS_V, Controls(s_max=20.0)),
-                     (FLUX_BOUNDARY_LOW, 1.3360749651889543e-10, 20),
-                     (FLUX_BOUNDARY_HIGH, -0.48778636452073376, 123)),
+                     (FLUX_BOUNDARY_LOW, 1.3360728536587023e-10, 27),
+                     (FLUX_BOUNDARY_HIGH, -0.4877863645236927, 117)),
     "on-standoff-level": ((_REL, 5.0, _REL.slope_domain[1] - _EPS_V, Controls(s_max=20.0)),
-                          (FLUX_BOUNDARY_LOW, 0.5441353803411481, 123),
-                          (FLUX_BOUNDARY_HIGH, -2.3388249793635776e-10, 21)),
+                          (FLUX_BOUNDARY_LOW, 0.5441353803438801, 118),
+                          (FLUX_BOUNDARY_HIGH, -2.338793353165133e-10, 27)),
     "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
-                   (CONVERGED, 5.434971995839288, 11),
-                   (V_BLOW_UP_PLUS, -12.317652125320285, 63)),
+                   (CONVERGED, 6.543515120210078, 6),
+                   (V_BLOW_UP_PLUS, -12.326384343347554, 60)),
     # launched on v_max, the forward orbit rises off it, which triggers
     # nothing; the backward one falls off it and spirals out until it
     # crosses v_max upward
     "on-v_max": ((lp(2.0, 0.5), 0.3, 0.7, Controls(v_max=0.7, s_max=60.0)),
-                 (CONVERGED, 49.75495428839711, 49), (V_BLOW_UP_PLUS, -4.181590687619351, 26)),
+                 (CONVERGED, 51.208880406733606, 49), (V_BLOW_UP_PLUS, -4.181590687606426, 24)),
     # the backward orbit leaves v > v_max downward, which triggers nothing,
     # and spirals out until it crosses v_max upward
     "re-entry": ((lp(2.0, 0.5), 0.3, 0.76, Controls(v_max=0.7, s_max=60.0)),
-                 (CONVERGED, 49.04682530579607, 48), (V_BLOW_UP_PLUS, -4.512574722958829, 25)),
+                 (CONVERGED, 49.121509979310744, 48), (V_BLOW_UP_PLUS, -4.512574722958946, 26)),
 }
 
 
@@ -757,6 +757,13 @@ def test_edge_launch_terminations(name, direction):
     assert traj.termination.kind == kind
     assert traj.termination.s == pytest.approx(s_end, rel=1e-12, abs=1e-20)
     assert len(traj.s) == n
+
+
+def test_huge_launch_density_underflows():
+    # v' = (lam - gamma*v^2 - w)/gamma is -1e300 there, whose scaled norm
+    # overflows: no initial step can be sized
+    with pytest.raises(StepSizeUnderflow, match="no initial step"):
+        integrate(lp(0.5, 1.0), 1e300, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -822,7 +829,7 @@ class TestNonFinite:
         def forbidden(p):
             raise AssertionError("integration started with a non-finite launch point")
 
-        monkeypatch.setattr(mod, "make_rhs", forbidden)
+        monkeypatch.setattr(mod, "make_log_rhs", forbidden)
         with pytest.raises(ValueError, match="finite"):
             integrate(COTH_P, w0, v0, s0=s0)
 
@@ -835,7 +842,7 @@ class TestNonFinite:
         def field(p):
             return lambda w, v: (math.nan, math.nan) if v > 2.0 else (0.0, 1.0)
 
-        monkeypatch.setattr(mod, "make_rhs", field)
+        monkeypatch.setattr(mod, "make_log_rhs", field)
         with pytest.raises(StepSizeUnderflow):
             integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))
 
@@ -857,11 +864,11 @@ class TestNonFinite:
                 raise exc("past the wall")
             return lambda p: field
 
-        monkeypatch.setattr(mod, "make_rhs", field_raising(DomainError))
+        monkeypatch.setattr(mod, "make_log_rhs", field_raising(DomainError))
         traj = integrate(p, 1.0, 0.0)
         assert traj.termination.kind == FLUX_BOUNDARY_HIGH
         assert wall - 1e-9 < traj.v[-1] < wall
-        monkeypatch.setattr(mod, "make_rhs", field_raising(None))
+        monkeypatch.setattr(mod, "make_log_rhs", field_raising(None))
         with pytest.raises(StepSizeUnderflow):
             integrate(p, 1.0, 0.0)
 

@@ -139,6 +139,25 @@ class TestManifold:
         assert man.termination.v == pytest.approx(-2.0, abs=1e-9)
         assert math.hypot(man.w[0] - saddle.w, man.v[0] - saddle.v) < 1e-6
 
+    def test_branch_heading_for_v_stop_is_traced_first(self, monkeypatch):
+        # Of the two unstable branches of the case-A interior saddle, only
+        # the one whose seed moves v toward v_stop reaches it (the other is
+        # captured by an equilibrium), and it is integrated first, alone.
+        p = lp(0.5, 0.2)
+        saddle = [e for e in equilibria(p) if e.w > 0][0]
+        ends = []
+        original = shooting.integrate
+
+        def counted(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            ends.append(traj.termination.kind)
+            return traj
+
+        monkeypatch.setattr(shooting, "integrate", counted)
+        man = trace_stable_manifold(p, saddle, v_stop=-2.0, manifold="unstable")
+        assert man.termination.v == pytest.approx(-2.0, abs=1e-9)
+        assert len(ends) == 1
+
     def test_seed_scale_refinement(self, thr_c):
         """Halving-by-ten the seed offset moves the crossing by O(seed**2)."""
         saddle = equilibria(P_C)[0]
@@ -154,7 +173,7 @@ class TestManifold:
     def test_seed_escaped_when_unreachable(self):
         # The stable manifold of (0, -v_star) climbs toward large v; it
         # never reaches v = -5 on either branch.
-        with pytest.raises(SeedEscaped):
+        with pytest.raises(SeedEscaped, match=r"sign [+-]1: .*; sign [+-]1: "):
             trace_stable_manifold(P_C, equilibria(P_C)[0], v_stop=-5.0)
 
     def test_rejects_non_saddle(self):
