@@ -3,7 +3,8 @@
 Two complementary drivers live here.  `integrate` advances (w, v) in the
 wave coordinate s with the 8(5,3) Dormand-Prince pair DOP853, locating
 termination events (slope blow-up, equilibrium capture, flux-boundary
-arrival, vanishing w, span exhaustion) to root-finding accuracy.  It also
+arrival, vanishing w, span exhaustion) on a step's 7th-order continuous
+extension and correcting each on the exact partial step.  It also
 carries I(s) = integral of v ds, from which the signal S is reconstructed
 later as S = S0 * exp(I - I0).  Its state is (ln w, v, I): where w
 decays or grows exponentially near the invariant axis w = 0 (ln w = -inf),
@@ -350,6 +351,52 @@ _E8_5 = (
 _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
+# DOP853's continuous extension (dop853.f, contd8; Solving ODEs I, II.6).
+# Rows of _A8_EXTRA make the extra stages 14, 15 and 16 from stages 1 to
+# 13, the 13th being the slope at the step's result; rows of _D8 weigh
+# stages 1 to 16 into the extension's coefficients 4 to 7.
+_A8_EXTRA = (
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+     -5.49237485713909884646569340306e-2, 0.0, 0.0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+     -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+     -9.15095847217987001081870187138),
+)
+_D8 = (
+    (-0.84289382761090128651353491142e1, 0.0, 0.0, 0.0, 0.0, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
+     0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
+     -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1),
+    (0.10427508642579134603413151009e2, 0.0, 0.0, 0.0, 0.0, 0.24228349177525818288430175319e3,
+     0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
+     -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
+     -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1,
+     0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
+     -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2),
+    (0.19985053242002433820987653617e2, 0.0, 0.0, 0.0, 0.0, -0.38703730874935176555105901742e3,
+     -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
+     -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
+     -0.10006050966910838403183860980e1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
+     0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2),
+    (-0.25693933462703749003312586129e2, 0.0, 0.0, 0.0, 0.0, -0.15418974869023643374053993627e3,
+     -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
+     0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
+     0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2,
+     -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
+     -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3),
+)
 
 
 def _dop853_step(f, t, y, k1, h):
@@ -603,9 +650,10 @@ def integrate(
     are checked before the built-in ones and win ties.  A run that dwells
     in the capture ball of an equilibrium ends CONVERGED, with
     `equilibrium_index` indexing `equilibria(p)`.  The orbit steps with
-    DOP853 in the state (ln w, v, I) (see the module docstring), and events
-    are located on partial DOP853 steps; samples, events and the capture
-    balls see w = e^(ln w).
+    DOP853 in the state (ln w, v, I) (see the module docstring); events are
+    located on a step's continuous extension and corrected on its partial
+    steps (`_first_event`).  Samples, events and the capture balls see
+    w = e^(ln w).
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
@@ -698,34 +746,25 @@ def integrate(
             w_old, w, v = w, math.exp(y[0]), y[1]
             # --- event detection along this accepted step ---
             # extra events come first, so they win ties
-            best: tuple[float, EventSpec] | None = None
+            fired: list[tuple[EventSpec, float]] = []
             if events:
                 e_new = [ev.fn(s, w, v) for ev in events]
-                for ev, e_old, e in zip(events, e_prev, e_new):
-                    if _crossed(e_old, e, ev.direction):
-                        at = _orbit_at(f, s_old, y_old, k1_old, h)
-                        theta = _locate_event(at, (s_old, w_old, y_old[1]), ev.fn, e)
-                        if best is None or theta < best[0]:
-                            best = (theta, ev)
+                fired += [
+                    (ev, e) for ev, e_old, e in zip(events, e_prev, e_new)
+                    if _crossed(e_old, e, ev.direction)
+                ]
                 e_prev = e_new
             was_in_box, in_box = in_box, lw_lo < y[0] < lw_hi and v_lo < v < v_hi
             if not (was_in_box and in_box):
                 for c, level, d, ev in levels:
                     x_old, x = y_old[c], y[c]
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                        at = _orbit_at(f, s_old, y_old, k1_old, h)
-                        theta = _locate_event(
-                            at, (s_old, w_old, y_old[1]), ev.fn, ev.fn(s, w, v)
-                        )
-                        if best is None or theta < best[0]:
-                            best = (theta, ev)
-            if best is not None:
-                theta, ev = best
-                if theta >= 1.0:
-                    y_ev, s_ev = y, s
-                else:
-                    y_ev = _dop853_step(f, s_old, y_old, k1_old, h * theta)[0]
-                    s_ev = s_old + h * theta
+                        fired.append((ev, ev.fn(s, w, v)))
+            if fired:
+                ev, theta, y_ev = _first_event(
+                    f, s_old, y_old, k1_old, h, y, fired, (s_old, w_old, y_old[1])
+                )
+                s_ev = s if theta >= 1.0 else s_old + h * theta
                 w_ev = math.exp(y_ev[0])
                 ss.append(s_ev), ws.append(w_ev), vs.append(y_ev[1]), iis.append(y_ev[2])
                 if ev.kind == _TAIL:
@@ -786,23 +825,127 @@ def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
     return None
 
 
-def _orbit_at(f, s, y, k1, h_signed):
-    """The state (s, w, v) a partial orbit step of theta * h_signed reaches from
-    (s, y), y = (ln w, v, I)."""
+def _stage(f, y, ks, row, h):
+    """The slopes (of ln w, v, I) of the DOP853 stage that `row` of the
+    tableau makes from the stage slopes ks of a step of size h from y."""
+    x0, x1, _ = y
+    for a, k in zip(row, ks):
+        if a:
+            ha = h * a
+            x0 += ha * k[0]
+            x1 += ha * k[1]
+    return f(x0, x1) + (x1,)
+
+
+def _dop853_dense(f, y, k1, h):
+    """The continuous extension of the DOP853 step of size h from y, k1 = f(y).
+
+    Returns, per component of y, the coefficients (r0, ..., r6) of
+    y(theta) = y + theta*(r0 + (1-theta)*(r1 + theta*(r2 + (1-theta)*(r3
+    + theta*(r4 + (1-theta)*(r5 + theta*r6)))))), Hairer's contd8, of
+    order 7.  The step is taken again to keep its stage slopes, and three
+    extra stages are taken.  If an extra stage leaves the field's domain,
+    r3 to r6 are 0: the cubic Hermite interpolant of the step's ends and
+    end slopes.
+    """
+    ks = [k1]
+
+    def recorded(x, v):
+        k = f(x, v)
+        ks.append(k + (v,))
+        return k
+
+    # the same floats as the step taken before, so y1 is its result and
+    # ks[12] the slope there
+    y1 = _dop853_step(recorded, 0.0, y, k1, h)[0]
+    k13 = ks[12]
+    try:
+        for row in _A8_EXTRA:
+            ks.append(_stage(f, y, ks, row, h))
+    except (DomainError, ZeroDivisionError, OverflowError):
+        high = ((0.0,) * 4,) * 3
+    else:
+        sums = []
+        for row in _D8:
+            a = b = c = 0.0
+            for d, (k0, kv, ki) in zip(row, ks):
+                if d:
+                    a += d * k0
+                    b += d * kv
+                    c += d * ki
+            sums.append((h * a, h * b, h * c))
+        high = tuple(zip(*sums))
+    coeffs = []
+    for y0, y1c, s1, s13, rest in zip(y, y1, k1, k13, high):
+        r0 = y1c - y0
+        r1 = h * s1 - r0
+        coeffs.append((r0, r1, r0 - h * s13 - r1, *rest))
+    return tuple(coeffs)
+
+
+def _dense_at(y0: float, c: tuple, theta: float) -> float:
+    """The value the continuous extension of one component, from y0 with
+    coefficients c (see `_dop853_dense`), takes at fraction theta of the step."""
+    r0, r1, r2, r3, r4, r5, r6 = c
+    t1 = 1.0 - theta
+    return y0 + theta * (r0 + t1 * (r1 + theta * (r2 + t1 * (
+        r3 + theta * (r4 + t1 * (r5 + theta * r6))
+    ))))
+
+
+def _first_event(f, s, y, k1, h, y1, fired, start):
+    """Locate the earliest of the events that fired on the orbit step from
+    (s, y) of signed size h to y1, k1 = f(y).
+
+    `fired` lists (EventSpec, value at the step's end) in tie-breaking
+    order, and `start` is the state (s, w, v) at the step's start.  Each
+    event's fraction theta of the step is found by Brent's method on the
+    step's continuous extension; the earliest, the first listed winning
+    ties, is then corrected by one Newton step on the exact partial step,
+    with the slope of the event function along the extension, so the event
+    state is an 8th-order partial-step state.  Returns (event, theta,
+    state (ln w, v, I)).
+    """
+    coeffs = _dop853_dense(f, y, k1, h)
+    (lw0, c_lw), (v0, c_v) = zip(y[:2], coeffs)
 
     def at(theta: float) -> tuple[float, float, float]:
-        yt = _dop853_step(f, s, y, k1, h_signed * theta)[0]
-        return s + h_signed * theta, math.exp(yt[0]), yt[1]
+        return (
+            s + h * theta, math.exp(_dense_at(lw0, c_lw, theta)), _dense_at(v0, c_v, theta)
+        )
 
-    return at
+    best = None
+    for ev, e_end in fired:
+        # loose: the Newton correction below squares this error, and events
+        # closer than 1e-9 of a step apart are simultaneous for any caller
+        theta = _locate_event(at, start, ev.fn, e_end, xtol=1e-9)
+        if best is None or theta < best[0]:
+            best = (theta, ev)
+    theta, ev = best
+    if theta >= 1.0:
+        return ev, 1.0, y1
+    try:
+        yt = _dop853_step(f, s, y, k1, h * theta)[0]
+        e = ev.fn(s + h * theta, math.exp(yt[0]), yt[1])
+        if e != 0.0:
+            d = 1e-6
+            slope = (ev.fn(*at(theta + d)) - ev.fn(*at(theta - d))) / (2.0 * d)
+            step = e / slope if slope != 0.0 else math.nan
+            if math.isfinite(step):
+                theta = min(max(theta - step, 0.0), 1.0)
+                yt = y1 if theta == 1.0 else _dop853_step(f, s, y, k1, h * theta)[0]
+    except (DomainError, ZeroDivisionError, OverflowError):
+        yt = tuple(_dense_at(y0, c, theta) for y0, c in zip(y, coeffs))
+    return ev, theta, yt
 
 
-def _locate_event(at, start, fn, e_end: float) -> float:
-    """Fraction theta in (0, 1] at which fn(s, w, v) crosses zero along a step.
+def _locate_event(at, start, fn, e_end: float, xtol: float = 1e-15) -> float:
+    """Fraction theta in (0, 1] at which fn(s, w, v) crosses zero along a step,
+    to within xtol.
 
-    `start` is the state (s, w, v) at the step's start, `at(theta)` the one
-    a partial step of theta times the step's size reaches, and e_end the
-    value of fn at the step's end.
+    `start` is the state (s, w, v) at the step's start, `at(theta)` the
+    state at fraction theta of the step, and e_end the value of fn at the
+    step's end.
     """
     if e_end == 0.0:
         return 1.0
@@ -818,7 +961,7 @@ def _locate_event(at, start, fn, e_end: float) -> float:
             return e_end
         return fn(*state)
 
-    return brentq(phi, 0.0, 1.0, xtol=1e-15)
+    return brentq(phi, 0.0, 1.0, xtol=xtol)
 
 
 def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> TerminationEvent:

@@ -63,6 +63,7 @@ from .integrate import (
 from .phase import ModelParams, equilibrium_points, regime_case
 from .shooting import (
     REGIME_BACKWARD,
+    REGIME_FORWARD,
     classify_trajectory,
     find_w0_star,
     is_subcritical,
@@ -417,16 +418,20 @@ def predicted_types(
         return (TYPE_A2, TYPE_A2)
     if w0 > w0_star:
         return (TYPE_A1, TYPE_A1)
-    # Sub-critical fast launch: the tail relaxes to the slow point
-    # (0, v_star), where u'/u -> (a*v_star - sigma)/mu while
-    # S'/S -> v_star > 0.
+    return (TYPE_A2 if _tail_rate(p) < 0.0 else TYPE_A3, TYPE_A3)
+
+
+def _tail_rate(p: ModelParams) -> float:
+    """The rate u'/u -> (a*v_star - sigma)/mu of a sub-critical fast launch's
+    tail, which relaxes to the slow point (0, v_star) while S'/S -> v_star > 0.
+    DegenerateError when it vanishes: the sub-critical type is not determined."""
     rate = (p.a * p.v_star - p.sigma) / p.limiter.mu
     if abs(rate) <= 1e-9 * (1.0 + abs(p.sigma)):
         raise DegenerateError(
             f"tail growth rate (a*v_star - sigma)/mu vanishes for a={p.a}, "
             f"sigma={p.sigma}; the sub-critical type is not determined"
         )
-    return (TYPE_A2 if rate < 0.0 else TYPE_A3, TYPE_A3)
+    return rate
 
 
 def classify_profile(
@@ -720,14 +725,17 @@ def wave_profile(
     (threshold_trajectory), any other the orbit through the launch point.
     The profile carries classify_profile's labels and its endpoint_slopes,
     or None where these cannot be measured (an infinite or unresolved edge).
-    Anchors that cannot give a finite profile, and u0 or w0_star given with
-    ``branch``, raise PreconditionError before any integration.
+    Anchors that cannot give a finite profile, u0 or w0_star given with
+    ``branch``, and a fast launch whose sub-critical type is not determined
+    (a*v_star = sigma) raise PreconditionError before any integration.
     """
     check_anchor(w0, s0, S0, u0)
     if branch is not None:
         if u0 is not None or w0_star is not None:
             raise PreconditionError("u0 and w0_star are not meaningful for saturated fronts")
         return saturated_front(p, v0, w0, branch=branch, s0=s0, S0=S0, controls=controls), None
+    if shooting_regime(p, v0) == REGIME_FORWARD:
+        _tail_rate(p)
     if w0_star is not None:
         thr = supplied_threshold(p, v0, w0_star)
     else:

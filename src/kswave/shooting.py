@@ -45,7 +45,15 @@ from .integrate import (
     merge_trajectories,
     sample_list,
 )
-from .phase import SADDLE, Equilibrium, ModelParams, eigenstructure, equilibria, regime_case
+from .phase import (
+    SADDLE,
+    Equilibrium,
+    ModelParams,
+    eigenstructure,
+    equilibria,
+    equilibrium_points,
+    regime_case,
+)
 
 # Orbit classes recognised by the shooting classifier.
 ENTERS_PARABOLA = "EntersParabola"  # dipped under the balance parabola (sub-critical)
@@ -153,8 +161,16 @@ def classify_trajectory(
     With ``stop_at_parabola`` the run halts at the first deciding event,
     which is what bisection wants; disable it to keep integrating a
     sub-critical orbit through the parabola region.  An orbit captured by
-    an equilibrium is ConvergesTo, with ``equilibrium_index`` into
-    ``equilibria(p)``.
+    an equilibrium carries ``equilibrium_index`` into ``equilibria(p)``.
+    A capture by any equilibrium but the threshold saddle
+    (`_threshold_saddle`) is ConvergesTo.  One in the threshold saddle's
+    ball is decided by the side of its separatrix the orbit sits on: the
+    displacement from the saddle is split along the two eigenvectors, and
+    if its part along the one that grows in the integration direction
+    points to the escape side (v falling when integrating forward, rising
+    when integrating backward) the orbit takes the escape class, else
+    ConvergesTo.  An orbit within the 1e-9 ball on the escape side has not
+    yet had the span to leave it, and would.
     """
     if w0 <= 0.0:
         raise ValueError(f"w0 must be positive, got {w0}")
@@ -200,7 +216,7 @@ def classify_trajectory(
     elif kind == _EV_ESCAPE:
         cls = escape_cls
     elif kind == CONVERGED:
-        cls = CONVERGES_TO
+        cls = _capture_class(p, regime, direction, term, escape_cls)
     elif kind in (V_BLOW_UP_MINUS, V_BLOW_UP_PLUS):
         # The escape margin should always fire first; fall back gracefully.
         cls = ESCAPES_BELOW if kind == V_BLOW_UP_MINUS else ESCAPES_ABOVE
@@ -223,6 +239,25 @@ def classify_trajectory(
         v0=v0,
         equilibrium_index=term.equilibrium_index,
     )
+
+
+def _capture_class(p: ModelParams, regime: str, direction: str, term, escape_cls: str) -> str:
+    """Class of an orbit that ended CONVERGED, by the rule of `classify_trajectory`."""
+    try:
+        saddle = _threshold_saddle(p, regime)
+    except PreconditionError:
+        return CONVERGES_TO
+    if equilibrium_points(p)[term.equilibrium_index] != (saddle.w, saddle.v):
+        return CONVERGES_TO
+    vals, vecs = saddle.eigenvalues, saddle.eigenvectors
+    grows = 0 if (vals[0].real > 0.0) == (direction == FORWARD) else 1
+    (uw, uv), (ow, ov) = (x.real for x in vecs[grows]), (x.real for x in vecs[1 - grows])
+    # the displacement is alpha * (uw, uv) + beta * (ow, ov); Cramer's rule gives alpha
+    dw, dv = term.w - saddle.w, term.v - saddle.v
+    alpha = (dw * ov - dv * ow) / (uw * ov - uv * ow)
+    dv_grows = alpha * uv
+    escaping = dv_grows < 0.0 if direction == FORWARD else dv_grows > 0.0
+    return escape_cls if escaping else CONVERGES_TO
 
 
 def is_subcritical(cls: str) -> bool:
@@ -343,9 +378,12 @@ def find_w0_star(
     Each step multiplies d by 4: a super-critical lower end becomes the
     upper end and c*(1 - d) (c/(1 + d) once d > 1/2) is classified; a
     sub-critical upper end becomes the lower end and c*(1 + d) is
-    classified.  Past d = 4**13 the walk raises NoDichotomy.  On 160
-    benchmark-style solves this took 2 classifier runs in 142, 4 in 14
-    and 7 in 4.
+    classified.  The first step of a walk from the estimate classifies at
+    offset 3d in place of 4d, so that with the end at offset d it makes a
+    bracket of width 2d = 0.98e-10 and no halving runs.  Past d = 4**13
+    the walk raises NoDichotomy.  On 160 benchmark-style solves (the
+    threshold workload's seed 0, rounds 0-9) this took 2 classifier runs
+    in 143, 3 in 16 and 7 in 1.
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
     manifold to that tolerance.  A bad method, launch slope, bracket_hint
@@ -406,11 +444,16 @@ def find_w0_star(
     if manifold_estimate is not None:
         c, d = manifold_estimate, 0.49 * _BRACKET_REL
         lo, hi = c * (1.0 - d), c * (1.0 + d)
+        # the first step classifies at offset 3d, not 4d: with the end at
+        # offset d that is a bracket of width 2d, under _BRACKET_REL
+        first = 0.75
     else:
         c, d = math.sqrt(lo * hi), math.sqrt(hi / lo) - 1.0
+        first = 1.0
     sub_lo, sub_hi = side(lo), side(hi)
     while not sub_lo or sub_hi:
         d *= _WALK_FACTOR
+        offset, first = first * d, 1.0
         if d > _WALK_MAX_OFFSET:
             raise NoDichotomy(
                 f"no sub-critical launch density found down to w0={lo} for v0={v0}"
@@ -421,11 +464,11 @@ def find_w0_star(
             # c*(1 - d) would reach 0 as d grows; c/(1 + d) stays positive
             # and agrees with it to O(d**2)
             hi, sub_hi = lo, False
-            lo = c * (1.0 - d) if d <= 0.5 else c / (1.0 + d)
+            lo = c * (1.0 - offset) if offset <= 0.5 else c / (1.0 + offset)
             sub_lo = side(lo)
         else:
             lo = hi
-            hi = c * (1.0 + d)
+            hi = c * (1.0 + offset)
             sub_hi = side(hi)
 
     while hi - lo > _BRACKET_REL * hi:

@@ -57,12 +57,22 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
 def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     """Per op of round 0 (seed 0) of workload `name`: [accepted steps,
     right-hand-side evaluations, step attempts] of every march the op runs,
-    orbits, blow-up tails and graph legs together.  The evaluations are
-    those the steps make, rejected steps included; event location and each
-    march's start are not counted."""
+    orbits, blow-up tails and graph legs together, and then every
+    evaluation of an orbit's field (`make_log_rhs`).  The march's
+    evaluations are those the steps make, rejected steps included; the
+    orbit field's count adds each orbit's start and event location."""
     integrate = importlib.import_module("kswave.integrate")
-    march = integrate._march
+    march, make_log_rhs = integrate._march, integrate.make_log_rhs
     work = []
+
+    def counted_field(p):
+        f = make_log_rhs(p)
+
+        def field(*x):
+            work[-1][3] += 1
+            return f(*x)
+
+        return field
 
     def counted(step, f, *args, **kwargs):
         def field(*x):
@@ -80,8 +90,9 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     wl = worker.WORKLOADS[name](0)
     wl.prepare()
     monkeypatch.setattr(integrate, "_march", counted)
+    monkeypatch.setattr(integrate, "make_log_rhs", counted_field)
     for op in wl.round(0):
-        work.append([0, 0, 0])
+        work.append([0, 0, 0, 0])
         wl.run(op)
     return work
 
@@ -111,8 +122,8 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
     # Work, not wall time: a change that makes the same answers cost more
     # steps or evaluations shows here.
     work = round_zero_work(worker, monkeypatch, "profiles")
-    assert [(acc, evals) for acc, evals, _ in work] == PROFILES_ROUND_0_WORK
-    steps, evals, attempts = map(sum, zip(*work))
+    assert [(acc, evals) for acc, evals, _, _ in work] == PROFILES_ROUND_0_WORK
+    steps, evals, attempts, _ = map(sum, zip(*work))
     # marching blow-up tails in ln|v| saves at least a third of the steps
     assert steps <= 2 * PROFILES_ROUND_0_STEPS_IN_S / 3
     # stepping orbits with DOP853 in place of DP54 saves over 60 % of the
@@ -130,7 +141,7 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
 # Per op of threshold round 0: accepted steps and evaluations.
 THRESHOLD_ROUND_0_WORK = [
     (141, 1728),
-    (167, 2172),
+    (133, 1752),
     (144, 1764),
     (92, 1176),
     (154, 2004),
@@ -141,22 +152,37 @@ THRESHOLD_ROUND_0_WORK = [
     (95, 1188),
     (163, 2028),
     (220, 2688),
-    (643, 8580),
-    (155, 1932),
+    (111, 1344),
+    (121, 1512),
     (99, 1284),
     (124, 1548),
+]
+# Per op of threshold round 0: evaluations of the orbits' field, event
+# location included.
+THRESHOLD_ROUND_0_ORBIT_EVALS = [
+    1851, 1916, 1887, 1299, 2127, 1227, 1407, 2187, 3147, 1311, 2151, 2811, 1389, 1676, 1407, 1671,
 ]
 # Round 0's accepted steps and evaluations while orbits marched w itself
 # with the I controller alone, and manifold traces tried the +1 branch first.
 THRESHOLD_ROUND_0_WORK_IN_W = (3510, 48408)
+# Round 0's orbit-field evaluations outside the marches (orbit starts and
+# event location) while events were located by Brent's method on partial
+# DOP853 steps.
+THRESHOLD_ROUND_0_LOCATION_EVALS_BRENT = 7542
 
 
 def test_threshold_work_is_pinned(worker, monkeypatch):
     # Work, not wall time, as for the profiles above.
     work = round_zero_work(worker, monkeypatch, "threshold")
-    assert [(acc, evals) for acc, evals, _ in work] == THRESHOLD_ROUND_0_WORK
+    assert [(acc, evals) for acc, evals, _, _ in work] == THRESHOLD_ROUND_0_WORK
+    assert [w[3] for w in work] == THRESHOLD_ROUND_0_ORBIT_EVALS
     evals = sum(w[1] for w in work)
     assert evals <= 0.8 * THRESHOLD_ROUND_0_WORK_IN_W[1]
+    # locating events on a step's continuous extension, with one Newton
+    # correction on the exact partial step, saves over 70 % of the
+    # evaluations outside the marches
+    outside = sum(w[3] for w in work) - evals
+    assert outside <= 0.3 * THRESHOLD_ROUND_0_LOCATION_EVALS_BRENT
 
 
 def readme_outputs(worker, root, monkeypatch) -> dict:

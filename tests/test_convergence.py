@@ -8,6 +8,7 @@ default it must lie within 1e-9 relative of it.  The quantities are:
   must also agree to 1e-9 relative with the values pinned when blow-up
   ends were still marched in s all the way to v_max;
 - the flux-boundary edges of saturated orbits;
+- the edges s_minus, s_plus of saturated fronts and the density u at each;
 - the placement of the critical orbit's pieces in `threshold_trajectory`:
   its blow-up edge, relative to the launch point at s = 0, and the s at
   which its relaxation tail starts;
@@ -35,7 +36,13 @@ from kswave.integrate import (
     sample_list,
 )
 from kswave.phase import ModelParams, regime_case
-from kswave.profiles import classify_profile, endpoint_slopes, reconstruct, wave_trajectory
+from kswave.profiles import (
+    classify_profile,
+    endpoint_slopes,
+    reconstruct,
+    saturated_front,
+    wave_trajectory,
+)
 
 RTOLS = (1e-10, 1e-12, 1e-13)
 
@@ -149,6 +156,37 @@ def saturated_runs(request):
 def test_flux_boundary_edges_converge_in_rtol(saturated_runs):
     for key in saturated_runs[0]:
         assert converged([r[key] for r in saturated_runs]), key
+
+
+# --------------------------------------------------------------------------
+# saturated fronts: their edges and the density at each edge
+# --------------------------------------------------------------------------
+
+# name -> (params, v0, w0, branch); the "below" fronts take limiters whose
+# slope domain lies inside (-v_star, v_star)
+FRONTS = {
+    "relativistic-above": (REL, 0.5, 5.0, "above"),
+    "larson-above": (LAR, 0.2, 3.0, "above"),
+    "relativistic-below": (
+        ModelParams(a=1.5, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=0.6)), 0.2, 0.05, "below"
+    ),
+    "larson-below": (
+        ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=0.6, p=2.5)), 0.2, 0.05, "below"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTS))
+def test_front_edges_converge_in_rtol(name):
+    p, v0, w0, branch = FRONTS[name]
+    runs = []
+    for rtol in RTOLS:
+        front = saturated_front(p, v0, w0, branch=branch, controls=Controls(rtol=rtol))
+        u = sample_list(front, "u")
+        runs.append({"s_minus": front.s_minus, "s_plus": front.s_plus,
+                     "u_minus": u[0], "u_plus": u[-1]})
+    for key in runs[0]:
+        assert converged([r[key] for r in runs]), key
 
 
 # --------------------------------------------------------------------------

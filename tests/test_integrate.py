@@ -42,7 +42,7 @@ from kswave.integrate import (
     merge_trajectories,
     sample_list,
 )
-from kswave.phase import ModelParams, equilibria, make_rhs
+from kswave.phase import ModelParams, equilibria, make_log_rhs, make_rhs
 from kswave.profiles import graph_trajectory
 
 SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
@@ -599,6 +599,49 @@ def test_dop853_constants_match_scipy():
         assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14, abs=1e-15)
 
 
+def test_dop853_extension_constants_match_scipy():
+    # the continuous extension's extra stages and weights, typed in from
+    # dop853.f, against SciPy's copy of the same constants
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert len(INTEGRATE._A8_EXTRA) == ref.N_STAGES_EXTENDED - ref.N_STAGES - 1
+    for i, row in enumerate(INTEGRATE._A8_EXTRA, start=ref.N_STAGES + 1):
+        assert list(row) == ref.A[i, :i].tolist()
+        assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14)
+    assert [list(row) for row in INTEGRATE._D8] == ref.D.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_PARAMS))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_continuous_extension_order(kind, sign):
+    # Against exact partial steps, the extension's error falls like h^8 and
+    # its cubic Hermite part's like h^4 (2^8 = 256 and 2^4 = 16 per halving);
+    # both meet the step's ends.
+    f = make_log_rhs(STEP_PARAMS[kind])
+    y = (math.log(0.7), 0.8, 0.25)
+    k1 = f(y[0], y[1]) + (y[1],)
+
+    def dense(coeffs, theta):
+        return tuple(INTEGRATE._dense_at(y0, c, theta) for y0, c in zip(y, coeffs))
+
+    errors = []
+    for h in (0.2 * sign, 0.1 * sign):
+        y1 = INTEGRATE._dop853_step(f, 0.0, y, k1, h)[0]
+        coeffs = INTEGRATE._dop853_dense(f, y, k1, h)
+        hermite = tuple(c[:3] + (0.0,) * 4 for c in coeffs)
+        assert all(len(c) == 7 and any(c[3:]) for c in coeffs)
+        assert dense(coeffs, 0.0) == y
+        assert dense(coeffs, 1.0) == pytest.approx(y1, rel=1e-15, abs=1e-16)
+        err = [0.0, 0.0]
+        for theta in (0.1, 0.37, 0.5, 0.8, 0.95):
+            exact = INTEGRATE._dop853_step(f, 0.0, y, k1, theta * h)[0]
+            for j, part in enumerate((coeffs, hermite)):
+                err[j] = max(err[j], *(abs(a - b) for a, b in zip(dense(part, theta), exact)))
+        errors.append(err)
+    (ext_h, herm_h), (ext_h2, herm_h2) = errors
+    assert ext_h2 < 1e-10 and ext_h / ext_h2 > 100.0
+    assert ext_h2 < 1e-4 * herm_h2 and herm_h / herm_h2 > 12.0
+
+
 # --------------------------------------------------------------------------
 # graph legs: the unrolled step against the generic loop, on Python floats
 # --------------------------------------------------------------------------
@@ -757,6 +800,45 @@ def test_edge_launch_terminations(name, direction):
     assert traj.termination.kind == kind
     assert traj.termination.s == pytest.approx(s_end, rel=1e-12, abs=1e-20)
     assert len(traj.s) == n
+
+
+@pytest.mark.parametrize("name", ["standoff-high", "standoff-low"])
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction):
+    # an extra stage of the continuous extension that leaves the slope domain
+    # drops the extension to its cubic Hermite part; the Newton correction
+    # on the exact partial step still puts the level where it was
+    forced = []
+
+    def raising(f, y, ks, row, h):
+        # `_stage` takes the extension's extra stages
+        forced.append(row)
+        raise DomainError("forced in an extra stage")
+
+    monkeypatch.setattr(INTEGRATE, "_stage", raising)
+    test_edge_launch_terminations(name, direction)
+    (p, w0, v0, ctr), *_ = EDGE_LAUNCHES[name]
+    traj = integrate(p, w0, v0, direction=direction, controls=ctr)
+    lo, hi = p.slope_domain
+    level = {FLUX_BOUNDARY_LOW: lo + _EPS_V, FLUX_BOUNDARY_HIGH: hi - _EPS_V}
+    kind = traj.termination.kind
+    assert kind in level
+    # a far end arrives by crossing its level, which is located
+    if abs(v0 - level[kind]) > _EPS_V:
+        assert forced
+        assert traj.termination.v == pytest.approx(level[kind], rel=1e-15)
+
+
+def test_extra_events_win_ties_against_levels():
+    # an extra event on the same level as the V_BLOW_UP_PLUS level of
+    # v_max = 5 fires with it at the same theta and wins; one a little
+    # beyond the level fires later and loses
+    p, ctr = lp(1.0, 0.5), Controls(v_max=5.0)
+    for offset, kind in ((0.0, "Tie"), (1e-6, V_BLOW_UP_PLUS)):
+        ev = EventSpec(fn=lambda s, w, v, x=5.0 + offset: v - x, kind="Tie", direction=1)
+        traj = integrate(p, 1.0, -2.0, direction=BACKWARD, controls=ctr, extra_events=[ev])
+        assert traj.termination.kind == kind
+        assert traj.termination.v == pytest.approx(5.0, rel=1e-15)
 
 
 def test_huge_launch_density_underflows():

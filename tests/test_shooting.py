@@ -373,13 +373,14 @@ class TestSeededBisection:
         assert abs(r.w0_star - thr_c.w0_star) <= 1e-9 * thr_c.w0_star
         assert r.classifier_tol <= 2e-10
         # the tight seed ends were tried and both are super-critical, so the
-        # lower end walks down through m*(1 - 4**k * delta) until it turns
-        # sub-critical; halvings follow
+        # lower end walks down through m*(1 - 3 * delta) and then
+        # m*(1 - 4**k * delta), k >= 2, until it turns sub-critical;
+        # halvings follow
         m = r.manifold_estimate
         walk, delta = [], self.DELTA
         while delta < 0.01:
             delta *= 4.0
-            walk.append(m * (1.0 - delta))
+            walk.append(m * (1.0 - (delta if walk else 0.75 * delta)))
         assert calls[:2 + len(walk)] == [m * (1.0 - self.DELTA), m * (1.0 + self.DELTA), *walk]
         assert r.bracket[0] >= walk[-1]
         assert len(calls) <= 43
@@ -429,11 +430,12 @@ class TestSeededBisection:
         # both tight ends fall on the side of the estimate ...
         m, sub = r.manifold_estimate, shift < 0.0
         assert shots[:2] == [(m * (1.0 - self.DELTA), sub), (m * (1.0 + self.DELTA), sub)]
-        # ... so the far end walks away from it until the class changes ...
+        # ... so the far end walks away from it, to 3 * DELTA first and then
+        # to 4**k * DELTA, until the class changes ...
         sign, delta, k = (1.0 if sub else -1.0), self.DELTA, 2
         while shots[k][1] == sub:
             delta *= 4.0
-            assert shots[k][0] == m * (1.0 + sign * delta)
+            assert shots[k][0] == m * (1.0 + sign * (delta if k > 2 else 0.75 * delta))
             k += 1
         assert shots[k][0] == m * (1.0 + sign * 4.0 * delta)
         # ... and bisection starts between the last two walk points
@@ -530,6 +532,63 @@ def test_manifold_trace_pairs_agree(pair_point):
     assert a.kind == b.kind
     assert close(a.w, b.w) and close(a.v, b.v), (a, b)
     assert a.w == r.manifold_estimate
+
+
+def test_manifold_stop_lands_on_v_stop(pair_point):
+    # the trace's stop is located on a step's continuous extension and
+    # corrected by one Newton step on the exact partial step
+    p, v0, r = pair_point
+    kind = "stable" if r.regime == REGIME_FORWARD else "unstable"
+    traj = trace_stable_manifold(p, r.saddle, v_stop=v0, manifold=kind)
+    assert abs(traj.termination.v - v0) <= 4e-15 * abs(v0)
+
+
+# Backward case-A points (a, sigma, v0) where classifier orbits are captured
+# in the threshold saddle's dwell ball within 1e-9 of the threshold.
+CAPTURE_POINTS = [
+    (0.6422097342797956, 0.2504531860041431, -2.5577583813319045),
+    (0.6601402802795403, 0.23790180380432177, -1.6533407371650723),
+    (0.4655489304902045, 0.3741157486568568, -2.2636011796004563),
+    (0.7788374973713592, 0.15481375184004853, -1.5384595226003235),
+]
+
+
+@pytest.fixture(scope="module", params=CAPTURE_POINTS, ids=lambda x: f"a={x[0]:.3f}")
+def capture_point(request):
+    a, sigma, v0 = request.param
+    p = lp(a, sigma)
+    # the separatrix's crossing of v = v0 at rtol 1e-13; the capture bias
+    # does not shrink with rtol, so a tight find_w0_star would share it
+    m = find_w0_star(p, v0, method="manifold", controls=Controls(rtol=1e-13)).w0_star
+    return p, v0, m
+
+
+def test_w0_star_within_bracket_of_the_separatrix(capture_point):
+    p, v0, m = capture_point
+    r = find_w0_star(p, v0)
+    assert abs(r.w0_star - m) <= 1e-10 * m
+
+
+def test_captures_are_classified_by_their_side():
+    # Orbits captured in the threshold saddle's ball are classified by the
+    # side of its separatrix they sit on: at the last capture point both
+    # launches 5e-10 off the separatrix are captured.  A capture at any
+    # other equilibrium stays ConvergesTo.
+    a, sigma, v0 = CAPTURE_POINTS[-1]
+    p = lp(a, sigma)
+    m = find_w0_star(p, v0, method="manifold", controls=Controls(rtol=1e-13)).w0_star
+    saddle = shooting._threshold_saddle(p, REGIME_BACKWARD)
+    for rel, cls in ((5e-10, ESCAPES_ABOVE), (-5e-10, CONVERGES_TO)):
+        out = classify_trajectory(p, m * (1.0 + rel), v0)
+        assert out.trajectory.termination.kind == CONVERGED
+        eq = equilibria(p)[out.equilibrium_index]
+        assert (eq.w, eq.v) == (saddle.w, saddle.v)
+        assert out.cls == cls
+    # kept past the parabola, a sub-critical orbit settles on the node (0, v_star)
+    out = classify_trajectory(P_C, 0.01, 2.0, stop_at_parabola=False)
+    eq = equilibria(P_C)[out.equilibrium_index]
+    assert (eq.w, eq.v) == (0.0, P_C.v_star)
+    assert out.cls == CONVERGES_TO
 
 
 # (a range, sigma / sigma_star range) of each case, drawn as the threshold
