@@ -56,10 +56,6 @@ class RootNotFound(KswaveError):
     """Bracketed root finding met a NaN function value or did not converge."""
 
 
-class InsufficientResolution(KswaveError):
-    """Too few samples in the fitting window for a slope estimate."""
-
-
 # Failures found during a computation: CLI exit 3, an error row (or a failed
 # spot check) for one sweep point.
 NUMERICAL_FAILURES = (KswaveError, FloatingPointError, OverflowError)

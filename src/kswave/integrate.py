@@ -9,14 +9,13 @@ carries I(s) = integral of v ds, from which the signal S is reconstructed
 later as S = S0 * exp(I - I0).  Its state is (ln w, v, I): where w
 decays or grows exponentially near the invariant axis w = 0 (ln w = -inf),
 (ln w)' = g(a*v - sigma) - v is smooth, so steps are not held to one size
-there.  Samples, events and equilibrium balls see w.  Every orbit steps with DOP853, whether
-its samples are read (profiles, portraits, the critical orbit) or only
-its deciding event (the shooting's decision orbits): no reported answer
-reads how densely an orbit was sampled, and `Controls(h_max=...)` gives
-denser samples.  Past |v| = 10 * max(v_star, |v0|) a linear-limiter
-orbit can only blow up, and `_blow_up_tail` marches the rest in
-tau = ln|v| up to ln v_max, in about 5 steps per decade of v where the
-5(4) pair DP54 in s took about 88.
+there.  Samples, events and equilibrium balls see w.  Every orbit steps
+with DOP853, whether its samples are read or only its deciding event: no
+reported answer reads how densely an orbit was sampled, and
+`Controls(h_max=...)` gives denser samples.  Near its edges an orbit is
+marched in other variables: `_blow_up_tail` in tau = ln|v| past |v| =
+10 * max(v_star, |v0|), and `_flux_boundary_leg`, within 1e-3 of the
+width of a saturated slope domain from an edge, in q (below) or ln w.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -30,10 +29,10 @@ adaptive loop with one predictive step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars: orbits take
-`_dop853_step`; graph legs and blow-up tails take `_graph_step`, a DP54
-step that forms stage values for W (or 1/W) alone, since a front's dense
-output is DP54's continuous extension.  Each sums in the generic tableau
-loop's order, so it gives that loop's results to the bit.
+`_dop853_step`; graph legs, tails and flux-boundary legs `_graph_step`, a
+DP54 step that forms stage values for the first component alone, since a
+front's dense output is DP54's continuous extension.  Each sums in the
+generic tableau loop's order, so it gives that loop's results to the bit.
 """
 
 from __future__ import annotations
@@ -68,8 +67,9 @@ W_VANISHED = "WVanished"
 MAX_SPAN = "MaxSpan"
 BOUNDED = "Bounded"
 GRAPH_END = "GraphEnd"
-# not a termination: the level at which an orbit's blow-up tail starts
+# not terminations: the levels that start a blow-up tail or flux-boundary leg
 _TAIL = "BlowUpTail"
+_EDGE = "FluxBoundaryLeg"
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -86,14 +86,13 @@ class Controls:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_max: float = 10.0           # step cap: in s on orbits, in v or q on graph legs
+    h_max: float = 10.0           # step cap: s (orbits), ln|v| (tails), q or ln w or v (legs)
     s_max: float = 1e3            # span bound |s - s0|
     max_steps: int = 1_000_000    # step attempts per orbit or graph leg
     v_max: float = 1e6            # |v| at which the run counts as blown up
     w_min: float = 1e-12          # w level treated as vanished, tested in ln w; 0 disables
     eq_tol: float = 1e-9          # equilibrium capture ball, relative
     eq_dwell: float = 5.0         # span to sit in the ball; inf disables
-    boundary_eps_rel: float = 1e-9  # flux-boundary standoff, relative to c
     denom_eps: float = 1e-10      # graph-denominator floor
 
     def __post_init__(self) -> None:
@@ -118,7 +117,6 @@ class Controls:
             ("w_min", self.w_min >= 0.0, ">= 0"),
             ("eq_tol", self.eq_tol >= 0.0, ">= 0"),
             ("eq_dwell", self.eq_dwell > 0.0, "> 0"),
-            ("boundary_eps_rel", self.boundary_eps_rel > 0.0, "> 0"),
             ("denom_eps", self.denom_eps > 0.0, "> 0"),
         ):
             if not ok:
@@ -678,11 +676,15 @@ def integrate(
         x_level = math.log(level) if c == 0 else level
         levels.append((c, x_level, direction, EventSpec(fn=fn, kind=kind, direction=direction)))
 
+    side = 0  # the edge whose switch level the launch is on or past
     if p.limiter.saturated:
+        # Within 1e-3 of the domain's width from an edge, an orbit is marched
+        # in the boundary coordinate q or in ln w (`_flux_boundary_leg`).
         lo, hi = p.slope_domain
-        eps_v = _boundary_standoff(p, ctr)
-        level_event(1, hi - eps_v, +1, FLUX_BOUNDARY_HIGH)
-        level_event(1, lo + eps_v, -1, FLUX_BOUNDARY_LOW)
+        band = 1e-3 * (hi - lo)
+        level_event(1, hi - band, +1, _EDGE)
+        level_event(1, lo + band, -1, _EDGE)
+        side = 1 if v0 >= hi - band else -1 if v0 <= lo + band else 0
     if ctr.w_min > 0.0 and w0 > ctr.w_min:
         level_event(0, ctr.w_min, -1, W_VANISHED)
     level_event(1, ctr.v_max, +1, V_BLOW_UP_PLUS)
@@ -693,6 +695,10 @@ def integrate(
     v_sw = 10.0 * max(p.v_star, abs(v0))
     if not p.limiter.saturated and 0.0 < v_sw < ctr.v_max:
         level_event(1, -sgn * v_sw, -int(sgn), _TAIL)
+    # what ends a tail or flux-boundary leg: extra events, w_min level, span
+    s_end = s0 + sgn * ctr.s_max
+    ends = list(extra_events) + [ev for c, _, _, ev in levels if c == 0]
+    ends.append(EventSpec(fn=lambda s, w, v: s - s_end, kind=MAX_SPAN, direction=int(sgn)))
 
     # While the state stays strictly between the nearest levels around the
     # launch state, no level lies between two successive states, so no step
@@ -703,7 +709,7 @@ def integrate(
         above = [lv for cc, lv, _, _ in levels if cc == c and lv >= x0]
         return max(below, default=-math.inf), min(above, default=math.inf)
 
-    lw0 = _ln(w0)
+    lw0 = math.log(w0) if w0 > 0.0 else -math.inf  # the axis w = 0 at -inf
     (lw_lo, lw_hi), (v_lo, v_hi) = box(0, lw0), box(1, v0)
     in_box = True  # the launch state is in the closed box
 
@@ -731,17 +737,29 @@ def integrate(
     y = (lw0, v0, 0.0)
     k1 = f(lw0, v0) + (v0,)
     w = w0
-    ss, ws, vs, iis = [s], [w0], [v0], [0.0]
+    samples = ss, ws, vs, iis = [s], [w0], [v0], [0.0]
     e_prev = [ev.fn(s, w0, v0) for ev in events]
     dwell_idx = eq_ball(w0, v0)
     dwell_s = s
 
-    s_end = s0 + sgn * ctr.s_max
-    h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
-    march = _march(
-        _dop853_step, f, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
-    )
-    try:
+    # a launch on or past a switch level starts on its flux-boundary leg,
+    # which hands the orbit to the march in s at twice the level's distance
+    term, leg_side = None, side
+    while term is None:
+        if leg_side:
+            term = _flux_boundary_leg(p, leg_side, sgn, s, y, 2.0 * band, ends, ctr, samples)
+            if term is not None:
+                break
+            # the orbit left the band, or the leg stalled: on in s from there
+            s, w, v = ss[-1], ws[-1], vs[-1]
+            y = (math.log(w) if w > 0.0 else -math.inf, v, iis[-1])
+            k1 = f(y[0], v) + (v,)
+            e_prev = [ev.fn(s, w, v) for ev in events]
+            leg_side = in_box = False
+        h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
+        march = _march(
+            _dop853_step, f, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
+        )
         for s_old, y_old, k1_old, h, s, y, _ in march:
             w_old, w, v = w, math.exp(y[0]), y[1]
             # --- event detection along this accepted step ---
@@ -768,12 +786,10 @@ def integrate(
                 w_ev = math.exp(y_ev[0])
                 ss.append(s_ev), ws.append(w_ev), vs.append(y_ev[1]), iis.append(y_ev[2])
                 if ev.kind == _TAIL:
-                    # the extra events, the w_min level if there is one, and the span
-                    ends = list(extra_events) + [ev for c, _, _, ev in levels if c == 0]
-                    ends.append(EventSpec(
-                        fn=lambda s, w, v: s - s_end, kind=MAX_SPAN, direction=int(sgn)
-                    ))
-                    term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, (ss, ws, vs, iis))
+                    term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, samples)
+                elif ev.kind == _EDGE:
+                    # the level's direction is the side of its edge
+                    leg_side, s, y = ev.direction, s_ev, y_ev
                 else:
                     term = TerminationEvent(kind=ev.kind, s=s_ev, w=w_ev, v=y_ev[1])
                 break
@@ -789,40 +805,11 @@ def integrate(
                 break
         else:
             term = TerminationEvent(kind=MAX_SPAN, s=s, w=w, v=y[1])
-    except StepSizeUnderflow as exc:
-        # steps that keep leaving the slope domain near the flux boundary
-        # have arrived there
-        kind = _near_flux_boundary(p, y[1], ctr)
-        if kind is None or not isinstance(exc.__cause__, DomainError):
-            raise
-        term = TerminationEvent(kind=kind, s=s, w=w, v=y[1])
 
     if term.kind == MAX_SPAN and _looks_bounded(ws, vs):
         term = replace(term, kind=BOUNDED)
 
-    return _assemble(p, f, ss, ws, vs, iis, direction, term, ctr)
-
-
-def _ln(w: float) -> float:
-    """ln w, with the axis w = 0 at -inf."""
-    return math.log(w) if w > 0.0 else -math.inf
-
-
-def _boundary_standoff(p: ModelParams, ctr: Controls) -> float:
-    """Distance in v kept from the flux boundary of a saturated limiter."""
-    return ctr.boundary_eps_rel * p.limiter.c / p.a
-
-
-def _near_flux_boundary(p: ModelParams, v: float, ctr: Controls) -> str | None:
-    if not p.limiter.saturated:
-        return None
-    lo, hi = p.slope_domain
-    eps_v = _boundary_standoff(p, ctr)
-    if abs(v - lo) <= 1e3 * eps_v:
-        return FLUX_BOUNDARY_LOW
-    if abs(v - hi) <= 1e3 * eps_v:
-        return FLUX_BOUNDARY_HIGH
-    return None
+    return _assemble(ss, ws, vs, iis, direction, term)
 
 
 def _stage(f, y, ks, row, h):
@@ -968,20 +955,14 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     """March an orbit from (s, y) = (s, (ln w, v, I)), past the switch level, to blow-up.
 
     There |v| > v_star, so v' = F = (lam - gamma*v^2 - w)/gamma < 0 and v
-    runs monotonically outward.  The tail is marched in tau = ln|v|, from
-    ln|v| to ln v_max, with state (ln w, r, I), r = s - 1/v: its slopes
-    (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F depend on
-    (tau, ln w) alone, so it steps like a graph leg, with a graph leg's
-    tolerances, and h_max caps its step in tau.  r is carried in place of
-    s because s moves by 1/|v| per unit of tau while its error scale is
-    |s|; r moves by O(|v|^-3) and tends to the edge itself.  DP54 in s
-    took about 88 steps per decade of v here, this about 5.  The samples
-    are appended to the four lists of `samples`.  `ends` are events on
-    (s, w, v), checked at each step's end and located along it, the
-    earliest winning and the first listed winning ties; none firing, the
-    tail ends V_BLOW_UP_* at |v| = v_max.
+    runs monotonically outward.  `_march_to_end` marches it in tau = ln|v|
+    up to ln v_max, ending V_BLOW_UP_*, with state (ln w, r = s - 1/v, I)
+    and slopes (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F.
+    r is carried in place of s because s moves by 1/|v| per unit of tau
+    while its error scale is |s|; r moves by O(|v|^-3) and tends to the
+    edge itself.  DP54 in s took about 88 steps per decade of v here, this
+    about 5.
     """
-    ss, ws, vs, iis = samples
     g = make_g(p.limiter)
     a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
     lw, v, ii = y
@@ -1000,14 +981,90 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
         return y[1] + 1.0 / vt, math.exp(y[0]), vt
 
     # w = 0 is invariant: ln w stays -inf, and its scaled error 0
-    t, y = math.log(abs(v)), (lw, s - 1.0 / v, ii)
     t_end = math.log(ctr.v_max)
+    kind = V_BLOW_UP_PLUS if vsign > 0.0 else V_BLOW_UP_MINUS
+    return _march_to_end(
+        field, state, math.log(abs(v)), (lw, s - 1.0 / v, ii), t_end, ends, ctr, samples, kind
+    )
+
+
+def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Controls, samples):
+    """March an orbit in direction sgn of s from (s, y) = (s, (ln w, v, I)),
+    near the flux boundary on `side`, to the edge (FLUX_BOUNDARY_*) or out
+    to |v - v_edge| = d_out (None, as where the march stalls).
+
+    Heading for the edge, it is marched in q, v = v_edge - side*q^m, with
+    state (ln w, s - s_start, I): ds/dq = (dv/dq)/F, d(ln w)/dq =
+    (g(a*v - sigma) - v) * ds/dq, dI/dq = v * ds/dq, F = (lam - gamma*v^2 -
+    w)/gamma, regular up to q = 0 while F keeps its sign.  s is carried
+    relative to its start, so that its error scale is the leg's own change
+    in s.  Where F falls under the graph-denominator floor the orbit turns
+    short of the edge, and the march stalls (DomainError).  From there, or
+    heading out, it is marched in ln w, regular through a turn, with state
+    (q, s - s_start, I).
+    """
+    zone = BoundaryZone.of(p, side)
+    leg = zone.leg(p)
+    gamma, lam = p.gamma, p.lam
+    lw, v, ii = y
+    dsign = math.copysign(1.0, lam - gamma * v * v - math.exp(lw))
+    floor = ctr.denom_eps * max(1.0, lam, gamma * zone.v_edge * zone.v_edge)
+    q, q_out = (max(d, 0.0) ** (1.0 / zone.m) for d in (side * (zone.v_edge - v), d_out))
+    last = [q, (lw, 0.0, ii)]  # the last state the march in q reached
+
+    def field(q, x):
+        v, dv, drive = leg(q)
+        den = lam - gamma * v * v - math.exp(x)
+        if den * dsign <= floor:
+            raise DomainError(f"F vanishes at q = {q!r}, short of the flux boundary")
+        k = gamma / den
+        ds = k * dv
+        return k * drive, ds, v * ds
+
+    def state(q, y):
+        last[:] = q, y
+        return s + y[1], math.exp(y[0]), zone.v(q)
+
+    def turn_field(x, q):
+        v, dv, drive = leg(q if q >= 0.0 else math.nan)  # no step passes the edge
+        return (lam - gamma * v * v - math.exp(x)) / (gamma * drive), dv / drive, v * dv / drive
+
+    kind = FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW
+    out = EventSpec(fn=lambda s, w, v: side * (zone.v(q_out) - v), kind=None, direction=1)
+    try:
+        if side * sgn * dsign > 0.0:
+            try:
+                return _march_to_end(field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind)
+            except (StepSizeUnderflow, DomainError):
+                pass
+        # ln w runs with sign(g - v) * sgn, and g - v has the sign of side
+        q, (lw, ds, ii) = last
+        term = _march_to_end(
+            turn_field, lambda x, y: state(y[0], (x, *y[1:])), lw, (q, ds, ii),
+            side * sgn * math.inf, [*ends, out], ctr, samples, None,
+        )
+        return term if term.kind else None
+    except (StepSizeUnderflow, DomainError, ZeroDivisionError):
+        return None
+
+
+def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind):
+    """March the rest of an orbit from (t, y) to t_end in a variable t other than s.
+
+    The slopes `field(t, x)` of the state y = (x, ., I) depend on (t, x)
+    alone, so the leg steps like a graph leg, and h_max caps its step in t.
+    `state(t, y)` is (s, w, v), appended to the lists `samples` per step.
+    The first of the events `ends` on (s, w, v) to fire ends the leg, else
+    it ends `kind` at t_end.
+    """
+    ss, ws, vs, iis = samples
     k1 = field(t, y[0])
-    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, 1.0, ctr, t_end - t)
+    span = t_end - t
+    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, math.copysign(1.0, span), ctr, abs(span))
     march = _march(
         _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
     )
-    prev = (s, math.exp(lw), v)
+    prev = state(t, y)
     e_prev = [ev.fn(*prev) for ev in ends]
     for t_old, y_old, ks_old, h, t, y, _ in march:
 
@@ -1028,9 +1085,9 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
             now = state(t, y)
         ss.append(now[0]), ws.append(now[1]), vs.append(now[2]), iis.append(y[2])
         if best is not None:
-            return TerminationEvent(kind=best[1].kind, s=now[0], w=now[1], v=now[2])
+            kind = best[1].kind
+            break
         prev, e_prev = now, e_new
-    kind = V_BLOW_UP_PLUS if vsign > 0.0 else V_BLOW_UP_MINUS
     return TerminationEvent(kind=kind, s=now[0], w=now[1], v=now[2])
 
 
@@ -1048,7 +1105,7 @@ def _looks_bounded(ws: list, vs: list) -> bool:
     return amp(ws) and amp(vs)
 
 
-def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
+def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
     s, w, v, ii = ss, ws, vs, iis
     if direction == BACKWARD:
         s, w, v, ii = s[::-1], w[::-1], v[::-1], ii[::-1]
@@ -1056,12 +1113,13 @@ def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
     # noise of the accepted sample; keep the later (event) sample so
     # downstream difference quotients never divide by a noise gap.  s is
     # monotone, so when the smallest gap clears the floor at the larger end
-    # it clears every sample's floor and all are kept.
+    # it clears every sample's floor and all are kept.  The launch sample,
+    # where merge_trajectories joins the two runs of an orbit, stays.
     floor = _H_FLOOR_REL * max(1.0, abs(s[0]), abs(s[-1]))
     if len(s) > 1 and not min(map(operator.sub, s[1:], s)) > floor:
         keep = [
             k for k, (x, y) in enumerate(zip(s, s[1:]))
-            if y - x > _H_FLOOR_REL * max(1.0, abs(x))
+            if y - x > _H_FLOOR_REL * max(1.0, abs(x)) or k == 0 and direction == FORWARD
         ]
         keep.append(len(s) - 1)
         s, w, v, ii = ([x[k] for k in keep] for x in (s, w, v, ii))
@@ -1074,13 +1132,8 @@ def _assemble(p, f, ss, ws, vs, iis, direction, term, ctr) -> Trajectory:
     elif term.kind in (CONVERGED, W_VANISHED):
         edge = math.inf if direction == FORWARD else -math.inf
     elif term.kind in (FLUX_BOUNDARY_LOW, FLUX_BOUNDARY_HIGH):
-        lo, hi = p.slope_domain
-        v_edge = lo if term.kind == FLUX_BOUNDARY_LOW else hi
-        try:
-            dv = f(_ln(term.w), term.v)[1]
-        except DomainError:
-            dv = 0.0
-        edge = term.s + ((v_edge - term.v) / dv if dv != 0.0 else 0.0)
+        # a flux-boundary leg ends on the edge itself
+        edge = term.s
     if edge is not None:
         if direction == FORWARD:
             s_plus = edge
@@ -1208,6 +1261,26 @@ class BoundaryZone:
         """Derivative dv/dq of the substitution."""
         return -self.side * self.m * q ** (self.m - 1.0)
 
+    @classmethod
+    def of(cls, p: ModelParams, side: int) -> BoundaryZone:
+        """The zone of the flux boundary of p on `side`."""
+        lo, hi = p.slope_domain
+        return cls(v_edge=hi if side > 0 else lo, side=side, m=boundary_exponent(p.limiter))
+
+    def leg(self, p: ModelParams):
+        """leg(q) = (v, dv/dq, drive = (g(a*v - sigma) - v) * dv/dq) on Python
+        floats; the boundary factor q^(m-1) * g keeps drive regular at q = 0."""
+        factor = make_boundary_factor(p.limiter, p.a, self.side)
+        v_edge, side, m = self.v_edge, self.side, self.m
+        dv_scale = -side * m  # dv/dq over q^(m-1)
+
+        def leg(t):
+            # .v and .dv_dq, inline
+            v, dv = v_edge - side * t**m, dv_scale * t ** (m - 1.0)
+            return v, dv, dv_scale * factor(t) - dv * v
+
+        return leg
+
 
 @dataclass
 class GraphSolution:
@@ -1318,42 +1391,22 @@ def integrate_graph_W(
         raise DomainError(f"v_anchor = {v_anchor!r} outside the slope domain")
 
     use_y = W_anchor > lam
-    boundary: BoundaryZone | None = None
-    if lim.saturated:
-        eps_v = _boundary_standoff(p, ctr)
-        if abs(v_target - hi) <= eps_v:
-            boundary = BoundaryZone(v_edge=hi, side=+1, m=boundary_exponent(lim))
-        elif abs(v_target - lo) <= eps_v:
-            boundary = BoundaryZone(v_edge=lo, side=-1, m=boundary_exponent(lim))
+    edge = lim.saturated and v_target in (lo, hi)
+    boundary = BoundaryZone.of(p, 1 if v_target == hi else -1) if edge else None
     if boundary is None and not lo < v_target < hi:
         raise DomainError(f"v_target = {v_target!r} outside the slope domain")
 
-    # leg(t) gives, at the independent variable t (plain v, or q on a
-    # boundary leg), the slope v, dv/dt and drive = (g(a*v - sigma) - v) *
-    # dv/dt; on a boundary leg the factor q^(m-1) * g keeps the drive
-    # regular up to q = 0.  slope(t) is v alone.
+    # leg(t) gives v, dv/dt and drive = (g(a*v - sigma) - v) * dv/dt at the
+    # independent variable t: v itself, or q on a boundary leg
     if boundary is None:
         t0, t1 = v_anchor, v_target
-
-        def slope(t):
-            return t
 
         def leg(t):
             return t, 1.0, g(a * t - sigma) - t
 
     else:
-        factor = make_boundary_factor(lim, a, boundary.side)
-        v_edge, side, m = boundary.v_edge, boundary.side, boundary.m
-        dv_scale = -side * m  # dv/dq over q^(m-1)
         t0, t1 = float(boundary.q(v_anchor)), 0.0
-
-        # BoundaryZone.v and .dv_dq, inline
-        def slope(t):
-            return v_edge - side * t**m
-
-        def leg(t):
-            v, dv = v_edge - side * t**m, dv_scale * t ** (m - 1.0)
-            return v, dv, dv_scale * factor(t) - dv * v
+        leg = boundary.leg(p)
 
     # With k = gamma/(lam - W - gamma*v^2): dW/dt = k*W*drive, ds/dt =
     # k*dv/dt and dI/dt = v*ds/dt, for x = W.  The Y form, x = 1/W, divides
@@ -1369,7 +1422,7 @@ def integrate_graph_W(
             return k * x * x * drive, ds, v * ds
 
         def den(t, x):
-            v = slope(t)
+            v = leg(t)[0]
             return 1.0 - x * (lam - gamma * v * v)
 
     else:
@@ -1385,7 +1438,7 @@ def integrate_graph_W(
             return k * x * drive, ds, v * ds
 
         def den(t, x):
-            v = slope(t)
+            v = leg(t)[0]
             return lam - x - gamma * v * v
 
     # the guard is signed with the anchor's denominator sign: a pinch shows

@@ -37,16 +37,15 @@ from .errors import (
     AnchorMismatch,
     DegenerateError,
     DenominatorVanished,
-    InsufficientResolution,
-    KswaveError,
     PreconditionError,
     RegimeViolation,
-    StepSizeUnderflow,
 )
 from .flux import g_inverse
 from .integrate import (
     BACKWARD,
     CONVERGED,
+    FLUX_BOUNDARY_HIGH,
+    FLUX_BOUNDARY_LOW,
     FORWARD,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
@@ -466,70 +465,40 @@ def classify_profile(
     )
 
 
-def endpoint_slopes(
-    profile: WaveProfile,
-    p: ModelParams,
-    band: float = 0.1,
-    min_samples: int = 20,
-) -> dict:
+def endpoint_slopes(profile: WaveProfile, p: ModelParams, band: float = 0.1) -> dict:
     """Categorize the one-sided slopes of u at the finite profile edges.
 
-    The exponent rho in u ~ (distance to edge)^rho is a limit, rho =
-    lim (u'/u) * (s - edge), with u'/u = g(a*v - sigma).  At an edge where
-    the slope blows up (its end event, in `profile.end_events`, is
-    V_BLOW_UP_*) it is read at that event, where the orbit stopped at
-    |v| = v_max: for the linear limiter it is a/mu -/+ sigma/(mu*v_max)
-    at s_minus and s_plus.  At any other finite edge (a flux boundary, or
-    a profile that carries no end events) rho is the least-squares slope
-    of log u against log distance over the last sampled decade of approach
-    (raising InsufficientResolution below ``min_samples`` points there).
-    An orbit's flux-boundary end stops at the boundary standoff, a few
-    1e-10 in s from its edge, with only a handful of samples in that
-    decade whatever h_max is: such an end raises InsufficientResolution,
-    and the fit serves profiles without end events.  rho < 1 - band
-    means the slope diverges, |rho - 1| <= band a finite nonzero slope,
-    rho > 1 + band a tangential contact.  Intended for
-    compact-support (type A1) profiles, whose edges are both finite.
-    The signal slope S' = S * v is reported at the outermost sample of
-    each side; its signs distinguish a single interior signal maximum.
+    The exponent rho in u ~ (distance to edge)^rho is the limit of
+    (u'/u) * (s - edge), u'/u = g(a*v - sigma), read at each edge's end
+    event (`profile.end_events`): at |v| = v_max on a blow-up (V_BLOW_UP_*),
+    a/mu -/+ sigma/(mu*v_max) at s_minus and s_plus for linear flux.  On
+    the flux boundary (FLUX_BOUNDARY_*) v reaches its edge at a finite rate
+    while g grows like (distance)^(-1/p): u'/u is integrable, u jumps to
+    u(edge) > 0 (`end_limits`) with a vertical slope, and rho = 0.  rho <
+    1 - band is a diverging slope, |rho - 1| <= band a finite one, rho >
+    1 + band a tangential contact.  A profile without two finite edges, or
+    a finite edge without such an end event, raises ValueError.  The signal
+    slope S' = S * v at the outermost samples tells a single interior
+    signal maximum by its signs.
     """
-    s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
-    for name, edge in (("s_minus", profile.s_minus), ("s_plus", profile.s_plus)):
-        if edge is None or not math.isfinite(edge):
-            raise ValueError(
-                f"endpoint slopes need finite profile edges; {name} = {edge!r}"
-            )
-
+    S, v = (sample_list(profile, name) for name in ("S", "v"))
     ends = profile.end_events or (None, None)
 
-    def rho_at(i: int, edge: float) -> float:
-        # i: 0 at s_minus, -1 at s_plus
-        ev = ends[i]
+    def rho_at(name: str, edge, ev) -> float:
+        if edge is None or not math.isfinite(edge):
+            raise ValueError(f"endpoint slopes need finite profile edges; {name} = {edge!r}")
         if ev is not None and ev.kind in (V_BLOW_UP_MINUS, V_BLOW_UP_PLUS):
             # u'/u = g(a*v - sigma), and the edge is s - 1/v: s - edge is 1/v,
             # read without the cancellation of subtracting the two.  Both
             # factors change sign between the edges, so the product is the
             # outward exponent at either one.
             return g_inverse(p.limiter, p.a * ev.v - p.sigma) / ev.v
-        # d0: the nearest sample's distance to the edge.  s ascends, so the
-        # distance grows away from the edge and the samples within 10 * d0
-        # of it are a run s[lo:hi] at that end.
-        d0 = s[0] - edge if i == 0 else edge - s[-1]
-        if d0 <= 0.0:
-            raise InsufficientResolution("edge distance not positive; edge mislocated")
-        if i == 0:
-            lo, hi = 0, bisect.bisect_right(s, 10.0 * d0, key=lambda x: x - edge)
-        else:
-            lo, hi = bisect.bisect_left(s, -10.0 * d0, key=lambda x: x - edge), len(s)
-        if hi - lo < min_samples:
-            raise InsufficientResolution(
-                f"only {hi - lo} samples in the last decade of edge approach "
-                f"(need {min_samples})"
-            )
-        log_d = [math.log(abs(x - edge)) for x in s[lo:hi]]
-        return _ls_slope(log_d, list(map(math.log, u[lo:hi])))
+        if ev is not None and ev.kind in (FLUX_BOUNDARY_LOW, FLUX_BOUNDARY_HIGH):
+            return 0.0
+        raise ValueError(f"edge {name} = {edge!r} has no blow-up or flux-boundary end event")
 
-    rho_m, rho_p = rho_at(0, profile.s_minus), rho_at(-1, profile.s_plus)
+    rho_m = rho_at("s_minus", profile.s_minus, ends[0])
+    rho_p = rho_at("s_plus", profile.s_plus, ends[1])
 
     def categorize(rho: float, rising: bool) -> str:
         if rho < 1.0 - band:
@@ -546,14 +515,6 @@ def endpoint_slopes(
         "S_prime_at_s_minus": S[0] * v[0],
         "S_prime_at_s_plus": S[-1] * v[-1],
     }
-
-
-def _ls_slope(x: list[float], y: list[float]) -> float:
-    """Slope of the least-squares line through the points (x, y)."""
-    n = len(x)
-    xm, ym = math.fsum(x) / n, math.fsum(y) / n
-    dx = [xk - xm for xk in x]
-    return math.fsum(a * (yk - ym) for a, yk in zip(dx, y)) / math.fsum(a * a for a in dx)
 
 
 def farfield_coefficients(
@@ -723,8 +684,8 @@ def wave_profile(
     given, or else solved with find_w0_star; a launch within the critical
     tolerance of predicted_types is the critical orbit
     (threshold_trajectory), any other the orbit through the launch point.
-    The profile carries classify_profile's labels and its endpoint_slopes,
-    or None where these cannot be measured (an infinite or unresolved edge).
+    The profile carries its labels and its endpoint_slopes, or None where
+    an edge is infinite.
     Anchors that cannot give a finite profile, u0 or w0_star given with
     ``branch``, and a fast launch whose sub-critical type is not determined
     (a*v_star = sigma) raise PreconditionError before any integration.
@@ -733,7 +694,9 @@ def wave_profile(
     if branch is not None:
         if u0 is not None or w0_star is not None:
             raise PreconditionError("u0 and w0_star are not meaningful for saturated fronts")
-        return saturated_front(p, v0, w0, branch=branch, s0=s0, S0=S0, controls=controls), None
+        prof = saturated_front(p, v0, w0, branch=branch, s0=s0, S0=S0, controls=controls)
+        prof.endpoint_slopes = endpoint_slopes(prof, p)  # both edges are on the flux boundary
+        return prof, None
     if shooting_regime(p, v0) == REGIME_FORWARD:
         _tail_rate(p)
     if w0_star is not None:
@@ -748,7 +711,7 @@ def wave_profile(
     prof.u_type, prof.S_type = classify_profile(prof, p, thr.w0_star)
     try:
         prof.endpoint_slopes = endpoint_slopes(prof, p)
-    except (ValueError, KswaveError):
+    except ValueError:
         prof.endpoint_slopes = None
     return prof, thr.w0_star
 
@@ -764,25 +727,15 @@ def portrait(
     p: ModelParams, seeds, controls: Controls | None = None
 ) -> tuple[str, list[Trajectory]]:
     """The regime case of p ("Degenerate" at sigma_star) and the full orbit
-    through each seed (w0, v0).  A saturated orbit whose slope turns vertical
-    in s (StepSizeUnderflow) is traced as a graph W(v) instead, which reaches
-    the flux boundary exactly.  A seed slope outside the slope domain raises
-    PreconditionError before any orbit is traced."""
+    through each seed (w0, v0).  A seed slope outside the slope domain
+    raises PreconditionError before any orbit is traced."""
     case = _regime_case(p)
     seeds = list(seeds)
     lo, hi = p.slope_domain
     for _, v0 in seeds:
         if not lo < v0 < hi:
             raise PreconditionError(f"seed slope {v0!r} outside the slope domain ({lo!r}, {hi!r})")
-    orbits = []
-    for w0, v0 in seeds:
-        try:
-            orbits.append(wave_trajectory(p, w0, v0, controls=controls))
-        except StepSizeUnderflow:
-            if not p.limiter.saturated:
-                raise
-            orbits.append(graph_trajectory(p, w0, v0, controls=controls))
-    return case, orbits
+    return case, [wave_trajectory(p, w0, v0, controls=controls) for w0, v0 in seeds]
 
 
 def sweep(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kswave import cli, profiles
-from kswave.errors import DenominatorVanished, StepSizeUnderflow
+from kswave.errors import StepSizeUnderflow
 
 
 def run(capsys, *argv):
@@ -107,25 +107,6 @@ class TestPortrait:
         assert code == 2
         assert "config error" in err
 
-    def test_underflow_falls_back_to_graph_coordinates(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        def boom(*a, **kw):
-            raise StepSizeUnderflow("forced")
-
-        monkeypatch.setattr(profiles, "wave_trajectory", boom)
-        code, _, _ = run(
-            capsys,
-            "portrait", "--a", "1", "--sigma", "0.5",
-            "--limiter", "relativistic", "--c", "1",
-            "--w-grid", "5.0", "--v-grid", "0.5",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        index = read_json(tmp_path / "portrait" / "index.json")
-        _, data = read_csv(tmp_path / "portrait" / index["seeds"][0]["file"])
-        assert len(data) > 100  # the graph-built orbit was written
-
     def test_underflow_without_fallback_is_numerical_failure(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -133,7 +114,8 @@ class TestPortrait:
             raise StepSizeUnderflow("forced")
 
         monkeypatch.setattr(profiles, "wave_trajectory", boom)
-        # Linear flux has no graph fallback.
+        # No flux has a graph fallback: saturated orbits end on the flux
+        # boundary in s.
         code, _, err = run(
             capsys,
             "portrait", "--a", "1", "--sigma", "0.5",
@@ -142,11 +124,6 @@ class TestPortrait:
         assert code == 3
         assert "numerical failure" in err
 
-        # Saturated flux whose fallback also fails.
-        monkeypatch.setattr(
-            profiles, "integrate_graph_W",
-            lambda *a, **kw: (_ for _ in ()).throw(DenominatorVanished("forced")),
-        )
         code, _, err = run(
             capsys,
             "portrait", "--a", "1", "--sigma", "0.5",
@@ -301,7 +278,11 @@ class TestProfile:
         assert code == 0
         meta = read_json(tmp_path / "profile_meta.json")
         assert meta["u_type"] == "SaturatedFrontConcave"
-        assert meta["endpoint_slopes"] is None
+        # both walls are flux-boundary edges: a vertical slope and a jump
+        slopes = meta["endpoint_slopes"]
+        assert (slopes["u_prime_at_s_minus"], slopes["u_prime_at_s_plus"]) == ("+inf", "-inf")
+        assert (slopes["rho_minus"], slopes["rho_plus"]) == (0.0, 0.0)
+        assert meta["end_limits"]["u_at_s_minus"] > 0.0 and meta["end_limits"]["u_at_s_plus"] > 0.0
         assert meta["w0_star"] is None
         assert math.isfinite(meta["s_minus"]) and math.isfinite(meta["s_plus"])
 

@@ -1,8 +1,9 @@
 """The CLI contract as a property over random commands.
 
 Each draw is one command (`equilibria`, `portrait`, `shoot`, `profile` with
-or without `--branch`, or a one-point `sweep`) with a random limiter and
-random a, sigma, v0 and w0, run in process through `kswave.cli.main`:
+or without `--branch`, or a one-point `sweep`) with a random limiter,
+random a, sigma, v0 and w0, and `--rtol` unset, 1e-8 or 1e-12, run in
+process through `kswave.cli.main`:
 
 * the exit code is 0, 2 or 3, and nothing escapes;
 * exit 2 comes before any orbit or graph integration;
@@ -65,6 +66,9 @@ def commands(draw):
         argv += ["--w0", repr(w0)]
     if command == "profile-branch":
         argv += ["--branch", draw(st.sampled_from(("above", "below")))]
+    rtol = draw(st.sampled_from((None, 1e-8, 1e-12)))
+    if rtol is not None:
+        argv += ["--rtol", repr(rtol)]
     # a launch slope the slope domain cannot hold is decided from the
     # parameters alone
     outside = False

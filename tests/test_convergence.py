@@ -7,7 +7,9 @@ default it must lie within 1e-9 relative of it.  The quantities are:
 - the blow-up edges s_minus, s_plus and their exponents rho; the edges
   must also agree to 1e-9 relative with the values pinned when blow-up
   ends were still marched in s all the way to v_max;
-- the flux-boundary edges of saturated orbits;
+- the flux-boundary edges of saturated orbits (an edge reached from within
+  1e-9 * c/a of it must not move at all), and, over random relativistic and
+  Larson launches, that such an end sits on its edge with a vertical slope;
 - the edges s_minus, s_plus of saturated fronts and the density u at each;
 - the placement of the critical orbit's pieces in `threshold_trajectory`:
   its blow-up edge, relative to the launch point at s = 0, and the s at
@@ -19,20 +21,20 @@ default it must lie within 1e-9 relative of it.  The quantities are:
 from __future__ import annotations
 
 import math
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kswave import shooting
 from kswave.flux import LARSON, RELATIVISTIC, FluxLimiter
 from kswave.integrate import (
-    BACKWARD,
     FLUX_BOUNDARY_HIGH,
     FLUX_BOUNDARY_LOW,
-    FORWARD,
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
     Controls,
-    integrate,
     sample_list,
 )
 from kswave.phase import ModelParams, regime_case
@@ -119,43 +121,83 @@ def converged(values: list[float]) -> bool:
 
 REL = ModelParams(a=1.5, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=3.0))
 LAR = ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=2.0, p=2.5))
-_EPS_V = 1e-9 * REL.limiter.c / REL.a  # REL's flux-boundary standoff
+_EPS_V = 1e-9 * REL.limiter.c / REL.a
 
-# name -> (params, w0, v0, direction): a direction runs `integrate` with
-# s_max = 20, as the standoff launches of tests/test_integrate.py do, and
-# reads the edge at its far end; None runs `wave_trajectory` and reads both
-# edges.  The standoff launches start half a standoff from the boundary;
-# their ends toward that boundary are not compared, since at rtol 1e-11 and
-# below the march there stalls in StepSizeUnderflow instead of arriving.
+# name -> (params, w0, v0, near): `wave_trajectory` through the launch, which
+# must end on the flux boundary at both ends at every rtol.  The standoff
+# launches start within 1e-9 * c/a of the boundary, as those of
+# tests/test_integrate.py do; `near` names the edge on that side, which the
+# flux-boundary leg reaches in one landing step, the same at every rtol.
 SATURATED = {
-    "standoff-high": (REL, 5.0, REL.slope_domain[1] - 0.5 * _EPS_V, FORWARD),
-    "standoff-low": (REL, 5.0, REL.slope_domain[0] + 0.5 * _EPS_V, BACKWARD),
+    "standoff-high": (REL, 5.0, REL.slope_domain[1] - 0.5 * _EPS_V, "s_minus"),
+    "standoff-low": (REL, 5.0, REL.slope_domain[0] + 0.5 * _EPS_V, "s_plus"),
+    "on-standoff-level": (REL, 5.0, REL.slope_domain[1] - _EPS_V, "s_minus"),
     "relativistic": (REL, 5.0, 0.5, None),
     "larson": (LAR, 3.0, 0.2, None),
 }
-_FLUX_ENDS = (FLUX_BOUNDARY_HIGH, FLUX_BOUNDARY_LOW)
+_FLUX_ENDS = [FLUX_BOUNDARY_HIGH, FLUX_BOUNDARY_LOW]
 
 
 @pytest.fixture(scope="module", params=sorted(SATURATED))
 def saturated_runs(request):
-    p, w0, v0, direction = SATURATED[request.param]
+    p, w0, v0, near = SATURATED[request.param]
     out = []
     for rtol in RTOLS:
-        if direction is None:
-            traj = wave_trajectory(p, w0, v0, Controls(rtol=rtol))
-            assert [ev.kind for ev in traj.end_events()] == list(_FLUX_ENDS)
-            out.append({"s_minus": traj.s_minus, "s_plus": traj.s_plus})
-        else:
-            traj = integrate(p, w0, v0, direction, Controls(s_max=20.0, rtol=rtol))
-            assert traj.termination.kind in _FLUX_ENDS
-            key = "s_plus" if direction == FORWARD else "s_minus"
-            out.append({key: getattr(traj, key)})
-    return out
+        traj = wave_trajectory(p, w0, v0, Controls(rtol=rtol))
+        assert [ev.kind for ev in traj.end_events()] == _FLUX_ENDS
+        out.append({"s_minus": traj.s_minus, "s_plus": traj.s_plus})
+    return near, out
 
 
 def test_flux_boundary_edges_converge_in_rtol(saturated_runs):
-    for key in saturated_runs[0]:
-        assert converged([r[key] for r in saturated_runs]), key
+    near, runs = saturated_runs
+    for key in ("s_minus", "s_plus"):
+        values = [r[key] for r in runs]
+        if key == near:
+            assert values[0] == values[1] == values[2], key
+        else:
+            assert converged(values), key
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def saturated_launches(draw):
+    """A relativistic or Larson p and a launch (w0, v0) anywhere in its slope
+    domain, within 1e-9 * c/a of an edge included."""
+    c = draw(log_uniform(0.3, 5.0))
+    if draw(st.booleans()):
+        lim = FluxLimiter(RELATIVISTIC, c=c)
+    else:
+        lim = FluxLimiter(LARSON, c=c, p=draw(st.floats(1.3, 4.0)))
+    a = draw(log_uniform(0.3, 3.0))
+    p = ModelParams(a=a, sigma=draw(st.floats(0.01, 0.9)) * c, limiter=lim)
+    lo, hi = p.slope_domain
+    near = draw(st.sampled_from((None, lo, hi)))
+    if near is None:
+        v0 = lo + draw(st.floats(1e-3, 1.0 - 1e-3)) * (hi - lo)
+    else:
+        v0 = near + (1.0 if near == lo else -1.0) * draw(st.floats(0.0, 1e-9)) * c / a
+        assume(lo < v0 < hi)
+    return p, draw(log_uniform(1e-3, 1e2)), v0
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10), database=None)
+@given(launch=saturated_launches(), rtol=st.sampled_from((1e-10, 1e-12, 1e-13)))
+def test_saturated_orbits_end_on_the_flux_boundary(launch, rtol):
+    # no launch stalls in StepSizeUnderflow, every flux-boundary end sits on
+    # its edge, and every finite edge is vertical: u jumps there
+    p, w0, v0 = launch
+    traj = wave_trajectory(p, w0, v0, Controls(rtol=rtol))
+    edges = dict(zip(_FLUX_ENDS, reversed(p.slope_domain)))
+    for ev in traj.end_events():
+        if ev.kind in edges:
+            assert ev.v == edges[ev.kind]
+    if all(e is not None and math.isfinite(e) for e in (traj.s_minus, traj.s_plus)):
+        es = endpoint_slopes(reconstruct(p, traj), p)
+        assert (es["u_prime_at_s_minus"], es["u_prime_at_s_plus"]) == ("+inf", "-inf")
 
 
 # --------------------------------------------------------------------------

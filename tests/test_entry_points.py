@@ -6,14 +6,13 @@ from __future__ import annotations
 import pytest
 
 from kswave import profiles
-from kswave.errors import PreconditionError, StepSizeUnderflow
+from kswave.errors import PreconditionError
 from kswave.flux import RELATIVISTIC, FluxLimiter
-from kswave.integrate import Controls, sample_list
+from kswave.integrate import Controls
 from kswave.phase import ModelParams
 from kswave.profiles import (
     SATURATED_FRONT_CONCAVE,
     TYPE_A2,
-    graph_trajectory,
     portrait,
     sweep,
     wave_profile,
@@ -62,7 +61,8 @@ class TestWaveProfile:
         assert paths == []
         assert w0_star is None
         assert (prof.u_type, prof.S_type) == (SATURATED_FRONT_CONCAVE,) * 2
-        assert prof.endpoint_slopes is None
+        assert prof.endpoint_slopes["u_prime_at_s_minus"] == "+inf"
+        assert prof.endpoint_slopes["u_prime_at_s_plus"] == "-inf"
 
     @pytest.mark.parametrize("extra", [{"u0": 5.0}, {"w0_star": 1.0}])
     def test_branch_refuses_orbit_anchors(self, paths, extra):
@@ -76,20 +76,6 @@ class TestPortrait:
         case, orbits = portrait(ModelParams(a=0.5, sigma=0.5), [(1.5, 1.0)])
         assert case == "Degenerate"
         assert len(orbits) == 1
-
-    def test_underflow_falls_back_to_a_graph(self, monkeypatch):
-        def underflow(*args, **kwargs):
-            raise StepSizeUnderflow("forced")
-
-        monkeypatch.setattr(profiles, "wave_trajectory", underflow)
-        case, (orbit,) = portrait(REL, [(5.0, 0.5)])
-        assert case == "C"
-        expected = graph_trajectory(REL, 5.0, 0.5)
-        for name in ("s", "w", "v", "integral"):
-            assert sample_list(orbit, name) == sample_list(expected, name)
-        with pytest.raises(StepSizeUnderflow):
-            portrait(P, [(5.0, 2.0)])  # a linear orbit has no graph fallback
-
 
     def test_seed_outside_the_slope_domain_is_refused_first(self, monkeypatch):
         def forbidden(*args, **kwargs):

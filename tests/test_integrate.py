@@ -174,12 +174,24 @@ class TestTerminationKinds:
         traj = integrate(p, 2.0, 0.5, direction=FORWARD)
         assert traj.termination.kind == FLUX_BOUNDARY_LOW
         lo, hi = p.slope_domain
-        eps_v = 1e-9 * p.limiter.c / p.a
-        assert traj.termination.v == pytest.approx(lo + eps_v, abs=1e-12)
+        # the flux-boundary leg ends on the edge itself
+        assert traj.termination.v == lo == traj.v[-1]
         assert traj.termination.w > 0.0
-        assert traj.s_plus is not None and math.isfinite(traj.s_plus)
-        assert traj.s_plus >= traj.s[-1]
+        assert traj.s_plus == traj.termination.s == traj.s[-1]
         assert np.all(np.diff(traj.v) < 0)  # v runs monotonically to the edge
+
+    def test_turn_next_to_the_flux_boundary(self):
+        # Launched 8e-10 from its lower edge, this Larson orbit (p = 1.3)
+        # turns 6.8e-12 short of it, where g(a*v - sigma) computed from v
+        # has lost its digits to cancellation: the march in q stalls at the
+        # turn, and the leg in ln w takes the orbit through it
+        lim = FluxLimiter(LARSON, c=1.1745660630038286, p=1.3)
+        p = ModelParams(a=1.1745660630038286, sigma=0.9240120051523087, limiter=lim)
+        lo, _ = p.slope_domain
+        for rtol in (1e-10, 1e-12, 1e-13):
+            traj = integrate(p, 1.1745660630038286, -0.21331627467245304, controls=Controls(rtol=rtol))
+            assert traj.termination.kind == CONVERGED
+            assert 0.0 < min(traj.v) - lo < 1e-11
 
     def test_step_budget_exhaustion_raises(self):
         with pytest.raises(Inconclusive):
@@ -301,7 +313,7 @@ class TestAssemble:
         n = len(ss)
         ws, vs, iis = ([c + k for k in range(n)] for c in (1.0, 2.0, 3.0))
         term = TerminationEvent(kind=MAX_SPAN, s=ss[-1], w=ws[-1], v=vs[-1])
-        traj = INTEGRATE._assemble(COTH_P, None, ss, ws, vs, iis, direction, term, Controls())
+        traj = INTEGRATE._assemble(ss, ws, vs, iis, direction, term)
         return [sample_list(traj, name) for name in ("s", "w", "v", "integral")]
 
     @pytest.mark.parametrize("tip", [1.0, 1e6])
@@ -747,10 +759,13 @@ def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
 # the orbit loop skips the level scan and the ball test while no step can
 # trigger them.  (params, w0, v0, controls) -> per direction the termination
 # kind, its s and the sample count, or the error raised.  The two backward
-# default-v_max blow-ups end on a blow-up tail (marched in ln|v|).
+# default-v_max blow-ups end on a blow-up tail (marched in ln|v|).  The
+# "standoff" launches start within 1e-9 * c/a of the flux boundary, far past
+# the switch level of its leg: toward it, they end on it in that leg's one
+# step; away from it, the leg takes them out of the band in ln w.
 EDGE_CTR = Controls(v_max=50.0, s_max=20.0)
 _REL = STEP_PARAMS[RELATIVISTIC]
-_EPS_V = 1e-9 * _REL.limiter.c / _REL.a  # its flux-boundary standoff
+_EPS_V = 1e-9 * _REL.limiter.c / _REL.a
 EDGE_LAUNCHES = {
     "v0=+v_max": ((lp(1.0, 0.5), 1.0, 50.0, EDGE_CTR),
                   (BOUNDED, 20.0, 96), "StepSizeUnderflow"),
@@ -763,14 +778,14 @@ EDGE_LAUNCHES = {
     "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
                  (CONVERGED, 17.892201414101862, 36), (V_BLOW_UP_PLUS, -0.5493051443645995, 39)),
     "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
-                      (FLUX_BOUNDARY_LOW, 0.5441315175222609, 119),
-                      (FLUX_BOUNDARY_HIGH, -1.1693217095040967e-10, 17)),
+                      (FLUX_BOUNDARY_LOW, 0.5441315178540849, 60),
+                      (FLUX_BOUNDARY_HIGH, -1.1694438238854738e-10, 2)),
     "standoff-low": ((_REL, 5.0, _REL.slope_domain[0] + 0.5 * _EPS_V, Controls(s_max=20.0)),
-                     (FLUX_BOUNDARY_LOW, 1.3360728536587023e-10, 27),
-                     (FLUX_BOUNDARY_HIGH, -0.4877863645236927, 117)),
+                     (FLUX_BOUNDARY_LOW, 1.336112166488532e-10, 2),
+                     (FLUX_BOUNDARY_HIGH, -0.487786364759458, 59)),
     "on-standoff-level": ((_REL, 5.0, _REL.slope_domain[1] - _EPS_V, Controls(s_max=20.0)),
-                          (FLUX_BOUNDARY_LOW, 0.5441353803438801, 118),
-                          (FLUX_BOUNDARY_HIGH, -2.338793353165133e-10, 27)),
+                          (FLUX_BOUNDARY_LOW, 0.5441353806668733, 60),
+                          (FLUX_BOUNDARY_HIGH, -2.338891837962728e-10, 2)),
     "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
                    (CONVERGED, 6.543515120210078, 6),
                    (V_BLOW_UP_PLUS, -12.326384343347554, 60)),
@@ -807,7 +822,8 @@ def test_edge_launch_terminations(name, direction):
 def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction):
     # an extra stage of the continuous extension that leaves the slope domain
     # drops the extension to its cubic Hermite part; the Newton correction
-    # on the exact partial step still puts the level where it was
+    # on the exact partial step still puts the switch level of the
+    # flux-boundary leg where it was, and the leg ends on the edge
     forced = []
 
     def raising(f, y, ks, row, h):
@@ -820,13 +836,11 @@ def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction
     (p, w0, v0, ctr), *_ = EDGE_LAUNCHES[name]
     traj = integrate(p, w0, v0, direction=direction, controls=ctr)
     lo, hi = p.slope_domain
-    level = {FLUX_BOUNDARY_LOW: lo + _EPS_V, FLUX_BOUNDARY_HIGH: hi - _EPS_V}
+    edge = {FLUX_BOUNDARY_LOW: lo, FLUX_BOUNDARY_HIGH: hi}
     kind = traj.termination.kind
-    assert kind in level
-    # a far end arrives by crossing its level, which is located
-    if abs(v0 - level[kind]) > _EPS_V:
-        assert forced
-        assert traj.termination.v == pytest.approx(level[kind], rel=1e-15)
+    assert traj.termination.v == edge[kind]
+    # a far end reaches its leg by crossing the switch level, which is located
+    assert bool(forced) == (abs(v0 - edge[kind]) > _EPS_V)
 
 
 def test_extra_events_win_ties_against_levels():
@@ -891,7 +905,6 @@ class TestNonFinite:
         ("w_min", -1e-12), ("w_min", -math.inf),
         ("eq_tol", -1e-9),
         ("eq_dwell", 0.0), ("eq_dwell", -5.0),
-        ("boundary_eps_rel", 0.0), ("boundary_eps_rel", -1e-9),
         ("denom_eps", 0.0), ("denom_eps", -1e-10),
     ])
     def test_controls_reject_out_of_range_fields(self, name, bad):
@@ -928,14 +941,14 @@ class TestNonFinite:
         with pytest.raises(StepSizeUnderflow):
             integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))
 
-    def test_underflow_at_the_domain_wall_is_flux_boundary_arrival(self, monkeypatch):
-        # A field that leaves its domain 1e-7 short of the flux boundary,
-        # inside the 1e-6 arrival zone but before the event level: steps
-        # that keep raising DomainError there have arrived.  The same wall
-        # made of NaN is no arrival, only an underflow.
+    def test_underflow_at_a_domain_wall_is_no_arrival(self, monkeypatch):
+        # A field that leaves its domain short of the switch level of the
+        # flux-boundary leg: steps that keep raising DomainError there have
+        # not arrived anywhere, and neither have steps that turn NaN.
         mod = importlib.import_module("kswave.integrate")
         p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
-        wall = p.slope_domain[1] - 1e-7
+        lo, hi = p.slope_domain
+        wall = hi - 2e-3 * (hi - lo)  # the switch level is 1e-3 * (hi - lo) short
 
         def field_raising(exc):
             def field(w, v):
@@ -946,13 +959,10 @@ class TestNonFinite:
                 raise exc("past the wall")
             return lambda p: field
 
-        monkeypatch.setattr(mod, "make_log_rhs", field_raising(DomainError))
-        traj = integrate(p, 1.0, 0.0)
-        assert traj.termination.kind == FLUX_BOUNDARY_HIGH
-        assert wall - 1e-9 < traj.v[-1] < wall
-        monkeypatch.setattr(mod, "make_log_rhs", field_raising(None))
-        with pytest.raises(StepSizeUnderflow):
-            integrate(p, 1.0, 0.0)
+        for exc in (DomainError, None):
+            monkeypatch.setattr(mod, "make_log_rhs", field_raising(exc))
+            with pytest.raises(StepSizeUnderflow):
+                integrate(p, 1.0, 0.0)
 
 
 # --------------------------------------------------------------------------

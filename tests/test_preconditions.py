@@ -263,9 +263,12 @@ class TestNonFiniteRunInputs:
         ("shoot", '[1, 0.5, 2]', "JSON object"),
         ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": 5}', "controls"),
         ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"bogus": 1}}', "bogus"),
+        # flux-boundary ends sit on the edge: there is no standoff to set
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"boundary_eps_rel": 1e-9}}',
+         "boundary_eps_rel"),
         ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "bracket": [1]}', "--bracket"),
     ], ids=["seed-float", "seed-bool", "check-samples-float", "array", "controls-number",
-            "controls-unknown", "bracket-one-value"])
+            "controls-unknown", "controls-boundary-eps-rel", "bracket-one-value"])
     def test_malformed_config(self, capsys, no_integration, tmp_path, command, body, word):
         cfg = tmp_path / "run.json"
         cfg.write_text(body)
