@@ -186,9 +186,9 @@ def make_boundary_factor(lim: FluxLimiter, a: float, side: int):
     limit0 = side * (c / mu) * (c / (p * a)) ** (1.0 / p)
 
     def factor(q: float) -> float:
-        if q == 0.0:
-            return limit0
         x = a * q**m / c
+        if x < 1e-32:  # F = limit0 * (1 + O(x)); q^m may be subnormal or 0
+            return limit0
         y = side * (c - a * q**m)
         if x > 0.5:
             return g(y) * q ** (m - 1.0)

@@ -37,6 +37,7 @@ generic tableau loop's order, so it gives that loop's results to the bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import sys
@@ -678,8 +679,8 @@ def integrate(
 
     side = 0  # the edge whose switch level the launch is on or past
     if p.limiter.saturated:
-        # Within 1e-3 of the domain's width from an edge, an orbit is marched
-        # in the boundary coordinate q or in ln w (`_flux_boundary_leg`).
+        # Within 1e-3 of the domain's width from an edge (levels[0] and [1]),
+        # an orbit is marched in q or in ln w (`_flux_boundary_leg`).
         lo, hi = p.slope_domain
         band = 1e-3 * (hi - lo)
         level_event(1, hi - band, +1, _EDGE)
@@ -701,17 +702,15 @@ def integrate(
     ends.append(EventSpec(fn=lambda s, w, v: s - s_end, kind=MAX_SPAN, direction=int(sgn)))
 
     # While the state stays strictly between the nearest levels around the
-    # launch state, no level lies between two successive states, so no step
-    # can cross one.  A level at the launch value bounds the box: a step off
-    # a level cannot cross it, but a later step back could.
+    # state the march in s starts from, no level lies between two successive
+    # states, so no step can cross one.  A level at the start value bounds
+    # the box: a step off a level cannot cross it, but a later step back could.
     def box(c: int, x0: float) -> tuple[float, float]:
         below = [lv for cc, lv, _, _ in levels if cc == c and lv <= x0]
         above = [lv for cc, lv, _, _ in levels if cc == c and lv >= x0]
         return max(below, default=-math.inf), min(above, default=math.inf)
 
     lw0 = math.log(w0) if w0 > 0.0 else -math.inf  # the axis w = 0 at -inf
-    (lw_lo, lw_hi), (v_lo, v_hi) = box(0, lw0), box(1, v0)
-    in_box = True  # the launch state is in the closed box
 
     eq_data = [
         (we, ve, ctr.eq_tol * (1.0 + math.hypot(we, ve))) for we, ve in equilibrium_points(p)
@@ -733,29 +732,27 @@ def integrate(
                 return idx
         return None
 
-    s = s0
-    y = (lw0, v0, 0.0)
-    k1 = f(lw0, v0) + (v0,)
-    w = w0
-    samples = ss, ws, vs, iis = [s], [w0], [v0], [0.0]
-    e_prev = [ev.fn(s, w0, v0) for ev in events]
-    dwell_idx = eq_ball(w0, v0)
-    dwell_s = s
-
-    # a launch on or past a switch level starts on its flux-boundary leg,
-    # which hands the orbit to the march in s at twice the level's distance
-    term, leg_side = None, side
+    samples = ss, ws, vs, iis = [s0], [w0], [v0], [0.0]
+    # a launch on or past a switch level starts on its flux-boundary leg
+    term, leg_side, y = None, side, (lw0, v0, 0.0)
     while term is None:
         if leg_side:
-            term = _flux_boundary_leg(p, leg_side, sgn, s, y, 2.0 * band, ends, ctr, samples)
+            term = _flux_boundary_leg(p, leg_side, sgn, ss[-1], y, 2.0 * band, ends, ctr, samples)
             if term is not None:
                 break
-            # the orbit left the band, or the leg stalled: on in s from there
-            s, w, v = ss[-1], ws[-1], vs[-1]
-            y = (math.log(w) if w > 0.0 else -math.inf, v, iis[-1])
-            k1 = f(y[0], v) + (v,)
-            e_prev = [ev.fn(s, w, v) for ev in events]
-            leg_side = in_box = False
+        # the march in s, from the launch or from where a leg handed back
+        s, w, v = ss[-1], ws[-1], vs[-1]
+        if leg_side:
+            # back to the leg at the switch level, or at half the distance here
+            edge = hi if leg_side > 0 else lo
+            d = min(band, 0.5 * leg_side * (edge - v))
+            level_event(1, edge - leg_side * d, leg_side, _EDGE)
+            levels[(1 - leg_side) // 2] = levels.pop()
+        y = (math.log(w) if w > 0.0 else -math.inf, v, iis[-1])
+        (lw_lo, lw_hi), (v_lo, v_hi) = box(0, y[0]), box(1, v)
+        k1 = f(y[0], v) + (v,)
+        e_prev = [ev.fn(s, w, v) for ev in events]
+        dwell_idx, dwell_s, leg_side, in_box = eq_ball(w, v), s, 0, False
         h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
         march = _march(
             _dop853_step, f, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
@@ -789,7 +786,7 @@ def integrate(
                     term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, samples)
                 elif ev.kind == _EDGE:
                     # the level's direction is the side of its edge
-                    leg_side, s, y = ev.direction, s_ev, y_ev
+                    leg_side, y = ev.direction, y_ev
                 else:
                     term = TerminationEvent(kind=ev.kind, s=s_ev, w=w_ev, v=y_ev[1])
                 break
@@ -989,19 +986,21 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
 
 
 def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Controls, samples):
-    """March an orbit in direction sgn of s from (s, y) = (s, (ln w, v, I)),
-    near the flux boundary on `side`, to the edge (FLUX_BOUNDARY_*) or out
-    to |v - v_edge| = d_out (None, as where the march stalls).
+    """March an orbit in direction sgn of s from (s, y) = (s, (ln w, v, I))
+    near the flux boundary on `side` to the edge (FLUX_BOUNDARY_*), or to
+    where the march in s takes it on (None).
 
     Heading for the edge, it is marched in q, v = v_edge - side*q^m, with
     state (ln w, s - s_start, I): ds/dq = (dv/dq)/F, d(ln w)/dq =
     (g(a*v - sigma) - v) * ds/dq, dI/dq = v * ds/dq, F = (lam - gamma*v^2 -
-    w)/gamma, regular up to q = 0 while F keeps its sign.  s is carried
-    relative to its start, so that its error scale is the leg's own change
-    in s.  Where F falls under the graph-denominator floor the orbit turns
-    short of the edge, and the march stalls (DomainError).  From there, or
-    heading out, it is marched in ln w, regular through a turn, with state
-    (q, s - s_start, I).
+    w)/gamma, regular up to q = 0 while F keeps its sign; s is carried
+    relative to its start, so its error scale is the leg's own change in s.
+    Where F vanishes short of the edge, the orbit turns and the march in q
+    stalls.  From there, or heading out, it is marched in ln w (direction
+    side*sgn), regular through a turn, with state (q, s - s_start, I), out
+    to |v - v_edge| = d_out, or to the largest d_out/2^k where g - v, a
+    function of v alone, has the sign of side as at the start.  Where it
+    has not, g is moderate, and the march in s takes over.
     """
     zone = BoundaryZone.of(p, side)
     leg = zone.leg(p)
@@ -1030,22 +1029,21 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
         return (lam - gamma * v * v - math.exp(x)) / (gamma * drive), dv / drive, v * dv / drive
 
     kind = FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW
-    out = EventSpec(fn=lambda s, w, v: side * (zone.v(q_out) - v), kind=None, direction=1)
-    try:
-        if side * sgn * dsign > 0.0:
-            try:
-                return _march_to_end(field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind)
-            except (StepSizeUnderflow, DomainError):
-                pass
-        # ln w runs with sign(g - v) * sgn, and g - v has the sign of side
-        q, (lw, ds, ii) = last
-        term = _march_to_end(
-            turn_field, lambda x, y: state(y[0], (x, *y[1:])), lw, (q, ds, ii),
-            side * sgn * math.inf, [*ends, out], ctr, samples, None,
-        )
-        return term if term.kind else None
-    except (StepSizeUnderflow, DomainError, ZeroDivisionError):
+    if side * sgn * dsign > 0.0:
+        with contextlib.suppress(StepSizeUnderflow, DomainError):  # the turn stalls it
+            return _march_to_end(field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind)
+    q, (lw, ds, ii) = last
+    # drive = (g - v) * dv/dq, and dv/dq has the sign of -side
+    while q_out > q and leg(q_out)[2] >= 0.0:
+        q_out *= 0.5 ** (1.0 / zone.m)
+    if q_out <= q or leg(q)[2] >= 0.0:
         return None
+    out = EventSpec(fn=lambda s, w, v: side * (zone.v(q_out) - v), kind=None, direction=1)
+    term = _march_to_end(
+        turn_field, lambda x, y: state(y[0], (x, *y[1:])), lw, (q, ds, ii),
+        side * sgn * math.inf, [*ends, out], ctr, samples, None,
+    )
+    return term if term.kind else None
 
 
 def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind):
@@ -1113,14 +1111,16 @@ def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
     # noise of the accepted sample; keep the later (event) sample so
     # downstream difference quotients never divide by a noise gap.  s is
     # monotone, so when the smallest gap clears the floor at the larger end
-    # it clears every sample's floor and all are kept.  The launch sample,
-    # where merge_trajectories joins the two runs of an orbit, stays.
+    # it clears every sample's floor and all are kept.  A forward run keeps
+    # its launch, where merge_trajectories joins it, in place of the next.
     floor = _H_FLOOR_REL * max(1.0, abs(s[0]), abs(s[-1]))
     if len(s) > 1 and not min(map(operator.sub, s[1:], s)) > floor:
         keep = [
             k for k, (x, y) in enumerate(zip(s, s[1:]))
-            if y - x > _H_FLOOR_REL * max(1.0, abs(x)) or k == 0 and direction == FORWARD
+            if y - x > _H_FLOOR_REL * max(1.0, abs(x))
         ]
+        if direction == FORWARD and keep:
+            keep[0] = 0
         keep.append(len(s) - 1)
         s, w, v, ii = ([x[k] for k in keep] for x in (s, w, v, ii))
 

@@ -9,7 +9,8 @@ default it must lie within 1e-9 relative of it.  The quantities are:
   ends were still marched in s all the way to v_max;
 - the flux-boundary edges of saturated orbits (an edge reached from within
   1e-9 * c/a of it must not move at all), and, over random relativistic and
-  Larson launches, that such an end sits on its edge with a vertical slope;
+  Larson launches, that such an end sits on its edge with a vertical slope
+  and that s rises along the orbit;
 - the edges s_minus, s_plus of saturated fronts and the density u at each;
 - the placement of the critical orbit's pieces in `threshold_trajectory`:
   its blow-up edge, relative to the launch point at s = 0, and the s at
@@ -24,7 +25,7 @@ import math
 from datetime import timedelta
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kswave import shooting
@@ -165,32 +166,53 @@ def log_uniform(lo: float, hi: float):
 
 @st.composite
 def saturated_launches(draw):
-    """A relativistic or Larson p and a launch (w0, v0) anywhere in its slope
-    domain, within 1e-9 * c/a of an edge included."""
+    """A relativistic or Larson p, sigma up to 30 c, and a launch (w0, v0)
+    anywhere in its slope domain: within 1e-9 * c/a of an edge, and anywhere
+    in the 4e-3 * c/a next to it (twice the flux-boundary legs' band),
+    included."""
     c = draw(log_uniform(0.3, 5.0))
     if draw(st.booleans()):
         lim = FluxLimiter(RELATIVISTIC, c=c)
     else:
         lim = FluxLimiter(LARSON, c=c, p=draw(st.floats(1.3, 4.0)))
     a = draw(log_uniform(0.3, 3.0))
-    p = ModelParams(a=a, sigma=draw(st.floats(0.01, 0.9)) * c, limiter=lim)
+    p = ModelParams(a=a, sigma=draw(log_uniform(0.01, 30.0)) * c, limiter=lim)
     lo, hi = p.slope_domain
     near = draw(st.sampled_from((None, lo, hi)))
     if near is None:
         v0 = lo + draw(st.floats(1e-3, 1.0 - 1e-3)) * (hi - lo)
     else:
-        v0 = near + (1.0 if near == lo else -1.0) * draw(st.floats(0.0, 1e-9)) * c / a
+        depth = draw(st.floats(0.0, 1e-9) | st.floats(0.0, 4e-3))
+        v0 = near + (1.0 if near == lo else -1.0) * depth * c / a
         assume(lo < v0 < hi)
     return p, draw(log_uniform(1e-3, 1e2)), v0
 
 
+# g(a*v - sigma) - v changes sign inside the band of the upper edge: 1.5e-4
+# * c/a from it for this Larson p, at sigma = 20 c for the relativistic one.
+# TURN_BACK's launch below turns next to its upper edge, where g - v < 0,
+# and heads back to it either way.
+LARSON_4 = ModelParams(a=0.3, sigma=0.9, limiter=FluxLimiter(LARSON, c=1.0, p=4.0))
+REL_FAST = ModelParams(a=1.0, sigma=20.0, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+TURN_BACK = ModelParams(
+    a=0.2504176505330078, sigma=26.913752780623454, lam=20878.888492904785,
+    limiter=FluxLimiter(LARSON, c=1.0, p=3.0853678811560417),
+)
+
+
 @settings(max_examples=40, deadline=timedelta(seconds=10), database=None)
 @given(launch=saturated_launches(), rtol=st.sampled_from((1e-10, 1e-12, 1e-13)))
+@example(launch=(LARSON_4, 0.5, LARSON_4.slope_domain[1] - 1e-3 / 0.3), rtol=1e-12)
+@example(launch=(REL_FAST, 0.5, REL_FAST.slope_domain[1] - 1e-3), rtol=1e-12)
+@example(launch=(TURN_BACK, 8453.952305470699, 111.46719780899913), rtol=1e-12)
 def test_saturated_orbits_end_on_the_flux_boundary(launch, rtol):
-    # no launch stalls in StepSizeUnderflow, every flux-boundary end sits on
-    # its edge, and every finite edge is vertical: u jumps there
+    # no launch stalls in StepSizeUnderflow, s rises along the orbit, every
+    # flux-boundary end sits on its edge, and every finite edge is
+    # vertical: u jumps there
     p, w0, v0 = launch
     traj = wave_trajectory(p, w0, v0, Controls(rtol=rtol))
+    s = sample_list(traj, "s")
+    assert all(x < y for x, y in zip(s, s[1:]))
     edges = dict(zip(_FLUX_ENDS, reversed(p.slope_domain)))
     for ev in traj.end_events():
         if ev.kind in edges:

@@ -239,6 +239,12 @@ class TestBoundaryFactor:
             f(q_switch * (1 + 1e-9)), rel=1e-6
         )
 
+    @pytest.mark.parametrize("lim", SATURATED, ids=str)
+    def test_tiny_q_gives_the_limit(self, lim):
+        # q^m subnormal or 0: the small-q branch would divide by 0
+        f = make_boundary_factor(lim, a=1.0, side=-1)
+        assert all(f(q) == f(0.0) for q in (1e-100, 2.2e-162, 1e-200, 5e-324))
+
     def test_side_validation(self):
         with pytest.raises(ValueError):
             make_boundary_factor(REL, a=1.0, side=0)

@@ -328,6 +328,11 @@ class TestAssemble:
         assert s == [-fwd[2], -fwd[1], -fwd[0]]
         assert w == [3.0, 2.0, 1.0]
 
+    def test_forward_launch_stays_in_place_of_the_next_sample(self):
+        # the launch is where merge_trajectories joins the runs of an orbit
+        s, w, v, ii = self.assemble([1.0, math.nextafter(1.0, 2.0), 1.5, 2.0], FORWARD)
+        assert (s, w) == ([1.0, 1.5, 2.0], [1.0, 3.0, 4.0])
+
     def test_gaps_over_their_own_floor_are_kept(self):
         # 1e-14 is under the floor at |s| = 1e6 but over the one at s = 0
         ss = [0.0, 1e-14, 1.0, 1e6]
