@@ -32,8 +32,8 @@ class StepSizeUnderflow(KswaveError):
 
 
 class DenominatorVanished(KswaveError):
-    """Graph-system denominator lambda - W - gamma v^2 fell below denom_eps,
-    or the graph solve stalled at a fold where it vanishes."""
+    """Graph-form denominator lambda - W - gamma v^2 at its floor at the
+    anchor, or a graph solve stalled where it vanishes (fold or pinch)."""
 
 
 class SeedEscaped(KswaveError):

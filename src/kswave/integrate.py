@@ -21,11 +21,11 @@ width of a saturated slope domain from an edge, in q (below) or ln w.
 regular where the s-parametrization degenerates: near the flux boundary
 the slope becomes vertical in s, while in the graph form a substitution
 v = v_edge -/+ q^m (m = p/(p-1)) makes the equation regular all the way
-to the boundary.  The graph solver carries s and I along with W, by
-ds = gamma/(lam - gamma*v^2 - W) dv and dI = v ds, so a leg's accuracy is
-set by the solver tolerance; `GraphSolution.trajectory` turns a leg into
-a Trajectory in ascending s.  Both drivers step through `_march`, one
-adaptive loop with one predictive step-size controller.
+to the boundary.  Graph legs and flux-boundary legs march ln W, s and I
+on one field (`_graph_field`), so a leg's accuracy is set by the solver
+tolerance; `GraphSolution.trajectory` turns a leg into a Trajectory in
+ascending s.  Both drivers step through `_march`, one adaptive loop with
+one predictive step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars: orbits take
@@ -94,7 +94,6 @@ class Controls:
     w_min: float = 1e-12          # w level treated as vanished, tested in ln w; 0 disables
     eq_tol: float = 1e-9          # equilibrium capture ball, relative
     eq_dwell: float = 5.0         # span to sit in the ball; inf disables
-    denom_eps: float = 1e-10      # graph-denominator floor
 
     def __post_init__(self) -> None:
         for fld in fields(self):
@@ -118,7 +117,6 @@ class Controls:
             ("w_min", self.w_min >= 0.0, ">= 0"),
             ("eq_tol", self.eq_tol >= 0.0, ">= 0"),
             ("eq_dwell", self.eq_dwell > 0.0, "> 0"),
-            ("denom_eps", self.denom_eps > 0.0, "> 0"),
         ):
             if not ok:
                 raise ValueError(f"controls field {name} must be {rule}: {getattr(self, name)!r}")
@@ -264,8 +262,8 @@ _FAC_MAX = 10.0
 def _graph_step(f, t, y, ks, h):
     """One DP54 step of size h along a graph leg, from (t, y) with y = (x, s, I).
 
-    `f(t, x)` gives the slopes of (x, s, I) at t: they depend on x (W or
-    1/W) alone, so only x has stage values.  `ks` holds the previous step's
+    `f(t, x)` gives the slopes of (x, s, I) at t: they depend on x (ln W)
+    alone, so only x has stage values.  `ks` holds the previous step's
     stage slopes, the last of them f at (t, y) (FSAL); `(f(t, x),)` starts
     a leg.  Returns (y1, stages, err): the 5th-order result, the seven
     stage slopes (the last is f at y1), which the leg's continuous
@@ -548,8 +546,9 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     (y1, k, est): the result, the slope data the next step starts from
     (FSAL: the slope at y1, or stage slopes ending with it) and the error
     estimate of the 3-component state.  Errors are scaled by
-    atols[c] + rtol * max(|y[c]|, |y1[c]|), except an orbit's ln w, whose
-    scale rtol * max(1, w1/w) is w's relative scale carried over to ln w.
+    atols[c] + rtol * max(|y[c]|, |y1[c]|), a leg's ln W too (near W = 1
+    atol alone), except an orbit's ln w, whose scale rtol * max(1, w1/w) is
+    w's relative scale carried over to ln w.
     The error norm of a graph-leg or tail DP54 step (order 5, `est` the
     error per component) is the RMS of the scaled errors e; that of an
     orbit's DOP853 step (order 8, state (ln w, v, I), `est` the pair (err5,
@@ -990,10 +989,9 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     near the flux boundary on `side` to the edge (FLUX_BOUNDARY_*), or to
     where the march in s takes it on (None).
 
-    Heading for the edge, it is marched in q, v = v_edge - side*q^m, with
-    state (ln w, s - s_start, I): ds/dq = (dv/dq)/F, d(ln w)/dq =
-    (g(a*v - sigma) - v) * ds/dq, dI/dq = v * ds/dq, F = (lam - gamma*v^2 -
-    w)/gamma, regular up to q = 0 while F keeps its sign; s is carried
+    Heading for the edge, it is marched in q, v = v_edge - side*q^m, on
+    the graph field with state (ln w, s - s_start, I), regular up to q = 0
+    while F = (lam - gamma*v^2 - w)/gamma keeps its sign; s is carried
     relative to its start, so its error scale is the leg's own change in s.
     Where F vanishes short of the edge, the orbit turns and the march in q
     stalls.  From there, or heading out, it is marched in ln w (direction
@@ -1007,18 +1005,9 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     gamma, lam = p.gamma, p.lam
     lw, v, ii = y
     dsign = math.copysign(1.0, lam - gamma * v * v - math.exp(lw))
-    floor = ctr.denom_eps * max(1.0, lam, gamma * zone.v_edge * zone.v_edge)
+    field, _ = _graph_field(p, leg, dsign, v, zone.v_edge)
     q, q_out = (max(d, 0.0) ** (1.0 / zone.m) for d in (side * (zone.v_edge - v), d_out))
     last = [q, (lw, 0.0, ii)]  # the last state the march in q reached
-
-    def field(q, x):
-        v, dv, drive = leg(q)
-        den = lam - gamma * v * v - math.exp(x)
-        if den * dsign <= floor:
-            raise DomainError(f"F vanishes at q = {q!r}, short of the flux boundary")
-        k = gamma / den
-        ds = k * dv
-        return k * drive, ds, v * ds
 
     def state(q, y):
         last[:] = q, y
@@ -1046,6 +1035,16 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     return term if term.kind else None
 
 
+def _leg_march(field, t, y, t_end, ctr: Controls):
+    """The DP54 `_march` of a leg on field(t, x) from (t, y) to t_end."""
+    k1 = field(t, y[0])
+    span = t_end - t
+    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, math.copysign(1.0, span), ctr, abs(span))
+    return _march(
+        _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
+    )
+
+
 def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind):
     """March the rest of an orbit from (t, y) to t_end in a variable t other than s.
 
@@ -1056,15 +1055,9 @@ def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind)
     it ends `kind` at t_end.
     """
     ss, ws, vs, iis = samples
-    k1 = field(t, y[0])
-    span = t_end - t
-    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, math.copysign(1.0, span), ctr, abs(span))
-    march = _march(
-        _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
-    )
     prev = state(t, y)
     e_prev = [ev.fn(*prev) for ev in ends]
-    for t_old, y_old, ks_old, h, t, y, _ in march:
+    for t_old, y_old, ks_old, h, t, y, _ in _leg_march(field, t, y, t_end, ctr):
 
         def step_to(theta):
             # the partial step from this step's start; called within the step only
@@ -1257,10 +1250,6 @@ class BoundaryZone:
 
         return np.maximum(self.side * (self.v_edge - np.asarray(v)), 0.0) ** (1.0 / self.m)
 
-    def dv_dq(self, q):
-        """Derivative dv/dq of the substitution."""
-        return -self.side * self.m * q ** (self.m - 1.0)
-
     @classmethod
     def of(cls, p: ModelParams, side: int) -> BoundaryZone:
         """The zone of the flux boundary of p on `side`."""
@@ -1275,7 +1264,7 @@ class BoundaryZone:
         dv_scale = -side * m  # dv/dq over q^(m-1)
 
         def leg(t):
-            # .v and .dv_dq, inline
+            # v as .v gives it, and dv/dq
             v, dv = v_edge - side * t**m, dv_scale * t ** (m - 1.0)
             return v, dv, dv_scale * factor(t) - dv * v
 
@@ -1288,19 +1277,18 @@ class GraphSolution:
 
     Arrays are in path order (from the anchor toward the target) and hold
     the solver's dense output at the sample grid: W, and s and I = integral
-    of v ds, which the solver carries along with W.  `dense` is that output
-    as a function of the independent variable, with state (W or 1/W by
-    `mode`, s, I).  When `boundary` is set, the leg was integrated in the
-    regularized variable q of that zone, and `q` holds the matching samples
-    (ending at q = 0 on the boundary itself); otherwise the independent
-    variable is v.
+    of v ds, which the solver carries along with ln W (W[0] is W_anchor
+    itself).  `dense` is that output as a function of the independent
+    variable, with state (ln W, s, I).  When `boundary` is set, the leg was
+    integrated in the regularized variable q of that zone, and `q` holds
+    the matching samples (ending at q = 0 on the boundary itself);
+    otherwise the independent variable is v.
     """
 
     v: np.ndarray
     W: np.ndarray
     s: np.ndarray
     integral: np.ndarray
-    mode: str                     # "W" or "Y" (reciprocal) integration
     dense: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     boundary: BoundaryZone | None = None
     q: np.ndarray | None = None
@@ -1312,8 +1300,7 @@ class GraphSolution:
         b = self.boundary
         x, t = (self.v, v) if b is None else (self.q, b.q(v))
         t = np.asarray(t, dtype=float)
-        y = self.dense(t.ravel())[0].reshape(t.shape)
-        W = 1.0 / y if self.mode == "Y" else y
+        W = np.exp(self.dense(t.ravel())[0].reshape(t.shape))
         on_leg = (t >= min(x[0], x[-1])) & (t <= max(x[0], x[-1]))
         return np.where(on_leg, W, np.nan)
 
@@ -1345,12 +1332,35 @@ class GraphSolution:
         )
 
 
-# Near a fold lam - W - gamma*v^2 = 0 the denominator falls like the square
-# root of the distance to it, so the solver's step reaches the float spacing,
-# and the solve fails, while the denominator is still of order sqrt(eps):
-# far above the event floor, far below any value a leg passes through.  A
-# failed solve whose last signed denominator is under the floor raised by
-# 1/sqrt(eps) stalled at a fold.
+_DENOM_EPS = 1e-10  # the graph field's floor, relative
+
+
+def _graph_field(p: ModelParams, leg, dsign: float, v_a: float, v_b: float):
+    """(field, floor): field(t, ln W) gives the slopes of (ln W, s, I) on
+    the variable t, k*drive, k*dv/dt and v*k*dv/dt with k = gamma/(lam -
+    gamma*v^2 - W), where leg(t) = (v, dv/dt, drive = (g(a*v - sigma) - v)
+    * dv/dt).  A stage whose denominator, signed by dsign, is at most floor
+    = 1e-10 * max(1, lam, gamma*max(v_a^2, v_b^2)) raises DomainError."""
+    gamma, lam = p.gamma, p.lam
+    floor = _DENOM_EPS * max(1.0, lam, gamma * max(v_a * v_a, v_b * v_b))
+
+    def field(t, x):
+        v, dv, drive = leg(t)
+        den = lam - gamma * v * v - math.exp(x)
+        if den * dsign <= floor:
+            raise DomainError(f"lam - gamma*v^2 - W reached the floor at {t!r}")
+        k = gamma / den
+        ds = k * dv
+        return k * drive, ds, v * ds
+
+    return field, floor
+
+
+# A leg stalls where lam - W - gamma*v^2 vanishes: at a pinch its stages
+# reach the floor; near a fold it falls like the square root of the distance,
+# so the step reaches the float spacing while it is still of order sqrt(eps),
+# far above the floor and far below any value a leg passes through.  So a
+# stall with its last signed denominator under floor / sqrt(eps) is either.
 _FOLD_FACTOR = 1.0 / math.sqrt(sys.float_info.epsilon)
 
 
@@ -1365,15 +1375,16 @@ def integrate_graph_W(
 ) -> GraphSolution:
     """Integrate dW/dv = gamma*W*(g(a*v - sigma) - v)/(lam - W - gamma*v^2).
 
-    Monotone-v legs only.  When W_anchor > lam the reciprocal Y = 1/W is
-    integrated instead (the denominator then stays one-signed in Y form).
-    When v_target is a flux-boundary edge, the whole leg runs in the
-    regularized variable q, reaching the boundary exactly at q = 0.  The
-    solver carries s, from s_start at the anchor, and I = integral of v ds
-    along with W: ds/dv = gamma/(lam - W - gamma*v^2) and dI/dv = v ds/dv.
-    Raises DomainError for a v_target outside the slope domain (the
-    infinite edges of a linear limiter's included) and DenominatorVanished
-    if lam - W - gamma*v^2 approaches zero or the solve stalls at a fold.
+    Monotone-v legs only.  When v_target is a flux-boundary edge, the
+    whole leg runs in the regularized variable q, reaching the boundary
+    exactly at q = 0.  The solver carries ln W, s, from s_start at the
+    anchor, and I = integral of v ds: ds/dv = gamma/(lam - W - gamma*v^2)
+    and dI/dv = v ds/dv.  Raises DomainError for a v_target outside the
+    slope domain (the infinite edges of a linear limiter's included).  A
+    leg at the denominator's floor at its anchor raises DenominatorVanished,
+    and so does one that stalls (a fold or a pinch) with its last signed
+    denominator under _FOLD_FACTOR times the floor; any other stall raises
+    Inconclusive.
     """
     ctr = controls or Controls()
     # the leg marches on Python floats: numpy scalars would slow every stage
@@ -1390,7 +1401,6 @@ def integrate_graph_W(
     if not lo < v_anchor < hi:
         raise DomainError(f"v_anchor = {v_anchor!r} outside the slope domain")
 
-    use_y = W_anchor > lam
     edge = lim.saturated and v_target in (lo, hi)
     boundary = BoundaryZone.of(p, 1 if v_target == hi else -1) if edge else None
     if boundary is None and not lo < v_target < hi:
@@ -1408,62 +1418,24 @@ def integrate_graph_W(
         t0, t1 = float(boundary.q(v_anchor)), 0.0
         leg = boundary.leg(p)
 
-    # With k = gamma/(lam - W - gamma*v^2): dW/dt = k*W*drive, ds/dt =
-    # k*dv/dt and dI/dt = v*ds/dt, for x = W.  The Y form, x = 1/W, divides
-    # by den = 1 - Y*(lam - gamma*v^2) = -Y*(lam - W - gamma*v^2) instead.
-    if use_y:
-        floor = ctr.denom_eps
-        y0 = (1.0 / W_anchor, s_start, 0.0)
-
-        def rhs_ode(t, x):
-            v, dv, drive = leg(t)
-            k = gamma / (1.0 - x * (lam - gamma * v * v))
-            ds = -k * x * dv
-            return k * x * x * drive, ds, v * ds
-
-        def den(t, x):
-            v = leg(t)[0]
-            return 1.0 - x * (lam - gamma * v * v)
-
-    else:
-        floor = ctr.denom_eps * max(
-            1.0, lam, gamma * max(v_anchor * v_anchor, v_target * v_target)
-        )
-        y0 = (W_anchor, s_start, 0.0)
-
-        def rhs_ode(t, x):
-            v, dv, drive = leg(t)
-            k = gamma / (lam - x - gamma * v * v)
-            ds = k * dv
-            return k * x * drive, ds, v * ds
-
-        def den(t, x):
-            v = leg(t)[0]
-            return lam - x - gamma * v * v
-
-    # the guard is signed with the anchor's denominator sign: a pinch shows
-    # up as a one-way crossing no accepted step can pass unnoticed
-    dsign = math.copysign(1.0, den(t0, y0[0]))
-    sgn = math.copysign(1.0, t1 - t0)
-    k1 = rhs_ode(t0, y0[0])
-    h = _initial_h(lambda t, y: rhs_ode(t, y[0]), t0, y0, k1, sgn, ctr, abs(t1 - t0))
-    march = _march(
-        _graph_step, rhs_ode, t0, y0, (k1,), t1, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
-    )
+    # the floor is signed with the anchor's denominator: no stage passes a pinch
+    dsign = math.copysign(1.0, lam - gamma * v_anchor * v_anchor - W_anchor)
+    field, floor = _graph_field(p, leg, dsign, v_anchor, v_target)
     steps = []  # (t, signed h, y, stage slopes) of each accepted step
-    t, y = t0, y0
+    t, y = t0, (math.log(W_anchor), s_start, 0.0)
     try:
-        for t_old, y_old, _, h, t, y, ks in march:
+        for t_old, y_old, _, h, t, y, ks in _leg_march(field, t, y, t1, ctr):
             steps.append((t_old, h, y_old, ks))
-            if den(t, y[0]) * dsign <= floor:
-                raise DenominatorVanished(
-                    f"lam - W - gamma*v^2 reached the floor at independent variable {t!r}"
-                )
+    except DomainError as exc:  # `_march` rejects a step's, so this is the anchor's
+        raise DenominatorVanished(
+            f"lam - W - gamma*v^2 is at the floor at the anchor v = {v_anchor!r}"
+        ) from exc
     except StepSizeUnderflow as exc:
-        den_end = den(t, y[0]) * dsign
+        v = leg(t)[0]
+        den_end = (lam - gamma * v * v - math.exp(y[0])) * dsign
         if den_end < _FOLD_FACTOR * floor:
             raise DenominatorVanished(
-                f"graph integration stalled at a fold: signed denominator "
+                f"graph integration stalled at a fold or pinch: signed denominator "
                 f"{den_end!r} at independent variable {t!r}"
             ) from exc
         raise Inconclusive(f"graph integration failed: {exc}") from exc
@@ -1475,6 +1447,7 @@ def integrate_graph_W(
 
     t_old, hs, y_old, ks = (np.array(col) for col in zip(*steps))
     Q = np.swapaxes(ks, 1, 2) @ np.array(_P)  # (step, component, power)
+    sgn = math.copysign(1.0, t1 - t0)
 
     def dense(t):
         t = np.asarray(t, dtype=float)
@@ -1486,13 +1459,14 @@ def integrate_graph_W(
         return y.T.reshape((3,) + t.shape)
 
     ts = np.linspace(t0, t1, n_samples)
-    yy, s, ii = dense(ts)
+    lw, s, ii = dense(ts)
+    W = np.exp(lw)
+    W[0] = W_anchor  # exp(ln W) need not give W back
     return GraphSolution(
         v=ts if boundary is None else boundary.v(ts),
-        W=1.0 / yy if use_y else yy,
+        W=W,
         s=s,
         integral=ii,
-        mode="Y" if use_y else "W",
         dense=dense,
         boundary=boundary,
         q=None if boundary is None else ts,

@@ -99,14 +99,14 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
 
 # Per op of profiles round 0: accepted steps and evaluations.
 PROFILES_ROUND_0_WORK = [
-    (162, 1272),
-    (224, 2052),
+    (162, 1278),
+    (226, 2076),
     (132, 1098),
-    (223, 1944),
-    (171, 1392),
-    (175, 1752),
+    (222, 1926),
+    (171, 1398),
+    (175, 1758),
     (203, 1680),
-    (255, 2430),
+    (250, 2400),
 ]
 # Round 0's accepted steps while blow-up ends were marched in s up to v_max.
 PROFILES_ROUND_0_STEPS_IN_S = 9802

@@ -227,7 +227,9 @@ def test_saturated_orbits_end_on_the_flux_boundary(launch, rtol):
 # --------------------------------------------------------------------------
 
 # name -> (params, v0, w0, branch); the "below" fronts take limiters whose
-# slope domain lies inside (-v_star, v_star)
+# slope domain lies inside (-v_star, v_star).  The legs of the lam = 0.3
+# front cross W = 1 (W runs from 0.68 to 2.1), where ln W = 0, so that only
+# atol scales the error of the graph legs' first component there.
 FRONTS = {
     "relativistic-above": (REL, 0.5, 5.0, "above"),
     "larson-above": (LAR, 0.2, 3.0, "above"),
@@ -236,6 +238,10 @@ FRONTS = {
     ),
     "larson-below": (
         ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=0.6, p=2.5)), 0.2, 0.05, "below"
+    ),
+    "relativistic-above-lam-0.3": (
+        ModelParams(a=0.6, sigma=0.3, lam=0.3, limiter=FluxLimiter(RELATIVISTIC, c=1.0)),
+        0.5, 1.5, "above",
     ),
 }
 

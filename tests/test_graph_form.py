@@ -115,7 +115,9 @@ def test_boundary_zone_substitution(side):
     assert np.allclose(b.q(v), q, rtol=1e-14, atol=1e-15)
     h = 1e-6
     fd = (b.v(q[1:] + h) - b.v(q[1:] - h)) / (2.0 * h)
-    assert np.allclose(b.dv_dq(q[1:]), fd, rtol=1e-8)
+    # dv/dq as the leg reads it; m = 1.5 is a Larson p = 3 limiter's
+    leg = b.leg(ModelParams(a=1.0, sigma=0.3, limiter=FluxLimiter(LARSON, c=1.0, p=3.0)))
+    assert np.allclose([leg(x)[1] for x in q[1:]], fd, rtol=1e-8)
     # slopes past the edge map onto the edge itself
     assert b.q(0.7 + side * 0.1) == 0.0
 
@@ -129,6 +131,8 @@ def test_front_is_the_graph_trajectory():
     assert np.array_equal(front.v, traj.v)
     assert (front.s_minus, front.s_plus) == (traj.s_minus, traj.s_plus)
     assert np.all(np.diff(traj.s) > 0.0)
+    # the legs carry ln W, but the anchor sample is w0 itself
+    assert front.w[np.flatnonzero(front.s == 0.25)].tolist() == [5.0]
 
 
 def test_cli_holds_no_graph_form_name():

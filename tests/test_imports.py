@@ -57,7 +57,7 @@ def test_graph_legs_load_no_scipy():
         "    prof = saturated_front(p, 0.5, 5.0, branch='above')\n"
         "    assert prof.s_minus < prof.s_plus, prof\n"
         "leg = integrate_graph_W(ModelParams(a=0.5, sigma=0.3), 0.0, 0.3, 0.5)\n"
-        "assert leg.mode == 'W', leg.mode\n"
+        "assert leg.W[0] == 0.3, leg.W[0]\n"
         "report()\n"
     )
     assert "kswave.profiles" in modules

@@ -346,7 +346,6 @@ class TestGraphForm:
         traj = integrate(p, 2.0, 0.5, direction=FORWARD)
         lo, _ = p.slope_domain
         sol = integrate_graph_W(p, v_anchor=0.5, W_anchor=2.0, v_target=lo)
-        assert sol.mode == "Y"  # W_anchor > lam forces the reciprocal form
         assert sol.boundary is not None and sol.boundary.side == -1
         wk = sol.W_at(traj.v)
         rel = np.abs(wk - traj.w) / np.maximum(1.0, np.abs(traj.w))
@@ -375,7 +374,6 @@ class TestGraphForm:
     def test_w_mode_below_branch(self):
         p = lp(0.5, 0.3)
         sol = integrate_graph_W(p, v_anchor=0.0, W_anchor=0.3, v_target=0.5)
-        assert sol.mode == "W"
         assert sol.boundary is None
         assert math.isfinite(float(sol.W_at(0.25)))
 
@@ -385,6 +383,12 @@ class TestGraphForm:
         p = lp(1.0, 0.5)
         with pytest.raises(DenominatorVanished):
             integrate_graph_W(p, v_anchor=0.9, W_anchor=0.05, v_target=1.2)
+
+    def test_anchor_at_the_floor_is_denominator_vanished(self):
+        # lam - W - gamma*v^2 is 1e-11 at the anchor, under the floor 1e-10
+        p = lp(1.0, 0.5)
+        with pytest.raises(DenominatorVanished, match="anchor"):
+            integrate_graph_W(p, v_anchor=0.5, W_anchor=0.75 - 1e-11, v_target=0.2)
 
     def test_fold_stall_is_denominator_vanished(self):
         # W's slope diverges at the fold lam - W - gamma*v^2 = 0 near
@@ -910,7 +914,6 @@ class TestNonFinite:
         ("w_min", -1e-12), ("w_min", -math.inf),
         ("eq_tol", -1e-9),
         ("eq_dwell", 0.0), ("eq_dwell", -5.0),
-        ("denom_eps", 0.0), ("denom_eps", -1e-10),
     ])
     def test_controls_reject_out_of_range_fields(self, name, bad):
         with pytest.raises(ValueError, match=name):

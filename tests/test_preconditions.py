@@ -266,9 +266,13 @@ class TestNonFiniteRunInputs:
         # flux-boundary ends sit on the edge: there is no standoff to set
         ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"boundary_eps_rel": 1e-9}}',
          "boundary_eps_rel"),
+        # the graph-denominator floor is a constant of the graph field
+        ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "controls": {"denom_eps": 1e-10}}',
+         "denom_eps"),
         ("shoot", '{"a": 1, "sigma": 0.5, "v0": 2, "bracket": [1]}', "--bracket"),
     ], ids=["seed-float", "seed-bool", "check-samples-float", "array", "controls-number",
-            "controls-unknown", "controls-boundary-eps-rel", "bracket-one-value"])
+            "controls-unknown", "controls-boundary-eps-rel", "controls-denom-eps",
+            "bracket-one-value"])
     def test_malformed_config(self, capsys, no_integration, tmp_path, command, body, word):
         cfg = tmp_path / "run.json"
         cfg.write_text(body)
