@@ -571,6 +571,7 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     a0, a1, a2 = atols
     expo = -1.0 / order
     sgn = math.copysign(1.0, t_end - t)
+    exp, sqrt, h_max = math.exp, math.sqrt, ctr.h_max
     just_rejected = False
     h_acc = err_acc = None  # size and error of the last accepted step
     cause = None
@@ -582,19 +583,28 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
         h_try = remaining if landing else h
         try:
             y1, k, est = step(f, t, y, k1, sgn * h_try)
-            sc1 = a1 + rtol * max(abs(y[1]), abs(y1[1]))
-            sc2 = a2 + rtol * max(abs(y[2]), abs(y1[2]))
+            # rtol * max(|y[c]|, |y1[c]|); a NaN in y1 makes the scale, and
+            # so the error, NaN
+            x, x1 = abs(y[1]), abs(y1[1])
+            sc1 = a1 + rtol * (x if x >= x1 else x1)
+            x, x1 = abs(y[2]), abs(y1[2])
+            sc2 = a2 + rtol * (x if x >= x1 else x1)
             if order == 5:
-                sc0 = a0 + rtol * max(abs(y[0]), abs(y1[0]))
+                x, x1 = abs(y[0]), abs(y1[0])
+                sc0 = a0 + rtol * (x if x >= x1 else x1)
                 e0, e1, e2 = est
-                err = math.sqrt(((e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2) / 3.0)
+                e0, e1, e2 = e0 / sc0, e1 / sc1, e2 / sc2
+                err = sqrt((e0 * e0 + e1 * e1 + e2 * e2) / 3.0)
             else:
                 # on the axis ln w is -inf at both ends: exp(nan) loses to 1
-                sc0 = a0 + rtol * max(1.0, math.exp(y1[0] - y[0]))
+                x = exp(y1[0] - y[0])
+                sc0 = a0 + rtol * (x if x > 1.0 else 1.0)
                 (e0, e1, e2), (d0, d1, d2) = est
-                n5 = (e0 / sc0) ** 2 + (e1 / sc1) ** 2 + (e2 / sc2) ** 2
-                deno = n5 + 0.01 * ((d0 / sc0) ** 2 + (d1 / sc1) ** 2 + (d2 / sc2) ** 2)
-                err = n5 / math.sqrt(3.0 * deno) if deno != 0.0 else 0.0
+                e0, e1, e2 = e0 / sc0, e1 / sc1, e2 / sc2
+                d0, d1, d2 = d0 / sc0, d1 / sc1, d2 / sc2
+                n5 = e0 * e0 + e1 * e1 + e2 * e2
+                deno = n5 + 0.01 * (d0 * d0 + d1 * d1 + d2 * d2)
+                err = n5 / sqrt(3.0 * deno) if deno != 0.0 else 0.0
             cause = None
         except (DomainError, ZeroDivisionError, OverflowError) as exc:
             err, cause = math.inf, exc
@@ -607,7 +617,7 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
                 fac = min(fac, fac * (h_try / h_acc) * (err_acc / err) ** -expo)
             h_acc, err_acc = h_try, max(err, 1e-2)
         grow = _FAC_MAX if accepted and not just_rejected else 1.0
-        h = min(h_try * min(grow, max(_FAC_MIN, fac)), ctr.h_max)
+        h = min(h_try * min(grow, max(_FAC_MIN, fac)), h_max)
         just_rejected = not accepted
         if not accepted:
             if h < _h_floor(t):
@@ -664,6 +674,9 @@ def integrate(
     f = make_log_rhs(p)
 
     events = list(extra_events)
+    # each event's fn, and whether it fires rising and falling (`_crossed`)
+    fns = [ev.fn for ev in events]
+    crossings = [(ev, ev.direction >= 0, ev.direction <= 0) for ev in events]
     # The built-in events are level crossings of ln w (component 0) or v
     # (1), tested on the states directly: for e = x - level, x_prev < level
     # <= x_new is exactly e_prev < 0 <= e_new in IEEE arithmetic.  Their
@@ -750,7 +763,7 @@ def integrate(
         y = (math.log(w) if w > 0.0 else -math.inf, v, iis[-1])
         (lw_lo, lw_hi), (v_lo, v_hi) = box(0, y[0]), box(1, v)
         k1 = f(y[0], v) + (v,)
-        e_prev = [ev.fn(s, w, v) for ev in events]
+        e_prev = [fn(s, w, v) for fn in fns]
         dwell_idx, dwell_s, leg_side, in_box = eq_ball(w, v), s, 0, False
         h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
         march = _march(
@@ -762,11 +775,10 @@ def integrate(
             # extra events come first, so they win ties
             fired: list[tuple[EventSpec, float]] = []
             if events:
-                e_new = [ev.fn(s, w, v) for ev in events]
-                fired += [
-                    (ev, e) for ev, e_old, e in zip(events, e_prev, e_new)
-                    if _crossed(e_old, e, ev.direction)
-                ]
+                e_new = [fn(s, w, v) for fn in fns]
+                for (ev, up, down), e_old, e in zip(crossings, e_prev, e_new):
+                    if (up and e_old < 0.0 <= e) or (down and e_old > 0.0 >= e):
+                        fired.append((ev, e))
                 e_prev = e_new
             was_in_box, in_box = in_box, lw_lo < y[0] < lw_hi and v_lo < v < v_hi
             if not (was_in_box and in_box):
