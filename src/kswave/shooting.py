@@ -52,6 +52,7 @@ from .phase import (
     eigenstructure,
     equilibria,
     equilibrium_points,
+    make_rhs,
     regime_case,
 )
 
@@ -87,6 +88,9 @@ _WALK_MAX_OFFSET = _WALK_FACTOR**13
 # Bisection and manifold estimates must agree this tightly (relative) for
 # the combined method to be reported.
 _AGREEMENT_REL = 1e-6
+# Seed offset, relative to 1 + |saddle|, of the critical orbit's manifold
+# trace: its relaxation tail starts at the seed, inside the 1e-6 dwell ball.
+_TAIL_SEED_SCALE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -271,17 +275,26 @@ def trace_stable_manifold(
     v_stop: float,
     manifold: str = "stable",
     controls: Controls | None = None,
-    seed_scale: float = 1e-7,
+    seed_scale: float = 1e-4,
 ) -> Trajectory:
     """Trace one branch of a saddle's invariant manifold out to v = v_stop.
 
     The stable manifold is grown in reverse time from a seed displaced
     ``seed_scale * (1 + |saddle|)`` along the contracting eigenvector (the
-    unstable manifold in forward time along the expanding one).  Both
-    displacement signs are tried, first the one whose seed moves v toward
-    ``v_stop``; if neither branch reaches ``v_stop`` the trace raises
-    ``SeedEscaped``, also when a branch is captured by one of
-    ``equilibria(p)`` first.
+    unstable manifold in forward time along the expanding one), plus the
+    manifold's quadratic term along the other eigenvector, so the seed is
+    off the manifold only at third order in the offset.  At rtol 1e-13 the
+    crossing from the default 1e-4 agrees with that from 1e-7 to a few
+    1e-13 relative, where a 1e-4 seed on the eigenvector alone misses by
+    up to 1e-9; and the trace spends fewer steps leaving the saddle.
+    ``threshold_trajectory`` seeds at 1e-7: its relaxation tail starts at
+    the seed and must start inside the 1e-6 dwell ball.
+    Both displacement signs are tried, first the one whose seed moves v
+    toward ``v_stop``; if neither branch reaches ``v_stop`` the trace
+    raises ``SeedEscaped``, also when a branch is captured by one of
+    ``equilibria(p)`` first.  A ``v_stop`` between the saddle's v and a
+    seed's, which the trace could never cross, raises PreconditionError
+    before any integration.
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
@@ -293,10 +306,34 @@ def trace_stable_manifold(
 
     want_contracting = manifold == "stable"
     idx = 0 if (eigenvalues[0].real < 0.0) == want_contracting else 1
-    evec_w = eigenvectors[idx][0].real
-    evec_v = eigenvectors[idx][1].real
+    mu_m, mu_o = eigenvalues[idx].real, eigenvalues[1 - idx].real
+    (ew, ev), (ow, ov) = ((x.real for x in eigenvectors[i]) for i in (idx, 1 - idx))
     # Contracting directions are retraced backward in s, expanding ones forward.
     direction = BACKWARD if want_contracting else FORWARD
+
+    h = seed_scale * (1.0 + math.hypot(ws, vs))
+    # On the manifold x = S + xi*e + c*xi**2*o + O(xi**3) the o-component
+    # c*xi**2 moves at (mu_o*c + o*.H(e,e)/2)*xi**2 by the field and at
+    # 2*mu_m*c*xi**2 by xi' = mu_m*xi, so c = o*.H(e,e) / (2*(2*mu_m - mu_o)).
+    # H(e,e) is the field's second central difference over +-h along e, and
+    # o* = (-ev, ew)/(ew*ov - ev*ow) is o's dual row (o*.o = 1, o*.e = 0).
+    f = make_rhs(p)
+    (fpw, fpv), (f0w, f0v), (fmw, fmv) = (f(ws + t * ew, vs + t * ev) for t in (h, 0.0, -h))
+    hw, hv = (fpw - 2.0 * f0w + fmw) / h**2, (fpv - 2.0 * f0v + fmv) / h**2
+    c = (ew * hv - ev * hw) / ((ew * ov - ev * ow) * 2.0 * (2.0 * mu_m - mu_o))
+
+    toward = 1.0 if ev * (v_stop - vs) > 0.0 else -1.0
+    q = c * h * h
+    seeds = [
+        (sign, ws + sign * h * ew + q * ow, vs + sign * h * ev + q * ov)
+        for sign in (toward, -toward)
+    ]
+    for _, _, v_seed in seeds:
+        if min(vs, v_seed) <= v_stop <= max(vs, v_seed):
+            raise PreconditionError(
+                f"v_stop = {v_stop!r} lies between the saddle's v = {vs!r} and a seed's "
+                f"v = {v_seed!r}, so the trace cannot cross it; use a smaller seed_scale"
+            )
 
     ctr = replace(controls if controls is not None else Controls(), w_min=0.0)
     stop = EventSpec(
@@ -304,13 +341,8 @@ def trace_stable_manifold(
         kind=_EV_MANIFOLD_STOP,
         direction=+1 if v_stop > vs else -1,
     )
-    h = seed_scale * (1.0 + math.hypot(ws, vs))
-
     failures = []
-    toward = 1.0 if evec_v * (v_stop - vs) > 0.0 else -1.0
-    for sign in (toward, -toward):
-        w_seed = ws + sign * h * evec_w
-        v_seed = vs + sign * h * evec_v
+    for sign, w_seed, v_seed in seeds:
         if w_seed <= 0.0:
             failures.append(f"sign {sign:+.0f}: seed density {w_seed} not positive")
             continue
@@ -383,11 +415,13 @@ def find_w0_star(
     bracket of width 2d = 0.98e-10 and no halving runs.  Past d = 4**13
     the walk raises NoDichotomy.  On 160 benchmark-style solves (the
     threshold workload's seed 0, rounds 0-9) this took 2 classifier runs
-    in 143, 3 in 16 and 7 in 1.
+    in 147, 3 in 11 and 7 in 2.
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
-    manifold to that tolerance.  A bad method, launch slope, bracket_hint
-    or missing saddle raises PreconditionError before any integration.
+    manifold to that tolerance.  A v0 within the trace's default seed
+    offset of the saddle is traced from the critical orbit's 1e-7 seed.
+    A bad method, launch slope, bracket_hint or missing saddle raises
+    PreconditionError before any integration.
     """
     method = method.lower()
     if method not in ("bisection", "manifold", "both"):
@@ -412,15 +446,16 @@ def find_w0_star(
     manifold_estimate: float | None = None
     if method in ("manifold", "both"):
         try:
-            man = trace_stable_manifold(
-                p, saddle, v_stop=v0, manifold=manifold_kind, controls=ctr
-            )
-        except SeedEscaped:
+            try:
+                man = trace_stable_manifold(p, saddle, v0, manifold_kind, ctr)
+            except PreconditionError:
+                # v0 within the default seed's offset of the saddle
+                man = trace_stable_manifold(p, saddle, v0, manifold_kind, ctr, _TAIL_SEED_SCALE)
+        except (SeedEscaped, PreconditionError):
             if method == "manifold":
                 raise
         else:
-            term = man.termination
-            manifold_estimate = term.w
+            manifold_estimate = man.termination.w
 
     if method == "manifold":
         assert manifold_estimate is not None
@@ -549,7 +584,9 @@ def threshold_trajectory(
     if regime == REGIME_FORWARD:
         # Blow-up leg: backward from the launch point, off to v -> +inf.
         leg_out = integrate(p, w0, v0, direction=BACKWARD, controls=ctr)
-        man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="stable", controls=ctr)
+        man = trace_stable_manifold(
+            p, saddle, v_stop=v0, manifold="stable", controls=ctr, seed_scale=_TAIL_SEED_SCALE
+        )
         # Backward-direction trace: samples ascend from the v0-crossing
         # (s[0]) up to the seed near the saddle (s[-1]).
         seed_w, seed_v = sample_list(man, "w")[-1], sample_list(man, "v")[-1]
@@ -560,7 +597,9 @@ def threshold_trajectory(
     # unstable manifold is traced forward from the seed to the launch
     # point, and the relaxation tail runs backward from the seed.
     leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
-    man = trace_stable_manifold(p, saddle, v_stop=v0, manifold="unstable", controls=ctr)
+    man = trace_stable_manifold(
+        p, saddle, v_stop=v0, manifold="unstable", controls=ctr, seed_scale=_TAIL_SEED_SCALE
+    )
     seed_w, seed_v = sample_list(man, "w")[0], sample_list(man, "v")[0]
     # The tail starts one manifold span before the launch point, so the
     # merge puts the launch point at s = 0.

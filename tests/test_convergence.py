@@ -300,11 +300,12 @@ def critical_placements() -> dict:
     return out
 
 
-# The tail starts where the traced saddle manifold ends.  The trace is seeded
-# 1e-7 off the saddle and its step error is controlled relative to the O(1)
-# state, not to that displacement, so the manifold's span converges in rtol
-# but at the two case-A bases sits about 1e-6 relative off its rtol-1e-13
-# value at the default.
+# The tail starts where the traced saddle manifold ends.  The critical
+# orbit's trace is seeded 1e-7 off the saddle (its relaxation tail must start
+# inside the 1e-6 dwell ball), and its step error is controlled relative to
+# the O(1) state, not to that displacement, so the manifold's span converges
+# in rtol but at the two case-A bases sits about 1e-6 relative off its
+# rtol-1e-13 value at the default.
 _SPAN_LIMITED = pytest.mark.xfail(
     strict=True, reason="manifold span error ~1e-6 relative at the default rtol"
 )

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kswave.errors import (
@@ -129,15 +129,17 @@ class TestManifold:
         term = man.termination
         assert term.v == pytest.approx(2.0, abs=1e-9)
         assert term.w > 0
-        # Seed end hugs the saddle.
-        assert math.hypot(man.w[-1], man.v[-1] + P_C.v_star) < 1e-6
+        # The seed end sits 1e-4 * (1 + |saddle|) off the saddle, to second order.
+        seed_offset = math.hypot(man.w[-1], man.v[-1] + P_C.v_star)
+        assert seed_offset == pytest.approx(1e-4 * (1.0 + P_C.v_star), rel=1e-3)
 
     def test_unstable_manifold_forward(self):
         saddle = [e for e in equilibria(P_A) if e.w > 0][0]
         man = trace_stable_manifold(P_A, saddle, v_stop=-2.0, manifold="unstable")
         assert man.direction == FORWARD
         assert man.termination.v == pytest.approx(-2.0, abs=1e-9)
-        assert math.hypot(man.w[0] - saddle.w, man.v[0] - saddle.v) < 1e-6
+        seed_offset = math.hypot(man.w[0] - saddle.w, man.v[0] - saddle.v)
+        assert seed_offset == pytest.approx(1e-4 * (1.0 + math.hypot(saddle.w, saddle.v)), rel=1e-3)
 
     def test_branch_heading_for_v_stop_is_traced_first(self, monkeypatch):
         # Of the two unstable branches of the case-A interior saddle, only
@@ -175,6 +177,33 @@ class TestManifold:
         # never reaches v = -5 on either branch.
         with pytest.raises(SeedEscaped, match=r"sign [+-]1: .*; sign [+-]1: "):
             trace_stable_manifold(P_C, equilibria(P_C)[0], v_stop=-5.0)
+
+    def test_v_stop_inside_the_seed_offset_is_a_precondition(self, monkeypatch):
+        # A stop level between the saddle and the seed is behind the trace
+        # from its start, so it is refused before any integration; a seed
+        # 1e-7 off the saddle lies inside that level, and reaches it.
+        saddle = equilibria(P_C)[0]
+        v_stop = saddle.v + 1e-5
+        with monkeypatch.context() as m:
+            m.setattr(shooting, "integrate", None)
+            with pytest.raises(PreconditionError, match="between the saddle"):
+                trace_stable_manifold(P_C, saddle, v_stop=v_stop)
+        man = trace_stable_manifold(P_C, saddle, v_stop=v_stop, seed_scale=1e-7)
+        assert man.termination.v == pytest.approx(v_stop, abs=1e-12)
+
+    def test_launch_inside_the_seed_offset_traces_from_the_near_seed(self):
+        # Just below sigma_star the case-A interior saddle sits 1e-5 above
+        # v = -v_star, and a backward launch 1e-5 below it lies inside the
+        # default seed's offset: find_w0_star traces from the 1e-7 seed.
+        p = lp(0.5, 0.5 * (1.0 - 1e-5))
+        v0 = -(1.0 + 1e-5)
+        saddle = shooting._threshold_saddle(p, REGIME_BACKWARD)
+        with pytest.raises(PreconditionError):
+            trace_stable_manifold(p, saddle, v0, "unstable")
+        near = trace_stable_manifold(p, saddle, v0, "unstable", seed_scale=1e-7)
+        r = find_w0_star(p, v0)
+        assert r.method == "Both"
+        assert r.manifold_estimate == near.termination.w
 
     def test_rejects_non_saddle(self):
         node = [e for e in equilibria(P_C) if e.v > 0][0]
@@ -521,8 +550,8 @@ def test_decision_orbit_pairs_agree(pair_point, m):
 def test_manifold_trace_pairs_agree(pair_point):
     # the trace's end state is what find_w0_star reads; it agrees with the
     # same trace at rtol 1e-13.  The span s it takes to leave the saddle
-    # from a seed 1e-7 away is set by errors relative to the state, not to
-    # that distance, and is not compared
+    # from its seed, 1e-4 * (1 + |saddle|) away, is set by errors relative
+    # to the state, not to that distance, and is not compared
     p, v0, r = pair_point
     kind = "stable" if r.regime == REGIME_FORWARD else "unstable"
     a, b = (
@@ -604,27 +633,59 @@ CASE_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("case, backward", [("A", False), ("A", True), ("B", False),
-                                            ("C", False), ("D", False), ("E", False)],
-                         ids=["A-forward", "A-backward", "B", "C", "D", "E"])
-@settings(max_examples=2, deadline=timedelta(seconds=5), database=None)
-@given(data=st.data())
-def test_threshold_separates_sub_and_super_critical(case, backward, data):
+CASE_REGIMES = [("A", False), ("A", True), ("B", False), ("C", False), ("D", False),
+                ("E", False)]
+CASE_REGIME_IDS = ["A-forward", "A-backward", "B", "C", "D", "E"]
+
+
+def draw_launch(data, case: str, backward: bool, relativistic: bool) -> tuple[ModelParams, float]:
+    """A launch (p, v0) of `case`, with a linear or, if `relativistic`
+    allows it, a relativistic limiter, drawn from `data`."""
     (a_lo, a_hi), (f_lo, f_hi) = CASE_DRAWS[case]
     a = math.exp(data.draw(st.floats(math.log(a_lo), math.log(a_hi))))
     probe = lp(a, 1.0)
     sigma = data.draw(st.floats(f_lo, f_hi)) * (probe.v_star if case == "C" else probe.sigma_star)
     v0 = data.draw(st.floats(1.5, 3.0)) * probe.v_star * (-1.0 if backward else 1.0)
     limiter = FluxLimiter(LINEAR)
-    # A relativistic limiter can remove the interior saddle case A needs.
-    if case != "A" and data.draw(st.sampled_from([RELATIVISTIC, LINEAR])) == RELATIVISTIC:
+    if relativistic and data.draw(st.sampled_from([RELATIVISTIC, LINEAR])) == RELATIVISTIC:
         # the slope domain ((sigma - c)/a, (sigma + c)/a) must hold -v_star and v0
         need = max(sigma + a * probe.v_star, a * v0 - sigma, sigma - a * v0)
         limiter = FluxLimiter(RELATIVISTIC, c=need * data.draw(st.floats(1.5, 3.0)))
     p = ModelParams(a=a, sigma=sigma, limiter=limiter)
     assert regime_case(p) == case
+    return p, v0
+
+
+@pytest.mark.parametrize("case, backward", CASE_REGIMES, ids=CASE_REGIME_IDS)
+@settings(max_examples=2, deadline=timedelta(seconds=5), database=None)
+@given(data=st.data())
+def test_threshold_separates_sub_and_super_critical(case, backward, data):
+    # A relativistic limiter can remove the interior saddle case A needs.
+    p, v0 = draw_launch(data, case, backward, relativistic=case != "A")
     r = find_w0_star(p, v0)
     assert r.method == "Both"
     below = classify_trajectory(p, r.w0_star * (1.0 - 1e-6), v0).cls
     above = classify_trajectory(p, r.w0_star * (1.0 + 1e-6), v0).cls
     assert is_subcritical(below) and not is_subcritical(above)
+
+
+@pytest.mark.parametrize("case, backward", CASE_REGIMES, ids=CASE_REGIME_IDS)
+@settings(max_examples=2, deadline=timedelta(seconds=5), database=None)
+@given(data=st.data())
+def test_quadratic_seed_lies_on_the_manifold(case, backward, data):
+    # At rtol 1e-13 the trace from the default seed, 1e-4 * (1 + |saddle|)
+    # off the saddle on the manifold's quadratic expansion, crosses v = v0
+    # where the trace from a seed 1e-7 off does.  A seed 1e-4 off on the
+    # eigenvector alone misses by up to 1e-9.
+    p, v0 = draw_launch(data, case, backward, relativistic=True)
+    regime = REGIME_BACKWARD if backward else REGIME_FORWARD
+    kind = "unstable" if backward else "stable"
+    try:
+        saddle = shooting._threshold_saddle(p, regime)
+        near = trace_stable_manifold(p, saddle, v0, kind, TIGHT, seed_scale=1e-7)
+    except (PreconditionError, SeedEscaped):
+        # a relativistic limiter removed the interior saddle, or turned its
+        # manifold away from v0
+        assume(False)
+    far = trace_stable_manifold(p, saddle, v0, kind, TIGHT)
+    assert abs(far.termination.w - near.termination.w) <= 1e-12 * near.termination.w
