@@ -16,7 +16,8 @@ with p = 2 the relativistic case.  The family inverts in closed form:
 evaluated for p = 2 as c*y / (mu * sqrt((c - y)(c + y))), which keeps
 its accuracy next to the boundary.  Each limiter compiles g, its domain
 guard and g' once (`_kernel`); `g_inverse`, `g_prime`, `make_g` and
-`make_boundary_factor` are views of that one kernel.
+`make_boundary_factor`, which also makes graph legs' boundary kernel,
+are views of that one kernel.
 """
 
 from __future__ import annotations
@@ -168,14 +169,17 @@ def boundary_exponent(lim: FluxLimiter) -> float:
     return p / (p - 1.0)
 
 
-def make_boundary_factor(lim: FluxLimiter, a: float, side: int):
+def make_boundary_factor(lim: FluxLimiter, a: float, side: int, v_edge: float | None = None):
     """Closure F(q) = q^(m-1) * g(y(q)) with y(q) = side*(c - a*q^m).
 
     side = +1 targets the upper boundary y -> +c (v_b = (sigma+c)/a),
     side = -1 the lower one.  F is finite and continuous down to q = 0,
     where g alone diverges; the small-q branch avoids the catastrophic
     cancellation in 1 - (|y|/c)^p by evaluating it as -expm1(p*log1p(-x))
-    with x = a*q^m/c.
+    with x = a*q^m/c.  Given v_edge = v_b, the closure is instead a
+    boundary graph leg, q -> (v, dv/dq, drive) with v = v_edge - side*q^m
+    and drive = (g(a*v - sigma) - v) * dv/dq = -side*m*F - v*dv/dq, regular
+    at q = 0: one call that forms q^m and q^(m-1) once.
     """
     if side not in (-1, 1):
         raise ValueError("side must be +1 or -1")
@@ -184,15 +188,21 @@ def make_boundary_factor(lim: FluxLimiter, a: float, side: int):
     mu, c = lim.mu, lim.c
     g = _kernel(lim)[0]
     limit0 = side * (c / mu) * (c / (p * a)) ** (1.0 / p)
+    dv_scale = -side * m  # dv/dq over q^(m-1)
 
-    def factor(q: float) -> float:
-        x = a * q**m / c
+    def factor(q: float):
+        qm, qm1 = q**m, q ** (m - 1.0)
+        x = a * qm / c
         if x < 1e-32:  # F = limit0 * (1 + O(x)); q^m may be subnormal or 0
-            return limit0
-        y = side * (c - a * q**m)
-        if x > 0.5:
-            return g(y) * q ** (m - 1.0)
-        one_minus_u = -math.expm1(p * math.log1p(-x))
-        return y * q ** (m - 1.0) / (mu * one_minus_u ** (1.0 / p))
+            F = limit0
+        elif x > 0.5:
+            F = g(side * (c - a * qm)) * qm1
+        else:
+            one_minus_u = -math.expm1(p * math.log1p(-x))
+            F = side * (c - a * qm) * qm1 / (mu * one_minus_u ** (1.0 / p))
+        if v_edge is None:
+            return F
+        v, dv = v_edge - side * qm, dv_scale * qm1
+        return v, dv, dv_scale * F - dv * v
 
     return factor

@@ -33,6 +33,9 @@ multiplies several times faster than numpy scalars: orbits take
 DP54 step that forms stage values for the first component alone, since a
 front's dense output is DP54's continuous extension.  Each sums in the
 generic tableau loop's order, so it gives that loop's results to the bit.
+A graph leg records each accepted step as one flat row of floats; after
+the march, h is folded into the extension's coefficients once per leg,
+and the dense output evaluates them by Horner's rule.
 """
 
 from __future__ import annotations
@@ -1270,17 +1273,9 @@ class BoundaryZone:
 
     def leg(self, p: ModelParams):
         """leg(q) = (v, dv/dq, drive = (g(a*v - sigma) - v) * dv/dq) on Python
-        floats; the boundary factor q^(m-1) * g keeps drive regular at q = 0."""
-        factor = make_boundary_factor(p.limiter, p.a, self.side)
-        v_edge, side, m = self.v_edge, self.side, self.m
-        dv_scale = -side * m  # dv/dq over q^(m-1)
-
-        def leg(t):
-            # v as .v gives it, and dv/dq
-            v, dv = v_edge - side * t**m, dv_scale * t ** (m - 1.0)
-            return v, dv, dv_scale * factor(t) - dv * v
-
-        return leg
+        floats, v as .v gives it; the boundary factor q^(m-1) * g keeps drive
+        regular at q = 0 (`make_boundary_factor` given v_edge)."""
+        return make_boundary_factor(p.limiter, p.a, self.side, self.v_edge)
 
 
 @dataclass
@@ -1291,7 +1286,8 @@ class GraphSolution:
     the solver's dense output at the sample grid: W, and s and I = integral
     of v ds, which the solver carries along with ln W (W[0] is W_anchor
     itself).  `dense` is that output as a function of the independent
-    variable, with state (ln W, s, I).  When `boundary` is set, the leg was
+    variable, with state (ln W, s, I): per step, a quartic in the step
+    fraction evaluated by Horner's rule.  When `boundary` is set, the leg was
     integrated in the regularized variable q of that zone, and `q` holds
     the matching samples (ending at q = 0 on the boundary itself);
     otherwise the independent variable is v.
@@ -1306,7 +1302,8 @@ class GraphSolution:
     q: np.ndarray | None = None
 
     def W_at(self, v):
-        """W on the leg from the dense output; NaN for slopes off the leg."""
+        """W on the leg from the dense output; NaN for slopes off the leg,
+        those past a boundary leg's edge (q clamps them to 0) included."""
         import numpy as np
 
         b = self.boundary
@@ -1314,6 +1311,8 @@ class GraphSolution:
         t = np.asarray(t, dtype=float)
         W = np.exp(self.dense(t.ravel())[0].reshape(t.shape))
         on_leg = (t >= min(x[0], x[-1])) & (t <= max(x[0], x[-1]))
+        if b is not None:
+            on_leg &= b.side * (b.v_edge - np.asarray(v)) >= 0.0
         return np.where(on_leg, W, np.nan)
 
     def trajectory(self) -> Trajectory:
@@ -1396,7 +1395,8 @@ def integrate_graph_W(
     leg at the denominator's floor at its anchor raises DenominatorVanished,
     and so does one that stalls (a fold or a pinch) with its last signed
     denominator under _FOLD_FACTOR times the floor; any other stall raises
-    Inconclusive.
+    Inconclusive.  Samples and `dense` are DP54's continuous extension, by
+    Horner's rule on coefficients with h folded in once per leg.
     """
     ctr = controls or Controls()
     # the leg marches on Python floats: numpy scalars would slow every stage
@@ -1433,11 +1433,12 @@ def integrate_graph_W(
     # the floor is signed with the anchor's denominator: no stage passes a pinch
     dsign = math.copysign(1.0, lam - gamma * v_anchor * v_anchor - W_anchor)
     field, floor = _graph_field(p, leg, dsign, v_anchor, v_target)
-    steps = []  # (t, signed h, y, stage slopes) of each accepted step
+    rows = []  # per accepted step: t, signed h, y and the 7 stage slopes, flat
     t, y = t0, (math.log(W_anchor), s_start, 0.0)
     try:
         for t_old, y_old, _, h, t, y, ks in _leg_march(field, t, y, t1, ctr):
-            steps.append((t_old, h, y_old, ks))
+            k1, k2, k3, k4, k5, k6, k7 = ks
+            rows.append((t_old, h, *y_old, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
     except DomainError as exc:  # `_march` rejects a step's, so this is the anchor's
         raise DenominatorVanished(
             f"lam - W - gamma*v^2 is at the floor at the anchor v = {v_anchor!r}"
@@ -1454,21 +1455,25 @@ def integrate_graph_W(
 
     # the continuous extension maps an array of t to the states there, shape
     # (3,) + t.shape, extrapolating from the nearest step off the leg; it is
-    # vectorised over the sample grid, so graph legs load numpy
+    # vectorised over the sample grid, so graph legs load numpy.  coef holds
+    # per step y and C_j = h * (stage slopes weighed by column j-1 of _P), as
+    # rows (power, component, step): y(t + theta*h) = y + theta*(C1 + ...).
     import numpy as np
 
-    t_old, hs, y_old, ks = (np.array(col) for col in zip(*steps))
-    Q = np.swapaxes(ks, 1, 2) @ np.array(_P)  # (step, component, power)
+    table = np.array(rows).T  # (column, step)
+    t_old, hs = table[:2]
+    coef = (np.array(_P).T @ table[5:].reshape(7, -1)).reshape(4, 3, -1) * hs
+    coef = np.concatenate((table[None, 2:5], coef))
     sgn = math.copysign(1.0, t1 - t0)
 
     def dense(t):
         t = np.asarray(t, dtype=float)
         x = t.ravel()
-        i = np.clip(np.searchsorted(sgn * t_old, sgn * x, side="right") - 1, 0, len(hs) - 1)
+        i = np.maximum(np.searchsorted(sgn * t_old, sgn * x, side="right") - 1, 0)
         theta = (x - t_old[i]) / hs[i]
-        powers = theta[:, None] ** np.arange(1, 5)
-        y = y_old[i] + hs[i, None] * np.einsum("ncp,np->nc", Q[i], powers)
-        return y.T.reshape((3,) + t.shape)
+        y, c1, c2, c3, c4 = coef.take(i, axis=2)
+        y = y + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+        return y.reshape((3,) + t.shape)
 
     ts = np.linspace(t0, t1, n_samples)
     lw, s, ii = dense(ts)

@@ -637,8 +637,6 @@ def saturated_front(
                 "traced orbit leaves the above-branch region (density dipped "
                 "to lam or below); no front through this anchor"
             )
-        if not np.all(np.diff(traj.v) < 0.0):
-            raise RegimeViolation("above-branch front must have strictly decreasing slope")
         label = SATURATED_FRONT_CONCAVE
     else:
         if not np.all(traj.w < lam - gamma * traj.v * traj.v):
@@ -646,8 +644,6 @@ def saturated_front(
                 "traced orbit leaves the below-branch region (density reached "
                 "the balance parabola); no front through this anchor"
             )
-        if not np.all(np.diff(traj.v) > 0.0):
-            raise RegimeViolation("below-branch front must have strictly increasing slope")
         label = SATURATED_FRONT_CONVEX
 
     if not (

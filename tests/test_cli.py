@@ -286,6 +286,27 @@ class TestProfile:
         assert meta["w0_star"] is None
         assert math.isfinite(meta["s_minus"]) and math.isfinite(meta["s_plus"])
 
+    def test_larson_front_with_p_near_one(self, capsys, tmp_path):
+        # m = p/(p-1) = 6: next to each edge v = v_edge - side*q^6 rounds to
+        # the edge itself, so the front's slopes tie there; it is still built
+        code, _, err = run(
+            capsys,
+            "profile", "--a", "1", "--sigma", "0.5",
+            "--limiter", "larson", "--c", "1", "--p", "1.2",
+            "--w0", "10", "--v0", "0.5", "--branch", "above",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        for name in ("profile.csv", "profile_meta.json"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert "NaN" not in text and "Infinity" not in text
+        meta = read_json(tmp_path / "profile_meta.json")
+        assert meta["u_type"] == "SaturatedFrontConcave"
+        assert math.isfinite(meta["s_minus"]) and math.isfinite(meta["s_plus"])
+        assert meta["s_minus"] < meta["s_plus"]
+        _, data = read_csv(tmp_path / "profile.csv")
+        assert np.all(np.isfinite(data)) and np.all(data[:, 1:] > 0.0)
+
     def test_front_anchor_statically_invalid(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -409,8 +409,9 @@ class TestGraphForm:
         assert inside[-1] == pytest.approx(2.0, rel=1e-14)
         assert np.isnan(sol.W_at(0.5 + 1e-3))
         assert np.isnan(sol.W_at(np.array([0.6, 0.9]))).all()
-        if limiter == LINEAR:
-            assert np.isnan(sol.W_at(lo - 1e-3))
+        # past a boundary leg's edge q clamps to 0, which is on the leg
+        assert np.isnan(sol.W_at(lo - 1e-3))
+        assert np.isnan(sol.W_at(np.array([lo - 1e-3, lo - 5.0]))).all()
 
     def test_anchor_validation(self):
         p = ModelParams(a=1.0, sigma=0.1, limiter=FluxLimiter(RELATIVISTIC))
@@ -762,6 +763,33 @@ def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
     integrate_graph_W(p, box(v_anchor), box(W_anchor), box(v_target))
     assert seen
     assert {type(x) for x in seen} == {float}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_LEGS))
+def test_dense_output_reproduces_the_march(monkeypatch, name):
+    # the leg's dense output (Horner on per-step coefficients with h folded
+    # in) gives the anchor state exactly and every accepted step's end
+    # state to rounding; the legs run in v both ways and in q to both kinds
+    # of saturated edge
+    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
+    if v_target is None:
+        v_target = p.slope_domain[1]
+    march, ends = INTEGRATE._march, []
+
+    def spy(*args, **kwargs):
+        for item in march(*args, **kwargs):
+            _, _, _, _, t1, y1, _ = item
+            ends.append((t1, *y1))
+            yield item
+
+    monkeypatch.setattr(INTEGRATE, "_march", spy)
+    sol = integrate_graph_W(p, v_anchor, W_anchor, v_target, s_start=0.25)
+    t0 = v_anchor if sol.boundary is None else float(sol.boundary.q(v_anchor))
+    assert sol.dense(np.array([t0]))[:, 0].tolist() == [math.log(W_anchor), 0.25, 0.0]
+    t, *want = np.array(ends).T
+    assert len(t) > 5
+    got = sol.dense(t)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-15)
 
 
 # Launches on or beyond a termination level, or inside an equilibrium ball:

@@ -23,6 +23,7 @@ from kswave.flux import (
     make_boundary_factor,
     make_g,
 )
+from kswave.integrate import BoundaryZone
 from kswave.phase import ModelParams, make_rhs, rhs
 
 LIMITERS = [
@@ -76,6 +77,27 @@ def test_boundary_factor_uses_the_kernel_away_from_the_edge(lim, side):
         q = (frac * lim.c / a) ** (1.0 / m)
         y = side * (lim.c - a * q**m)
         assert factor(q) == g(y) * q ** (m - 1.0)
+
+
+@pytest.mark.parametrize("lim", SATURATED, ids=lambda lim: lim.kind)
+@pytest.mark.parametrize("side", [+1, -1])
+def test_boundary_leg_is_the_boundary_factor_bit_for_bit(lim, side):
+    # a graph leg's one call per boundary evaluation forms its drive from
+    # the boundary factor itself, in each of the factor's three branches
+    p = ModelParams(a=1.3, sigma=0.2, limiter=lim)
+    zone = BoundaryZone.of(p, side)
+    leg = zone.leg(p)
+    factor = make_boundary_factor(lim, a=p.a, side=side)
+    m = boundary_exponent(lim)
+    dv_scale = -side * m
+    branches = set()
+    for x in (0.0, 1e-40, 1e-33, 1e-20, 1e-6, 0.3, 0.49, 0.51, 0.8, 0.999):
+        q = (x * lim.c / p.a) ** (1.0 / m)
+        x_q = p.a * q**m / lim.c
+        branches.add("tiny" if x_q < 1e-32 else "small" if x_q <= 0.5 else "large")
+        v, dv = zone.v(q), dv_scale * q ** (m - 1.0)
+        assert leg(q) == (v, dv, dv_scale * factor(q) - dv * v)
+    assert branches == {"tiny", "small", "large"}
 
 
 def _private_cross_imports(path: Path) -> list[str]:
