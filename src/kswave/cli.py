@@ -348,28 +348,12 @@ def _options_sweep(args, cfg, params) -> dict:
     sigma_factors = _merged(args, cfg, "sigma_factors")
     if not a_values or not sigma_factors:
         raise ConfigError("sweep needs non-empty --a-values and --sigma-factors")
-    a_values = [float(x) for x in a_values]
-    sigma_factors = [float(x) for x in sigma_factors]
-    if any(abs(f - 1.0) <= 1e-9 for f in sigma_factors):
-        raise ConfigError(
-            "--sigma-factors must stay away from 1.0: sigma equal to the "
-            "case-splitting value is degenerate for threshold work"
-        )
-    v0_factor = float(_merged(args, cfg, "v0_factor", default=2.0))
-    if not 1.0 < v0_factor < math.inf:
-        raise ConfigError("--v0-factor must be finite and over 1 (launch outside the wave speeds)")
-    check_samples = _count(args, cfg, "check_samples", default=0)
-    if check_samples < 0:
-        raise ConfigError("--check-samples must be non-negative")
-    workers = _count(args, cfg, "workers", default=1)
-    if workers < 1:
-        raise ConfigError("--workers must be at least 1")
     return {
-        "a_values": a_values,
-        "sigma_factors": sigma_factors,
-        "v0_factor": v0_factor,
-        "check_samples": check_samples,
-        "workers": workers,
+        "a_values": [float(x) for x in a_values],
+        "sigma_factors": [float(x) for x in sigma_factors],
+        "v0_factor": float(_merged(args, cfg, "v0_factor", default=2.0)),
+        "check_samples": _count(args, cfg, "check_samples", default=0),
+        "workers": _count(args, cfg, "workers", default=1),
     }
 
 

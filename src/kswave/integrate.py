@@ -1320,14 +1320,20 @@ class GraphSolution:
 
         A boundary leg ends on the flux boundary, which becomes that end's
         termination kind and profile edge; the other end is a GRAPH_END.
+        Where s changes by less than its rounding between samples, next to
+        an edge reached in q**m with m large, the dense output can step s
+        back by an ulp; s is the running maximum, so there it ties.
         """
+        import numpy as np
+
         s, w, v, ii = self.s, self.W, self.v, self.integral
         lo_kind = hi_kind = GRAPH_END
         if self.boundary is not None:
             hi_kind = FLUX_BOUNDARY_HIGH if self.boundary.side > 0 else FLUX_BOUNDARY_LOW
         if s[-1] < s[0]:
-            s, w, v, ii = s[::-1].copy(), w[::-1].copy(), v[::-1].copy(), ii[::-1].copy()
+            s, w, v, ii = s[::-1], w[::-1].copy(), v[::-1].copy(), ii[::-1].copy()
             lo_kind, hi_kind = hi_kind, lo_kind
+        s = np.maximum.accumulate(s)
         term_lo = TerminationEvent(kind=lo_kind, s=float(s[0]), w=float(w[0]), v=float(v[0]))
         term_hi = TerminationEvent(kind=hi_kind, s=float(s[-1]), w=float(w[-1]), v=float(v[-1]))
         return Trajectory(

@@ -755,8 +755,27 @@ def sweep(
     many classify_trajectory runs at random launches within a factor 4 of
     w0_star, drawn from ``seed`` and the point's index, fall on the right
     side.  The grid is built, and so its parameters validated, before any
-    point runs; with workers > 1 the points run in a process pool.
+    point runs; with workers > 1 the points run in a process pool.  A sigma
+    factor within 1e-9 of 1 (degenerate), a v0_factor outside (1, inf),
+    check_samples < 0 or workers < 1 raises PreconditionError first.
     """
+    sigma_factors = list(sigma_factors)
+    if any(abs(f - 1.0) <= 1e-9 for f in sigma_factors):
+        raise PreconditionError(
+            "sigma factors (--sigma-factors) must stay away from 1.0: sigma equal to the "
+            "case-splitting value is degenerate for threshold work"
+        )
+    if not 1.0 < v0_factor < math.inf:
+        raise PreconditionError(
+            f"v0_factor (--v0-factor) must be finite and over 1, got {v0_factor!r}: "
+            "the launch must lie outside the wave speeds"
+        )
+    if check_samples < 0:
+        raise PreconditionError(
+            f"check_samples (--check-samples) must be non-negative, got {check_samples!r}"
+        )
+    if workers < 1:
+        raise PreconditionError(f"workers (--workers) must be at least 1, got {workers!r}")
     ctr = controls if controls is not None else Controls()
     jobs = []
     for i, (a, f) in enumerate(itertools.product(a_values, sigma_factors)):

@@ -40,6 +40,7 @@ from .integrate import (
     V_BLOW_UP_PLUS,
     Controls,
     EventSpec,
+    TerminationEvent,
     Trajectory,
     integrate,
     merge_trajectories,
@@ -88,9 +89,9 @@ _WALK_MAX_OFFSET = _WALK_FACTOR**13
 # Bisection and manifold estimates must agree this tightly (relative) for
 # the combined method to be reported.
 _AGREEMENT_REL = 1e-6
-# Seed offset, relative to 1 + |saddle|, of the critical orbit's manifold
-# trace: its relaxation tail starts at the seed, inside the 1e-6 dwell ball.
-_TAIL_SEED_SCALE = 1e-7
+# Seed offset of a manifold trace, relative to 1 + |saddle|: the default
+# `seed_scale`, and the scale of the saddle's local expansion.
+_SEED_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -269,71 +270,81 @@ def is_subcritical(cls: str) -> bool:
     return cls in (ENTERS_PARABOLA, CONVERGES_TO)
 
 
+def _manifold_expansion(p: ModelParams, saddle, manifold: str, seed_scale: float):
+    """The saddle's local `manifold` to second order, and its seed offset h.
+
+    Returns (S, e, o, mu_m, c, d, h): the saddle S = (w, v), the manifold's
+    unit eigenvector e with eigenvalue mu_m, the other one o, and the
+    coefficients of x = S + xi*e + c*xi**2*o + O(xi**3), on which the
+    coordinate xi moves as xi' = mu_m*xi + d*xi**2 + O(xi**3);
+    h = seed_scale * (1 + |S|).
+    """
+    eigenvalues, eigenvectors, label = eigenstructure(p, saddle)
+    if label != SADDLE:
+        raise ValueError(f"manifold tracing needs a saddle, got {label}")
+    ws = saddle.w if isinstance(saddle, Equilibrium) else float(saddle[0])
+    vs = saddle.v if isinstance(saddle, Equilibrium) else float(saddle[1])
+    idx = 0 if (eigenvalues[0].real < 0.0) == (manifold == "stable") else 1
+    mu_m, mu_o = eigenvalues[idx].real, eigenvalues[1 - idx].real
+    (ew, ev), (ow, ov) = ((x.real for x in eigenvectors[i]) for i in (idx, 1 - idx))
+    h = seed_scale * (1.0 + math.hypot(ws, vs))
+    # The field is J*(x - S) + H(x - S, x - S)/2 + O(|x - S|**3).  On the
+    # manifold the o-component c*xi**2 moves at (mu_o*c + o*.H(e,e)/2)*xi**2
+    # by the field and at 2*mu_m*c*xi**2 by xi' = mu_m*xi, so
+    # c = o*.H(e,e) / (2*(2*mu_m - mu_o)); the e-component gives d = e*.H(e,e)/2.
+    # H(e,e) is the field's second central difference over +-h along e, and
+    # o* = (-ev, ew)/det, e* = (ov, -ow)/det are the dual rows of o and e.
+    f = make_rhs(p)
+    (fpw, fpv), (f0w, f0v), (fmw, fmv) = (f(ws + t * ew, vs + t * ev) for t in (h, 0.0, -h))
+    hw, hv = (fpw - 2.0 * f0w + fmw) / h**2, (fpv - 2.0 * f0v + fmv) / h**2
+    det = ew * ov - ev * ow
+    c = (ew * hv - ev * hw) / (det * 2.0 * (2.0 * mu_m - mu_o))
+    d = (ov * hw - ow * hv) / (2.0 * det)
+    return (ws, vs), (ew, ev), (ow, ov), mu_m, c, d, h
+
+
 def trace_stable_manifold(
     p: ModelParams,
     saddle: Equilibrium | tuple[float, float],
     v_stop: float,
     manifold: str = "stable",
     controls: Controls | None = None,
-    seed_scale: float = 1e-4,
+    seed_scale: float = _SEED_SCALE,
 ) -> Trajectory:
     """Trace one branch of a saddle's invariant manifold out to v = v_stop.
 
     The stable manifold is grown in reverse time from a seed displaced
     ``seed_scale * (1 + |saddle|)`` along the contracting eigenvector (the
     unstable manifold in forward time along the expanding one), plus the
-    manifold's quadratic term along the other eigenvector, so the seed is
-    off the manifold only at third order in the offset.  At rtol 1e-13 the
-    crossing from the default 1e-4 agrees with that from 1e-7 to a few
-    1e-13 relative, where a 1e-4 seed on the eigenvector alone misses by
-    up to 1e-9; and the trace spends fewer steps leaving the saddle.
-    ``threshold_trajectory`` seeds at 1e-7: its relaxation tail starts at
-    the seed and must start inside the 1e-6 dwell ball.
-    Both displacement signs are tried, first the one whose seed moves v
-    toward ``v_stop``; if neither branch reaches ``v_stop`` the trace
-    raises ``SeedEscaped``, also when a branch is captured by one of
-    ``equilibria(p)`` first.  A ``v_stop`` between the saddle's v and a
-    seed's, which the trace could never cross, raises PreconditionError
-    before any integration.
+    manifold's quadratic term along the other eigenvector
+    (`_manifold_expansion`), so the seed is off the manifold only at third
+    order in the offset.  At rtol 1e-13 the crossing from the default 1e-4
+    agrees with that from 1e-7 to a few 1e-13 relative, where a 1e-4 seed
+    on the eigenvector alone misses by up to 1e-9; and the trace spends
+    fewer steps leaving the saddle.  Both displacement signs are tried,
+    first the one whose seed moves v toward ``v_stop``; if neither branch
+    reaches ``v_stop`` the trace raises ``SeedEscaped``, also when a branch
+    is captured by one of ``equilibria(p)`` first.  A ``v_stop`` between
+    the saddle's v and a seed's, which the trace could never cross, halves
+    the offset until no seed lies past it; a ``v_stop`` at the saddle's v
+    raises PreconditionError before any integration.
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
-    eigenvalues, eigenvectors, label = eigenstructure(p, saddle)
-    if label != SADDLE:
-        raise ValueError(f"manifold tracing needs a saddle, got {label}")
-    ws = saddle.w if isinstance(saddle, Equilibrium) else float(saddle[0])
-    vs = saddle.v if isinstance(saddle, Equilibrium) else float(saddle[1])
-
-    want_contracting = manifold == "stable"
-    idx = 0 if (eigenvalues[0].real < 0.0) == want_contracting else 1
-    mu_m, mu_o = eigenvalues[idx].real, eigenvalues[1 - idx].real
-    (ew, ev), (ow, ov) = ((x.real for x in eigenvectors[i]) for i in (idx, 1 - idx))
+    (ws, vs), (ew, ev), (ow, ov), _, c, _, h = _manifold_expansion(p, saddle, manifold, seed_scale)
     # Contracting directions are retraced backward in s, expanding ones forward.
-    direction = BACKWARD if want_contracting else FORWARD
-
-    h = seed_scale * (1.0 + math.hypot(ws, vs))
-    # On the manifold x = S + xi*e + c*xi**2*o + O(xi**3) the o-component
-    # c*xi**2 moves at (mu_o*c + o*.H(e,e)/2)*xi**2 by the field and at
-    # 2*mu_m*c*xi**2 by xi' = mu_m*xi, so c = o*.H(e,e) / (2*(2*mu_m - mu_o)).
-    # H(e,e) is the field's second central difference over +-h along e, and
-    # o* = (-ev, ew)/(ew*ov - ev*ow) is o's dual row (o*.o = 1, o*.e = 0).
-    f = make_rhs(p)
-    (fpw, fpv), (f0w, f0v), (fmw, fmv) = (f(ws + t * ew, vs + t * ev) for t in (h, 0.0, -h))
-    hw, hv = (fpw - 2.0 * f0w + fmw) / h**2, (fpv - 2.0 * f0v + fmv) / h**2
-    c = (ew * hv - ev * hw) / ((ew * ov - ev * ow) * 2.0 * (2.0 * mu_m - mu_o))
+    direction = BACKWARD if manifold == "stable" else FORWARD
+    if v_stop == vs:
+        raise PreconditionError(f"v_stop = {v_stop!r} is the saddle's v; no trace crosses it")
 
     toward = 1.0 if ev * (v_stop - vs) > 0.0 else -1.0
-    q = c * h * h
-    seeds = [
-        (sign, ws + sign * h * ew + q * ow, vs + sign * h * ev + q * ov)
-        for sign in (toward, -toward)
-    ]
-    for _, _, v_seed in seeds:
-        if min(vs, v_seed) <= v_stop <= max(vs, v_seed):
-            raise PreconditionError(
-                f"v_stop = {v_stop!r} lies between the saddle's v = {vs!r} and a seed's "
-                f"v = {v_seed!r}, so the trace cannot cross it; use a smaller seed_scale"
-            )
+    while True:
+        q = c * h * h
+        seeds = [(sign, ws + sign * h * ew + q * ow, vs + sign * h * ev + q * ov)
+                 for sign in (toward, -toward)]
+        if not any(min(vs, v_seed) <= v_stop <= max(vs, v_seed) for _, _, v_seed in seeds):
+            break
+        h *= 0.5
 
     ctr = replace(controls if controls is not None else Controls(), w_min=0.0)
     stop = EventSpec(
@@ -419,7 +430,7 @@ def find_w0_star(
     Method "Both" is reported only when the bisected threshold and m
     agree to 1e-6 relative, i.e. when the classifier confirms the
     manifold to that tolerance.  A v0 within the trace's default seed
-    offset of the saddle is traced from the critical orbit's 1e-7 seed.
+    offset of the saddle is traced from a nearer seed (trace_stable_manifold).
     A bad method, launch slope, bracket_hint or missing saddle raises
     PreconditionError before any integration.
     """
@@ -446,12 +457,8 @@ def find_w0_star(
     manifold_estimate: float | None = None
     if method in ("manifold", "both"):
         try:
-            try:
-                man = trace_stable_manifold(p, saddle, v0, manifold_kind, ctr)
-            except PreconditionError:
-                # v0 within the default seed's offset of the saddle
-                man = trace_stable_manifold(p, saddle, v0, manifold_kind, ctr, _TAIL_SEED_SCALE)
-        except (SeedEscaped, PreconditionError):
+            man = trace_stable_manifold(p, saddle, v0, manifold_kind, ctr)
+        except SeedEscaped:
             if method == "manifold":
                 raise
         else:
@@ -562,9 +569,14 @@ def threshold_trajectory(
 
     Direct integration from (w0_star, v0) toward the saddle falls off the
     separating manifold after a while, so the critical orbit is built from
-    three exact pieces instead: the blow-up leg away from the launch point,
-    the traced saddle manifold from the launch point to the seed, and the
-    relaxation tail from the seed into the saddle.  The pieces are merged
+    three pieces instead: the blow-up leg away from the launch point, the
+    saddle manifold traced from its seed (find_w0_star's) to the launch
+    point, and the piece from the seed into the saddle.  That piece is
+    sampled, not integrated: the manifold's expansion S + xi*e + c*xi**2*o
+    (`_manifold_expansion`) at xi halving from the seed's until |xi| is in
+    the capture ball eq_tol * (1 + |S|), at the s of the closed-form
+    solution of xi' = mu_m*xi + d*xi**2, with I the integral of v to second
+    order in xi; it ends CONVERGED on the saddle.  The pieces are merged
     with seam checks (a mismatch raises ``AnchorMismatch``) and the wave
     coordinate is based so that the launch point (w0_star, v0) sits at
     s = 0 in either regime.
@@ -572,39 +584,35 @@ def threshold_trajectory(
     ctr = controls if controls is not None else Controls()
     if result is None:
         result = find_w0_star(p, v0, method="both", controls=ctr)
-    regime = result.regime
-    saddle = _threshold_saddle(p, regime)
-    w0 = result.w0_star
-    # The relaxation tail starts one seed offset (~1e-7) from the saddle, so
-    # its dwell ball must be at least that wide or convergence never
-    # registers and the O(seed**2) drift along the expanding eigenvector
-    # eventually sweeps the leg off to a spurious blow-up.
-    tail_ctr = replace(ctr, eq_tol=max(ctr.eq_tol, 1e-6))
-
-    if regime == REGIME_FORWARD:
-        # Blow-up leg: backward from the launch point, off to v -> +inf.
-        leg_out = integrate(p, w0, v0, direction=BACKWARD, controls=ctr)
-        man = trace_stable_manifold(
-            p, saddle, v_stop=v0, manifold="stable", controls=ctr, seed_scale=_TAIL_SEED_SCALE
-        )
-        # Backward-direction trace: samples ascend from the v0-crossing
-        # (s[0]) up to the seed near the saddle (s[-1]).
-        seed_w, seed_v = sample_list(man, "w")[-1], sample_list(man, "v")[-1]
-        tail = integrate(p, seed_w, seed_v, direction=FORWARD, controls=tail_ctr)
+    forward = result.regime == REGIME_FORWARD
+    saddle = _threshold_saddle(p, result.regime)
+    kind = "stable" if forward else "unstable"
+    # the blow-up leg: backward to v -> +inf (forward regime), else forward to v -> -inf
+    leg_out = integrate(p, result.w0_star, v0, BACKWARD if forward else FORWARD, ctr)
+    man = trace_stable_manifold(p, saddle, v_stop=v0, manifold=kind, controls=ctr)
+    (ws, vs), (ew, ev), (ow, ov), mu, c, d, _ = _manifold_expansion(p, saddle, kind, _SEED_SCALE)
+    # The seed is where the trace started: its last sample in s when it ran
+    # backward (forward regime), else its first, at s = 0; then the piece
+    # ends at the seed one manifold span before the launch point at s = 0.
+    k = -1 if forward else 0
+    dw, dv = sample_list(man, "w")[k] - ws, sample_list(man, "v")[k] - vs
+    xi0 = (ov * dw - ow * dv) / (ew * ov - ev * ow)  # e*.(seed - S)
+    s0 = 0.0 if forward else -sample_list(man, "s")[-1]
+    xi, ball, cols = xi0, ctr.eq_tol * (1.0 + math.hypot(ws, vs)), ([], [], [], [])
+    while True:
+        t = (math.log(xi / xi0) + math.log1p(d * (xi0 - xi) / (mu + d * xi))) / mu
+        q, i2 = c * xi * xi, (c * ov * mu - d * ev) * (xi * xi - xi0 * xi0) / (2.0 * mu * mu)
+        sample = (s0 + t, ws + xi * ew + q * ow, vs + xi * ev + q * ov,
+                  vs * t + ev * (xi - xi0) / mu + i2)
+        for col, x in zip(cols, sample):
+            col.append(x)
+        if abs(xi) <= ball or 0.5 * xi == 0.0:  # in the ball, or at the float floor
+            break
+        xi *= 0.5
+    end = TerminationEvent(CONVERGED, *sample[:3], equilibrium_points(p).index((ws, vs)))
+    if forward:
+        tail = Trajectory(*cols, direction=FORWARD, termination=end, s_plus=math.inf)
         return merge_trajectories([leg_out, man, tail])
-
-    # Backward regime: the blow-up leg runs forward (v -> -inf), the
-    # unstable manifold is traced forward from the seed to the launch
-    # point, and the relaxation tail runs backward from the seed.
-    leg_out = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
-    man = trace_stable_manifold(
-        p, saddle, v_stop=v0, manifold="unstable", controls=ctr, seed_scale=_TAIL_SEED_SCALE
-    )
-    seed_w, seed_v = sample_list(man, "w")[0], sample_list(man, "v")[0]
-    # The tail starts one manifold span before the launch point, so the
-    # merge puts the launch point at s = 0.
-    man_s = sample_list(man, "s")
-    tail = integrate(
-        p, seed_w, seed_v, direction=BACKWARD, controls=tail_ctr, s0=-(man_s[-1] - man_s[0])
-    )
+    cols = [col[::-1] for col in cols]
+    tail = Trajectory(*cols, direction=BACKWARD, termination=end, s_minus=-math.inf)
     return merge_trajectories([tail, man, leg_out])

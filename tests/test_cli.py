@@ -306,6 +306,9 @@ class TestProfile:
         assert meta["s_minus"] < meta["s_plus"]
         _, data = read_csv(tmp_path / "profile.csv")
         assert np.all(np.isfinite(data)) and np.all(data[:, 1:] > 0.0)
+        # where v ties at the edge, s changes by less than its rounding; it
+        # must still not step back
+        assert np.all(np.diff(data[:, 0]) >= 0.0)
 
     def test_front_anchor_statically_invalid(self, capsys, tmp_path):
         code, _, err = run(

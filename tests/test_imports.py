@@ -2,7 +2,8 @@
 the process-pool machinery, and no computation loads SciPy: kswave does not
 depend on it.  numpy is imported only where it is used, so the README's
 `equilibria`, `shoot`, `portrait`, linear `profile` and `sweep` commands run
-without it."""
+without it.  No kswave module imports a private (underscore) name from
+another."""
 
 from __future__ import annotations
 
@@ -105,6 +106,17 @@ def test_no_module_imports_scipy():
 def test_no_module_imports_numpy_at_import_time():
     for name, tree in parsed_sources():
         assert "numpy" not in imported_packages(run_at_import(tree)), name
+
+
+def test_no_private_name_crosses_modules():
+    # a name with a leading underscore stays in the module that defines it
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "kswave"
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert private == [], (name, node.module, private)
 
 
 # the README commands that never need an array

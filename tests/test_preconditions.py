@@ -13,7 +13,7 @@ from kswave import cli
 from kswave.errors import DegenerateError, PreconditionError, RegimeViolation
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.phase import ModelParams
-from kswave.profiles import check_anchor, reconstruct, saturated_front, wave_trajectory
+from kswave.profiles import check_anchor, reconstruct, saturated_front, sweep, wave_trajectory
 from kswave.shooting import find_w0_star, shooting_regime, supplied_threshold
 
 REL = FluxLimiter(RELATIVISTIC, c=3.0)
@@ -157,6 +157,23 @@ def test_front_anchor_checks_raise_before_tracing(no_integration):
         saturated_front(p, v0=0.5, w0=0.5, branch="above")
     with pytest.raises(PreconditionError):
         saturated_front(P_LIN, v0=0.5, w0=5.0)
+
+
+@pytest.mark.parametrize("kw, word", [
+    ({"sigma_factors": [0.5, 1.0 + 1e-10]}, "degenerate"),
+    ({"v0_factor": 0.5}, "v0_factor"),
+    ({"v0_factor": math.nan}, "v0_factor"),
+    ({"v0_factor": math.inf}, "v0_factor"),
+    ({"check_samples": -3}, "check_samples"),
+    ({"workers": 0}, "workers"),
+], ids=["sigma-factor-one", "v0-factor-half", "v0-factor-nan", "v0-factor-inf",
+        "check-samples-negative", "workers-zero"])
+def test_sweep_ranges_are_checked_before_any_point(no_integration, kw, word):
+    # the library validates the whole grid's options, so no point runs and
+    # no worker pool starts; the CLI only maps the error to exit 2
+    args = {"a_values": [0.5, 2.0], "sigma_factors": [0.5], **kw}
+    with pytest.raises(PreconditionError, match=word):
+        sweep(P_LIN, **args)
 
 
 def test_supplied_threshold_carries_the_real_saddle():

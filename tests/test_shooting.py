@@ -28,8 +28,11 @@ from kswave.integrate import (
     V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
     Controls,
+    EventSpec,
+    integrate,
+    sample_list,
 )
-from kswave.phase import ModelParams, equilibria, regime_case
+from kswave.phase import ModelParams, equilibria, equilibrium_points, regime_case
 from kswave import shooting
 from kswave.shooting import (
     CONVERGES_TO,
@@ -178,32 +181,38 @@ class TestManifold:
         with pytest.raises(SeedEscaped, match=r"sign [+-]1: .*; sign [+-]1: "):
             trace_stable_manifold(P_C, equilibria(P_C)[0], v_stop=-5.0)
 
-    def test_v_stop_inside_the_seed_offset_is_a_precondition(self, monkeypatch):
-        # A stop level between the saddle and the seed is behind the trace
-        # from its start, so it is refused before any integration; a seed
-        # 1e-7 off the saddle lies inside that level, and reaches it.
+    def test_v_stop_inside_the_seed_offset_is_traced(self):
+        # A stop level between the saddle and the default seed is behind
+        # that seed, so the trace starts from a nearer one; it crosses the
+        # stop where the trace from a seed 1e-7 off does at rtol 1e-13 (at
+        # the default rtol that trace misses by 1e-7 relative this close to
+        # the saddle).
         saddle = equilibria(P_C)[0]
         v_stop = saddle.v + 1e-5
-        with monkeypatch.context() as m:
-            m.setattr(shooting, "integrate", None)
-            with pytest.raises(PreconditionError, match="between the saddle"):
-                trace_stable_manifold(P_C, saddle, v_stop=v_stop)
-        man = trace_stable_manifold(P_C, saddle, v_stop=v_stop, seed_scale=1e-7)
+        man = trace_stable_manifold(P_C, saddle, v_stop=v_stop)
+        near = trace_stable_manifold(P_C, saddle, v_stop=v_stop, controls=TIGHT, seed_scale=1e-7)
         assert man.termination.v == pytest.approx(v_stop, abs=1e-12)
+        assert man.termination.w == pytest.approx(near.termination.w, rel=1e-8)
+
+    def test_v_stop_at_the_saddle_is_a_precondition(self, monkeypatch):
+        # no seed lies beyond the saddle's own v: refused before any integration
+        saddle = equilibria(P_C)[0]
+        monkeypatch.setattr(shooting, "integrate", None)
+        with pytest.raises(PreconditionError, match="saddle's v"):
+            trace_stable_manifold(P_C, saddle, v_stop=saddle.v)
 
     def test_launch_inside_the_seed_offset_traces_from_the_near_seed(self):
         # Just below sigma_star the case-A interior saddle sits 1e-5 above
         # v = -v_star, and a backward launch 1e-5 below it lies inside the
-        # default seed's offset: find_w0_star traces from the 1e-7 seed.
+        # default seed's offset: the estimate is traced from a nearer seed,
+        # and agrees with the trace from a seed 1e-7 off.
         p = lp(0.5, 0.5 * (1.0 - 1e-5))
         v0 = -(1.0 + 1e-5)
         saddle = shooting._threshold_saddle(p, REGIME_BACKWARD)
-        with pytest.raises(PreconditionError):
-            trace_stable_manifold(p, saddle, v0, "unstable")
         near = trace_stable_manifold(p, saddle, v0, "unstable", seed_scale=1e-7)
         r = find_w0_star(p, v0)
         assert r.method == "Both"
-        assert r.manifold_estimate == near.termination.w
+        assert r.manifold_estimate == pytest.approx(near.termination.w, rel=1e-12)
 
     def test_rejects_non_saddle(self):
         node = [e for e in equilibria(P_C) if e.v > 0][0]
@@ -349,6 +358,34 @@ class TestThresholdTrajectory:
     def test_computes_result_when_omitted(self):
         traj = threshold_trajectory(P_C, 2.0)
         assert traj.termination.kind == CONVERGED
+
+    def test_zero_capture_ball(self, thr_c):
+        # with no capture ball the piece into the saddle samples down to the
+        # float floor
+        traj = threshold_trajectory(P_C, 2.0, result=thr_c, controls=Controls(eq_tol=0.0))
+        end = traj.termination
+        assert end.kind == CONVERGED
+        assert end.w <= 5e-324 and end.v == -P_C.v_star
+        assert np.all(np.diff(traj.s) > 0)
+
+    def test_small_contracting_eigenvalue(self):
+        # The saddle's contracting eigenvalue is -0.0076: from a seed 1e-7
+        # off the saddle the manifold trace would run out of span before v0.
+        p = lp(0.4641970312564978, 0.4578890094305824,
+               limiter=FluxLimiter(RELATIVISTIC, c=2.49338270690497))
+        v0 = 2.956811292294422
+        r = find_w0_star(p, v0)
+        traj = threshold_trajectory(p, v0, result=r)
+        end = traj.termination
+        assert end.kind == CONVERGED and traj.s_plus == math.inf
+        assert equilibrium_points(p)[end.equilibrium_index] == r.saddle
+        sw, sv = r.saddle
+        assert math.hypot(end.w - sw, end.v - sv) <= 1e-9 * (1.0 + math.hypot(sw, sv))
+        assert np.all(np.diff(traj.s) > 0)
+        i0 = int(np.argmin(np.abs(traj.s)))
+        assert traj.s[i0] == 0.0
+        assert traj.v[i0] == pytest.approx(v0, abs=1e-12)
+        assert traj.w[i0] == pytest.approx(r.w0_star, rel=1e-12)
 
 
 class TestSeededBisection:
@@ -689,3 +726,49 @@ def test_quadratic_seed_lies_on_the_manifold(case, backward, data):
         assume(False)
     far = trace_stable_manifold(p, saddle, v0, kind, TIGHT)
     assert abs(far.termination.w - near.termination.w) <= 1e-12 * near.termination.w
+
+
+@pytest.mark.parametrize("case, backward", CASE_REGIMES, ids=CASE_REGIME_IDS)
+@settings(max_examples=2, deadline=timedelta(seconds=10), database=None)
+@given(data=st.data())
+def test_sampled_critical_piece_retraces_to_the_seed(case, backward, data):
+    # The critical orbit's piece from the manifold seed into the saddle is
+    # sampled on the manifold's expansion.  Each sample, traced back at
+    # rtol 1e-13 to the seed's s, lands on the seed, with the piece's I.
+    # Only the 8 samples after the seed are retraced: from deeper ones the
+    # retrace's own error, controlled against the O(1) state, grows by the
+    # seed's distance over the sample's on the way back (to 4e-9 at the
+    # last samples of case A).
+    p, v0 = draw_launch(data, case, backward, relativistic=True)
+    try:
+        r = find_w0_star(p, v0, method="manifold")
+    except (PreconditionError, SeedEscaped):
+        # a relativistic limiter removed the interior saddle, or turned its
+        # manifold away from v0
+        assume(False)
+    pieces = []
+    merge = shooting.merge_trajectories
+
+    def spy(parts):
+        pieces[:] = parts
+        return merge(parts)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shooting, "merge_trajectories", spy)
+        threshold_trajectory(p, v0, result=r)
+    piece = pieces[0] if backward else pieces[-1]
+    s, w, v, ii = (sample_list(piece, name) for name in ("s", "w", "v", "integral"))
+    if backward:  # the seed is the piece's last sample in s
+        s, w, v, ii = s[::-1], w[::-1], v[::-1], ii[::-1]
+    at_seed = EventSpec(fn=lambda t, w_, v_: t - s[0], kind="AtSeed",
+                        direction=1 if backward else -1)
+    retrace = Controls(rtol=1e-13, s_max=1e4, w_min=0.0)
+    scale = 1.0 + math.hypot(*r.saddle)
+    for k in range(1, min(9, len(s))):
+        back = integrate(p, w[k], v[k], FORWARD if backward else BACKWARD, retrace, s0=s[k],
+                         extra_events=[at_seed])
+        end = back.termination
+        assert end.kind == "AtSeed"
+        assert math.hypot(end.w - w[0], end.v - v[0]) <= 1e-10 * scale, k
+        i_end = sample_list(back, "integral")[-1 if backward else 0]
+        assert abs(i_end - (ii[0] - ii[k])) <= 1e-10, k
