@@ -28,11 +28,15 @@ ascending s.  Both drivers step through `_march`, one adaptive loop with
 one predictive step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
-multiplies several times faster than numpy scalars: orbits take
-`_dop853_step`; graph legs, tails and flux-boundary legs `_graph_step`, a
-DP54 step that forms stage values for the first component alone, since a
-front's dense output is DP54's continuous extension.  Each sums in the
-generic tableau loop's order, so it gives that loop's results to the bit.
+multiplies several times faster than numpy scalars.  Orbits take the
+kernel `_dop853_step`, which evaluates the orbit's field inline at every
+stage from constants bound once per orbit, calling only a saturated
+limiter's g; `make_log_rhs`, the reference field, starts the march and
+rebuilds a step's stages for its continuous extension.  Graph legs, tails
+and flux-boundary legs take `_graph_step`, a DP54 step that forms stage
+values for the first component alone, since a front's dense output is
+DP54's continuous extension.  Each step sums in the generic tableau
+loop's order, so it gives that loop's results to the bit.
 A graph leg records each accepted step as one flat row of floats; after
 the march, h is folded into the extension's coefficients once per leg,
 and the dense output evaluates them by Horner's rule.
@@ -399,107 +403,130 @@ _D8 = (
 )
 
 
-def _dop853_step(f, t, y, k1, h):
-    """One DOP853 step of size h from state y=(x, v, I) with cached k1 = f(y).
+# The nonzero coefficients `_dop853_step` reads, bound once: _A8_i_j makes
+# stage i from stage j, _B8_j weighs stage j into the result, and _E5_j and
+# _E3_j into the error estimates.
+(
+    (_A8_2_1,), (_A8_3_1, _A8_3_2), (_A8_4_1, _, _A8_4_3), (_A8_5_1, _, _A8_5_3, _A8_5_4),
+    (_A8_6_1, _, _, _A8_6_4, _A8_6_5), (_A8_7_1, _, _, _A8_7_4, _A8_7_5, _A8_7_6),
+    (_A8_8_1, _, _, _A8_8_4, _A8_8_5, _A8_8_6, _A8_8_7),
+    (_A8_9_1, _, _, _A8_9_4, _A8_9_5, _A8_9_6, _A8_9_7, _A8_9_8),
+    (_A8_10_1, _, _, _A8_10_4, _A8_10_5, _A8_10_6, _A8_10_7, _A8_10_8, _A8_10_9),
+    (_A8_11_1, _, _, _A8_11_4, _A8_11_5, _A8_11_6, _A8_11_7, _A8_11_8, _A8_11_9, _A8_11_10),
+    (_A8_12_1, _, _, _A8_12_4, _A8_12_5, _A8_12_6, _A8_12_7, _A8_12_8, _A8_12_9, _A8_12_10,
+     _A8_12_11),
+    (_B8_1, _, _, _, _, _B8_6, _B8_7, _B8_8, _B8_9, _B8_10, _B8_11, _B8_12),
+) = _A8[1:]
+_E5_1, _, _, _, _, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = _E8_5
+_E3_1, _, _, _, _, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = _E8_3
 
-    `f(x, v)` gives the slopes of (x, v); on an orbit x is ln w.  The
-    orbit's field is autonomous, so t is not read; it is there so that
-    every step `_march` takes has the same signature.  Returns (y8, k13,
-    (err5, err3)): the 8th-order result, k13 = f(y8) (FSAL), and the 5th-
-    and 3rd-order error estimates per component, which `_march` combines.
-    dI/ds = v, so the third slope of each stage is its v, and the stage
-    values of I are never needed.  Every sum runs left to right over the
-    nonzero coefficients in tableau order, so the results equal the generic
-    tableau loop's on the slopes (f(x, v), v) to the bit.
+
+def _orbit_field(p: ModelParams) -> tuple:
+    """The constants (g, mu, a, sigma, gamma, lam) from which `_dop853_step`
+    evaluates an orbit's field; g is None for a linear limiter, g(y) = y/mu."""
+    lim = p.limiter
+    return (make_g(lim) if lim.saturated else None, lim.mu, p.a, p.sigma, p.gamma, p.lam)
+
+
+def _dop853_step(field, t, y, k1, h):
+    """One DOP853 step of size h on an orbit from y = (ln w, v, I), k1 the slopes there.
+
+    The field, of constants `field` (`_orbit_field`), is evaluated inline
+    at each stage with the operations of f = make_log_rhs(p), and every sum
+    runs left to right over the nonzero coefficients in tableau order, so
+    the results equal, to the bit, the generic tableau loop's on the slopes
+    (f(ln w, v), v).  t is not read (the field is autonomous): every step
+    `_march` takes has this signature.  Returns (y8, k13, (err5, err3)):
+    the 8th-order result, the slopes there (FSAL), and the 5th- and
+    3rd-order error estimates per component.  dI/ds = v, so the third
+    slope of each stage is its v, and I has no stage values.
     """
+    g, mu, a, sigma, gamma, lam = field
+    exp = math.exp
     w, v, ii = y
     k1w, k1v, k1i = k1
-    a1 = h * _A8[1][0]
+    a1 = h * _A8_2_1
     v2 = v + a1 * k1v
-    k2w, k2v = f(w + a1 * k1w, v2)
-    x1, x2 = _A8[2]
-    a1, a2 = h * x1, h * x2
+    k2w = ((a * v2 - sigma) / mu if g is None else g(a * v2 - sigma)) - v2
+    k2v = (lam - gamma * v2 * v2 - exp(w + a1 * k1w)) / gamma
+    a1, a2 = h * _A8_3_1, h * _A8_3_2
     v3 = v + a1 * k1v + a2 * k2v
-    k3w, k3v = f(w + a1 * k1w + a2 * k2w, v3)
-    x1, _, x3 = _A8[3]
-    a1, a3 = h * x1, h * x3
+    k3w = ((a * v3 - sigma) / mu if g is None else g(a * v3 - sigma)) - v3
+    k3v = (lam - gamma * v3 * v3 - exp(w + a1 * k1w + a2 * k2w)) / gamma
+    a1, a3 = h * _A8_4_1, h * _A8_4_3
     v4 = v + a1 * k1v + a3 * k3v
-    k4w, k4v = f(w + a1 * k1w + a3 * k3w, v4)
-    x1, _, x3, x4 = _A8[4]
-    a1, a3, a4 = h * x1, h * x3, h * x4
+    k4w = ((a * v4 - sigma) / mu if g is None else g(a * v4 - sigma)) - v4
+    k4v = (lam - gamma * v4 * v4 - exp(w + a1 * k1w + a3 * k3w)) / gamma
+    a1, a3, a4 = h * _A8_5_1, h * _A8_5_3, h * _A8_5_4
     v5 = v + a1 * k1v + a3 * k3v + a4 * k4v
-    k5w, k5v = f(w + a1 * k1w + a3 * k3w + a4 * k4w, v5)
-    x1, _, _, x4, x5 = _A8[5]
-    a1, a4, a5 = h * x1, h * x4, h * x5
+    k5w = ((a * v5 - sigma) / mu if g is None else g(a * v5 - sigma)) - v5
+    k5v = (lam - gamma * v5 * v5 - exp(w + a1 * k1w + a3 * k3w + a4 * k4w)) / gamma
+    a1, a4, a5 = h * _A8_6_1, h * _A8_6_4, h * _A8_6_5
     v6 = v + a1 * k1v + a4 * k4v + a5 * k5v
-    k6w, k6v = f(w + a1 * k1w + a4 * k4w + a5 * k5w, v6)
-    x1, _, _, x4, x5, x6 = _A8[6]
-    a1, a4, a5, a6 = h * x1, h * x4, h * x5, h * x6
+    k6w = ((a * v6 - sigma) / mu if g is None else g(a * v6 - sigma)) - v6
+    k6v = (lam - gamma * v6 * v6 - exp(w + a1 * k1w + a4 * k4w + a5 * k5w)) / gamma
+    a1, a4, a5, a6 = h * _A8_7_1, h * _A8_7_4, h * _A8_7_5, h * _A8_7_6
     v7 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v
-    k7w, k7v = f(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w, v7)
-    x1, _, _, x4, x5, x6, x7 = _A8[7]
-    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
+    k7w = ((a * v7 - sigma) / mu if g is None else g(a * v7 - sigma)) - v7
+    k7v = (lam - gamma * v7 * v7 - exp(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w)) / gamma
+    a1, a4, a5, a6, a7 = h * _A8_8_1, h * _A8_8_4, h * _A8_8_5, h * _A8_8_6, h * _A8_8_7
     v8 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v
-    k8w, k8v = f(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w, v8)
-    x1, _, _, x4, x5, x6, x7, x8 = _A8[8]
-    a1, a4, a5, a6, a7, a8 = h * x1, h * x4, h * x5, h * x6, h * x7, h * x8
+    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w
+    k8w = ((a * v8 - sigma) / mu if g is None else g(a * v8 - sigma)) - v8
+    k8v = (lam - gamma * v8 * v8 - exp(x)) / gamma
+    a1, a4, a5, a6 = h * _A8_9_1, h * _A8_9_4, h * _A8_9_5, h * _A8_9_6
+    a7, a8 = h * _A8_9_7, h * _A8_9_8
     v9 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
-    k9w, k9v = f(
-        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w, v9
-    )
-    x1, _, _, x4, x5, x6, x7, x8, x9 = _A8[9]
-    a1, a4, a5, a6, a7, a8, a9 = h * x1, h * x4, h * x5, h * x6, h * x7, h * x8, h * x9
+    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
+    k9w = ((a * v9 - sigma) / mu if g is None else g(a * v9 - sigma)) - v9
+    k9v = (lam - gamma * v9 * v9 - exp(x)) / gamma
+    a1, a4, a5, a6 = h * _A8_10_1, h * _A8_10_4, h * _A8_10_5, h * _A8_10_6
+    a7, a8, a9 = h * _A8_10_7, h * _A8_10_8, h * _A8_10_9
     v10 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v + a9 * k9v
-    k10w, k10v = f(
-        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w + a9 * k9w, v10
-    )
-    x1, _, _, x4, x5, x6, x7, x8, x9, x10 = _A8[10]
-    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
-    a8, a9, a10 = h * x8, h * x9, h * x10
+    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w + a9 * k9w
+    k10w = ((a * v10 - sigma) / mu if g is None else g(a * v10 - sigma)) - v10
+    k10v = (lam - gamma * v10 * v10 - exp(x)) / gamma
+    a1, a4, a5, a6 = h * _A8_11_1, h * _A8_11_4, h * _A8_11_5, h * _A8_11_6
+    a7, a8, a9, a10 = h * _A8_11_7, h * _A8_11_8, h * _A8_11_9, h * _A8_11_10
     v11 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
            + a9 * k9v + a10 * k10v)
-    k11w, k11v = f(
-        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
-        + a9 * k9w + a10 * k10w,
-        v11,
-    )
-    x1, _, _, x4, x5, x6, x7, x8, x9, x10, x11 = _A8[11]
-    a1, a4, a5, a6, a7 = h * x1, h * x4, h * x5, h * x6, h * x7
-    a8, a9, a10, a11 = h * x8, h * x9, h * x10, h * x11
+    x = (w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
+         + a9 * k9w + a10 * k10w)
+    k11w = ((a * v11 - sigma) / mu if g is None else g(a * v11 - sigma)) - v11
+    k11v = (lam - gamma * v11 * v11 - exp(x)) / gamma
+    a1, a4, a5, a6 = h * _A8_12_1, h * _A8_12_4, h * _A8_12_5, h * _A8_12_6
+    a7, a8, a9, a10, a11 = h * _A8_12_7, h * _A8_12_8, h * _A8_12_9, h * _A8_12_10, h * _A8_12_11
     v12 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
            + a9 * k9v + a10 * k10v + a11 * k11v)
-    k12w, k12v = f(
-        w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
-        + a9 * k9w + a10 * k10w + a11 * k11w,
-        v12,
-    )
-    x1, _, _, _, _, x6, x7, x8, x9, x10, x11, x12 = _A8[12]
-    b1, b6, b7, b8, b9 = h * x1, h * x6, h * x7, h * x8, h * x9
-    b10, b11, b12 = h * x10, h * x11, h * x12
+    x = (w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
+         + a9 * k9w + a10 * k10w + a11 * k11w)
+    k12w = ((a * v12 - sigma) / mu if g is None else g(a * v12 - sigma)) - v12
+    k12v = (lam - gamma * v12 * v12 - exp(x)) / gamma
+    b1, b6, b7, b8, b9 = h * _B8_1, h * _B8_6, h * _B8_7, h * _B8_8, h * _B8_9
+    b10, b11, b12 = h * _B8_10, h * _B8_11, h * _B8_12
     w13 = (w + b1 * k1w + b6 * k6w + b7 * k7w + b8 * k8w + b9 * k9w + b10 * k10w
            + b11 * k11w + b12 * k12w)
     v13 = (v + b1 * k1v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
            + b11 * k11v + b12 * k12v)
     i13 = (ii + b1 * k1i + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10
            + b11 * v11 + b12 * v12)
-    k13w, k13v = f(w13, v13)
-    e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12 = _E8_5
+    k13w = ((a * v13 - sigma) / mu if g is None else g(a * v13 - sigma)) - v13
+    k13v = (lam - gamma * v13 * v13 - exp(w13)) / gamma
     err5 = (
-        h * (0.0 + e1 * k1w + e6 * k6w + e7 * k7w + e8 * k8w + e9 * k9w + e10 * k10w
-             + e11 * k11w + e12 * k12w),
-        h * (0.0 + e1 * k1v + e6 * k6v + e7 * k7v + e8 * k8v + e9 * k9v + e10 * k10v
-             + e11 * k11v + e12 * k12v),
-        h * (0.0 + e1 * k1i + e6 * v6 + e7 * v7 + e8 * v8 + e9 * v9 + e10 * v10
-             + e11 * v11 + e12 * v12),
+        h * (0.0 + _E5_1 * k1w + _E5_6 * k6w + _E5_7 * k7w + _E5_8 * k8w + _E5_9 * k9w
+             + _E5_10 * k10w + _E5_11 * k11w + _E5_12 * k12w),
+        h * (0.0 + _E5_1 * k1v + _E5_6 * k6v + _E5_7 * k7v + _E5_8 * k8v + _E5_9 * k9v
+             + _E5_10 * k10v + _E5_11 * k11v + _E5_12 * k12v),
+        h * (0.0 + _E5_1 * k1i + _E5_6 * v6 + _E5_7 * v7 + _E5_8 * v8 + _E5_9 * v9
+             + _E5_10 * v10 + _E5_11 * v11 + _E5_12 * v12),
     )
-    e1, _, _, _, _, e6, e7, e8, e9, e10, e11, e12 = _E8_3
     err3 = (
-        h * (0.0 + e1 * k1w + e6 * k6w + e7 * k7w + e8 * k8w + e9 * k9w + e10 * k10w
-             + e11 * k11w + e12 * k12w),
-        h * (0.0 + e1 * k1v + e6 * k6v + e7 * k7v + e8 * k8v + e9 * k9v + e10 * k10v
-             + e11 * k11v + e12 * k12v),
-        h * (0.0 + e1 * k1i + e6 * v6 + e7 * v7 + e8 * v8 + e9 * v9 + e10 * v10
-             + e11 * v11 + e12 * v12),
+        h * (0.0 + _E3_1 * k1w + _E3_6 * k6w + _E3_7 * k7w + _E3_8 * k8w + _E3_9 * k9w
+             + _E3_10 * k10w + _E3_11 * k11w + _E3_12 * k12w),
+        h * (0.0 + _E3_1 * k1v + _E3_6 * k6v + _E3_7 * k7v + _E3_8 * k8v + _E3_9 * k9v
+             + _E3_10 * k10v + _E3_11 * k11v + _E3_12 * k12v),
+        h * (0.0 + _E3_1 * k1i + _E3_6 * v6 + _E3_7 * v7 + _E3_8 * v8 + _E3_9 * v9
+             + _E3_10 * v10 + _E3_11 * v11 + _E3_12 * v12),
     )
     return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
 
@@ -545,10 +572,11 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> 
 def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int = 5):
     """Adaptive march on the field f from (t, y), with cached slope data k1, to t_end.
 
-    `step(f, t, y, k1, h)` takes one step of signed size h and returns
-    (y1, k, est): the result, the slope data the next step starts from
-    (FSAL: the slope at y1, or stage slopes ending with it) and the error
-    estimate of the 3-component state.  Errors are scaled by
+    `step(f, t, y, k1, h)` takes one step of signed size h on f, a function
+    or an orbit's constants (`_orbit_field`), and returns (y1, k, est): the
+    result, the slope data the next step starts from (FSAL: the slope at
+    y1, or stage slopes ending with it) and the error estimate of the
+    3-component state.  Errors are scaled by
     atols[c] + rtol * max(|y[c]|, |y1[c]|), a leg's ln W too (near W = 1
     atol alone), except an orbit's ln w, whose scale rtol * max(1, w1/w) is
     w's relative scale carried over to ln w.
@@ -674,7 +702,7 @@ def integrate(
     if w0 < 0.0:
         raise ValueError("w0 must be nonnegative")
     sgn = 1.0 if direction == FORWARD else -1.0
-    f = make_log_rhs(p)
+    f, field = make_log_rhs(p), _orbit_field(p)
 
     events = list(extra_events)
     # each event's fn, and whether it fires rising and falling (`_crossed`)
@@ -770,7 +798,7 @@ def integrate(
         dwell_idx, dwell_s, leg_side, in_box = eq_ball(w, v), s, 0, False
         h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
         march = _march(
-            _dop853_step, f, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
+            _dop853_step, field, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
         )
         for s_old, y_old, k1_old, h, s, y, _ in march:
             w_old, w, v = w, math.exp(y[0]), y[1]
@@ -791,7 +819,7 @@ def integrate(
                         fired.append((ev, ev.fn(s, w, v)))
             if fired:
                 ev, theta, y_ev = _first_event(
-                    f, s_old, y_old, k1_old, h, y, fired, (s_old, w_old, y_old[1])
+                    f, field, s_old, y_old, k1_old, h, y, fired, (s_old, w_old, y_old[1])
                 )
                 s_ev = s if theta >= 1.0 else s_old + h * theta
                 w_ev = math.exp(y_ev[0])
@@ -835,28 +863,22 @@ def _stage(f, y, ks, row, h):
     return f(x0, x1) + (x1,)
 
 
-def _dop853_dense(f, y, k1, h):
-    """The continuous extension of the DOP853 step of size h from y, k1 = f(y).
+def _dop853_dense(f, y, y1, k1, h):
+    """The continuous extension of the DOP853 step of size h from y to y1,
+    with k1 the slopes at y and f the orbit's field (`make_log_rhs`).
 
     Returns, per component of y, the coefficients (r0, ..., r6) of
     y(theta) = y + theta*(r0 + (1-theta)*(r1 + theta*(r2 + (1-theta)*(r3
     + theta*(r4 + (1-theta)*(r5 + theta*r6)))))), Hairer's contd8, of
-    order 7.  The step is taken again to keep its stage slopes, and three
-    extra stages are taken.  If an extra stage leaves the field's domain,
-    r3 to r6 are 0: the cubic Hermite interpolant of the step's ends and
-    end slopes.
+    order 7.  The step's stage slopes are rebuilt by `_stage`, which sums
+    as `_dop853_step` does, so they are the step's own and the 13th is the
+    slope at y1; then three extra stages are taken.  If an extra stage
+    leaves the field's domain, r3 to r6 are 0: the cubic Hermite
+    interpolant of the step's ends and end slopes.
     """
     ks = [k1]
-
-    def recorded(x, v):
-        k = f(x, v)
-        ks.append(k + (v,))
-        return k
-
-    # the same floats as the step taken before, so y1 is its result and
-    # ks[12] the slope there
-    y1 = _dop853_step(recorded, 0.0, y, k1, h)[0]
-    k13 = ks[12]
+    for row in _A8[1:]:
+        ks.append(_stage(f, y, ks, row, h))
     try:
         for row in _A8_EXTRA:
             ks.append(_stage(f, y, ks, row, h))
@@ -874,7 +896,7 @@ def _dop853_dense(f, y, k1, h):
             sums.append((h * a, h * b, h * c))
         high = tuple(zip(*sums))
     coeffs = []
-    for y0, y1c, s1, s13, rest in zip(y, y1, k1, k13, high):
+    for y0, y1c, s1, s13, rest in zip(y, y1, k1, ks[12], high):
         r0 = y1c - y0
         r1 = h * s1 - r0
         coeffs.append((r0, r1, r0 - h * s13 - r1, *rest))
@@ -891,9 +913,10 @@ def _dense_at(y0: float, c: tuple, theta: float) -> float:
     ))))
 
 
-def _first_event(f, s, y, k1, h, y1, fired, start):
+def _first_event(f, field, s, y, k1, h, y1, fired, start):
     """Locate the earliest of the events that fired on the orbit step from
-    (s, y) of signed size h to y1, k1 = f(y).
+    (s, y) of signed size h to y1, k1 the slopes at y, on the field f
+    (`make_log_rhs`) of constants `field` (`_orbit_field`).
 
     `fired` lists (EventSpec, value at the step's end) in tie-breaking
     order, and `start` is the state (s, w, v) at the step's start.  Each
@@ -904,7 +927,7 @@ def _first_event(f, s, y, k1, h, y1, fired, start):
     state is an 8th-order partial-step state.  Returns (event, theta,
     state (ln w, v, I)).
     """
-    coeffs = _dop853_dense(f, y, k1, h)
+    coeffs = _dop853_dense(f, y, y1, k1, h)
     (lw0, c_lw), (v0, c_v) = zip(y[:2], coeffs)
 
     def at(theta: float) -> tuple[float, float, float]:
@@ -923,7 +946,7 @@ def _first_event(f, s, y, k1, h, y1, fired, start):
     if theta >= 1.0:
         return ev, 1.0, y1
     try:
-        yt = _dop853_step(f, s, y, k1, h * theta)[0]
+        yt = _dop853_step(field, s, y, k1, h * theta)[0]
         e = ev.fn(s + h * theta, math.exp(yt[0]), yt[1])
         if e != 0.0:
             d = 1e-6
@@ -931,7 +954,7 @@ def _first_event(f, s, y, k1, h, y1, fired, start):
             step = e / slope if slope != 0.0 else math.nan
             if math.isfinite(step):
                 theta = min(max(theta - step, 0.0), 1.0)
-                yt = y1 if theta == 1.0 else _dop853_step(f, s, y, k1, h * theta)[0]
+                yt = y1 if theta == 1.0 else _dop853_step(field, s, y, k1, h * theta)[0]
     except (DomainError, ZeroDivisionError, OverflowError):
         yt = tuple(_dense_at(y0, c, theta) for y0, c in zip(y, coeffs))
     return ev, theta, yt
@@ -968,14 +991,13 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     There |v| > v_star, so v' = F = (lam - gamma*v^2 - w)/gamma < 0 and v
     runs monotonically outward.  `_march_to_end` marches it in tau = ln|v|
     up to ln v_max, ending V_BLOW_UP_*, with state (ln w, r = s - 1/v, I)
-    and slopes (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F.
-    r is carried in place of s because s moves by 1/|v| per unit of tau
-    while its error scale is |s|; r moves by O(|v|^-3) and tends to the
-    edge itself.  DP54 in s took about 88 steps per decade of v here, this
-    about 5.
+    and slopes (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F,
+    where g(y) = y/mu: tails run for linear limiters only.  r is carried
+    in place of s because s moves by 1/|v| per unit of tau while its error
+    scale is |s|; r moves by O(|v|^-3) and tends to the edge itself.  DP54
+    in s took about 88 steps per decade of v here, this about 5.
     """
-    g = make_g(p.limiter)
-    a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
+    mu, a, sigma, gamma, lam = p.limiter.mu, p.a, p.sigma, p.gamma, p.lam
     lw, v, ii = y
     vsign = math.copysign(1.0, v)
 
@@ -984,7 +1006,7 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
         wt = math.exp(x)
         F = lam - gamma * vt * vt - wt
         ds = gamma * vt / F
-        return (g(a * vt - sigma) - vt) * ds, (lam - wt) / (vt * F), vt * ds
+        return ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
 
     def state(t, y):
         # the march lands on t_end exactly, where |v| is v_max itself
@@ -1132,7 +1154,6 @@ def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
         keep.append(len(s) - 1)
         s, w, v, ii = ([x[k] for k in keep] for x in (s, w, v, ii))
 
-    s_minus = s_plus = None
     edge = None
     if term.kind in (V_BLOW_UP_PLUS, V_BLOW_UP_MINUS):
         # near blow-up v' ~ -v^2, so the asymptote sits at s - 1/v + O(|v|^-3)
@@ -1142,22 +1163,10 @@ def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
     elif term.kind in (FLUX_BOUNDARY_LOW, FLUX_BOUNDARY_HIGH):
         # a flux-boundary leg ends on the edge itself
         edge = term.s
-    if edge is not None:
-        if direction == FORWARD:
-            s_plus = edge
-        else:
-            s_minus = edge
+    s_minus, s_plus = (None, edge) if direction == FORWARD else (edge, None)
 
-    return Trajectory(
-        s=s,
-        w=w,
-        v=v,
-        integral=ii,
-        direction=direction,
-        termination=term,
-        s_minus=s_minus,
-        s_plus=s_plus,
-    )
+    return Trajectory(s=s, w=w, v=v, integral=ii, direction=direction, termination=term,
+                      s_minus=s_minus, s_plus=s_plus)
 
 
 def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> Trajectory:
@@ -1210,17 +1219,8 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
     s_plus = last.s_plus
     if s_plus is not None and math.isfinite(s_plus):
         s_plus += last_shift_s
-    return Trajectory(
-        s=s,
-        w=w,
-        v=v,
-        integral=ii,
-        direction=BOTH,
-        termination=high_ev,
-        termination_start=low_ev,
-        s_minus=first.s_minus,
-        s_plus=s_plus,
-    )
+    return Trajectory(s=s, w=w, v=v, integral=ii, direction=BOTH, termination=high_ev,
+                      termination_start=low_ev, s_minus=first.s_minus, s_plus=s_plus)
 
 
 def _joined(cols: list, shifts: list[float], arrays: bool):

@@ -54,15 +54,23 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
     assert methods == ["Both"] * 16
 
 
+# Stage evaluations of the orbit field per call of the orbit kernel: it
+# evaluates the field inline, at stages 2 to 13.
+KERNEL_EVALS = 12
+
+
 def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     """Per op of round 0 (seed 0) of workload `name`: [accepted steps,
     right-hand-side evaluations, step attempts] of every march the op runs,
     orbits, blow-up tails and graph legs together, and then every
-    evaluation of an orbit's field (`make_log_rhs`).  The march's
-    evaluations are those the steps make, rejected steps included; the
-    orbit field's count adds each orbit's start and event location."""
+    evaluation of an orbit's field, by the orbit kernel (`_dop853_step`)
+    or by `make_log_rhs`.  The march's evaluations are those the steps
+    make, rejected steps included; the orbit field's count adds each
+    orbit's start and event location.  Each kernel call counts
+    KERNEL_EVALS, which a call that raises in a stage has not made, so
+    none may raise."""
     integrate = importlib.import_module("kswave.integrate")
-    march, make_log_rhs = integrate._march, integrate.make_log_rhs
+    march, make_log_rhs, kernel = integrate._march, integrate.make_log_rhs, integrate._dop853_step
     work = []
 
     def counted_field(p):
@@ -74,6 +82,13 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
 
         return field
 
+    def counted_kernel(*x):
+        work[-1][3] += KERNEL_EVALS
+        try:
+            return kernel(*x)
+        except Exception as exc:
+            raise AssertionError("an orbit step raised: its evaluations are miscounted") from exc
+
     def counted(step, f, *args, **kwargs):
         def field(*x):
             work[-1][1] += 1
@@ -81,9 +96,12 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
 
         def attempt(*x):
             work[-1][2] += 1
+            if step is counted_kernel:
+                work[-1][1] += KERNEL_EVALS
             return step(*x)
 
-        for item in march(attempt, field, *args, **kwargs):
+        # the kernel takes the field's constants, not a function to count
+        for item in march(attempt, f if step is counted_kernel else field, *args, **kwargs):
             work[-1][0] += 1
             yield item
 
@@ -91,6 +109,7 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     wl.prepare()
     monkeypatch.setattr(integrate, "_march", counted)
     monkeypatch.setattr(integrate, "make_log_rhs", counted_field)
+    monkeypatch.setattr(integrate, "_dop853_step", counted_kernel)
     for op in wl.round(0):
         work.append([0, 0, 0, 0])
         wl.run(op)

@@ -19,6 +19,7 @@ from kswave.errors import (
     DenominatorVanished,
     DomainError,
     Inconclusive,
+    KswaveError,
     StepSizeUnderflow,
 )
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
@@ -42,7 +43,7 @@ from kswave.integrate import (
     merge_trajectories,
     sample_list,
 )
-from kswave.phase import ModelParams, equilibria, make_log_rhs, make_rhs
+from kswave.phase import ModelParams, equilibria, make_log_rhs
 from kswave.profiles import graph_trajectory
 
 SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
@@ -496,7 +497,7 @@ def generic_rk_step(f, t, y, k1, h):
 
 
 def generic_dop853_step(f, t, y, k1, h):
-    """The generic DOP853 tableau loop on the orbit slopes (f(w, v), v).
+    """The generic DOP853 tableau loop on the orbit slopes (f(ln w, v), v).
 
     Row i of the tableau makes stage i + 1 and the last row the result; each
     sum runs left to right over the nonzero coefficients, each error sum from
@@ -527,6 +528,10 @@ def generic_dop853_step(f, t, y, k1, h):
 
 STEP_PARAMS = {
     LINEAR: ModelParams(a=1.0, sigma=0.5),
+    # mu, gamma and lam other than 1: with 1, x/mu and x*(1/mu) agree
+    "linear-mu0.7-gamma0.8-lam1.3": ModelParams(
+        a=1.0, sigma=0.5, gamma=0.8, lam=1.3, limiter=FluxLimiter(LINEAR, mu=0.7)
+    ),
     # slope domain (-1.87, 2.13)
     RELATIVISTIC: ModelParams(a=1.5, sigma=0.2, limiter=FluxLimiter(RELATIVISTIC, c=3.0)),
     # slope domain (-1.42, 1.92)
@@ -538,14 +543,25 @@ def flat(x):
     return [z for part in x for z in flat(part)] if isinstance(x, tuple) else [x]
 
 
-def step_outcome(stepper, f, y, h):
-    """Bit patterns of (y1, k_new, error estimates), or the name of the error raised."""
+def step_outcome(stepper, field, f, y, h):
+    """Bit patterns of (y1, k_new, error estimates) of stepper(field, 0, y,
+    k1, h), k1 the slopes (f(ln w, v), v) at y, or the name of the error raised."""
     k1 = f(y[0], y[1]) + (y[1],)
     try:
-        out = flat(stepper(f, 0.0, y, k1, h))
-    except DomainError:
-        return "DomainError"
+        out = flat(stepper(field, 0.0, y, k1, h))
+    except (DomainError, OverflowError) as exc:
+        return type(exc).__name__
     return struct.pack(f"<{len(out)}d", *out)
+
+
+def kernel_against_reference(p, y, h):
+    """The outcomes of the orbit kernel on p and of the generic loop on
+    make_log_rhs(p), from y with a step of size h."""
+    f = make_log_rhs(p)
+    return (
+        step_outcome(INTEGRATE._dop853_step, INTEGRATE._orbit_field(p), f, y, h),
+        step_outcome(generic_dop853_step, f, f, y, h),
+    )
 
 
 STEP_SETTINGS = settings(max_examples=300, deadline=timedelta(seconds=2), database=None)
@@ -554,23 +570,21 @@ STEP_SETTINGS = settings(max_examples=300, deadline=timedelta(seconds=2), databa
 @STEP_SETTINGS
 @given(
     kind=st.sampled_from(sorted(STEP_PARAMS)),
-    w=st.just(-0.0) | st.floats(0.0, 1e3),
+    lw=st.just(-math.inf) | st.floats(-50.0, math.log(1e3)),
     v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ii=st.floats(-1e3, 1e3),
     h=st.floats(1e-9, 2.0),
     sign=st.sampled_from([1.0, -1.0]),
 )
-def test_stepper_bit_equal_to_reference(kind, w, v_frac, ii, h, sign):
+def test_stepper_bit_equal_to_reference(kind, lw, v_frac, ii, h, sign):
+    # ln w = -inf is the axis w = 0
     p = STEP_PARAMS[kind]
     lo, hi = p.slope_domain
     lo, hi = max(lo, -50.0), min(hi, 50.0)
     v = lo + v_frac * (hi - lo)
     assume(lo < v < hi)
-    f = make_rhs(p)
-    y = (w, v, ii)
-    assert step_outcome(INTEGRATE._dop853_step, f, y, sign * h) == step_outcome(
-        generic_dop853_step, f, y, sign * h
-    )
+    kernel, reference = kernel_against_reference(p, (lw, v, ii), sign * h)
+    assert kernel == reference
 
 
 @STEP_SETTINGS
@@ -586,24 +600,21 @@ def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
     lo, hi = p.slope_domain
     v = hi - gap * (hi - lo) if edge > 0 else lo + gap * (hi - lo)
     assume(lo < v < hi)
-    f = make_rhs(p)
-    y = (w, v, 0.5)
-    assert step_outcome(INTEGRATE._dop853_step, f, y, sign * h) == step_outcome(
-        generic_dop853_step, f, y, sign * h
-    )
+    kernel, reference = kernel_against_reference(p, (math.log(w), v, 0.5), sign * h)
+    assert kernel == reference
 
 
 def test_stepper_domain_error_propagates():
     p = STEP_PARAMS[RELATIVISTIC]
-    f = make_rhs(p)
+    f = make_log_rhs(p)
     v = p.slope_domain[1] - 1e-6
-    k1 = f(1.0, v) + (v,)
+    k1 = f(0.0, v) + (v,)
     # a unit step in the direction that raises v leaves the slope domain
     h = math.copysign(1.0, k1[1])
     with pytest.raises(DomainError):
-        generic_dop853_step(f, 0.0, (1.0, v, 0.0), k1, h)
+        generic_dop853_step(f, 0.0, (0.0, v, 0.0), k1, h)
     with pytest.raises(DomainError):
-        INTEGRATE._dop853_step(f, 0.0, (1.0, v, 0.0), k1, h)
+        INTEGRATE._dop853_step(INTEGRATE._orbit_field(p), 0.0, (0.0, v, 0.0), k1, h)
 
 
 def test_dop853_constants_match_scipy():
@@ -638,7 +649,8 @@ def test_continuous_extension_order(kind, sign):
     # Against exact partial steps, the extension's error falls like h^8 and
     # its cubic Hermite part's like h^4 (2^8 = 256 and 2^4 = 16 per halving);
     # both meet the step's ends.
-    f = make_log_rhs(STEP_PARAMS[kind])
+    p = STEP_PARAMS[kind]
+    f, field = make_log_rhs(p), INTEGRATE._orbit_field(p)
     y = (math.log(0.7), 0.8, 0.25)
     k1 = f(y[0], y[1]) + (y[1],)
 
@@ -647,21 +659,66 @@ def test_continuous_extension_order(kind, sign):
 
     errors = []
     for h in (0.2 * sign, 0.1 * sign):
-        y1 = INTEGRATE._dop853_step(f, 0.0, y, k1, h)[0]
-        coeffs = INTEGRATE._dop853_dense(f, y, k1, h)
+        y1 = INTEGRATE._dop853_step(field, 0.0, y, k1, h)[0]
+        coeffs = INTEGRATE._dop853_dense(f, y, y1, k1, h)
         hermite = tuple(c[:3] + (0.0,) * 4 for c in coeffs)
         assert all(len(c) == 7 and any(c[3:]) for c in coeffs)
         assert dense(coeffs, 0.0) == y
         assert dense(coeffs, 1.0) == pytest.approx(y1, rel=1e-15, abs=1e-16)
         err = [0.0, 0.0]
         for theta in (0.1, 0.37, 0.5, 0.8, 0.95):
-            exact = INTEGRATE._dop853_step(f, 0.0, y, k1, theta * h)[0]
+            exact = INTEGRATE._dop853_step(field, 0.0, y, k1, theta * h)[0]
             for j, part in enumerate((coeffs, hermite)):
                 err[j] = max(err[j], *(abs(a - b) for a, b in zip(dense(part, theta), exact)))
         errors.append(err)
     (ext_h, herm_h), (ext_h2, herm_h2) = errors
     assert ext_h2 < 1e-10 and ext_h / ext_h2 > 100.0
     assert ext_h2 < 1e-4 * herm_h2 and herm_h / herm_h2 > 12.0
+
+
+def orbit_outcome(p, w0, v0, direction, events):
+    """An orbit's samples as bit patterns, with its end events and edges,
+    or the type and message of the error it raised."""
+    try:
+        traj = integrate(
+            p, w0, v0, direction=direction, controls=Controls(s_max=50.0), extra_events=events
+        )
+    except KswaveError as exc:
+        return type(exc).__name__, str(exc)
+    samples = [sample_list(traj, name) for name in SAMPLES]
+    bits = [struct.pack(f"<{len(x)}d", *x) for x in samples]
+    return bits, traj.termination, traj.termination_start, traj.s_minus, traj.s_plus
+
+
+@settings(max_examples=12, deadline=timedelta(seconds=10), database=None)
+@given(
+    kind=st.sampled_from(sorted(STEP_PARAMS)),
+    w0=st.floats(1e-3, 5.0),
+    v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    direction=st.sampled_from([FORWARD, BACKWARD]),
+    level_frac=st.none() | st.floats(0.0, 1.0),
+)
+def test_orbit_bit_equal_to_reference(kind, w0, v_frac, direction, level_frac):
+    # Whole orbits, event location and the march's error norm included: the
+    # kernel gives what the generic loop on make_log_rhs gives, to the bit.
+    # An optional extra event, a level of v, is located on the extension.
+    p = STEP_PARAMS[kind]
+    lo, hi = p.slope_domain
+    lo, hi = max(lo, -5.0), min(hi, 5.0)
+    v0 = lo + v_frac * (hi - lo)
+    assume(lo < v0 < hi)
+    events = []
+    if level_frac is not None:
+        level = lo + level_frac * (hi - lo)
+        events.append(EventSpec(fn=lambda s, w, v: v - level, kind="Level"))
+    kernel = orbit_outcome(p, w0, v0, direction, events)
+    f = make_log_rhs(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            INTEGRATE, "_dop853_step", lambda _, t, y, k1, h: generic_dop853_step(f, t, y, k1, h)
+        )
+        reference = orbit_outcome(p, w0, v0, direction, events)
+    assert kernel == reference
 
 
 # --------------------------------------------------------------------------
@@ -862,9 +919,12 @@ def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction
     # on the exact partial step still puts the switch level of the
     # flux-boundary leg where it was, and the leg ends on the edge
     forced = []
+    stage = INTEGRATE._stage
 
     def raising(f, y, ks, row, h):
-        # `_stage` takes the extension's extra stages
+        # `_stage` rebuilds the step's stages, then takes the extra ones
+        if row not in INTEGRATE._A8_EXTRA:
+            return stage(f, y, ks, row, h)
         forced.append(row)
         raise DomainError("forced in an extra stage")
 
@@ -902,6 +962,16 @@ def test_huge_launch_density_underflows():
 # --------------------------------------------------------------------------
 # non-finite tolerances and states fail fast
 # --------------------------------------------------------------------------
+
+
+def inject_field(monkeypatch, field):
+    """Make `integrate` march its orbits on field(ln w, v) in place of the
+    model's: the orbit kernel is the generic DOP853 loop on field, and
+    make_log_rhs, which starts the march and locates events, returns it."""
+    monkeypatch.setattr(INTEGRATE, "make_log_rhs", lambda p: field)
+    monkeypatch.setattr(
+        INTEGRATE, "_dop853_step", lambda _, t, y, k1, h: generic_dop853_step(field, t, y, k1, h)
+    )
 
 
 class TestNonFinite:
@@ -968,12 +1038,7 @@ class TestNonFinite:
         # A field that is NaN past v = 2: before any event, the run must end
         # in StepSizeUnderflow instead of accepting NaN steps until the step
         # budget runs out.
-        mod = importlib.import_module("kswave.integrate")
-
-        def field(p):
-            return lambda w, v: (math.nan, math.nan) if v > 2.0 else (0.0, 1.0)
-
-        monkeypatch.setattr(mod, "make_log_rhs", field)
+        inject_field(monkeypatch, lambda w, v: (math.nan, math.nan) if v > 2.0 else (0.0, 1.0))
         with pytest.raises(StepSizeUnderflow):
             integrate(COTH_P, 1.0, 0.0, controls=Controls(s_max=10.0, max_steps=20_000))
 
@@ -981,7 +1046,6 @@ class TestNonFinite:
         # A field that leaves its domain short of the switch level of the
         # flux-boundary leg: steps that keep raising DomainError there have
         # not arrived anywhere, and neither have steps that turn NaN.
-        mod = importlib.import_module("kswave.integrate")
         p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
         lo, hi = p.slope_domain
         wall = hi - 2e-3 * (hi - lo)  # the switch level is 1e-3 * (hi - lo) short
@@ -993,10 +1057,10 @@ class TestNonFinite:
                 if exc is None:
                     return math.nan, math.nan
                 raise exc("past the wall")
-            return lambda p: field
+            return field
 
         for exc in (DomainError, None):
-            monkeypatch.setattr(mod, "make_log_rhs", field_raising(exc))
+            inject_field(monkeypatch, field_raising(exc))
             with pytest.raises(StepSizeUnderflow):
                 integrate(p, 1.0, 0.0)
 
