@@ -3,8 +3,8 @@
 Two complementary drivers live here.  `integrate` advances (w, v) in the
 wave coordinate s with the 8(5,3) Dormand-Prince pair DOP853, locating
 termination events (slope blow-up, equilibrium capture, flux-boundary
-arrival, vanishing w, span exhaustion) on a step's 7th-order continuous
-extension and correcting each on the exact partial step.  It also
+arrival, vanishing w, span exhaustion) on a step's quintic Hermite
+interpolant and correcting each on the exact partial step.  It also
 carries I(s) = integral of v ds, from which the signal S is reconstructed
 later as S = S0 * exp(I - I0).  Its state is (ln w, v, I): where w
 decays or grows exponentially near the invariant axis w = 0 (ln w = -inf),
@@ -31,15 +31,18 @@ Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars.  Orbits take the
 kernel `_dop853_step`, which evaluates the orbit's field inline at every
 stage from constants bound once per orbit, calling only a saturated
-limiter's g; `make_log_rhs`, the reference field, starts the march and
-rebuilds a step's stages for its continuous extension.  Graph legs, tails
-and flux-boundary legs take `_graph_step`, a DP54 step that forms stage
-values for the first component alone, since a front's dense output is
-DP54's continuous extension.  Each step sums in the generic tableau
-loop's order, so it gives that loop's results to the bit.
-A graph leg records each accepted step as one flat row of floats; after
-the march, h is folded into the extension's coefficients once per leg,
-and the dense output evaluates them by Horner's rule.
+limiter's g; `make_log_rhs`, the reference field, starts the march.  The
+kernel is the only DOP853 step: to locate an event, a step is
+interpolated by the quintic in Hermite form on its ends and its middle,
+whose state and slope one more kernel call, an exact half step, gives
+(`_step_quintic`).  Graph legs, tails and flux-boundary legs take
+`_graph_step`, a DP54 step that forms stage values for the first
+component alone, since a front's dense output is DP54's continuous
+extension.  Each step sums in the generic tableau loop's order, so it
+gives that loop's results to the bit.  A graph leg records each accepted
+step as one flat row of floats; after the march, h is folded into the
+extension's coefficients once per leg, and the dense output evaluates
+them by Horner's rule.
 """
 
 from __future__ import annotations
@@ -355,52 +358,6 @@ _E8_5 = (
 _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
-# DOP853's continuous extension (dop853.f, contd8; Solving ODEs I, II.6).
-# Rows of _A8_EXTRA make the extra stages 14, 15 and 16 from stages 1 to
-# 13, the 13th being the slope at the step's result; rows of _D8 weigh
-# stages 1 to 16 into the extension's coefficients 4 to 7.
-_A8_EXTRA = (
-    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
-     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
-     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
-     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3),
-    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
-     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
-     -5.49237485713909884646569340306e-2, 0.0, 0.0,
-     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
-     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
-    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
-     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
-     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
-     -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
-     -9.15095847217987001081870187138),
-)
-_D8 = (
-    (-0.84289382761090128651353491142e1, 0.0, 0.0, 0.0, 0.0, 0.56671495351937776962531783590,
-     -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
-     0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
-     0.22404374302607882758541771650e1, 0.63157877876946881815570249290,
-     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
-     -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1),
-    (0.10427508642579134603413151009e2, 0.0, 0.0, 0.0, 0.0, 0.24228349177525818288430175319e3,
-     0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
-     -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
-     -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1,
-     0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
-     -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2),
-    (0.19985053242002433820987653617e2, 0.0, 0.0, 0.0, 0.0, -0.38703730874935176555105901742e3,
-     -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
-     -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
-     -0.10006050966910838403183860980e1, 0.77771377980534432092869265740,
-     -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
-     0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2),
-    (-0.25693933462703749003312586129e2, 0.0, 0.0, 0.0, 0.0, -0.15418974869023643374053993627e3,
-     -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
-     0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
-     0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2,
-     -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
-     -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3),
-)
 
 
 # The nonzero coefficients `_dop853_step` reads, bound once: _A8_i_j makes
@@ -690,9 +647,9 @@ def integrate(
     in the capture ball of an equilibrium ends CONVERGED, with
     `equilibrium_index` indexing `equilibria(p)`.  The orbit steps with
     DOP853 in the state (ln w, v, I) (see the module docstring); events are
-    located on a step's continuous extension and corrected on its partial
-    steps (`_first_event`).  Samples, events and the capture balls see
-    w = e^(ln w).
+    located on a step's quintic Hermite interpolant, from its ends and an
+    exact half step, and corrected on its partial steps (`_first_event`).
+    Samples, events and the capture balls see w = e^(ln w).
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
@@ -800,7 +757,7 @@ def integrate(
         march = _march(
             _dop853_step, field, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
         )
-        for s_old, y_old, k1_old, h, s, y, _ in march:
+        for s_old, y_old, k1_old, h, s, y, k13 in march:
             w_old, w, v = w, math.exp(y[0]), y[1]
             # --- event detection along this accepted step ---
             # extra events come first, so they win ties
@@ -819,7 +776,7 @@ def integrate(
                         fired.append((ev, ev.fn(s, w, v)))
             if fired:
                 ev, theta, y_ev = _first_event(
-                    f, field, s_old, y_old, k1_old, h, y, fired, (s_old, w_old, y_old[1])
+                    field, s_old, y_old, k1_old, h, y, k13, fired, (s_old, w_old, y_old[1])
                 )
                 s_ev = s if theta >= 1.0 else s_old + h * theta
                 w_ev = math.exp(y_ev[0])
@@ -851,89 +808,66 @@ def integrate(
     return _assemble(ss, ws, vs, iis, direction, term)
 
 
-def _stage(f, y, ks, row, h):
-    """The slopes (of ln w, v, I) of the DOP853 stage that `row` of the
-    tableau makes from the stage slopes ks of a step of size h from y."""
-    x0, x1, _ = y
-    for a, k in zip(row, ks):
-        if a:
-            ha = h * a
-            x0 += ha * k[0]
-            x1 += ha * k[1]
-    return f(x0, x1) + (x1,)
+def _step_quintic(field, y, k1, h, y1, k13):
+    """The quintic Hermite interpolant of the orbit step of size h from y to
+    y1, k1 and k13 the slopes there, on the field of constants `field`
+    (`_orbit_field`); see Hairer, Norsett & Wanner, Solving ODEs I, II.6.
 
-
-def _dop853_dense(f, y, y1, k1, h):
-    """The continuous extension of the DOP853 step of size h from y to y1,
-    with k1 the slopes at y and f the orbit's field (`make_log_rhs`).
-
-    Returns, per component of y, the coefficients (r0, ..., r6) of
-    y(theta) = y + theta*(r0 + (1-theta)*(r1 + theta*(r2 + (1-theta)*(r3
-    + theta*(r4 + (1-theta)*(r5 + theta*r6)))))), Hairer's contd8, of
-    order 7.  The step's stage slopes are rebuilt by `_stage`, which sums
-    as `_dop853_step` does, so they are the step's own and the 13th is the
-    slope at y1; then three extra stages are taken.  If an extra stage
-    leaves the field's domain, r3 to r6 are 0: the cubic Hermite
-    interpolant of the step's ends and end slopes.
+    Its data are the states and slopes at the step's start, at its middle
+    (the exact half step, whose last stage is the slope there) and at its
+    end.  Returns per component of y the coefficients (c0, ..., c5) of its
+    Newton form on the nodes 0, 0, 1/2, 1/2, 1, 1 in the step fraction
+    theta (`_quintic_at`).  If the half step leaves the field's domain, the
+    middle's data are those of the cubic Hermite interpolant of the ends,
+    and the quintic is that cubic.
     """
-    ks = [k1]
-    for row in _A8[1:]:
-        ks.append(_stage(f, y, ks, row, h))
     try:
-        for row in _A8_EXTRA:
-            ks.append(_stage(f, y, ks, row, h))
+        ym, km, _ = _dop853_step(field, 0.0, y, k1, 0.5 * h)
     except (DomainError, ZeroDivisionError, OverflowError):
-        high = ((0.0,) * 4,) * 3
-    else:
-        sums = []
-        for row in _D8:
-            a = b = c = 0.0
-            for d, (k0, kv, ki) in zip(row, ks):
-                if d:
-                    a += d * k0
-                    b += d * kv
-                    c += d * ki
-            sums.append((h * a, h * b, h * c))
-        high = tuple(zip(*sums))
+        ym = km = None
     coeffs = []
-    for y0, y1c, s1, s13, rest in zip(y, y1, k1, ks[12], high):
-        r0 = y1c - y0
-        r1 = h * s1 - r0
-        coeffs.append((r0, r1, r0 - h * s13 - r1, *rest))
-    return tuple(coeffs)
+    for c, (y0, y1c) in enumerate(zip(y, y1)):
+        d0, d1 = h * k1[c], h * k13[c]
+        if ym is None:
+            mid, dm = 0.5 * (y0 + y1c) + 0.125 * (d0 - d1), 1.5 * (y1c - y0) - 0.25 * (d0 + d1)
+        else:
+            mid, dm = ym[c], h * km[c]
+        # the divided differences of orders 1 (p) to 5 on the nodes
+        p0, p1 = 2.0 * (mid - y0), 2.0 * (y1c - mid)
+        q0, q1, q2, q3 = 2.0 * (p0 - d0), 2.0 * (dm - p0), 2.0 * (p1 - dm), 2.0 * (d1 - p1)
+        r0, r1, r2 = 2.0 * (q1 - q0), q2 - q1, 2.0 * (q3 - q2)
+        s0 = r1 - r0
+        coeffs.append((y0, d0, q0, r0, s0, r2 - r1 - s0))
+    return coeffs
 
 
-def _dense_at(y0: float, c: tuple, theta: float) -> float:
-    """The value the continuous extension of one component, from y0 with
-    coefficients c (see `_dop853_dense`), takes at fraction theta of the step."""
-    r0, r1, r2, r3, r4, r5, r6 = c
-    t1 = 1.0 - theta
-    return y0 + theta * (r0 + t1 * (r1 + theta * (r2 + t1 * (
-        r3 + theta * (r4 + t1 * (r5 + theta * r6))
-    ))))
+def _quintic_at(c: tuple, theta: float) -> float:
+    """The value of the interpolant of coefficients c (`_step_quintic`) at
+    fraction theta of the step."""
+    c0, c1, c2, c3, c4, c5 = c
+    t = theta - 0.5
+    return c0 + theta * (c1 + theta * (c2 + t * (c3 + t * (c4 + (theta - 1.0) * c5))))
 
 
-def _first_event(f, field, s, y, k1, h, y1, fired, start):
+def _first_event(field, s, y, k1, h, y1, k13, fired, start):
     """Locate the earliest of the events that fired on the orbit step from
-    (s, y) of signed size h to y1, k1 the slopes at y, on the field f
-    (`make_log_rhs`) of constants `field` (`_orbit_field`).
+    (s, y) of signed size h to y1, k1 and k13 the slopes at its ends, on
+    the field of constants `field` (`_orbit_field`).
 
     `fired` lists (EventSpec, value at the step's end) in tie-breaking
     order, and `start` is the state (s, w, v) at the step's start.  Each
     event's fraction theta of the step is found by Brent's method on the
-    step's continuous extension; the earliest, the first listed winning
-    ties, is then corrected by one Newton step on the exact partial step,
-    with the slope of the event function along the extension, so the event
-    state is an 8th-order partial-step state.  Returns (event, theta,
-    state (ln w, v, I)).
+    step's quintic Hermite interpolant (`_step_quintic`); the earliest, the
+    first listed winning ties, is then corrected by one Newton step on the
+    exact partial step, with the slope of the event function along the
+    interpolant, so the event state is an 8th-order partial-step state.
+    Returns (event, theta, state (ln w, v, I)).
     """
-    coeffs = _dop853_dense(f, y, y1, k1, h)
-    (lw0, c_lw), (v0, c_v) = zip(y[:2], coeffs)
+    coeffs = _step_quintic(field, y, k1, h, y1, k13)
+    c_lw, c_v, _ = coeffs
 
     def at(theta: float) -> tuple[float, float, float]:
-        return (
-            s + h * theta, math.exp(_dense_at(lw0, c_lw, theta)), _dense_at(v0, c_v, theta)
-        )
+        return s + h * theta, math.exp(_quintic_at(c_lw, theta)), _quintic_at(c_v, theta)
 
     best = None
     for ev, e_end in fired:
@@ -956,7 +890,7 @@ def _first_event(f, field, s, y, k1, h, y1, fired, start):
                 theta = min(max(theta - step, 0.0), 1.0)
                 yt = y1 if theta == 1.0 else _dop853_step(field, s, y, k1, h * theta)[0]
     except (DomainError, ZeroDivisionError, OverflowError):
-        yt = tuple(_dense_at(y0, c, theta) for y0, c in zip(y, coeffs))
+        yt = tuple(_quintic_at(c, theta) for c in coeffs)
     return ev, theta, yt
 
 
@@ -1142,16 +1076,17 @@ def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
     # downstream difference quotients never divide by a noise gap.  s is
     # monotone, so when the smallest gap clears the floor at the larger end
     # it clears every sample's floor and all are kept.  A forward run keeps
-    # its launch, where merge_trajectories joins it, in place of the next.
+    # its launch, where merge_trajectories joins it, in place of the next,
+    # also when that is its only other sample.
     floor = _H_FLOOR_REL * max(1.0, abs(s[0]), abs(s[-1]))
     if len(s) > 1 and not min(map(operator.sub, s[1:], s)) > floor:
         keep = [
             k for k, (x, y) in enumerate(zip(s, s[1:]))
             if y - x > _H_FLOOR_REL * max(1.0, abs(x))
         ]
-        if direction == FORWARD and keep:
-            keep[0] = 0
         keep.append(len(s) - 1)
+        if direction == FORWARD:
+            keep[0] = 0
         s, w, v, ii = ([x[k] for k in keep] for x in (s, w, v, ii))
 
     edge = None

@@ -628,37 +628,16 @@ def saturated_front(
             f"no {branch}-branch front through (v0={v0!r}, w0={w0!r}): {exc}"
         ) from exc
 
-    # the checks run vectorised over the legs' 2 x n_samples samples
-    import numpy as np
-
-    if branch == "above":
-        if not np.all(traj.w > lam):
-            raise RegimeViolation(
-                "traced orbit leaves the above-branch region (density dipped "
-                "to lam or below); no front through this anchor"
-            )
-        label = SATURATED_FRONT_CONCAVE
-    else:
-        if not np.all(traj.w < lam - gamma * traj.v * traj.v):
-            raise RegimeViolation(
-                "traced orbit leaves the below-branch region (density reached "
-                "the balance parabola); no front through this anchor"
-            )
-        label = SATURATED_FRONT_CONVEX
-
-    if not (
-        traj.s_minus is not None
-        and traj.s_plus is not None
-        and math.isfinite(traj.s_minus)
-        and math.isfinite(traj.s_plus)
-        and traj.s_minus < traj.s_plus
-    ):
+    # Both legs end on an edge, with s running from one edge to the other,
+    # and below the branch the graph field's floor on the denominator,
+    # signed at the anchor, keeps every stage under the balance parabola.
+    # Nothing keeps an above-branch leg over w = lam: its samples are checked.
+    if branch == "above" and not traj.w.min() > lam:
         raise RegimeViolation(
-            f"front edges not finite and ordered: ({traj.s_minus!r}, {traj.s_plus!r})"
+            "traced orbit leaves the above-branch region (density dipped "
+            "to lam or below); no front through this anchor"
         )
-    if not (traj.w[0] > 0.0 and traj.w[-1] > 0.0 and np.all(np.isfinite(traj.w))):
-        raise RegimeViolation("front density must stay finite and positive at the edges")
-
+    label = SATURATED_FRONT_CONCAVE if branch == "above" else SATURATED_FRONT_CONVEX
     return reconstruct(p, traj, s0=s0, S0=S0, u_type=label, S_type=label)
 
 

@@ -271,13 +271,13 @@ def is_subcritical(cls: str) -> bool:
 
 
 def _manifold_expansion(p: ModelParams, saddle, manifold: str, seed_scale: float):
-    """The saddle's local `manifold` to second order, and its seed offset h.
+    """The saddle's local `manifold` to third order, and its seed offset h.
 
-    Returns (S, e, o, mu_m, c, d, h): the saddle S = (w, v), the manifold's
-    unit eigenvector e with eigenvalue mu_m, the other one o, and the
-    coefficients of x = S + xi*e + c*xi**2*o + O(xi**3), on which the
-    coordinate xi moves as xi' = mu_m*xi + d*xi**2 + O(xi**3);
-    h = seed_scale * (1 + |S|).
+    Returns (S, e, o, mu_m, (c, c3), (d, d3), h): the saddle S = (w, v),
+    the manifold's unit eigenvector e with eigenvalue mu_m, the other one
+    o, and the coefficients of x = S + xi*e + (c*xi**2 + c3*xi**3)*o +
+    O(xi**4), on which the coordinate xi moves as xi' = mu_m*xi + d*xi**2 +
+    d3*xi**3 + O(xi**4); h = seed_scale * (1 + |S|).
     """
     eigenvalues, eigenvectors, label = eigenstructure(p, saddle)
     if label != SADDLE:
@@ -300,7 +300,18 @@ def _manifold_expansion(p: ModelParams, saddle, manifold: str, seed_scale: float
     det = ew * ov - ev * ow
     c = (ew * hv - ev * hw) / (det * 2.0 * (2.0 * mu_m - mu_o))
     d = (ov * hw - ow * hv) / (2.0 * det)
-    return (ws, vs), (ew, ev), (ow, ov), mu_m, c, d, h
+    # On the quadratic manifold the field's xi**3 terms are d3 along e, and
+    # r3 along o, halves of its odd central differences over +-h there less
+    # mu_m*xi along e.  The o-component (c*xi**2 + c3*xi**3) moves at
+    # mu_o*c3*xi**3 + r3*xi**3 by the field and at (2*c*d + 3*mu_m*c3)*xi**3
+    # by xi', so c3 = (r3 - 2*c*d) / (3*mu_m - mu_o).
+    (gpw, gpv), (gmw, gmv) = (
+        f(ws + t * ew + c * t * t * ow, vs + t * ev + c * t * t * ov) for t in (h, -h)
+    )
+    dw, dv = (gpw - gmw) / (2.0 * h**3), (gpv - gmv) / (2.0 * h**3)
+    d3 = (ov * dw - ow * dv) / det - mu_m / (h * h)
+    c3 = ((ew * dv - ev * dw) / det - 2.0 * c * d) / (3.0 * mu_m - mu_o)
+    return (ws, vs), (ew, ev), (ow, ov), mu_m, (c, c3), (d, d3), h
 
 
 def trace_stable_manifold(
@@ -331,7 +342,9 @@ def trace_stable_manifold(
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
-    (ws, vs), (ew, ev), (ow, ov), _, c, _, h = _manifold_expansion(p, saddle, manifold, seed_scale)
+    (ws, vs), (ew, ev), (ow, ov), _, (c, _), _, h = _manifold_expansion(
+        p, saddle, manifold, seed_scale
+    )
     # Contracting directions are retraced backward in s, expanding ones forward.
     direction = BACKWARD if manifold == "stable" else FORWARD
     if v_stop == vs:
@@ -574,9 +587,9 @@ def threshold_trajectory(
     point, and the piece from the seed into the saddle.  That piece is
     sampled, not integrated: the manifold's expansion S + xi*e + c*xi**2*o
     (`_manifold_expansion`) at xi halving from the seed's until |xi| is in
-    the capture ball eq_tol * (1 + |S|), at the s of the closed-form
-    solution of xi' = mu_m*xi + d*xi**2, with I the integral of v to second
-    order in xi; it ends CONVERGED on the saddle.  The pieces are merged
+    the capture ball eq_tol * (1 + |S|), with s and I = integral of v ds
+    from the manifold's expansion to third order in xi; it ends CONVERGED
+    on the saddle.  The pieces are merged
     with seam checks (a mismatch raises ``AnchorMismatch``) and the wave
     coordinate is based so that the launch point (w0_star, v0) sits at
     s = 0 in either regime.
@@ -590,7 +603,9 @@ def threshold_trajectory(
     # the blow-up leg: backward to v -> +inf (forward regime), else forward to v -> -inf
     leg_out = integrate(p, result.w0_star, v0, BACKWARD if forward else FORWARD, ctr)
     man = trace_stable_manifold(p, saddle, v_stop=v0, manifold=kind, controls=ctr)
-    (ws, vs), (ew, ev), (ow, ov), mu, c, d, _ = _manifold_expansion(p, saddle, kind, _SEED_SCALE)
+    (ws, vs), (ew, ev), (ow, ov), mu, (c, c3), (d, d3), _ = _manifold_expansion(
+        p, saddle, kind, _SEED_SCALE
+    )
     # The seed is where the trace started: its last sample in s when it ran
     # backward (forward regime), else its first, at s = 0; then the piece
     # ends at the seed one manifold span before the launch point at s = 0.
@@ -598,12 +613,18 @@ def threshold_trajectory(
     dw, dv = sample_list(man, "w")[k] - ws, sample_list(man, "v")[k] - vs
     xi0 = (ov * dw - ow * dv) / (ew * ov - ev * ow)  # e*.(seed - S)
     s0 = 0.0 if forward else -sample_list(man, "s")[-1]
+    # ds = dxi / xi' = (1 - d1*xi + d2*xi**2) * dxi / (mu*xi), and v - vs
+    # = ev*xi + (c*xi**2 + c3*xi**3)*ov, both to third order, so I - vs*s
+    # integrates i1 + i2*xi + i3*xi**2 over dxi / mu
+    d1, d2 = d / mu, (d / mu) ** 2 - d3 / mu
+    i1, i2, i3 = ev, c * ov - d1 * ev, c3 * ov - d1 * c * ov + d2 * ev
     xi, ball, cols = xi0, ctr.eq_tol * (1.0 + math.hypot(ws, vs)), ([], [], [], [])
     while True:
-        t = (math.log(xi / xi0) + math.log1p(d * (xi0 - xi) / (mu + d * xi))) / mu
-        q, i2 = c * xi * xi, (c * ov * mu - d * ev) * (xi * xi - xi0 * xi0) / (2.0 * mu * mu)
+        x1, x2, x3 = xi - xi0, (xi * xi - xi0 * xi0) / 2.0, (xi**3 - xi0**3) / 3.0
+        t = (math.log(xi / xi0) - d1 * x1 + d2 * x2) / mu
+        q = c * xi * xi
         sample = (s0 + t, ws + xi * ew + q * ow, vs + xi * ev + q * ov,
-                  vs * t + ev * (xi - xi0) / mu + i2)
+                  vs * t + (i1 * x1 + i2 * x2 + i3 * x3) / mu)
         for col, x in zip(cols, sample):
             col.append(x)
         if abs(xi) <= ball or 0.5 * xi == 0.0:  # in the ball, or at the float floor

@@ -179,7 +179,7 @@ THRESHOLD_ROUND_0_WORK = [
 # Per op of threshold round 0: evaluations of the orbits' field, event
 # location included.
 THRESHOLD_ROUND_0_ORBIT_EVALS = [
-    1731, 1856, 1815, 1251, 1911, 1179, 1347, 2007, 2799, 1251, 2079, 2511, 1317, 1628, 1371, 1587,
+    1722, 1844, 1806, 1242, 1902, 1170, 1338, 1998, 2790, 1242, 2070, 2502, 1314, 1616, 1362, 1578,
 ]
 # Round 0's accepted steps while manifold traces were seeded 1e-7 off the
 # saddle on the eigenvector.
@@ -191,6 +191,9 @@ THRESHOLD_ROUND_0_WORK_IN_W = (3510, 48408)
 # event location) while events were located by Brent's method on partial
 # DOP853 steps.
 THRESHOLD_ROUND_0_LOCATION_EVALS_BRENT = 7542
+# Round 0's orbit-field evaluations while events were located on DOP853's
+# 7th-order continuous extension (contd8: the 12 stages rebuilt, 3 more).
+THRESHOLD_ROUND_0_ORBIT_EVALS_CONTD8 = 27640
 
 
 def test_threshold_work_is_pinned(worker, monkeypatch):
@@ -208,6 +211,8 @@ def test_threshold_work_is_pinned(worker, monkeypatch):
     # evaluations outside the marches
     outside = sum(w[3] for w in work) - evals
     assert outside <= 0.3 * THRESHOLD_ROUND_0_LOCATION_EVALS_BRENT
+    # the midpoint quintic's half step costs no more than contd8's stages
+    assert sum(w[3] for w in work) <= THRESHOLD_ROUND_0_ORBIT_EVALS_CONTD8
 
 
 def readme_outputs(worker, root, monkeypatch) -> dict:

@@ -194,6 +194,7 @@ def saturated_launches(draw):
 # and heads back to it either way.
 LARSON_4 = ModelParams(a=0.3, sigma=0.9, limiter=FluxLimiter(LARSON, c=1.0, p=4.0))
 REL_FAST = ModelParams(a=1.0, sigma=20.0, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+LARSON_E = ModelParams(a=1.0, sigma=math.e, limiter=FluxLimiter(LARSON, c=1.0, p=1.5))
 TURN_BACK = ModelParams(
     a=0.2504176505330078, sigma=26.913752780623454, lam=20878.888492904785,
     limiter=FluxLimiter(LARSON, c=1.0, p=3.0853678811560417),
@@ -205,6 +206,9 @@ TURN_BACK = ModelParams(
 @example(launch=(LARSON_4, 0.5, LARSON_4.slope_domain[1] - 1e-3 / 0.3), rtol=1e-12)
 @example(launch=(REL_FAST, 0.5, REL_FAST.slope_domain[1] - 1e-3), rtol=1e-12)
 @example(launch=(TURN_BACK, 8453.952305470699, 111.46719780899913), rtol=1e-12)
+# 1e-14 above the lower edge: the forward run's one step ends within float
+# noise of its launch
+@example(launch=(LARSON_E, 1.0, 1.718281828459055), rtol=1e-10)
 def test_saturated_orbits_end_on_the_flux_boundary(launch, rtol):
     # no launch stalls in StepSizeUnderflow, s rises along the orbit, every
     # flux-boundary end sits on its edge, and every finite edge is

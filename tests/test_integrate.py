@@ -330,9 +330,12 @@ class TestAssemble:
         assert w == [3.0, 2.0, 1.0]
 
     def test_forward_launch_stays_in_place_of_the_next_sample(self):
-        # the launch is where merge_trajectories joins the runs of an orbit
+        # the launch is where merge_trajectories joins the runs of an orbit,
+        # also when it is the run's only other sample
         s, w, v, ii = self.assemble([1.0, math.nextafter(1.0, 2.0), 1.5, 2.0], FORWARD)
         assert (s, w) == ([1.0, 1.5, 2.0], [1.0, 3.0, 4.0])
+        s, w, v, ii = self.assemble([1.0, math.nextafter(1.0, 2.0)], FORWARD)
+        assert (s, w) == ([1.0], [1.0])
 
     def test_gaps_over_their_own_floor_are_kept(self):
         # 1e-14 is under the floor at |s| = 1e6 but over the one at s = 0
@@ -632,48 +635,44 @@ def test_dop853_constants_match_scipy():
         assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14, abs=1e-15)
 
 
-def test_dop853_extension_constants_match_scipy():
-    # the continuous extension's extra stages and weights, typed in from
-    # dop853.f, against SciPy's copy of the same constants
-    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    assert len(INTEGRATE._A8_EXTRA) == ref.N_STAGES_EXTENDED - ref.N_STAGES - 1
-    for i, row in enumerate(INTEGRATE._A8_EXTRA, start=ref.N_STAGES + 1):
-        assert list(row) == ref.A[i, :i].tolist()
-        assert math.fsum(row) == pytest.approx(ref.C[i], rel=1e-14)
-    assert [list(row) for row in INTEGRATE._D8] == ref.D.tolist()
-
-
 @pytest.mark.parametrize("kind", sorted(STEP_PARAMS))
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_continuous_extension_order(kind, sign):
-    # Against exact partial steps, the extension's error falls like h^8 and
-    # its cubic Hermite part's like h^4 (2^8 = 256 and 2^4 = 16 per halving);
-    # both meet the step's ends.
+def test_continuous_extension_order(monkeypatch, kind, sign):
+    # Against exact partial steps, the midpoint quintic's error falls like
+    # h^6 and that of the cubic Hermite interpolant, taken when the half step
+    # raises, like h^4 (2^6 = 64 and 2^4 = 16 per halving); both meet the
+    # step's ends.
     p = STEP_PARAMS[kind]
     f, field = make_log_rhs(p), INTEGRATE._orbit_field(p)
+    step = INTEGRATE._dop853_step
     y = (math.log(0.7), 0.8, 0.25)
     k1 = f(y[0], y[1]) + (y[1],)
 
+    def raising(*args):
+        raise DomainError("forced in the half step")
+
     def dense(coeffs, theta):
-        return tuple(INTEGRATE._dense_at(y0, c, theta) for y0, c in zip(y, coeffs))
+        return tuple(INTEGRATE._quintic_at(c, theta) for c in coeffs)
 
     errors = []
     for h in (0.2 * sign, 0.1 * sign):
-        y1 = INTEGRATE._dop853_step(field, 0.0, y, k1, h)[0]
-        coeffs = INTEGRATE._dop853_dense(f, y, y1, k1, h)
-        hermite = tuple(c[:3] + (0.0,) * 4 for c in coeffs)
-        assert all(len(c) == 7 and any(c[3:]) for c in coeffs)
-        assert dense(coeffs, 0.0) == y
-        assert dense(coeffs, 1.0) == pytest.approx(y1, rel=1e-15, abs=1e-16)
+        y1, k13, _ = step(field, 0.0, y, k1, h)
+        quintic = INTEGRATE._step_quintic(field, y, k1, h, y1, k13)
+        with monkeypatch.context() as m:
+            m.setattr(INTEGRATE, "_dop853_step", raising)
+            cubic = INTEGRATE._step_quintic(field, y, k1, h, y1, k13)
+        for part in (quintic, cubic):
+            assert dense(part, 0.0) == y
+            assert dense(part, 1.0) == pytest.approx(y1, rel=1e-15, abs=1e-16)
         err = [0.0, 0.0]
         for theta in (0.1, 0.37, 0.5, 0.8, 0.95):
-            exact = INTEGRATE._dop853_step(field, 0.0, y, k1, theta * h)[0]
-            for j, part in enumerate((coeffs, hermite)):
+            exact = step(field, 0.0, y, k1, theta * h)[0]
+            for j, part in enumerate((quintic, cubic)):
                 err[j] = max(err[j], *(abs(a - b) for a, b in zip(dense(part, theta), exact)))
         errors.append(err)
-    (ext_h, herm_h), (ext_h2, herm_h2) = errors
-    assert ext_h2 < 1e-10 and ext_h / ext_h2 > 100.0
-    assert ext_h2 < 1e-4 * herm_h2 and herm_h / herm_h2 > 12.0
+    (quintic_h, cubic_h), (quintic_h2, cubic_h2) = errors
+    assert quintic_h2 < 1e-9 and quintic_h / quintic_h2 > 32.0
+    assert quintic_h2 < 1e-3 * cubic_h2 and cubic_h / cubic_h2 > 12.0
 
 
 def orbit_outcome(p, w0, v0, direction, events):
@@ -766,7 +765,7 @@ def graph_step_outcome(step, f, t, y, k1, h):
     """Bit patterns of (y1, stage slopes, error estimate), or the error raised."""
     try:
         out = flat(tuple(map(tuple, step(f, t, y, k1, h))))
-    except (DomainError, ZeroDivisionError) as exc:
+    except (DomainError, ZeroDivisionError, OverflowError) as exc:
         return type(exc).__name__
     return struct.pack(f"<{len(out)}d", *out)
 
@@ -914,21 +913,23 @@ def test_edge_launch_terminations(name, direction):
 @pytest.mark.parametrize("name", ["standoff-high", "standoff-low"])
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction):
-    # an extra stage of the continuous extension that leaves the slope domain
-    # drops the extension to its cubic Hermite part; the Newton correction
-    # on the exact partial step still puts the switch level of the
-    # flux-boundary leg where it was, and the leg ends on the edge
+    # a half step of event location that leaves the slope domain drops the
+    # interpolant to the cubic Hermite one of the step's ends; the Newton
+    # correction on the exact partial step still puts the switch level of
+    # the flux-boundary leg where it was, and the leg ends on the edge
     forced = []
-    stage = INTEGRATE._stage
+    quintic = INTEGRATE._step_quintic
 
-    def raising(f, y, ks, row, h):
-        # `_stage` rebuilds the step's stages, then takes the extra ones
-        if row not in INTEGRATE._A8_EXTRA:
-            return stage(f, y, ks, row, h)
-        forced.append(row)
-        raise DomainError("forced in an extra stage")
+    def raising(*args):
+        raise DomainError("forced in the half step")
 
-    monkeypatch.setattr(INTEGRATE, "_stage", raising)
+    def cubic(*args):
+        forced.append(args)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(INTEGRATE, "_dop853_step", raising)
+            return quintic(*args)
+
+    monkeypatch.setattr(INTEGRATE, "_step_quintic", cubic)
     test_edge_launch_terminations(name, direction)
     (p, w0, v0, ctr), *_ = EDGE_LAUNCHES[name]
     traj = integrate(p, w0, v0, direction=direction, controls=ctr)
