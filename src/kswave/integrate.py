@@ -14,8 +14,10 @@ with DOP853, whether its samples are read or only its deciding event: no
 reported answer reads how densely an orbit was sampled, and
 `Controls(h_max=...)` gives denser samples.  Near its edges an orbit is
 marched in other variables: `_blow_up_tail` in tau = ln|v| past |v| =
-10 * max(v_star, |v0|), and `_flux_boundary_leg`, within 1e-3 of the
-width of a saturated slope domain from an edge, in q (below) or ln w.
+10 * max(v_star, |v0|), with no w_min stop, since w can fall under it
+on the way to the edge (like |v|^-(a/mu - 1)); and `_flux_boundary_leg`,
+within 1e-3 of the width of a saturated slope domain from an edge, in q
+(below) or ln w.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -498,11 +500,14 @@ def _h_floor(s: float) -> float:
 
 def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> float:
     """Starting step for f(t, y) -> slopes, at most h_max and span, for a
-    pair whose error exponent is -1/order (Hairer's hinit)."""
-    n = len(y)
-    sc = tuple(ctr.atol + ctr.rtol * abs(c) for c in y)
-    d0 = math.sqrt(sum((y[c] / sc[c]) ** 2 for c in range(n)) / n)
-    d1 = math.sqrt(sum((k1[c] / sc[c]) ** 2 for c in range(n)) / n)
+    pair whose error exponent is -1/order (Hairer's hinit), on a
+    3-component state: each RMS norm sums its three terms left to right."""
+    y0, y1, y2 = y
+    k10, k11, k12 = k1
+    atol, rtol = ctr.atol, ctr.rtol
+    sc0, sc1, sc2 = atol + rtol * abs(y0), atol + rtol * abs(y1), atol + rtol * abs(y2)
+    d0 = math.sqrt(((y0 / sc0) ** 2 + (y1 / sc1) ** 2 + (y2 / sc2) ** 2) / 3)
+    d1 = math.sqrt(((k10 / sc0) ** 2 + (k11 / sc1) ** 2 + (k12 / sc2) ** 2) / 3)
     # a NaN norm (a component at -inf: ln w on the invariant axis w = 0) takes 1e-6
     h0 = 0.01 * d0 / d1 if (d0 >= 1e-5 and d1 >= 1e-5) else 1e-6
     h0 = min(h0, ctr.h_max, span)
@@ -512,15 +517,17 @@ def _initial_h(f, t, y, k1, sgn, ctr: Controls, span: float, order: int = 5) -> 
     f1 = None
     for _ in range(80):
         try:
-            f1 = f(t + sgn * h0, tuple(y[c] + sgn * h0 * k1[c] for c in range(n)))
+            sh = sgn * h0
+            f1 = f(t + sh, (y0 + sh * k10, y1 + sh * k11, y2 + sh * k12))
             break
         except (DomainError, ZeroDivisionError, OverflowError):
             h0 *= 0.25
     if f1 is None:
         raise StepSizeUnderflow("cannot take even an initial trial step")
-    d2 = (
-        math.sqrt(sum(((f1[c] - k1[c]) / sc[c]) ** 2 for c in range(n)) / n) / h0
-    )
+    f10, f11, f12 = f1
+    d2 = math.sqrt(
+        (((f10 - k10) / sc0) ** 2 + ((f11 - k11) / sc1) ** 2 + ((f12 - k12) / sc2) ** 2) / 3
+    ) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** (1.0 / order) if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * _h_floor(0.0))
@@ -560,6 +567,7 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     expo = -1.0 / order
     sgn = math.copysign(1.0, t_end - t)
     exp, sqrt, h_max = math.exp, math.sqrt, ctr.h_max
+    safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
     just_rejected = False
     h_acc = err_acc = None  # size and error of the last accepted step
     cause = None
@@ -597,15 +605,23 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
         except (DomainError, ZeroDivisionError, OverflowError) as exc:
             err, cause = math.inf, exc
         # NaN fails every comparison: a state gone non-finite is rejected
-        # until the step size underflows.
-        accepted = err <= 1.0
-        fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** expo
-        if accepted:
+        # until the step size underflows.  The comparisons select as min and
+        # max would, ties and NaN included.
+        if err <= 1.0:
+            fac = fac_max if err == 0.0 else safety * err ** expo
             if h_acc is not None and err != 0.0:
-                fac = min(fac, fac * (h_try / h_acc) * (err_acc / err) ** -expo)
-            h_acc, err_acc = h_try, max(err, 1e-2)
-        grow = _FAC_MAX if accepted and not just_rejected else 1.0
-        h = min(h_try * min(grow, max(_FAC_MIN, fac)), h_max)
+                pred = fac * (h_try / h_acc) * (err_acc / err) ** -expo
+                if pred < fac:
+                    fac = pred
+            h_acc, err_acc = h_try, err if err > 1e-2 else 1e-2
+            grow, accepted = (1.0 if just_rejected else fac_max), True
+        else:
+            fac, grow, accepted = safety * err ** expo, 1.0, False
+        if not fac > fac_min:
+            fac = fac_min
+        h = h_try * (fac if fac < grow else grow)
+        if h_max < h:
+            h = h_max
         just_rejected = not accepted
         if not accepted:
             if h < _h_floor(t):
@@ -662,9 +678,8 @@ def integrate(
     f, field = make_log_rhs(p), _orbit_field(p)
 
     events = list(extra_events)
-    # each event's fn, and whether it fires rising and falling (`_crossed`)
-    fns = [ev.fn for ev in events]
-    crossings = [(ev, ev.direction >= 0, ev.direction <= 0) for ev in events]
+    # each event, its fn, and whether it fires rising and falling (`_crossed`)
+    crossings = [(ev, ev.fn, ev.direction >= 0, ev.direction <= 0) for ev in events]
     # The built-in events are level crossings of ln w (component 0) or v
     # (1), tested on the states directly: for e = x - level, x_prev < level
     # <= x_new is exactly e_prev < 0 <= e_new in IEEE arithmetic.  Their
@@ -696,9 +711,14 @@ def integrate(
     v_sw = 10.0 * max(p.v_star, abs(v0))
     if not p.limiter.saturated and 0.0 < v_sw < ctr.v_max:
         level_event(1, -sgn * v_sw, -int(sgn), _TAIL)
-    # what ends a tail or flux-boundary leg: extra events, w_min level, span
+    # What ends a flux-boundary leg or a tail: the extra events, the span,
+    # and for a leg the w_min level (a saturated limiter's orbit takes no
+    # tail).  A tail runs on to blow-up, where w falls like |v|^-(a/mu - 1),
+    # so w_min would end it short of its edge.
     s_end = s0 + sgn * ctr.s_max
-    ends = list(extra_events) + [ev for c, _, _, ev in levels if c == 0]
+    ends = list(extra_events)
+    if p.limiter.saturated:
+        ends += [ev for c, _, _, ev in levels if c == 0]
     ends.append(EventSpec(fn=lambda s, w, v: s - s_end, kind=MAX_SPAN, direction=int(sgn)))
 
     # While the state stays strictly between the nearest levels around the
@@ -723,8 +743,6 @@ def integrate(
     eq_v_hi = max((ve + 2.0 * rad for _, ve, rad in eq_data), default=-math.inf)
 
     def eq_ball(w: float, v: float) -> int | None:
-        if not (eq_w_lo <= w <= eq_w_hi and eq_v_lo <= v <= eq_v_hi):
-            return None
         for idx, (we, ve, rad) in enumerate(eq_data):
             dw, dv = w - we, v - ve
             # hypot >= max(|dw|, |dv|), so the box test only skips misses
@@ -733,6 +751,8 @@ def integrate(
         return None
 
     samples = ss, ws, vs, iis = [s0], [w0], [v0], [0.0]
+    add_s, add_w, add_v, add_i = ss.append, ws.append, vs.append, iis.append
+    exp, eq_dwell = math.exp, ctr.eq_dwell
     # a launch on or past a switch level starts on its flux-boundary leg
     term, leg_side, y = None, side, (lw0, v0, 0.0)
     while term is None:
@@ -751,36 +771,39 @@ def integrate(
         y = (math.log(w) if w > 0.0 else -math.inf, v, iis[-1])
         (lw_lo, lw_hi), (v_lo, v_hi) = box(0, y[0]), box(1, v)
         k1 = f(y[0], v) + (v,)
-        e_prev = [fn(s, w, v) for fn in fns]
+        e_prev = [ev.fn(s, w, v) for ev in events]
         dwell_idx, dwell_s, leg_side, in_box = eq_ball(w, v), s, 0, False
         h = _initial_h(lambda t, y: f(y[0], y[1]) + (y[1],), s, y, k1, sgn, ctr, ctr.s_max, 8)
         march = _march(
             _dop853_step, field, s, y, k1, s_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8
         )
         for s_old, y_old, k1_old, h, s, y, k13 in march:
-            w_old, w, v = w, math.exp(y[0]), y[1]
+            w_old, w, v = w, exp(y[0]), y[1]
             # --- event detection along this accepted step ---
-            # extra events come first, so they win ties
-            fired: list[tuple[EventSpec, float]] = []
+            # extra events come first, so they win ties; `fired` lists
+            # (EventSpec, value at the step's end), and is None when none fired
+            fired = None
             if events:
-                e_new = [fn(s, w, v) for fn in fns]
-                for (ev, up, down), e_old, e in zip(crossings, e_prev, e_new):
+                e_new = []
+                for (ev, fn, up, down), e_old in zip(crossings, e_prev):
+                    e = fn(s, w, v)
+                    e_new.append(e)
                     if (up and e_old < 0.0 <= e) or (down and e_old > 0.0 >= e):
-                        fired.append((ev, e))
+                        fired = (fired or []) + [(ev, e)]
                 e_prev = e_new
             was_in_box, in_box = in_box, lw_lo < y[0] < lw_hi and v_lo < v < v_hi
             if not (was_in_box and in_box):
                 for c, level, d, ev in levels:
                     x_old, x = y_old[c], y[c]
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
-                        fired.append((ev, ev.fn(s, w, v)))
+                        fired = (fired or []) + [(ev, ev.fn(s, w, v))]
             if fired:
                 ev, theta, y_ev = _first_event(
                     field, s_old, y_old, k1_old, h, y, k13, fired, (s_old, w_old, y_old[1])
                 )
                 s_ev = s if theta >= 1.0 else s_old + h * theta
-                w_ev = math.exp(y_ev[0])
-                ss.append(s_ev), ws.append(w_ev), vs.append(y_ev[1]), iis.append(y_ev[2])
+                w_ev = exp(y_ev[0])
+                add_s(s_ev), add_w(w_ev), add_v(y_ev[1]), add_i(y_ev[2])
                 if ev.kind == _TAIL:
                     term = _blow_up_tail(p, s_ev, y_ev, ends, ctr, samples)
                 elif ev.kind == _EDGE:
@@ -790,13 +813,17 @@ def integrate(
                     term = TerminationEvent(kind=ev.kind, s=s_ev, w=w_ev, v=y_ev[1])
                 break
 
-            ss.append(s), ws.append(w), vs.append(v), iis.append(y[2])
+            add_s(s), add_w(w), add_v(v), add_i(y[2])
 
             # --- equilibrium dwell ---
-            idx = eq_ball(w, v)
+            # the box around all the balls first: most states are far from them
+            if eq_w_lo <= w <= eq_w_hi and eq_v_lo <= v <= eq_v_hi:
+                idx = eq_ball(w, v)
+            else:
+                idx = None
             if idx != dwell_idx:
                 dwell_idx, dwell_s = idx, s
-            elif idx is not None and abs(s - dwell_s) >= ctr.eq_dwell:
+            elif idx is not None and abs(s - dwell_s) >= eq_dwell:
                 term = TerminationEvent(kind=CONVERGED, s=s, w=w, v=v, equilibrium_index=idx)
                 break
         else:
@@ -969,7 +996,11 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     side*sgn), regular through a turn, with state (q, s - s_start, I), out
     to |v - v_edge| = d_out, or to the largest d_out/2^k where g - v, a
     function of v alone, has the sign of side as at the start.  Where it
-    has not, g is moderate, and the march in s takes over.
+    has not, g is moderate, and the march in s takes over.  It takes over
+    at once where the out level is not ahead of the start, as for a launch
+    on the switch level: the out event fires only rising from a negative
+    value, so it could not end the march in ln w, which would run on into
+    a root of g - v and stall there.
     """
     zone = BoundaryZone.of(p, side)
     leg = zone.leg(p)
@@ -996,9 +1027,11 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     # drive = (g - v) * dv/dq, and dv/dq has the sign of -side
     while q_out > q and leg(q_out)[2] >= 0.0:
         q_out *= 0.5 ** (1.0 / zone.m)
-    if q_out <= q or leg(q)[2] >= 0.0:
+    v_out = zone.v(q_out)
+    # the out event fires only rising from a negative start value
+    if leg(q)[2] >= 0.0 or side * (v_out - zone.v(q)) >= 0.0:
         return None
-    out = EventSpec(fn=lambda s, w, v: side * (zone.v(q_out) - v), kind=None, direction=1)
+    out = EventSpec(fn=lambda s, w, v: side * (v_out - v), kind=None, direction=1)
     term = _march_to_end(
         turn_field, lambda x, y: state(y[0], (x, *y[1:])), lw, (q, ds, ii),
         side * sgn * math.inf, [*ends, out], ctr, samples, None,

@@ -51,7 +51,6 @@ from .phase import (
     Equilibrium,
     ModelParams,
     eigenstructure,
-    equilibria,
     equilibrium_points,
     make_rhs,
     regime_case,
@@ -182,7 +181,7 @@ def classify_trajectory(
     regime = shooting_regime(p, v0)
     # w legitimately passes through tiny values while tracking an axis
     # saddle, so the small-density stop must be off for classification.
-    ctr = replace(controls if controls is not None else Controls(), w_min=0.0)
+    ctr = _without_w_min(controls)
 
     lam, gamma, vstar = p.lam, p.gamma, p.v_star
     margin_v = _ESCAPE_MARGIN_REL * (1.0 + vstar)
@@ -246,6 +245,12 @@ def classify_trajectory(
     )
 
 
+def _without_w_min(controls: Controls | None) -> Controls:
+    """`controls` (default Controls()) with the w_min stop off, copied only if it is on."""
+    ctr = controls if controls is not None else Controls()
+    return ctr if ctr.w_min == 0.0 else replace(ctr, w_min=0.0)
+
+
 def _capture_class(p: ModelParams, regime: str, direction: str, term, escape_cls: str) -> str:
     """Class of an orbit that ended CONVERGED, by the rule of `classify_trajectory`."""
     try:
@@ -279,11 +284,14 @@ def _manifold_expansion(p: ModelParams, saddle, manifold: str, seed_scale: float
     O(xi**4), on which the coordinate xi moves as xi' = mu_m*xi + d*xi**2 +
     d3*xi**3 + O(xi**4); h = seed_scale * (1 + |S|).
     """
-    eigenvalues, eigenvectors, label = eigenstructure(p, saddle)
+    if isinstance(saddle, Equilibrium):
+        ws, vs = saddle.w, saddle.v
+        eigenvalues, eigenvectors, label = saddle.eigenvalues, saddle.eigenvectors, saddle.label
+    else:
+        ws, vs = float(saddle[0]), float(saddle[1])
+        eigenvalues, eigenvectors, label = eigenstructure(p, saddle)
     if label != SADDLE:
         raise ValueError(f"manifold tracing needs a saddle, got {label}")
-    ws = saddle.w if isinstance(saddle, Equilibrium) else float(saddle[0])
-    vs = saddle.v if isinstance(saddle, Equilibrium) else float(saddle[1])
     idx = 0 if (eigenvalues[0].real < 0.0) == (manifold == "stable") else 1
     mu_m, mu_o = eigenvalues[idx].real, eigenvalues[1 - idx].real
     (ew, ev), (ow, ov) = ((x.real for x in eigenvectors[i]) for i in (idx, 1 - idx))
@@ -359,7 +367,7 @@ def trace_stable_manifold(
             break
         h *= 0.5
 
-    ctr = replace(controls if controls is not None else Controls(), w_min=0.0)
+    ctr = _without_w_min(controls)
     stop = EventSpec(
         fn=lambda s, w, v: v - v_stop,
         kind=_EV_MANIFOLD_STOP,
@@ -390,23 +398,21 @@ def _threshold_saddle(p: ModelParams, regime: str) -> Equilibrium:
     """The saddle whose invariant manifold separates the two orbit classes.
 
     Decided from the equilibria alone, so a missing saddle raises
-    PreconditionError before any integration.
+    PreconditionError before any integration: the first interior saddle of
+    `equilibria(p)` in the backward regime and case A, else the axis saddle
+    at v < 0.  Only the candidates' eigenstructure is computed.
     """
-    case = regime_case(p)
-    eqs = equilibria(p)
-    interior = [e for e in eqs if e.label == SADDLE and e.w > 0.0]
-    axis_low = [e for e in eqs if e.label == SADDLE and e.w == 0.0 and e.v < 0.0]
-    if regime == REGIME_BACKWARD or case == "A":
-        if not interior:
-            raise PreconditionError(
-                f"no interior saddle for a={p.a}, sigma={p.sigma}; cannot shoot"
-            )
-        return interior[0]
-    if not axis_low:
-        raise PreconditionError(
-            f"no saddle at (0, -v_star) for a={p.a}, sigma={p.sigma}; cannot shoot"
-        )
-    return axis_low[0]
+    interior = regime_case(p) == "A" or regime == REGIME_BACKWARD
+    for w, v in equilibrium_points(p):
+        if (w > 0.0) if interior else (w == 0.0 and v < 0.0):
+            vals, vecs, label = eigenstructure(p, (w, v))
+            if label == SADDLE:
+                return Equilibrium(w, v, vals, vecs, label)
+    if interior:
+        raise PreconditionError(f"no interior saddle for a={p.a}, sigma={p.sigma}; cannot shoot")
+    raise PreconditionError(
+        f"no saddle at (0, -v_star) for a={p.a}, sigma={p.sigma}; cannot shoot"
+    )
 
 
 def find_w0_star(
@@ -463,7 +469,8 @@ def find_w0_star(
         lo, hi = 0.5 * p.lam, 2.0 * p.lam
     else:
         lo, hi = 0.5, 2.0
-    ctr = controls if controls is not None else Controls()
+    # the classifier and the manifold trace both run with the w_min stop off
+    ctr = _without_w_min(controls)
     saddle = _threshold_saddle(p, regime)
     manifold_kind = "stable" if regime == REGIME_FORWARD else "unstable"
 

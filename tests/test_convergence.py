@@ -199,6 +199,10 @@ TURN_BACK = ModelParams(
     a=0.2504176505330078, sigma=26.913752780623454, lam=20878.888492904785,
     limiter=FluxLimiter(LARSON, c=1.0, p=3.0853678811560417),
 )
+# launched on the switch level of its upper edge's band, to 1e-16, heading out
+REL_ON_SWITCH = ModelParams(
+    a=math.exp(0.25), sigma=15.642631884188171, limiter=FluxLimiter(RELATIVISTIC, c=1.0)
+)
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=10), database=None)
@@ -209,6 +213,8 @@ TURN_BACK = ModelParams(
 # 1e-14 above the lower edge: the forward run's one step ends within float
 # noise of its launch
 @example(launch=(LARSON_E, 1.0, 1.718281828459055), rtol=1e-10)
+# the out event of the march in ln w starts at 0.0 and so never fires
+@example(launch=(REL_ON_SWITCH, 1.0, 12.959737142208734), rtol=1e-10)
 def test_saturated_orbits_end_on_the_flux_boundary(launch, rtol):
     # no launch stalls in StepSizeUnderflow, s rises along the orbit, every
     # flux-boundary end sits on its edge, and every finite edge is

@@ -32,6 +32,7 @@ from kswave.integrate import (
     FLUX_BOUNDARY_LOW,
     FORWARD,
     MAX_SPAN,
+    V_BLOW_UP_MINUS,
     V_BLOW_UP_PLUS,
     W_VANISHED,
     Controls,
@@ -607,6 +608,86 @@ def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
     assert kernel == reference
 
 
+def left_sum(terms):
+    """sum() as Python 3.11 computes it: from 0, left to right (3.12's
+    sum() compensates rounding)."""
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def generic_initial_h(f, t, y, k1, sgn, ctr, span, order=5):
+    """`_initial_h` written for a state of any length: the reference the
+    unrolled 3-component version must match."""
+    n = len(y)
+    sc = tuple(ctr.atol + ctr.rtol * abs(c) for c in y)
+    d0 = math.sqrt(left_sum((y[c] / sc[c]) ** 2 for c in range(n)) / n)
+    d1 = math.sqrt(left_sum((k1[c] / sc[c]) ** 2 for c in range(n)) / n)
+    h0 = 0.01 * d0 / d1 if (d0 >= 1e-5 and d1 >= 1e-5) else 1e-6
+    h0 = min(h0, ctr.h_max, span)
+    if h0 == 0.0:
+        raise StepSizeUnderflow(f"no initial step: slopes {list(k1)} at state {list(y)}")
+    f1 = None
+    for _ in range(80):
+        try:
+            f1 = f(t + sgn * h0, tuple(y[c] + sgn * h0 * k1[c] for c in range(n)))
+            break
+        except (DomainError, ZeroDivisionError, OverflowError):
+            h0 *= 0.25
+    if f1 is None:
+        raise StepSizeUnderflow("cannot take even an initial trial step")
+    d2 = math.sqrt(left_sum(((f1[c] - k1[c]) / sc[c]) ** 2 for c in range(n)) / n) / h0
+    dm = max(d1, d2)
+    h1 = (0.01 / dm) ** (1.0 / order) if dm > 1e-15 else max(1e-6, h0 * 1e-3)
+    return max(min(100.0 * h0, h1, ctr.h_max, span), 1e3 * INTEGRATE._h_floor(0.0))
+
+
+@STEP_SETTINGS
+@given(
+    kind=st.sampled_from(sorted(STEP_PARAMS)),
+    lw=st.just(-math.inf) | st.floats(-50.0, math.log(1e3)),
+    v_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ii=st.floats(-1e3, 1e3),
+    sign=st.sampled_from([1.0, -1.0]),
+    rtol=st.sampled_from([1e-13, 1e-10, 1e-6]),
+    h_max=st.sampled_from([1e-3, 10.0]),
+    span=st.floats(1e-6, 1e3),
+    order=st.sampled_from([5, 8]),
+    raises=st.sampled_from([0, 1, 3, 80]),
+)
+def test_initial_h_bit_equal_to_reference(kind, lw, v_frac, ii, sign, rtol, h_max, span, order,
+                                          raises):
+    # ln w = -inf is the axis w = 0, whose norms are NaN; the first `raises`
+    # trial steps raise, each quartering the trial step, and 80 leave none
+    p = STEP_PARAMS[kind]
+    lo, hi = p.slope_domain
+    lo, hi = max(lo, -50.0), min(hi, 50.0)
+    v = lo + v_frac * (hi - lo)
+    assume(lo < v < hi)
+    f = make_log_rhs(p)
+    y = (lw, v, ii)
+    k1 = f(lw, v) + (v,)
+    ctr = Controls(rtol=rtol, h_max=h_max)
+
+    def outcome(initial_h):
+        calls = []
+
+        def trial(t, y):
+            calls.append(t)
+            if len(calls) <= raises:
+                raise DomainError("forced in the trial step")
+            return f(y[0], y[1]) + (y[1],)
+
+        try:
+            h = initial_h(trial, 0.5, y, k1, sign, ctr, span, order)
+        except StepSizeUnderflow as exc:
+            return str(exc), calls
+        return struct.pack("<d", h), calls
+
+    assert outcome(INTEGRATE._initial_h) == outcome(generic_initial_h)
+
+
 def test_stepper_domain_error_propagates():
     p = STEP_PARAMS[RELATIVISTIC]
     f = make_log_rhs(p)
@@ -1121,18 +1202,33 @@ class TestBlowUpTail:
 
     # Terminations that fire past the switch level: (params, w0, v0, controls,
     # extra events, direction) -> the kind and s of the run that marches the
-    # whole orbit in s, pinned before the tail existed.
+    # whole orbit in s, pinned before the tail existed.  The w_min cases
+    # fall under w_min = 1e-12 inside the tail, which does not end it: their
+    # ends are those of the same runs with Controls(w_min=0).
     PROBE = EventSpec(fn=lambda s, w, v: v + 100.0, kind="Probe", direction=-1)
     IN_TAIL = {
         "event": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0, Controls(), [PROBE], FORWARD),
                   "Probe", 0.8696623826596132),
         "w_min-forward": ((lp(4.0, 0.5), 1.0, 2.0, Controls(), [], FORWARD),
-                          W_VANISHED, 1.9926057282937528),
+                          V_BLOW_UP_MINUS, 1.99271452813148),
         "w_min-backward": ((lp(4.0, 0.5), 1.0, 2.0, Controls(), [], BACKWARD),
-                           W_VANISHED, -0.5218946110065842),
+                           V_BLOW_UP_PLUS, -0.521943198719865),
         "s_max": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0, Controls(s_max=0.8796), [],
                    FORWARD), MAX_SPAN, 0.8796),
     }
+
+    def test_w_min_does_not_cut_a_super_critical_tail_short(self):
+        # a = 2.8: w falls like |v|^-(a - 1) toward the blow-up edge (mu = 1), under
+        # w_min = 1e-12 at v = -7.6e5, short of v_max = 1e6; the launch is
+        # above w0_star = 2.428342280940199
+        p = lp(2.8158724325231, 1.27111070276617)
+        w0, v0 = 2.6757642240620965, 2.4355170329948788
+        full, ref = (
+            integrate(p, w0, v0, controls=ctr) for ctr in (Controls(), Controls(w_min=0.0))
+        )
+        assert full.termination.kind == ref.termination.kind == V_BLOW_UP_MINUS
+        assert full.s_plus == pytest.approx(ref.s_plus, abs=1e-9)
+        assert ref.s_plus == pytest.approx(2.5847650, abs=1e-7)
 
     @pytest.mark.parametrize("name", sorted(IN_TAIL))
     def test_terminations_inside_the_tail(self, name):

@@ -32,7 +32,7 @@ from kswave.integrate import (
     integrate,
     sample_list,
 )
-from kswave.phase import ModelParams, equilibria, equilibrium_points, regime_case
+from kswave.phase import SADDLE, ModelParams, equilibria, equilibrium_points, regime_case
 from kswave import shooting
 from kswave.shooting import (
     CONVERGES_TO,
@@ -713,6 +713,40 @@ def draw_launch(data, case: str, backward: bool, relativistic: bool) -> tuple[Mo
     p = ModelParams(a=a, sigma=sigma, limiter=limiter)
     assert regime_case(p) == case
     return p, v0
+
+
+def filtered_threshold_saddle(p: ModelParams, regime: str):
+    """The threshold saddle picked by filtering every one of equilibria(p):
+    the reference `shooting._threshold_saddle` must match."""
+    case = regime_case(p)
+    eqs = equilibria(p)
+    interior = [e for e in eqs if e.label == SADDLE and e.w > 0.0]
+    axis_low = [e for e in eqs if e.label == SADDLE and e.w == 0.0 and e.v < 0.0]
+    if regime == REGIME_BACKWARD or case == "A":
+        if not interior:
+            raise PreconditionError("no interior saddle")
+        return interior[0]
+    if not axis_low:
+        raise PreconditionError("no saddle at (0, -v_star)")
+    return axis_low[0]
+
+
+@pytest.mark.parametrize("case", sorted(CASE_DRAWS))
+@pytest.mark.parametrize("regime", [REGIME_FORWARD, REGIME_BACKWARD])
+@settings(max_examples=5, deadline=timedelta(seconds=5), database=None)
+@given(data=st.data())
+def test_threshold_saddle_is_the_filtered_one(case, regime, data):
+    # equal position, eigenvalues, eigenvectors and label, or both raise;
+    # a relativistic limiter can remove the interior saddle
+    p, _ = draw_launch(data, case, regime == REGIME_BACKWARD, relativistic=True)
+
+    def pick(select):
+        try:
+            return select(p, regime)
+        except PreconditionError:
+            return PreconditionError
+
+    assert pick(shooting._threshold_saddle) == pick(filtered_threshold_saddle)
 
 
 @pytest.mark.parametrize("case, backward", CASE_REGIMES, ids=CASE_REGIME_IDS)
