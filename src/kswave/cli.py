@@ -93,15 +93,15 @@ def _json_bytes(obj) -> bytes:
 
 def _csv_bytes(header: list[str], columns: list[list[float]]) -> bytes:
     """CSV rows of float columns; a NaN or an infinity is a numerical
-    failure (FloatingPointError)."""
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        row = [float(x) for x in row]
-        if not all(map(math.isfinite, row)):
-            kind = "NaN" if any(map(math.isnan, row)) else "an infinity"
-            raise FloatingPointError(f"{kind} in an output record")
-        lines.append(",".join(map(repr, row)))
-    return ("\n".join(lines) + "\n").encode()
+    failure (FloatingPointError), named by the first record that holds one."""
+    columns = [list(map(float, col)) for col in columns]
+    if not all(all(map(math.isfinite, col)) for col in columns):
+        for row in zip(*columns):
+            if not all(map(math.isfinite, row)):
+                kind = "NaN" if any(map(math.isnan, row)) else "an infinity"
+                raise FloatingPointError(f"{kind} in an output record")
+    rows = map(",".join, zip(*(map(repr, col) for col in columns)))
+    return ("\n".join([",".join(header), *rows]) + "\n").encode()
 
 
 def _write(path: Path, data: bytes) -> None:

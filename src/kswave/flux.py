@@ -17,7 +17,8 @@ evaluated for p = 2 as c*y / (mu * sqrt((c - y)(c + y))), which keeps
 its accuracy next to the boundary.  Each limiter compiles g, its domain
 guard and g' once (`_kernel`); `g_inverse`, `g_prime`, `make_g` and
 `make_boundary_factor`, which also makes graph legs' boundary kernel,
-are views of that one kernel.
+are views of that one kernel; `boundary_factor_constants` hands the
+boundary factor's constants to the unrolled step that inlines it.
 """
 
 from __future__ import annotations
@@ -169,6 +170,19 @@ def boundary_exponent(lim: FluxLimiter) -> float:
     return p / (p - 1.0)
 
 
+def boundary_factor_constants(lim: FluxLimiter, a: float, side: int) -> tuple:
+    """(m, p, mu, c, g, limit0, dv_scale): the constants of
+    `make_boundary_factor`'s F on `side`, with limit0 = F(0) and dv_scale
+    = -side*m, dv/dq over q^(m-1); graph legs' unrolled step reads them."""
+    if side not in (-1, 1):
+        raise ValueError("side must be +1 or -1")
+    p = lim.exponent
+    m = boundary_exponent(lim)
+    mu, c = lim.mu, lim.c
+    limit0 = side * (c / mu) * (c / (p * a)) ** (1.0 / p)
+    return m, p, mu, c, _kernel(lim)[0], limit0, -side * m
+
+
 def make_boundary_factor(lim: FluxLimiter, a: float, side: int, v_edge: float | None = None):
     """Closure F(q) = q^(m-1) * g(y(q)) with y(q) = side*(c - a*q^m).
 
@@ -181,14 +195,7 @@ def make_boundary_factor(lim: FluxLimiter, a: float, side: int, v_edge: float | 
     and drive = (g(a*v - sigma) - v) * dv/dq = -side*m*F - v*dv/dq, regular
     at q = 0: one call that forms q^m and q^(m-1) once.
     """
-    if side not in (-1, 1):
-        raise ValueError("side must be +1 or -1")
-    p = lim.exponent
-    m = boundary_exponent(lim)
-    mu, c = lim.mu, lim.c
-    g = _kernel(lim)[0]
-    limit0 = side * (c / mu) * (c / (p * a)) ** (1.0 / p)
-    dv_scale = -side * m  # dv/dq over q^(m-1)
+    m, p, mu, c, g, limit0, dv_scale = boundary_factor_constants(lim, a, side)
 
     def factor(q: float):
         qm, qm1 = q**m, q ** (m - 1.0)

@@ -33,18 +33,25 @@ Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars.  Orbits take the
 kernel `_dop853_step`, which evaluates the orbit's field inline at every
 stage from constants bound once per orbit, calling only a saturated
-limiter's g; `make_log_rhs`, the reference field, starts the march.  The
-kernel is the only DOP853 step: to locate an event, a step is
-interpolated by the quintic in Hermite form on its ends and its middle,
-whose state and slope one more kernel call, an exact half step, gives
-(`_step_quintic`).  Graph legs, tails and flux-boundary legs take
-`_graph_step`, a DP54 step that forms stage values for the first
-component alone, since a front's dense output is DP54's continuous
-extension.  Each step sums in the generic tableau loop's order, so it
-gives that loop's results to the bit.  A graph leg records each accepted
-step as one flat row of floats; after the march, h is folded into the
-extension's coefficients once per leg, and the dense output evaluates
-them by Horner's rule.
+limiter's g; `make_log_rhs`, the reference field, starts the march.  To
+locate an event, a step is interpolated by the quintic in Hermite form
+on its ends and its middle, whose state and slope one more kernel call,
+an exact half step, gives (`_step_quintic`).  An orbit hands over to its
+blow-up tail at the end of the step that crosses the switch level, when
+no other event fired on that step: no answer reads where the switch
+lies.  Tails step with DOP853 too, on `_tail_step`, which evaluates the
+tail's field inline at the stage nodes `_C8`; their events are located
+by Brent's method on exact partial steps (`_march_to_end`).  Graph legs
+and flux-boundary legs take DP54 steps that form stage values for the
+first component alone, since a front's dense output is DP54's continuous
+extension: in the boundary coordinate q, `_boundary_step`, which
+evaluates the boundary factor and the graph field inline; in v and in
+ln w, `_graph_step` on the field's closure.  Each step sums in the
+generic tableau loop's order, so it gives that loop's results to the
+bit, and each inline field gives its closure's.  A graph leg records
+each accepted step as one flat row of floats; after the march, h is
+folded into the extension's coefficients once per leg, and the dense
+output evaluates them by Horner's rule.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from .errors import (
     Inconclusive,
     StepSizeUnderflow,
 )
-from .flux import boundary_exponent, make_boundary_factor, make_g
+from .flux import boundary_exponent, boundary_factor_constants, make_boundary_factor, make_g
 from .phase import ModelParams, equilibrium_points, make_log_rhs
 from .roots import brentq
 
@@ -310,6 +317,108 @@ def _graph_step(f, t, y, ks, h):
     return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
 
 
+def _boundary_kernel(p: ModelParams, zone: BoundaryZone, dsign: float, floor: float) -> tuple:
+    """The kernel (step, constants, order) of `_leg_march` that steps on the
+    graph field (`_graph_field`, with dsign and floor) of the boundary leg
+    `zone.leg(p)`: `_boundary_step` on the constants it evaluates it from."""
+    m, pe, mu, c, g, limit0, dv_scale = boundary_factor_constants(p.limiter, p.a, zone.side)
+    consts = (m, m - 1.0, pe, 1.0 / pe, mu, c, g, limit0, dv_scale, p.a, zone.side, zone.v_edge,
+              p.gamma, p.lam, dsign, floor)
+    return _boundary_step, consts, 5
+
+
+def _boundary_step(field, t, y, ks, h):
+    """`_graph_step` on a boundary leg in q, with the leg's field evaluated inline.
+
+    At each stage the boundary factor (`make_boundary_factor`) and the
+    graph field (`_graph_field`) are formed from the constants `field`
+    (`_boundary_kernel`) with those closures' operations, so the results,
+    and a DomainError at the denominator's floor, are `_graph_step`'s on
+    the closure to the bit; stages 6 and 7 share the node q = t + h, and
+    so the factor there.
+    """
+    m, m1, pe, inv_p, mu, c, g, limit0, dv_scale, a, side, v_edge, gamma, lam, dsign, floor = field
+    exp, expm1, log1p = math.exp, math.expm1, math.log1p
+    x, s, ii = y
+    k1 = k1x, k1s, k1i = ks[-1]
+    a1 = h * _A21
+    q = t + _C2 * h
+    qm, qm1 = q ** m, q ** m1
+    z = a * qm / c
+    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+    v, dv = v_edge - side * qm, dv_scale * qm1
+    den = lam - gamma * v * v - exp(x + a1 * k1x)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k2 = k2x, _, _ = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    a1, a2 = h * _A31, h * _A32
+    q = t + _C3 * h
+    qm, qm1 = q ** m, q ** m1
+    z = a * qm / c
+    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+    v, dv = v_edge - side * qm, dv_scale * qm1
+    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k3 = k3x, k3s, k3i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    q = t + _C4 * h
+    qm, qm1 = q ** m, q ** m1
+    z = a * qm / c
+    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+    v, dv = v_edge - side * qm, dv_scale * qm1
+    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k4 = k4x, k4s, k4i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    q = t + _C5 * h
+    qm, qm1 = q ** m, q ** m1
+    z = a * qm / c
+    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+    v, dv = v_edge - side * qm, dv_scale * qm1
+    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k5 = k5x, k5s, k5i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    q = t + h
+    qm, qm1 = q ** m, q ** m1
+    z = a * qm / c
+    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+    v, dv = v_edge - side * qm, dv_scale * qm1
+    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x + a5 * k5x)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k6 = k6x, k6s, k6i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    x7 = x + b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x
+    s7 = s + b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s + b6 * k6s
+    i7 = ii + b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
+    # stage 7 is at q = t + h, as stage 6: its factor, v and dv are stage 6's
+    den = lam - gamma * v * v - exp(x7)
+    if den * dsign <= floor:
+        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
+    k = gamma / den
+    k7 = k7x, k7s, k7i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
+    err = (
+        h * (0.0 + _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x),
+        h * (0.0 + _E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s),
+        h * (0.0 + _E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i),
+    )
+    return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
+
+
 # Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10), with the constants of Hairer's dop853.f.  Row i of _A8 makes
 # stage i + 1 from the stages before it; the last row is the weights B, and
@@ -360,11 +469,18 @@ _E8_5 = (
 _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
+# The stage nodes: stage i + 1 is at t + _C8[i] * h, the last at t + h (FSAL).
+_C8 = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+)
 
 
-# The nonzero coefficients `_dop853_step` reads, bound once: _A8_i_j makes
-# stage i from stage j, _B8_j weighs stage j into the result, and _E5_j and
-# _E3_j into the error estimates.
+# The nonzero coefficients `_dop853_step` and `_tail_step` read, bound once:
+# _A8_i_j makes stage i from stage j, _B8_j weighs stage j into the result,
+# _E5_j and _E3_j into the error estimates, and stage i is at node _C8_i.
 (
     (_A8_2_1,), (_A8_3_1, _A8_3_2), (_A8_4_1, _, _A8_4_3), (_A8_5_1, _, _A8_5_3, _A8_5_4),
     (_A8_6_1, _, _, _A8_6_4, _A8_6_5), (_A8_7_1, _, _, _A8_7_4, _A8_7_5, _A8_7_6),
@@ -378,6 +494,7 @@ _E8_3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
 ) = _A8[1:]
 _E5_1, _, _, _, _, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = _E8_5
 _E3_1, _, _, _, _, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = _E8_3
+_, _C8_2, _C8_3, _C8_4, _C8_5, _C8_6, _C8_7, _C8_8, _C8_9, _C8_10, _C8_11, _, _ = _C8
 
 
 def _orbit_field(p: ModelParams) -> tuple:
@@ -490,6 +607,129 @@ def _dop853_step(field, t, y, k1, h):
     return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
 
 
+def _tail_step(field, t, y, k1, h):
+    """One DOP853 step of size h along a blow-up tail, from y = (ln w, r, I) at t = ln|v|.
+
+    The tail's field (`_blow_up_tail`), of constants `field` = (vsign, mu,
+    a, sigma, gamma, lam), is evaluated inline at each stage at t + _C8[i]
+    * h with its closure's operations; the slopes depend on (t, ln w)
+    alone, so only ln w has stage values.  Every sum runs left to right
+    over the nonzero coefficients in tableau order, so the results equal
+    the generic tableau loop's to the bit; stages 2 to 5, which no weight
+    reads, form the slope of ln w alone.  Returns what `_dop853_step`
+    returns: (y13, k13, (err5, err3)).
+    """
+    vsign, mu, a, sigma, gamma, lam = field
+    exp = math.exp
+    x, r, ii = y
+    k1x, k1r, k1i = k1
+    a1 = h * _A8_2_1
+    vt = vsign * exp(t + _C8_2 * h)
+    wt = exp(x + a1 * k1x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k2x = ((a * vt - sigma) / mu - vt) * ds
+    a1, a2 = h * _A8_3_1, h * _A8_3_2
+    vt = vsign * exp(t + _C8_3 * h)
+    wt = exp(x + a1 * k1x + a2 * k2x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k3x = ((a * vt - sigma) / mu - vt) * ds
+    a1, a3 = h * _A8_4_1, h * _A8_4_3
+    vt = vsign * exp(t + _C8_4 * h)
+    wt = exp(x + a1 * k1x + a3 * k3x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k4x = ((a * vt - sigma) / mu - vt) * ds
+    a1, a3, a4 = h * _A8_5_1, h * _A8_5_3, h * _A8_5_4
+    vt = vsign * exp(t + _C8_5 * h)
+    wt = exp(x + a1 * k1x + a3 * k3x + a4 * k4x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k5x = ((a * vt - sigma) / mu - vt) * ds
+    a1, a4, a5 = h * _A8_6_1, h * _A8_6_4, h * _A8_6_5
+    vt = vsign * exp(t + _C8_6 * h)
+    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k6x, k6r, k6i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_7_1, h * _A8_7_4, h * _A8_7_5, h * _A8_7_6
+    vt = vsign * exp(t + _C8_7 * h)
+    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k7x, k7r, k7i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_8_1, h * _A8_8_4, h * _A8_8_5, h * _A8_8_6
+    a7 = h * _A8_8_7
+    vt = vsign * exp(t + _C8_8 * h)
+    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k8x, k8r, k8i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_9_1, h * _A8_9_4, h * _A8_9_5, h * _A8_9_6
+    a7, a8 = h * _A8_9_7, h * _A8_9_8
+    vt = vsign * exp(t + _C8_9 * h)
+    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k9x, k9r, k9i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_10_1, h * _A8_10_4, h * _A8_10_5, h * _A8_10_6
+    a7, a8, a9 = h * _A8_10_7, h * _A8_10_8, h * _A8_10_9
+    vt = vsign * exp(t + _C8_10 * h)
+    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k10x, k10r, k10i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_11_1, h * _A8_11_4, h * _A8_11_5, h * _A8_11_6
+    a7, a8, a9, a10 = h * _A8_11_7, h * _A8_11_8, h * _A8_11_9, h * _A8_11_10
+    vt = vsign * exp(t + _C8_11 * h)
+    x1 = (x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x
+          + a10 * k10x)
+    wt = exp(x1)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k11x, k11r, k11i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    a1, a4, a5, a6 = h * _A8_12_1, h * _A8_12_4, h * _A8_12_5, h * _A8_12_6
+    a7, a8, a9, a10, a11 = h * _A8_12_7, h * _A8_12_8, h * _A8_12_9, h * _A8_12_10, h * _A8_12_11
+    vt = vsign * exp(t + h)
+    x1 = (x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x
+          + a10 * k10x + a11 * k11x)
+    wt = exp(x1)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k12x, k12r, k12i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    b1, b6, b7, b8, b9 = h * _B8_1, h * _B8_6, h * _B8_7, h * _B8_8, h * _B8_9
+    b10, b11, b12 = h * _B8_10, h * _B8_11, h * _B8_12
+    x13 = (x + b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x + b11 * k11x
+          + b12 * k12x)
+    r13 = (r + b1 * k1r + b6 * k6r + b7 * k7r + b8 * k8r + b9 * k9r + b10 * k10r + b11 * k11r
+          + b12 * k12r)
+    i13 = (ii + b1 * k1i + b6 * k6i + b7 * k7i + b8 * k8i + b9 * k9i + b10 * k10i + b11 * k11i
+          + b12 * k12i)
+    # the slope at the result is at t + h, as stage 12: vt is stage 12's
+    wt = exp(x13)
+    F = lam - gamma * vt * vt - wt
+    ds = gamma * vt / F
+    k13 = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
+    err5 = (
+        h * (0.0 + _E5_1 * k1x + _E5_6 * k6x + _E5_7 * k7x + _E5_8 * k8x
+             + _E5_9 * k9x + _E5_10 * k10x + _E5_11 * k11x + _E5_12 * k12x),
+        h * (0.0 + _E5_1 * k1r + _E5_6 * k6r + _E5_7 * k7r + _E5_8 * k8r
+             + _E5_9 * k9r + _E5_10 * k10r + _E5_11 * k11r + _E5_12 * k12r),
+        h * (0.0 + _E5_1 * k1i + _E5_6 * k6i + _E5_7 * k7i + _E5_8 * k8i
+             + _E5_9 * k9i + _E5_10 * k10i + _E5_11 * k11i + _E5_12 * k12i),
+    )
+    err3 = (
+        h * (0.0 + _E3_1 * k1x + _E3_6 * k6x + _E3_7 * k7x + _E3_8 * k8x
+             + _E3_9 * k9x + _E3_10 * k10x + _E3_11 * k11x + _E3_12 * k12x),
+        h * (0.0 + _E3_1 * k1r + _E3_6 * k6r + _E3_7 * k7r + _E3_8 * k8r
+             + _E3_9 * k9r + _E3_10 * k10r + _E3_11 * k11r + _E3_12 * k12r),
+        h * (0.0 + _E3_1 * k1i + _E3_6 * k6i + _E3_7 * k7i + _E3_8 * k8i
+             + _E3_9 * k9i + _E3_10 * k10i + _E3_11 * k11i + _E3_12 * k12i),
+    )
+    return (x13, r13, i13), k13, (err5, err3)
+
+
 # Smallest step, relative to max(1, |s|), that still moves s.
 _H_FLOOR_REL = 16.0 * sys.float_info.epsilon
 
@@ -537,16 +777,16 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     """Adaptive march on the field f from (t, y), with cached slope data k1, to t_end.
 
     `step(f, t, y, k1, h)` takes one step of signed size h on f, a function
-    or an orbit's constants (`_orbit_field`), and returns (y1, k, est): the
+    or the constants of a kernel's inline field, and returns (y1, k, est): the
     result, the slope data the next step starts from (FSAL: the slope at
     y1, or stage slopes ending with it) and the error estimate of the
     3-component state.  Errors are scaled by
     atols[c] + rtol * max(|y[c]|, |y1[c]|), a leg's ln W too (near W = 1
-    atol alone), except an orbit's ln w, whose scale rtol * max(1, w1/w) is
-    w's relative scale carried over to ln w.
-    The error norm of a graph-leg or tail DP54 step (order 5, `est` the
-    error per component) is the RMS of the scaled errors e; that of an
-    orbit's DOP853 step (order 8, state (ln w, v, I), `est` the pair (err5,
+    atol alone), except the ln w of an orbit or a tail, whose scale
+    atols[0] + rtol * max(1, w1/w) is w's relative scale carried over to ln w.
+    The error norm of a graph-leg DP54 step (order 5, `est` the error per
+    component) is the RMS of the scaled errors e; that of a DOP853 step of
+    an orbit or a tail (order 8, state (ln w, ., I), `est` the pair (err5,
     err3) of its 5th- and 3rd-order estimates) is
     |e5|^2 / sqrt(3 * (|e5|^2 + 0.01 * |e3|^2)), as in Hairer's dop853.f.
     A step raising DomainError, ZeroDivisionError or OverflowError counts
@@ -798,10 +1038,18 @@ def integrate(
                     if (x_old < level <= x) if d > 0 else (x_old > level >= x):
                         fired = (fired or []) + [(ev, ev.fn(s, w, v))]
             if fired:
-                ev, theta, y_ev = _first_event(
-                    field, s_old, y_old, k1_old, h, y, k13, fired, (s_old, w_old, y_old[1])
-                )
-                s_ev = s if theta >= 1.0 else s_old + h * theta
+                ev = fired[0][0]
+                if ev.kind == _TAIL and len(fired) == 1 and s != s_end:
+                    # no answer reads where the switch lies, so the tail starts
+                    # at the end of the step that crossed it; on a step landing
+                    # on s_end it is located, since the tail's MAX_SPAN event
+                    # fires only from a start short of s_end
+                    s_ev, y_ev = s, y
+                else:
+                    ev, theta, y_ev = _first_event(
+                        field, s_old, y_old, k1_old, h, y, k13, fired, (s_old, w_old, y_old[1])
+                    )
+                    s_ev = s if theta >= 1.0 else s_old + h * theta
                 w_ev = exp(y_ev[0])
                 add_s(s_ev), add_w(w_ev), add_v(y_ev[1]), add_i(y_ev[2])
                 if ev.kind == _TAIL:
@@ -955,8 +1203,9 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     and slopes (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F,
     where g(y) = y/mu: tails run for linear limiters only.  r is carried
     in place of s because s moves by 1/|v| per unit of tau while its error
-    scale is |s|; r moves by O(|v|^-3) and tends to the edge itself.  DP54
-    in s took about 88 steps per decade of v here, this about 5.
+    scale is |s|; r moves by O(|v|^-3) and tends to the edge itself.  The
+    tail steps with DOP853 (`_tail_step`) under the orbit's error norm:
+    about 2 to 3 steps per decade of v, where DP54 in s took about 88.
     """
     mu, a, sigma, gamma, lam = p.limiter.mu, p.a, p.sigma, p.gamma, p.lam
     lw, v, ii = y
@@ -978,7 +1227,8 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     t_end = math.log(ctr.v_max)
     kind = V_BLOW_UP_PLUS if vsign > 0.0 else V_BLOW_UP_MINUS
     return _march_to_end(
-        field, state, math.log(abs(v)), (lw, s - 1.0 / v, ii), t_end, ends, ctr, samples, kind
+        field, state, math.log(abs(v)), (lw, s - 1.0 / v, ii), t_end, ends, ctr, samples, kind,
+        (_tail_step, (vsign, mu, a, sigma, gamma, lam), 8),
     )
 
 
@@ -1007,7 +1257,7 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     gamma, lam = p.gamma, p.lam
     lw, v, ii = y
     dsign = math.copysign(1.0, lam - gamma * v * v - math.exp(lw))
-    field, _ = _graph_field(p, leg, dsign, v, zone.v_edge)
+    field, floor = _graph_field(p, leg, dsign, v, zone.v_edge)
     q, q_out = (max(d, 0.0) ** (1.0 / zone.m) for d in (side * (zone.v_edge - v), d_out))
     last = [q, (lw, 0.0, ii)]  # the last state the march in q reached
 
@@ -1021,8 +1271,11 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
 
     kind = FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW
     if side * sgn * dsign > 0.0:
+        kernel = _boundary_kernel(p, zone, dsign, floor)
         with contextlib.suppress(StepSizeUnderflow, DomainError):  # the turn stalls it
-            return _march_to_end(field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind)
+            return _march_to_end(
+                field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind, kernel
+            )
     q, (lw, ds, ii) = last
     # drive = (g - v) * dv/dq, and dv/dq has the sign of -side
     while q_out > q and leg(q_out)[2] >= 0.0:
@@ -1039,33 +1292,44 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     return term if term.kind else None
 
 
-def _leg_march(field, t, y, t_end, ctr: Controls):
-    """The DP54 `_march` of a leg on field(t, x) from (t, y) to t_end."""
+def _leg_march(field, t, y, t_end, ctr: Controls, kernel=None):
+    """The `_march` of a leg on field(t, x) from (t, y) to t_end.
+
+    `kernel` is (step, constants, order): a step that evaluates the field
+    inline from constants, `_boundary_step` (DP54, order 5) or `_tail_step`
+    (DOP853, order 8, under the orbit's error norm); None is DP54's
+    `_graph_step` on field itself.  field gives the march's first slopes.
+    """
+    step, consts, order = kernel or (_graph_step, field, 5)
     k1 = field(t, y[0])
     span = t_end - t
-    h = _initial_h(lambda t, y: field(t, y[0]), t, y, k1, math.copysign(1.0, span), ctr, abs(span))
-    return _march(
-        _graph_step, field, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr
+    h = _initial_h(
+        lambda t, y: field(t, y[0]), t, y, k1, math.copysign(1.0, span), ctr, abs(span), order
     )
+    if order == 8:
+        return _march(step, consts, t, y, k1, t_end, h, (0.0, ctr.atol, ctr.atol), ctr.rtol, ctr, 8)
+    return _march(step, consts, t, y, (k1,), t_end, h, (ctr.atol,) * 3, max(ctr.rtol, 1e-13), ctr)
 
 
-def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind):
+def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind, kernel=None):
     """March the rest of an orbit from (t, y) to t_end in a variable t other than s.
 
     The slopes `field(t, x)` of the state y = (x, ., I) depend on (t, x)
-    alone, so the leg steps like a graph leg, and h_max caps its step in t.
-    `state(t, y)` is (s, w, v), appended to the lists `samples` per step.
-    The first of the events `ends` on (s, w, v) to fire ends the leg, else
-    it ends `kind` at t_end.
+    alone, so the leg steps like a graph leg (`_leg_march`, with `kernel`),
+    and h_max caps its step in t.  `state(t, y)` is (s, w, v), appended to
+    the lists `samples` per step.  The first of the events `ends` on (s, w,
+    v) to fire ends the leg, located by Brent's method on exact partial
+    steps, else it ends `kind` at t_end.
     """
+    step, consts, _ = kernel or (_graph_step, field, 5)
     ss, ws, vs, iis = samples
     prev = state(t, y)
     e_prev = [ev.fn(*prev) for ev in ends]
-    for t_old, y_old, ks_old, h, t, y, _ in _leg_march(field, t, y, t_end, ctr):
+    for t_old, y_old, ks_old, h, t, y, _ in _leg_march(field, t, y, t_end, ctr, kernel):
 
         def step_to(theta):
             # the partial step from this step's start; called within the step only
-            return t_old + h * theta, _graph_step(field, t_old, y_old, ks_old, h * theta)[0]
+            return t_old + h * theta, step(consts, t_old, y_old, ks_old, h * theta)[0]
 
         now = state(t, y)
         e_new = [ev.fn(*now) for ev in ends]
@@ -1290,7 +1554,9 @@ class GraphSolution:
         termination kind and profile edge; the other end is a GRAPH_END.
         Where s changes by less than its rounding between samples, next to
         an edge reached in q**m with m large, the dense output can step s
-        back by an ulp; s is the running maximum, so there it ties.
+        back by an ulp or leave it unchanged; s is the running maximum, and
+        an interior sample whose s ties the next one or the first is
+        dropped, so s strictly rises, as a Trajectory's does.
         """
         import numpy as np
 
@@ -1302,6 +1568,10 @@ class GraphSolution:
             s, w, v, ii = s[::-1], w[::-1].copy(), v[::-1].copy(), ii[::-1].copy()
             lo_kind, hi_kind = hi_kind, lo_kind
         s = np.maximum.accumulate(s)
+        keep = np.ones(len(s), dtype=bool)
+        keep[1:-1] = (s[0] < s[1:-1]) & (s[1:-1] < s[2:])
+        if not keep.all():
+            s, w, v, ii = s[keep], w[keep], v[keep], ii[keep]
         term_lo = TerminationEvent(kind=lo_kind, s=float(s[0]), w=float(w[0]), v=float(v[0]))
         term_hi = TerminationEvent(kind=hi_kind, s=float(s[-1]), w=float(w[-1]), v=float(v[-1]))
         return Trajectory(
@@ -1407,10 +1677,11 @@ def integrate_graph_W(
     # the floor is signed with the anchor's denominator: no stage passes a pinch
     dsign = math.copysign(1.0, lam - gamma * v_anchor * v_anchor - W_anchor)
     field, floor = _graph_field(p, leg, dsign, v_anchor, v_target)
+    kernel = None if boundary is None else _boundary_kernel(p, boundary, dsign, floor)
     rows = []  # per accepted step: t, signed h, y and the 7 stage slopes, flat
     t, y = t0, (math.log(W_anchor), s_start, 0.0)
     try:
-        for t_old, y_old, _, h, t, y, ks in _leg_march(field, t, y, t1, ctr):
+        for t_old, y_old, _, h, t, y, ks in _leg_march(field, t, y, t1, ctr, kernel):
             k1, k2, k3, k4, k5, k6, k7 = ks
             rows.append((t_old, h, *y_old, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
     except DomainError as exc:  # `_march` rejects a step's, so this is the anchor's

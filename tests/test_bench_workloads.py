@@ -54,9 +54,12 @@ def test_threshold_seed_needs_few_classifications(worker, monkeypatch):
     assert methods == ["Both"] * 16
 
 
-# Stage evaluations of the orbit field per call of the orbit kernel: it
-# evaluates the field inline, at stages 2 to 13.
+# Stage evaluations per call of a kernel that evaluates its field inline:
+# the orbit's and the blow-up tail's DOP853 kernels at stages 2 to 13, the
+# boundary leg's DP54 kernel at stages 2 to 7.
 KERNEL_EVALS = 12
+TAIL_KERNEL_EVALS = 12
+BOUNDARY_KERNEL_EVALS = 6
 
 
 def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
@@ -66,11 +69,12 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     evaluation of an orbit's field, by the orbit kernel (`_dop853_step`)
     or by `make_log_rhs`.  The march's evaluations are those the steps
     make, rejected steps included; the orbit field's count adds each
-    orbit's start and event location.  Each kernel call counts
-    KERNEL_EVALS, which a call that raises in a stage has not made, so
+    orbit's start and event location.  A kernel that evaluates its field
+    inline (`_dop853_step`, `_tail_step`, `_boundary_step`) counts its
+    stages per call, which a call that raises in a stage has not made, so
     none may raise."""
     integrate = importlib.import_module("kswave.integrate")
-    march, make_log_rhs, kernel = integrate._march, integrate.make_log_rhs, integrate._dop853_step
+    march, make_log_rhs = integrate._march, integrate.make_log_rhs
     work = []
 
     def counted_field(p):
@@ -82,26 +86,39 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
 
         return field
 
-    def counted_kernel(*x):
-        work[-1][3] += KERNEL_EVALS
-        try:
-            return kernel(*x)
-        except Exception as exc:
-            raise AssertionError("an orbit step raised: its evaluations are miscounted") from exc
+    def not_raising(kernel, orbit=False):
+        def counted_kernel(*x):
+            if orbit:
+                work[-1][3] += KERNEL_EVALS
+            try:
+                return kernel(*x)
+            except Exception as exc:
+                raise AssertionError("a kernel step raised: its evaluations are miscounted") from exc
+
+        return counted_kernel
+
+    kernels = {
+        "_dop853_step": (not_raising(integrate._dop853_step, orbit=True), KERNEL_EVALS),
+        "_tail_step": (not_raising(integrate._tail_step), TAIL_KERNEL_EVALS),
+        "_boundary_step": (not_raising(integrate._boundary_step), BOUNDARY_KERNEL_EVALS),
+    }
+    inline = dict(kernels.values())
 
     def counted(step, f, *args, **kwargs):
+        evals = inline.get(step)
+
         def field(*x):
             work[-1][1] += 1
             return f(*x)
 
         def attempt(*x):
             work[-1][2] += 1
-            if step is counted_kernel:
-                work[-1][1] += KERNEL_EVALS
+            if evals:
+                work[-1][1] += evals
             return step(*x)
 
-        # the kernel takes the field's constants, not a function to count
-        for item in march(attempt, f if step is counted_kernel else field, *args, **kwargs):
+        # a kernel takes its field's constants, not a function to count
+        for item in march(attempt, f if evals else field, *args, **kwargs):
             work[-1][0] += 1
             yield item
 
@@ -109,7 +126,8 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
     wl.prepare()
     monkeypatch.setattr(integrate, "_march", counted)
     monkeypatch.setattr(integrate, "make_log_rhs", counted_field)
-    monkeypatch.setattr(integrate, "_dop853_step", counted_kernel)
+    for kernel_name, (kernel, _) in kernels.items():
+        monkeypatch.setattr(integrate, kernel_name, kernel)
     for op in wl.round(0):
         work.append([0, 0, 0, 0])
         wl.run(op)
@@ -118,15 +136,18 @@ def round_zero_work(worker, monkeypatch, name: str) -> list[list[int]]:
 
 # Per op of profiles round 0: accepted steps and evaluations.
 PROFILES_ROUND_0_WORK = [
-    (162, 1278),
-    (226, 2076),
-    (132, 1098),
-    (222, 1926),
-    (171, 1398),
-    (175, 1758),
-    (203, 1680),
-    (250, 2400),
+    (135, 1260),
+    (213, 2070),
+    (109, 1098),
+    (212, 1926),
+    (147, 1398),
+    (161, 1740),
+    (183, 1686),
+    (240, 2400),
 ]
+# Round 0's accepted steps and evaluations while blow-up tails stepped with
+# DP54 from a located switch (the per-op pins summed).
+PROFILES_ROUND_0_WORK_DP54_TAILS = (1541, 13614)
 # Round 0's accepted steps while blow-up ends were marched in s up to v_max.
 PROFILES_ROUND_0_STEPS_IN_S = 9802
 # Round 0's accepted steps and evaluations while orbits stepped with DP54
@@ -155,6 +176,11 @@ def test_profiles_work_is_pinned(worker, monkeypatch):
     # controller in w rejected 21 %
     assert evals <= 0.85 * PROFILES_ROUND_0_WORK_IN_W[1]
     assert attempts - steps <= 0.05 * attempts
+    # stepping blow-up tails with DOP853 from the step that crosses the
+    # switch saves over 5 % of the steps, at no more evaluations
+    tail_steps, tail_evals = PROFILES_ROUND_0_WORK_DP54_TAILS
+    assert steps <= 0.95 * tail_steps
+    assert evals <= tail_evals
 
 
 # Per op of threshold round 0: accepted steps and evaluations.

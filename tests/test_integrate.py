@@ -11,7 +11,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kswave.errors import (
@@ -501,22 +501,25 @@ def generic_rk_step(f, t, y, k1, h):
 
 
 def generic_dop853_step(f, t, y, k1, h):
-    """The generic DOP853 tableau loop on the orbit slopes (f(ln w, v), v).
+    """The generic DOP853 tableau loop on the orbit slopes (f(ln w, v), v)."""
+    return generic_dop853_loop(lambda t, y: f(y[0], y[1]) + (y[1],), t, y, k1, h)
 
-    Row i of the tableau makes stage i + 1 and the last row the result; each
-    sum runs left to right over the nonzero coefficients, each error sum from
-    0.0, in explicit loops (Python 3.12's sum() compensates rounding)."""
-    def slopes(y):
-        return f(y[0], y[1]) + (y[1],)
 
+def generic_dop853_loop(slopes, t, y, k1, h):
+    """The generic DOP853 tableau loop on slopes(t, y).
+
+    Row i of the tableau makes stage i + 1, at t + _C8[i] * h, and the last
+    row the result; each sum runs left to right over the nonzero
+    coefficients, each error sum from 0.0, in explicit loops (Python 3.12's
+    sum() compensates rounding)."""
     k = [k1]
-    for row in INTEGRATE._A8[1:]:
+    for i, row in enumerate(INTEGRATE._A8[1:], start=1):
         yi = []
         for c, u in enumerate(y):
             for j, a in nonzero(row):
                 u += (h * a) * k[j][c]
             yi.append(u)
-        k.append(slopes(yi))
+        k.append(slopes(t + INTEGRATE._C8[i] * h, yi))
     errs = []
     for e_row in (INTEGRATE._E8_5, INTEGRATE._E8_3):
         err = []
@@ -605,6 +608,60 @@ def test_stepper_near_relativistic_boundary(gap, edge, w, h, sign):
     v = hi - gap * (hi - lo) if edge > 0 else lo + gap * (hi - lo)
     assume(lo < v < hi)
     kernel, reference = kernel_against_reference(p, (math.log(w), v, 0.5), sign * h)
+    assert kernel == reference
+
+
+class _TailCaught(Exception):
+    pass
+
+
+def tail_field(p, v):
+    """(f, kernel) of the blow-up tail of p that starts at slope v: the
+    field f(tau, ln w) its march starts on and its kernel (step,
+    constants, order), caught at the march's call."""
+    caught = {}
+
+    def catch(field, state, t, y, t_end, ends, ctr, samples, kind, kernel=None):
+        caught.update(f=field, kernel=kernel)
+        raise _TailCaught
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(INTEGRATE, "_march_to_end", catch)
+        with pytest.raises(_TailCaught):
+            INTEGRATE._blow_up_tail(p, 0.0, (0.0, v, 0.0), [], Controls(), ([], [], [], []))
+    return caught["f"], caught["kernel"]
+
+
+@STEP_SETTINGS
+@given(
+    kind=st.sampled_from([k for k in sorted(STEP_PARAMS) if k.startswith(LINEAR)]),
+    vsign=st.sampled_from([1.0, -1.0]),
+    tau_frac=st.floats(0.0, 1.0, exclude_max=True),
+    lw=st.just(-math.inf) | st.floats(-60.0, math.log(1e3)),
+    r=st.floats(-1e3, 1e3),
+    ii=st.floats(-1e3, 1e3),
+    h_frac=st.floats(1e-9, 1.0),
+)
+def test_tail_kernel_bit_equal_to_reference(kind, vsign, tau_frac, lw, r, ii, h_frac):
+    # the tail's DOP853 kernel evaluates the tail field inline: it gives what
+    # the generic time-dependent tableau loop gives on the field closure the
+    # tail's march starts on, to the bit, from past a switch level up to
+    # v_max; ln w = -inf is the axis w = 0
+    p = STEP_PARAMS[kind]
+    v_sw = 10.0 * max(p.v_star, 2.0)
+    f, (step, consts, order) = tail_field(p, vsign * v_sw)
+    assert (step, order) == (INTEGRATE._tail_step, 8)
+    t0, t1 = math.log(v_sw), math.log(1e6)
+    t = t0 + tau_frac * (t1 - t0)
+    h = h_frac * (t1 - t)
+    assume(h != 0.0)
+    y = (lw, r, ii)
+    k1 = f(t, lw)
+    kernel = graph_step_outcome(step, consts, t, y, k1, h)
+    reference = graph_step_outcome(
+        lambda f, t, y, k1, h: generic_dop853_loop(lambda t, y: f(t, y[0]), t, y, k1, h),
+        f, t, y, k1, h,
+    )
     assert kernel == reference
 
 
@@ -709,6 +766,8 @@ def test_dop853_constants_match_scipy():
     for i, row in enumerate(A8):
         assert list(row) == ref.A[i, :i].tolist()
     assert list(INTEGRATE._E8_5) == ref.E5[:ref.N_STAGES].tolist()
+    # the nodes of the 12 stages and of the slope at the result
+    assert list(INTEGRATE._C8) == ref.C[:ref.N_STAGES + 1].tolist()
     assert list(INTEGRATE._E8_3) == ref.E3[:ref.N_STAGES].tolist()
     assert not ref.E5[ref.N_STAGES] and not ref.E3[ref.N_STAGES]
     # the stage nodes are the row sums, to rounding
@@ -806,16 +865,29 @@ def test_orbit_bit_equal_to_reference(kind, w0, v_frac, direction, level_frac):
 # --------------------------------------------------------------------------
 
 GRAPH_LEGS = {
-    # (params, v_anchor, W_anchor, v_target); v_target None: the upper flux
-    # boundary, so the leg runs in the boundary coordinate q
+    # (params, v_anchor, W_anchor, v_target); v_target "upper" or "lower": that
+    # flux boundary, so the leg runs in the boundary coordinate q
     "plain-W": (lp(0.5, 0.3), 0.0, 0.3, 0.5),
     "plain-Y": (lp(1.0, 0.5), 0.5, 3.0, -1.5),
-    "boundary-q-Y": (STEP_PARAMS[RELATIVISTIC], 0.3, 5.0, None),
+    "boundary-q-Y": (STEP_PARAMS[RELATIVISTIC], 0.3, 5.0, "upper"),
     # slope domain (-0.25, 0.75), inside (-v_star, v_star): a below-branch leg
     "boundary-q-W": (
-        ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=0.6, p=2.5)), 0.2, 0.05, None
+        ModelParams(a=1.2, sigma=0.3, limiter=FluxLimiter(LARSON, c=0.6, p=2.5)), 0.2, 0.05,
+        "upper",
     ),
+    "boundary-q-low": (STEP_PARAMS[RELATIVISTIC], 0.3, 5.0, "lower"),
+    "boundary-q-larson-low": (STEP_PARAMS[LARSON], -0.2, 6.0, "lower"),
 }
+BOUNDARY_LEGS = sorted(name for name, leg in GRAPH_LEGS.items() if isinstance(leg[3], str))
+
+
+def graph_leg(name):
+    """(params, v_anchor, W_anchor, v_target) of GRAPH_LEGS[name], a flux
+    boundary's v_target as its slope."""
+    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
+    if isinstance(v_target, str):
+        v_target = p.slope_domain[v_target == "upper"]
+    return p, v_anchor, W_anchor, v_target
 
 
 class _FieldCaught(Exception):
@@ -824,22 +896,22 @@ class _FieldCaught(Exception):
 
 @functools.lru_cache(maxsize=None)
 def graph_leg_field(name):
-    """(f, t0, t1, y0) of a graph leg: the field f(t, x) its march steps on,
-    caught at the march's call, with the leg's ends and starting state."""
-    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
-    if v_target is None:
-        v_target = p.slope_domain[1]
+    """(f, t0, t1, y0, kernel) of a graph leg: the field f(t, x) its march
+    starts on, caught at the march's call, with the leg's ends, starting
+    state and inline-field kernel (step, constants, order), None for an
+    interior leg, which steps on f itself."""
+    p, v_anchor, W_anchor, v_target = graph_leg(name)
     caught = {}
 
-    def catch(step, f, t, y, k1, t_end, *args):
-        caught.update(f=f, t0=t, t1=t_end, y0=y)
+    def catch(f, t, y, t_end, ctr, kernel=None):
+        caught.update(f=f, t0=t, t1=t_end, y0=y, kernel=kernel)
         raise _FieldCaught
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(INTEGRATE, "_march", catch)
+        m.setattr(INTEGRATE, "_leg_march", catch)
         with pytest.raises(_FieldCaught):
             integrate_graph_W(p, v_anchor, W_anchor, v_target)
-    return caught["f"], caught["t0"], caught["t1"], caught["y0"]
+    return caught["f"], caught["t0"], caught["t1"], caught["y0"], caught["kernel"]
 
 
 def graph_step_outcome(step, f, t, y, k1, h):
@@ -861,7 +933,7 @@ def graph_step_outcome(step, f, t, y, k1, h):
     ii=st.floats(-1e3, 1e3),
 )
 def test_graph_step_bit_equal_to_reference(name, t_frac, h_frac, x_scale, s, ii):
-    f, t0, t1, y0 = graph_leg_field(name)
+    f, t0, t1, y0, _ = graph_leg_field(name)
     # a step from t toward the leg's end, never past it, as the march steps
     t = t0 + t_frac * (t1 - t0)
     h = h_frac * (t1 - t)
@@ -879,15 +951,45 @@ def test_graph_step_bit_equal_to_reference(name, t_frac, h_frac, x_scale, s, ii)
     assert unrolled == graph_step_outcome(generic, f, t, y, (k1,), h)
 
 
+@settings(max_examples=300, deadline=timedelta(seconds=2), database=None)
+@given(
+    name=st.sampled_from(BOUNDARY_LEGS),
+    t_frac=st.floats(0.0, 1.0, exclude_max=True),
+    h_frac=st.floats(1e-9, 1.0),
+    x_scale=st.floats(0.5, 2.0) | st.floats(-30.0, 30.0),
+    s=st.floats(-1e3, 1e3),
+    ii=st.floats(-1e3, 1e3),
+)
+# one step from the anchor onto the edge: its stages meet each branch of
+# the boundary factor (x = a*q^m/c above 0.5, in (1e-32, 0.5], and 0 at q = 0)
+@example(name="boundary-q-Y", t_frac=0.0, h_frac=1.0, x_scale=1.0, s=0.0, ii=0.0)
+def test_boundary_kernel_bit_equal_to_graph_step(name, t_frac, h_frac, x_scale, s, ii):
+    # the boundary leg's kernel evaluates the boundary factor and the graph
+    # field inline: its results, and which error a stage raises, are
+    # _graph_step's on the field closure the march starts on, to the bit,
+    # over relativistic and Larson legs to both edges (a ln W far off the
+    # anchor's reaches the denominator's floor)
+    f, t0, t1, y0, (step, consts, order) = graph_leg_field(name)
+    assert (step, order) == (INTEGRATE._boundary_step, 5)
+    t = t0 + t_frac * (t1 - t0)
+    h = h_frac * (t1 - t)
+    assume(h != 0.0)
+    y = (x_scale * y0[0], s, ii)
+    try:
+        k1 = f(t, y[0])
+    except (DomainError, ZeroDivisionError):
+        assume(False)
+    kernel = graph_step_outcome(step, consts, t, y, (k1,), h)
+    assert kernel == graph_step_outcome(INTEGRATE._graph_step, f, t, y, (k1,), h)
+
+
 @pytest.mark.parametrize("name", sorted(GRAPH_LEGS))
 @pytest.mark.parametrize("box", [float, np.float64], ids=["float", "numpy"])
 def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
     # numpy scalars give the same numbers several times slower: the
     # independent variable and the state must stay Python floats, also when
     # the anchor comes in as a numpy scalar or the leg runs in q
-    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
-    if v_target is None:
-        v_target = p.slope_domain[1]
+    p, v_anchor, W_anchor, v_target = graph_leg(name)
     march, seen = INTEGRATE._march, []
 
     def spy(*args, **kwargs):
@@ -908,9 +1010,7 @@ def test_dense_output_reproduces_the_march(monkeypatch, name):
     # in) gives the anchor state exactly and every accepted step's end
     # state to rounding; the legs run in v both ways and in q to both kinds
     # of saturated edge
-    p, v_anchor, W_anchor, v_target = GRAPH_LEGS[name]
-    if v_target is None:
-        v_target = p.slope_domain[1]
+    p, v_anchor, W_anchor, v_target = graph_leg(name)
     march, ends = INTEGRATE._march, []
 
     def spy(*args, **kwargs):
@@ -933,7 +1033,8 @@ def test_dense_output_reproduces_the_march(monkeypatch, name):
 # the orbit loop skips the level scan and the ball test while no step can
 # trigger them.  (params, w0, v0, controls) -> per direction the termination
 # kind, its s and the sample count, or the error raised.  The two backward
-# default-v_max blow-ups end on a blow-up tail (marched in ln|v|).  The
+# default-v_max blow-ups end on a blow-up tail (marched in ln|v| with DOP853,
+# from the end of the step that crosses its switch level).  The
 # "standoff" launches start within 1e-9 * c/a of the flux boundary, far past
 # the switch level of its leg: toward it, they end on it in that leg's one
 # step; away from it, the leg takes them out of the band in ln w.
@@ -950,7 +1051,7 @@ EDGE_LAUNCHES = {
     "v0<-v_max": ((lp(1.0, 0.5), 1.0, -60.0, EDGE_CTR),
                   "StepSizeUnderflow", (V_BLOW_UP_PLUS, -2.841277572549723, 81)),
     "w0=w_min": ((lp(1.0, 0.5), 1e-12, 2.0, Controls(s_max=20.0)),
-                 (CONVERGED, 17.892201414101862, 36), (V_BLOW_UP_PLUS, -0.5493051443645995, 39)),
+                 (CONVERGED, 17.892201414101862, 36), (V_BLOW_UP_PLUS, -0.5493051443445055, 33)),
     "standoff-high": ((_REL, 5.0, _REL.slope_domain[1] - 0.5 * _EPS_V, Controls(s_max=20.0)),
                       (FLUX_BOUNDARY_LOW, 0.5441315178540849, 60),
                       (FLUX_BOUNDARY_HIGH, -1.1694438238854738e-10, 2)),
@@ -962,7 +1063,7 @@ EDGE_LAUNCHES = {
                           (FLUX_BOUNDARY_HIGH, -2.338891837962728e-10, 2)),
     "in-eq-ball": ((lp(1.0, 0.5), 0.3e-10, 1.0 + 0.2e-10, Controls(s_max=20.0)),
                    (CONVERGED, 6.543515120210078, 6),
-                   (V_BLOW_UP_PLUS, -12.326384343347554, 60)),
+                   (V_BLOW_UP_PLUS, -12.326384343160925, 53)),
     # launched on v_max, the forward orbit rises off it, which triggers
     # nothing; the backward one falls off it and spirals out until it
     # crosses v_max upward
@@ -1165,7 +1266,10 @@ class TestBlowUpTail:
     @pytest.mark.parametrize("m", [0.3, 0.9, 1.1, 3.0])
     @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
     def test_tail_only_appends(self, base, m, direction):
-        # every sample below the switch is the one a run that stops there takes
+        # every sample strictly below the switch is the one a run that stops
+        # there takes.  The run that stops there ends on an event located
+        # on the switch level, within rounding of it either side; the full
+        # run steps past the level without locating it
         a, sigma, v0, w0_star = base
         p, ctr = lp(a, sigma), Controls()
         v_sw = 10.0 * max(p.v_star, abs(v0))
@@ -1174,12 +1278,18 @@ class TestBlowUpTail:
             p, m * w0_star, v0, direction=direction, controls=dataclasses.replace(ctr, v_max=v_sw)
         )
         assert full.termination.kind == cut.termination.kind
+        blow_up = full.termination.kind.startswith("VBlowUp")
+        end = -1 if direction == FORWARD else 0
         below = [
-            [x for x, v in zip(sample_list(traj, name), sample_list(traj, "v")) if abs(v) <= v_sw]
-            for traj in (full, cut) for name in SAMPLES
+            [x for x, v in zip(sample_list(full, name), sample_list(full, "v")) if abs(v) < v_sw]
+            for name in SAMPLES
         ]
-        assert below[:4] == below[4:]
-        if full.termination.kind.startswith("VBlowUp"):
+        cut_samples = [sample_list(cut, name) for name in SAMPLES]
+        if blow_up:
+            assert abs(cut.termination.v) == pytest.approx(v_sw, rel=1e-13)
+            cut_samples = [x[:-1] if end else x[1:] for x in cut_samples]
+        assert below == cut_samples
+        if blow_up:
             assert len(full.s) > len(below[0])
             assert abs(full.termination.v) == ctr.v_max
         else:
@@ -1215,6 +1325,12 @@ class TestBlowUpTail:
                            V_BLOW_UP_PLUS, -0.521943198719865),
         "s_max": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0, Controls(s_max=0.8796), [],
                    FORWARD), MAX_SPAN, 0.8796),
+        # the march in s lands on s_max with the step that crosses the switch
+        # (at s = 0.8286 to 0.8347 without the span): the tail must start
+        # short of s_max, or its span event could not fire
+        "s_max-on-crossing-step": ((lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0,
+                                    Controls(s_max=0.8346091476490679), [], FORWARD),
+                                   MAX_SPAN, 0.8346091476490679),
     }
 
     def test_w_min_does_not_cut_a_super_critical_tail_short(self):
