@@ -301,11 +301,7 @@ def _options_portrait(args, cfg, params) -> dict:
     v_grid = _merged(args, cfg, "v_grid")
     if not w_grid or not v_grid:
         raise ConfigError("portrait needs non-empty --w-grid and --v-grid")
-    w_grid = [float(x) for x in w_grid]
-    v_grid = [float(x) for x in v_grid]
-    if any(w <= 0.0 for w in w_grid):
-        raise ConfigError("--w-grid entries must be positive densities")
-    return {"w_grid": w_grid, "v_grid": v_grid}
+    return {"w_grid": [float(x) for x in w_grid], "v_grid": [float(x) for x in v_grid]}
 
 
 def _options_shoot(args, cfg, params) -> dict:

@@ -33,15 +33,16 @@ Every step is unrolled and runs on Python floats, which Python adds and
 multiplies several times faster than numpy scalars.  Orbits take the
 kernel `_dop853_step`, which evaluates the orbit's field inline at every
 stage from constants bound once per orbit, calling only a saturated
-limiter's g; `make_log_rhs`, the reference field, starts the march.  To
-locate an event, a step is interpolated by the quintic in Hermite form
-on its ends and its middle, whose state and slope one more kernel call,
-an exact half step, gives (`_step_quintic`).  An orbit hands over to its
-blow-up tail at the end of the step that crosses the switch level, when
-no other event fired on that step: no answer reads where the switch
-lies.  Tails step with DOP853 too, on `_tail_step`, which evaluates the
-tail's field inline at the stage nodes `_C8`; their events are located
-by Brent's method on exact partial steps (`_march_to_end`).  Graph legs
+limiter's g; `make_log_rhs`, the reference field, starts the march.  An
+orbit hands over to its blow-up tail at the end of the step that crosses
+the switch level, when no other event fired on that step: no answer
+reads where the switch lies.  Tails step with DOP853 too, on
+`_tail_step`, which evaluates the tail's field inline at the stage nodes
+`_C8`.  Every march, in s or not, locates its events one way
+(`_first_event`): the step is interpolated by the quintic in Hermite
+form on its ends and its middle, whose state and slope one more call of
+the march's kernel, an exact half step, gives (`_step_quintic`), and
+the event found on it is corrected on the exact partial step.  Graph legs
 and flux-boundary legs take DP54 steps that form stage values for the
 first component alone, since a front's dense output is DP54's continuous
 extension: in the boundary coordinate q, `_boundary_step`, which
@@ -504,6 +505,11 @@ def _orbit_field(p: ModelParams) -> tuple:
     return (make_g(lim) if lim.saturated else None, lim.mu, p.a, p.sigma, p.gamma, p.lam)
 
 
+def _orbit_state(s: float, y) -> tuple[float, float, float]:
+    """(s, w, v) of an orbit's state y = (ln w, v, I) at s."""
+    return s, math.exp(y[0]), y[1]
+
+
 def _dop853_step(field, t, y, k1, h):
     """One DOP853 step of size h on an orbit from y = (ln w, v, I), k1 the slopes there.
 
@@ -879,14 +885,6 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     )
 
 
-def _crossed(e_prev: float, e_new: float, direction: int) -> bool:
-    if direction > 0:
-        return e_prev < 0.0 <= e_new
-    if direction < 0:
-        return e_prev > 0.0 >= e_new
-    return (e_prev < 0.0 <= e_new) or (e_prev > 0.0 >= e_new)
-
-
 def integrate(
     p: ModelParams,
     w0: float,
@@ -918,7 +916,7 @@ def integrate(
     f, field = make_log_rhs(p), _orbit_field(p)
 
     events = list(extra_events)
-    # each event, its fn, and whether it fires rising and falling (`_crossed`)
+    # each event, its fn, and whether it fires rising and falling
     crossings = [(ev, ev.fn, ev.direction >= 0, ev.direction <= 0) for ev in events]
     # The built-in events are level crossings of ln w (component 0) or v
     # (1), tested on the states directly: for e = x - level, x_prev < level
@@ -1047,7 +1045,8 @@ def integrate(
                     s_ev, y_ev = s, y
                 else:
                     ev, theta, y_ev = _first_event(
-                        field, s_old, y_old, k1_old, h, y, k13, fired, (s_old, w_old, y_old[1])
+                        (_dop853_step, field, 8), s_old, y_old, k1_old, h, y, k13, fired,
+                        (s_old, w_old, y_old[1]), _orbit_state,
                     )
                     s_ev = s if theta >= 1.0 else s_old + h * theta
                 w_ev = exp(y_ev[0])
@@ -1083,26 +1082,32 @@ def integrate(
     return _assemble(ss, ws, vs, iis, direction, term)
 
 
-def _step_quintic(field, y, k1, h, y1, k13):
-    """The quintic Hermite interpolant of the orbit step of size h from y to
-    y1, k1 and k13 the slopes there, on the field of constants `field`
-    (`_orbit_field`); see Hairer, Norsett & Wanner, Solving ODEs I, II.6.
+def _step_quintic(kernel, t, y, k1, h, y1, k_end):
+    """The quintic Hermite interpolant of the step of signed size h that
+    `kernel` = (step, constants, order) took from (t, y) to y1, k1 and
+    k_end the slope data there; see Hairer, Norsett & Wanner, Solving ODEs
+    I, II.6.
 
     Its data are the states and slopes at the step's start, at its middle
-    (the exact half step, whose last stage is the slope there) and at its
-    end.  Returns per component of y the coefficients (c0, ..., c5) of its
-    Newton form on the nodes 0, 0, 1/2, 1/2, 1, 1 in the step fraction
-    theta (`_quintic_at`).  If the half step leaves the field's domain, the
+    (the exact half step, whose slope data give the slope there) and at its
+    end.  The slope data of a DOP853 kernel (order 8) are the slope, those
+    of a DP54 kernel (order 5) its stage slopes, the slope last.  Returns
+    per component of y the coefficients (c0, ..., c5) of its Newton form on
+    the nodes 0, 0, 1/2, 1/2, 1, 1 in the step fraction theta
+    (`_quintic_at`).  If the half step leaves the field's domain, the
     middle's data are those of the cubic Hermite interpolant of the ends,
     and the quintic is that cubic.
     """
+    step, consts, order = kernel
     try:
-        ym, km, _ = _dop853_step(field, 0.0, y, k1, 0.5 * h)
+        ym, km, _ = step(consts, t, y, k1, 0.5 * h)
     except (DomainError, ZeroDivisionError, OverflowError):
         ym = km = None
+    if order == 5:  # stage slopes, the slope last
+        k1, k_end, km = k1[-1], k_end[-1], None if km is None else km[-1]
     coeffs = []
     for c, (y0, y1c) in enumerate(zip(y, y1)):
-        d0, d1 = h * k1[c], h * k13[c]
+        d0, d1 = h * k1[c], h * k_end[c]
         if ym is None:
             mid, dm = 0.5 * (y0 + y1c) + 0.125 * (d0 - d1), 1.5 * (y1c - y0) - 0.25 * (d0 + d1)
         else:
@@ -1124,74 +1129,55 @@ def _quintic_at(c: tuple, theta: float) -> float:
     return c0 + theta * (c1 + theta * (c2 + t * (c3 + t * (c4 + (theta - 1.0) * c5))))
 
 
-def _first_event(field, s, y, k1, h, y1, k13, fired, start):
-    """Locate the earliest of the events that fired on the orbit step from
-    (s, y) of signed size h to y1, k1 and k13 the slopes at its ends, on
-    the field of constants `field` (`_orbit_field`).
+def _first_event(kernel, t, y, k1, h, y1, k_end, fired, start, state):
+    """Locate the earliest of the events that fired on the step of signed
+    size h that `kernel` = (step, constants, order) took from (t, y) to
+    y1, k1 and k_end the slope data at its ends (`_step_quintic`).
 
-    `fired` lists (EventSpec, value at the step's end) in tie-breaking
-    order, and `start` is the state (s, w, v) at the step's start.  Each
+    `state(t, y)` maps the march's state to (s, w, v), on which the events
+    are functions; `fired` lists (EventSpec, value at the step's end) in
+    tie-breaking order, and `start` is (s, w, v) at the step's start.  Each
     event's fraction theta of the step is found by Brent's method on the
-    step's quintic Hermite interpolant (`_step_quintic`); the earliest, the
-    first listed winning ties, is then corrected by one Newton step on the
-    exact partial step, with the slope of the event function along the
-    interpolant, so the event state is an 8th-order partial-step state.
-    Returns (event, theta, state (ln w, v, I)).
+    step's quintic Hermite interpolant; the earliest, the first listed
+    winning ties, is then corrected by one Newton step on the exact partial
+    step, with the slope of the event function along the interpolant, so
+    the event state is a partial-step state of the kernel's order.
+    Returns (event, theta, state y there).
     """
-    coeffs = _step_quintic(field, y, k1, h, y1, k13)
-    c_lw, c_v, _ = coeffs
+    step, consts, _ = kernel
+    coeffs = _step_quintic(kernel, t, y, k1, h, y1, k_end)
 
     def at(theta: float) -> tuple[float, float, float]:
-        return s + h * theta, math.exp(_quintic_at(c_lw, theta)), _quintic_at(c_v, theta)
+        return state(t + h * theta, [_quintic_at(c, theta) for c in coeffs])
 
     best = None
     for ev, e_end in fired:
+        fn = ev.fn
+
+        def phi(theta: float) -> float:
+            return fn(*start) if theta <= 0.0 else e_end if theta >= 1.0 else fn(*at(theta))
+
         # loose: the Newton correction below squares this error, and events
         # closer than 1e-9 of a step apart are simultaneous for any caller
-        theta = _locate_event(at, start, ev.fn, e_end, xtol=1e-9)
+        theta = 1.0 if e_end == 0.0 else brentq(phi, 0.0, 1.0, xtol=1e-9)
         if best is None or theta < best[0]:
             best = (theta, ev)
     theta, ev = best
     if theta >= 1.0:
         return ev, 1.0, y1
     try:
-        yt = _dop853_step(field, s, y, k1, h * theta)[0]
-        e = ev.fn(s + h * theta, math.exp(yt[0]), yt[1])
+        yt = step(consts, t, y, k1, h * theta)[0]
+        e = ev.fn(*state(t + h * theta, yt))
         if e != 0.0:
             d = 1e-6
             slope = (ev.fn(*at(theta + d)) - ev.fn(*at(theta - d))) / (2.0 * d)
-            step = e / slope if slope != 0.0 else math.nan
-            if math.isfinite(step):
-                theta = min(max(theta - step, 0.0), 1.0)
-                yt = y1 if theta == 1.0 else _dop853_step(field, s, y, k1, h * theta)[0]
+            newton = e / slope if slope != 0.0 else math.nan
+            if math.isfinite(newton):
+                theta = min(max(theta - newton, 0.0), 1.0)
+                yt = y1 if theta == 1.0 else step(consts, t, y, k1, h * theta)[0]
     except (DomainError, ZeroDivisionError, OverflowError):
         yt = tuple(_quintic_at(c, theta) for c in coeffs)
     return ev, theta, yt
-
-
-def _locate_event(at, start, fn, e_end: float, xtol: float = 1e-15) -> float:
-    """Fraction theta in (0, 1] at which fn(s, w, v) crosses zero along a step,
-    to within xtol.
-
-    `start` is the state (s, w, v) at the step's start, `at(theta)` the
-    state at fraction theta of the step, and e_end the value of fn at the
-    step's end.
-    """
-    if e_end == 0.0:
-        return 1.0
-
-    def phi(theta: float) -> float:
-        if theta <= 0.0:
-            return fn(*start)
-        if theta >= 1.0:
-            return e_end
-        try:
-            state = at(theta)
-        except DomainError:
-            return e_end
-        return fn(*state)
-
-    return brentq(phi, 0.0, 1.0, xtol=xtol)
 
 
 def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> TerminationEvent:
@@ -1199,12 +1185,13 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
 
     There |v| > v_star, so v' = F = (lam - gamma*v^2 - w)/gamma < 0 and v
     runs monotonically outward.  `_march_to_end` marches it in tau = ln|v|
-    up to ln v_max, ending V_BLOW_UP_*, with state (ln w, r = s - 1/v, I)
-    and slopes (g(a*v - sigma) - v) * v/F, (lam - w)/(gamma*v*F) and v^2/F,
-    where g(y) = y/mu: tails run for linear limiters only.  r is carried
-    in place of s because s moves by 1/|v| per unit of tau while its error
-    scale is |s|; r moves by O(|v|^-3) and tends to the edge itself.  The
-    tail steps with DOP853 (`_tail_step`) under the orbit's error norm:
+    up to ln v_max, ending V_BLOW_UP_* unless one of the events `ends`
+    fires first, located on the tail step's quintic (`_first_event`).  Its
+    state is (ln w, r = s - 1/v, I), with slopes (g(a*v - sigma) - v) *
+    v/F, (lam - w)/(gamma*v*F) and v^2/F, where g(y) = y/mu: tails run
+    for linear limiters only.  r is carried in place of s because s moves
+    by 1/|v| per unit of tau while its error scale is |s|; r moves by
+    O(|v|^-3) and tends to the edge itself.  The tail steps with DOP853 (`_tail_step`) under the orbit's error norm:
     about 2 to 3 steps per decade of v, where DP54 in s took about 88.
     """
     mu, a, sigma, gamma, lam = p.limiter.mu, p.a, p.sigma, p.gamma, p.lam
@@ -1250,7 +1237,8 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     at once where the out level is not ahead of the start, as for a launch
     on the switch level: the out event fires only rising from a negative
     value, so it could not end the march in ln w, which would run on into
-    a root of g - v and stall there.
+    a root of g - v and stall there.  Both marches locate their events,
+    `ends` and the out level, on the DP54 step's quintic (`_first_event`).
     """
     zone = BoundaryZone.of(p, side)
     leg = zone.leg(p)
@@ -1318,33 +1306,30 @@ def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind,
     alone, so the leg steps like a graph leg (`_leg_march`, with `kernel`),
     and h_max caps its step in t.  `state(t, y)` is (s, w, v), appended to
     the lists `samples` per step.  The first of the events `ends` on (s, w,
-    v) to fire ends the leg, located by Brent's method on exact partial
-    steps, else it ends `kind` at t_end.
+    v) to fire ends the leg, located as an orbit's events are
+    (`_first_event`), else it ends `kind` at t_end.
     """
-    step, consts, _ = kernel or (_graph_step, field, 5)
+    kernel = kernel or (_graph_step, field, 5)
     ss, ws, vs, iis = samples
     prev = state(t, y)
     e_prev = [ev.fn(*prev) for ev in ends]
-    for t_old, y_old, ks_old, h, t, y, _ in _leg_march(field, t, y, t_end, ctr, kernel):
-
-        def step_to(theta):
-            # the partial step from this step's start; called within the step only
-            return t_old + h * theta, step(consts, t_old, y_old, ks_old, h * theta)[0]
-
+    for t_old, y_old, k1, h, t, y, k in _leg_march(field, t, y, t_end, ctr, kernel):
         now = state(t, y)
         e_new = [ev.fn(*now) for ev in ends]
-        best = None
-        for ev, e_old, e in zip(ends, e_prev, e_new):
-            if _crossed(e_old, e, ev.direction):
-                theta = _locate_event(lambda th: state(*step_to(th)), prev, ev.fn, e)
-                if best is None or theta < best[0]:
-                    best = (theta, ev)
-        if best is not None and best[0] < 1.0:
-            t, y = step_to(best[0])
+        # (EventSpec, value at the step's end) of each event that fired, as
+        # `integrate` lists them
+        fired = [
+            (ev, e) for ev, e_old, e in zip(ends, e_prev, e_new)
+            if (ev.direction >= 0 and e_old < 0.0 <= e) or (ev.direction <= 0 and e_old > 0.0 >= e)
+        ]
+        if fired:
+            ev, theta, y = _first_event(kernel, t_old, y_old, k1, h, y, k, fired, prev, state)
+            if theta < 1.0:
+                t = t_old + h * theta
             now = state(t, y)
         ss.append(now[0]), ws.append(now[1]), vs.append(now[2]), iis.append(y[2])
-        if best is not None:
-            kind = best[1].kind
+        if fired:
+            kind = ev.kind
             break
         prev, e_prev = now, e_new
     return TerminationEvent(kind=kind, s=now[0], w=now[1], v=now[2])

@@ -405,8 +405,9 @@ def predicted_types(
       super-critical -> (A1, A1); at or below critical -> (A4, A4).
     """
     regime = shooting_regime(p, v0)
-    if w0 <= 0.0:
-        raise ValueError(f"launch density ratio must be positive, got {w0!r}")
+    for name, w in (("w0", w0), ("w0_star", w0_star)):
+        if not 0.0 < w < math.inf:
+            raise PreconditionError(f"{name} must be a positive density, got {w!r}")
 
     critical = _is_critical(w0, w0_star, rel_tol)
     if regime == REGIME_BACKWARD:
@@ -702,12 +703,15 @@ def portrait(
     p: ModelParams, seeds, controls: Controls | None = None
 ) -> tuple[str, list[Trajectory]]:
     """The regime case of p ("Degenerate" at sigma_star) and the full orbit
-    through each seed (w0, v0).  A seed slope outside the slope domain
-    raises PreconditionError before any orbit is traced."""
+    through each seed (w0, v0).  A seed density that is not finite and
+    positive, or a seed slope outside the slope domain, raises
+    PreconditionError before any orbit is traced."""
     case = _regime_case(p)
     seeds = list(seeds)
     lo, hi = p.slope_domain
-    for _, v0 in seeds:
+    for w0, v0 in seeds:
+        if not 0.0 < w0 < math.inf:
+            raise PreconditionError(f"seed w0 must be a positive density, got {w0!r}")
         if not lo < v0 < hi:
             raise PreconditionError(f"seed slope {v0!r} outside the slope domain ({lo!r}, {hi!r})")
     return case, [wave_trajectory(p, w0, v0, controls=controls) for w0, v0 in seeds]

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from kswave import profiles
@@ -85,6 +87,15 @@ class TestPortrait:
         lo, hi = REL.slope_domain
         with pytest.raises(PreconditionError, match="slope domain"):
             portrait(REL, [(5.0, 0.5), (5.0, hi + 0.1)])
+
+    @pytest.mark.parametrize("w0", [0.0, -1.0, math.nan, math.inf])
+    def test_seed_density_that_is_not_positive_is_refused_first(self, monkeypatch, w0):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an orbit was traced before every seed was checked")
+
+        monkeypatch.setattr(profiles, "wave_trajectory", forbidden)
+        with pytest.raises(PreconditionError, match="positive density"):
+            portrait(REL, [(5.0, 0.5), (w0, 0.5)])
 
 
 class TestSweep:

@@ -777,7 +777,7 @@ def test_dop853_constants_match_scipy():
 
 @pytest.mark.parametrize("kind", sorted(STEP_PARAMS))
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_continuous_extension_order(monkeypatch, kind, sign):
+def test_continuous_extension_order(kind, sign):
     # Against exact partial steps, the midpoint quintic's error falls like
     # h^6 and that of the cubic Hermite interpolant, taken when the half step
     # raises, like h^4 (2^6 = 64 and 2^4 = 16 per halving); both meet the
@@ -797,10 +797,8 @@ def test_continuous_extension_order(monkeypatch, kind, sign):
     errors = []
     for h in (0.2 * sign, 0.1 * sign):
         y1, k13, _ = step(field, 0.0, y, k1, h)
-        quintic = INTEGRATE._step_quintic(field, y, k1, h, y1, k13)
-        with monkeypatch.context() as m:
-            m.setattr(INTEGRATE, "_dop853_step", raising)
-            cubic = INTEGRATE._step_quintic(field, y, k1, h, y1, k13)
+        quintic = INTEGRATE._step_quintic((step, field, 8), 0.0, y, k1, h, y1, k13)
+        cubic = INTEGRATE._step_quintic((raising, field, 8), 0.0, y, k1, h, y1, k13)
         for part in (quintic, cubic):
             assert dense(part, 0.0) == y
             assert dense(part, 1.0) == pytest.approx(y1, rel=1e-15, abs=1e-16)
@@ -1092,24 +1090,59 @@ def test_edge_launch_terminations(name, direction):
     assert len(traj.s) == n
 
 
+def located_events(monkeypatch) -> list:
+    """Spy on `_first_event`: the list it fills, per located event, with
+    (step kernel, event, located (s, w, v))."""
+    first_event, located = INTEGRATE._first_event, []
+
+    def spy(kernel, t, y, k1, h, y1, k_end, fired, start, state):
+        ev, theta, y_ev = first_event(kernel, t, y, k1, h, y1, k_end, fired, start, state)
+        located.append((kernel[0], ev, state(t + h * theta, y_ev)))
+        return ev, theta, y_ev
+
+    monkeypatch.setattr(INTEGRATE, "_first_event", spy)
+    return located
+
+
+@pytest.mark.parametrize("name", ["standoff-high", "standoff-low"])
+def test_leg_out_event_lands_on_its_level(monkeypatch, name):
+    # launched in a flux-boundary band and heading out, the orbit leaves the
+    # band in ln w (DP54 on the field closure) at the out level 2e-3 of the
+    # slope domain's width from the edge, located on the step's quintic
+    (p, w0, v0, ctr), *_ = EDGE_LAUNCHES[name]
+    lo, hi = p.slope_domain
+    side = 1 if name == "standoff-high" else -1
+    v_out = hi - 2e-3 * (hi - lo) if side > 0 else lo + 2e-3 * (hi - lo)
+    located = located_events(monkeypatch)
+    traj = integrate(p, w0, v0, direction=FORWARD if side > 0 else BACKWARD, controls=ctr)
+    outs = [(s, w, v) for step, ev, (s, w, v) in located if step is INTEGRATE._graph_step]
+    assert len(outs) == 1
+    s, w, v = outs[0]
+    assert v == pytest.approx(v_out, rel=1e-13)
+    # the hand-back to the march in s starts from the located state
+    k = sample_list(traj, "s").index(s)
+    assert (sample_list(traj, "w")[k], sample_list(traj, "v")[k]) == (w, v)
+
+
 @pytest.mark.parametrize("name", ["standoff-high", "standoff-low"])
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction):
-    # a half step of event location that leaves the slope domain drops the
-    # interpolant to the cubic Hermite one of the step's ends; the Newton
+    # a half step of event location that leaves the field's domain drops the
+    # interpolant to the cubic Hermite one of the step's ends, on an orbit's
+    # DOP853 step and on a flux-boundary leg's DP54 step alike; the Newton
     # correction on the exact partial step still puts the switch level of
-    # the flux-boundary leg where it was, and the leg ends on the edge
+    # the flux-boundary leg, and the leg's way out of its band, where they
+    # were, and the leg ends on the edge
     forced = []
     quintic = INTEGRATE._step_quintic
 
     def raising(*args):
         raise DomainError("forced in the half step")
 
-    def cubic(*args):
-        forced.append(args)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(INTEGRATE, "_dop853_step", raising)
-            return quintic(*args)
+    def cubic(kernel, *args):
+        _, consts, order = kernel
+        forced.append(order)
+        return quintic((raising, consts, order), *args)
 
     monkeypatch.setattr(INTEGRATE, "_step_quintic", cubic)
     test_edge_launch_terminations(name, direction)
@@ -1119,8 +1152,9 @@ def test_hermite_fallback_locates_the_flux_boundary(monkeypatch, name, direction
     edge = {FLUX_BOUNDARY_LOW: lo, FLUX_BOUNDARY_HIGH: hi}
     kind = traj.termination.kind
     assert traj.termination.v == edge[kind]
-    # a far end reaches its leg by crossing the switch level, which is located
-    assert bool(forced) == (abs(v0 - edge[kind]) > _EPS_V)
+    # a far end is reached by leaving the launch's band in ln w (DP54) and
+    # crossing the far switch level (DOP853), both located
+    assert sorted(set(forced)) == ([5, 8] if abs(v0 - edge[kind]) > _EPS_V else [])
 
 
 def test_extra_events_win_ties_against_levels():
@@ -1345,6 +1379,27 @@ class TestBlowUpTail:
         assert full.termination.kind == ref.termination.kind == V_BLOW_UP_MINUS
         assert full.s_plus == pytest.approx(ref.s_plus, abs=1e-9)
         assert ref.s_plus == pytest.approx(2.5847650, abs=1e-7)
+
+    @pytest.mark.parametrize("name", ["event", "s_max-on-crossing-step"])
+    def test_tail_events_are_located_on_the_quintic(self, monkeypatch, name):
+        # an extra event and the span, both past the switch level, are
+        # located on the tail step's quintic and corrected on its exact
+        # partial step, to 1e-12 of an rtol-1e-13 run.  The run takes rtol
+        # 1e-12: at the default rtol, the v of a span end near blow-up
+        # carries the edge's integration error (2.5e-11)
+        (p, w0, v0, ctr, events, direction), kind, _ = self.IN_TAIL[name]
+
+        def end(rtol):
+            return integrate(p, w0, v0, direction=direction, extra_events=events,
+                             controls=dataclasses.replace(ctr, rtol=rtol)).termination
+
+        ref = end(1e-13)
+        located = located_events(monkeypatch)
+        term = end(1e-12)
+        step, ev, at = located[-1]
+        assert (step, ev.kind, at) == (INTEGRATE._tail_step, kind, (term.s, term.w, term.v))
+        assert term.s == pytest.approx(ref.s, rel=1e-12)
+        assert term.v == pytest.approx(ref.v, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(IN_TAIL))
     def test_terminations_inside_the_tail(self, name):

@@ -13,7 +13,14 @@ from kswave import cli
 from kswave.errors import DegenerateError, PreconditionError, RegimeViolation
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
 from kswave.phase import ModelParams
-from kswave.profiles import check_anchor, reconstruct, saturated_front, sweep, wave_trajectory
+from kswave.profiles import (
+    check_anchor,
+    predicted_types,
+    reconstruct,
+    saturated_front,
+    sweep,
+    wave_trajectory,
+)
 from kswave.shooting import find_w0_star, shooting_regime, supplied_threshold
 
 REL = FluxLimiter(RELATIVISTIC, c=3.0)
@@ -238,6 +245,8 @@ class TestNonFiniteRunInputs:
          "--c", "0.3", "--v0", "1.3"],
         ["shoot", *BASE, "--seed", "-1"],
         ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "0,1.5", "--v-grid", "1"],
+        ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "1.5,nan", "--v-grid", "1"],
+        ["portrait", "--a", "0.5", "--sigma", "0.75", "--w-grid", "1.5,inf", "--v-grid", "1"],
         ["sweep", "--a-values", "0,1", "--sigma-factors", "0.5"],
         ["sweep", "--a-values", "0.5,2", "--sigma-factors=-0.5"],
         ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--check-samples", "-1"],
@@ -324,6 +333,15 @@ class TestNonFiniteRunInputs:
     def test_check_anchor(self, args):
         with pytest.raises(PreconditionError):
             check_anchor(*args)
+
+    @pytest.mark.parametrize("w0, w0_star, name", [
+        (math.nan, 3.0, "w0"), (math.inf, 3.0, "w0"), (0.0, 3.0, "w0"),
+        (1.0, 0.0, "w0_star"), (1.0, -1.0, "w0_star"), (1.0, math.nan, "w0_star"),
+        (1.0, math.inf, "w0_star"),
+    ])
+    def test_predicted_types_needs_densities(self, w0, w0_star, name):
+        with pytest.raises(PreconditionError, match=f"^{name} must be a positive density"):
+            predicted_types(P_LIN, 2.0, w0, w0_star)
 
 
 @pytest.mark.parametrize("kw", [
