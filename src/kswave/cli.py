@@ -183,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="launch slope as a multiple of the wave speed bound (default 2)")
     swe.add_argument("--check-samples", type=int,
                      help="random classifier checks per grid point (default 0)")
-    swe.add_argument("--workers", type=int, help="worker processes (default 1)")
+    swe.add_argument("--workers", type=int,
+                     help="no effect: a sweep runs in one process (an integer of at least 1)")
     return parser
 
 
@@ -344,12 +345,15 @@ def _options_sweep(args, cfg, params) -> dict:
     sigma_factors = _merged(args, cfg, "sigma_factors")
     if not a_values or not sigma_factors:
         raise ConfigError("sweep needs non-empty --a-values and --sigma-factors")
+    # --workers has no effect, but command lines that set it stay valid
+    workers = _count(args, cfg, "workers", default=1)
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers!r}")
     return {
         "a_values": [float(x) for x in a_values],
         "sigma_factors": [float(x) for x in sigma_factors],
         "v0_factor": float(_merged(args, cfg, "v0_factor", default=2.0)),
         "check_samples": _count(args, cfg, "check_samples", default=0),
-        "workers": _count(args, cfg, "workers", default=1),
     }
 
 

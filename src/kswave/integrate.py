@@ -100,6 +100,8 @@ BOTH = "both"
 # solve_ivp uses the same floor.
 _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
 
+_SEAM_REL = 1e-6  # how far, relative, merged pieces' seam states may differ
+
 
 @dataclass(frozen=True)
 class Controls:
@@ -1386,11 +1388,11 @@ def _assemble(ss, ws, vs, iis, direction, term) -> Trajectory:
                       s_minus=s_minus, s_plus=s_plus)
 
 
-def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> Trajectory:
+def merge_trajectories(pieces: Sequence[Trajectory]) -> Trajectory:
     """Chain trajectories whose endpoint states coincide into one.
 
     Pieces are given in ascending-s order; piece k's last sample must match
-    piece k+1's first sample in (w, v) to within rel_tol (AnchorMismatch
+    piece k+1's first sample in (w, v) to within 1e-6 relative (AnchorMismatch
     otherwise).  s and I of later pieces are shifted to agree at the seams;
     the merged run inherits its end events and edges from the outer pieces.
     """
@@ -1412,7 +1414,7 @@ def merge_trajectories(pieces: Sequence[Trajectory], rel_tol: float = 1e-6) -> T
     for ps, pw, pv, pi in list(zip(*cols))[1:]:
         dw = abs(pw[0] - w_end)
         dv = abs(pv[0] - v_end)
-        if dw > rel_tol * (1.0 + abs(w_end)) or dv > rel_tol * (1.0 + abs(v_end)):
+        if dw > _SEAM_REL * (1.0 + abs(w_end)) or dv > _SEAM_REL * (1.0 + abs(v_end)):
             raise AnchorMismatch(
                 f"seam mismatch: ({w_end!r}, {v_end!r}) vs ({pw[0]!r}, {pv[0]!r})"
             )
@@ -1625,7 +1627,8 @@ def integrate_graph_W(
     and so does one that stalls (a fold or a pinch) with its last signed
     denominator under _FOLD_FACTOR times the floor; any other stall raises
     Inconclusive.  Samples and `dense` are DP54's continuous extension, by
-    Horner's rule on coefficients with h folded in once per leg.
+    Horner's rule on coefficients with h folded in once per leg; an
+    n_samples that is not an int of at least 2 raises ValueError first.
     """
     ctr = controls or Controls()
     # the leg marches on Python floats: numpy scalars would slow every stage
@@ -1635,6 +1638,8 @@ def integrate_graph_W(
         raise ValueError("v_target must differ from v_anchor")
     if not W_anchor > 0.0:
         raise ValueError("W_anchor must be positive")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     lim = p.limiter
     g = make_g(lim)
     a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam

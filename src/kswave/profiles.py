@@ -89,6 +89,7 @@ SLOPE_MINUS_INF = "-inf"  # u drops vertically into the right edge
 SLOPE_FINITE_POS = "finite-positive"
 SLOPE_FINITE_NEG = "finite-negative"
 SLOPE_ZERO = "zero"  # tangential contact
+_SLOPE_BAND = 0.1  # an edge exponent rho within this of 1 is a finite slope
 
 # Fraction of the profile maximum treated as "vanished": when verifying
 # type labels against the sampled data, and when deciding that an end is
@@ -381,21 +382,15 @@ def _limit_rates(profile: WaveProfile, p: ModelParams) -> tuple[list, list]:
     return u_rates, S_rates
 
 
-def _is_critical(w0: float, w0_star: float, rel_tol: float = _CRITICAL_REL) -> bool:
-    return abs(w0 - w0_star) <= rel_tol * w0_star
+def _is_critical(w0: float, w0_star: float) -> bool:
+    return abs(w0 - w0_star) <= _CRITICAL_REL * w0_star
 
 
-def predicted_types(
-    p: ModelParams,
-    v0: float,
-    w0: float,
-    w0_star: float,
-    rel_tol: float = _CRITICAL_REL,
-) -> tuple[str, str]:
+def predicted_types(p: ModelParams, v0: float, w0: float, w0_star: float) -> tuple[str, str]:
     """The (u, S) taxonomy labels a launch (w0, v0) must produce.
 
     The launch density ratio w0 is compared against the critical value
-    ``w0_star`` (equal within ``rel_tol`` counts as exactly critical) and
+    ``w0_star`` (equal within 1e-9 relative counts as exactly critical) and
     the launch slope picks the regime:
 
     * fast launch (v0 > v_star): super-critical -> (A1, A1); critical ->
@@ -409,7 +404,7 @@ def predicted_types(
         if not 0.0 < w < math.inf:
             raise PreconditionError(f"{name} must be a positive density, got {w!r}")
 
-    critical = _is_critical(w0, w0_star, rel_tol)
+    critical = _is_critical(w0, w0_star)
     if regime == REGIME_BACKWARD:
         if not critical and w0 > w0_star:
             return (TYPE_A1, TYPE_A1)
@@ -434,12 +429,7 @@ def _tail_rate(p: ModelParams) -> float:
     return rate
 
 
-def classify_profile(
-    profile: WaveProfile,
-    p: ModelParams,
-    w0_star: float,
-    rel_tol: float = _CRITICAL_REL,
-) -> tuple[str, str]:
+def classify_profile(profile: WaveProfile, p: ModelParams, w0_star: float) -> tuple[str, str]:
     """Label (u, S) by the launch-density taxonomy, verified on the data.
 
     The labels follow predicted_types at the profile's anchor; each one
@@ -455,7 +445,7 @@ def classify_profile(
     s0 = profile.anchors["s0"]
     w0 = profile.anchors["u0"] / profile.anchors["S0"]
     s, u, S, v = (sample_list(profile, name) for name in ("s", "u", "S", "v"))
-    labels = predicted_types(p, _interp(s0, s, v), w0, w0_star, rel_tol=rel_tol)
+    labels = predicted_types(p, _interp(s0, s, v), w0, w0_star)
 
     u_rates, S_rates = _limit_rates(profile, p)
     u_ok = _label_matches(labels[0], u, profile.s_minus, profile.s_plus, u_rates)
@@ -466,7 +456,7 @@ def classify_profile(
     )
 
 
-def endpoint_slopes(profile: WaveProfile, p: ModelParams, band: float = 0.1) -> dict:
+def endpoint_slopes(profile: WaveProfile, p: ModelParams) -> dict:
     """Categorize the one-sided slopes of u at the finite profile edges.
 
     The exponent rho in u ~ (distance to edge)^rho is the limit of
@@ -476,8 +466,8 @@ def endpoint_slopes(profile: WaveProfile, p: ModelParams, band: float = 0.1) -> 
     the flux boundary (FLUX_BOUNDARY_*) v reaches its edge at a finite rate
     while g grows like (distance)^(-1/p): u'/u is integrable, u jumps to
     u(edge) > 0 (`end_limits`) with a vertical slope, and rho = 0.  rho <
-    1 - band is a diverging slope, |rho - 1| <= band a finite one, rho >
-    1 + band a tangential contact.  A profile without two finite edges, or
+    0.9 is a diverging slope, |rho - 1| <= 0.1 a finite one (`_SLOPE_BAND`),
+    rho > 1.1 a tangential contact.  A profile without two finite edges, or
     a finite edge without such an end event, raises ValueError.  The signal
     slope S' = S * v at the outermost samples tells a single interior
     signal maximum by its signs.
@@ -502,9 +492,9 @@ def endpoint_slopes(profile: WaveProfile, p: ModelParams, band: float = 0.1) -> 
     rho_p = rho_at("s_plus", profile.s_plus, ends[1])
 
     def categorize(rho: float, rising: bool) -> str:
-        if rho < 1.0 - band:
+        if rho < 1.0 - _SLOPE_BAND:
             return SLOPE_PLUS_INF if rising else SLOPE_MINUS_INF
-        if rho <= 1.0 + band:
+        if rho <= 1.0 + _SLOPE_BAND:
             return SLOPE_FINITE_POS if rising else SLOPE_FINITE_NEG
         return SLOPE_ZERO
 
@@ -724,7 +714,6 @@ def sweep(
     v0_factor: float = 2.0,
     check_samples: int = 0,
     seed: int = 0,
-    workers: int = 1,
     controls: Controls | None = None,
 ) -> list[dict]:
     """One row per grid point: p with each a, and sigma each factor times sigma_star.
@@ -738,9 +727,9 @@ def sweep(
     many classify_trajectory runs at random launches within a factor 4 of
     w0_star, drawn from ``seed`` and the point's index, fall on the right
     side.  The grid is built, and so its parameters validated, before any
-    point runs; with workers > 1 the points run in a process pool.  A sigma
-    factor within 1e-9 of 1 (degenerate), a v0_factor outside (1, inf),
-    check_samples < 0 or workers < 1 raises PreconditionError first.
+    point runs; the points then run in this process, in grid order.  A
+    sigma factor within 1e-9 of 1 (degenerate), a v0_factor outside
+    (1, inf) or check_samples < 0 raises PreconditionError first.
     """
     sigma_factors = list(sigma_factors)
     if any(abs(f - 1.0) <= 1e-9 for f in sigma_factors):
@@ -757,31 +746,21 @@ def sweep(
         raise PreconditionError(
             f"check_samples (--check-samples) must be non-negative, got {check_samples!r}"
         )
-    if workers < 1:
-        raise PreconditionError(f"workers (--workers) must be at least 1, got {workers!r}")
-    ctr = controls if controls is not None else Controls()
-    jobs = []
-    for i, (a, f) in enumerate(itertools.product(a_values, sigma_factors)):
+    points = []
+    for a, f in itertools.product(a_values, sigma_factors):
         probe = replace(p, a=a)
-        point = replace(probe, sigma=f * (probe.sigma_star or probe.v_star))
-        jobs.append((point, v0_factor, check_samples, seed * 100003 + i, ctr))
-    if workers == 1:
-        return [_sweep_point(job) for job in jobs]
-    # imported here: the pool machinery costs import time every other
-    # computation would pay
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a pool forks all its workers at the first submit: one per point at most
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_sweep_point, jobs))
+        points.append(replace(probe, sigma=f * (probe.sigma_star or probe.v_star)))
+    return [_sweep_point(point, v0_factor, check_samples, seed * 100003 + i, controls)
+            for i, point in enumerate(points)]
 
 
-def _sweep_point(job: tuple) -> dict:
-    p, v0_factor, n, rng_seed, ctr = job
+def _sweep_point(
+    p: ModelParams, v0_factor: float, n: int, rng_seed: int, controls: Controls | None
+) -> dict:
     v0 = v0_factor * p.v_star
     row: dict = {"a": p.a, "sigma": p.sigma, "case": _regime_case(p), "v0": v0}
     try:
-        thr = find_w0_star(p, v0, controls=ctr)
+        thr = find_w0_star(p, v0, controls=controls)
     except NUMERICAL_FAILURES as exc:
         row.update(w0_star=None, method=None, types=None, error=f"{type(exc).__name__}: {exc}")
         return row
@@ -808,7 +787,7 @@ def _sweep_point(job: tuple) -> dict:
             while abs(w0 - thr.w0_star) <= 1e-8 * thr.w0_star:
                 w0 = thr.w0_star * math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
             try:
-                shot = classify_trajectory(p, w0, v0, controls=ctr)
+                shot = classify_trajectory(p, w0, v0, controls=controls)
                 ok = is_subcritical(shot.cls) == (w0 < thr.w0_star)
             except NUMERICAL_FAILURES:
                 ok = False

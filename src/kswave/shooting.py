@@ -345,11 +345,13 @@ def trace_stable_manifold(
     reaches ``v_stop`` the trace raises ``SeedEscaped``, also when a branch
     is captured by one of ``equilibria(p)`` first.  A ``v_stop`` between
     the saddle's v and a seed's, which the trace could never cross, halves
-    the offset until no seed lies past it; a ``v_stop`` at the saddle's v
-    raises PreconditionError before any integration.
+    the offset until no seed lies past it; a ``v_stop`` not finite or at
+    the saddle's v raises PreconditionError before any integration.
     """
     if manifold not in ("stable", "unstable"):
         raise ValueError(f"manifold must be 'stable' or 'unstable', got {manifold!r}")
+    if not math.isfinite(v_stop):
+        raise PreconditionError(f"v_stop must be finite, got {v_stop!r}")
     (ws, vs), (ew, ev), (ow, ov), _, (c, _), _, h = _manifold_expansion(
         p, saddle, manifold, seed_scale
     )

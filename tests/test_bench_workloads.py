@@ -269,9 +269,8 @@ def readme_outputs(worker, root, monkeypatch) -> dict:
 
 def test_readme_commands_write_the_same_bytes_traced(worker, tracing, tmp_path, monkeypatch):
     # The benchmark's traced cli run calls main in process with every public
-    # cross-module kswave function wrapped: a wrapped function handed to the
-    # sweep's process pool, or state left behind by an earlier in-process
-    # call, shows here as an exit code or a byte difference.
+    # cross-module kswave function wrapped: state left behind by an earlier
+    # in-process call shows here as an exit code or a byte difference.
     bare = readme_outputs(worker, tmp_path / "bare", monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 
@@ -376,40 +375,6 @@ class TestSweep:
         assert one == two
         for row in json.loads(one)["points"]:
             assert row["checks"] == {"n": 4, "correct": 4}
-
-    def test_worker_pool_matches_serial(self, capsys, tmp_path):
-        argv = ["sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5", "--seed", "3"]
-        run(capsys, *argv, "--workers", "1", "--out", str(tmp_path / "serial"))
-        run(capsys, *argv, "--workers", "2", "--out", str(tmp_path / "pool"))
-        assert (tmp_path / "serial" / "sweep.json").read_bytes() == (
-            tmp_path / "pool" / "sweep.json"
-        ).read_bytes()
-
-    def test_pool_no_larger_than_the_grid(self, capsys, monkeypatch, tmp_path):
-        # a pool forks all its workers at once: a 2-point grid gets 2, however
-        # many are asked for; the fake pool maps in this process
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool,
-                            raising=False)
-        code, _, _ = run(capsys, "sweep", "--a-values", "0.5,2", "--sigma-factors", "0.5",
-                         "--workers", "10000", "--out", str(tmp_path))
-        assert code == 0
-        assert sizes == [2]
-        assert len(read_json(tmp_path / "sweep.json")["points"]) == 2
 
     def test_factor_one_rejected(self, capsys):
         code, _, err = run(

@@ -99,10 +99,6 @@ class TestPortrait:
 
 
 class TestSweep:
-    def test_pool_rows_equal_serial_rows(self):
-        kwargs = dict(a_values=[0.5, 2.0], sigma_factors=[0.5], check_samples=2, seed=3)
-        assert sweep(P, workers=2, **kwargs) == sweep(P, workers=1, **kwargs)
-
     def test_grid_is_validated_before_any_point_runs(self, monkeypatch):
         monkeypatch.setattr(profiles, "_sweep_point", None)  # any call would fail
         for a_values, factors in (([0.0, 1.0], [0.5]), ([0.5], [-0.5])):

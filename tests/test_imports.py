@@ -1,6 +1,7 @@
 """Import cost: `import kswave` and `import kswave.cli` load neither SciPy nor
 the process-pool machinery, and no computation loads SciPy: kswave does not
-depend on it.  numpy is imported only where it is used, so the README's
+depend on it.  No kswave module imports a process pool: a sweep runs in one
+process.  numpy is imported only where it is used, so the README's
 `equilibria`, `shoot`, `portrait`, linear `profile` and `sweep` commands run
 without it.  No kswave module imports a private (underscore) name from
 another."""
@@ -103,6 +104,12 @@ def test_no_module_imports_scipy():
         assert "scipy" not in imported_packages(ast.walk(tree)), name
 
 
+def test_no_module_imports_a_process_pool():
+    for name, tree in parsed_sources():
+        packages = imported_packages(ast.walk(tree))
+        assert "concurrent" not in packages and "multiprocessing" not in packages, name
+
+
 def test_no_module_imports_numpy_at_import_time():
     for name, tree in parsed_sources():
         assert "numpy" not in imported_packages(run_at_import(tree)), name
@@ -127,7 +134,7 @@ NUMPY_FREE_COMMANDS = [
      "--v-grid=-0.5,1.5", "--out", "out/"],
     ["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2", "--out", "out/"],
     ["sweep", "--a-values", "0.5,1,2", "--sigma-factors", "0.5,1.5", "--check-samples", "5",
-     "--workers", "2", "--out", "out/"],
+     "--out", "out/"],
 ]
 
 
@@ -144,6 +151,7 @@ def test_readme_command_loads_no_numpy(argv, tmp_path):
     )
     assert "kswave.cli" in modules
     assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+    assert heavy(modules) == []
     assert any((tmp_path / "out").iterdir())
     if argv[0] == "sweep":
         # the spot checks draw from the stdlib generator, and every one holds

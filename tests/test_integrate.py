@@ -45,7 +45,7 @@ from kswave.integrate import (
     sample_list,
 )
 from kswave.phase import ModelParams, equilibria, make_log_rhs
-from kswave.profiles import graph_trajectory
+from kswave.profiles import graph_trajectory, saturated_front
 
 SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
 
@@ -444,6 +444,24 @@ class TestGraphForm:
         monkeypatch.setattr(INTEGRATE, "_graph_step", forbidden)
         with pytest.raises(DomainError, match="v_target"):
             trace()
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True])
+    @pytest.mark.parametrize("trace", [
+        lambda n: integrate_graph_W(COTH_P, v_anchor=0.0, W_anchor=0.3, v_target=0.5,
+                                    n_samples=n),
+        lambda n: graph_trajectory(COTH_P, 0.3, 0.0, n_samples=n),
+        lambda n: saturated_front(
+            ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0)),
+            0.5, 5.0, branch="above", n_samples=n,
+        ),
+    ], ids=["leg", "graph-trajectory", "front"])
+    def test_sample_count_is_an_int_of_at_least_two(self, monkeypatch, trace, n_samples):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("graph leg marched before its sample count was checked")
+
+        monkeypatch.setattr(INTEGRATE, "_leg_march", forbidden)
+        with pytest.raises(ValueError, match="n_samples"):
+            trace(n_samples)
 
     def test_step_budget_exhaustion_raises(self):
         p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))

@@ -172,12 +172,11 @@ def test_front_anchor_checks_raise_before_tracing(no_integration):
     ({"v0_factor": math.nan}, "v0_factor"),
     ({"v0_factor": math.inf}, "v0_factor"),
     ({"check_samples": -3}, "check_samples"),
-    ({"workers": 0}, "workers"),
 ], ids=["sigma-factor-one", "v0-factor-half", "v0-factor-nan", "v0-factor-inf",
-        "check-samples-negative", "workers-zero"])
+        "check-samples-negative"])
 def test_sweep_ranges_are_checked_before_any_point(no_integration, kw, word):
-    # the library validates the whole grid's options, so no point runs and
-    # no worker pool starts; the CLI only maps the error to exit 2
+    # the library validates the whole grid's options, so no point runs; the
+    # CLI only maps the error to exit 2
     args = {"a_values": [0.5, 2.0], "sigma_factors": [0.5], **kw}
     with pytest.raises(PreconditionError, match=word):
         sweep(P_LIN, **args)

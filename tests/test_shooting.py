@@ -201,6 +201,12 @@ class TestManifold:
         with pytest.raises(PreconditionError, match="saddle's v"):
             trace_stable_manifold(P_C, saddle, v_stop=saddle.v)
 
+    @pytest.mark.parametrize("v_stop", [math.nan, math.inf, -math.inf])
+    def test_v_stop_that_is_not_finite_is_a_precondition(self, monkeypatch, v_stop):
+        monkeypatch.setattr(shooting, "integrate", None)
+        with pytest.raises(PreconditionError, match="v_stop must be finite"):
+            trace_stable_manifold(P_C, equilibria(P_C)[0], v_stop=v_stop)
+
     def test_launch_inside_the_seed_offset_traces_from_the_near_seed(self):
         # Just below sigma_star the case-A interior saddle sits 1e-5 above
         # v = -v_star, and a backward launch 1e-5 below it lies inside the
