@@ -30,7 +30,12 @@ ascending s.  Both drivers step through `_march`, one adaptive loop with
 one predictive step-size controller.
 
 Every step is unrolled and runs on Python floats, which Python adds and
-multiplies several times faster than numpy scalars.  Orbits take the
+multiplies several times faster than numpy scalars.  The four step kernels
+are generated once, at import, by `_rk_kernel`: each from its tableau
+(DOP853's `_A8`, `_E8_5`, `_E8_3` and `_C8`, or DP54's `_A`, `_E` and `_C`)
+and a short template of its field.  Their source is registered with
+linecache, so `inspect.getsource(_dop853_step)` shows it, and so do the
+tracebacks the `traceback` module formats.  Orbits take the
 kernel `_dop853_step`, which evaluates the orbit's field inline at every
 stage from constants bound once per orbit, calling only a saturated
 limiter's g; `make_log_rhs`, the reference field, starts the march.  An
@@ -58,6 +63,7 @@ output evaluates them by Horner's rule.
 from __future__ import annotations
 
 import contextlib
+import linecache
 import math
 import operator
 import sys
@@ -69,6 +75,7 @@ from .errors import (
     DenominatorVanished,
     DomainError,
     Inconclusive,
+    PreconditionError,
     StepSizeUnderflow,
 )
 from .flux import boundary_exponent, boundary_factor_constants, make_boundary_factor, make_g
@@ -258,11 +265,6 @@ _A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
       (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_, _C2, _C3, _C4, _C5, _, _ = _C  # the last two nodes are 1
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54) = _A[1:5]
-_A61, _A62, _A63, _A64, _A65 = _A[5]
-_B1, _, _B3, _B4, _B5, _B6 = _A[6]
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
 # inside a step, y(t + x*h) = y + h * sum_j k_j * (P_j . (x, x^2, x^3, x^4)).
@@ -279,147 +281,6 @@ _P = (
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-
-
-def _graph_step(f, t, y, ks, h):
-    """One DP54 step of size h along a graph leg, from (t, y) with y = (x, s, I).
-
-    `f(t, x)` gives the slopes of (x, s, I) at t: they depend on x (ln W)
-    alone, so only x has stage values.  `ks` holds the previous step's
-    stage slopes, the last of them f at (t, y) (FSAL); `(f(t, x),)` starts
-    a leg.  Returns (y1, stages, err): the 5th-order result, the seven
-    stage slopes (the last is f at y1), which the leg's continuous
-    extension reads, and the embedded error estimate per component.  Every
-    sum runs left to right over the nonzero coefficients in tableau order,
-    so the results equal the generic tableau loop's to the bit.
-    """
-    x, s, ii = y
-    k1 = k1x, k1s, k1i = ks[-1]
-    a1 = h * _A21
-    k2 = k2x, _, _ = f(t + _C2 * h, x + a1 * k1x)
-    a1, a2 = h * _A31, h * _A32
-    k3 = k3x, k3s, k3i = f(t + _C3 * h, x + a1 * k1x + a2 * k2x)
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    k4 = k4x, k4s, k4i = f(t + _C4 * h, x + a1 * k1x + a2 * k2x + a3 * k3x)
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = k5x, k5s, k5i = f(t + _C5 * h, x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x)
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = k6x, k6s, k6i = f(
-        t + h, x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x + a5 * k5x
-    )
-    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    x7 = x + b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x
-    s7 = s + b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s + b6 * k6s
-    i7 = ii + b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
-    k7 = k7x, k7s, k7i = f(t + h, x7)
-    err = (
-        h * (0.0 + _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x),
-        h * (0.0 + _E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s),
-        h * (0.0 + _E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i),
-    )
-    return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _boundary_kernel(p: ModelParams, zone: BoundaryZone, dsign: float, floor: float) -> tuple:
-    """The kernel (step, constants, order) of `_leg_march` that steps on the
-    graph field (`_graph_field`, with dsign and floor) of the boundary leg
-    `zone.leg(p)`: `_boundary_step` on the constants it evaluates it from."""
-    m, pe, mu, c, g, limit0, dv_scale = boundary_factor_constants(p.limiter, p.a, zone.side)
-    consts = (m, m - 1.0, pe, 1.0 / pe, mu, c, g, limit0, dv_scale, p.a, zone.side, zone.v_edge,
-              p.gamma, p.lam, dsign, floor)
-    return _boundary_step, consts, 5
-
-
-def _boundary_step(field, t, y, ks, h):
-    """`_graph_step` on a boundary leg in q, with the leg's field evaluated inline.
-
-    At each stage the boundary factor (`make_boundary_factor`) and the
-    graph field (`_graph_field`) are formed from the constants `field`
-    (`_boundary_kernel`) with those closures' operations, so the results,
-    and a DomainError at the denominator's floor, are `_graph_step`'s on
-    the closure to the bit; stages 6 and 7 share the node q = t + h, and
-    so the factor there.
-    """
-    m, m1, pe, inv_p, mu, c, g, limit0, dv_scale, a, side, v_edge, gamma, lam, dsign, floor = field
-    exp, expm1, log1p = math.exp, math.expm1, math.log1p
-    x, s, ii = y
-    k1 = k1x, k1s, k1i = ks[-1]
-    a1 = h * _A21
-    q = t + _C2 * h
-    qm, qm1 = q ** m, q ** m1
-    z = a * qm / c
-    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
-         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
-    v, dv = v_edge - side * qm, dv_scale * qm1
-    den = lam - gamma * v * v - exp(x + a1 * k1x)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k2 = k2x, _, _ = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    a1, a2 = h * _A31, h * _A32
-    q = t + _C3 * h
-    qm, qm1 = q ** m, q ** m1
-    z = a * qm / c
-    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
-         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
-    v, dv = v_edge - side * qm, dv_scale * qm1
-    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k3 = k3x, k3s, k3i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    q = t + _C4 * h
-    qm, qm1 = q ** m, q ** m1
-    z = a * qm / c
-    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
-         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
-    v, dv = v_edge - side * qm, dv_scale * qm1
-    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k4 = k4x, k4s, k4i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    q = t + _C5 * h
-    qm, qm1 = q ** m, q ** m1
-    z = a * qm / c
-    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
-         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
-    v, dv = v_edge - side * qm, dv_scale * qm1
-    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k5 = k5x, k5s, k5i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    q = t + h
-    qm, qm1 = q ** m, q ** m1
-    z = a * qm / c
-    F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
-         else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
-    v, dv = v_edge - side * qm, dv_scale * qm1
-    den = lam - gamma * v * v - exp(x + a1 * k1x + a2 * k2x + a3 * k3x + a4 * k4x + a5 * k5x)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k6 = k6x, k6s, k6i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    x7 = x + b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x
-    s7 = s + b1 * k1s + b3 * k3s + b4 * k4s + b5 * k5s + b6 * k6s
-    i7 = ii + b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
-    # stage 7 is at q = t + h, as stage 6: its factor, v and dv are stage 6's
-    den = lam - gamma * v * v - exp(x7)
-    if den * dsign <= floor:
-        raise DomainError(f"lam - gamma*v^2 - W reached the floor at {q!r}")
-    k = gamma / den
-    k7 = k7x, k7s, k7i = k * (dv_scale * F - dv * v), k * dv, v * (k * dv)
-    err = (
-        h * (0.0 + _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x),
-        h * (0.0 + _E1 * k1s + _E3 * k3s + _E4 * k4s + _E5 * k5s + _E6 * k6s + _E7 * k7s),
-        h * (0.0 + _E1 * k1i + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i),
-    )
-    return (x7, s7, i7), (k1, k2, k3, k4, k5, k6, k7), err
 
 
 # Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
@@ -481,23 +342,117 @@ _C8 = (
 )
 
 
-# The nonzero coefficients `_dop853_step` and `_tail_step` read, bound once:
-# _A8_i_j makes stage i from stage j, _B8_j weighs stage j into the result,
-# _E5_j and _E3_j into the error estimates, and stage i is at node _C8_i.
-(
-    (_A8_2_1,), (_A8_3_1, _A8_3_2), (_A8_4_1, _, _A8_4_3), (_A8_5_1, _, _A8_5_3, _A8_5_4),
-    (_A8_6_1, _, _, _A8_6_4, _A8_6_5), (_A8_7_1, _, _, _A8_7_4, _A8_7_5, _A8_7_6),
-    (_A8_8_1, _, _, _A8_8_4, _A8_8_5, _A8_8_6, _A8_8_7),
-    (_A8_9_1, _, _, _A8_9_4, _A8_9_5, _A8_9_6, _A8_9_7, _A8_9_8),
-    (_A8_10_1, _, _, _A8_10_4, _A8_10_5, _A8_10_6, _A8_10_7, _A8_10_8, _A8_10_9),
-    (_A8_11_1, _, _, _A8_11_4, _A8_11_5, _A8_11_6, _A8_11_7, _A8_11_8, _A8_11_9, _A8_11_10),
-    (_A8_12_1, _, _, _A8_12_4, _A8_12_5, _A8_12_6, _A8_12_7, _A8_12_8, _A8_12_9, _A8_12_10,
-     _A8_12_11),
-    (_B8_1, _, _, _, _, _B8_6, _B8_7, _B8_8, _B8_9, _B8_10, _B8_11, _B8_12),
-) = _A8[1:]
-_E5_1, _, _, _, _, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = _E8_5
-_E3_1, _, _, _, _, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = _E8_3
-_, _C8_2, _C8_3, _C8_4, _C8_5, _C8_6, _C8_7, _C8_8, _C8_9, _C8_10, _C8_11, _, _ = _C8
+def _rk_kernel(name: str, doc: str, tableau: tuple, errors: tuple, nodes: tuple, state: str,
+               staged: str, head: str, slopes: dict | str, stage: str = "", node: str = "",
+               dense: bool = False) -> Callable:
+    """Compile `name(field, t, y, k1, h)`, one step of size h of an explicit
+    Runge-Kutta pair, unrolled on Python floats, and register its source
+    with linecache, so `inspect.getsource` and the `traceback` module show it.
+
+    Row i of `tableau` makes stage i + 1 from the stages before it, at node
+    t + nodes[i] * h; its last row, the weights, makes the result, at whose
+    node the slope is taken as one more stage, the next step's first
+    (FSAL).  `state` names the components of y, and `staged` those that
+    have stage values (`x3` for x at stage 3), on which alone the slopes
+    depend.  `head` unpacks the constants `field`.  At each stage `node`
+    runs where the node changes and `stage` after it, both formatted with
+    the stage j and its node; then the stage's slopes are formed from
+    `slopes`, per component (an expression, or the name of a value already
+    formed) or, a string, all at once.  Slopes of unstaged components are
+    formed only at stages that the weights or the error rows read, unless
+    the kernel is `dense`: a DP54 kernel takes and returns all the stage
+    slopes `ks`, the last of them the slope at y, for its continuous
+    extension.  Every sum runs left to right over the nonzero coefficients,
+    each stage's coefficients are multiplied by h once, and each error sum
+    starts from 0.0, so a step equals the generic tableau loop's to the bit.
+    Returns (y1, the slopes at y1, or all stage slopes if dense, and the
+    error estimate of each row of `errors`, or of the only row alone).
+    """
+    comps, staged = state.split(), staged.split()
+    last = len(tableau)  # the stage at the result
+    read = {i for row in (tableau[-1], *errors) for i, e in enumerate(row, 1) if e}
+
+    def slope_name(j, c):
+        expr = slopes[c].format(j=j) if isinstance(slopes, dict) else ""
+        return expr if expr.isidentifier() else f"k{j}{c}"
+
+    k = {(j, c): slope_name(j, c) for j in range(1, last + 1) for c in comps}
+    first = ", ".join(k[1, c] for c in comps)
+    body = [f'"""{doc}"""', *head.splitlines(), f"{', '.join(comps)} = y",
+            f"k1 = {first} = ks[-1]" if dense else f"{first} = k1"]
+    for j in range(2, last + 1):
+        row, c_j = tableau[j - 1], nodes[j - 1]
+        at = "t + h" if c_j == 1.0 else f"t + {c_j!r} * h"
+        body += [f"a{i} = h * {a!r}" for i, a in enumerate(row, 1) if a]
+        body += [f"{c}{j} = {c}" + "".join(f" + a{i} * {k[i, c]}" for i, a in enumerate(row, 1)
+                                           if a) for c in (comps if j == last else staged)]
+        if node and c_j != nodes[j - 2]:
+            body += node.format(node=at).splitlines()
+        body += stage.format(j=j, node=at).splitlines()
+        if isinstance(slopes, str):  # one call forms all the slopes
+            pairs = [(", ".join(f"k{j}{c}" for c in comps), slopes.format(j=j, node=at))]
+        else:
+            wanted = comps if dense or j == last or j in read else staged
+            pairs = [(k[j, c], slopes[c].format(j=j)) for c in wanted if k[j, c] == f"k{j}{c}"]
+        if dense:  # the stage's slopes as one tuple
+            pairs = [(f"k{j} = " + ", ".join(n for n, _ in pairs), ", ".join(e for _, e in pairs))]
+        body += [f"{n} = {e}" for n, e in pairs]
+    for r, row in enumerate(errors):
+        sums = ("h * (0.0" + "".join(f" + {e!r} * {k[i, c]}" for i, e in enumerate(row, 1) if e)
+                + ")" for c in comps)
+        body += [f"err{r} = (", *(f"    {line}," for line in sums), ")"]
+    ks = (f"k{j}" for j in range(1, last + 1)) if dense else (k[last, c] for c in comps)
+    err = "err0" if len(errors) == 1 else f"({', '.join(f'err{r}' for r in range(len(errors)))})"
+    body.append(f"return ({', '.join(f'{c}{last}' for c in comps)}), ({', '.join(ks)}), {err}")
+    source = f"def {name}(field, t, y, {'ks' if dense else 'k1'}, h):\n" + "".join(
+        f"    {line}\n" for line in body
+    )
+    filename = f"<kswave.integrate.{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+# The DP54 kernels of graph legs.  ln W alone has stage values: the slopes of
+# (ln W, s, I) depend on ln W and the node.  `_graph_step` calls the field
+# closure field(t, ln W).  `_boundary_step`, on a boundary leg in q, forms the
+# boundary factor (`make_boundary_factor`) and the graph field (`_graph_field`)
+# inline from the constants of `_boundary_kernel` with those closures'
+# operations, so its results, and a DomainError at the denominator's floor,
+# are `_graph_step`'s on the closure to the bit.  Stages 6 and 7 share the node
+# q = t + h, and so the factor there.
+_graph_step = _rk_kernel(
+    "_graph_step", "One DP54 step of size h along a graph leg, from y = (ln W, s, I) at t.",
+    _A, (_E,), _C, state="x s i", staged="x", head="", slopes="field({node}, x{j})", dense=True,
+)
+_boundary_step = _rk_kernel(
+    "_boundary_step", "One DP54 step of size h along a boundary leg, from y = (ln W, s, I) at q.",
+    _A, (_E,), _C, state="x s i", staged="x",
+    head="m, m1, pe, inv_p, mu, c, g, limit0, dv_scale, a, side, v_edge, gamma, lam, dsign, floor"
+         " = field\nexp, expm1, log1p = math.exp, math.expm1, math.log1p",
+    node="""q = {node}
+qm, qm1 = q ** m, q ** m1
+z = a * qm / c
+F = (limit0 if z < 1e-32 else g(side * (c - a * qm)) * qm1 if z > 0.5
+     else side * (c - a * qm) * qm1 / (mu * (-expm1(pe * log1p(-z))) ** inv_p))
+v, dv = v_edge - side * qm, dv_scale * qm1""",
+    stage="""den = lam - gamma * v * v - exp(x{j})
+if den * dsign <= floor:
+    raise DomainError(f"lam - gamma*v^2 - W reached the floor at {{q!r}}")
+k = gamma / den""",
+    slopes={"x": "k * (dv_scale * F - dv * v)", "s": "k * dv", "i": "v * (k * dv)"}, dense=True,
+)
+
+
+def _boundary_kernel(p: ModelParams, zone: BoundaryZone, dsign: float, floor: float) -> tuple:
+    """The kernel (step, constants, order) of `_leg_march` that steps on the
+    graph field (`_graph_field`, with dsign and floor) of the boundary leg
+    `zone.leg(p)`: `_boundary_step` on the constants it evaluates it from."""
+    m, pe, mu, c, g, limit0, dv_scale = boundary_factor_constants(p.limiter, p.a, zone.side)
+    consts = (m, m - 1.0, pe, 1.0 / pe, mu, c, g, limit0, dv_scale, p.a, zone.side, zone.v_edge,
+              p.gamma, p.lam, dsign, floor)
+    return _boundary_step, consts, 5
 
 
 def _orbit_field(p: ModelParams) -> tuple:
@@ -512,230 +467,32 @@ def _orbit_state(s: float, y) -> tuple[float, float, float]:
     return s, math.exp(y[0]), y[1]
 
 
-def _dop853_step(field, t, y, k1, h):
-    """One DOP853 step of size h on an orbit from y = (ln w, v, I), k1 the slopes there.
-
-    The field, of constants `field` (`_orbit_field`), is evaluated inline
-    at each stage with the operations of f = make_log_rhs(p), and every sum
-    runs left to right over the nonzero coefficients in tableau order, so
-    the results equal, to the bit, the generic tableau loop's on the slopes
-    (f(ln w, v), v).  t is not read (the field is autonomous): every step
-    `_march` takes has this signature.  Returns (y8, k13, (err5, err3)):
-    the 8th-order result, the slopes there (FSAL), and the 5th- and
-    3rd-order error estimates per component.  dI/ds = v, so the third
-    slope of each stage is its v, and I has no stage values.
-    """
-    g, mu, a, sigma, gamma, lam = field
-    exp = math.exp
-    w, v, ii = y
-    k1w, k1v, k1i = k1
-    a1 = h * _A8_2_1
-    v2 = v + a1 * k1v
-    k2w = ((a * v2 - sigma) / mu if g is None else g(a * v2 - sigma)) - v2
-    k2v = (lam - gamma * v2 * v2 - exp(w + a1 * k1w)) / gamma
-    a1, a2 = h * _A8_3_1, h * _A8_3_2
-    v3 = v + a1 * k1v + a2 * k2v
-    k3w = ((a * v3 - sigma) / mu if g is None else g(a * v3 - sigma)) - v3
-    k3v = (lam - gamma * v3 * v3 - exp(w + a1 * k1w + a2 * k2w)) / gamma
-    a1, a3 = h * _A8_4_1, h * _A8_4_3
-    v4 = v + a1 * k1v + a3 * k3v
-    k4w = ((a * v4 - sigma) / mu if g is None else g(a * v4 - sigma)) - v4
-    k4v = (lam - gamma * v4 * v4 - exp(w + a1 * k1w + a3 * k3w)) / gamma
-    a1, a3, a4 = h * _A8_5_1, h * _A8_5_3, h * _A8_5_4
-    v5 = v + a1 * k1v + a3 * k3v + a4 * k4v
-    k5w = ((a * v5 - sigma) / mu if g is None else g(a * v5 - sigma)) - v5
-    k5v = (lam - gamma * v5 * v5 - exp(w + a1 * k1w + a3 * k3w + a4 * k4w)) / gamma
-    a1, a4, a5 = h * _A8_6_1, h * _A8_6_4, h * _A8_6_5
-    v6 = v + a1 * k1v + a4 * k4v + a5 * k5v
-    k6w = ((a * v6 - sigma) / mu if g is None else g(a * v6 - sigma)) - v6
-    k6v = (lam - gamma * v6 * v6 - exp(w + a1 * k1w + a4 * k4w + a5 * k5w)) / gamma
-    a1, a4, a5, a6 = h * _A8_7_1, h * _A8_7_4, h * _A8_7_5, h * _A8_7_6
-    v7 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v
-    k7w = ((a * v7 - sigma) / mu if g is None else g(a * v7 - sigma)) - v7
-    k7v = (lam - gamma * v7 * v7 - exp(w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w)) / gamma
-    a1, a4, a5, a6, a7 = h * _A8_8_1, h * _A8_8_4, h * _A8_8_5, h * _A8_8_6, h * _A8_8_7
-    v8 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v
-    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w
-    k8w = ((a * v8 - sigma) / mu if g is None else g(a * v8 - sigma)) - v8
-    k8v = (lam - gamma * v8 * v8 - exp(x)) / gamma
-    a1, a4, a5, a6 = h * _A8_9_1, h * _A8_9_4, h * _A8_9_5, h * _A8_9_6
-    a7, a8 = h * _A8_9_7, h * _A8_9_8
-    v9 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
-    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
-    k9w = ((a * v9 - sigma) / mu if g is None else g(a * v9 - sigma)) - v9
-    k9v = (lam - gamma * v9 * v9 - exp(x)) / gamma
-    a1, a4, a5, a6 = h * _A8_10_1, h * _A8_10_4, h * _A8_10_5, h * _A8_10_6
-    a7, a8, a9 = h * _A8_10_7, h * _A8_10_8, h * _A8_10_9
-    v10 = v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v + a9 * k9v
-    x = w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w + a9 * k9w
-    k10w = ((a * v10 - sigma) / mu if g is None else g(a * v10 - sigma)) - v10
-    k10v = (lam - gamma * v10 * v10 - exp(x)) / gamma
-    a1, a4, a5, a6 = h * _A8_11_1, h * _A8_11_4, h * _A8_11_5, h * _A8_11_6
-    a7, a8, a9, a10 = h * _A8_11_7, h * _A8_11_8, h * _A8_11_9, h * _A8_11_10
-    v11 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
-           + a9 * k9v + a10 * k10v)
-    x = (w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
-         + a9 * k9w + a10 * k10w)
-    k11w = ((a * v11 - sigma) / mu if g is None else g(a * v11 - sigma)) - v11
-    k11v = (lam - gamma * v11 * v11 - exp(x)) / gamma
-    a1, a4, a5, a6 = h * _A8_12_1, h * _A8_12_4, h * _A8_12_5, h * _A8_12_6
-    a7, a8, a9, a10, a11 = h * _A8_12_7, h * _A8_12_8, h * _A8_12_9, h * _A8_12_10, h * _A8_12_11
-    v12 = (v + a1 * k1v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v + a8 * k8v
-           + a9 * k9v + a10 * k10v + a11 * k11v)
-    x = (w + a1 * k1w + a4 * k4w + a5 * k5w + a6 * k6w + a7 * k7w + a8 * k8w
-         + a9 * k9w + a10 * k10w + a11 * k11w)
-    k12w = ((a * v12 - sigma) / mu if g is None else g(a * v12 - sigma)) - v12
-    k12v = (lam - gamma * v12 * v12 - exp(x)) / gamma
-    b1, b6, b7, b8, b9 = h * _B8_1, h * _B8_6, h * _B8_7, h * _B8_8, h * _B8_9
-    b10, b11, b12 = h * _B8_10, h * _B8_11, h * _B8_12
-    w13 = (w + b1 * k1w + b6 * k6w + b7 * k7w + b8 * k8w + b9 * k9w + b10 * k10w
-           + b11 * k11w + b12 * k12w)
-    v13 = (v + b1 * k1v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
-           + b11 * k11v + b12 * k12v)
-    i13 = (ii + b1 * k1i + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10
-           + b11 * v11 + b12 * v12)
-    k13w = ((a * v13 - sigma) / mu if g is None else g(a * v13 - sigma)) - v13
-    k13v = (lam - gamma * v13 * v13 - exp(w13)) / gamma
-    err5 = (
-        h * (0.0 + _E5_1 * k1w + _E5_6 * k6w + _E5_7 * k7w + _E5_8 * k8w + _E5_9 * k9w
-             + _E5_10 * k10w + _E5_11 * k11w + _E5_12 * k12w),
-        h * (0.0 + _E5_1 * k1v + _E5_6 * k6v + _E5_7 * k7v + _E5_8 * k8v + _E5_9 * k9v
-             + _E5_10 * k10v + _E5_11 * k11v + _E5_12 * k12v),
-        h * (0.0 + _E5_1 * k1i + _E5_6 * v6 + _E5_7 * v7 + _E5_8 * v8 + _E5_9 * v9
-             + _E5_10 * v10 + _E5_11 * v11 + _E5_12 * v12),
-    )
-    err3 = (
-        h * (0.0 + _E3_1 * k1w + _E3_6 * k6w + _E3_7 * k7w + _E3_8 * k8w + _E3_9 * k9w
-             + _E3_10 * k10w + _E3_11 * k11w + _E3_12 * k12w),
-        h * (0.0 + _E3_1 * k1v + _E3_6 * k6v + _E3_7 * k7v + _E3_8 * k8v + _E3_9 * k9v
-             + _E3_10 * k10v + _E3_11 * k11v + _E3_12 * k12v),
-        h * (0.0 + _E3_1 * k1i + _E3_6 * v6 + _E3_7 * v7 + _E3_8 * v8 + _E3_9 * v9
-             + _E3_10 * v10 + _E3_11 * v11 + _E3_12 * v12),
-    )
-    return (w13, v13, i13), (k13w, k13v, v13), (err5, err3)
-
-
-def _tail_step(field, t, y, k1, h):
-    """One DOP853 step of size h along a blow-up tail, from y = (ln w, r, I) at t = ln|v|.
-
-    The tail's field (`_blow_up_tail`), of constants `field` = (vsign, mu,
-    a, sigma, gamma, lam), is evaluated inline at each stage at t + _C8[i]
-    * h with its closure's operations; the slopes depend on (t, ln w)
-    alone, so only ln w has stage values.  Every sum runs left to right
-    over the nonzero coefficients in tableau order, so the results equal
-    the generic tableau loop's to the bit; stages 2 to 5, which no weight
-    reads, form the slope of ln w alone.  Returns what `_dop853_step`
-    returns: (y13, k13, (err5, err3)).
-    """
-    vsign, mu, a, sigma, gamma, lam = field
-    exp = math.exp
-    x, r, ii = y
-    k1x, k1r, k1i = k1
-    a1 = h * _A8_2_1
-    vt = vsign * exp(t + _C8_2 * h)
-    wt = exp(x + a1 * k1x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k2x = ((a * vt - sigma) / mu - vt) * ds
-    a1, a2 = h * _A8_3_1, h * _A8_3_2
-    vt = vsign * exp(t + _C8_3 * h)
-    wt = exp(x + a1 * k1x + a2 * k2x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k3x = ((a * vt - sigma) / mu - vt) * ds
-    a1, a3 = h * _A8_4_1, h * _A8_4_3
-    vt = vsign * exp(t + _C8_4 * h)
-    wt = exp(x + a1 * k1x + a3 * k3x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k4x = ((a * vt - sigma) / mu - vt) * ds
-    a1, a3, a4 = h * _A8_5_1, h * _A8_5_3, h * _A8_5_4
-    vt = vsign * exp(t + _C8_5 * h)
-    wt = exp(x + a1 * k1x + a3 * k3x + a4 * k4x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k5x = ((a * vt - sigma) / mu - vt) * ds
-    a1, a4, a5 = h * _A8_6_1, h * _A8_6_4, h * _A8_6_5
-    vt = vsign * exp(t + _C8_6 * h)
-    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k6x, k6r, k6i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_7_1, h * _A8_7_4, h * _A8_7_5, h * _A8_7_6
-    vt = vsign * exp(t + _C8_7 * h)
-    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k7x, k7r, k7i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_8_1, h * _A8_8_4, h * _A8_8_5, h * _A8_8_6
-    a7 = h * _A8_8_7
-    vt = vsign * exp(t + _C8_8 * h)
-    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k8x, k8r, k8i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_9_1, h * _A8_9_4, h * _A8_9_5, h * _A8_9_6
-    a7, a8 = h * _A8_9_7, h * _A8_9_8
-    vt = vsign * exp(t + _C8_9 * h)
-    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k9x, k9r, k9i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_10_1, h * _A8_10_4, h * _A8_10_5, h * _A8_10_6
-    a7, a8, a9 = h * _A8_10_7, h * _A8_10_8, h * _A8_10_9
-    vt = vsign * exp(t + _C8_10 * h)
-    wt = exp(x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k10x, k10r, k10i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_11_1, h * _A8_11_4, h * _A8_11_5, h * _A8_11_6
-    a7, a8, a9, a10 = h * _A8_11_7, h * _A8_11_8, h * _A8_11_9, h * _A8_11_10
-    vt = vsign * exp(t + _C8_11 * h)
-    x1 = (x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x
-          + a10 * k10x)
-    wt = exp(x1)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k11x, k11r, k11i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    a1, a4, a5, a6 = h * _A8_12_1, h * _A8_12_4, h * _A8_12_5, h * _A8_12_6
-    a7, a8, a9, a10, a11 = h * _A8_12_7, h * _A8_12_8, h * _A8_12_9, h * _A8_12_10, h * _A8_12_11
-    vt = vsign * exp(t + h)
-    x1 = (x + a1 * k1x + a4 * k4x + a5 * k5x + a6 * k6x + a7 * k7x + a8 * k8x + a9 * k9x
-          + a10 * k10x + a11 * k11x)
-    wt = exp(x1)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k12x, k12r, k12i = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    b1, b6, b7, b8, b9 = h * _B8_1, h * _B8_6, h * _B8_7, h * _B8_8, h * _B8_9
-    b10, b11, b12 = h * _B8_10, h * _B8_11, h * _B8_12
-    x13 = (x + b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x + b11 * k11x
-          + b12 * k12x)
-    r13 = (r + b1 * k1r + b6 * k6r + b7 * k7r + b8 * k8r + b9 * k9r + b10 * k10r + b11 * k11r
-          + b12 * k12r)
-    i13 = (ii + b1 * k1i + b6 * k6i + b7 * k7i + b8 * k8i + b9 * k9i + b10 * k10i + b11 * k11i
-          + b12 * k12i)
-    # the slope at the result is at t + h, as stage 12: vt is stage 12's
-    wt = exp(x13)
-    F = lam - gamma * vt * vt - wt
-    ds = gamma * vt / F
-    k13 = ((a * vt - sigma) / mu - vt) * ds, (lam - wt) / (vt * F), vt * ds
-    err5 = (
-        h * (0.0 + _E5_1 * k1x + _E5_6 * k6x + _E5_7 * k7x + _E5_8 * k8x
-             + _E5_9 * k9x + _E5_10 * k10x + _E5_11 * k11x + _E5_12 * k12x),
-        h * (0.0 + _E5_1 * k1r + _E5_6 * k6r + _E5_7 * k7r + _E5_8 * k8r
-             + _E5_9 * k9r + _E5_10 * k10r + _E5_11 * k11r + _E5_12 * k12r),
-        h * (0.0 + _E5_1 * k1i + _E5_6 * k6i + _E5_7 * k7i + _E5_8 * k8i
-             + _E5_9 * k9i + _E5_10 * k10i + _E5_11 * k11i + _E5_12 * k12i),
-    )
-    err3 = (
-        h * (0.0 + _E3_1 * k1x + _E3_6 * k6x + _E3_7 * k7x + _E3_8 * k8x
-             + _E3_9 * k9x + _E3_10 * k10x + _E3_11 * k11x + _E3_12 * k12x),
-        h * (0.0 + _E3_1 * k1r + _E3_6 * k6r + _E3_7 * k7r + _E3_8 * k8r
-             + _E3_9 * k9r + _E3_10 * k10r + _E3_11 * k11r + _E3_12 * k12r),
-        h * (0.0 + _E3_1 * k1i + _E3_6 * k6i + _E3_7 * k7i + _E3_8 * k8i
-             + _E3_9 * k9i + _E3_10 * k10i + _E3_11 * k11i + _E3_12 * k12i),
-    )
-    return (x13, r13, i13), k13, (err5, err3)
+# The DOP853 kernels.  `_dop853_step` forms an orbit's field, of the constants
+# `_orbit_field`, inline with the operations of f = make_log_rhs(p) on the
+# slopes (f(ln w, v), v); the field is autonomous, so t is not read.  As
+# dI/ds = v, the I slope of stage j is its stage value v_j.  `_tail_step`
+# forms a blow-up tail's field (`_blow_up_tail`), of the constants (vsign, mu,
+# a, sigma, gamma, lam), inline with its closure's operations.  Its slopes
+# depend on (t, ln w) alone, so only ln w has stage values, and stages 2 to 5,
+# which no weight reads, form the slope of ln w alone.  Stage 12 and the slope
+# at the result share the node t + h, and so v there.
+_dop853_step = _rk_kernel(
+    "_dop853_step", "One DOP853 step of size h on an orbit, from y = (ln w, v, I).",
+    _A8, (_E8_5, _E8_3), _C8, state="w v i", staged="w v",
+    head="g, mu, a, sigma, gamma, lam = field\nexp = math.exp",
+    slopes={"w": "((a * v{j} - sigma) / mu if g is None else g(a * v{j} - sigma)) - v{j}",
+            "v": "(lam - gamma * v{j} * v{j} - exp(w{j})) / gamma", "i": "v{j}"},
+)
+_tail_step = _rk_kernel(
+    "_tail_step", "One DOP853 step of size h along a blow-up tail, from y = (ln w, s - 1/v, I)"
+    " at t = ln|v|.",
+    _A8, (_E8_5, _E8_3), _C8, state="x r i", staged="x",
+    head="vsign, mu, a, sigma, gamma, lam = field\nexp = math.exp",
+    node="vt = vsign * exp({node})",
+    stage="wt = exp(x{j})\nF = lam - gamma * vt * vt - wt\nds = gamma * vt / F",
+    slopes={"x": "((a * vt - sigma) / mu - vt) * ds", "r": "(lam - wt) / (vt * F)",
+            "i": "vt * ds"},
+)
 
 
 # Smallest step, relative to max(1, |s|), that still moves s.
@@ -905,15 +662,22 @@ def integrate(
     DOP853 in the state (ln w, v, I) (see the module docstring); events are
     located on a step's quintic Hermite interpolant, from its ends and an
     exact half step, and corrected on its partial steps (`_first_event`).
-    Samples, events and the capture balls see w = e^(ln w).
+    Samples, events and the capture balls see w = e^(ln w).  A launch that
+    is not finite, has w0 < 0 or v0 outside the open slope domain raises
+    PreconditionError before any step.
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if not (math.isfinite(w0) and math.isfinite(v0) and math.isfinite(s0)):
-        raise ValueError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
+        raise PreconditionError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
     if w0 < 0.0:
-        raise ValueError("w0 must be nonnegative")
+        raise PreconditionError(f"w0 must be nonnegative, got {w0!r}")
+    lo, hi = p.slope_domain
+    if not lo < v0 < hi:
+        raise PreconditionError(
+            f"launch slope v0 = {v0!r} outside the slope domain ({lo!r}, {hi!r})"
+        )
     sgn = 1.0 if direction == FORWARD else -1.0
     f, field = make_log_rhs(p), _orbit_field(p)
 
@@ -936,7 +700,6 @@ def integrate(
     if p.limiter.saturated:
         # Within 1e-3 of the domain's width from an edge (levels[0] and [1]),
         # an orbit is marched in q or in ln w (`_flux_boundary_leg`).
-        lo, hi = p.slope_domain
         band = 1e-3 * (hi - lo)
         level_event(1, hi - band, +1, _EDGE)
         level_event(1, lo + band, -1, _EDGE)
@@ -1193,8 +956,9 @@ def _blow_up_tail(p: ModelParams, s, y, ends, ctr: Controls, samples) -> Termina
     v/F, (lam - w)/(gamma*v*F) and v^2/F, where g(y) = y/mu: tails run
     for linear limiters only.  r is carried in place of s because s moves
     by 1/|v| per unit of tau while its error scale is |s|; r moves by
-    O(|v|^-3) and tends to the edge itself.  The tail steps with DOP853 (`_tail_step`) under the orbit's error norm:
-    about 2 to 3 steps per decade of v, where DP54 in s took about 88.
+    O(|v|^-3) and tends to the edge itself.  The tail steps with DOP853
+    (`_tail_step`) under the orbit's error norm: about 2 to 3 steps per
+    decade of v.
     """
     mu, a, sigma, gamma, lam = p.limiter.mu, p.a, p.sigma, p.gamma, p.lam
     lw, v, ii = y

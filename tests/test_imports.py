@@ -4,7 +4,7 @@ depend on it.  No kswave module imports a process pool: a sweep runs in one
 process.  numpy is imported only where it is used, so the README's
 `equilibria`, `shoot`, `portrait`, linear `profile` and `sweep` commands run
 without it.  No kswave module imports a private (underscore) name from
-another."""
+another, nor reads one through an import."""
 
 from __future__ import annotations
 
@@ -124,6 +124,25 @@ def test_no_private_name_crosses_modules():
             ):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert private == [], (name, node.module, private)
+
+
+def test_no_private_attribute_read_through_an_import():
+    # nor through what another kswave module gives: `from . import integrate`
+    # and then `integrate._march` would cross modules as well
+    for name, tree in parsed_sources():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "kswave"
+            ):
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names
+                                if a.name.split(".")[0] == "kswave")
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in imported and node.attr.startswith("_")]
+        assert private == [], (name, private)
 
 
 # the README commands that never need an array

@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
+import inspect
 import math
 import struct
+import traceback
 from datetime import timedelta
 
 import numpy as np
@@ -20,6 +22,7 @@ from kswave.errors import (
     DomainError,
     Inconclusive,
     KswaveError,
+    PreconditionError,
     StepSizeUnderflow,
 )
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
@@ -45,7 +48,7 @@ from kswave.integrate import (
     sample_list,
 )
 from kswave.phase import ModelParams, equilibria, make_log_rhs
-from kswave.profiles import graph_trajectory, saturated_front
+from kswave.profiles import graph_trajectory, saturated_front, wave_trajectory
 
 SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
 
@@ -999,6 +1002,24 @@ def test_boundary_kernel_bit_equal_to_graph_step(name, t_frac, h_frac, x_scale, 
     assert kernel == graph_step_outcome(INTEGRATE._graph_step, f, t, y, (k1,), h)
 
 
+def test_generated_kernels_show_their_source():
+    # the kernels are compiled from source generated at import and registered
+    # with linecache: inspect reads it, and a traceback through a kernel shows
+    # the line that raised
+    source = inspect.getsource(INTEGRATE._dop853_step)
+    assert source.startswith("def _dop853_step(field, t, y, k1, h):\n")
+    assert "exp(w13)" in source
+    f, t0, t1, y0, (step, consts, _) = graph_leg_field("boundary-q-Y")
+    assert step is INTEGRATE._boundary_step
+    # a W far under the anchor's turns the sign of the graph field's denominator
+    k1 = f(t0, y0[0])
+    with pytest.raises(DomainError, match="reached the floor") as info:
+        step(consts, t0, (y0[0] - 30.0, 0.0, 0.0), (k1,), 0.5 * (t1 - t0))
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.name == "_boundary_step"
+    assert frame.line.startswith("raise DomainError(")
+
+
 @pytest.mark.parametrize("name", sorted(GRAPH_LEGS))
 @pytest.mark.parametrize("box", [float, np.float64], ids=["float", "numpy"])
 def test_graph_leg_marches_on_python_floats(monkeypatch, name, box):
@@ -1268,6 +1289,30 @@ class TestNonFinite:
         monkeypatch.setattr(mod, "make_log_rhs", forbidden)
         with pytest.raises(ValueError, match="finite"):
             integrate(COTH_P, w0, v0, s0=s0)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    @pytest.mark.parametrize("w0, v0, match", [
+        # relativistic a = 1, sigma = 0.5, c = 1: the slope domain is (-0.5, 1.5).
+        # Marched, the first launch ends ConvergedToEquilibrium forward, a
+        # wrong answer, and in StepSizeUnderflow backward.
+        (1.0, 3.0, "slope domain"),
+        (1.0, 1.5, "slope domain"),
+        (1.0, -0.5, "slope domain"),
+        (1.0, math.nan, "finite"),
+        (math.inf, 0.5, "finite"),
+        (-1e-300, 0.5, "nonnegative"),
+    ])
+    def test_integrate_refuses_a_bad_launch_before_any_march(self, monkeypatch, direction, w0,
+                                                              v0, match):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an orbit marched from a bad launch")
+
+        monkeypatch.setattr(INTEGRATE, "_march", forbidden)
+        p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+        with pytest.raises(PreconditionError, match=match):
+            integrate(p, w0, v0, direction=direction)
+        with pytest.raises(PreconditionError, match=match):
+            wave_trajectory(p, w0, v0)
 
     def test_state_turning_nan_mid_run_underflows(self, monkeypatch):
         # A field that is NaN past v = 2: before any event, the run must end
