@@ -79,7 +79,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .flux import boundary_exponent, boundary_factor_constants, make_boundary_factor, make_g
-from .phase import ModelParams, equilibrium_points, make_log_rhs
+from .phase import ModelParams, check_density, equilibrium_points, make_log_rhs, nullclines
 from .roots import brentq
 
 if TYPE_CHECKING:
@@ -347,7 +347,9 @@ def _rk_kernel(name: str, doc: str, tableau: tuple, errors: tuple, nodes: tuple,
                dense: bool = False) -> Callable:
     """Compile `name(field, t, y, k1, h)`, one step of size h of an explicit
     Runge-Kutta pair, unrolled on Python floats, and register its source
-    with linecache, so `inspect.getsource` and the `traceback` module show it.
+    with linecache, so `inspect.getsource`, pytest and the `traceback` module
+    show it; CPython 3.11's default excepthook reads source files alone, so
+    it prints a generated kernel's frame with no source line.
 
     Row i of `tableau` makes stage i + 1 from the stages before it, at node
     t + nodes[i] * h; its last row, the weights, makes the result, at whose
@@ -662,22 +664,17 @@ def integrate(
     DOP853 in the state (ln w, v, I) (see the module docstring); events are
     located on a step's quintic Hermite interpolant, from its ends and an
     exact half step, and corrected on its partial steps (`_first_event`).
-    Samples, events and the capture balls see w = e^(ln w).  A launch that
-    is not finite, has w0 < 0 or v0 outside the open slope domain raises
-    PreconditionError before any step.
+    Samples, events and the capture balls see w = e^(ln w).  A bad
+    direction, or a launch that is not finite, has w0 < 0 (w0 = 0 is the
+    axis) or v0 off the slope domain, raises PreconditionError before any step.
     """
     ctr = controls or Controls()
     if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if not (math.isfinite(w0) and math.isfinite(v0) and math.isfinite(s0)):
-        raise PreconditionError(f"launch point must be finite, got ({s0!r}, {w0!r}, {v0!r})")
-    if w0 < 0.0:
-        raise PreconditionError(f"w0 must be nonnegative, got {w0!r}")
+        raise PreconditionError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if not (math.isfinite(s0) and math.isfinite(v0) and 0.0 <= w0 < math.inf):
+        raise PreconditionError(f"launch point must be finite, w0 nonnegative: {(s0, w0, v0)!r}")
+    p.check_slope(v0, "launch slope v0")
     lo, hi = p.slope_domain
-    if not lo < v0 < hi:
-        raise PreconditionError(
-            f"launch slope v0 = {v0!r} outside the slope domain ({lo!r}, {hi!r})"
-        )
     sgn = 1.0 if direction == FORWARD else -1.0
     f, field = make_log_rhs(p), _orbit_field(p)
 
@@ -997,14 +994,13 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     Where F vanishes short of the edge, the orbit turns and the march in q
     stalls.  From there, or heading out, it is marched in ln w (direction
     side*sgn), regular through a turn, with state (q, s - s_start, I), out
-    to |v - v_edge| = d_out, or to the largest d_out/2^k where g - v, a
-    function of v alone, has the sign of side as at the start.  Where it
-    has not, g is moderate, and the march in s takes over.  It takes over
-    at once where the out level is not ahead of the start, as for a launch
-    on the switch level: the out event fires only rising from a negative
-    value, so it could not end the march in ln w, which would run on into
-    a root of g - v and stall there.  Both marches locate their events,
-    `ends` and the out level, on the DP54 step's quintic (`_first_event`).
+    to |v - v_edge| = d_out, or half the distance of a nearer root of g - v,
+    where it would stall; there the march in s takes over.  It takes over at
+    once where the out level is not ahead of the start, as for a launch on
+    the switch level: the out event fires only rising from a negative value,
+    so it could not end the march in ln w.  On the axis w = 0 the march out
+    runs in q, to d_out.  The marches locate their events, `ends` and the
+    out level, on the DP54 step's quintic (`_first_event`).
     """
     zone = BoundaryZone.of(p, side)
     leg = zone.leg(p)
@@ -1024,16 +1020,23 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
         return (lam - gamma * v * v - math.exp(x)) / (gamma * drive), dv / drive, v * dv / drive
 
     kind = FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW
-    if side * sgn * dsign > 0.0:
+    heading_in = side * sgn * dsign > 0.0
+    # on the axis w = 0, ln w is -inf throughout and cannot be the variable,
+    # and F vanishes only at an equilibrium: heading out, the leg runs in q too
+    if heading_in or lw == -math.inf:
         kernel = _boundary_kernel(p, zone, dsign, floor)
         with contextlib.suppress(StepSizeUnderflow, DomainError):  # the turn stalls it
-            return _march_to_end(
-                field, state, q, (lw, 0.0, ii), 0.0, ends, ctr, samples, kind, kernel
+            term = _march_to_end(
+                field, state, q, (lw, 0.0, ii), 0.0 if heading_in else q_out, ends, ctr, samples,
+                kind if heading_in else None, kernel,
             )
+            return term if term.kind else None
     q, (lw, ds, ii) = last
-    # drive = (g - v) * dv/dq, and dv/dq has the sign of -side
-    while q_out > q and leg(q_out)[2] >= 0.0:
-        q_out *= 0.5 ** (1.0 / zone.m)
+    if lw == -math.inf:
+        return None
+    # g - v keeps its sign from the edge to its nearest root, where ln w stalls
+    roots = [side * (zone.v_edge - r) for r in nullclines(p).slope_roots]
+    q_out = min([d_out] + [0.5 * d for d in roots if 0.0 < d <= d_out]) ** (1.0 / zone.m)
     v_out = zone.v(q_out)
     # the out event fires only rising from a negative start value
     if leg(q)[2] >= 0.0 or side * (v_out - zone.v(q)) >= 0.0:
@@ -1073,31 +1076,36 @@ def _march_to_end(field, state, t, y, t_end, ends, ctr: Controls, samples, kind,
     and h_max caps its step in t.  `state(t, y)` is (s, w, v), appended to
     the lists `samples` per step.  The first of the events `ends` on (s, w,
     v) to fire ends the leg, located as an orbit's events are
-    (`_first_event`), else it ends `kind` at t_end.
+    (`_first_event`), else it ends `kind` at t_end.  A StepSizeUnderflow or
+    Inconclusive of the leg's march, whose state is the leg's, is raised
+    again, chained, naming the orbit's (s, w, v) at the last accepted step.
     """
     kernel = kernel or (_graph_step, field, 5)
     ss, ws, vs, iis = samples
     prev = state(t, y)
     e_prev = [ev.fn(*prev) for ev in ends]
-    for t_old, y_old, k1, h, t, y, k in _leg_march(field, t, y, t_end, ctr, kernel):
-        now = state(t, y)
-        e_new = [ev.fn(*now) for ev in ends]
-        # (EventSpec, value at the step's end) of each event that fired, as
-        # `integrate` lists them
-        fired = [
-            (ev, e) for ev, e_old, e in zip(ends, e_prev, e_new)
-            if (ev.direction >= 0 and e_old < 0.0 <= e) or (ev.direction <= 0 and e_old > 0.0 >= e)
-        ]
-        if fired:
-            ev, theta, y = _first_event(kernel, t_old, y_old, k1, h, y, k, fired, prev, state)
-            if theta < 1.0:
-                t = t_old + h * theta
+    try:
+        for t_old, y_old, k1, h, t, y, k in _leg_march(field, t, y, t_end, ctr, kernel):
             now = state(t, y)
-        ss.append(now[0]), ws.append(now[1]), vs.append(now[2]), iis.append(y[2])
-        if fired:
-            kind = ev.kind
-            break
-        prev, e_prev = now, e_new
+            e_new = [ev.fn(*now) for ev in ends]
+            # (EventSpec, value at the step's end) of each event that fired,
+            # as `integrate` lists them
+            fired = [
+                (ev, e) for ev, e0, e in zip(ends, e_prev, e_new)
+                if (ev.direction >= 0 and e0 < 0.0 <= e) or (ev.direction <= 0 and e0 > 0.0 >= e)
+            ]
+            if fired:
+                ev, theta, y = _first_event(kernel, t_old, y_old, k1, h, y, k, fired, prev, state)
+                if theta < 1.0:
+                    t = t_old + h * theta
+                now = state(t, y)
+            ss.append(now[0]), ws.append(now[1]), vs.append(now[2]), iis.append(y[2])
+            if fired:
+                kind = ev.kind
+                break
+            prev, e_prev = now, e_new
+    except (StepSizeUnderflow, Inconclusive) as exc:
+        raise type(exc)(f"{exc}; the orbit's last accepted (s, w, v) is {prev!r}") from exc
     return TerminationEvent(kind=kind, s=now[0], w=now[1], v=now[2])
 
 
@@ -1385,36 +1393,33 @@ def integrate_graph_W(
     whole leg runs in the regularized variable q, reaching the boundary
     exactly at q = 0.  The solver carries ln W, s, from s_start at the
     anchor, and I = integral of v ds: ds/dv = gamma/(lam - W - gamma*v^2)
-    and dI/dv = v ds/dv.  Raises DomainError for a v_target outside the
-    slope domain (the infinite edges of a linear limiter's included).  A
-    leg at the denominator's floor at its anchor raises DenominatorVanished,
-    and so does one that stalls (a fold or a pinch) with its last signed
-    denominator under _FOLD_FACTOR times the floor; any other stall raises
-    Inconclusive.  Samples and `dense` are DP54's continuous extension, by
-    Horner's rule on coefficients with h folded in once per leg; an
-    n_samples that is not an int of at least 2 raises ValueError first.
+    and dI/dv = v ds/dv.  A bad anchor, or a target off the slope domain and
+    its saturated edges, raises PreconditionError before any step.  A leg at
+    the denominator's floor at its anchor raises DenominatorVanished, and so
+    does one that stalls (a fold or a pinch) with its last signed denominator
+    under _FOLD_FACTOR times the floor; any other stall raises Inconclusive.
+    Samples and `dense` are DP54's continuous extension, by Horner's rule on
+    coefficients with h folded in once per leg; an n_samples that is not an
+    int of at least 2 raises ValueError first.
     """
     ctr = controls or Controls()
     # the leg marches on Python floats: numpy scalars would slow every stage
     # of every step
     v_anchor, W_anchor, v_target, s_start = map(float, (v_anchor, W_anchor, v_target, s_start))
-    if v_target == v_anchor:
-        raise ValueError("v_target must differ from v_anchor")
-    if not W_anchor > 0.0:
-        raise ValueError("W_anchor must be positive")
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+    p.check_slope(v_anchor, "v_anchor")
+    check_density("W_anchor", W_anchor)
     lim = p.limiter
     g = make_g(lim)
     a, sigma, gamma, lam = p.a, p.sigma, p.gamma, p.lam
     lo, hi = p.slope_domain
-    if not lo < v_anchor < hi:
-        raise DomainError(f"v_anchor = {v_anchor!r} outside the slope domain")
-
     edge = lim.saturated and v_target in (lo, hi)
+    if not edge:
+        p.check_slope(v_target, "v_target")
+    if v_target == v_anchor:
+        raise PreconditionError("v_target must differ from v_anchor")
     boundary = BoundaryZone.of(p, 1 if v_target == hi else -1) if edge else None
-    if boundary is None and not lo < v_target < hi:
-        raise DomainError(f"v_target = {v_target!r} outside the slope domain")
 
     # leg(t) gives v, dv/dt and drive = (g(a*v - sigma) - v) * dv/dt at the
     # independent variable t: v itself, or q on a boundary leg

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DegenerateError
+from .errors import DegenerateError, PreconditionError
 from .flux import (
     FluxLimiter, LINEAR, g_inverse, g_prime, limiter_from_config, make_g, phi, slope_domain,
 )
@@ -73,6 +73,12 @@ class ModelParams:
     def slope_domain(self) -> tuple[float, float]:
         return slope_domain(self.limiter, self.a, self.sigma)
 
+    def check_slope(self, v: float, what: str) -> None:
+        """Refuse a slope `what` = v off the open slope domain, NaN included."""
+        lo, hi = self.slope_domain
+        if not lo < v < hi:
+            raise PreconditionError(f"{what} = {v!r} outside the slope domain ({lo!r}, {hi!r})")
+
     def to_dict(self) -> dict:
         return {
             "a": self.a,
@@ -81,6 +87,12 @@ class ModelParams:
             "lambda": self.lam,
             "limiter": self.limiter.to_dict(),
         }
+
+
+def check_density(name: str, w: float) -> None:
+    """Refuse a density `name` = w that is not finite and positive."""
+    if not 0.0 < w < math.inf:
+        raise PreconditionError(f"{name} must be a positive density, got {w!r}")
 
 
 def params_from_config(cfg: dict) -> ModelParams:

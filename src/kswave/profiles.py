@@ -59,7 +59,7 @@ from .integrate import (
     merge_trajectories,
     sample_list,
 )
-from .phase import ModelParams, equilibrium_points, regime_case
+from .phase import ModelParams, check_density, equilibrium_points, regime_case
 from .shooting import (
     REGIME_BACKWARD,
     REGIME_FORWARD,
@@ -241,21 +241,15 @@ def check_anchor(
     """Reject a profile anchor that cannot give a finite profile.
 
     The launch density ratio w0 and the signal normalization S0 must be
-    finite and positive, the anchor coordinate s0 and a given density u0
-    finite.  Raises PreconditionError; integrates nothing.
+    densities (`check_density`), the anchor coordinate s0 and a given
+    density u0 finite.  Raises PreconditionError; integrates nothing.
     """
-    if not 0.0 < w0 < math.inf:
-        raise PreconditionError(
-            f"launch density ratio w0 must be finite and positive, got {w0!r}"
-        )
+    check_density("w0", w0)
     _check_normalization(s0, S0, u0)
 
 
 def _check_normalization(s0: float, S0: float, u0: float | None) -> None:
-    if not 0.0 < S0 < math.inf:
-        raise PreconditionError(
-            f"signal normalization S0 must be finite and positive, got {S0!r}"
-        )
+    check_density("S0", S0)
     if not math.isfinite(s0):
         raise PreconditionError(f"anchor coordinate s0 must be finite, got {s0!r}")
     if u0 is not None and not math.isfinite(u0):
@@ -400,9 +394,8 @@ def predicted_types(p: ModelParams, v0: float, w0: float, w0_star: float) -> tup
       super-critical -> (A1, A1); at or below critical -> (A4, A4).
     """
     regime = shooting_regime(p, v0)
-    for name, w in (("w0", w0), ("w0_star", w0_star)):
-        if not 0.0 < w < math.inf:
-            raise PreconditionError(f"{name} must be a positive density, got {w!r}")
+    check_density("w0", w0)
+    check_density("w0_star", w0_star)
 
     critical = _is_critical(w0, w0_star)
     if regime == REGIME_BACKWARD:
@@ -584,15 +577,12 @@ def saturated_front(
     that fails while it is traced raises RegimeViolation.
     """
     if branch not in ("above", "below"):
-        raise ValueError(f"branch must be 'above' or 'below', got {branch!r}")
+        raise PreconditionError(f"branch must be 'above' or 'below', got {branch!r}")
     check_anchor(w0, s0, S0)
     if not p.limiter.saturated:
         raise PreconditionError("fronts need a saturating flux limiter")
+    p.check_slope(v0, "anchor slope v0")
     lo, hi = p.slope_domain
-    if not lo < v0 < hi:
-        raise PreconditionError(
-            f"anchor slope v0 = {v0!r} outside the admissible range ({lo!r}, {hi!r})"
-        )
     lam, gamma = p.lam, p.gamma
     if branch == "above":
         if not w0 > lam:
@@ -693,17 +683,14 @@ def portrait(
     p: ModelParams, seeds, controls: Controls | None = None
 ) -> tuple[str, list[Trajectory]]:
     """The regime case of p ("Degenerate" at sigma_star) and the full orbit
-    through each seed (w0, v0).  A seed density that is not finite and
-    positive, or a seed slope outside the slope domain, raises
-    PreconditionError before any orbit is traced."""
+    through each seed (w0, v0).  A seed that `check_density` or
+    `ModelParams.check_slope` refuses raises PreconditionError before any
+    orbit is traced."""
     case = _regime_case(p)
     seeds = list(seeds)
-    lo, hi = p.slope_domain
     for w0, v0 in seeds:
-        if not 0.0 < w0 < math.inf:
-            raise PreconditionError(f"seed w0 must be a positive density, got {w0!r}")
-        if not lo < v0 < hi:
-            raise PreconditionError(f"seed slope {v0!r} outside the slope domain ({lo!r}, {hi!r})")
+        check_density("seed w0", w0)
+        p.check_slope(v0, "seed slope v0")
     return case, [wave_trajectory(p, w0, v0, controls=controls) for w0, v0 in seeds]
 
 

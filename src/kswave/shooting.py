@@ -50,6 +50,7 @@ from .phase import (
     SADDLE,
     Equilibrium,
     ModelParams,
+    check_density,
     eigenstructure,
     equilibrium_points,
     make_rhs,
@@ -127,11 +128,7 @@ def shooting_regime(p: ModelParams, v0: float) -> str:
     and infinities included), |v0| <= v_star, or a slow launch outside case A.
     """
     case = regime_case(p)
-    lo, hi = p.slope_domain
-    if not lo < v0 < hi:
-        raise PreconditionError(
-            f"launch slope v0 = {v0!r} outside the slope domain ({lo!r}, {hi!r})"
-        )
+    p.check_slope(v0, "launch slope v0")
     if v0 > p.v_star:
         return REGIME_FORWARD
     if v0 < -p.v_star:
@@ -176,8 +173,7 @@ def classify_trajectory(
     ConvergesTo.  An orbit within the 1e-9 ball on the escape side has not
     yet had the span to leave it, and would.
     """
-    if w0 <= 0.0:
-        raise ValueError(f"w0 must be positive, got {w0}")
+    check_density("w0", w0)
     regime = shooting_regime(p, v0)
     # w legitimately passes through tiny values while tracking an axis
     # saddle, so the small-density stop must be off for classification.
@@ -463,10 +459,10 @@ def find_w0_star(
     regime = shooting_regime(p, v0)
     if bracket_hint is not None:
         lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
-        if not (0.0 < lo < hi < math.inf):
-            raise PreconditionError(
-                f"bracket_hint must satisfy 0 < lo < hi < inf, got {bracket_hint}"
-            )
+        check_density("bracket_hint's lower end", lo)
+        check_density("bracket_hint's upper end", hi)
+        if not lo < hi:
+            raise PreconditionError(f"bracket_hint must satisfy lo < hi, got {bracket_hint}")
     elif p.lam > 0.0:
         lo, hi = 0.5 * p.lam, 2.0 * p.lam
     else:
@@ -566,8 +562,7 @@ def find_w0_star(
 def supplied_threshold(p: ModelParams, v0: float, w0_star: float) -> ThresholdResult:
     """ThresholdResult for a w0_star found earlier, with its saddle; integrates nothing."""
     regime = shooting_regime(p, v0)
-    if not 0.0 < w0_star < math.inf:
-        raise PreconditionError(f"w0_star must be a positive density, got {w0_star!r}")
+    check_density("w0_star", w0_star)
     saddle = _threshold_saddle(p, regime)
     return ThresholdResult(
         v0=v0,

@@ -423,9 +423,7 @@ class TestGraphForm:
 
     def test_anchor_validation(self):
         p = ModelParams(a=1.0, sigma=0.1, limiter=FluxLimiter(RELATIVISTIC))
-        from kswave.errors import DomainError
-
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             integrate_graph_W(p, v_anchor=-2.0, W_anchor=1.0, v_target=0.0)
         with pytest.raises(ValueError):
             integrate_graph_W(p, v_anchor=0.5, W_anchor=1.0, v_target=0.5)
@@ -445,7 +443,7 @@ class TestGraphForm:
             raise AssertionError("graph leg stepped toward a non-finite target")
 
         monkeypatch.setattr(INTEGRATE, "_graph_step", forbidden)
-        with pytest.raises(DomainError, match="v_target"):
+        with pytest.raises(PreconditionError, match="v_target"):
             trace()
 
     @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True])
@@ -1475,3 +1473,97 @@ class TestBlowUpTail:
         # the end event is the run's last sample
         end = 0 if direction == BACKWARD else -1
         assert (traj.s[end], traj.w[end], traj.v[end]) == (term.s, term.w, term.v)
+
+
+def failing_leg_march(exc_class, steps: int):
+    """`_leg_march` that yields the leg's first `steps` accepted steps and
+    then raises exc_class, with a leg's relative state in its message."""
+    real = INTEGRATE._leg_march
+
+    def leg_march(*args, **kwargs):
+        march = real(*args, **kwargs)
+        for _ in range(steps):
+            yield next(march)
+        raise exc_class("step size underflow at 0.0, state [0.0, 0.0, 0.0]")
+
+    return leg_march
+
+
+@pytest.mark.parametrize("exc_class", [StepSizeUnderflow, Inconclusive])
+@pytest.mark.parametrize("launch", [
+    # a blow-up tail, marched in ln|v|
+    (lp(1.0, 0.5), 3.0 * 2.897565419045996, 2.0),
+    # a flux-boundary leg: relativistic a = 1, sigma = 0.5, c = 1, in the switch band
+    (ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0)), 5.0, 1.4995),
+], ids=["tail", "flux-boundary-leg"])
+def test_a_failing_leg_names_the_orbit_state(monkeypatch, launch, exc_class):
+    samples = set(zip(*(sample_list(integrate(*launch), name) for name in ("s", "w", "v"))))
+    monkeypatch.setattr(INTEGRATE, "_leg_march", failing_leg_march(exc_class, 1))
+    with pytest.raises(exc_class) as info:
+        integrate(*launch)
+    message, named = str(info.value).rsplit(" is ", 1)
+    assert message.endswith("state [0.0, 0.0, 0.0]; the orbit's last accepted (s, w, v)")
+    # the orbit's state after the leg's one accepted step, not the leg's
+    assert tuple(map(float, named.strip("()").split(", "))) in samples
+    assert type(info.value.__cause__) is exc_class
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def switch_band_launches(draw):
+    """A saturated model and a launch (w0, v0) in the switch band of an edge,
+    from the switch level (1e-3 of the domain's width short of the edge) to
+    1e-6 of the width, the axis w0 = 0 included."""
+    kind = draw(st.sampled_from((RELATIVISTIC, LARSON)))
+    lim = {"kind": kind, "mu": draw(log_uniform(0.2, 5.0)), "c": draw(log_uniform(0.2, 5.0))}
+    if kind == LARSON:
+        lim["p"] = draw(st.floats(1.2, 4.0))
+    p = ModelParams(a=draw(log_uniform(0.2, 5.0)), sigma=draw(log_uniform(0.02, 5.0)),
+                    gamma=draw(log_uniform(0.2, 5.0)),
+                    lam=draw(st.one_of(st.just(0.0), log_uniform(0.01, 10.0))),
+                    limiter=FluxLimiter(**lim))
+    lo, hi = p.slope_domain
+    side = draw(st.sampled_from((-1, 1)))
+    edge = hi if side > 0 else lo
+    v0 = edge - side * draw(log_uniform(1e-6, 1e-3)) * (hi - lo)
+    w0 = draw(st.one_of(st.just(0.0), log_uniform(1e-6, 1e6)))
+    # an axis orbit that heads for an axis equilibrium on or near the edge
+    # creeps along the edge, for up to the whole step budget: a cost, not a stall
+    assume(w0 > 0.0 or min(abs(edge - p.v_star), abs(edge + p.v_star)) > 1e-2 * (hi - lo))
+    return p, w0, v0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(launch=switch_band_launches(), direction=st.sampled_from((FORWARD, BACKWARD)))
+# the nearest root of g - v is 0.065 of the band from the edge: the march in
+# ln w stalled at the out level the sign test put 4 % of that distance short
+@example(launch=(ModelParams(a=0.7438941779651465, sigma=3.792086657093893,
+                             gamma=1.26245147634918, lam=0.8367546304777213,
+                             limiter=FluxLimiter(RELATIVISTIC, mu=2.410693585457991,
+                                                 c=0.2095795704144703)),
+                 962482.6876686371, 5.379343130313415), direction=FORWARD)
+# an axis launch on the switch level heading out: ln w is -inf and cannot be
+# the variable of the march out
+@example(launch=(ModelParams(a=0.47267901794880673, sigma=0.03201292531223025,
+                             gamma=0.5842734456871382, lam=0.0,
+                             limiter=FluxLimiter(RELATIVISTIC, mu=4.150703982402138,
+                                                 c=0.2448978704536406)),
+                 0.0, 0.5847964253300137), direction=FORWARD)
+def test_a_launch_in_the_switch_band_ends_on_an_event(launch, direction):
+    # no march stalls, at a root of g - v or elsewhere
+    kind = integrate(*launch, direction=direction).termination.kind
+    assert kind in (FLUX_BOUNDARY_LOW, FLUX_BOUNDARY_HIGH, CONVERGED, W_VANISHED, BOUNDED,
+                    MAX_SPAN)
+
+
+@pytest.mark.xfail(raises=StepSizeUnderflow, strict=True,
+                   reason="heading out from 1e-9 of the band at w0 = 3e5, the march in ln w "
+                          "cannot take a first step")
+def test_a_dense_launch_next_to_the_edge_heading_out():
+    p = ModelParams(a=0.35737387726733205, sigma=1.4336593769036228, gamma=0.28056906285455024,
+                    lam=0.0, limiter=FluxLimiter(LARSON, mu=0.8893443608391179,
+                                                 c=0.22896016085133508, p=3.432317048218473))
+    integrate(p, 303225.80586765206, 3.370977266901843, direction=BACKWARD)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kswave import phase
-from kswave.errors import DegenerateError
+from kswave.errors import DegenerateError, PreconditionError
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter, g_prime, make_g
 from kswave.phase import (
     CASE_A,
@@ -26,6 +26,7 @@ from kswave.phase import (
     UNSTABLE_NODE,
     Equilibrium,
     ModelParams,
+    check_density,
     eigenstructure,
     equilibria,
     equilibrium_points,
@@ -452,3 +453,22 @@ def test_params_validation_and_config():
     assert params_from_config(p.to_dict()) == p
     q = params_from_config({"a": 1.0, "sigma": 2.0})
     assert q.lam == 1.0 and q.gamma == 1.0 and q.limiter.kind == LINEAR
+
+
+def test_the_slope_check_takes_the_open_domain_only():
+    rel = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+    lo, hi = rel.slope_domain  # (-0.5, 1.5)
+    for p, v in ((rel, 0.5), (rel, math.nextafter(hi, 0.0)), (lp(1.0, 0.5), -1e300)):
+        p.check_slope(v, "v0")
+    for p, v in ((rel, lo), (rel, hi), (rel, 3.0), (rel, math.nan), (lp(1.0, 0.5), math.inf),
+                 (lp(1.0, 0.5), -math.inf), (lp(1.0, 0.5), math.nan)):
+        with pytest.raises(PreconditionError, match=r"^v0 = .* outside the slope domain \("):
+            p.check_slope(v, "v0")
+
+
+def test_the_density_check_takes_finite_positive_values_only():
+    for w in (5e-324, 1.0, 1e308):
+        check_density("w0", w)
+    for w in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match=r"^w0 must be a positive density, got "):
+            check_density("w0", w)

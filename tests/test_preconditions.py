@@ -4,24 +4,39 @@ PreconditionError before any integration, and the CLI exits 2 on it."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import math
+import operator
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kswave
 from kswave import cli
 from kswave.errors import DegenerateError, PreconditionError, RegimeViolation
 from kswave.flux import LARSON, LINEAR, RELATIVISTIC, FluxLimiter
+from kswave.integrate import BACKWARD, FORWARD, integrate, integrate_graph_W
 from kswave.phase import ModelParams
 from kswave.profiles import (
     check_anchor,
+    graph_trajectory,
+    portrait,
     predicted_types,
     reconstruct,
     saturated_front,
     sweep,
+    wave_profile,
     wave_trajectory,
 )
-from kswave.shooting import find_w0_star, shooting_regime, supplied_threshold
+from kswave.shooting import (
+    classify_trajectory,
+    find_w0_star,
+    shooting_regime,
+    supplied_threshold,
+    threshold_trajectory,
+)
 
 REL = FluxLimiter(RELATIVISTIC, c=3.0)
 # Slope domain ((0.2 - 3)/1.5, (0.2 + 3)/1.5) = (-1.87, 2.13).
@@ -78,19 +93,6 @@ class TestNonFiniteValues:
 
 
 class TestLaunchSlope:
-    @pytest.mark.parametrize("p, v0", [
-        (P_REL, 2.5),  # forward launch past the upper flux boundary
-        (P_REL, -2.0),  # slow launch past the lower flux boundary
-        (P_LIN, math.inf),
-        (P_LIN, -math.inf),
-        (P_LIN, math.nan),
-    ])
-    def test_outside_slope_domain(self, no_integration, p, v0):
-        with pytest.raises(PreconditionError, match="slope domain"):
-            shooting_regime(p, v0)
-        with pytest.raises(PreconditionError):
-            find_w0_star(p, v0)
-
     @pytest.mark.parametrize("v0", ["2.5", "inf", "nan"])
     @pytest.mark.parametrize("command", ["shoot", "profile"])
     def test_cli_exits_2(self, capsys, no_integration, command, v0):
@@ -350,3 +352,170 @@ def test_reconstruct_rejects_non_finite_normalization(kw):
     traj = wave_trajectory(P_LIN, 6.0, 2.0)
     with pytest.raises(PreconditionError):
         reconstruct(P_LIN, traj, **kw)
+
+
+# --------------------------------------------------------------------------
+# One refusal rule at every public entry point, as a property
+# --------------------------------------------------------------------------
+
+INTEGRATE = importlib.import_module("kswave.integrate")
+# relativistic a = 1, sigma = 0.5, c = 1: the slope domain is (-0.5, 1.5)
+P_REL_C1 = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
+
+# What an input must be: a slope in the open slope domain; a graph leg's
+# target, in the domain or on a saturated domain's (finite) edge; a density,
+# finite and positive; `integrate`'s launch density, finite and nonnegative
+# (w0 = 0 is the invariant axis); or one of a tuple of choices.
+SLOPE, TARGET, DENSITY, AXIS = "slope", "target", "density", "axis"
+
+
+def _inside(p: ModelParams, f: float = 0.5) -> float:
+    """The slope at fraction f of the slope domain, or of [-10, 10] for a
+    linear limiter."""
+    lo, hi = p.slope_domain
+    return lo + f * (hi - lo) if p.limiter.saturated else 20.0 * f - 10.0
+
+
+# Each public entry point that takes a launch, an anchor or seeds: the call,
+# from p and keyword inputs, and what each input it is given must be.
+ENTRY_POINTS = {
+    "check_anchor": (lambda p, **kw: check_anchor(**kw), {"w0": DENSITY, "S0": DENSITY}),
+    "classify_trajectory": (classify_trajectory, {"w0": DENSITY, "v0": SLOPE}),
+    "find_w0_star": (find_w0_star, {"v0": SLOPE, "method": ("both", "bisection", "manifold")}),
+    "graph_trajectory": (graph_trajectory, {"w0": DENSITY, "v0": SLOPE}),
+    "integrate": (integrate, {"w0": AXIS, "v0": SLOPE, "direction": (FORWARD, BACKWARD)}),
+    "integrate_graph_W": (
+        integrate_graph_W, {"v_anchor": SLOPE, "W_anchor": DENSITY, "v_target": TARGET}
+    ),
+    # the bad seed comes second: no orbit is traced before every seed is checked
+    "portrait": (
+        lambda p, w0, v0: portrait(p, [(1.0, _inside(p)), (w0, v0)]),
+        {"w0": DENSITY, "v0": SLOPE},
+    ),
+    "predicted_types": (predicted_types, {"v0": SLOPE, "w0": DENSITY, "w0_star": DENSITY}),
+    "saturated_front": (
+        saturated_front, {"v0": SLOPE, "w0": DENSITY, "S0": DENSITY, "branch": ("above", "below")}
+    ),
+    "shooting_regime": (shooting_regime, {"v0": SLOPE}),
+    "supplied_threshold": (supplied_threshold, {"v0": SLOPE, "w0_star": DENSITY}),
+    "threshold_trajectory": (threshold_trajectory, {"v0": SLOPE}),
+    "wave_profile": (
+        wave_profile,
+        {"w0": DENSITY, "v0": SLOPE, "S0": DENSITY, "w0_star": DENSITY, "branch": (None,)},
+    ),
+    "wave_trajectory": (wave_trajectory, {"w0": AXIS, "v0": SLOPE}),
+}
+NON_FINITE = (math.nan, math.inf, -math.inf)
+BAD_CHOICES = ("", "sideways", "newton")
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from((LINEAR, RELATIVISTIC, LARSON)))
+    lim = {"kind": kind}
+    if kind != LINEAR:
+        lim["c"] = draw(log_uniform(0.2, 5.0))
+    if kind == LARSON:
+        lim["p"] = draw(st.floats(1.2, 4.0))
+    return ModelParams(a=draw(log_uniform(0.2, 5.0)), sigma=draw(log_uniform(0.02, 5.0)),
+                       limiter=FluxLimiter(**lim))
+
+
+def valid(p: ModelParams, rule):
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule)
+    if rule in (SLOPE, TARGET):
+        inside = st.floats(0.01, 0.99).map(lambda f: _inside(p, f))
+        if rule == TARGET and p.limiter.saturated:
+            return st.one_of(inside, st.sampled_from(p.slope_domain))
+        return inside
+    density = log_uniform(1e-3, 1e2)
+    return st.one_of(st.just(0.0), density) if rule == AXIS else density
+
+
+def invalid(p: ModelParams, rule):
+    if isinstance(rule, tuple):
+        return st.sampled_from(BAD_CHOICES)
+    if rule in (SLOPE, TARGET):
+        bad = st.sampled_from(NON_FINITE)
+        if not p.limiter.saturated:
+            return bad
+        lo, hi = p.slope_domain
+        past = log_uniform(1e-9, 10.0).map(lambda d: d * (hi - lo))
+        beyond = st.one_of(past.map(lambda d: hi + d), past.map(lambda d: lo - d))
+        # a graph leg may end on an edge; nothing else starts on one
+        return st.one_of(bad, beyond) if rule == TARGET else st.one_of(
+            bad, beyond, st.sampled_from((lo, hi))
+        )
+    negative = log_uniform(1e-300, 1e300).map(operator.neg)
+    zero = () if rule == AXIS else (0.0, -0.0)
+    return st.one_of(st.sampled_from(zero + NON_FINITE), negative)
+
+
+@st.composite
+def refusals(draw):
+    """p, and per entry point and input a call (name, inputs) with that input
+    drawn bad and the others good."""
+    p = draw(models())
+    return p, [
+        (name, {role: draw((invalid if role == bad else valid)(p, rule))
+                for role, rule in rules.items()})
+        for name, (_, rules) in ENTRY_POINTS.items() for bad in rules
+    ]
+
+
+def no_march(*args, **kwargs):
+    raise AssertionError("an orbit or a graph leg marched from a refused input")
+
+
+def past_edge(v0):
+    return [("shooting_regime", {"v0": v0}), ("find_w0_star", {"v0": v0, "method": "both"})]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=refusals())
+# forward and slow launches past a flux boundary, and non-finite slopes
+@example(case=(P_REL, past_edge(2.5)))
+@example(case=(P_REL, past_edge(-2.0)))
+@example(case=(P_LIN, past_edge(math.inf)))
+@example(case=(P_LIN, past_edge(-math.inf)))
+@example(case=(P_LIN, past_edge(math.nan)))
+# marched, this launch ends ConvergedToEquilibrium forward, a wrong answer,
+# and in StepSizeUnderflow backward
+@example(case=(P_REL_C1, [("integrate", {"w0": 1.0, "v0": 3.0, "direction": FORWARD})]))
+@example(case=(P_REL_C1, [("integrate", {"w0": 1.0, "v0": 3.0, "direction": BACKWARD})]))
+# marched, an infinite anchor density gives a leg with W = inf and s = 0
+# throughout, and a graph trace that raises AnchorMismatch
+@example(case=(P_REL_C1, [
+    ("integrate_graph_W", {"v_anchor": 0.5, "W_anchor": math.inf, "v_target": 1.5}),
+    ("graph_trajectory", {"w0": math.inf, "v0": 0.5}),
+]))
+# a linear limiter's edges are infinite, so no graph trace reaches them
+@example(case=(P_LIN, [("graph_trajectory", {"w0": 2.0, "v0": 0.5})]))
+# integrate takes w0 = 0, the invariant axis; the classifier does not
+@example(case=(P_LIN, [("classify_trajectory", {"w0": 0.0, "v0": 2.0})]))
+def test_every_entry_point_refuses_a_bad_input_before_any_march(case):
+    p, calls = case
+    with pytest.MonkeyPatch.context() as mp:
+        for attr in ("_march", "_leg_march"):
+            mp.setattr(INTEGRATE, attr, no_march)
+        for name, inputs in calls:
+            with pytest.raises(PreconditionError):
+                ENTRY_POINTS[name][0](p, **inputs)
+
+
+def test_every_public_function_taking_a_launch_is_an_entry_point_of_the_property():
+    # functions only: ShotOutcome and ThresholdResult record a launch, they
+    # do not take one to compute with
+    takes = {"w0", "v0", "v_anchor", "W_anchor", "seeds"}
+    public = {
+        name for name in kswave.__all__
+        if inspect.isfunction(fn := getattr(kswave, name))
+        and takes & set(inspect.signature(fn).parameters)
+    }
+    assert public
+    assert public <= set(ENTRY_POINTS)
