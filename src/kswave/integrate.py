@@ -17,7 +17,8 @@ marched in other variables: `_blow_up_tail` in tau = ln|v| past |v| =
 10 * max(v_star, |v0|), with no w_min stop, since w can fall under it
 on the way to the edge (like |v|^-(a/mu - 1)); and `_flux_boundary_leg`,
 within 1e-3 of the width of a saturated slope domain from an edge, in q
-(below) or ln w.
+(below) whichever way it heads, and in ln w only past a turn, where the
+march in q stalls.
 
 `integrate_graph_W` advances the same orbit as a graph W(v), which stays
 regular where the s-parametrization degenerates: near the flux boundary
@@ -573,7 +574,7 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
     a0, a1, a2 = atols
     expo = -1.0 / order
     sgn = math.copysign(1.0, t_end - t)
-    exp, sqrt, h_max = math.exp, math.sqrt, ctr.h_max
+    exp, sqrt, inf, h_max = math.exp, math.sqrt, math.inf, ctr.h_max
     safety, fac_min, fac_max = _SAFETY, _FAC_MIN, _FAC_MAX
     just_rejected = False
     h_acc = err_acc = None  # size and error of the last accepted step
@@ -599,8 +600,9 @@ def _march(step, f, t, y, k1, t_end, h, atols, rtol, ctr: Controls, order: int =
                 e0, e1, e2 = e0 / sc0, e1 / sc1, e2 / sc2
                 err = sqrt((e0 * e0 + e1 * e1 + e2 * e2) / 3.0)
             else:
-                # on the axis ln w is -inf at both ends: exp(nan) loses to 1
-                x = exp(y1[0] - y[0])
+                # w = 0 is invariant: on the axis ln w stays -inf, and an
+                # infinite scale makes its scaled error 0
+                x = inf if y[0] == -inf else exp(y1[0] - y[0])
                 sc0 = a0 + rtol * (x if x > 1.0 else 1.0)
                 (e0, e1, e2), (d0, d1, d2) = est
                 e0, e1, e2 = e0 / sc0, e1 / sc1, e2 / sc2
@@ -987,20 +989,21 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
     near the flux boundary on `side` to the edge (FLUX_BOUNDARY_*), or to
     where the march in s takes it on (None).
 
-    Heading for the edge, it is marched in q, v = v_edge - side*q^m, on
-    the graph field with state (ln w, s - s_start, I), regular up to q = 0
-    while F = (lam - gamma*v^2 - w)/gamma keeps its sign; s is carried
-    relative to its start, so its error scale is the leg's own change in s.
-    Where F vanishes short of the edge, the orbit turns and the march in q
-    stalls.  From there, or heading out, it is marched in ln w (direction
-    side*sgn), regular through a turn, with state (q, s - s_start, I), out
-    to |v - v_edge| = d_out, or half the distance of a nearer root of g - v,
-    where it would stall; there the march in s takes over.  It takes over at
-    once where the out level is not ahead of the start, as for a launch on
-    the switch level: the out event fires only rising from a negative value,
-    so it could not end the march in ln w.  On the axis w = 0 the march out
-    runs in q, to d_out.  The marches locate their events, `ends` and the
-    out level, on the DP54 step's quintic (`_first_event`).
+    Every leg is marched first in q, v = v_edge - side*q^m, on the graph
+    field with state (ln w, s - s_start, I): to q = 0 heading for the edge,
+    else to the out level |v - v_edge| = d_out.  The field is regular up to
+    q = 0, and on the axis w = 0, while F = (lam - gamma*v^2 - w)/gamma
+    keeps its sign; s is carried relative to its start, so its error scale
+    is the leg's own change in s.  Where F vanishes, the orbit turns and
+    the march in q stalls.  From there the orbit is marched in ln w
+    (direction side*sgn), regular through a turn, with state (q, s -
+    s_start, I), out to d_out, or half the distance of a nearer root of
+    g - v, where it would stall; there the march in s takes over.  It takes
+    over at once from a stall on the axis, where F vanishes only at an
+    equilibrium; past a root of g - v, where ln w runs the other way; and
+    at or past the out level, as the out event fires only rising from a
+    negative value.  The marches locate their events, `ends` and the out
+    level, on the DP54 step's quintic (`_first_event`).
     """
     zone = BoundaryZone.of(p, side)
     leg = zone.leg(p)
@@ -1019,27 +1022,23 @@ def _flux_boundary_leg(p: ModelParams, side, sgn, s, y, d_out, ends, ctr: Contro
         v, dv, drive = leg(q if q >= 0.0 else math.nan)  # no step passes the edge
         return (lam - gamma * v * v - math.exp(x)) / (gamma * drive), dv / drive, v * dv / drive
 
-    kind = FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW
     heading_in = side * sgn * dsign > 0.0
-    # on the axis w = 0, ln w is -inf throughout and cannot be the variable,
-    # and F vanishes only at an equilibrium: heading out, the leg runs in q too
-    if heading_in or lw == -math.inf:
-        kernel = _boundary_kernel(p, zone, dsign, floor)
-        with contextlib.suppress(StepSizeUnderflow, DomainError):  # the turn stalls it
-            term = _march_to_end(
-                field, state, q, (lw, 0.0, ii), 0.0 if heading_in else q_out, ends, ctr, samples,
-                kind if heading_in else None, kernel,
-            )
-            return term if term.kind else None
+    kind = (FLUX_BOUNDARY_HIGH if side > 0 else FLUX_BOUNDARY_LOW) if heading_in else None
+    with contextlib.suppress(StepSizeUnderflow, DomainError):  # a turn stalls it
+        term = _march_to_end(
+            field, state, q, (lw, 0.0, ii), 0.0 if heading_in else q_out, ends, ctr, samples,
+            kind, _boundary_kernel(p, zone, dsign, floor),
+        )
+        return term if term.kind else None
     q, (lw, ds, ii) = last
-    if lw == -math.inf:
+    if lw == -math.inf or leg(q)[2] >= 0.0:
         return None
     # g - v keeps its sign from the edge to its nearest root, where ln w stalls
     roots = [side * (zone.v_edge - r) for r in nullclines(p).slope_roots]
     q_out = min([d_out] + [0.5 * d for d in roots if 0.0 < d <= d_out]) ** (1.0 / zone.m)
     v_out = zone.v(q_out)
     # the out event fires only rising from a negative start value
-    if leg(q)[2] >= 0.0 or side * (v_out - zone.v(q)) >= 0.0:
+    if side * (v_out - zone.v(q)) >= 0.0:
         return None
     out = EventSpec(fn=lambda s, w, v: side * (v_out - v), kind=None, direction=1)
     term = _march_to_end(

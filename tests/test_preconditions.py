@@ -498,6 +498,20 @@ def past_edge(v0):
 @example(case=(P_LIN, [("graph_trajectory", {"w0": 2.0, "v0": 0.5})]))
 # integrate takes w0 = 0, the invariant axis; the classifier does not
 @example(case=(P_LIN, [("classify_trajectory", {"w0": 0.0, "v0": 2.0})]))
+# integrate's launch is finite, s0 too
+@example(case=(ModelParams(a=0.5, sigma=0.3), [
+    ("integrate", {"w0": w0, "v0": v0, "s0": s0}) for w0, v0, s0 in (
+        (math.nan, 0.5, 0.0), (math.inf, 0.5, 0.0), (0.1, math.nan, 0.0), (0.1, -math.inf, 0.0),
+        (0.1, 0.5, math.inf),
+    )
+]))
+# a launch past, or on, an edge of the slope domain, not finite, or under the axis
+@example(case=(P_REL_C1, [
+    (name, {"w0": w0, "v0": v0, **kw})
+    for w0, v0 in ((1.0, 1.5), (1.0, -0.5), (1.0, math.nan), (math.inf, 0.5), (-1e-300, 0.5))
+    for name, kw in (("integrate", {"direction": FORWARD}), ("integrate", {"direction": BACKWARD}),
+                     ("wave_trajectory", {}))
+]))
 def test_every_entry_point_refuses_a_bad_input_before_any_march(case):
     p, calls = case
     with pytest.MonkeyPatch.context() as mp:

@@ -11,6 +11,7 @@ import pytest
 from kswave.errors import (
     AnchorMismatch,
     DegenerateError,
+    DenominatorVanished,
     RegimeViolation,
 )
 from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter, g_inverse
@@ -509,6 +510,16 @@ class TestSaturatedFront:
         p = lp(1.0, 0.1, limiter=REL)
         with pytest.raises(RegimeViolation):
             saturated_front(p, v0=0.1, w0=1.5, branch="above")
+
+    def test_above_anchor_whose_leg_stalls_at_a_fold_is_rejected(self):
+        # a leg of this front stalls at a fold short of its edge: the graph
+        # trace's DenominatorVanished is raised again as the branch's
+        # RegimeViolation
+        p = ModelParams(a=0.3760974328780512, sigma=1.4815300025234466, lam=0.3,
+                        limiter=FluxLimiter(RELATIVISTIC, c=2.264328305292525))
+        with pytest.raises(RegimeViolation, match="stalled at a fold or pinch") as info:
+            saturated_front(p, v0=9.230820831193, w0=0.788981951293463, branch="above")
+        assert type(info.value.__cause__) is DenominatorVanished
 
     def test_below_needs_range_inside_wave_speeds(self):
         p = lp(2.0, 0.1, lam=0.09, limiter=REL)  # v_star = 0.3 < range edges
