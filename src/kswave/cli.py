@@ -167,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pro = sub.add_parser("profile", parents=[common], help="build one wave profile")
     pro.add_argument("--w0", type=float, help="launch density ratio u0/S0")
     pro.add_argument("--v0", type=float, help="launch slope")
-    pro.add_argument("--s0", type=float, help="anchor coordinate (default 0)")
-    pro.add_argument("--S0", type=float, help="signal normalization at s0 (default 1)")
-    pro.add_argument("--u0", type=float, help="optional density at s0; must equal w0*S0")
+    pro.add_argument("--s0", type=float, help="launch coordinate of every profile (default 0)")
+    pro.add_argument("--S0", type=float, help="signal at the launch s0 (default 1)")
+    pro.add_argument("--u0", type=float, help="optional density at s0: w0*S0, to 1e-9 relative")
     pro.add_argument("--w0-star", dest="w0_star", type=float,
                      help="precomputed critical density (skips the threshold solve)")
     pro.add_argument("--branch", choices=["above", "below"],

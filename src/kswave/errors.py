@@ -49,7 +49,7 @@ class NoDichotomy(KswaveError):
 
 
 class AnchorMismatch(KswaveError):
-    """u0/S0 disagrees with w at the anchor point."""
+    """Orbit pieces disagree in (w, v) at a seam where they are joined."""
 
 
 class RootNotFound(KswaveError):

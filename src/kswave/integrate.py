@@ -1399,14 +1399,14 @@ def integrate_graph_W(
     under _FOLD_FACTOR times the floor; any other stall raises Inconclusive.
     Samples and `dense` are DP54's continuous extension, by Horner's rule on
     coefficients with h folded in once per leg; an n_samples that is not an
-    int of at least 2 raises ValueError first.
+    int of at least 2 raises PreconditionError first.
     """
     ctr = controls or Controls()
     # the leg marches on Python floats: numpy scalars would slow every stage
     # of every step
     v_anchor, W_anchor, v_target, s_start = map(float, (v_anchor, W_anchor, v_target, s_start))
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+        raise PreconditionError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     p.check_slope(v_anchor, "v_anchor")
     check_density("W_anchor", W_anchor)
     lim = p.limiter

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     NUMERICAL_FAILURES,
-    AnchorMismatch,
     DegenerateError,
     DenominatorVanished,
     PreconditionError,
@@ -131,20 +130,19 @@ def reconstruct(
     traj: Trajectory,
     s0: float = 0.0,
     S0: float = 1.0,
-    u0: float | None = None,
     u_type: str = TYPE_UNCLASSIFIED,
     S_type: str = TYPE_UNCLASSIFIED,
 ) -> WaveProfile:
     """Turn an orbit into the physical profile (u, S).
 
     The signal is normalized to S(s0) = S0 with s0 inside the sampled
-    span; a non-finite s0, S0 or u0, or S0 <= 0, raises PreconditionError.
-    A given ``u0`` is a consistency statement, not a knob: it must
-    satisfy u0/S0 = w(s0) to 1e-9 or AnchorMismatch is raised.  Labels
-    are attached verbatim; use classify_profile to derive them.  Raises
-    OverflowError, naming the first such s, where S leaves the float range.
+    span, so the density there is u0 = w(s0)*S0 (``anchors``): at an
+    orbit's launch coordinate, w0*S0.  A non-finite s0 or S0, or S0 <= 0,
+    raises PreconditionError.  Labels are attached verbatim; use
+    classify_profile to derive them.  Raises OverflowError, naming the
+    first such s, where S leaves the float range.
     """
-    _check_normalization(s0, S0, u0)
+    _check_normalization(s0, S0)
     # a graph leg's samples are arrays, and stay arrays: see _signal
     names = ("s", "w", "integral", "v")
     if built_with_arrays([traj], names):
@@ -156,11 +154,6 @@ def reconstruct(
             f"anchor s0 = {s0!r} outside the sampled span [{s[0]!r}, {s[-1]!r}]"
         )
     w_at = float(_interp(s0, s, w))
-    if u0 is not None and abs(u0 / S0 - w_at) > 1e-9 * max(1.0, abs(w_at)):
-        raise AnchorMismatch(
-            f"u0/S0 = {u0 / S0!r} does not match the orbit's density ratio "
-            f"{w_at!r} at s0 = {s0!r}"
-        )
     u, S = _signal(s, w, ii, float(_interp(s0, s, ii)), S0)
 
     end_limits: dict = {}
@@ -241,19 +234,20 @@ def check_anchor(
     """Reject a profile anchor that cannot give a finite profile.
 
     The launch density ratio w0 and the signal normalization S0 must be
-    densities (`check_density`), the anchor coordinate s0 and a given
-    density u0 finite.  Raises PreconditionError; integrates nothing.
+    densities (`check_density`) and the launch coordinate s0 finite.  The
+    density at the launch is w0*S0 by definition, so a given u0 must equal
+    it to 1e-9 relative.  Raises PreconditionError; integrates nothing.
     """
     check_density("w0", w0)
-    _check_normalization(s0, S0, u0)
+    _check_normalization(s0, S0)
+    if u0 is not None and not abs(u0 / S0 - w0) <= 1e-9 * w0:
+        raise PreconditionError(f"anchor density u0 must equal w0*S0 = {w0 * S0!r}, got {u0!r}")
 
 
-def _check_normalization(s0: float, S0: float, u0: float | None) -> None:
+def _check_normalization(s0: float, S0: float) -> None:
     check_density("S0", S0)
     if not math.isfinite(s0):
         raise PreconditionError(f"anchor coordinate s0 must be finite, got {s0!r}")
-    if u0 is not None and not math.isfinite(u0):
-        raise PreconditionError(f"anchor density u0 must be finite, got {u0!r}")
 
 
 def wave_trajectory(
@@ -261,14 +255,15 @@ def wave_trajectory(
     w0: float,
     v0: float,
     controls: Controls | None = None,
+    s0: float = 0.0,
 ) -> Trajectory:
-    """The full orbit through (w0, v0): backward and forward legs merged.
+    """The full orbit through (w0, v0) at s0: backward and forward legs merged.
 
     A leg that ends CONVERGED carries `equilibrium_index` into `equilibria(p)`.
     """
     ctr = controls if controls is not None else Controls()
-    back = integrate(p, w0, v0, direction=BACKWARD, controls=ctr)
-    fwd = integrate(p, w0, v0, direction=FORWARD, controls=ctr)
+    back = integrate(p, w0, v0, direction=BACKWARD, controls=ctr, s0=s0)
+    fwd = integrate(p, w0, v0, direction=FORWARD, controls=ctr, s0=s0)
     return merge_trajectories([back, fwd])
 
 
@@ -556,6 +551,7 @@ def saturated_front(
     S0: float = 1.0,
     controls: Controls | None = None,
     n_samples: int = 2049,
+    u0: float | None = None,
 ) -> WaveProfile:
     """Build a singular front spanning the whole admissible slope range.
 
@@ -571,14 +567,14 @@ def saturated_front(
       requires the whole slope interval to sit strictly inside
       (-v_star, v_star); the slope increases and ln S is convex.
 
-    The anchor (v0, w0) fixes which front of the family is meant.  A
-    precondition decidable from the parameters and the anchor (see also
-    check_anchor) raises PreconditionError before any integration; a front
-    that fails while it is traced raises RegimeViolation.
+    The anchor (v0, w0) at s0 fixes which front of the family is meant.  A
+    precondition decidable from the parameters and the anchor (check_anchor:
+    a u0 off w0*S0 too) raises PreconditionError before any integration; a
+    front that fails while it is traced raises RegimeViolation.
     """
     if branch not in ("above", "below"):
         raise PreconditionError(f"branch must be 'above' or 'below', got {branch!r}")
-    check_anchor(w0, s0, S0)
+    check_anchor(w0, s0, S0, u0)
     if not p.limiter.saturated:
         raise PreconditionError("fronts need a saturating flux limiter")
     p.check_slope(v0, "anchor slope v0")
@@ -633,23 +629,24 @@ def wave_profile(
     branch: str | None = None,
     controls: Controls | None = None,
 ) -> tuple[WaveProfile, float | None]:
-    """The profile launched at (w0, v0), anchored at s0, with the w0_star it used.
+    """The profile launched at (w0, v0) at s0, with the w0_star it used.
 
-    With ``branch`` set it is that branch's saturated front (see
-    saturated_front), and w0_star is None.  Otherwise w0_star is the one
-    given, or else solved with find_w0_star; a launch within the critical
-    tolerance of predicted_types is the critical orbit
+    Every kind launches at s0, where S = S0, so a given u0 must be w0*S0
+    (check_anchor).  With ``branch`` set it is that branch's saturated
+    front (see saturated_front), and w0_star is None.  Otherwise w0_star is
+    the one given, or else solved with find_w0_star; a launch within the
+    critical tolerance of predicted_types is the critical orbit
     (threshold_trajectory), any other the orbit through the launch point.
     The profile carries its labels and its endpoint_slopes, or None where
-    an edge is infinite.
-    Anchors that cannot give a finite profile, u0 or w0_star given with
-    ``branch``, and a fast launch whose sub-critical type is not determined
-    (a*v_star = sigma) raise PreconditionError before any integration.
+    an edge is infinite.  Anchors that cannot give a finite profile,
+    w0_star given with ``branch``, and a fast launch whose sub-critical
+    type is not determined (a*v_star = sigma) raise PreconditionError
+    before any integration.
     """
     check_anchor(w0, s0, S0, u0)
     if branch is not None:
-        if u0 is not None or w0_star is not None:
-            raise PreconditionError("u0 and w0_star are not meaningful for saturated fronts")
+        if w0_star is not None:
+            raise PreconditionError("w0_star is not meaningful for saturated fronts")
         prof = saturated_front(p, v0, w0, branch=branch, s0=s0, S0=S0, controls=controls)
         prof.endpoint_slopes = endpoint_slopes(prof, p)  # both edges are on the flux boundary
         return prof, None
@@ -660,10 +657,10 @@ def wave_profile(
     else:
         thr = find_w0_star(p, v0, controls=controls)
     if _is_critical(w0, thr.w0_star):
-        traj = threshold_trajectory(p, v0, result=thr, controls=controls)
+        traj = threshold_trajectory(p, v0, result=thr, controls=controls, s0=s0)
     else:
-        traj = wave_trajectory(p, w0, v0, controls=controls)
-    prof = reconstruct(p, traj, s0=s0, S0=S0, u0=u0)
+        traj = wave_trajectory(p, w0, v0, controls=controls, s0=s0)
+    prof = reconstruct(p, traj, s0=s0, S0=S0)
     prof.u_type, prof.S_type = classify_profile(prof, p, thr.w0_star)
     try:
         prof.endpoint_slopes = endpoint_slopes(prof, p)
@@ -716,7 +713,7 @@ def sweep(
     side.  The grid is built, and so its parameters validated, before any
     point runs; the points then run in this process, in grid order.  A
     sigma factor within 1e-9 of 1 (degenerate), a v0_factor outside
-    (1, inf) or check_samples < 0 raises PreconditionError first.
+    (1, inf) or a check_samples not an int >= 0 raises PreconditionError first.
     """
     sigma_factors = list(sigma_factors)
     if any(abs(f - 1.0) <= 1e-9 for f in sigma_factors):
@@ -729,9 +726,9 @@ def sweep(
             f"v0_factor (--v0-factor) must be finite and over 1, got {v0_factor!r}: "
             "the launch must lie outside the wave speeds"
         )
-    if check_samples < 0:
+    if type(check_samples) is not int or check_samples < 0:
         raise PreconditionError(
-            f"check_samples (--check-samples) must be non-negative, got {check_samples!r}"
+            f"check_samples (--check-samples) must be a non-negative int, got {check_samples!r}"
         )
     points = []
     for a, f in itertools.product(a_values, sigma_factors):

@@ -581,8 +581,9 @@ def threshold_trajectory(
     v0: float,
     result: ThresholdResult | None = None,
     controls: Controls | None = None,
+    s0: float = 0.0,
 ) -> Trajectory:
-    """Assemble the critical orbit through (w0_star, v0) as one trajectory.
+    """Assemble the critical orbit launched at (w0_star, v0) at s0 as one trajectory.
 
     Direct integration from (w0_star, v0) toward the saddle falls off the
     separating manifold after a while, so the critical orbit is built from
@@ -595,28 +596,30 @@ def threshold_trajectory(
     from the manifold's expansion to third order in xi; it ends CONVERGED
     on the saddle.  The pieces are merged
     with seam checks (a mismatch raises ``AnchorMismatch``) and the wave
-    coordinate is based so that the launch point (w0_star, v0) sits at
-    s = 0 in either regime.
+    coordinate is based so that the launch point (w0_star, v0) sits at s0
+    in either regime; a non-finite s0 raises PreconditionError first.
     """
     ctr = controls if controls is not None else Controls()
+    if not math.isfinite(s0):
+        raise PreconditionError(f"launch coordinate s0 must be finite, got {s0!r}")
     if result is None:
         result = find_w0_star(p, v0, method="both", controls=ctr)
     forward = result.regime == REGIME_FORWARD
     saddle = _threshold_saddle(p, result.regime)
     kind = "stable" if forward else "unstable"
     # the blow-up leg: backward to v -> +inf (forward regime), else forward to v -> -inf
-    leg_out = integrate(p, result.w0_star, v0, BACKWARD if forward else FORWARD, ctr)
+    leg_out = integrate(p, result.w0_star, v0, BACKWARD if forward else FORWARD, ctr, s0)
     man = trace_stable_manifold(p, saddle, v_stop=v0, manifold=kind, controls=ctr)
     (ws, vs), (ew, ev), (ow, ov), mu, (c, c3), (d, d3), _ = _manifold_expansion(
         p, saddle, kind, _SEED_SCALE
     )
     # The seed is where the trace started: its last sample in s when it ran
     # backward (forward regime), else its first, at s = 0; then the piece
-    # ends at the seed one manifold span before the launch point at s = 0.
+    # ends at the seed one manifold span before the launch point at s0.
     k = -1 if forward else 0
     dw, dv = sample_list(man, "w")[k] - ws, sample_list(man, "v")[k] - vs
     xi0 = (ov * dw - ow * dv) / (ew * ov - ev * ow)  # e*.(seed - S)
-    s0 = 0.0 if forward else -sample_list(man, "s")[-1]
+    base = s0 if forward else s0 - sample_list(man, "s")[-1]
     # ds = dxi / xi' = (1 - d1*xi + d2*xi**2) * dxi / (mu*xi), and v - vs
     # = ev*xi + (c*xi**2 + c3*xi**3)*ov, both to third order, so I - vs*s
     # integrates i1 + i2*xi + i3*xi**2 over dxi / mu
@@ -627,7 +630,7 @@ def threshold_trajectory(
         x1, x2, x3 = xi - xi0, (xi * xi - xi0 * xi0) / 2.0, (xi**3 - xi0**3) / 3.0
         t = (math.log(xi / xi0) - d1 * x1 + d2 * x2) / mu
         q = c * xi * xi
-        sample = (s0 + t, ws + xi * ew + q * ow, vs + xi * ev + q * ov,
+        sample = (base + t, ws + xi * ew + q * ow, vs + xi * ev + q * ov,
                   vs * t + (i1 * x1 + i2 * x2 + i3 * x3) / mu)
         for col, x in zip(cols, sample):
             col.append(x)

@@ -334,14 +334,17 @@ class TestProfile:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_inconsistent_u0_is_numerical_failure(self, capsys, tmp_path):
+    def test_inconsistent_u0_is_a_config_error(self, capsys, tmp_path):
+        # the density at the launch is w0*S0, decided before any integration
+        out = tmp_path / "out"
         code, _, err = run(
             capsys,
             "profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
-            "--u0", "7.5", "--out", str(tmp_path),
+            "--u0", "7.5", "--out", str(out),
         )
-        assert code == 3
-        assert "AnchorMismatch" in err
+        assert code == 2
+        assert "u0 must equal w0*S0" in err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -2,12 +2,13 @@
 
 Each draw is one command (`equilibria`, `portrait`, `shoot`, `profile` with
 or without `--branch`, or a one-point `sweep`) with a random limiter,
-random a, sigma, v0 and w0, and `--rtol` unset, 1e-8 or 1e-12, run in
-process through `kswave.cli.main`:
+random a, sigma, v0 and w0, for `profile` a random launch coordinate
+`--s0` and in some draws a `--u0` on or off w0*S0, and `--rtol` unset,
+1e-8 or 1e-12, run in process through `kswave.cli.main`:
 
 * the exit code is 0, 2 or 3, and nothing escapes;
 * exit 2 comes before any orbit or graph integration;
-* a launch slope outside the slope domain exits 2;
+* a launch slope outside the slope domain, or a `--u0` off w0*S0, exits 2;
 * no output holds a `NaN` or `Infinity` token, or an infinite CSV value;
 * a second run writes the same bytes.
 """
@@ -21,7 +22,7 @@ import math
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kswave import cli
@@ -62,23 +63,28 @@ def commands(draw):
         argv += ["--w-grid", repr(w0), f"--v-grid={v0!r}"]
     elif command in ("shoot", "profile", "profile-branch"):
         argv.append(f"--v0={v0!r}")
+    # S0 is 1, so a u0 on the anchor is w0
+    u0 = None
     if command.startswith("profile"):
-        argv += ["--w0", repr(w0)]
+        argv += ["--w0", repr(w0), "--s0", repr(draw(st.floats(-2.0, 2.0)))]
+        u0 = draw(st.sampled_from((None, 1.0, 1.0 + 1e-6, 0.5)))
+        if u0 is not None:
+            argv += ["--u0", repr(u0 * w0)]
     if command == "profile-branch":
         argv += ["--branch", draw(st.sampled_from(("above", "below")))]
     rtol = draw(st.sampled_from((None, 1e-8, 1e-12)))
     if rtol is not None:
         argv += ["--rtol", repr(rtol)]
-    # a launch slope the slope domain cannot hold is decided from the
-    # parameters alone
-    outside = False
+    # a launch slope the slope domain cannot hold, and a u0 off the anchor,
+    # are decided from the inputs alone
+    refused = u0 not in (None, 1.0)
     if command in ("portrait", "shoot", "profile", "profile-branch"):
         try:
             lo, hi = ModelParams(a=a, sigma=sigma, limiter=FluxLimiter(**lim)).slope_domain
-            outside = not lo < v0 < hi
+            refused = refused or not lo < v0 < hi
         except ValueError:
             pass
-    return argv, outside
+    return argv, refused
 
 
 def run(argv: list[str], out) -> tuple[int, bool, dict]:
@@ -112,13 +118,16 @@ def run(argv: list[str], out) -> tuple[int, bool, dict]:
 
 @settings(max_examples=25, deadline=timedelta(seconds=20), database=None)
 @given(draw=commands())
+# a wave launched off s = 0: the anchor used to be judged only after the march
+@example(draw=(["profile", "--a", "1", "--sigma", "0.5", "--w0", "6", "--v0", "2",
+                "--s0", "0.3"], False))
 def test_cli_contract(tmp_path_factory, draw):
-    argv, outside = draw
+    argv, refused = draw
     code, started, outputs = run(argv, tmp_path_factory.mktemp("first"))
     assert code in (0, 2, 3), (argv, outputs["stderr"])
     if code == 2:
         assert not started, argv
-    if outside:
+    if refused:
         assert code == 2, (argv, outputs["stderr"])
     for name, data in outputs.items():
         text = data.decode()

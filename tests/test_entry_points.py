@@ -14,6 +14,7 @@ from kswave.integrate import Controls
 from kswave.phase import ModelParams
 from kswave.profiles import (
     SATURATED_FRONT_CONCAVE,
+    TYPE_A1,
     TYPE_A2,
     portrait,
     sweep,
@@ -66,11 +67,31 @@ class TestWaveProfile:
         assert prof.endpoint_slopes["u_prime_at_s_minus"] == "+inf"
         assert prof.endpoint_slopes["u_prime_at_s_plus"] == "-inf"
 
-    @pytest.mark.parametrize("extra", [{"u0": 5.0}, {"w0_star": 1.0}])
+    # a front takes a u0, held to w0*S0 as an orbit's is, but no w0_star
+    @pytest.mark.parametrize("extra", [{"u0": 7.5}, {"w0_star": 1.0}])
     def test_branch_refuses_orbit_anchors(self, paths, extra):
-        with pytest.raises(PreconditionError, match="not meaningful"):
+        with pytest.raises(PreconditionError, match=r"w0\*S0|not meaningful"):
             wave_profile(REL, 5.0, 0.5, branch="above", **extra)
         assert paths == []
+
+    @pytest.mark.parametrize("s0", [-0.2, 0.3, 1.0])
+    @pytest.mark.parametrize("p, w0, v0", [
+        (P, 6.0, 2.0), (ModelParams(a=0.5, sigma=0.3), 5.0, -2.0),
+    ], ids=["fast", "slow-case-A"])
+    def test_every_wave_launches_at_s0(self, p, w0, v0, s0):
+        ref, w0_star = wave_profile(p, w0, v0)
+        prof, _ = wave_profile(p, w0, v0, s0=s0, w0_star=w0_star)
+        assert (prof.u_type, prof.S_type) == (TYPE_A1, TYPE_A1)
+        i = list(prof.s).index(s0)
+        assert (prof.w[i], prof.v[i]) == (pytest.approx(w0, rel=1e-15), v0)
+        for edge, ref_edge in ((prof.s_minus, ref.s_minus), (prof.s_plus, ref.s_plus)):
+            assert abs(edge - (ref_edge + s0)) <= 1e-9 * max(1.0, abs(ref_edge))
+
+    def test_the_critical_orbit_launches_at_s0(self):
+        prof, _ = wave_profile(P, W0_STAR, 2.0, s0=0.3, w0_star=W0_STAR)
+        assert (prof.u_type, prof.S_type) == (TYPE_A2, TYPE_A2)
+        i = list(prof.s).index(0.3)
+        assert (prof.w[i], prof.v[i]) == (pytest.approx(W0_STAR, rel=1e-15), 2.0)
 
 
 class TestPortrait:

@@ -48,7 +48,7 @@ from kswave.integrate import (
     sample_list,
 )
 from kswave.phase import ModelParams, equilibria, make_log_rhs
-from kswave.profiles import graph_trajectory, saturated_front, wave_trajectory
+from kswave.profiles import graph_trajectory, saturated_front
 
 SAMPLES = ("s", "w", "v", "integral")  # the sample fields of a Trajectory
 
@@ -463,7 +463,7 @@ class TestGraphForm:
         with pytest.raises(PreconditionError, match="v_target"):
             trace()
 
-    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True])
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True, "3"])
     @pytest.mark.parametrize("trace", [
         lambda n: integrate_graph_W(COTH_P, v_anchor=0.0, W_anchor=0.3, v_target=0.5,
                                     n_samples=n),
@@ -478,7 +478,7 @@ class TestGraphForm:
             raise AssertionError("graph leg marched before its sample count was checked")
 
         monkeypatch.setattr(INTEGRATE, "_leg_march", forbidden)
-        with pytest.raises(ValueError, match="n_samples"):
+        with pytest.raises(PreconditionError, match="n_samples"):
             trace(n_samples)
 
     def test_step_budget_exhaustion_raises(self):
@@ -1318,30 +1318,6 @@ class TestNonFinite:
     def test_controls_reject_out_of_range_fields(self, name, bad):
         with pytest.raises(ValueError, match=name):
             Controls(**{name: bad})
-
-    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-    @pytest.mark.parametrize("w0, v0, match", [
-        # relativistic a = 1, sigma = 0.5, c = 1: the slope domain is (-0.5, 1.5).
-        # Marched, the first launch ends ConvergedToEquilibrium forward, a
-        # wrong answer, and in StepSizeUnderflow backward.
-        (1.0, 3.0, "slope domain"),
-        (1.0, 1.5, "slope domain"),
-        (1.0, -0.5, "slope domain"),
-        (1.0, math.nan, "finite"),
-        (math.inf, 0.5, "finite"),
-        (-1e-300, 0.5, "nonnegative"),
-    ])
-    def test_integrate_refuses_a_bad_launch_before_any_march(self, monkeypatch, direction, w0,
-                                                              v0, match):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an orbit marched from a bad launch")
-
-        monkeypatch.setattr(INTEGRATE, "_march", forbidden)
-        p = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0))
-        with pytest.raises(PreconditionError, match=match):
-            integrate(p, w0, v0, direction=direction)
-        with pytest.raises(PreconditionError, match=match):
-            wave_trajectory(p, w0, v0)
 
     def test_state_turning_nan_mid_run_underflows(self, monkeypatch):
         # A field that is NaN past v = 2: before any event, the run must end

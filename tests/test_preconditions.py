@@ -174,8 +174,12 @@ def test_front_anchor_checks_raise_before_tracing(no_integration):
     ({"v0_factor": math.nan}, "v0_factor"),
     ({"v0_factor": math.inf}, "v0_factor"),
     ({"check_samples": -3}, "check_samples"),
+    ({"check_samples": True}, "check_samples"),
+    ({"check_samples": 2.5}, "check_samples"),
+    ({"check_samples": "3"}, "check_samples"),
 ], ids=["sigma-factor-one", "v0-factor-half", "v0-factor-nan", "v0-factor-inf",
-        "check-samples-negative"])
+        "check-samples-negative", "check-samples-bool", "check-samples-float",
+        "check-samples-str"])
 def test_sweep_ranges_are_checked_before_any_point(no_integration, kw, word):
     # the library validates the whole grid's options, so no point runs; the
     # CLI only maps the error to exit 2
@@ -324,17 +328,6 @@ class TestNonFiniteRunInputs:
         with pytest.raises(PreconditionError):
             saturated_front(p, v0=0.5, w0=5.0, branch="above", **kw)
 
-    @pytest.mark.parametrize("args", [
-        (math.nan, 0.0, 1.0, None),
-        (-1.0, 0.0, 1.0, None),
-        (1.0, math.inf, 1.0, None),
-        (1.0, 0.0, 0.0, None),
-        (1.0, 0.0, 1.0, -math.inf),
-    ])
-    def test_check_anchor(self, args):
-        with pytest.raises(PreconditionError):
-            check_anchor(*args)
-
     @pytest.mark.parametrize("w0, w0_star, name", [
         (math.nan, 3.0, "w0"), (math.inf, 3.0, "w0"), (0.0, 3.0, "w0"),
         (1.0, 0.0, "w0_star"), (1.0, -1.0, "w0_star"), (1.0, math.nan, "w0_star"),
@@ -346,7 +339,7 @@ class TestNonFiniteRunInputs:
 
 
 @pytest.mark.parametrize("kw", [
-    {"S0": math.inf}, {"S0": math.nan}, {"u0": math.nan}, {"s0": math.nan},
+    {"S0": math.inf}, {"S0": math.nan}, {"s0": -math.inf}, {"s0": math.nan},
 ])
 def test_reconstruct_rejects_non_finite_normalization(kw):
     traj = wave_trajectory(P_LIN, 6.0, 2.0)
@@ -365,8 +358,10 @@ P_REL_C1 = ModelParams(a=1.0, sigma=0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.0
 # What an input must be: a slope in the open slope domain; a graph leg's
 # target, in the domain or on a saturated domain's (finite) edge; a density,
 # finite and positive; `integrate`'s launch density, finite and nonnegative
-# (w0 = 0 is the invariant axis); or one of a tuple of choices.
-SLOPE, TARGET, DENSITY, AXIS = "slope", "target", "density", "axis"
+# (w0 = 0 is the invariant axis); a launch coordinate, finite; a launch
+# density u0, w0*S0 to 1e-9 relative or not given; or one of a tuple of
+# choices.
+SLOPE, TARGET, DENSITY, AXIS, FINITE, U0 = "slope", "target", "density", "axis", "finite", "u0"
 
 
 def _inside(p: ModelParams, f: float = 0.5) -> float:
@@ -376,10 +371,17 @@ def _inside(p: ModelParams, f: float = 0.5) -> float:
     return lo + f * (hi - lo) if p.limiter.saturated else 20.0 * f - 10.0
 
 
+def anchored(w0, s0, S0, u0):
+    """check_anchor with u0 drawn as its relative offset from w0*S0 (None: not given)."""
+    check_anchor(w0, s0, S0, None if u0 is None else w0 * S0 * (1.0 + u0))
+
+
 # Each public entry point that takes a launch, an anchor or seeds: the call,
 # from p and keyword inputs, and what each input it is given must be.
 ENTRY_POINTS = {
-    "check_anchor": (lambda p, **kw: check_anchor(**kw), {"w0": DENSITY, "S0": DENSITY}),
+    "check_anchor": (
+        lambda p, **kw: anchored(**kw), {"w0": DENSITY, "s0": FINITE, "S0": DENSITY, "u0": U0}
+    ),
     "classify_trajectory": (classify_trajectory, {"w0": DENSITY, "v0": SLOPE}),
     "find_w0_star": (find_w0_star, {"v0": SLOPE, "method": ("both", "bisection", "manifold")}),
     "graph_trajectory": (graph_trajectory, {"w0": DENSITY, "v0": SLOPE}),
@@ -398,12 +400,12 @@ ENTRY_POINTS = {
     ),
     "shooting_regime": (shooting_regime, {"v0": SLOPE}),
     "supplied_threshold": (supplied_threshold, {"v0": SLOPE, "w0_star": DENSITY}),
-    "threshold_trajectory": (threshold_trajectory, {"v0": SLOPE}),
+    "threshold_trajectory": (threshold_trajectory, {"v0": SLOPE, "s0": FINITE}),
     "wave_profile": (
         wave_profile,
         {"w0": DENSITY, "v0": SLOPE, "S0": DENSITY, "w0_star": DENSITY, "branch": (None,)},
     ),
-    "wave_trajectory": (wave_trajectory, {"w0": AXIS, "v0": SLOPE}),
+    "wave_trajectory": (wave_trajectory, {"w0": AXIS, "v0": SLOPE, "s0": FINITE}),
 }
 NON_FINITE = (math.nan, math.inf, -math.inf)
 BAD_CHOICES = ("", "sideways", "newton")
@@ -428,6 +430,10 @@ def models(draw):
 def valid(p: ModelParams, rule):
     if isinstance(rule, tuple):
         return st.sampled_from(rule)
+    if rule == FINITE:
+        return st.floats(-2.0, 2.0)
+    if rule == U0:
+        return st.one_of(st.none(), st.floats(-5e-10, 5e-10))
     if rule in (SLOPE, TARGET):
         inside = st.floats(0.01, 0.99).map(lambda f: _inside(p, f))
         if rule == TARGET and p.limiter.saturated:
@@ -440,6 +446,11 @@ def valid(p: ModelParams, rule):
 def invalid(p: ModelParams, rule):
     if isinstance(rule, tuple):
         return st.sampled_from(BAD_CHOICES)
+    if rule == FINITE:
+        return st.sampled_from(NON_FINITE)
+    if rule == U0:
+        off = log_uniform(2e-9, 1e3)
+        return st.one_of(st.sampled_from(NON_FINITE + (-1.0,)), off, off.map(operator.neg))
     if rule in (SLOPE, TARGET):
         bad = st.sampled_from(NON_FINITE)
         if not p.limiter.saturated:
@@ -503,6 +514,13 @@ def past_edge(v0):
     ("integrate", {"w0": w0, "v0": v0, "s0": s0}) for w0, v0, s0 in (
         (math.nan, 0.5, 0.0), (math.inf, 0.5, 0.0), (0.1, math.nan, 0.0), (0.1, -math.inf, 0.0),
         (0.1, 0.5, math.inf),
+    )
+]))
+# an anchor with a bad w0, s0 or S0, or a u0 (its offset from w0*S0 here) that is not finite
+@example(case=(P_LIN, [
+    ("check_anchor", {"w0": w0, "s0": s0, "S0": S0, "u0": u0}) for w0, s0, S0, u0 in (
+        (math.nan, 0.0, 1.0, None), (-1.0, 0.0, 1.0, None), (1.0, math.inf, 1.0, None),
+        (1.0, 0.0, 0.0, None), (1.0, 0.0, 1.0, -math.inf),
     )
 ]))
 # a launch past, or on, an edge of the slope domain, not finite, or under the axis

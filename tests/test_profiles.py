@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from kswave.errors import (
-    AnchorMismatch,
     DegenerateError,
     DenominatorVanished,
+    PreconditionError,
     RegimeViolation,
 )
 from kswave.flux import LINEAR, RELATIVISTIC, FluxLimiter, g_inverse
@@ -38,12 +39,14 @@ from kswave.profiles import (
     TYPE_A4,
     TYPE_UNCLASSIFIED,
     WaveProfile,
+    check_anchor,
     classify_profile,
     endpoint_slopes,
     farfield_coefficients,
     graph_trajectory,
     reconstruct,
     saturated_front,
+    wave_profile,
     wave_trajectory,
 )
 from kswave.shooting import find_w0_star, threshold_trajectory
@@ -93,17 +96,34 @@ class TestReconstruct:
         w_at = float(np.interp(0.1, traj.s, traj.w))
         assert prof.anchors["u0"] == pytest.approx(3.0 * w_at, rel=1e-12)
 
+    # reconstruct takes no u0: a profile launches at s0, where its density
+    # is w0*S0 by definition, and check_anchor holds a given u0 to that
     def test_consistent_u0_accepted(self, thr_c):
-        traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)
-        w_at = float(np.interp(0.0, traj.s, traj.w))
-        prof = reconstruct(P_C, traj, s0=0.0, S0=2.0, u0=2.0 * w_at)
-        assert prof.anchors["u0"] == pytest.approx(2.0 * w_at, rel=1e-12)
+        w0 = 2.0 * thr_c.w0_star
+        for rel in (0.0, 9e-10, -9e-10):
+            prof, _ = wave_profile(P_C, w0, 2.0, s0=0.1, S0=2.0, u0=2.0 * w0 * (1.0 + rel),
+                                   w0_star=thr_c.w0_star)
+            assert prof.anchors == {"s0": 0.1, "S0": 2.0,
+                                    "u0": pytest.approx(2.0 * w0, rel=1e-15)}
 
-    def test_inconsistent_u0_rejected(self, thr_c):
-        traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)
-        w_at = float(np.interp(0.0, traj.s, traj.w))
-        with pytest.raises(AnchorMismatch):
-            reconstruct(P_C, traj, s0=0.0, S0=1.0, u0=1.001 * w_at)
+    def test_inconsistent_u0_rejected(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a profile marched from an anchor that check_anchor refuses")
+
+        integrate_module = importlib.import_module("kswave.integrate")
+        monkeypatch.setattr(integrate_module, "_march", forbidden)
+        for module in (integrate_module, importlib.import_module("kswave.profiles")):
+            monkeypatch.setattr(module, "integrate", forbidden)
+            monkeypatch.setattr(module, "integrate_graph_W", forbidden)
+        for u0 in (5.0 * (1.0 + 2e-9), 5.0 * (1.0 - 2e-9), 7.5, 0.0, -5.0,
+                   math.nan, math.inf, -math.inf):
+            with pytest.raises(PreconditionError, match=r"u0 must equal w0\*S0"):
+                check_anchor(5.0, 0.3, 1.0, u0)
+            with pytest.raises(PreconditionError, match=r"u0 must equal w0\*S0"):
+                wave_profile(P_C, 5.0, 2.0, s0=0.3, u0=u0, w0_star=3.0)
+            for call in (wave_profile, saturated_front):
+                with pytest.raises(PreconditionError, match=r"u0 must equal w0\*S0"):
+                    call(P_ABOVE, v0=0.5, w0=5.0, s0=0.3, u0=u0, branch="above")
 
     def test_anchor_outside_span(self, thr_c):
         traj = wave_trajectory(P_C, 2.0 * thr_c.w0_star, 2.0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from kswave.errors import (
     DegenerateError,
+    Inconclusive,
     NoDichotomy,
     PreconditionError,
     RegimeViolation,
@@ -122,6 +123,25 @@ class TestClassify:
         p = lp(0.5, 0.5)  # sigma == sigma_star for a = 0.5
         with pytest.raises(DegenerateError):
             classify_trajectory(p, 1.0, 2.0)
+
+    @pytest.mark.parametrize("p, w0, v0, controls, outcome", [
+        # a is so near 1 that the orbit neither escapes nor dips under the
+        # parabola within the span
+        (lp(1.0023, 0.0016), 0.1, 2.0, None, Inconclusive),
+        # the orbit runs into the flux boundary first
+        (lp(1.0, 0.5, limiter=FluxLimiter(RELATIVISTIC, c=1.2)), 5.0, 1.5, None,
+         RegimeViolation),
+        # v_max under the escape level: the blow-up stop fires first
+        (P_C, 5.0, 2.0, Controls(v_max=0.5), ESCAPES_BELOW),
+    ], ids=["span-limit", "flux-boundary", "blow-up-fallback"])
+    def test_undecided_and_fallback_ends(self, p, w0, v0, controls, outcome):
+        if not isinstance(outcome, str):
+            with pytest.raises(outcome):
+                classify_trajectory(p, w0, v0, controls=controls)
+            return
+        out = classify_trajectory(p, w0, v0, controls=controls)
+        assert out.cls == outcome
+        assert out.trajectory.termination.kind == V_BLOW_UP_MINUS
 
 
 class TestManifold:
@@ -360,6 +380,24 @@ class TestThresholdTrajectory:
         assert traj.w[i0] == pytest.approx(thr_a_back.w0_star, rel=1e-9)
         sw, sv = thr_a_back.saddle
         assert math.hypot(traj.w[0] - sw, traj.v[0] - sv) < 1e-5
+
+    @pytest.mark.parametrize("s0", [-0.2, 0.3, 1.0])
+    def test_launch_at_s0(self, thr_c, thr_a_back, s0):
+        for p, v0, thr in ((P_C, 2.0, thr_c), (P_A, -2.0, thr_a_back)):
+            ref = threshold_trajectory(p, v0, result=thr)
+            traj = threshold_trajectory(p, v0, result=thr, s0=s0)
+            i0 = int(np.argmin(np.abs(traj.s - s0)))
+            assert traj.s[i0] == pytest.approx(s0, abs=1e-12)
+            assert traj.v[i0] == pytest.approx(v0, abs=1e-12)
+            assert traj.w[i0] == pytest.approx(thr.w0_star, rel=1e-9)
+            # the blow-up edge moves with the launch
+            for edge, ref_edge in ((traj.s_minus, ref.s_minus), (traj.s_plus, ref.s_plus)):
+                assert edge == pytest.approx(ref_edge + s0, abs=1e-9)
+
+    def test_non_finite_s0_is_refused_before_the_threshold_solve(self, monkeypatch):
+        monkeypatch.setattr(shooting, "find_w0_star", None)  # any call would fail
+        with pytest.raises(PreconditionError, match="s0"):
+            threshold_trajectory(P_C, 2.0, s0=math.nan)
 
     def test_computes_result_when_omitted(self):
         traj = threshold_trajectory(P_C, 2.0)
